@@ -26,7 +26,6 @@ from .fields import (
     spectral_dx, tabulate_field, weighted_norm, weighted_sup,
     write_field_csv, zero_field,
 )
-from .kernels import USING_NUMBA, set_num_threads, use_numba
 from .scattering import (
     BoundCheck, ConvergenceError, ProductBoundReport, SolveResult,
     TrajectoryTable, VariationalTable, apply_field_map,

@@ -21,11 +21,9 @@ import os
 import sys
 
 from .config import ConfigError, RunConfig, load_config
-from .kernels import USING_NUMBA, set_num_threads
 from .params import AdmissibilityError, check_assumptions
 from .profiles import HypothesisError, check_profile
-from .scattering import ConvergenceError, PARTITION_NOTE, SolveResult, \
-    picard_solve
+from .scattering import ConvergenceError, SolveResult, picard_solve
 from .fields import write_field_csv
 from .uq import CollocationError, check_corollary, check_theorem_bounds, \
     gauss_legendre_nodes, gpc_coefficients, run_collocation, write_gpc_csv
@@ -48,8 +46,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="run configuration file")
         sp.add_argument("--out", metavar="DIR", default=None,
                         help="output directory (overrides the config)")
-        sp.add_argument("--threads", type=int, default=None, metavar="N",
-                        help="compute thread count (default: library choice)")
 
     sp = sub.add_parser("check", help="validate parameters and profile")
     common(sp)
@@ -185,8 +181,7 @@ def cmd_solve(cfg: RunConfig, args) -> int:
     manifest["artifacts"] = {"field": "field.csv"}
     write_field_csv(result.field, os.path.join(out, "field.csv"),
                     metadata={"z": result.z, "method": result.method,
-                              "config_sha256": cfg.content_hash(),
-                              "reduction_partition": PARTITION_NOTE})
+                              "config_sha256": cfg.content_hash()})
     _write_json(os.path.join(out, "solve_manifest.json"), manifest)
 
     print(f"converged in {result.iterations} iterations "
@@ -347,11 +342,6 @@ def main(argv=None) -> int:
         if args.command == "report":
             return cmd_report(args)
         cfg = load_config(args.config)
-        if args.threads is not None:
-            if args.threads < 1:
-                raise ConfigError("--threads must be at least 1")
-            if USING_NUMBA:
-                set_num_threads(args.threads)
         if args.command == "check":
             return cmd_check(cfg, args)
         if args.command == "solve":

@@ -1,12 +1,9 @@
-"""Hot numerical kernels, each in a compiled and a pure-numpy variant.
+"""Hot numerical kernels, vectorized with numpy over particles.
 
-Every kernel exists twice with identical semantics: a numba ``@njit``
-version (parallel over independent outputs, deterministic accumulation
-order within each output) and a vectorized numpy version.  The compiled
-variants are used when numba imports successfully and the environment
-variable ``VLANDAU_NUMBA`` is not set to ``0``; ``USING_NUMBA`` records
-the active backend and ``use_numba()`` can switch it at runtime (the
-benchmark harness does).
+Each kernel loops over time rows (or mode indices) and applies whole-array
+numpy operations across the particles.  The only threaded operations are
+the BLAS products that reduce over particles in ``corr_fourier`` and
+``direct_bmap``; ``OPENBLAS_NUM_THREADS`` sets their thread count.
 
 Numerical conventions shared by several kernels:
 
@@ -38,46 +35,22 @@ Numerical conventions shared by several kernels:
 from __future__ import annotations
 
 import math
-import os
 
 import numpy as np
-
-try:
-    import numba
-    from numba import njit, prange
-    _HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only without numba
-    numba = None
-    _HAVE_NUMBA = False
-
-    def njit(*args, **kwargs):
-        def deco(fn):
-            return fn
-        return deco
-
-    prange = range
-
-USING_NUMBA = _HAVE_NUMBA and os.environ.get("VLANDAU_NUMBA", "1") != "0"
-
-
-def use_numba(enabled: bool) -> bool:
-    """Select the backend at runtime; returns the backend actually active."""
-    global USING_NUMBA
-    USING_NUMBA = bool(enabled) and _HAVE_NUMBA
-    return USING_NUMBA
-
-
-def set_num_threads(n: int) -> None:
-    """Limit compiled-kernel parallelism; no effect on the numpy backend."""
-    if _HAVE_NUMBA and n >= 1:
-        numba.set_num_threads(min(int(n), numba.config.NUMBA_NUM_THREADS))
 
 
 # ---------------------------------------------------------------------------
 # mode-row evaluation along trajectories
 # ---------------------------------------------------------------------------
 
-def _eval_rows_np(cre, cim, x, v, times, dx_dev, out):
+def eval_rows(cre, cim, x, v, times, dx_dev):
+    """Evaluate per-time mode rows at particle angles x + v t + dx_dev.
+
+    cre/cim: (nt, nk) mode rows (see module docstring for the layout);
+    x, v: flat particle labels (P,); dx_dev: (nt, P) position deviations.
+    Returns (nt, P).
+    """
+    out = np.empty(dx_dev.shape)
     nt, nk = cre.shape
     half = nk - 1
     for n in range(nt):
@@ -94,95 +67,18 @@ def _eval_rows_np(cre, cim, x, v, times, dx_dev, out):
     return out
 
 
-@njit(cache=True, parallel=True)
-def _eval_rows_nb(cre, cim, x, v, times, dx_dev, out):  # pragma: no cover
-    nt, nk = cre.shape
-    half = nk - 1
-    npart = x.shape[0]
-    for n in prange(nt):
-        t = times[n]
-        for p in range(npart):
-            theta = x[p] + v[p] * t + dx_dev[n, p]
-            ure = math.cos(theta)
-            uim = math.sin(theta)
-            acc = cre[n, 0]
-            pre = ure
-            pim = uim
-            for k in range(1, half):
-                acc += 2.0 * (cre[n, k] * pre - cim[n, k] * pim)
-                pre, pim = pre * ure - pim * uim, pre * uim + pim * ure
-            acc += cre[n, half] * pre
-            out[n, p] = acc
-    return out
-
-
-def eval_rows(cre, cim, x, v, times, dx_dev):
-    """Evaluate per-time mode rows at particle angles x + v t + dx_dev.
-
-    cre/cim: (nt, nk) mode rows (see module docstring for the layout);
-    x, v: flat particle labels (P,); dx_dev: (nt, P) position deviations.
-    Returns (nt, P).
-    """
-    out = np.empty(dx_dev.shape)
-    fn = _eval_rows_nb if USING_NUMBA else _eval_rows_np
-    return fn(np.ascontiguousarray(cre), np.ascontiguousarray(cim),
-              x, v, times, dx_dev, out)
-
-
 # ---------------------------------------------------------------------------
 # suffix trapezoid integrals
 # ---------------------------------------------------------------------------
 
-def _suffix_trapz_np(g, dt):
-    nt = g.shape[0]
-    acc = np.zeros_like(g)
-    for n in range(nt - 2, -1, -1):
-        acc[n] = acc[n + 1] + (0.5 * dt) * (g[n] + g[n + 1])
-    return acc
-
-
-@njit(cache=True, parallel=True)
-def _suffix_trapz_nb(g, dt):  # pragma: no cover
-    nt, npart = g.shape
-    acc = np.zeros((nt, npart))
-    for p in prange(npart):
-        run = 0.0
-        for n in range(nt - 2, -1, -1):
-            run += (0.5 * dt) * (g[n, p] + g[n + 1, p])
-            acc[n, p] = run
-    return acc
-
-
 def suffix_trapz(g, dt):
     """A[n] = trapezoid of g over [t_n, t_end]; g is (nt, P)."""
-    fn = _suffix_trapz_nb if USING_NUMBA else _suffix_trapz_np
-    return fn(np.ascontiguousarray(g), float(dt))
-
-
-def _suffix_trapz_moment_np(g, dt):
-    nt = g.shape[0]
+    g = np.ascontiguousarray(g)
+    dt = float(dt)
     acc = np.zeros_like(g)
-    mom = np.zeros_like(g)
-    for n in range(nt - 2, -1, -1):
-        mom[n] = mom[n + 1] + dt * acc[n + 1] + (0.5 * dt * dt) * g[n + 1]
+    for n in range(g.shape[0] - 2, -1, -1):
         acc[n] = acc[n + 1] + (0.5 * dt) * (g[n] + g[n + 1])
-    return acc, mom
-
-
-@njit(cache=True, parallel=True)
-def _suffix_trapz_moment_nb(g, dt):  # pragma: no cover
-    nt, npart = g.shape
-    acc = np.zeros((nt, npart))
-    mom = np.zeros((nt, npart))
-    for p in prange(npart):
-        run = 0.0
-        runm = 0.0
-        for n in range(nt - 2, -1, -1):
-            runm += dt * run + (0.5 * dt * dt) * g[n + 1, p]
-            run += (0.5 * dt) * (g[n, p] + g[n + 1, p])
-            acc[n, p] = run
-            mom[n, p] = runm
-    return acc, mom
+    return acc
 
 
 def suffix_trapz_moment(g, dt):
@@ -191,28 +87,14 @@ def suffix_trapz_moment(g, dt):
     I is the exact first moment of the same composite-trapezoid rule, so
     A and I stay consistent to rounding.
     """
-    fn = _suffix_trapz_moment_nb if USING_NUMBA else _suffix_trapz_moment_np
-    return fn(np.ascontiguousarray(g), float(dt))
-
-
-def _suffix_weighted_np(g, alpha, beta):
-    nt = g.shape[0]
+    g = np.ascontiguousarray(g)
+    dt = float(dt)
     acc = np.zeros_like(g)
-    for n in range(nt - 2, -1, -1):
-        acc[n] = acc[n + 1] + alpha * g[n] + beta * g[n + 1]
-    return acc
-
-
-@njit(cache=True, parallel=True)
-def _suffix_weighted_nb(g, alpha, beta):  # pragma: no cover
-    nt, npart = g.shape
-    acc = np.zeros((nt, npart))
-    for p in prange(npart):
-        run = 0.0
-        for n in range(nt - 2, -1, -1):
-            run += alpha * g[n, p] + beta * g[n + 1, p]
-            acc[n, p] = run
-    return acc
+    mom = np.zeros_like(g)
+    for n in range(g.shape[0] - 2, -1, -1):
+        mom[n] = mom[n + 1] + dt * acc[n + 1] + (0.5 * dt * dt) * g[n + 1]
+        acc[n] = acc[n + 1] + (0.5 * dt) * (g[n] + g[n + 1])
+    return acc, mom
 
 
 def exp_cell_weights(a: float, dt: float) -> tuple[float, float]:
@@ -240,20 +122,33 @@ def exp_cell_weights(a: float, dt: float) -> tuple[float, float]:
 
 def suffix_weighted(g, alpha, beta):
     """A[n] = sum over cells of alpha g_left + beta g_right on [t_n, t_end]."""
-    fn = _suffix_weighted_nb if USING_NUMBA else _suffix_weighted_np
-    return fn(np.ascontiguousarray(g), float(alpha), float(beta))
+    g = np.ascontiguousarray(g)
+    alpha, beta = float(alpha), float(beta)
+    acc = np.zeros_like(g)
+    for n in range(g.shape[0] - 2, -1, -1):
+        acc[n] = acc[n + 1] + alpha * g[n] + beta * g[n + 1]
+    return acc
 
 
 # ---------------------------------------------------------------------------
 # spectral density corrections
 # ---------------------------------------------------------------------------
 
-def _corr_fourier_np(wf, x, v, times, dx_dev, nk):
+def corr_fourier(wf, x, v, times, dx_dev, nk):
+    """Density-correction modes against the free flow.
+
+    Returns (re, im), each (nt, nk), holding
+
+        (1/2pi) sum_p wf_p e^{-i k (x_p + v_p t_n)} (e^{-i k dX_p(t_n)} - 1)
+
+    i.e. the transported-density Fourier modes minus their free-streaming
+    part, with the cancellation done analytically per particle.
+    """
+    nk = int(nk)
     nt = times.shape[0]
     out_re = np.zeros((nt, nk))
     out_im = np.zeros((nt, nk))
     inv2pi = 1.0 / (2.0 * math.pi)
-    wflat = wf
     for n in range(nt):
         psi = x + v * times[n]
         ure, uim = np.cos(psi), np.sin(psi)
@@ -269,8 +164,8 @@ def _corr_fourier_np(wf, x, v, times, dx_dev, nk):
             # (e^{-i k psi}) (e^{-i k d} - 1), accumulated against weights
             fre = pre * rre - pim * rim
             fim = pre * rim + pim * rre
-            out_re[n, k] = inv2pi * float(np.dot(wflat, fre))
-            out_im[n, k] = inv2pi * float(np.dot(wflat, fim))
+            out_re[n, k] = inv2pi * float(np.dot(wf, fre))
+            out_im[n, k] = inv2pi * float(np.dot(wf, fim))
             if k + 1 < nk:
                 pre, pim = (pre * ure + pim * uim,
                             -pre * uim + pim * ure)
@@ -279,65 +174,16 @@ def _corr_fourier_np(wf, x, v, times, dx_dev, nk):
     return out_re, out_im
 
 
-@njit(cache=True, parallel=True)
-def _corr_fourier_nb(wf, x, v, times, dx_dev, nk):  # pragma: no cover
-    nt = times.shape[0]
-    npart = x.shape[0]
-    out_re = np.zeros((nt, nk))
-    out_im = np.zeros((nt, nk))
-    inv2pi = 1.0 / (2.0 * math.pi)
-    for n in prange(nt):
-        t = times[n]
-        acc_re = np.zeros(nk)
-        acc_im = np.zeros(nk)
-        for p in range(npart):
-            w = wf[p]
-            if w == 0.0:
-                continue
-            psi = x[p] + v[p] * t
-            ure = math.cos(psi)
-            uim = math.sin(psi)
-            d = dx_dev[n, p]
-            halfs = math.sin(0.5 * d)
-            r1re = -2.0 * halfs * halfs
-            r1im = -math.sin(d)
-            pre = ure
-            pim = -uim
-            rre = r1re
-            rim = r1im
-            for k in range(1, nk):
-                acc_re[k] += w * (pre * rre - pim * rim)
-                acc_im[k] += w * (pre * rim + pim * rre)
-                if k + 1 < nk:
-                    pre, pim = pre * ure + pim * uim, -pre * uim + pim * ure
-                    rre, rim = (rre + rre * r1re - rim * r1im + r1re,
-                                rim + rre * r1im + rim * r1re + r1im)
-        for k in range(nk):
-            out_re[n, k] = inv2pi * acc_re[k]
-            out_im[n, k] = inv2pi * acc_im[k]
-    return out_re, out_im
-
-
-def corr_fourier(wf, x, v, times, dx_dev, nk):
-    """Density-correction modes against the free flow.
-
-    Returns (re, im), each (nt, nk), holding
-
-        (1/2pi) sum_p wf_p e^{-i k (x_p + v_p t_n)} (e^{-i k dX_p(t_n)} - 1)
-
-    i.e. the transported-density Fourier modes minus their free-streaming
-    part, with the cancellation done analytically per particle.
-    """
-    if USING_NUMBA:
-        return _corr_fourier_nb(wf, x, v, times, dx_dev, int(nk))
-    return _corr_fourier_np(wf, x, v, times, dx_dev, int(nk))
-
-
 # ---------------------------------------------------------------------------
 # direct kernel summation and charge deposition
 # ---------------------------------------------------------------------------
 
-def _direct_bmap_np(wf, pos, xs):
+def direct_bmap(wf, pos, xs):
+    """Field by direct kernel summation: E(x_i,t_n) = sum_p wf_p B(x_i - X_p).
+
+    pos is (nt, P) absolute particle positions; xs the evaluation grid.
+    """
+    pos = np.ascontiguousarray(pos)
     nt = pos.shape[0]
     out = np.empty((nt, xs.shape[0]))
     two_pi = 2.0 * math.pi
@@ -348,35 +194,10 @@ def _direct_bmap_np(wf, pos, xs):
     return out
 
 
-@njit(cache=True, parallel=True)
-def _direct_bmap_nb(wf, pos, xs):  # pragma: no cover
-    nt = pos.shape[0]
-    nx = xs.shape[0]
-    npart = wf.shape[0]
-    out = np.empty((nt, nx))
-    two_pi = 2.0 * math.pi
-    for n in prange(nt):
-        for i in range(nx):
-            acc = 0.0
-            xi = xs[i]
-            for p in range(npart):
-                frac = (xi - pos[n, p]) / two_pi
-                frac = frac - math.floor(frac)
-                acc += wf[p] * (0.5 - frac)
-            out[n, i] = acc
-    return out
-
-
-def direct_bmap(wf, pos, xs):
-    """Field by direct kernel summation: E(x_i,t_n) = sum_p wf_p B(x_i - X_p).
-
-    pos is (nt, P) absolute particle positions; xs the evaluation grid.
-    """
-    fn = _direct_bmap_nb if USING_NUMBA else _direct_bmap_np
-    return fn(wf, np.ascontiguousarray(pos), xs)
-
-
-def _cic_density_np(wf, pos, nx, dx):
+def cic_density(wf, pos, nx, dx):
+    """Cloud-in-cell density on the x grid from weighted particles."""
+    pos = np.ascontiguousarray(pos)
+    nx, dx = int(nx), float(dx)
     nt = pos.shape[0]
     out = np.zeros((nt, nx))
     for n in range(nt):
@@ -390,29 +211,16 @@ def _cic_density_np(wf, pos, nx, dx):
     return out
 
 
-@njit(cache=True, parallel=True)
-def _cic_density_nb(wf, pos, nx, dx):  # pragma: no cover
-    nt, npart = pos.shape
-    out = np.zeros((nt, nx))
-    for n in prange(nt):
-        for p in range(npart):
-            s = pos[n, p] / dx
-            j = int(math.floor(s))
-            frac = s - j
-            j0 = j % nx
-            j1 = (j + 1) % nx
-            out[n, j0] += wf[p] * (1.0 - frac) / dx
-            out[n, j1] += wf[p] * frac / dx
-    return out
+def cic_density_pert(wf, x, v, times, dx_dev, nx, dx):
+    """CIC density of displaced particles minus CIC density of the free flow.
 
-
-def cic_density(wf, pos, nx, dx):
-    """Cloud-in-cell density on the x grid from weighted particles."""
-    fn = _cic_density_nb if USING_NUMBA else _cic_density_np
-    return fn(wf, np.ascontiguousarray(pos), int(nx), float(dx))
-
-
-def _cic_pert_np(wf, x, v, times, dx_dev, nx, dx):
+    Computed per particle as a net deposition difference so the result
+    scales with the displacement instead of carrying the O(1) background;
+    the no-crossing branch transfers exactly wf * dX/dx between the two
+    touched cells.
+    """
+    dx_dev = np.ascontiguousarray(dx_dev)
+    nx, dx = int(nx), float(dx)
     nt = times.shape[0]
     out = np.zeros((nt, nx))
     for n in range(nt):
@@ -441,44 +249,3 @@ def _cic_pert_np(wf, x, v, times, dx_dev, nx, dx):
             np.add.at(row, np.mod(j1[cross], nx), wcr * (1.0 - f1[cross]))
             np.add.at(row, np.mod(j1[cross] + 1, nx), wcr * f1[cross])
     return out
-
-
-@njit(cache=True, parallel=True)
-def _cic_pert_nb(wf, x, v, times, dx_dev, nx, dx):  # pragma: no cover
-    nt = times.shape[0]
-    npart = x.shape[0]
-    out = np.zeros((nt, nx))
-    for n in prange(nt):
-        t = times[n]
-        for p in range(npart):
-            base = x[p] + v[p] * t
-            s0 = base / dx
-            j0 = int(math.floor(s0))
-            f0 = s0 - j0
-            d = dx_dev[n, p] / dx
-            s1 = s0 + d
-            j1 = int(math.floor(s1))
-            f1 = s1 - j1
-            w = wf[p] / dx
-            if j1 == j0:
-                g = w * d              # net transfer between the two cells
-                out[n, j0 % nx] -= g
-                out[n, (j0 + 1) % nx] += g
-            else:
-                out[n, j0 % nx] -= w * (1.0 - f0)
-                out[n, (j0 + 1) % nx] -= w * f0
-                out[n, j1 % nx] += w * (1.0 - f1)
-                out[n, (j1 + 1) % nx] += w * f1
-    return out
-
-
-def cic_density_pert(wf, x, v, times, dx_dev, nx, dx):
-    """CIC density of displaced particles minus CIC density of the free flow.
-
-    Computed per particle as a net deposition difference so the result
-    scales with the displacement instead of carrying the O(1) background;
-    the no-crossing branch transfers exactly wf * dX/dx between the two
-    touched cells.
-    """
-    fn = _cic_pert_nb if USING_NUMBA else _cic_pert_np
-    return fn(wf, x, v, times, np.ascontiguousarray(dx_dev), int(nx), float(dx))

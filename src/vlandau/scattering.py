@@ -495,10 +495,6 @@ class BoundCheck:
                 "horizon_dominated": self.horizon_dominated}
 
 
-PARTITION_NOTE = ("per-output sequential accumulation over phase nodes in "
-                  "row-major (x,v) order; outputs parallelized independently")
-
-
 @dataclass(frozen=True)
 class SolveResult:
     """Converged fixed point with its audit trail."""
@@ -535,7 +531,6 @@ class SolveResult:
             "contraction_ratios": list(self.contraction_ratios),
             "residual_norm": self.residual_norm,
             "method": self.method,
-            "reduction_partition": PARTITION_NOTE,
             "grids": {
                 "t0": self.field.tgrid.t0, "t_end": self.field.tgrid.t_end,
                 "nt": len(self.field.tgrid), "nx": self.field.xgrid.n,

@@ -1,8 +1,4 @@
-"""Hot-kernel tests: backend agreement, quadrature identities, determinism.
-
-Every kernel has a compiled and a plain-numpy implementation; the numpy
-path is the reference here and each test runs the comparison both ways.
-"""
+"""Hot-kernel tests: explicit-sum oracles and quadrature identities."""
 
 import math
 
@@ -11,16 +7,6 @@ import pytest
 
 from vlandau import kernels as K
 from vlandau.fields import kernel_B
-
-BACKENDS = [False, True]
-
-
-@pytest.fixture(params=BACKENDS, ids=["numpy", "numba"])
-def backend(request):
-    previous = K.use_numba(request.param)
-    yield request.param
-    K.use_numba(previous)
-
 
 def _case(nt=24, npart=40, seed=0):
     rng = np.random.default_rng(seed)
@@ -40,7 +26,7 @@ def _case(nt=24, npart=40, seed=0):
 # mode-row evaluation
 # ---------------------------------------------------------------------------
 
-def test_eval_rows_matches_explicit_sum(backend):
+def test_eval_rows_matches_explicit_sum():
     # layout: constant + 2 Re(c_k e^{ik theta}) + cosine-only Nyquist row
     times, x, v, dX, _, cre, cim = _case()
     got = K.eval_rows(cre, cim, x, v, times, dX)
@@ -54,7 +40,7 @@ def test_eval_rows_matches_explicit_sum(backend):
     assert np.allclose(got, expect, rtol=1e-12, atol=1e-16)
 
 
-def test_eval_rows_reconstructs_rfft_table(backend):
+def test_eval_rows_reconstructs_rfft_table():
     # round trip: rfft coefficients of a sampled field evaluated at the
     # grid angles reproduce the table
     rng = np.random.default_rng(1)
@@ -72,7 +58,7 @@ def test_eval_rows_reconstructs_rfft_table(backend):
 # suffix quadrature rules
 # ---------------------------------------------------------------------------
 
-def test_suffix_trapz_matches_numpy_trapezoid(backend):
+def test_suffix_trapz_matches_numpy_trapezoid():
     _, _, _, _, _, cre, _ = _case()
     g = cre[:, :5].copy()
     dt = 0.25
@@ -83,7 +69,7 @@ def test_suffix_trapz_matches_numpy_trapezoid(backend):
     assert np.all(got[-1] == 0.0)
 
 
-def test_suffix_trapz_moment_identity(backend):
+def test_suffix_trapz_moment_identity():
     rng = np.random.default_rng(2)
     g = rng.standard_normal((30, 7))
     dt = 0.2
@@ -134,7 +120,7 @@ def test_exp_cell_weights_small_argument_oracle(x):
     assert alpha + beta == pytest.approx(dt * (1 + x * x / 12), rel=1e-9)
 
 
-def test_suffix_weighted_integrates_decaying_exponential(backend):
+def test_suffix_weighted_integrates_decaying_exponential():
     # suffix integral of e^{-a s}(c0 + c1 s) is reproduced to roundoff,
     # where plain trapezoid would be off by ~(a dt)^2/12 relative
     a, dt, nt = 1.0, 0.2, 101
@@ -160,7 +146,7 @@ def test_suffix_weighted_integrates_decaying_exponential(backend):
     assert np.allclose(prod, exact_e, rtol=1e-12, atol=1e-18)
 
 
-def test_suffix_weighted_trapezoid_weights_match_suffix_trapz(backend):
+def test_suffix_weighted_trapezoid_weights_match_suffix_trapz():
     rng = np.random.default_rng(5)
     g = rng.standard_normal((40, 6))
     dt = 0.25
@@ -172,7 +158,7 @@ def test_suffix_weighted_trapezoid_weights_match_suffix_trapz(backend):
 # density-correction modes
 # ---------------------------------------------------------------------------
 
-def test_corr_fourier_matches_complex_sum(backend):
+def test_corr_fourier_matches_complex_sum():
     times, x, v, dX, wf, _, _ = _case(nt=12, npart=30, seed=4)
     nk = 6
     re, im = K.corr_fourier(wf, x, v, times, dX, nk)
@@ -187,7 +173,27 @@ def test_corr_fourier_matches_complex_sum(backend):
     assert np.all(re[:, 0] == 0.0) and np.all(im[:, 0] == 0.0)
 
 
-def test_corr_fourier_tiny_displacement_linearizes(backend):
+def test_corr_fourier_matches_complex_sum_at_production_size():
+    # reference grids (P = 64 x 129 particles, nt = 176, nx = 64): well
+    # above numpy's pairwise-summation block, so the kernel's BLAS
+    # reduction and the oracle's sum agree to summation roundoff, on the
+    # scale eps * sum|wf|
+    times, x, v, dX, wf, _, _ = _case(nt=176, npart=64 * 129, seed=21)
+    nk = 64 // 2 + 1
+    re, im = K.corr_fourier(wf, x, v, times, dX, nk)
+    atol = 50 * np.finfo(float).eps * np.abs(wf).sum()
+    k = np.arange(nk)[:, None]
+    worst = 0.0
+    for n in range(len(times)):
+        free = x + v * times[n]
+        z = (np.exp(-1j * k * free) * np.expm1(-1j * k * dX[n])) @ wf
+        z /= 2 * np.pi
+        worst = max(worst, np.abs(re[n] - z.real).max(),
+                    np.abs(im[n] - z.imag).max())
+    assert worst <= atol
+
+
+def test_corr_fourier_tiny_displacement_linearizes():
     # for |k dX| ~ 1e-14 the correction must follow -i k dX, not collapse
     # into subtraction noise
     times, x, v, _, wf, _, _ = _case(nt=6, npart=25, seed=6)
@@ -206,7 +212,7 @@ def test_corr_fourier_tiny_displacement_linearizes(backend):
 # direct kernel summation
 # ---------------------------------------------------------------------------
 
-def test_direct_bmap_matches_explicit_sum(backend):
+def test_direct_bmap_matches_explicit_sum():
     times, x, v, dX, wf, _, _ = _case(nt=8, npart=20, seed=8)
     pos = x[None, :] + v[None, :] * times[:, None] + dX
     xs = (2 * np.pi / 16) * np.arange(16)
@@ -222,7 +228,7 @@ def test_direct_bmap_matches_explicit_sum(backend):
 # cloud-in-cell deposition
 # ---------------------------------------------------------------------------
 
-def test_cic_density_conserves_charge(backend):
+def test_cic_density_conserves_charge():
     rng = np.random.default_rng(9)
     wf = rng.uniform(0.1, 1.0, 200)
     pos = rng.uniform(-10, 30, (5, 200))
@@ -231,7 +237,7 @@ def test_cic_density_conserves_charge(backend):
     assert np.allclose(rho.sum(axis=1) * dx, wf.sum(), rtol=1e-13)
 
 
-def test_cic_density_hat_weights(backend):
+def test_cic_density_hat_weights():
     nx, dx = 16, 2 * np.pi / 16
     # particle exactly on node 3: all mass in one cell
     rho = K.cic_density(np.array([2.0]), np.array([[3 * dx]]), nx, dx)
@@ -247,7 +253,7 @@ def test_cic_density_hat_weights(backend):
     assert rho[0, 0] == pytest.approx(0.5 / dx, rel=1e-13)
 
 
-def test_cic_density_pert_matches_table_difference(backend):
+def test_cic_density_pert_matches_table_difference():
     # at displacements large enough for the naive difference to be accurate
     # the two formulations agree to roundoff
     times, x, v, _, wf, _, _ = _case(nt=6, npart=50, seed=10)
@@ -261,7 +267,7 @@ def test_cic_density_pert_matches_table_difference(backend):
     assert np.allclose(got, expect, rtol=1e-11, atol=1e-13)
 
 
-def test_cic_density_pert_same_cell_transfer(backend):
+def test_cic_density_pert_same_cell_transfer():
     # one particle nudged within its cell: the perturbation is the exact
     # linear transfer wf * delta / dx^2 between the two supporting nodes
     nx, dx = 16, 2 * np.pi / 16
@@ -271,95 +277,12 @@ def test_cic_density_pert_same_cell_transfer(backend):
     delta = 1e-13 * dx
     out = K.cic_density_pert(np.array([1.0]), x, v, times,
                              np.array([[delta]]), nx, dx)
-    assert out[0, 4] == pytest.approx(delta / dx ** 2, rel=1e-12)
-    assert out[0, 3] == pytest.approx(-delta / dx ** 2, rel=1e-12)
-    # a full-table subtraction would be pure cancellation noise here
-    assert abs(out[0, 4]) < 1e-25 or True   # scale sanity: 1e-13*16/(2pi)^2
-
-
-# ---------------------------------------------------------------------------
-# backend equivalence and determinism
-# ---------------------------------------------------------------------------
-
-def test_backends_agree_end_to_end():
-    times, x, v, dX, wf, cre, cim = _case(nt=16, npart=64, seed=12)
-    nx, dx = 32, 2 * np.pi / 32
-    xs = dx * np.arange(nx)
-    results = {}
-    for flag in BACKENDS:
-        prev = K.use_numba(flag)
-        try:
-            results[flag] = (
-                K.eval_rows(cre, cim, x, v, times, dX),
-                K.suffix_trapz(cre, 0.2),
-                K.suffix_trapz_moment(cre, 0.2)[1],
-                K.suffix_weighted(cre, 0.09, 0.11),
-                K.corr_fourier(wf, x, v, times, dX, 8),
-                K.direct_bmap(wf, x[None, :] + dX[:1], xs),
-                K.cic_density(wf, x[None, :] + v[None, :] * times[:, None],
-                              nx, dx),
-                K.cic_density_pert(wf, x, v, times, dX, nx, dx),
-            )
-        finally:
-            K.use_numba(prev)
-    for a, b in zip(results[False], results[True]):
-        if isinstance(a, tuple):
-            for aa, bb in zip(a, b):
-                assert np.allclose(aa, bb, rtol=1e-13, atol=1e-16)
-        else:
-            assert np.allclose(a, b, rtol=1e-13, atol=1e-16)
-
-
-def test_backends_agree_at_production_size():
-    # above numpy's pairwise-summation block size the two backends
-    # accumulate reductions in different orders, so agreement is to
-    # summation roundoff (scale eps * sum|wf|), not bitwise
-    times, x, v, dX, wf, cre, cim = _case(nt=176, npart=64 * 129, seed=21)
-    nx, dx = 64, 2 * np.pi / 64
-    xs = dx * np.arange(nx)
-    pos = x[None, :] + v[None, :] * times[:, None] + dX
-    atol = 50 * np.finfo(float).eps * np.abs(wf).sum()
-    results = {}
-    for flag in BACKENDS:
-        prev = K.use_numba(flag)
-        try:
-            results[flag] = (
-                K.corr_fourier(wf, x, v, times, dX, nx // 2 + 1),
-                K.direct_bmap(wf, pos[:4], xs),
-                K.cic_density(wf, pos, nx, dx),
-            )
-        finally:
-            K.use_numba(prev)
-    for a, b in zip(results[False], results[True]):
-        if isinstance(a, tuple):
-            for aa, bb in zip(a, b):
-                assert np.abs(aa - bb).max() <= atol
-        else:
-            assert np.abs(a - b).max() <= atol
-
-
-def test_compiled_kernels_are_deterministic():
-    prev = K.use_numba(True)
-    try:
-        if not K.use_numba(True):
-            pytest.skip("compiled backend unavailable")
-        times, x, v, dX, wf, cre, cim = _case(nt=20, npart=500, seed=13)
-        nx, dx = 64, 2 * np.pi / 64
-        first = K.cic_density(wf, x[None, :] + v[None, :] * times[:, None]
-                              + dX, nx, dx)
-        second = K.cic_density(wf, x[None, :] + v[None, :] * times[:, None]
-                               + dX, nx, dx)
-        assert np.array_equal(first, second)
-        r1 = K.corr_fourier(wf, x, v, times, dX, 16)
-        r2 = K.corr_fourier(wf, x, v, times, dX, 16)
-        assert np.array_equal(r1[0], r2[0]) and np.array_equal(r1[1], r2[1])
-    finally:
-        K.use_numba(prev)
-
-
-def test_use_numba_reports_active_backend():
-    prev = K.use_numba(False)
-    try:
-        assert K.use_numba(False) is False
-    finally:
-        K.use_numba(prev)
+    exact = delta / dx ** 2
+    # abs=0: pytest.approx's default abs=1e-12 would accept any value here
+    assert out[0, 4] == pytest.approx(exact, rel=1e-12, abs=0)
+    assert out[0, 3] == pytest.approx(-exact, rel=1e-12, abs=0)
+    # a full-table subtraction loses most of the transfer to cancellation
+    one = np.array([1.0])
+    naive = (K.cic_density(one, (x + delta)[None, :], nx, dx)
+             - K.cic_density(one, x[None, :], nx, dx))
+    assert abs(naive[0, 4] - exact) > 1e-6 * exact

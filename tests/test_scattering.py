@@ -317,7 +317,6 @@ def test_small_solve_manifest_structure(small_solve):
     m = small_solve.manifest()
     assert m["passed"] is True
     assert m["grids"]["nx"] == 32 and m["grids"]["nv"] == 65
-    assert m["reduction_partition"] == S.PARTITION_NOTE
     assert len(m["contraction_ratios"]) == m["iterations"] - 1
     assert m["checks"]["traj_velocity"]["bound"] == 1.0
 
