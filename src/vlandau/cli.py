@@ -16,14 +16,13 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 
 from .config import ConfigError, RunConfig, load_config
 from .params import AdmissibilityError, check_assumptions
 from .profiles import HypothesisError, check_profile
-from .scattering import ConvergenceError, SolveResult, picard_solve
+from .scattering import ConvergenceError, picard_solve
 from .fields import write_field_csv
 from .uq import CollocationError, check_corollary, check_theorem_bounds, \
     gauss_legendre_nodes, gpc_coefficients, run_collocation, write_gpc_csv
@@ -145,26 +144,10 @@ def cmd_check(cfg: RunConfig, args) -> int:
 # solve
 # ---------------------------------------------------------------------------
 
-def _solve_rows(source: str, manifest: dict) -> list:
-    rows = []
-    for name, chk in sorted(manifest.get("checks", {}).items()):
-        bound = chk["bound"]
-        value = chk["value"]
-        ratio = chk["ratio"] if chk.get("ratio") is not None else (
-            value / bound if bound else math.inf)
-        rows.append({"source": source, "check": name, "value": value,
-                     "bound": bound, "ratio": ratio,
-                     "passed": bool(chk["passed"])})
-    ratios = manifest.get("contraction_ratios", [])
-    if ratios:
-        p = manifest["params"]
-        limit = 88.0 * p["a2"] / (p["a"] ** 2 - 80.0 * p["a2"]) * 1.10
-        worst = max(ratios)
-        rows.append({"source": source, "check": "contraction_ratio",
-                     "value": worst, "bound": limit,
-                     "ratio": worst / limit if limit else math.inf,
-                     "passed": worst <= limit})
-    return rows
+def _check_rows(source: str, checks: dict) -> list:
+    """Table rows of BoundCheck.as_dict entries, sorted by name."""
+    return [{"source": source, "check": name, **chk}
+            for name, chk in sorted(checks.items())]
 
 
 def cmd_solve(cfg: RunConfig, args) -> int:
@@ -186,8 +169,7 @@ def cmd_solve(cfg: RunConfig, args) -> int:
 
     print(f"converged in {result.iterations} iterations "
           f"(residual {result.residual_norm:.3e})")
-    rows = _solve_rows("solve", manifest)
-    _print_rows(rows)
+    _print_rows(_check_rows("solve", manifest["checks"]))
     if result.passed:
         print("all bound checks passed")
         return EXIT_PASS
@@ -247,10 +229,17 @@ def cmd_uq(cfg: RunConfig, args) -> int:
         print(f"  |d^{k}_z E|_a,t0 = {norm:.6g}{note}")
     print(f"  residual k=0 worst node ratio = {corollary.k0_ratio:.6g}")
 
-    nodes_pass = all(r.passed for r in ens.results)
-    ok = nodes_pass and theorem.passed and corollary.passed
-    print("uq checks " + ("passed" if ok else "FAILED"))
-    return EXIT_PASS if ok else EXIT_CHECK_FAILED
+    verdicts = [("theorem", theorem), ("corollary", corollary)] + [
+        (f"{label} z = {r.z:.6g}", r)
+        for label, e in (("node", ens), ("refined node", refined))
+        if e is not None for r in e.results]
+    failed = [(source, v) for source, v in verdicts if not v.passed]
+    for source, v in failed:
+        names = ", ".join(n for n, c in sorted(v.checks.items())
+                          if not c.passed)
+        print(f"  {source} FAILED: {names or 'non-finite result'}")
+    print("uq checks " + ("FAILED" if failed else "passed"))
+    return EXIT_CHECK_FAILED if failed else EXIT_PASS
 
 
 # ---------------------------------------------------------------------------
@@ -266,46 +255,29 @@ def _load_manifest(path: str) -> dict:
                           f"'{os.path.basename(path)}': {err}") from None
 
 
-def _report_rows(directory: str) -> list:
-    rows = []
+def _report_rows(directory: str) -> tuple[list, list]:
+    """Rows of each JSON file's checks and the files whose verdict failed."""
+    rows, failed_files = [], []
     for name in sorted(os.listdir(directory)):
         if not name.endswith(".json"):
             continue
-        path = os.path.join(directory, name)
-        manifest = _load_manifest(path)
+        manifest = _load_manifest(os.path.join(directory, name))
+        if not isinstance(manifest, dict):      # not one of our reports
+            continue
         stem = name[:-len(".json")]
-        if "checks" in manifest:
-            rows.extend(_solve_rows(stem, manifest))
-        if "per_node" in manifest:
-            for j, node in enumerate(manifest["per_node"]):
-                rows.extend(_solve_rows(f"{stem}[node {j}]", node))
-        if "norms" in manifest and "drift" in manifest:   # theorem report
-            for k_str, drift in manifest["drift"].items():
-                rows.append({"source": stem, "check": f"z_deriv_{k_str}_drift",
-                             "value": drift,
-                             "bound": manifest["stability_tol"],
-                             "ratio": drift / manifest["stability_tol"],
-                             "passed": drift <= manifest["stability_tol"]})
-        if "node_ratios" in manifest:                     # corollary report
-            worst = manifest["k0_worst_ratio"]
-            rows.append({"source": stem, "check": "residual_k0",
-                         "value": worst, "bound": 1.0, "ratio": worst,
-                         "passed": worst <= 1.0})
-            for k_str, drift in manifest.get("drift", {}).items():
-                rows.append({"source": stem,
-                             "check": f"residual_deriv_{k_str}_drift",
-                             "value": drift,
-                             "bound": manifest["stability_tol"],
-                             "ratio": drift / manifest["stability_tol"],
-                             "passed": drift <= manifest["stability_tol"]})
-    return rows
+        rows.extend(_check_rows(stem, manifest.get("checks", {})))
+        for j, node in enumerate(manifest.get("per_node", [])):
+            rows.extend(_check_rows(f"{stem}[node {j}]", node["checks"]))
+        if manifest.get("passed") is False:
+            failed_files.append(name)
+    return rows, failed_files
 
 
 def cmd_report(args) -> int:
     directory = args.directory
     if not os.path.isdir(directory):
         raise ConfigError(f"'{directory}' is not a directory")
-    rows = _report_rows(directory)
+    rows, failed_files = _report_rows(directory)
     _print_rows(rows)
 
     csv_path = os.path.join(directory, "report.csv")
@@ -317,12 +289,12 @@ def cmd_report(args) -> int:
     with open(csv_path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 
-    failures = [r for r in rows if not r["passed"]]
+    failures = [f"{r['source']}: {r['check']} = {r['value']:.6g} exceeds "
+                f"{r['bound']:.6g}" for r in rows if not r["passed"]]
+    failures += [f"{name}: verdict is not passed" for name in failed_files]
     if failures:
-        print(f"{len(failures)} failing check(s):")
-        for r in failures:
-            print(f"  {r['source']}: {r['check']} = {r['value']:.6g} "
-                  f"exceeds {r['bound']:.6g}")
+        print(f"{len(failures)} failure(s):")
+        print("\n".join("  " + line for line in failures))
         return EXIT_CHECK_FAILED
     return EXIT_PASS
 

@@ -58,6 +58,31 @@ class ConvergenceError(RuntimeError):
         self.residual = residual
 
 
+@dataclass(frozen=True)
+class BoundCheck:
+    """One named inequality value <= bound with its ratio."""
+
+    name: str
+    value: float
+    bound: float
+    horizon_dominated: bool = False
+
+    @property
+    def ratio(self) -> float:
+        if self.bound == 0.0:
+            return 0.0 if self.value == 0.0 else math.inf
+        return self.value / self.bound
+
+    @property
+    def passed(self) -> bool:
+        return self.value <= self.bound
+
+    def as_dict(self) -> dict:
+        return {"name": self.name, "value": self.value, "bound": self.bound,
+                "ratio": self.ratio, "passed": self.passed,
+                "horizon_dominated": self.horizon_dominated}
+
+
 def _flat_labels(phase: PhaseGrid):
     x = np.repeat(phase.xgrid.points, phase.nv)
     v = np.tile(phase.v, phase.xgrid.n)
@@ -189,10 +214,6 @@ class TrajectoryBoundReport:
     def passed(self) -> bool:
         return max(self.ratio_v, self.ratio_x) <= 1.0
 
-    def as_dict(self) -> dict:
-        return {"ratio_v": self.ratio_v, "ratio_x": self.ratio_x,
-                "norm_e": self.norm_e, "passed": self.passed}
-
 
 def check_trajectory_bounds(traj: TrajectoryTable, E: FieldTable,
                             params: DampingParams) -> TrajectoryBoundReport:
@@ -297,62 +318,28 @@ def solve_variational(E: FieldTable, traj: TrajectoryTable, tol: float = 1e-12,
                             inner_iterations=sweeps, residual=residual)
 
 
-@dataclass(frozen=True)
-class VariationalBoundReport:
-    """The four weighted-norm estimates for the linearized flow plus the
-    two plain-sup bounds; each entry maps name -> (value, bound)."""
-
-    entries: dict
-    horizon_flags: dict
-
-    @property
-    def ratios(self) -> dict:
-        return {k: (v[0] / v[1] if v[1] > 0 else math.inf)
-                for k, v in self.entries.items()}
-
-    @property
-    def passed(self) -> bool:
-        return all(r <= 1.0 for r in self.ratios.values())
-
-    def as_dict(self) -> dict:
-        return {
-            "entries": {k: {"value": v[0], "bound": v[1],
-                            "ratio": self.ratios[k],
-                            "horizon_dominated": self.horizon_flags.get(k, False)}
-                        for k, v in self.entries.items()},
-            "passed": self.passed,
-        }
-
-
 def check_variational_bounds(var: VariationalTable,
-                             params: DampingParams) -> VariationalBoundReport:
+                             params: DampingParams) -> dict:
+    """The four weighted-norm estimates for the linearized flow plus the
+    two plain-sup bounds, as {name: BoundCheck}."""
     a, ce, t0 = params.a, params.C_E, params.t0
     times = var.tgrid.times
 
-    def wsup(arr, moment):
+    def wsup(name, arr, moment, bound):
         sup = np.abs(arr).reshape(len(times), -1).max(axis=1)
-        return weighted_sup(times, sup, a, moment=moment, t_start=t0)
+        rep = weighted_sup(times, sup, a, moment=moment, t_start=t0)
+        return BoundCheck(name, rep.value, bound, rep.horizon_dominated)
 
-    rx = wsup(var.xi, 1)
-    rv = wsup(var.eta, 2)
-    cx = wsup(var.chi, 1)
-    cv = wsup(var.omega, 2)
-    sup_dxdx = float(np.abs(var.dX_dx()).max())
-    sup1_dxdv = float((np.abs(var.dX_dv())
-                       / times[:, None, None]).max())
-    entries = {
-        "dXdx_weighted": (rx.value, 8.0 * ce / a ** 2),
-        "dXdv_weighted": (rv.value, 8.0 * ce / a ** 2),
-        "dVdx_weighted": (cx.value, 4.0 * ce / a),
-        "dVdv_weighted": (cv.value, 10.0 * ce / a),
-        "dXdx_sup": (sup_dxdx, 2.0),
-        "dXdv_sup_moment1": (sup1_dxdv, 2.0),
-    }
-    flags = {"dXdx_weighted": rx.horizon_dominated,
-             "dXdv_weighted": rv.horizon_dominated,
-             "dVdx_weighted": cx.horizon_dominated,
-             "dVdv_weighted": cv.horizon_dominated}
-    return VariationalBoundReport(entries=entries, horizon_flags=flags)
+    sup1_dxdv = float((np.abs(var.dX_dv()) / times[:, None, None]).max())
+    checks = [
+        wsup("dXdx_weighted", var.xi, 1, 8.0 * ce / a ** 2),
+        wsup("dXdv_weighted", var.eta, 2, 8.0 * ce / a ** 2),
+        wsup("dVdx_weighted", var.chi, 1, 4.0 * ce / a),
+        wsup("dVdv_weighted", var.omega, 2, 10.0 * ce / a),
+        BoundCheck("dXdx_sup", float(np.abs(var.dX_dx()).max()), 2.0),
+        BoundCheck("dXdv_sup_moment1", sup1_dxdv, 2.0),
+    ]
+    return {c.name: c for c in checks}
 
 
 # ---------------------------------------------------------------------------
@@ -471,31 +458,6 @@ def apply_field_map(E: FieldTable, spec: ProfileSpec, z: float,
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class BoundCheck:
-    """One named inequality value <= bound with its ratio."""
-
-    name: str
-    value: float
-    bound: float
-    horizon_dominated: bool = False
-
-    @property
-    def ratio(self) -> float:
-        if self.bound == 0.0:
-            return 0.0 if self.value == 0.0 else math.inf
-        return self.value / self.bound
-
-    @property
-    def passed(self) -> bool:
-        return self.value <= self.bound
-
-    def as_dict(self) -> dict:
-        return {"name": self.name, "value": self.value, "bound": self.bound,
-                "ratio": self.ratio, "passed": self.passed,
-                "horizon_dominated": self.horizon_dominated}
-
-
-@dataclass(frozen=True)
 class SolveResult:
     """Converged fixed point with its audit trail."""
 
@@ -515,7 +477,6 @@ class SolveResult:
     density: FieldTable | None = None
     density_pert: FieldTable | None = None
     traj_report: TrajectoryBoundReport | None = None
-    var_report: VariationalBoundReport | None = None
 
     @property
     def passed(self) -> bool:
@@ -546,7 +507,8 @@ class SolveResult:
 def _fixed_point_checks(E: FieldTable, params: DampingParams,
                         traj: TrajectoryTable, var: VariationalTable,
                         rho: FieldTable, rho_pert: FieldTable,
-                        residual_norm: float, tol: float):
+                        residual_norm: float, tol: float,
+                        contraction_ratios):
     a, a1, a2, ce = params.a, params.a1, params.a2, params.C_E
     checks: dict[str, BoundCheck] = {}
 
@@ -570,10 +532,7 @@ def _fixed_point_checks(E: FieldTable, params: DampingParams,
     checks["traj_velocity"] = BoundCheck("traj_velocity", traj_rep.ratio_v, 1.0)
     checks["traj_position"] = BoundCheck("traj_position", traj_rep.ratio_x, 1.0)
 
-    var_rep = check_variational_bounds(var, params)
-    for name, (value, bound) in var_rep.entries.items():
-        checks[name] = BoundCheck(name, value, bound,
-                                  var_rep.horizon_flags.get(name, False))
+    checks.update(check_variational_bounds(var, params))
 
     jac = float(np.abs(var.jacobian_minus_one()).max())
     checks["jacobian_deviation"] = BoundCheck("jacobian_deviation", jac, 1e-6)
@@ -584,7 +543,14 @@ def _fixed_point_checks(E: FieldTable, params: DampingParams,
 
     checks["fixed_point_residual"] = BoundCheck(
         "fixed_point_residual", residual_norm, tol)
-    return checks, traj_rep, var_rep
+
+    # the contraction estimate bounds each ratio of successive Picard
+    # increments by 88 a2 / (a^2 - 80 a2), whose denominator (A1) keeps > 0
+    if contraction_ratios:
+        checks["contraction_ratio"] = BoundCheck(
+            "contraction_ratio", max(contraction_ratios),
+            88.0 * a2 / (a ** 2 - 80.0 * a2))
+    return checks, traj_rep
 
 
 def picard_solve(spec: ProfileSpec, params: DampingParams, z: float,
@@ -661,8 +627,8 @@ def picard_solve(spec: ProfileSpec, params: DampingParams, z: float,
     rho = deposit_density(traj, spec, z, xgrid)
     rho_pert = deposit_density_pert(traj, spec, z, xgrid)
 
-    checks, traj_rep, var_rep = _fixed_point_checks(
-        E, params, traj, var, rho, rho_pert, residual_norm, tol)
+    checks, traj_rep = _fixed_point_checks(
+        E, params, traj, var, rho, rho_pert, residual_norm, tol, ratios)
 
     rho0 = neutral_density(spec, z)
     certificates = {
@@ -682,7 +648,7 @@ def picard_solve(spec: ProfileSpec, params: DampingParams, z: float,
         traj=traj if keep_tables else None,
         var=var if keep_tables else None,
         density=rho, density_pert=rho_pert,
-        traj_report=traj_rep, var_report=var_rep)
+        traj_report=traj_rep)
 
 
 # ---------------------------------------------------------------------------

@@ -30,8 +30,8 @@ from numpy.polynomial import legendre as npleg
 from .fields import FieldTable, weighted_norm, weighted_sup
 from .params import DampingParams
 from .profiles import ProfileSpec, shifted_difference, sup_gradient
-from .scattering import SolveResult, TimeGrid, PhaseGrid, picard_solve, \
-    solve_characteristics
+from .scattering import BoundCheck, SolveResult, TimeGrid, PhaseGrid, \
+    picard_solve, solve_characteristics
 
 
 class CollocationError(RuntimeError):
@@ -426,6 +426,7 @@ class TheoremReport:
     norm within its floor is numerically zero: two such norms have drift
     0, and agreement is taken relative to base + fd floor when the
     spectral norm lies below that sum.
+    checks holds z_deriv_{k}_drift per refined k, bound stability_tol.
     """
 
     norms: tuple[float, ...]
@@ -435,10 +436,13 @@ class TheoremReport:
     stability_tol: float = 0.05
 
     @property
+    def checks(self) -> dict:
+        return _drift_checks("z_deriv", self.drift, self.stability_tol)
+
+    @property
     def passed(self) -> bool:
-        finite = all(math.isfinite(v) for v in self.norms)
-        stable = all(d <= self.stability_tol for d in self.drift.values())
-        return finite and stable
+        return (all(math.isfinite(v) for v in self.norms)
+                and all(c.passed for c in self.checks.values()))
 
     def as_dict(self) -> dict:
         return {
@@ -447,8 +451,15 @@ class TheoremReport:
             "drift": {str(k): v for k, v in self.drift.items()},
             "floors": _floors_dict(self.floors),
             "stability_tol": self.stability_tol,
+            "checks": {n: c.as_dict() for n, c in self.checks.items()},
             "passed": self.passed,
         }
+
+
+def _drift_checks(prefix: str, drift: dict, tol: float) -> dict:
+    checks = (BoundCheck(f"{prefix}_{k}_drift", d, tol)
+              for k, d in drift.items())
+    return {c.name: c for c in checks}
 
 
 def _floors_dict(floors: dict) -> dict:
@@ -515,6 +526,8 @@ class CorollaryReport:
     floors["refined"][k] bound the roundoff of the k >= 1 derivative
     norms of the two ensembles (see roundoff_floor); two norms within
     their floors are numerically zero and have drift 0.
+    checks holds residual_k0 (worst node ratio, bound 1) and
+    residual_deriv_{k}_drift per refined k, bound stability_tol.
     """
 
     node_norms: tuple[float, ...]
@@ -530,10 +543,16 @@ class CorollaryReport:
         return max(self.node_ratios) if self.node_ratios else 0.0
 
     @property
+    def checks(self) -> dict:
+        checks = {"residual_k0": BoundCheck("residual_k0", self.k0_ratio, 1.0)}
+        checks.update(_drift_checks("residual_deriv", self.drift,
+                                    self.stability_tol))
+        return checks
+
+    @property
     def passed(self) -> bool:
-        finite = all(math.isfinite(v) for v in self.derivative_norms)
-        stable = all(d <= self.stability_tol for d in self.drift.values())
-        return finite and stable and self.k0_ratio <= 1.0
+        return (all(math.isfinite(v) for v in self.derivative_norms)
+                and all(c.passed for c in self.checks.values()))
 
     def as_dict(self) -> dict:
         return {
@@ -545,6 +564,7 @@ class CorollaryReport:
             "drift": {str(k): v for k, v in self.drift.items()},
             "floors": _floors_dict(self.floors),
             "stability_tol": self.stability_tol,
+            "checks": {n: c.as_dict() for n, c in self.checks.items()},
             "passed": self.passed,
         }
 

@@ -1,5 +1,6 @@
 """End-to-end command-line behavior: exit codes, artifacts, determinism."""
 
+import dataclasses
 import json
 import os
 
@@ -7,6 +8,7 @@ import pytest
 
 from vlandau import cli
 from vlandau.config import load_config
+from vlandau.scattering import BoundCheck
 
 SMALL_GRIDS = """
 grids {
@@ -15,6 +17,17 @@ grids {
   nt 80
   t_end 24.0
   n_z 5
+}
+"""
+
+# the default profile depends on z, so uq also runs its refinement sweep
+TINY_GRIDS = """
+grids {
+  nx 16
+  nv 33
+  nt 40
+  t_end 24.0
+  n_z 3
 }
 """
 
@@ -172,6 +185,35 @@ def test_uq_writes_reports(tmp_path, capsys):
     assert (out / "gpc.csv").exists()
 
 
+def test_uq_verdict_counts_refined_nodes(tmp_path, monkeypatch, capsys):
+    real = cli.run_collocation
+
+    def spoil_refined(*args, n_z, **kwargs):
+        ens = real(*args, n_z=n_z, **kwargs)
+        if n_z == 3:
+            return ens
+        results = list(ens.results)
+        bad = results[1]
+        p = bad.params
+        ratio = BoundCheck("contraction_ratio", 0.5,
+                           88 * p.a2 / (p.a ** 2 - 80 * p.a2))
+        results[1] = dataclasses.replace(
+            bad, checks={**bad.checks, "contraction_ratio": ratio})
+        return dataclasses.replace(ens, results=tuple(results))
+
+    monkeypatch.setattr(cli, "run_collocation", spoil_refined)
+    cfg = write_cfg(tmp_path, TINY_GRIDS)
+    code = run_cli("uq", "--config", cfg, "--out", str(tmp_path / "uq"))
+    txt = capsys.readouterr().out
+    assert code == 1
+    assert "refinement sweep: 7 nodes converged" in txt
+    assert "uq checks FAILED" in txt
+    failing = [line.strip() for line in txt.splitlines() if "FAILED:" in line]
+    assert len(failing) == 1
+    assert failing[0].startswith("refined node z = ")
+    assert failing[0].endswith("FAILED: contraction_ratio")
+
+
 # ---------------------------------------------------------------------------
 # report
 # ---------------------------------------------------------------------------
@@ -188,6 +230,35 @@ def test_report_summarizes_solve(tmp_path, capsys):
     lines = (out / "report.csv").read_text().splitlines()
     assert lines[0] == "source,check,value,bound,ratio,passed"
     assert all(line.endswith(",pass") for line in lines[1:])
+
+
+def test_report_summarizes_uq(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, TINY_GRIDS)
+    out = tmp_path / "uq"
+    assert run_cli("uq", "--config", cfg, "--out", str(out)) == 0
+    code = run_cli("report", str(out))
+    capsys.readouterr()
+    assert code == 0
+    lines = (out / "report.csv").read_text().splitlines()
+    rows = [line.split(",") for line in lines[1:]]
+    assert all(row[5] == "pass" for row in rows)
+    checks = {(row[0], row[1]) for row in rows}
+    assert {("theorem_report", "z_deriv_0_drift"),
+            ("theorem_report", "z_deriv_1_drift"),
+            ("corollary_report", "residual_k0")} <= checks
+    for j in range(3):
+        assert (f"ensemble_manifest[node {j}]", "contraction_ratio") in checks
+
+
+def test_report_fails_on_failed_check_report(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, "params {\n a2 0.01\n}\n")
+    out = tmp_path / "o"
+    assert run_cli("check", "--config", cfg, "--out", str(out)) == 1
+    capsys.readouterr()
+    code = run_cli("report", str(out))
+    txt = capsys.readouterr().out
+    assert code == 1
+    assert "check_report.json: verdict is not passed" in txt
 
 
 def test_report_empty_directory(tmp_path, capsys):

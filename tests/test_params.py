@@ -6,6 +6,7 @@ gate conditions against hand-evaluated inequalities.
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy import integrate
@@ -63,11 +64,20 @@ def test_tail_moment_closed_values():
 
 
 def test_tail_moment_avoids_subtraction_loss():
-    # the naive difference form loses digits for a t >> 1; the all-positive
-    # expansion must stay fully accurate against 200-digit-free closed form
+    # the naive difference tail_integral(k+1) - t tail_integral(k) loses
+    # digits for a t >> 1 (2.2e-15 relative at k = 1, 2 here); the
+    # all-positive expansion stays within a few ulps of the exact moment
     a, t = 1.0, 40.0
-    exact = math.exp(-t) * (2.0 + 2.0 * t * 0.0 + 0.0)  # k = 0: e^{-t}/a^2
-    assert P.tail_integral_moment(a, t, 0) == pytest.approx(exact, rel=1e-13)
+    exact = math.exp(-a * t) / a ** 2                     # k = 0
+    assert P.tail_integral_moment(a, t, 0) == pytest.approx(
+        exact, rel=1e-13, abs=0)
+    for k in (1, 2):
+        with mpmath.workdps(40):
+            oracle = mpmath.quad(
+                lambda s: (s - t) * s ** k * mpmath.exp(-a * s),
+                [t, t + 10, t + 100, mpmath.inf])
+        assert P.tail_integral_moment(a, t, k) == pytest.approx(
+            float(oracle), rel=1e-15, abs=0)
 
 
 def test_tail_integral_input_validation():

@@ -302,7 +302,8 @@ def test_small_solve_checks_and_certificates(small_solve):
              "traj_position", "dXdx_weighted", "dXdv_weighted",
              "dVdx_weighted", "dVdv_weighted", "dXdx_sup",
              "dXdv_sup_moment1", "jacobian_deviation",
-             "field_density_consistency", "fixed_point_residual"}
+             "field_density_consistency", "fixed_point_residual",
+             "contraction_ratio"}
     assert set(r.checks) == names
     for c in r.checks.values():
         assert c.passed, f"{c.name}: {c.value} > {c.bound}"
@@ -311,6 +312,16 @@ def test_small_solve_checks_and_certificates(small_solve):
     assert certs["mean_density_drift"] < 1e-7
     assert certs["inner_residual"] < 1e-12
     assert certs["variational_residual"] < 1e-12
+
+
+def test_small_solve_contraction_ratio_check(small_solve):
+    r = small_solve
+    a, a2 = r.params.a, r.params.a2
+    c = r.checks["contraction_ratio"]
+    assert c.value == max(r.contraction_ratios)
+    assert c.bound == 88 * a2 / (a ** 2 - 80 * a2)
+    assert c.passed
+    assert r.manifest()["checks"]["contraction_ratio"] == c.as_dict()
 
 
 def test_small_solve_manifest_structure(small_solve):

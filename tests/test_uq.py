@@ -349,3 +349,29 @@ def test_corollary_report_small_z_dependent():
     assert len(rep.derivative_norms) == 3
     assert all(np.isfinite(rep.derivative_norms))
     assert rep.passed
+
+
+def test_report_verdicts_are_their_checks():
+    thm = U.TheoremReport(norms=(1.0, 0.5), agreement={},
+                          drift={0: 0.0, 1: 0.06})
+    assert set(thm.checks) == {"z_deriv_0_drift", "z_deriv_1_drift"}
+    failing = thm.checks["z_deriv_1_drift"]
+    assert failing.bound == thm.stability_tol and not failing.passed
+    assert not thm.passed
+    d = thm.as_dict()
+    assert d["checks"]["z_deriv_1_drift"] == failing.as_dict()
+    assert d["passed"] is False
+
+    cor = U.CorollaryReport(node_norms=(1.0, 2.0), node_ratios=(0.5, 1.5),
+                            derivative_norms=(1.0,), comparison_bounds=(1.0,),
+                            drift={0: 0.01})
+    assert set(cor.checks) == {"residual_k0", "residual_deriv_0_drift"}
+    k0 = cor.checks["residual_k0"]
+    assert (k0.value, k0.bound, k0.passed) == (1.5, 1.0, False)
+    assert cor.checks["residual_deriv_0_drift"].passed
+    assert not cor.passed and cor.as_dict()["checks"]["residual_k0"]["passed"] \
+        is False
+
+    # a non-finite norm fails the verdict even when every check passes
+    thm = U.TheoremReport(norms=(math.inf,), agreement={}, drift={})
+    assert thm.checks == {} and not thm.passed
