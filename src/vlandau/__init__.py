@@ -9,7 +9,7 @@ collocation.
 """
 
 from .params import (
-    AdmissibilityError, AssumptionReport, ConditionCheck, DampingParams,
+    AdmissibilityError, AssumptionReport, BoundCheck, DampingParams,
     TailBoundReport, check_assumptions, derive_constants,
     minimal_start_time, require_admissible, tail_integral,
     tail_integral_moment, verify_tail_bounds,
@@ -27,7 +27,7 @@ from .fields import (
     write_field_csv, zero_field,
 )
 from .scattering import (
-    BoundCheck, ConvergenceError, ProductBoundReport, SolveResult,
+    ConvergenceError, ProductBoundReport, SolveResult,
     TrajectoryTable, VariationalTable, apply_field_map,
     check_nonlinear_norm_product, check_trajectory_bounds,
     check_variational_bounds, deposit_density, deposit_density_pert,

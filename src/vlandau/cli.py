@@ -33,6 +33,17 @@ EXIT_USAGE = 2
 EXIT_SOLVER = 3
 
 
+def _z_value(text: str) -> float:
+    """--z: a number in [-1, 1]; nan and inf are rejected too."""
+    try:
+        z = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
+    if not -1.0 <= z <= 1.0:
+        raise argparse.ArgumentTypeError(f"{text} is not in [-1, 1]")
+    return z
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="vlandau",
@@ -50,7 +61,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(sp)
     sp = sub.add_parser("solve", help="single deterministic solve")
     common(sp)
-    sp.add_argument("--z", type=float, default=0.0,
+    sp.add_argument("--z", type=_z_value, default=0.0,
                     help="parameter value in [-1, 1] (default 0)")
     sp = sub.add_parser("uq", help="collocation sweep over z")
     common(sp)
@@ -72,6 +83,12 @@ def _write_json(path: str, payload: dict) -> None:
     with open(path, "w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
+
+
+def _check_rows(source: str, checks: dict) -> list:
+    """Table rows of BoundCheck.as_dict entries, sorted by name."""
+    return [{"source": source, "check": name, **chk}
+            for name, chk in sorted(checks.items())]
 
 
 def _print_rows(rows) -> None:
@@ -107,25 +124,19 @@ def cmd_check(cfg: RunConfig, args) -> int:
         z_samples = tuple(sorted(set(float(z) for z in nodes) | {0.0}))
     profile = check_profile(spec, params.a, params.a1, params.a2, params.K,
                             z_samples=z_samples)
+    checks = {name: c.as_dict()
+              for name, c in {**gate.checks, **profile.checks}.items()}
 
-    print(f"admissibility gate (C_E = {params.C_E:.6g}, t0 = {params.t0:g}):")
-    for cond in gate.conditions:
-        mark = "PASS" if cond.passed else "FAIL"
-        print(f"  {cond.name}: lhs = {cond.lhs:.6g}  rhs = {cond.rhs:.6g}  "
-              f"margin = {cond.margin:.6g}  [{mark}]")
-    print("profile hypotheses over z samples "
+    print(f"admissibility gate (C_E = {params.C_E:.6g}, t0 = {params.t0:g}) "
+          "and profile hypotheses over z samples "
           f"{', '.join('%.4g' % z for z in z_samples)}:")
-    print(f"  regularity margin  {profile.smoothness.margin:.6g}  "
-          f"[{'PASS' if profile.smoothness.passed else 'FAIL'}]")
-    print(f"  decay margin (f*)  {profile.decay0.margin:.6g}  "
-          f"[{'PASS' if profile.decay0.passed else 'FAIL'}]")
-    print(f"  decay margin (∇f*) {profile.decay1.margin:.6g}  "
-          f"[{'PASS' if profile.decay1.passed else 'FAIL'}]")
+    _print_rows(_check_rows("check", checks))
 
     payload = {
         "config_sha256": cfg.content_hash(),
         "gate": gate.as_dict(),
         "profile": profile.as_dict(),
+        "checks": checks,
         "passed": gate.passed and profile.passed,
     }
     _write_json(os.path.join(out, "check_report.json"), payload)
@@ -143,12 +154,6 @@ def cmd_check(cfg: RunConfig, args) -> int:
 # ---------------------------------------------------------------------------
 # solve
 # ---------------------------------------------------------------------------
-
-def _check_rows(source: str, checks: dict) -> list:
-    """Table rows of BoundCheck.as_dict entries, sorted by name."""
-    return [{"source": source, "check": name, **chk}
-            for name, chk in sorted(checks.items())]
-
 
 def cmd_solve(cfg: RunConfig, args) -> int:
     out = _outdir(cfg, args)
@@ -186,6 +191,9 @@ def cmd_uq(cfg: RunConfig, args) -> int:
     params = cfg.damping_params()
     spec = cfg.profile_spec()
     tgrid, phase = cfg.time_grid(), cfg.phase_grid()
+    if cfg.n_z < 2:
+        raise ConfigError("uq needs n_z >= 2: its z-derivative estimates "
+                          "reach order n_z - 2")
 
     def sweep(n_z):
         return run_collocation(spec, params, tgrid, phase, n_z=n_z,
@@ -218,6 +226,9 @@ def cmd_uq(cfg: RunConfig, args) -> int:
     _write_json(os.path.join(out, "theorem_report.json"), theorem.as_dict())
     _write_json(os.path.join(out, "corollary_report.json"),
                 corollary.as_dict())
+    if refined is not None:
+        _write_json(os.path.join(out, "refined_manifest.json"),
+                    {**refined.manifest(), "config_sha256": cfg.content_hash()})
 
     for k, norm in enumerate(theorem.norms):
         extras = []

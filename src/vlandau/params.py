@@ -13,7 +13,7 @@ From these we derive the field-gradient constant
 
 and the earliest admissible start time t0.  Five inequalities (A1)-(A5)
 must hold before any of the quantitative bounds downstream are meaningful;
-`check_assumptions` evaluates them literally and reports signed margins.
+`check_assumptions` evaluates them literally as BoundChecks.
 
 The closed-form tail integrals
 
@@ -96,38 +96,39 @@ def derive_constants(a: float, a1: float, a2: float, K: int,
 
 
 @dataclass(frozen=True)
-class ConditionCheck:
-    """One admissibility inequality, kept as lhs <= rhs with margin = rhs - lhs."""
+class BoundCheck:
+    """One named inequality value <= bound with its ratio.
+
+    A NaN value fails: the comparison is false.
+    """
 
     name: str
-    description: str
-    lhs: float
-    rhs: float
+    value: float
+    bound: float
+    horizon_dominated: bool = False
 
     @property
-    def margin(self) -> float:
-        return self.rhs - self.lhs
+    def ratio(self) -> float:
+        if self.bound == 0.0:
+            return 0.0 if self.value == 0.0 else math.inf
+        return self.value / self.bound
 
     @property
     def passed(self) -> bool:
-        return self.lhs <= self.rhs
+        return self.value <= self.bound
 
     def as_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "description": self.description,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "margin": self.margin,
-            "passed": self.passed,
-        }
+        return {"name": self.name, "value": self.value, "bound": self.bound,
+                "ratio": self.ratio, "passed": self.passed,
+                "horizon_dominated": self.horizon_dominated}
 
 
 @dataclass(frozen=True)
 class AssumptionReport:
     """Outcome of the five-condition admissibility gate.
 
-    Margins are (rhs - lhs): nonnegative means the condition holds.
+    `checks` maps A1..A5 to BoundChecks with value = lhs and bound = rhs
+    of the inequalities listed in `check_assumptions`.
     `a3_implied_lhs` records the start-time form (50 C_E / a) t0^3 e^{-a t0},
     which the peak form of (A3) dominates because t^3 e^{-a t} is maximized
     at t = 3/a.  `a3_peak_before_t0` flags configurations with t0 < 3/a,
@@ -136,28 +137,23 @@ class AssumptionReport:
     """
 
     params: DampingParams
-    conditions: tuple[ConditionCheck, ...]
+    checks: dict
     a3_implied_lhs: float
     a3_peak_before_t0: bool
 
     @property
     def passed(self) -> bool:
-        return all(c.passed for c in self.conditions)
+        return all(c.passed for c in self.checks.values())
 
     @property
     def failures(self) -> tuple[str, ...]:
-        return tuple(c.name for c in self.conditions if not c.passed)
-
-    def condition(self, name: str) -> ConditionCheck:
-        for c in self.conditions:
-            if c.name == name:
-                return c
-        raise KeyError(name)
+        return tuple(n for n, c in self.checks.items() if not c.passed)
 
     def as_dict(self) -> dict:
+        """Everything but `checks`, which callers write where they gather
+        their checks."""
         return {
             "params": self.params.as_dict(),
-            "conditions": [c.as_dict() for c in self.conditions],
             "a3_implied_lhs": self.a3_implied_lhs,
             "a3_peak_before_t0": self.a3_peak_before_t0,
             "passed": self.passed,
@@ -183,22 +179,17 @@ def check_assumptions(params: DampingParams) -> AssumptionReport:
     a4_lhs = 8.0 * math.e
     a5_lhs = 8.0 * c_e
 
-    conditions = (
-        ConditionCheck("A1", "decay rate large enough: max{1, 15 sqrt(a2)} <= a",
-                       a1_floor, a),
-        ConditionCheck("A2", "start time late enough: max{2, 4K, log(8 a1)/a} <= t0",
-                       t0_floor, t0),
-        ConditionCheck("A3", "peak of (50 C_E/a) t^3 e^{-a t} stays below 1",
-                       a3_lhs, 1.0),
-        ConditionCheck("A4", "profile decay amplitude small: 8e <= 1/(20 a2)",
-                       a4_lhs, 1.0 / (20.0 * a2)),
-        ConditionCheck("A5", "field-gradient constant small: 8 C_E <= a^2",
-                       a5_lhs, a * a),
+    checks = (
+        BoundCheck("A1", a1_floor, a),
+        BoundCheck("A2", t0_floor, t0),
+        BoundCheck("A3", a3_lhs, 1.0),
+        BoundCheck("A4", a4_lhs, 1.0 / (20.0 * a2)),
+        BoundCheck("A5", a5_lhs, a * a),
     )
     implied = (50.0 * c_e / a) * t0 ** 3 * math.exp(-a * t0)
     return AssumptionReport(
         params=params,
-        conditions=conditions,
+        checks={c.name: c for c in checks},
         a3_implied_lhs=implied,
         a3_peak_before_t0=(t0 < 3.0 / a),
     )

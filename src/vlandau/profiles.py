@@ -34,6 +34,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .params import BoundCheck
+
 
 class HypothesisError(ValueError):
     """Raised when a solve is attempted with a profile failing its checks."""
@@ -365,17 +367,18 @@ def check_smoothness(spec: ProfileSpec, a: float, a1: float,
     grid_factor = float(weighted_grid.max()) if structural_ok else math.inf
 
     per_mode: dict[int, float] = {}
-    env_worst = 0.0
-    grid_worst = 0.0
+    grid_modes = []
     for m in spec.modes:
-        amp_worst = max(abs(m.amplitude(z)) for z in z_samples)
+        # np.max, unlike max(), keeps the NaN of an amplitude at z = nan
+        amp_worst = float(np.max([abs(m.amplitude(z)) for z in z_samples]))
         base = amp_worst * spec.scale * (1.0 + m.k * m.k) / a1
-        mode_env = base * wsup if structural_ok else math.inf
-        per_mode[m.k] = mode_env
-        env_worst = max(env_worst, mode_env)
+        per_mode[m.k] = base * wsup if structural_ok else math.inf
         if structural_ok:
-            grid_worst = max(grid_worst, base * grid_factor)
-    margin = max(env_worst, grid_worst) if structural_ok else math.inf
+            grid_modes.append(base * grid_factor)
+    env_worst = float(np.max(list(per_mode.values()), initial=0.0))
+    grid_worst = float(np.max(grid_modes, initial=0.0))
+    margin = float(np.max([env_worst, grid_worst])) if structural_ok \
+        else math.inf
     return SmoothnessReport(a=a, a1=a1, margin=margin,
                             envelope_ratio=env_worst, grid_ratio=grid_worst,
                             structural_ok=structural_ok, per_mode=per_mode,
@@ -434,8 +437,9 @@ def check_decay(spec: ProfileSpec, a2: float, z_samples=(0.0,),
             gx, gv = eval_profile_grad(spec, x[:, None], v[None, :], z)
             val = np.sqrt(gx * gx + gv * gv)
         weighted = val * wv[None, :]
+        # argmax picks a NaN first; keep it so the margin fails
         idx = np.unravel_index(np.argmax(weighted), weighted.shape)
-        if weighted[idx] > worst:
+        if weighted[idx] > worst or math.isnan(weighted[idx]):
             worst = float(weighted[idx])
             argmax_v = float(v[idx[1]])
     return DecayReport(a2=a2, derivative_order=derivative_order,
@@ -458,8 +462,15 @@ class ProfileCheckReport:
     derivative_constants: tuple[tuple[float, float], ...]
 
     @property
+    def checks(self) -> dict:
+        """smoothness, decay0 and decay1 as BoundChecks: margin <= 1."""
+        return {name: BoundCheck(name, rep.margin, 1.0) for name, rep in
+                (("smoothness", self.smoothness), ("decay0", self.decay0),
+                 ("decay1", self.decay1))}
+
+    @property
     def passed(self) -> bool:
-        return self.smoothness.passed and self.decay0.passed and self.decay1.passed
+        return all(c.passed for c in self.checks.values())
 
     def as_dict(self) -> dict:
         return {

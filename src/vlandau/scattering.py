@@ -44,8 +44,8 @@ import numpy as np
 from . import kernels
 from .fields import (FieldTable, PhaseGrid, TimeGrid, XGrid, spectral_dx,
                      weighted_norm, weighted_sup, zero_field)
-from .params import DampingParams, require_admissible, tail_integral, \
-    tail_integral_moment
+from .params import BoundCheck, DampingParams, require_admissible, \
+    tail_integral, tail_integral_moment
 from .profiles import HypothesisError, ProfileSpec, eval_profile, \
     neutral_density, profile_fourier, require_hypotheses
 
@@ -56,31 +56,6 @@ class ConvergenceError(RuntimeError):
     def __init__(self, message: str, residual: float):
         super().__init__(message)
         self.residual = residual
-
-
-@dataclass(frozen=True)
-class BoundCheck:
-    """One named inequality value <= bound with its ratio."""
-
-    name: str
-    value: float
-    bound: float
-    horizon_dominated: bool = False
-
-    @property
-    def ratio(self) -> float:
-        if self.bound == 0.0:
-            return 0.0 if self.value == 0.0 else math.inf
-        return self.value / self.bound
-
-    @property
-    def passed(self) -> bool:
-        return self.value <= self.bound
-
-    def as_dict(self) -> dict:
-        return {"name": self.name, "value": self.value, "bound": self.bound,
-                "ratio": self.ratio, "passed": self.passed,
-                "horizon_dominated": self.horizon_dominated}
 
 
 def _flat_labels(phase: PhaseGrid):
@@ -196,39 +171,28 @@ def solve_characteristics(E: FieldTable, phase: PhaseGrid, tol: float = 1e-12,
                            tail_bound_v=tail_v)
 
 
-@dataclass(frozen=True)
-class TrajectoryBoundReport:
-    """Worst node ratios for the two displacement inequalities
+def check_trajectory_bounds(traj: TrajectoryTable, E: FieldTable,
+                            params: DampingParams) -> dict:
+    """Worst node ratios of the two displacement inequalities
 
     |v - V| <= (|E|_{a,t0}/a) e^{-a t},
-    |x - (X - V t)| <= |E|_{a,t0} (2/a) t e^{-a t}.
+    |x - (X - V t)| <= |E|_{a,t0} (2/a) t e^{-a t},
 
-    For E == 0 both sides vanish and the ratios are defined as 0.
+    as {traj_velocity, traj_position} BoundChecks against 1.  For E == 0
+    both sides vanish and the ratios are defined as 0.
     """
-
-    ratio_v: float
-    ratio_x: float
-    norm_e: float
-
-    @property
-    def passed(self) -> bool:
-        return max(self.ratio_v, self.ratio_x) <= 1.0
-
-
-def check_trajectory_bounds(traj: TrajectoryTable, E: FieldTable,
-                            params: DampingParams) -> TrajectoryBoundReport:
     a = params.a
     norm_e = weighted_norm(E, a).value
-    if norm_e == 0.0:
-        return TrajectoryBoundReport(ratio_v=0.0, ratio_x=0.0, norm_e=0.0)
-    t = traj.tgrid.times[:, None, None]
-    decay = np.exp(-a * traj.tgrid.times)[:, None, None]
-    ratio_v = np.abs(traj.dV) / ((norm_e / a) * decay)
-    # x - (X - V t) = dV * t - dX when X, V are expanded around free flight
-    lhs_x = np.abs(traj.dV * t - traj.dX)
-    ratio_x = lhs_x / (norm_e * (2.0 / a) * t * decay)
-    return TrajectoryBoundReport(ratio_v=float(ratio_v.max()),
-                                 ratio_x=float(ratio_x.max()), norm_e=norm_e)
+    ratio_v = ratio_x = 0.0
+    if norm_e != 0.0:
+        t = traj.tgrid.times[:, None, None]
+        decay = np.exp(-a * traj.tgrid.times)[:, None, None]
+        ratio_v = float((np.abs(traj.dV) / ((norm_e / a) * decay)).max())
+        # x - (X - V t) = dV * t - dX when X, V are expanded around free flight
+        lhs_x = np.abs(traj.dV * t - traj.dX)
+        ratio_x = float((lhs_x / (norm_e * (2.0 / a) * t * decay)).max())
+    return {"traj_velocity": BoundCheck("traj_velocity", ratio_v, 1.0),
+            "traj_position": BoundCheck("traj_position", ratio_x, 1.0)}
 
 
 # ---------------------------------------------------------------------------
@@ -476,7 +440,6 @@ class SolveResult:
     var: VariationalTable | None = None
     density: FieldTable | None = None
     density_pert: FieldTable | None = None
-    traj_report: TrajectoryBoundReport | None = None
 
     @property
     def passed(self) -> bool:
@@ -528,10 +491,7 @@ def _fixed_point_checks(E: FieldTable, params: DampingParams,
     checks["density_pert_weighted"] = BoundCheck(
         "density_pert_weighted", npert.value, ce, npert.horizon_dominated)
 
-    traj_rep = check_trajectory_bounds(traj, E, params)
-    checks["traj_velocity"] = BoundCheck("traj_velocity", traj_rep.ratio_v, 1.0)
-    checks["traj_position"] = BoundCheck("traj_position", traj_rep.ratio_x, 1.0)
-
+    checks.update(check_trajectory_bounds(traj, E, params))
     checks.update(check_variational_bounds(var, params))
 
     jac = float(np.abs(var.jacobian_minus_one()).max())
@@ -550,7 +510,7 @@ def _fixed_point_checks(E: FieldTable, params: DampingParams,
         checks["contraction_ratio"] = BoundCheck(
             "contraction_ratio", max(contraction_ratios),
             88.0 * a2 / (a ** 2 - 80.0 * a2))
-    return checks, traj_rep
+    return checks
 
 
 def picard_solve(spec: ProfileSpec, params: DampingParams, z: float,
@@ -627,7 +587,7 @@ def picard_solve(spec: ProfileSpec, params: DampingParams, z: float,
     rho = deposit_density(traj, spec, z, xgrid)
     rho_pert = deposit_density_pert(traj, spec, z, xgrid)
 
-    checks, traj_rep = _fixed_point_checks(
+    checks = _fixed_point_checks(
         E, params, traj, var, rho, rho_pert, residual_norm, tol, ratios)
 
     rho0 = neutral_density(spec, z)
@@ -647,8 +607,7 @@ def picard_solve(spec: ProfileSpec, params: DampingParams, z: float,
         checks=checks, certificates=certificates, method=method,
         traj=traj if keep_tables else None,
         var=var if keep_tables else None,
-        density=rho, density_pert=rho_pert,
-        traj_report=traj_rep)
+        density=rho, density_pert=rho_pert)
 
 
 # ---------------------------------------------------------------------------

@@ -30,18 +30,17 @@ C_E = 240 * A1 * A2 / A + 4 * A1                     # 0.00896
 def test_criterion_01_admissibility_gate(ref_params):
     report = P.check_assumptions(ref_params)
     assert report.passed, f"reference gate failed: {report.failures}"
-    assert [c.name for c in report.conditions] == ["A1", "A2", "A3", "A4",
-                                                   "A5"]
-    for cond in report.conditions:
-        assert cond.passed and cond.margin >= 0.0
+    assert list(report.checks) == ["A1", "A2", "A3", "A4", "A5"]
+    for cond in report.checks.values():
+        assert cond.passed and cond.bound - cond.value >= 0.0
 
     bad = P.derive_constants(A, A1, 0.01, K, t0=T0)
     bad_report = P.check_assumptions(bad)
     assert not bad_report.passed
-    a4 = bad_report.condition("A4")
+    a4 = bad_report.checks["A4"]
     assert not a4.passed
-    assert a4.lhs == pytest.approx(8 * math.e, rel=1e-14)    # 21.746...
-    assert a4.rhs == pytest.approx(5.0, rel=1e-14)           # 1/(20 a2)
+    assert a4.value == pytest.approx(8 * math.e, rel=1e-14)  # 21.746...
+    assert a4.bound == pytest.approx(5.0, rel=1e-14)         # 1/(20 a2)
     assert "A4" in bad_report.failures
 
 
@@ -159,9 +158,10 @@ def test_criterion_07_density_bounds(ref_solve):
 # ---------------------------------------------------------------------------
 
 def test_criterion_08_trajectory_bounds(ref_solve):
-    rep = ref_solve.traj_report
-    assert rep.ratio_v <= 1.0 + 1e-6, f"velocity ratio {rep.ratio_v}"
-    assert rep.ratio_x <= 1.0 + 1e-6, f"position ratio {rep.ratio_x}"
+    ratio_v = ref_solve.checks["traj_velocity"].value
+    ratio_x = ref_solve.checks["traj_position"].value
+    assert ratio_v <= 1.0 + 1e-6, f"velocity ratio {ratio_v}"
+    assert ratio_x <= 1.0 + 1e-6, f"position ratio {ratio_x}"
 
 
 # ---------------------------------------------------------------------------

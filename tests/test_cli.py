@@ -67,19 +67,33 @@ def test_check_passes_on_reference(tmp_path, capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert "all checks passed" in out
+    rows = [line.split() for line in out.splitlines()]
     for name in ("A1", "A2", "A3", "A4", "A5"):
-        assert f"{name}:" in out
+        assert [r[-1] for r in rows if r[:2] == ["check", name]] == ["PASS"]
     report = json.loads((tmp_path / "o" / "check_report.json").read_text())
     assert report["passed"] is True
+    assert report["passed"] == all(c["passed"]
+                                   for c in report["checks"].values())
     assert report["config_sha256"] == load_config(cfg).content_hash()
 
 
 def test_check_fails_names_a4(tmp_path, capsys):
     cfg = write_cfg(tmp_path, "params {\n a2 0.01\n}\n")
-    code = run_cli("check", "--config", cfg, "--out", str(tmp_path / "o"))
+    out_dir = tmp_path / "o"
+    code = run_cli("check", "--config", cfg, "--out", str(out_dir))
     out = capsys.readouterr().out
     assert code == 1
     assert "gate FAILED" in out and "A4" in out
+    report = json.loads((out_dir / "check_report.json").read_text())
+    assert report["passed"] == all(c["passed"]
+                                   for c in report["checks"].values())
+    assert run_cli("report", str(out_dir)) == 1
+    lines = (out_dir / "report.csv").read_text().splitlines()
+    status = {row[1]: row[5] for row in (line.split(",")
+                                         for line in lines[1:])}
+    assert status == {"A1": "fail", "A2": "pass", "A3": "pass",
+                      "A4": "fail", "A5": "pass", "decay0": "pass",
+                      "decay1": "pass", "smoothness": "pass"}
 
 
 def test_malformed_config_reports_line(tmp_path, capsys):
@@ -133,6 +147,16 @@ def test_solve_is_deterministic(tmp_path):
     man_a = json.loads((a / "solve_manifest.json").read_text())
     man_b = json.loads((b / "solve_manifest.json").read_text())
     assert man_a == man_b
+
+
+@pytest.mark.parametrize("z", ["7", "-1.5", "inf", "nan"])
+def test_solve_rejects_z_outside_domain(tmp_path, capsys, z):
+    cfg = write_cfg(tmp_path, SMALL_GRIDS)
+    out = tmp_path / "z"
+    assert run_cli("solve", "--config", cfg, "--out", str(out),
+                   "--z", z) == 2
+    assert "not in [-1, 1]" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_solve_nonzero_z(tmp_path):
@@ -212,6 +236,25 @@ def test_uq_verdict_counts_refined_nodes(tmp_path, monkeypatch, capsys):
     assert len(failing) == 1
     assert failing[0].startswith("refined node z = ")
     assert failing[0].endswith("FAILED: contraction_ratio")
+
+    assert run_cli("report", str(tmp_path / "uq")) == 1
+    lines = (tmp_path / "uq" / "report.csv").read_text().splitlines()
+    rows = {(row[0], row[1]): row[5] for row in (line.split(",")
+                                                 for line in lines[1:])}
+    assert rows[("refined_manifest[node 1]", "contraction_ratio")] == "fail"
+    assert [key for key, status in rows.items() if status == "fail"] == [
+        ("refined_manifest[node 1]", "contraction_ratio")]
+
+
+def test_uq_rejects_single_node(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, TINY_GRIDS.replace("n_z 3", "n_z 1"))
+    out = tmp_path / "uq"
+    code = run_cli("uq", "--config", cfg, "--out", str(out))
+    assert code == 2
+    assert "n_z >= 2" in capsys.readouterr().err
+    assert not (out / "gpc.csv").exists()
+    # check keeps accepting a single z node
+    assert run_cli("check", "--config", cfg, "--out", str(out)) == 0
 
 
 # ---------------------------------------------------------------------------

@@ -154,23 +154,24 @@ def test_derive_constants_defaults_t0():
 def test_gate_reference_passes(ref_params):
     rep = P.check_assumptions(ref_params)
     assert rep.passed and rep.failures == ()
-    by = {c.name: c for c in rep.conditions}
+    by = rep.checks
     assert set(by) == {"A1", "A2", "A3", "A4", "A5"}
     # A1: max(1, 15 sqrt(a2)) <= a, boundary-tight at the reference point
-    assert by["A1"].lhs == pytest.approx(max(1.0, 15 * math.sqrt(0.002)),
-                                         rel=1e-15)
-    assert by["A1"].margin == pytest.approx(0.0, abs=1e-15)
+    assert by["A1"].value == pytest.approx(max(1.0, 15 * math.sqrt(0.002)),
+                                           rel=1e-15)
+    assert by["A1"].bound - by["A1"].value == pytest.approx(0.0, abs=1e-15)
     # A2: t0 at its admissible minimum
-    assert by["A2"].margin == pytest.approx(0.0, abs=1e-15)
+    assert by["A2"].bound - by["A2"].value == pytest.approx(0.0, abs=1e-15)
     # A3: (50 C_E / a)(3/a)^3 e^{-3}
-    assert by["A3"].lhs == pytest.approx(
+    assert by["A3"].value == pytest.approx(
         50 * 0.00896 * 27 * math.exp(-3.0), rel=1e-12)
     # A4: 8 e <= 1/(20 a2)
-    assert by["A4"].lhs == pytest.approx(8 * math.e, rel=1e-15)
-    assert by["A4"].rhs == pytest.approx(25.0, rel=1e-12)
+    assert by["A4"].value == pytest.approx(8 * math.e, rel=1e-15)
+    assert by["A4"].bound == pytest.approx(25.0, rel=1e-12)
     # A5: 8 C_E <= a^2
-    assert by["A5"].lhs == pytest.approx(0.07168, rel=1e-12)
-    assert by["A5"].margin == pytest.approx(1.0 - 0.07168, rel=1e-10)
+    assert by["A5"].value == pytest.approx(0.07168, rel=1e-12)
+    assert by["A5"].bound - by["A5"].value == pytest.approx(1.0 - 0.07168,
+                                                            rel=1e-10)
 
 
 def test_gate_large_a2_fails_a4():
@@ -178,20 +179,20 @@ def test_gate_large_a2_fails_a4():
     rep = P.check_assumptions(p)
     assert not rep.passed
     assert "A4" in rep.failures
-    c = rep.condition("A4")
-    assert c.lhs == pytest.approx(8 * math.e, rel=1e-12)       # ~21.746
-    assert c.rhs == pytest.approx(5.0, rel=1e-12)
-    assert c.lhs > c.rhs
+    c = rep.checks["A4"]
+    assert c.value == pytest.approx(8 * math.e, rel=1e-12)     # ~21.746
+    assert c.bound == pytest.approx(5.0, rel=1e-12)
+    assert c.value > c.bound
     # the same a2 also breaches the decay-rate floor
-    assert rep.condition("A1").lhs == pytest.approx(1.5, rel=1e-12)
+    assert rep.checks["A1"].value == pytest.approx(1.5, rel=1e-12)
 
 
 def test_gate_boundary_a1_equality():
     # a = 15 sqrt(a2) exactly: A1 margin 0 yet passing
     p = P.derive_constants(1.5, 0.002, 0.01, 2, t0=8.0)
     rep = P.check_assumptions(p)
-    c = rep.condition("A1")
-    assert c.passed and c.margin == pytest.approx(0.0, abs=1e-12)
+    c = rep.checks["A1"]
+    assert c.passed and c.bound - c.value == pytest.approx(0.0, abs=1e-12)
 
 
 def test_require_admissible_raises():
@@ -207,4 +208,4 @@ def test_gate_a3_peak_flag():
     assert not rep.a3_peak_before_t0
     assert rep.a3_implied_lhs == pytest.approx(
         50 * 0.00896 * 512 * math.exp(-8.0), rel=1e-12)
-    assert rep.a3_implied_lhs < rep.condition("A3").lhs
+    assert rep.a3_implied_lhs < rep.checks["A3"].value

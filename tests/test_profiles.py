@@ -343,6 +343,22 @@ def test_check_profile_reference(ref_spec, ref_params):
     assert c2_1 > 0.0
 
 
+@pytest.mark.parametrize("z_samples", [(math.nan,), (0.0, math.nan),
+                                       (math.inf,)])
+def test_non_finite_z_fails_hypotheses(ref_spec, ref_params, z_samples):
+    # Horner's 0.0 * z makes every amplitude NaN; each margin must carry
+    # the NaN so that its check fails instead of reading 0
+    p = ref_params
+    rep = PR.check_profile(ref_spec, p.a, p.a1, p.a2, p.K,
+                           z_samples=z_samples)
+    assert set(rep.checks) == {"smoothness", "decay0", "decay1"}
+    for c in rep.checks.values():
+        assert math.isnan(c.value) and not c.passed
+    assert not rep.passed
+    with pytest.raises(HypothesisError):
+        PR.require_hypotheses(ref_spec, p.a, p.a1, p.a2, z_samples=z_samples)
+
+
 def test_profile_spec_validation():
     with pytest.raises(ValueError):
         ProfileSpec(modes=(Mode(0, Amplitude("poly", (1.0,))),

@@ -55,8 +55,10 @@ def test_zero_field_trajectory_report_is_zero(ref_tgrid, ref_phase,
                                               ref_params):
     E = F.zero_field(ref_tgrid, ref_phase.xgrid)
     traj = S.solve_characteristics(E, ref_phase, a=1.0)
-    rep = S.check_trajectory_bounds(traj, E, ref_params)
-    assert rep.ratio_v == 0.0 and rep.ratio_x == 0.0 and rep.passed
+    checks = S.check_trajectory_bounds(traj, E, ref_params)
+    assert checks["traj_velocity"].value == 0.0
+    assert checks["traj_position"].value == 0.0
+    assert all(c.passed for c in checks.values())
 
 
 # ---------------------------------------------------------------------------
@@ -94,15 +96,16 @@ def test_constant_in_x_field_bound_ratios():
     E = constant_field(tg, phase.xgrid, lambda t: eps * math.exp(-a * t))
     traj = S.solve_characteristics(E, phase, a=a)
     params = P.derive_constants(a, 0.002, 0.002, 2, t0=tg.t0)
-    rep = S.check_trajectory_bounds(traj, E, params)
-    assert rep.norm_e == pytest.approx(eps, rel=1e-12)
-    assert rep.ratio_v <= 1.0
-    assert rep.ratio_v == pytest.approx(1.0 - math.exp(-(tg.t_end - tg.t0)),
-                                        rel=1e-9)
+    checks = S.check_trajectory_bounds(traj, E, params)
+    assert F.weighted_norm(E, a).value == pytest.approx(eps, rel=1e-12)
+    ratio_v = checks["traj_velocity"].value
+    assert ratio_v <= 1.0
+    assert ratio_v == pytest.approx(1.0 - math.exp(-(tg.t_end - tg.t0)),
+                                    rel=1e-9)
     # position ratio approaches (1 + 1/(a t0))/2 at the window start
-    assert rep.ratio_x <= 1.0
-    assert rep.ratio_x == pytest.approx(0.5 * (1 + 1 / (a * tg.t0)),
-                                        rel=2e-3)
+    ratio_x = checks["traj_position"].value
+    assert ratio_x <= 1.0
+    assert ratio_x == pytest.approx(0.5 * (1 + 1 / (a * tg.t0)), rel=2e-3)
 
 
 def test_field_too_large_precondition():
