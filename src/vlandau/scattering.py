@@ -547,15 +547,13 @@ def picard_solve(spec: ProfileSpec, params: DampingParams, z: float,
     E = zero_field(tgrid, xgrid)
     d_hist: list[float] = []
     ratios: list[float] = []
-    dX_prev = None
     traj = None
     converged = False
     iterations = 0
     for iterations in range(1, max_iter + 1):
-        traj = solve_characteristics(E, phase, tol=inner_tol,
-                                     max_inner=max_inner, a=a,
-                                     initial=dX_prev)
-        dX_prev = traj.dX
+        traj = solve_characteristics(
+            E, phase, tol=inner_tol, max_inner=max_inner, a=a,
+            initial=None if traj is None else traj.dX)
         E_next = _map_from_traj(traj, spec, z, xgrid, method)
         d = weighted_norm(E_next.with_values(E_next.values - E.values), a).value
         d_hist.append(d)
@@ -578,7 +576,7 @@ def picard_solve(spec: ProfileSpec, params: DampingParams, z: float,
 
     # certify the residual of the accepted iterate with one more map
     traj = solve_characteristics(E, phase, tol=inner_tol,
-                                 max_inner=max_inner, a=a, initial=dX_prev)
+                                 max_inner=max_inner, a=a, initial=traj.dX)
     E_map = _map_from_traj(traj, spec, z, xgrid, method)
     residual_norm = weighted_norm(
         E_map.with_values(E_map.values - E.values), a).value
@@ -591,6 +589,7 @@ def picard_solve(spec: ProfileSpec, params: DampingParams, z: float,
         E, params, traj, var, rho, rho_pert, residual_norm, tol, ratios)
 
     rho0 = neutral_density(spec, z)
+    x, v, _ = _flat_labels(phase)
     certificates = {
         "time_tail_position": traj.tail_bound_x,
         "time_tail_velocity": traj.tail_bound_v,
@@ -598,6 +597,8 @@ def picard_solve(spec: ProfileSpec, params: DampingParams, z: float,
         "mean_density_drift": abs(float(rho.values.mean()) - rho0),
         "inner_residual": traj.residual,
         "variational_residual": var.residual,
+        "kernel_truncation": kernels.truncation_remainder(
+            x, v, traj.dX.reshape(len(tgrid), -1), xgrid.n // 2 + 1),
     }
 
     return SolveResult(

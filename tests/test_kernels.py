@@ -286,3 +286,205 @@ def test_cic_density_pert_same_cell_transfer():
     naive = (K.cic_density(one, (x + delta)[None, :], nx, dx)
              - K.cic_density(one, x[None, :], nx, dx))
     assert abs(naive[0, 4] - exact) > 1e-6 * exact
+
+
+# ---------------------------------------------------------------------------
+# tensor-grid FFT path and its recurrence fallback
+# ---------------------------------------------------------------------------
+
+def _grid_case(nx, nv, row_scales, seed):
+    """Solver-style labels x = repeat(xs, nv), v = tile(vs, nx) on the
+    uniform 2 pi-periodic grid, with row n of dX scaled by row_scales[n]."""
+    rng = np.random.default_rng(seed)
+    nt = len(row_scales)
+    times = 8.0 + 0.25 * np.arange(nt)
+    xs = (2 * np.pi / nx) * np.arange(nx)
+    vs = np.linspace(-6.0, 6.0, nv)
+    x, v = np.repeat(xs, nv), np.tile(vs, nx)
+    dX = np.asarray(row_scales)[:, None] * rng.standard_normal((nt, nx * nv))
+    wf = rng.uniform(0.1, 1.0, nx * nv)
+    nk = nx // 2 + 1
+    cre = rng.standard_normal((nt, nk)) * 1e-4
+    cim = rng.standard_normal((nt, nk)) * 1e-4
+    return times, x, v, dX, wf, cre, cim
+
+
+def _eval_rows_sum(cre, cim, x, v, times, dX):
+    # the explicit mode sum of test_eval_rows_matches_explicit_sum
+    theta = x[None, :] + v[None, :] * times[:, None] + dX
+    c = cre + 1j * cim
+    half = cre.shape[1] - 1
+    out = np.full(theta.shape, cre[:, 0:1])
+    for k in range(1, half):
+        out = out + 2 * np.real(c[:, k:k + 1] * np.exp(1j * k * theta))
+    return out + cre[:, -1:] * np.cos(half * theta)
+
+
+def _corr_sum(wf, x, v, times, dX, nk):
+    k = np.arange(nk)[:, None]
+    out = np.empty((len(times), nk), dtype=complex)
+    for n in range(len(times)):
+        free = x + v * times[n]
+        out[n] = (np.exp(-1j * k * free) * np.expm1(-1j * k * dX[n])) @ wf
+    return out / (2 * np.pi)
+
+
+@pytest.fixture
+def table_calls(monkeypatch):
+    """Counts the phase-table requests, i.e. the kernel calls that take the
+    tensor-grid FFT path."""
+    calls = []
+    real = K.phase_table
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(K, "phase_table", spy)
+    return calls
+
+
+def test_taylor_order_is_smallest_certified_order():
+    assert K.taylor_order(0.0) == (0, 0.0)
+    assert K.taylor_order(0.0, lowest=1) == (0, 0.0)
+    for r in (1e-30, 1e-14, 9.3e-7, 1e-3, 0.3, 1.0):
+        for lowest in (0, 1):
+            order, rem = K.taylor_order(r, lowest)
+            assert order >= lowest
+            assert rem == r ** (order + 1 - lowest) / math.factorial(order + 1)
+            assert rem < 2.0 ** -53
+            if order > lowest:      # one order fewer would not certify
+                assert (r ** (order - lowest) / math.factorial(order)
+                        >= 2.0 ** -53)
+    # the reference run's radius needs second order for e^{ikd} and third
+    # for e^{-ikd} - 1
+    assert K.taylor_order(9.3e-7)[0] == 2
+    assert K.taylor_order(9.3e-7, lowest=1)[0] == 3
+    for bad in (1.5, -1e-3, math.nan):
+        with pytest.raises(ValueError):
+            K.taylor_order(bad)
+
+
+def test_fft_path_matches_mpmath_sums(table_calls):
+    # 30-digit oracle for both kernels on a small tensor grid; the rows
+    # cover no displacement, two Taylor orders and a larger radius
+    mpmath = pytest.importorskip("mpmath")
+    mp = mpmath.mp
+    mp.dps = 30
+    nx, nv = 8, 5
+    times, x, v, dX, wf, cre, cim = _grid_case(nx, nv,
+                                               [0.0, 1e-9, 1e-5, 2e-2], 31)
+    nk = nx // 2 + 1
+    half = nk - 1
+    rows = K.eval_rows(cre, cim, x, v, times, dX)
+    re, im = K.corr_fourier(wf, x, v, times, dX, nk)
+    assert len(table_calls) == 2
+    assert 0.0 < K.truncation_remainder(x, v, dX, nk) < 2.0 ** -53
+    for n in range(len(times)):
+        scale = abs(cre[n, 0]) + abs(cre[n, half]) + 2 * sum(
+            math.hypot(cre[n, k], cim[n, k]) for k in range(1, half))
+        for p in range(x.shape[0]):
+            theta = mp.mpf(x[p]) + mp.mpf(v[p]) * mp.mpf(times[n]) \
+                + mp.mpf(dX[n, p])
+            exact = mp.mpf(cre[n, 0]) + mp.mpf(cre[n, half]) * mp.cos(
+                half * theta)
+            for k in range(1, half):
+                exact += 2 * mp.re(mp.mpc(cre[n, k], cim[n, k])
+                                   * mp.expj(k * theta))
+            assert abs(rows[n, p] - float(exact)) <= 1e-13 * scale
+        for k in range(nk):
+            exact = mp.mpc(0)
+            size = mp.mpf(0)
+            for p in range(x.shape[0]):
+                free = mp.mpf(x[p]) + mp.mpf(v[p]) * mp.mpf(times[n])
+                diff = mp.expj(-k * mp.mpf(dX[n, p])) - 1
+                exact += mp.mpf(wf[p]) * mp.expj(-k * free) * diff
+                size += mp.mpf(wf[p]) * abs(diff)
+            exact /= 2 * mp.pi
+            size /= 2 * mp.pi
+            # the error scales with the displacement: 0 rows are exact
+            assert abs(re[n, k] - float(mp.re(exact))) <= 1e-13 * float(size)
+            assert abs(im[n, k] - float(mp.im(exact))) <= 1e-13 * float(size)
+
+
+def test_fft_path_corr_fourier_matches_complex_sum_at_production_size(
+        table_calls):
+    # reference grids (nx = 64, nv = 129, nt = 176) with displacements
+    # decaying from 1e-3 to 2e-8 along the rows, so many Taylor orders
+    # and row blocks occur; same tolerance as the recurrence test above
+    nx, nv, nt = 64, 129, 176
+    times = 8.0 + 0.25 * np.arange(nt)
+    scales = 1e-3 * np.exp(-(times - 8.0) / 4.0)
+    times, x, v, dX, wf, _, _ = _grid_case(nx, nv, scales, 22)
+    nk = nx // 2 + 1
+    re, im = K.corr_fourier(wf, x, v, times, dX, nk)
+    assert len(table_calls) == 1
+    expect = _corr_sum(wf, x, v, times, dX, nk)
+    atol = 50 * np.finfo(float).eps * np.abs(wf).sum()
+    assert np.abs(re - expect.real).max() <= atol
+    assert np.abs(im - expect.imag).max() <= atol
+
+
+def test_fft_path_corr_fourier_tiny_displacement_linearizes(table_calls):
+    # on the tensor grid too, |k dX| ~ 1e-14 must give -i k dX
+    nx, nv = 8, 5
+    times, x, v, _, wf, _, _ = _grid_case(nx, nv, [0.0] * 6, 6)
+    dX = np.full((6, nx * nv), 1e-14)
+    re, im = K.corr_fourier(wf, x, v, times, dX, 4 + 1)
+    assert len(table_calls) == 1
+    two_pi = 2 * np.pi
+    for n in range(6):
+        for k in (1, 2, 3, 4):
+            z = (wf * np.exp(-1j * k * (x + v * times[n]))
+                 * (-1j * k * 1e-14)).sum() / two_pi
+            assert re[n, k] == pytest.approx(z.real, rel=1e-6, abs=1e-30)
+            assert im[n, k] == pytest.approx(z.imag, rel=1e-6, abs=1e-30)
+
+
+def test_rows_beyond_taylor_radius_fall_back(table_calls):
+    # rows 0 and 2 have k_max |dX_n| > 1 and take the recurrence, rows 1
+    # and 3 the FFT path; every row must match the explicit sums
+    nx, nv = 16, 9
+    times, x, v, dX, wf, cre, cim = _grid_case(nx, nv,
+                                               [0.5, 1e-4, 2.0, 1e-8], 12)
+    nk = nx // 2 + 1
+    r = (nk - 1) * np.abs(dX).max(axis=1)
+    assert r[0] > 1 and r[2] > 1 and r[1] < 1 and r[3] < 1
+    rows = K.eval_rows(cre, cim, x, v, times, dX)
+    assert np.allclose(rows, _eval_rows_sum(cre, cim, x, v, times, dX),
+                       rtol=1e-12, atol=1e-16)
+    re, im = K.corr_fourier(wf, x, v, times, dX, nk)
+    expect = _corr_sum(wf, x, v, times, dX, nk)
+    atol = 50 * np.finfo(float).eps * np.abs(wf).sum()
+    assert np.abs(re - expect.real).max() <= atol
+    assert np.abs(im - expect.imag).max() <= atol
+    assert len(table_calls) == 2
+    assert K.truncation_remainder(x, v, dX, nk) > 0.0
+
+
+@pytest.mark.parametrize("labels", ["permuted", "nonuniform"])
+def test_non_grid_labels_take_the_recurrence(monkeypatch, labels):
+    nx, nv = 16, 9
+    times, x, v, dX, wf, cre, cim = _grid_case(nx, nv, [1e-3] * 5, 14)
+    if labels == "permuted":
+        perm = np.random.default_rng(15).permutation(x.shape[0])
+        x, v = x[perm], v[perm]
+    else:
+        xs = (2 * np.pi / nx) * np.arange(nx)
+        xs[5] += 1e-3
+        x = np.repeat(xs, nv)
+    nk = nx // 2 + 1
+    assert K.truncation_remainder(x, v, dX, nk) == 0.0
+
+    def no_table(*args):
+        raise AssertionError("the FFT path ran on non-grid labels")
+
+    monkeypatch.setattr(K, "phase_table", no_table)
+    rows = K.eval_rows(cre, cim, x, v, times, dX)
+    assert np.allclose(rows, _eval_rows_sum(cre, cim, x, v, times, dX),
+                       rtol=1e-12, atol=1e-16)
+    re, im = K.corr_fourier(wf, x, v, times, dX, nk)
+    expect = _corr_sum(wf, x, v, times, dX, nk)
+    atol = 50 * np.finfo(float).eps * np.abs(wf).sum()
+    assert np.abs(re - expect.real).max() <= atol
+    assert np.abs(im - expect.imag).max() <= atol

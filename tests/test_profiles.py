@@ -359,6 +359,22 @@ def test_non_finite_z_fails_hypotheses(ref_spec, ref_params, z_samples):
         PR.require_hypotheses(ref_spec, p.a, p.a1, p.a2, z_samples=z_samples)
 
 
+@pytest.mark.parametrize("kind, coeffs", [("poly", (8e-5,)),
+                                          ("trig", (8e-5, 1e-6, 2e-6))])
+@pytest.mark.parametrize("z", [math.inf, -math.inf])
+def test_infinite_z_amplitude_is_nan_for_both_kinds(ref_params, kind, coeffs,
+                                                    z):
+    # a trigonometric amplitude gives NaN at z = +-inf, as a polynomial one
+    # does, instead of raising math.cos's ValueError; the hypotheses then
+    # fail with HypothesisError
+    assert math.isnan(Amplitude(kind, coeffs)(z))
+    spec = ProfileSpec(modes=(Mode(0, Amplitude(kind, coeffs)),),
+                       shape="sech", rate=math.pi / 2)
+    p = ref_params
+    with pytest.raises(HypothesisError):
+        PR.require_hypotheses(spec, p.a, p.a1, p.a2, z_samples=(z,))
+
+
 def test_profile_spec_validation():
     with pytest.raises(ValueError):
         ProfileSpec(modes=(Mode(0, Amplitude("poly", (1.0,))),
