@@ -71,7 +71,7 @@ class Amplitude:
             for c in reversed(self.coeffs):
                 acc = acc * z + c
             return acc
-        if not math.isfinite(z):     # as Horner's 0.0 * z gives poly
+        if not math.isfinite(z):     # NaN, as 0.0 * z makes it for poly
             return math.nan
         acc = self.coeffs[0]
         for idx in range(1, len(self.coeffs)):

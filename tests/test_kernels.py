@@ -368,7 +368,7 @@ def test_taylor_order_is_smallest_certified_order():
 def test_fft_path_matches_mpmath_sums(table_calls):
     # 30-digit oracle for both kernels on a small tensor grid; the rows
     # cover no displacement, two Taylor orders and a larger radius
-    mpmath = pytest.importorskip("mpmath")
+    import mpmath
     mp = mpmath.mp
     mp.dps = 30
     nx, nv = 8, 5

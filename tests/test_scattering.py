@@ -12,6 +12,7 @@ import pytest
 
 from helpers import constant_field, make_spec, small_grids
 from vlandau import fields as F
+from vlandau import kernels as K
 from vlandau import params as P
 from vlandau import scattering as S
 from vlandau.profiles import HypothesisError
@@ -315,6 +316,19 @@ def test_small_solve_checks_and_certificates(small_solve):
     assert certs["mean_density_drift"] < 1e-7
     assert certs["inner_residual"] < 1e-12
     assert certs["variational_residual"] < 1e-12
+
+
+def test_small_solve_kernel_truncation_certificate(small_solve):
+    # the largest Taylor remainder the FFT kernels leave on the final
+    # trajectory: positive (displacements are nonzero) and below 2^-53
+    r = small_solve
+    cert = r.certificates["kernel_truncation"]
+    assert 0.0 < cert < 2.0 ** -53
+    x = np.repeat(r.traj.phase.xgrid.points, r.traj.phase.nv)
+    v = np.tile(r.traj.phase.v, r.traj.phase.xgrid.n)
+    dX = r.traj.dX.reshape(len(r.traj.tgrid), -1)
+    nk = r.traj.phase.xgrid.n // 2 + 1
+    assert cert == K.truncation_remainder(x, v, dX, nk)
 
 
 def test_small_solve_contraction_ratio_check(small_solve):
