@@ -211,9 +211,7 @@ def cmd_uq(cfg: RunConfig, args) -> int:
     gpc = gpc_coefficients(ens)
     write_gpc_csv(gpc, os.path.join(out, "gpc.csv"))
     theorem = check_theorem_bounds(ens, params.K, refined=refined)
-    corollary = check_corollary(ens, spec, refined=refined,
-                                inner_tol=cfg.inner_tol,
-                                max_inner=cfg.max_inner)
+    corollary = check_corollary(ens, spec, refined=refined)
 
     manifest = ens.manifest()
     manifest["config_sha256"] = cfg.content_hash()

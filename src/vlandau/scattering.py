@@ -436,6 +436,7 @@ class SolveResult:
     checks: dict
     certificates: dict
     method: str
+    phase: PhaseGrid
     traj: TrajectoryTable | None = None
     var: VariationalTable | None = None
     density: FieldTable | None = None
@@ -458,8 +459,7 @@ class SolveResult:
             "grids": {
                 "t0": self.field.tgrid.t0, "t_end": self.field.tgrid.t_end,
                 "nt": len(self.field.tgrid), "nx": self.field.xgrid.n,
-                "nv": self.traj.phase.nv if self.traj is not None else None,
-                "v_max": self.traj.phase.v_max if self.traj is not None else None,
+                "nv": self.phase.nv, "v_max": self.phase.v_max,
             },
             "checks": {k: c.as_dict() for k, c in self.checks.items()},
             "certificates": self.certificates,
@@ -605,7 +605,7 @@ def picard_solve(spec: ProfileSpec, params: DampingParams, z: float,
         field=E, params=params, z=z, converged=converged,
         iterations=iterations, iterate_norms=tuple(d_hist),
         contraction_ratios=tuple(ratios), residual_norm=residual_norm,
-        checks=checks, certificates=certificates, method=method,
+        checks=checks, certificates=certificates, method=method, phase=phase,
         traj=traj if keep_tables else None,
         var=var if keep_tables else None,
         density=rho, density_pert=rho_pert)

@@ -22,7 +22,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from numpy.polynomial import legendre as npleg
@@ -31,7 +31,9 @@ from .fields import FieldTable, weighted_norm, weighted_sup
 from .params import DampingParams
 from .profiles import ProfileSpec, shifted_difference, sup_gradient
 from .scattering import BoundCheck, SolveResult, TimeGrid, PhaseGrid, \
-    picard_solve, solve_characteristics
+    TrajectoryTable, picard_solve
+# unused here, but perfbench/tracer.py rebinds it in this module by name
+from .scattering import solve_characteristics  # noqa: F401
 
 
 class CollocationError(RuntimeError):
@@ -106,16 +108,21 @@ def collocation_derivative(nodes, values, k: int, at: float = 0.0) -> np.ndarray
 
 @dataclass(frozen=True)
 class ZEnsemble:
-    """Per-node solve results over a quadrature node set in z."""
+    """Per-node solve results over a quadrature node set in z, with the
+    corollary's ResidualSurvey when run_collocation solved them."""
 
     nodes: tuple[float, ...]
     weights: tuple[float, ...]
     results: tuple[SolveResult, ...]
     phase: PhaseGrid
+    residuals: ResidualSurvey | None = None
 
     def __post_init__(self):
         if not (len(self.nodes) == len(self.weights) == len(self.results)):
             raise ValueError("nodes, weights and results must align")
+        if self.residuals is not None and \
+                len(self.residuals.node_norms) != len(self.nodes):
+            raise ValueError("nodes and residual survey must align")
         if any(b <= a for a, b in zip(self.nodes, self.nodes[1:])):
             raise ValueError("nodes must be strictly increasing")
         sigs = {r_setup_signature(r) for r in self.results}
@@ -161,29 +168,126 @@ def r_setup_signature(result: SolveResult) -> str:
     return hashlib.sha256(blob).hexdigest()[:16]
 
 
+@dataclass(frozen=True)
+class ResidualSurvey:
+    """The corollary's per-ensemble data, reduced while the nodes are solved.
+
+    D(x,v,t,z) = f*(x,v,z) - f*(X - V t, V, z) is the transported-profile
+    residual.  node_norms[j] = |D(., z_j)|_{a,t0,1}; node_ratios[j]
+    compares it against 3 |grad f*(z_j)|_Linf |E(z_j)|_{a,t0} / a.
+    derivative_norms[k] = |d^k_z D at 0|_{a,t0,1} for k <= k_max =
+    min(K, n_nodes - 2), and floors[k] bounds the roundoff of the k >= 1
+    ones (see roundoff_floor).
+    """
+
+    spec: ProfileSpec
+    node_norms: tuple[float, ...]
+    node_ratios: tuple[float, ...]
+    derivative_norms: tuple[float, ...]
+    floors: dict
+
+
+def _transport_residual(traj: TrajectoryTable, spec: ProfileSpec,
+                        z: float) -> np.ndarray:
+    """D at the phase nodes, shape (nt, nx nv).
+
+    The residual is evaluated in Lagrangian form: f(X, V, t) = f*(x, v)
+    by definition of the transported solution, so D = f* - f* o (X - Vt, V)
+    needs only the forward tables.  It is assembled by the profile's
+    exact shifted-difference identities: X - Vt = x + (dX - t dV) and
+    V = v + dV with tiny arguments.
+    """
+    phase = traj.phase
+    x = np.repeat(phase.xgrid.points, phase.nv)
+    v = np.tile(phase.v, phase.xgrid.n)
+    nt = len(traj.tgrid)
+    t = traj.tgrid.times[:, None]
+    dv_arg = traj.dV.reshape(nt, -1)
+    dx_arg = traj.dX.reshape(nt, -1) - t * dv_arg
+    return -shifted_difference(spec, x[None, :], v[None, :], dx_arg, dv_arg,
+                               z)
+
+
+def _residual_norm(times, table: np.ndarray, params: DampingParams) -> float:
+    """|table|_{a,t0,1}: the weighted sup over t of the sup over nodes."""
+    sup = np.abs(table).reshape(len(times), -1).max(axis=1)
+    return weighted_sup(times, sup, params.a, moment=1,
+                        t_start=params.t0).value
+
+
+def _solve_node(spec, params, z, tgrid, phase, solve_kw):
+    """A node's solve, its residual table and the table's norm and ratio.
+
+    The residual comes from the trajectories the solve just certified;
+    the variational tables are dropped before it is formed and the
+    trajectories after, so the returned result holds no tables.
+    """
+    result = picard_solve(spec, params, z, tgrid, phase, keep_tables=True,
+                          **solve_kw)
+    traj = result.traj
+    result = replace(result, traj=None, var=None)
+    delta = _transport_residual(traj, spec, z)
+    del traj
+    a = params.a
+    norm = _residual_norm(tgrid.times, delta, params)
+    norm_e = weighted_norm(result.field, a).value
+    bound = 3.0 * sup_gradient(spec, z) * norm_e / a
+    ratio = norm / bound if bound > 0 else (0.0 if norm == 0.0 else math.inf)
+    return result, delta, norm, ratio
+
+
 def run_collocation(spec: ProfileSpec, params: DampingParams,
                     tgrid: TimeGrid, phase: PhaseGrid, n_z: int = 9,
                     nodes=None, weights=None, tol: float = 1e-10,
                     max_iter: int = 30, inner_tol: float = 1e-12,
-                    max_inner: int = 50, method: str = "split",
-                    keep_tables: bool = False) -> ZEnsemble:
-    """Deterministic solve at every z node; aborts naming a failing node."""
+                    max_inner: int = 50, method: str = "split") -> ZEnsemble:
+    """Deterministic solve at every z node; aborts naming a failing node.
+
+    Each node's corollary residual D(z_j) is formed from its own solve
+    and streamed into k_max + 1 accumulators of sum_j w_kj D(z_j), the
+    order-k derivative at 0 of the interpolant (fd_weights), so that at
+    most one node's tables are alive at a time; the ensemble keeps only
+    the reduced ResidualSurvey.  A z-independent profile is solved once:
+    every node gets that result, with its own z, and its residual.
+    """
     if nodes is None:
         nodes, weights = gauss_legendre_nodes(n_z)
     nodes = np.asarray(nodes, dtype=float)
     weights = np.asarray(weights, dtype=float)
-    results = []
-    for j, z in enumerate(nodes):
-        try:
-            results.append(picard_solve(
-                spec, params, float(z), tgrid, phase, tol=tol,
-                max_iter=max_iter, inner_tol=inner_tol, max_inner=max_inner,
-                method=method, keep_tables=keep_tables))
-        except Exception as err:
-            raise CollocationError(j, float(z), err) from err
+    solve_kw = dict(tol=tol, max_iter=max_iter, inner_tol=inner_tol,
+                    max_inner=max_inner, method=method)
+    # weight rows k <= k_max; none for a single node (k_max = -1)
+    k_max = min(params.K, len(nodes) - 2)
+    dw = fd_weights(nodes, 0.0, max(k_max, 0))[:k_max + 1]
+    accum = np.zeros((k_max + 1, len(tgrid), phase.xgrid.n * phase.nv))
+    results, node_norms, node_ratios = [], [], []
+    z_independent = spec.is_z_independent
+    for j, z in enumerate(float(z) for z in nodes):
+        if j == 0 or not z_independent:
+            try:
+                result, delta, norm, ratio = _solve_node(
+                    spec, params, z, tgrid, phase, solve_kw)
+            except Exception as err:
+                raise CollocationError(j, z, err) from err
+        else:                 # the first node's solve serves every node
+            result = replace(result, z=z)
+        results.append(result)
+        node_norms.append(norm)
+        node_ratios.append(ratio)
+        for k in range(k_max + 1):
+            accum[k] += dw[k, j] * delta
+        if not z_independent:
+            del delta         # not alive during the next node's solve
+    deriv_norms = tuple(_residual_norm(tgrid.times, acc, params)
+                        for acc in accum)
+    scale = max(node_norms)
+    floors = {k: scale * roundoff_floor(dw[k]) for k in range(1, k_max + 1)}
+    survey = ResidualSurvey(spec=spec, node_norms=tuple(node_norms),
+                            node_ratios=tuple(node_ratios),
+                            derivative_norms=deriv_norms, floors=floors)
     return ZEnsemble(nodes=tuple(float(z) for z in nodes),
                      weights=tuple(float(w) for w in weights),
-                     results=tuple(results), phase=phase)
+                     results=tuple(results), phase=phase, residuals=survey)
 
 
 # ---------------------------------------------------------------------------
@@ -569,89 +673,32 @@ class CorollaryReport:
         }
 
 
-def _corollary_residuals(ensemble: ZEnsemble, spec: ProfileSpec,
-                         inner_tol: float = 1e-12, max_inner: int = 50):
-    """Yield (j, z, residual array (nt, nx, nv), |E|_{a,t0}) per node.
-
-    The residual is evaluated in Lagrangian form at the phase nodes:
-    f(X, V, t) = f*(x, v) by definition of the transported solution, so
-    D = f* - f* o (X - Vt, V) needs only the forward tables.  It is
-    assembled by the profile's exact shifted-difference identities:
-    X - Vt = x + (dX - t dV) and V = v + dV with tiny arguments.
-    """
-    phase = ensemble.phase
-    a = ensemble.params.a
-    x = np.repeat(phase.xgrid.points, phase.nv)
-    v = np.tile(phase.v, phase.xgrid.n)
-    for j, (z, result) in enumerate(zip(ensemble.nodes, ensemble.results)):
-        traj = result.traj
-        if traj is None:
-            traj = solve_characteristics(result.field, phase, tol=inner_tol,
-                                         max_inner=max_inner,
-                                         a=ensemble.params.a)
-        nt = len(traj.tgrid)
-        t = traj.tgrid.times[:, None]
-        dx_arg = traj.dX.reshape(nt, -1) - t * traj.dV.reshape(nt, -1)
-        dv_arg = traj.dV.reshape(nt, -1)
-        delta = -shifted_difference(spec, x[None, :], v[None, :],
-                                    dx_arg, dv_arg, z)
-        norm_e = weighted_norm(result.field, a).value
-        yield j, z, delta.reshape(nt, phase.xgrid.n, phase.nv), norm_e
+def _survey_of(ensemble: ZEnsemble, spec: ProfileSpec) -> ResidualSurvey:
+    survey = ensemble.residuals
+    if survey is None:
+        raise ValueError("the ensemble carries no residual survey; "
+                         "run_collocation forms it")
+    if survey.spec != spec:
+        raise ValueError("the ensemble was solved for a different profile")
+    return survey
 
 
 def check_corollary(ensemble: ZEnsemble, spec: ProfileSpec,
-                    refined: ZEnsemble | None = None,
-                    inner_tol: float = 1e-12,
-                    max_inner: int = 50) -> CorollaryReport:
-    """Evaluate the residual norms and their z-derivatives at z = 0.
-
-    Derivatives of the interpolant at 0 are fixed linear combinations of
-    the per-node residual tables, so nodes are streamed and only K+1
-    accumulator tables are held.
-    """
-
-    def survey(ens):
-        params = ens.params
-        a, t0 = params.a, params.t0
-        k_max = min(params.K, ens.n_nodes - 2)
-        dw = fd_weights(np.asarray(ens.nodes), 0.0, k_max)
-        accum = None
-        node_norms = []
-        node_ratios = []
-        times = ens.tgrid.times
-        for j, z, delta, norm_e in _corollary_residuals(
-                ens, spec, inner_tol, max_inner):
-            sup = np.abs(delta).reshape(len(times), -1).max(axis=1)
-            norm = weighted_sup(times, sup, a, moment=1, t_start=t0).value
-            node_norms.append(norm)
-            grad = sup_gradient(spec, z)
-            bound = 3.0 * grad * norm_e / a
-            node_ratios.append(norm / bound if bound > 0
-                               else (0.0 if norm == 0.0 else math.inf))
-            if accum is None:
-                accum = np.zeros((k_max + 1,) + delta.shape)
-            for k in range(k_max + 1):
-                accum[k] += dw[k, j] * delta
-        deriv_norms = []
-        for k in range(k_max + 1):
-            sup = np.abs(accum[k]).reshape(len(times), -1).max(axis=1)
-            deriv_norms.append(
-                weighted_sup(times, sup, a, moment=1, t_start=t0).value)
-        scale = max(node_norms)
-        floors = {k: scale * roundoff_floor(dw[k])
-                  for k in range(1, k_max + 1)}
-        return node_norms, node_ratios, deriv_norms, floors
-
-    node_norms, node_ratios, deriv_norms, base_floors = survey(ensemble)
-    floors = {"base": base_floors}
+                    refined: ZEnsemble | None = None) -> CorollaryReport:
+    """The residual norms and their z-derivatives at 0, with refinement
+    drift, from the residual surveys run_collocation formed at each node;
+    nothing is solved again."""
+    base = _survey_of(ensemble, spec)
+    floors = {"base": base.floors}
     drift = {}
     if refined is not None:
-        _, _, refined_norms, refined_floors = survey(refined)
-        floors["refined"] = refined_floors
-        for k in range(min(len(deriv_norms), len(refined_norms))):
+        ref = _survey_of(refined, spec)
+        floors["refined"] = ref.floors
+        for k in range(min(len(base.derivative_norms),
+                           len(ref.derivative_norms))):
             drift[k] = _refinement_drift(
-                deriv_norms[k], base_floors.get(k, 0.0),
-                refined_norms[k], refined_floors.get(k, 0.0))
+                base.derivative_norms[k], base.floors.get(k, 0.0),
+                ref.derivative_norms[k], ref.floors.get(k, 0.0))
 
     # First-order comparison scale per derivative order:
     # sup|grad d^k_z f*| . |E|_{a,t0} . ((2/a) t + 1/a) e^{-at}, measured in
@@ -660,12 +707,12 @@ def check_corollary(ensemble: ZEnsemble, spec: ProfileSpec,
     norm_e0 = weighted_norm(z_derivative(ensemble, 0), params.a).value
     bounds = []
     dspec = spec
-    for k in range(len(deriv_norms)):
+    for k in range(len(base.derivative_norms)):
         g_k = sup_gradient(dspec, 0.0)
         bounds.append(g_k * norm_e0 * (2.0 + 1.0 / params.t0) / params.a)
         dspec = dspec.z_derivative()
-    return CorollaryReport(node_norms=tuple(node_norms),
-                           node_ratios=tuple(node_ratios),
-                           derivative_norms=tuple(deriv_norms),
+    return CorollaryReport(node_norms=base.node_norms,
+                           node_ratios=base.node_ratios,
+                           derivative_norms=base.derivative_norms,
                            comparison_bounds=tuple(bounds), drift=drift,
                            floors=floors)

@@ -3,6 +3,8 @@
 import dataclasses
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -244,6 +246,39 @@ def test_uq_verdict_counts_refined_nodes(tmp_path, monkeypatch, capsys):
     assert rows[("refined_manifest[node 1]", "contraction_ratio")] == "fail"
     assert [key for key, status in rows.items() if status == "fail"] == [
         ("refined_manifest[node 1]", "contraction_ratio")]
+
+
+def test_uq_manifests_record_velocity_grid(tmp_path):
+    # per-node entries keep no tables but still name their velocity grid
+    cfg = write_cfg(tmp_path, TINY_GRIDS)
+    out = tmp_path / "uq"
+    assert run_cli("uq", "--config", cfg, "--out", str(out)) == 0
+    for name, n_nodes in (("ensemble_manifest.json", 3),
+                          ("refined_manifest.json", 7)):
+        nodes = json.loads((out / name).read_text())["per_node"]
+        assert len(nodes) == n_nodes
+        for node in nodes:
+            assert (node["grids"]["nv"], node["grids"]["v_max"]) == (33, 6.0)
+
+
+REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def test_benchmark_tracer_runs_uq(tmp_path):
+    # perfbench/tracer.py rebinds functions that vlandau modules import by
+    # name and stops when one is missing; run it as the benchmark does
+    cfg = write_cfg(tmp_path, TINY_GRIDS)
+    spans = tmp_path / "spans.json"
+    env = dict(os.environ, PYTHONPATH=os.path.join(REPO, "src"))
+    proc = subprocess.run(
+        [sys.executable, os.path.join(REPO, "perfbench", "tracer.py"),
+         "--spans", str(spans), "--run-id", "tier1", "--",
+         "uq", "--config", cfg, "--out", str(tmp_path / "uq")],
+        env=env, cwd=REPO, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    names = {span["name"] for span in json.loads(spans.read_text())}
+    assert {"uq.run_collocation", "uq.check_corollary",
+            "scattering.picard_solve"} <= names
 
 
 def test_uq_rejects_single_node(tmp_path, capsys):

@@ -11,9 +11,11 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from helpers import make_spec
+from helpers import full_grid_decay, full_grid_sup_gradient, make_spec
 from vlandau import profiles as PR
 from vlandau.profiles import Amplitude, HypothesisError, Mode, ProfileSpec
+from vlandau.profiles import check_decay, grid_sups, require_hypotheses, \
+    sup_gradient
 
 
 # ---------------------------------------------------------------------------
@@ -323,6 +325,54 @@ def test_decay_failure_raises():
     assert not rep.passed
     with pytest.raises(HypothesisError, match="decay"):
         PR.require_hypotheses(spec, 1.0, 1e6, 0.002)
+
+
+SUP_Z = (-1.0, -0.3, 0.0, 0.7, 1.0)
+
+
+@pytest.mark.parametrize("shape", ["gaussian", "sech"])
+@pytest.mark.parametrize("modes", [
+    {0: (8e-5, 1e-6, 2e-6), 1: (1e-5, 3e-6), 3: (-2e-6, 0.0, 1e-6)},
+    {0: 8e-5},                          # equal rows; its derivatives vanish
+], ids=["three_modes", "homogeneous"])
+def test_grid_sups_equal_the_full_grid_bitwise(shape, modes):
+    # the order-0 sup evaluates only the rows nearest the largest |A_i|,
+    # and the gradient grid goes in blocks; margins, argmax_v and sup_gradient must
+    # still be what the whole 256 x 4001 grid gives, bit for bit, for the
+    # profile and its first two z-derivatives
+    grid_sups.cache_clear()
+    spec = make_spec(modes, shape=shape)
+    a2 = 0.002
+
+    def oracle_decay(spec, z_samples, order):
+        # the scan over z of the original check_decay
+        worst, at_v = 0.0, 0.0
+        for z in z_samples:
+            want, want_v = full_grid_decay(spec, z, order)
+            if want > worst or math.isnan(want):
+                worst, at_v = want, want_v
+        return worst / a2, at_v
+
+    for _ in range(3):
+        for order in (0, 1):
+            for z_samples in [(z,) for z in SUP_Z] + [SUP_Z]:
+                rep = check_decay(spec, a2, z_samples,
+                                  derivative_order=order)
+                assert (rep.margin, rep.argmax_v) == \
+                    oracle_decay(spec, z_samples, order)
+        for z in SUP_Z:
+            assert sup_gradient(spec, z) == full_grid_sup_gradient(spec, z)
+        spec = spec.z_derivative()
+
+
+def test_grid_sups_cache_serves_the_corollary(ref_spec, ref_params):
+    # a node's hypothesis gate and its corollary sup_gradient share a pass
+    grid_sups.cache_clear()
+    p = ref_params
+    require_hypotheses(ref_spec, p.a, p.a1, p.a2, z_samples=(0.25,))
+    sup_gradient(ref_spec, 0.25)
+    info = grid_sups.cache_info()
+    assert (info.misses, info.hits) == (1, 2)
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from numpy.polynomial import legendre as npleg
 
-from helpers import make_spec, small_grids
+from helpers import make_spec, resolved_corollary_survey, small_grids
 from vlandau import params as P
 from vlandau import scattering as S
 from vlandau import uq as U
@@ -349,6 +349,101 @@ def test_corollary_report_small_z_dependent():
     assert len(rep.derivative_norms) == 3
     assert all(np.isfinite(rep.derivative_norms))
     assert rep.passed
+
+
+ZDEP_MODES = {0: 8e-5, 1: (1e-5, 3e-6)}
+
+
+@pytest.fixture(scope="module")
+def zdep_small():
+    spec, params, tg, phase = _small_setup(ZDEP_MODES)
+    return U.run_collocation(spec, params, tg, phase, n_z=7)
+
+
+def test_corollary_from_node_solves_matches_resolving_oracle(zdep_small):
+    # the survey formed from each node's own trajectories agrees with one
+    # that solves every node's characteristics again from its field
+    spec = _small_setup(ZDEP_MODES)[0]
+    rep = U.check_corollary(zdep_small, spec)
+    norms, ratios, deriv = resolved_corollary_survey(zdep_small, spec)
+    assert rep.node_norms == pytest.approx(norms, rel=1e-12, abs=0.0)
+    assert rep.node_ratios == pytest.approx(ratios, rel=1e-12, abs=0.0)
+    assert rep.derivative_norms == pytest.approx(deriv, rel=1e-12, abs=0.0)
+    assert len(deriv) == 3 and min(deriv) > 0.0
+
+
+def test_check_corollary_solves_nothing(zdep_small, monkeypatch):
+    calls = []
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for mod in (S, U):
+        monkeypatch.setattr(mod, "solve_characteristics", counted(
+            "solve_characteristics", S.solve_characteristics))
+        monkeypatch.setattr(mod, "picard_solve",
+                            counted("picard_solve", S.picard_solve))
+    spec = _small_setup(ZDEP_MODES)[0]
+    rep = U.check_corollary(zdep_small, spec, refined=zdep_small)
+    assert calls == []
+    assert rep.passed and set(rep.drift) == {0, 1, 2}
+
+
+def test_check_corollary_needs_the_ensembles_survey(zdep_small):
+    spec = _small_setup(ZDEP_MODES)[0]
+    bare = U.ZEnsemble(zdep_small.nodes, zdep_small.weights,
+                       zdep_small.results, zdep_small.phase)
+    with pytest.raises(ValueError, match="no residual survey"):
+        U.check_corollary(bare, spec)
+    with pytest.raises(ValueError, match="different profile"):
+        U.check_corollary(zdep_small, spec.z_derivative())
+    with pytest.raises(ValueError, match="residual survey must align"):
+        U.ZEnsemble(zdep_small.nodes[:-1], zdep_small.weights[:-1],
+                    zdep_small.results[:-1], zdep_small.phase,
+                    zdep_small.residuals)
+
+
+@pytest.mark.parametrize("n_z, n_derivs", [(1, 0), (2, 1)])
+def test_run_collocation_few_nodes(n_z, n_derivs):
+    # k_max = min(K, n_z - 2): one node leaves no derivative accumulator
+    spec, params, tg, phase = _small_setup(ZDEP_MODES)
+    ens = U.run_collocation(spec, params, tg, phase, n_z=n_z)
+    survey = ens.residuals
+    assert ens.n_nodes == len(survey.node_norms) == n_z
+    assert len(survey.derivative_norms) == n_derivs
+    assert survey.floors == {}
+    rep = U.check_corollary(ens, spec)
+    assert rep.passed and len(rep.comparison_bounds) == n_derivs
+
+
+def test_z_independent_profile_is_solved_once(monkeypatch):
+    calls = []
+    real = U.picard_solve
+
+    def counted(*args, **kwargs):
+        calls.append(args[2])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(U, "picard_solve", counted)
+    spec, params, tg, phase = _small_setup()
+    ens = U.run_collocation(spec, params, tg, phase, n_z=5)
+    assert len(calls) == 1
+    assert [r.z for r in ens.results] == list(ens.nodes)
+    assert all(r.field is ens.results[0].field for r in ens.results)
+    survey = ens.residuals
+    assert len(set(survey.node_norms)) == len(set(survey.node_ratios)) == 1
+
+
+def test_node_manifest_records_velocity_grid(zdep_small):
+    # the nodes keep no tables, yet their manifests name the velocity grid
+    for result in zdep_small.results:
+        assert result.traj is None and result.var is None
+        grids = result.manifest()["grids"]
+        assert (grids["nv"], grids["v_max"]) == (zdep_small.phase.nv,
+                                                 zdep_small.phase.v_max)
 
 
 def test_report_verdicts_are_their_checks():
