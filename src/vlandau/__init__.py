@@ -10,35 +10,30 @@ collocation.
 
 from .params import (
     AdmissibilityError, AssumptionReport, BoundCheck, DampingParams,
-    TailBoundReport, check_assumptions, derive_constants,
-    minimal_start_time, require_admissible, tail_integral,
-    tail_integral_moment, verify_tail_bounds,
+    check_assumptions, derive_constants, minimal_start_time,
+    require_admissible, tail_integral, tail_integral_moment,
 )
 from .profiles import (
     Amplitude, HypothesisError, Mode, ProfileCheckReport, ProfileSpec,
     check_decay, check_profile, check_smoothness, eval_profile,
-    eval_profile_grad, neutral_density, profile_fourier, require_hypotheses,
-    shifted_difference, sup_gradient,
+    neutral_density, profile_fourier, require_hypotheses, shifted_difference,
+    sup_gradient,
 )
 from .fields import (
-    FieldTable, NormReport, PhaseGrid, TimeGrid, XGrid, difference_norm,
-    interp_field, kernel_B, kernel_fourier, plain_sup, read_field_csv,
-    spectral_dx, tabulate_field, weighted_norm, weighted_sup,
-    write_field_csv, zero_field,
+    FieldTable, NormReport, PhaseGrid, TimeGrid, XGrid, read_field_csv,
+    spectral_dx, weighted_norm, weighted_sup, write_field_csv, zero_field,
 )
 from .scattering import (
-    ConvergenceError, ProductBoundReport, SolveResult,
-    TrajectoryTable, VariationalTable, apply_field_map,
-    check_nonlinear_norm_product, check_trajectory_bounds,
-    check_variational_bounds, deposit_density, deposit_density_pert,
-    field_map_zero, picard_solve, solve_characteristics, solve_variational,
+    ConvergenceError, SolveResult, TrajectoryTable, VariationalTable,
+    check_trajectory_bounds, check_variational_bounds, deposit_density,
+    deposit_density_pert, field_map_zero, picard_solve,
+    solve_characteristics, solve_variational,
 )
 from .uq import (
     CollocationError, CorollaryReport, GpcTable, TheoremReport, ZEnsemble,
-    check_corollary, check_theorem_bounds, collocation_derivative,
-    fd_weights, gauss_legendre_nodes, gpc_coefficients, project_stack,
-    run_collocation, spectral_derivative_stack, write_gpc_csv,
-    z_derivative, z_derivative_fd,
+    check_corollary, check_theorem_bounds, fd_weights, gauss_legendre_nodes,
+    gpc_coefficients, project_stack, run_collocation,
+    spectral_derivative_stack, write_gpc_csv, z_derivative, z_derivative_fd,
 )
 from .config import ConfigError, RunConfig, load_config, parse_config
 

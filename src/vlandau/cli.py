@@ -22,7 +22,7 @@ import sys
 from .config import ConfigError, RunConfig, load_config
 from .params import AdmissibilityError, check_assumptions
 from .profiles import HypothesisError, check_profile
-from .scattering import ConvergenceError, picard_solve
+from .scattering import ConvergenceError, picard_solve, solver_preconditions
 from .fields import write_field_csv
 from .uq import CollocationError, check_corollary, check_theorem_bounds, \
     gauss_legendre_nodes, gpc_coefficients, run_collocation, write_gpc_csv
@@ -124,28 +124,30 @@ def cmd_check(cfg: RunConfig, args) -> int:
         z_samples = tuple(sorted(set(float(z) for z in nodes) | {0.0}))
     profile = check_profile(spec, params.a, params.a1, params.a2, params.K,
                             z_samples=z_samples)
-    checks = {name: c.as_dict()
-              for name, c in {**gate.checks, **profile.checks}.items()}
+    checks = {**gate.checks, **profile.checks,
+              **solver_preconditions(spec, cfg.nx, z_samples)}
+    failed = [name for name, c in checks.items() if not c.passed]
+    rows = {name: c.as_dict() for name, c in checks.items()}
 
-    print(f"admissibility gate (C_E = {params.C_E:.6g}, t0 = {params.t0:g}) "
-          "and profile hypotheses over z samples "
+    print(f"admissibility gate (C_E = {params.C_E:.6g}, t0 = {params.t0:g}), "
+          "profile hypotheses and solver preconditions over z samples "
           f"{', '.join('%.4g' % z for z in z_samples)}:")
-    _print_rows(_check_rows("check", checks))
+    _print_rows(_check_rows("check", rows))
 
     payload = {
         "config_sha256": cfg.content_hash(),
         "gate": gate.as_dict(),
         "profile": profile.as_dict(),
-        "checks": checks,
-        "passed": gate.passed and profile.passed,
+        "checks": rows,
+        "passed": not failed,
     }
     _write_json(os.path.join(out, "check_report.json"), payload)
 
     if not gate.passed:
         print("gate FAILED: " + ", ".join(gate.failures))
         return EXIT_CHECK_FAILED
-    if not profile.passed:
-        print("profile hypotheses FAILED")
+    if failed:
+        print("profile checks FAILED: " + ", ".join(failed))
         return EXIT_CHECK_FAILED
     print("all checks passed")
     return EXIT_PASS

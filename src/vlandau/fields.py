@@ -1,4 +1,4 @@
-"""Grids, the mean-free force kernel, field tables, and weighted norms.
+"""Grids, field tables, weighted norms, and the field-table file format.
 
 A field table holds E(x_i, t_n) on a uniform periodic grid in x and a
 uniform grid in t = [t0, t_end].  Decay is measured in exponentially
@@ -128,26 +128,6 @@ class PhaseGrid:
 
 
 # ---------------------------------------------------------------------------
-# force kernel
-# ---------------------------------------------------------------------------
-
-def kernel_B(x):
-    """Periodic mean-free kernel, 1/2 - x/(2 pi) on the fundamental cell."""
-    x = np.asarray(x, dtype=float)
-    frac = np.mod(x, TWO_PI) / TWO_PI
-    return 0.5 - frac
-
-
-def kernel_fourier(k):
-    """Fourier coefficients of B: 1/(2 pi i k) for k != 0, zero mean."""
-    k = np.asarray(k)
-    out = np.zeros(k.shape, dtype=complex)
-    nz = k != 0
-    out[nz] = 1.0 / (TWO_PI * 1j * k[nz])
-    return out
-
-
-# ---------------------------------------------------------------------------
 # field tables
 # ---------------------------------------------------------------------------
 
@@ -188,15 +168,6 @@ def zero_field(tgrid: TimeGrid, xgrid: XGrid) -> FieldTable:
     return FieldTable(tgrid, xgrid, np.zeros((len(tgrid), xgrid.n)))
 
 
-def tabulate_field(tgrid: TimeGrid, xgrid: XGrid, fn) -> FieldTable:
-    """Build a table from fn(x, t) with broadcasting arrays."""
-    x = xgrid.points
-    vals = np.empty((len(tgrid), xgrid.n))
-    for n, t in enumerate(tgrid.times):
-        vals[n] = np.asarray(fn(x, t), dtype=float)
-    return FieldTable(tgrid, xgrid, vals)
-
-
 def spectral_dx(table: FieldTable) -> FieldTable:
     """d/dx by mode multiplication; the Nyquist mode is annihilated."""
     c = np.fft.rfft(table.values, axis=1)
@@ -204,40 +175,6 @@ def spectral_dx(table: FieldTable) -> FieldTable:
     c = c * (1j * k)[None, :]
     c[:, -1] = 0.0
     return table.with_values(np.fft.irfft(c, n=table.xgrid.n, axis=1))
-
-
-def interp_field(table: FieldTable, x, t: float):
-    """Evaluate the field at arbitrary positions and a single time.
-
-    Trigonometric in x (exact at grid points), linear in t between samples.
-    Times beyond the horizon return 0 (the field is treated as fully
-    damped there); times before the grid start are refused.
-    """
-    tg = table.tgrid
-    if t > tg.t_end:
-        return np.zeros_like(np.asarray(x, dtype=float))
-    if t < tg.t0 - 1e-12 * max(1.0, tg.t0):
-        raise ValueError(f"time {t} precedes the table start {tg.t0}")
-    s = (t - tg.t0) / tg.dt
-    n0 = min(int(math.floor(s)), tg.n_steps - 1)
-    n0 = max(n0, 0)
-    w = s - n0
-    c = table.coefficients()
-    row = (1.0 - w) * c[n0] + w * c[n0 + 1]
-    return eval_modes_at(row, table.xgrid, x)
-
-
-def eval_modes_at(coeffs: np.ndarray, xgrid: XGrid, x):
-    """Evaluate one coefficient row (rfft layout / n) at arbitrary x."""
-    x = np.asarray(x, dtype=float)
-    theta = x * (TWO_PI / xgrid.length)
-    out = np.full(x.shape, float(coeffs[0].real))
-    half = xgrid.n // 2
-    for k in range(1, half):
-        out += 2.0 * (coeffs[k].real * np.cos(k * theta)
-                      - coeffs[k].imag * np.sin(k * theta))
-    out += coeffs[half].real * np.cos(half * theta)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -310,20 +247,6 @@ def weighted_norm(table: FieldTable, a: float, moment: int = 0,
                       horizon_dominated=rep.horizon_dominated, a=rep.a,
                       moment=rep.moment, t_start=rep.t_start,
                       argmax_x=float(table.xgrid.points[i]))
-
-
-def plain_sup(table: FieldTable) -> float:
-    """Unweighted supremum max_{n,i} |E(x_i, t_n)|."""
-    return float(np.abs(table.values).max())
-
-
-def difference_norm(left: FieldTable, right: FieldTable, a: float,
-                    moment: int = 0) -> NormReport:
-    """Weighted norm of (left - right); grids must match."""
-    if left.tgrid != right.tgrid or left.xgrid != right.xgrid:
-        raise ValueError("field tables live on different grids")
-    return weighted_norm(left.with_values(left.values - right.values),
-                         a, moment=moment)
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,7 @@ all-positive-term expansions so no cancellation occurs for large t.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 class AdmissibilityError(ValueError):
@@ -150,13 +150,12 @@ class AssumptionReport:
         return tuple(n for n, c in self.checks.items() if not c.passed)
 
     def as_dict(self) -> dict:
-        """Everything but `checks`, which callers write where they gather
-        their checks."""
+        """Everything but `checks` and their verdict, which callers write
+        where they gather their checks."""
         return {
             "params": self.params.as_dict(),
             "a3_implied_lhs": self.a3_implied_lhs,
             "a3_peak_before_t0": self.a3_peak_before_t0,
-            "passed": self.passed,
             "failures": list(self.failures),
         }
 
@@ -256,61 +255,3 @@ def tail_integral_moment(a: float, t: float, k: int) -> float:
         total += kfact * (k - j) / _factorial(j + 1) / a ** (k - j + 1) * tj
         tj *= t
     return math.exp(-a * t) * total
-
-
-@dataclass(frozen=True)
-class TailBoundReport:
-    """Worst observed ratio of each tail integral to its standard bound.
-
-    For t >= t0 and k <= 2K, under (A1)-(A2):
-
-        int_t^inf (s-t) s^k e^{-a s} ds <= (4/a^2) t^k e^{-a t}
-        int_t^inf       s^k e^{-a s} ds <= (2/a)   t^k e^{-a t}
-
-    ratios <= 1 certify the bounds on the sampled window.
-    """
-
-    moment_ratios: dict = field(default_factory=dict)   # k -> worst ratio
-    plain_ratios: dict = field(default_factory=dict)
-    t_window: tuple[float, float] = (0.0, 0.0)
-
-    @property
-    def passed(self) -> bool:
-        vals = list(self.moment_ratios.values()) + list(self.plain_ratios.values())
-        return all(r <= 1.0 for r in vals)
-
-    @property
-    def worst(self) -> float:
-        vals = list(self.moment_ratios.values()) + list(self.plain_ratios.values())
-        return max(vals) if vals else 0.0
-
-    def as_dict(self) -> dict:
-        return {
-            "moment_ratios": {str(k): v for k, v in self.moment_ratios.items()},
-            "plain_ratios": {str(k): v for k, v in self.plain_ratios.items()},
-            "t_window": list(self.t_window),
-            "worst": self.worst,
-            "passed": self.passed,
-        }
-
-
-def verify_tail_bounds(params: DampingParams, t_max: float,
-                       samples: int = 101) -> TailBoundReport:
-    """Check the 4/a^2 and 2/a tail bounds for k <= 2K on [t0, t_max]."""
-    if t_max <= params.t0:
-        raise ValueError("t_max must exceed t0")
-    a, t0 = params.a, params.t0
-    moment_ratios: dict[int, float] = {}
-    plain_ratios: dict[int, float] = {}
-    ts = [t0 + (t_max - t0) * i / (samples - 1) for i in range(samples)]
-    for k in range(2 * params.K + 1):
-        worst_m = 0.0
-        worst_p = 0.0
-        for t in ts:
-            scale = t ** k * math.exp(-a * t)
-            worst_m = max(worst_m, tail_integral_moment(a, t, k) / (4.0 / a ** 2 * scale))
-            worst_p = max(worst_p, tail_integral(a, t, k) / (2.0 / a * scale))
-        moment_ratios[k] = worst_m
-        plain_ratios[k] = worst_p
-    return TailBoundReport(moment_ratios=moment_ratios, plain_ratios=plain_ratios,
-                           t_window=(t0, t_max))

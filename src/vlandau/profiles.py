@@ -213,13 +213,6 @@ def eval_profile(spec: ProfileSpec, x, v, z: float = 0.0):
     return spec.scale * spec.f1_value(x, z) * spec.shape_value(v)
 
 
-def eval_profile_grad(spec: ProfileSpec, x, v, z: float = 0.0):
-    """(d/dx f*, d/dv f*); x and v broadcast."""
-    s = spec.shape_value(v)
-    return (spec.scale * spec.f1_dx(x, z) * s,
-            spec.scale * spec.f1_value(x, z) * spec.shape_dv(v))
-
-
 def profile_fourier(spec: ProfileSpec, kx: int, kv, z: float = 0.0):
     """fhat(kx, kv) = c_{|kx|}(z) T(kv) scale; zero for non-retained kx."""
     amp = spec.amplitude_of(kx)
@@ -330,18 +323,20 @@ class SmoothnessReport:
     z_samples: tuple[float, ...]
 
     @property
-    def passed(self) -> bool:
-        return self.structural_ok and self.margin <= 1.0
+    def check(self) -> BoundCheck:
+        """margin <= 1; the margin is inf when structural_ok is False."""
+        return BoundCheck("smoothness", self.margin, 1.0)
 
     def as_dict(self) -> dict:
+        """The detail behind `check`, which callers write with their
+        other checks."""
         return {
-            "a": self.a, "a1": self.a1, "margin": self.margin,
+            "a": self.a, "a1": self.a1,
             "envelope_ratio": self.envelope_ratio,
             "grid_ratio": self.grid_ratio,
             "structural_ok": self.structural_ok,
             "per_mode": {str(k): v for k, v in self.per_mode.items()},
             "z_samples": list(self.z_samples),
-            "passed": self.passed,
         }
 
 
@@ -401,14 +396,15 @@ class DecayReport:
     z_samples: tuple[float, ...]
 
     @property
-    def passed(self) -> bool:
-        return self.margin <= 1.0
+    def check(self) -> BoundCheck:
+        """decay0 or decay1: margin <= 1."""
+        return BoundCheck(f"decay{self.derivative_order}", self.margin, 1.0)
 
     def as_dict(self) -> dict:
+        """The detail behind `check`."""
         return {
             "a2": self.a2, "derivative_order": self.derivative_order,
-            "margin": self.margin, "argmax_v": self.argmax_v,
-            "z_samples": list(self.z_samples), "passed": self.passed,
+            "argmax_v": self.argmax_v, "z_samples": list(self.z_samples),
         }
 
 
@@ -528,9 +524,8 @@ class ProfileCheckReport:
     @property
     def checks(self) -> dict:
         """smoothness, decay0 and decay1 as BoundChecks: margin <= 1."""
-        return {name: BoundCheck(name, rep.margin, 1.0) for name, rep in
-                (("smoothness", self.smoothness), ("decay0", self.decay0),
-                 ("decay1", self.decay1))}
+        return {rep.check.name: rep.check
+                for rep in (self.smoothness, self.decay0, self.decay1)}
 
     @property
     def passed(self) -> bool:
@@ -542,7 +537,6 @@ class ProfileCheckReport:
             "decay0": self.decay0.as_dict(),
             "decay1": self.decay1.as_dict(),
             "derivative_constants": [list(c) for c in self.derivative_constants],
-            "passed": self.passed,
         }
 
 
@@ -559,8 +553,7 @@ def check_profile(spec: ProfileSpec, a: float, a1: float, a2: float, K: int,
         s = check_smoothness(deriv, a, 1.0, z_samples)       # c1 = margin vs 1
         d0 = check_decay(deriv, 1.0, z_samples, 0)
         d1 = check_decay(deriv, 1.0, z_samples, 1)
-        c1 = s.margin if s.structural_ok else math.inf
-        constants.append((c1, max(d0.margin, d1.margin)))
+        constants.append((s.margin, max(d0.margin, d1.margin)))
         deriv = deriv.z_derivative()
     return ProfileCheckReport(smoothness=smooth, decay0=dec0, decay1=dec1,
                               derivative_constants=tuple(constants))
@@ -570,7 +563,7 @@ def require_hypotheses(spec: ProfileSpec, a: float, a1: float, a2: float,
                        z_samples=(0.0,)) -> None:
     """Gate helper: raise HypothesisError when a hypothesis check fails."""
     smooth = check_smoothness(spec, a, a1, z_samples)
-    if not smooth.passed:
+    if not smooth.check.passed:
         if not smooth.structural_ok:
             raise HypothesisError(
                 "profile transform decays slower than e^{-a|kv|} "
@@ -580,7 +573,7 @@ def require_hypotheses(spec: ProfileSpec, a: float, a1: float, a2: float,
             f"smoothness hypothesis fails with ratio {smooth.margin:.6g} > 1")
     for order in (0, 1):
         dec = check_decay(spec, a2, z_samples, derivative_order=order)
-        if not dec.passed:
+        if not dec.check.passed:
             raise HypothesisError(
                 f"decay hypothesis (order {order}) fails with ratio "
                 f"{dec.margin:.6g} > 1 near v = {dec.argmax_v:.3g}")

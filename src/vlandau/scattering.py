@@ -399,24 +399,6 @@ def _map_from_traj(traj: TrajectoryTable, spec: ProfileSpec, z: float,
     return FieldTable(traj.tgrid, xgrid, vals)
 
 
-def apply_field_map(E: FieldTable, spec: ProfileSpec, z: float,
-                    phase: PhaseGrid, tol: float = 1e-12,
-                    max_inner: int = 50, a: float | None = None,
-                    method: str = "direct",
-                    traj: TrajectoryTable | None = None) -> FieldTable:
-    """One application of the scattering field map to E.
-
-    method="direct" performs the literal kernel quadrature
-    sum w f* B(y - X) with the row mean removed; method="split" sums the
-    free-streaming field analytically plus a spectral correction whose
-    quadrature error decays with the displacement (see module docstring).
-    """
-    if traj is None:
-        traj = solve_characteristics(E, phase, tol=tol, max_inner=max_inner,
-                                     a=a)
-    return _map_from_traj(traj, spec, z, E.xgrid, method)
-
-
 # ---------------------------------------------------------------------------
 # fixed-point driver
 # ---------------------------------------------------------------------------
@@ -513,6 +495,23 @@ def _fixed_point_checks(E: FieldTable, params: DampingParams,
     return checks
 
 
+def solver_preconditions(spec: ProfileSpec, nx: int,
+                         z_samples=(0.0,)) -> dict:
+    """The two conditions the solver needs beyond the hypotheses, as
+    {neutrality, mode_resolution} BoundChecks:
+
+    neutrality       the number of z samples whose mean density
+                     (neutral_density) is not positive, against 0;
+    mode_resolution  the largest retained mode k against nx/2 - 1, the
+                     highest mode below the Nyquist mode of nx positions.
+    """
+    bad = sum(not neutral_density(spec, z) > 0.0 for z in z_samples)
+    return {"neutrality": BoundCheck("neutrality", float(bad), 0.0),
+            "mode_resolution": BoundCheck("mode_resolution",
+                                          float(spec.max_mode),
+                                          float(nx // 2 - 1))}
+
+
 def picard_solve(spec: ProfileSpec, params: DampingParams, z: float,
                  tgrid: TimeGrid, phase: PhaseGrid, tol: float = 1e-10,
                  max_iter: int = 30, inner_tol: float = 1e-12,
@@ -533,11 +532,12 @@ def picard_solve(spec: ProfileSpec, params: DampingParams, z: float,
         raise ValueError("max_iter must be at least 1")
     require_admissible(params)
     require_hypotheses(spec, params.a, params.a1, params.a2, z_samples=(z,))
-    if neutral_density(spec, z) <= 0.0:
+    pre = solver_preconditions(spec, phase.xgrid.n, z_samples=(z,))
+    if not pre["neutrality"].passed:
         raise HypothesisError(
             "profile has nonpositive mean density; the neutrality "
             "condition needs a positive k=0 amplitude")
-    if spec.max_mode >= phase.xgrid.n // 2:
+    if not pre["mode_resolution"].passed:
         raise HypothesisError(
             f"profile mode k={spec.max_mode} is not resolved by the "
             f"{phase.xgrid.n}-point position grid")
@@ -609,71 +609,3 @@ def picard_solve(spec: ProfileSpec, params: DampingParams, z: float,
         traj=traj if keep_tables else None,
         var=var if keep_tables else None,
         density=rho, density_pert=rho_pert)
-
-
-# ---------------------------------------------------------------------------
-# weighted product estimate
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class ProductBoundReport:
-    """Weighted-norm product inequality |prod f_i|_{a,t0,k} <= C prod |f_i|.
-
-    C = t*^(sum k_i - k) e^{-(n-1) a t*} with t* = t0 when
-    t0 >= t1 = (sum k_i - k)/((n-1) a), else t* = t1 (where the envelope
-    t^(sum k_i - k) e^{-(n-1) a t} peaks).
-    """
-
-    constant: float
-    case: str                    # "t0" or "t1"
-    lhs: float
-    rhs: float
-    factor_norms: tuple[float, ...]
-
-    @property
-    def passed(self) -> bool:
-        return self.lhs <= self.rhs
-
-    def as_dict(self) -> dict:
-        return {"constant": self.constant, "case": self.case,
-                "lhs": self.lhs, "rhs": self.rhs,
-                "factor_norms": list(self.factor_norms),
-                "passed": self.passed}
-
-
-def check_nonlinear_norm_product(times, factors, k: int, a: float,
-                                 t0: float) -> ProductBoundReport:
-    """Verify the weighted product estimate on sampled factors.
-
-    factors is a sequence of (samples, k_i) with samples on the given
-    times; k is the target moment.  Requires n >= 2 factors and
-    k <= sum k_i.
-    """
-    factors = list(factors)
-    n = len(factors)
-    if n < 2:
-        raise ValueError("need at least two factors")
-    ks = [int(ki) for _, ki in factors]
-    m = sum(ks) - int(k)
-    if m < 0:
-        raise ValueError("target moment exceeds the sum of factor moments")
-
-    t1 = m / ((n - 1) * a)
-    if t0 >= t1:
-        case, tstar = "t0", t0
-    else:
-        case, tstar = "t1", t1
-    constant = tstar ** m * math.exp(-(n - 1) * a * tstar)
-
-    norms = []
-    prod = None
-    for samples, ki in factors:
-        samples = np.asarray(samples, dtype=float)
-        norms.append(weighted_sup(times, np.abs(samples), a, moment=ki,
-                                  t_start=t0).value)
-        prod = samples if prod is None else prod * samples
-    lhs = weighted_sup(times, np.abs(prod), a, moment=int(k),
-                       t_start=t0).value
-    rhs = constant * math.prod(norms)
-    return ProductBoundReport(constant=constant, case=case, lhs=lhs, rhs=rhs,
-                              factor_norms=tuple(norms))

@@ -88,20 +88,6 @@ def fd_weights(nodes, x0: float, max_order: int) -> np.ndarray:
     return c
 
 
-def collocation_derivative(nodes, values, k: int, at: float = 0.0) -> np.ndarray:
-    """d^k/dz^k of the interpolant through (nodes, values), at a point.
-
-    values has the node axis first; the result drops that axis.  k = 0
-    evaluates the interpolant itself.
-    """
-    nodes = np.asarray(nodes, dtype=float)
-    values = np.asarray(values, dtype=float)
-    if k >= nodes.shape[0]:
-        raise ValueError("derivative order must be below the node count")
-    w = fd_weights(nodes, at, k)[k]
-    return np.tensordot(w, values, axes=(0, 0))
-
-
 # ---------------------------------------------------------------------------
 # ensembles
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+import helpers as H
 from vlandau import cli
 from vlandau import fields as F
 from vlandau import params as P
@@ -63,7 +64,7 @@ def test_criterion_02_tail_integrals(ref_params):
                     t, upper, epsabs=1e-300, epsrel=1e-13)
                 assert closed_m == pytest.approx(oracle_m, rel=1e-10)
 
-    bounds = P.verify_tail_bounds(ref_params, t_max=43.0)
+    bounds = H.verify_tail_bounds(ref_params, t_max=43.0)
     assert bounds.passed
     assert set(bounds.plain_ratios) == set(range(2 * K + 1))
     for k in range(2 * K + 1):
@@ -95,14 +96,14 @@ def test_criterion_03_free_transport(ref_tgrid, ref_phase):
 def test_criterion_04_zero_field_image(ref_spec, ref_tgrid, ref_phase):
     E0 = F.zero_field(ref_tgrid, ref_phase.xgrid)
     series = S.field_map_zero(ref_spec, 0.0, ref_tgrid, ref_phase.xgrid)
-    direct = S.apply_field_map(E0, ref_spec, 0.0, ref_phase, a=A,
+    direct = H.apply_field_map(E0, ref_spec, 0.0, ref_phase, a=A,
                                method="direct")
     err = np.abs(direct.values - series.values).max()
     assert err <= 1e-6, f"direct map deviates from the analytic image: {err}"
 
     envelope = 4 * A1 * np.exp(-A * ref_tgrid.times)[:, None]
     assert np.all(np.abs(series.values) <= envelope)
-    split = S.apply_field_map(E0, ref_spec, 0.0, ref_phase, a=A,
+    split = H.apply_field_map(E0, ref_spec, 0.0, ref_phase, a=A,
                               method="split")
     assert np.all(np.abs(split.values) <= envelope)
 

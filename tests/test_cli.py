@@ -95,7 +95,73 @@ def test_check_fails_names_a4(tmp_path, capsys):
                                          for line in lines[1:])}
     assert status == {"A1": "fail", "A2": "pass", "A3": "pass",
                       "A4": "fail", "A5": "pass", "decay0": "pass",
-                      "decay1": "pass", "smoothness": "pass"}
+                      "decay1": "pass", "smoothness": "pass",
+                      "neutrality": "pass", "mode_resolution": "pass"}
+
+
+@pytest.mark.parametrize("body", ["", "params {\n a2 0.01\n}\n"],
+                         ids=["reference", "a2_too_large"])
+def test_check_report_states_each_verdict_once(tmp_path, body):
+    cfg = write_cfg(tmp_path, body)
+    out = tmp_path / "o"
+    run_cli("check", "--config", cfg, "--out", str(out))
+    report = json.loads((out / "check_report.json").read_text())
+    assert set(report) == {"config_sha256", "gate", "profile", "checks",
+                           "passed"}
+
+    def keys(node):
+        if isinstance(node, dict):
+            for key, value in node.items():
+                yield key
+                yield from keys(value)
+        elif isinstance(node, list):
+            for value in node:
+                yield from keys(value)
+
+    for part in ("gate", "profile"):
+        assert not {"margin", "passed"} & set(keys(report[part])), part
+    assert report["passed"] == all(c["passed"]
+                                   for c in report["checks"].values())
+
+
+MODE_9_ON_16_POINTS = """
+grids {
+  nx 16
+}
+profile {
+  mode {
+    k 0
+    poly 8e-05
+  }
+  mode {
+    k 9
+    poly 1e-06
+  }
+}
+"""
+
+
+@pytest.mark.parametrize("body, name, solve_error", [
+    ("profile {\n scale -1\n}\n", "neutrality", "nonpositive mean density"),
+    (MODE_9_ON_16_POINTS, "mode_resolution", "not resolved"),
+], ids=["negative_scale", "unresolved_mode"])
+def test_check_fails_where_solve_refuses(tmp_path, capsys, body, name,
+                                         solve_error):
+    # check records the solver's preconditions, so it fails exactly where
+    # solve refuses to start
+    cfg = write_cfg(tmp_path, body)
+    out = tmp_path / "o"
+    assert run_cli("check", "--config", cfg, "--out", str(out)) == 1
+    assert f"profile checks FAILED: {name}" in capsys.readouterr().out
+    report = json.loads((out / "check_report.json").read_text())
+    assert report["passed"] is False
+    assert [n for n, c in report["checks"].items() if not c["passed"]] \
+        == [name]
+    assert run_cli("report", str(out)) == 1
+    assert f"check_report: {name} = " in capsys.readouterr().out
+    assert run_cli("solve", "--config", cfg, "--out",
+                   str(tmp_path / "s")) == 1
+    assert solve_error in capsys.readouterr().err
 
 
 def test_malformed_config_reports_line(tmp_path, capsys):

@@ -1,4 +1,4 @@
-"""Grid, kernel, norm, interpolation, and serialization tests."""
+"""Grid, kernel, norm, and serialization tests."""
 
 import math
 
@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
+import helpers as H
 from vlandau import fields as F
 
 TWO_PI = 2 * np.pi
@@ -61,32 +62,17 @@ def test_time_grid():
 # ---------------------------------------------------------------------------
 
 def test_kernel_values_and_periodicity():
-    assert float(F.kernel_B(0.0)) == 0.5
-    assert float(F.kernel_B(np.pi)) == pytest.approx(0.0, abs=1e-15)
-    assert float(F.kernel_B(TWO_PI - 1e-9)) == pytest.approx(-0.5, rel=1e-6)
+    assert float(H.kernel_B(0.0)) == 0.5
+    assert float(H.kernel_B(np.pi)) == pytest.approx(0.0, abs=1e-15)
+    assert float(H.kernel_B(TWO_PI - 1e-9)) == pytest.approx(-0.5, rel=1e-6)
     x = np.linspace(-10, 10, 101)
-    assert np.allclose(F.kernel_B(x + TWO_PI), F.kernel_B(x), atol=1e-12)
+    assert np.allclose(H.kernel_B(x + TWO_PI), H.kernel_B(x), atol=1e-12)
 
 
 def test_kernel_is_mean_free():
-    val, _ = integrate.quad(lambda x: float(F.kernel_B(x)), 0.0, TWO_PI,
+    val, _ = integrate.quad(lambda x: float(H.kernel_B(x)), 0.0, TWO_PI,
                             epsabs=1e-14)
     assert val == pytest.approx(0.0, abs=1e-12)
-
-
-def test_kernel_fourier_matches_quadrature():
-    for k in (1, 2, 3, 4):
-        re, _ = integrate.quad(
-            lambda x: float(F.kernel_B(x)) * math.cos(k * x) / TWO_PI,
-            0.0, TWO_PI, epsabs=1e-14, limit=200)
-        im, _ = integrate.quad(
-            lambda x: -float(F.kernel_B(x)) * math.sin(k * x) / TWO_PI,
-            0.0, TWO_PI, epsabs=1e-14, limit=200)
-        got = complex(F.kernel_fourier(np.array([k]))[0])
-        assert got.real == pytest.approx(re, abs=1e-12)
-        assert got.imag == pytest.approx(im, abs=1e-12)
-        assert got == pytest.approx(1.0 / (TWO_PI * 1j * k), rel=1e-14)
-    assert complex(F.kernel_fourier(np.array([0]))[0]) == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -94,7 +80,7 @@ def test_kernel_fourier_matches_quadrature():
 # ---------------------------------------------------------------------------
 
 def _table(fn, nx=64, t0=8.0, t_end=20.0, steps=48):
-    return F.tabulate_field(F.TimeGrid(t0, t_end, steps), F.XGrid(nx), fn)
+    return H.tabulate_field(F.TimeGrid(t0, t_end, steps), F.XGrid(nx), fn)
 
 
 def test_field_table_shape_validation():
@@ -113,29 +99,6 @@ def test_spectral_dx_exact_for_trig_polynomials():
 def test_spectral_dx_kills_nyquist():
     tab = _table(lambda x, t: np.cos(32 * x), nx=64)
     assert np.abs(F.spectral_dx(tab).values).max() <= 1e-12
-
-
-def test_eval_modes_round_trip():
-    tab = _table(lambda x, t: np.sin(3 * x) + 0.2 * np.cos(7 * x) - 0.5)
-    c = tab.coefficients()
-    got = F.eval_modes_at(c[0], tab.xgrid, tab.xgrid.points)
-    assert np.allclose(got, tab.values[0], atol=1e-13)
-    # and off-grid agrees with the closed form
-    xq = np.array([0.123, 2.7, 5.31])
-    expect = np.sin(3 * xq) + 0.2 * np.cos(7 * xq) - 0.5
-    assert np.allclose(F.eval_modes_at(c[0], tab.xgrid, xq), expect,
-                       atol=1e-13)
-
-
-def test_interp_field_time_linearity_and_horizon():
-    tab = _table(lambda x, t: (2.0 + 3.0 * t) * np.cos(x), steps=10)
-    x = np.array([0.0, 1.0])
-    t_mid = 8.0 + 1.5 * tab.tgrid.dt          # between samples
-    expect = (2.0 + 3.0 * t_mid) * np.cos(x)
-    assert np.allclose(F.interp_field(tab, x, t_mid), expect, rtol=1e-12)
-    assert np.all(F.interp_field(tab, x, tab.tgrid.t_end + 1.0) == 0.0)
-    with pytest.raises(ValueError):
-        F.interp_field(tab, x, tab.tgrid.t0 - 0.5)
 
 
 # ---------------------------------------------------------------------------
@@ -194,18 +157,6 @@ def test_weighted_sup_validation():
         F.weighted_sup([1.0, 2.0], [1.0, 1.0], a=-1.0)
     with pytest.raises(ValueError):
         F.weighted_sup([1.0, 2.0], [1.0, 1.0], a=1.0, moment=-2)
-
-
-def test_plain_sup_and_difference_norm():
-    a = 1.0
-    t1 = _table(lambda x, t: math.exp(-a * t) * np.cos(x))
-    t2 = _table(lambda x, t: 0.5 * math.exp(-a * t) * np.cos(x))
-    assert F.plain_sup(t1) == pytest.approx(math.exp(-8.0), rel=1e-12)
-    rep = F.difference_norm(t1, t2, a)
-    assert rep.value == pytest.approx(0.5, rel=1e-12)
-    other = _table(lambda x, t: np.cos(x), nx=32)
-    with pytest.raises(ValueError):
-        F.difference_norm(t1, other, a)
 
 
 def test_zero_field():

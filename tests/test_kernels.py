@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from vlandau import kernels as K
-from vlandau.fields import kernel_B
+from helpers import kernel_B
 
 def _case(nt=24, npart=40, seed=0):
     rng = np.random.default_rng(seed)

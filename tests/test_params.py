@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
+import helpers as H
 from vlandau import params as P
 
 
@@ -96,7 +97,7 @@ def test_tail_integral_input_validation():
 # ---------------------------------------------------------------------------
 
 def test_tail_bounds_reference_window(ref_params):
-    rep = P.verify_tail_bounds(ref_params, t_max=43.0)
+    rep = H.verify_tail_bounds(ref_params, t_max=43.0)
     assert rep.passed
     assert rep.t_window == (8.0, 43.0)
     assert set(rep.plain_ratios) == {0, 1, 2, 3, 4}   # k <= 2K
@@ -108,7 +109,7 @@ def test_tail_bounds_reference_window(ref_params):
 
 def test_tail_bounds_reject_bad_window(ref_params):
     with pytest.raises(ValueError):
-        P.verify_tail_bounds(ref_params, t_max=ref_params.t0)
+        H.verify_tail_bounds(ref_params, t_max=ref_params.t0)
 
 
 # ---------------------------------------------------------------------------

@@ -9,8 +9,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate
 
+import helpers as H
 from helpers import full_grid_decay, full_grid_sup_gradient, make_spec
 from vlandau import profiles as PR
 from vlandau.profiles import Amplitude, HypothesisError, Mode, ProfileSpec
@@ -134,7 +137,7 @@ def test_profile_grad_matches_finite_difference(shape, rate):
     rng = np.random.default_rng(7)
     for _ in range(6):
         x, v, z = rng.uniform(0, 2 * np.pi), rng.uniform(-3, 3), 0.2
-        gx, gv = PR.eval_profile_grad(spec, x, v, z)
+        gx, gv = H.eval_profile_grad(spec, x, v, z)
         fdx = (PR.eval_profile(spec, x + h, v, z)
                - PR.eval_profile(spec, x - h, v, z)) / (2 * h)
         fdv = (PR.eval_profile(spec, x, v + h, z)
@@ -186,7 +189,7 @@ def test_shifted_difference_machine_scale_shifts(shape, rate):
     v = rng.uniform(-3, 3, 40)
     dx, dv = 1.3e-12, -0.7e-12
     got = PR.shifted_difference(spec, x, v, dx, dv)
-    gx, gv = PR.eval_profile_grad(spec, x, v)
+    gx, gv = H.eval_profile_grad(spec, x, v)
     linear = gx * dx + gv * dv
     assert np.allclose(got, linear, rtol=1e-9, atol=1e-25)
 
@@ -255,7 +258,7 @@ def test_smoothness_gaussian_boundary():
     # strictly inside the boundary the check passes
     inside = PR.check_smoothness(make_spec({0: c0 * (1 - 1e-9)},
                                            shape="gaussian"), a, a1)
-    assert inside.passed
+    assert inside.check.passed
 
 
 def test_smoothness_reference_margin(ref_spec):
@@ -266,14 +269,14 @@ def test_smoothness_reference_margin(ref_spec):
     assert rep.structural_ok
     assert rep.margin == pytest.approx(0.16, rel=1e-9)
     assert rep.per_mode[0] == pytest.approx(0.16, rel=1e-9)
-    assert rep.passed
+    assert rep.check.passed
 
 
 def test_smoothness_structural_failure():
     # sech rate b = 2 decays like e^{-pi w/4}, slower than e^{-w}
     spec = make_spec({0: 1e-5}, shape="sech", rate=2.0)
     rep = PR.check_smoothness(spec, a=1.0, a1=0.002)
-    assert not rep.structural_ok and not rep.passed
+    assert not rep.structural_ok and not rep.check.passed
     assert math.isinf(rep.margin)
     with pytest.raises(HypothesisError, match="decays slower"):
         PR.require_hypotheses(spec, 1.0, 0.002, 0.002)
@@ -297,7 +300,7 @@ def test_decay_gaussian_peak_at_zero():
     rep = PR.check_decay(make_spec({0: a2}, shape="gaussian"), a2)
     assert rep.margin == pytest.approx(1.0, rel=1e-10)
     assert rep.argmax_v == pytest.approx(0.0, abs=1e-12)
-    assert rep.passed
+    assert rep.check.passed
 
 
 def test_decay_sech_reference_oracle(ref_spec):
@@ -309,12 +312,12 @@ def test_decay_sech_reference_oracle(ref_spec):
     rep = PR.check_decay(ref_spec, 0.002)
     assert rep.margin == pytest.approx(oracle, rel=1e-6)
     assert 2.3 < abs(rep.argmax_v) < 2.8
-    assert rep.passed
+    assert rep.check.passed
 
 
 def test_decay_gradient_order(ref_spec):
     rep = PR.check_decay(ref_spec, 0.002, derivative_order=1)
-    assert rep.passed and rep.margin > 0.0
+    assert rep.check.passed and rep.margin > 0.0
     with pytest.raises(ValueError):
         PR.check_decay(ref_spec, 0.002, derivative_order=2)
 
@@ -322,7 +325,7 @@ def test_decay_gradient_order(ref_spec):
 def test_decay_failure_raises():
     spec = make_spec({0: 1.0})     # amplitude 1 vs a2 = 0.002
     rep = PR.check_decay(spec, 0.002)
-    assert not rep.passed
+    assert not rep.check.passed
     with pytest.raises(HypothesisError, match="decay"):
         PR.require_hypotheses(spec, 1.0, 1e6, 0.002)
 
@@ -423,6 +426,42 @@ def test_infinite_z_amplitude_is_nan_for_both_kinds(ref_params, kind, coeffs,
     p = ref_params
     with pytest.raises(HypothesisError):
         PR.require_hypotheses(spec, p.a, p.a1, p.a2, z_samples=(z,))
+
+
+# amplitudes from 3e-7 to 3e-3 fall on both sides of the reference bounds
+# (smoothness fails from about 3e-5 to 5e-4 by mode, decay from about 1e-3),
+# sech rates above pi/2 fail the smoothness hypothesis structurally at
+# a = 1, and a third of the z sample sets end in a nan or an infinity
+_coeff = st.floats(-6.5, -2.5).flatmap(
+    lambda e: st.sampled_from([10.0 ** e, -10.0 ** e]))
+_amplitude = st.builds(Amplitude, st.sampled_from(["poly", "trig"]),
+                       st.lists(_coeff, min_size=1, max_size=3).map(tuple))
+_profile = st.builds(
+    lambda ks, amps, shape, rate: ProfileSpec(
+        modes=tuple(Mode(k, amp) for k, amp in zip(ks, amps)), shape=shape,
+        rate=rate),
+    st.lists(st.integers(0, 4), min_size=1, max_size=3, unique=True),
+    st.lists(_amplitude, min_size=3, max_size=3),
+    st.sampled_from(["gaussian", "sech"]), st.floats(0.5, 2.0))
+_z_samples = st.builds(
+    lambda finite, extra: tuple(finite + extra),
+    st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=3),
+    st.sampled_from([[]] * 6 + [[math.nan], [math.inf], [-math.inf]]))
+
+
+@settings(max_examples=40, deadline=None)
+@given(spec=_profile, z_samples=_z_samples)
+def test_require_hypotheses_raises_exactly_when_a_check_fails(ref_params,
+                                                              spec, z_samples):
+    p = ref_params
+    rep = PR.check_profile(spec, p.a, p.a1, p.a2, 1, z_samples=z_samples)
+    failed = [name for name, c in rep.checks.items() if not c.passed]
+    try:
+        PR.require_hypotheses(spec, p.a, p.a1, p.a2, z_samples=z_samples)
+    except HypothesisError:
+        assert failed
+    else:
+        assert not failed
 
 
 def test_profile_spec_validation():

@@ -10,6 +10,7 @@ import math
 import numpy as np
 import pytest
 
+import helpers as H
 from helpers import constant_field, make_spec, small_grids
 from vlandau import fields as F
 from vlandau import kernels as K
@@ -205,7 +206,7 @@ def test_field_map_zero_mode_zero_only_vanishes():
 def test_split_map_at_zero_field_equals_series(ref_spec, ref_tgrid,
                                                ref_phase):
     E = F.zero_field(ref_tgrid, ref_phase.xgrid)
-    out = S.apply_field_map(E, ref_spec, 0.0, ref_phase, a=1.0,
+    out = H.apply_field_map(E, ref_spec, 0.0, ref_phase, a=1.0,
                             method="split")
     series = S.field_map_zero(ref_spec, 0.0, ref_tgrid, ref_phase.xgrid)
     # free flight leaves no displacement, so the spectral correction is 0
@@ -216,9 +217,9 @@ def test_homogeneous_profile_map_vanishes():
     spec = make_spec({0: 1e-4})
     tg, phase = small_grids()
     E = F.zero_field(tg, phase.xgrid)
-    split = S.apply_field_map(E, spec, 0.0, phase, a=1.0, method="split")
+    split = H.apply_field_map(E, spec, 0.0, phase, a=1.0, method="split")
     assert np.abs(split.values).max() == 0.0
-    direct = S.apply_field_map(E, spec, 0.0, phase, a=1.0, method="direct")
+    direct = H.apply_field_map(E, spec, 0.0, phase, a=1.0, method="direct")
     # uniformly loaded cells: kernel summation cancels to roundoff
     assert np.abs(direct.values).max() <= 1e-15
 
@@ -227,16 +228,16 @@ def test_apply_field_map_rejects_unknown_method(ref_spec):
     tg, phase = small_grids()
     E = F.zero_field(tg, phase.xgrid)
     with pytest.raises(ValueError, match="unknown field-map method"):
-        S.apply_field_map(E, ref_spec, 0.0, phase, method="fft")
+        H.apply_field_map(E, ref_spec, 0.0, phase, method="fft")
 
 
 def test_apply_field_map_accepts_precomputed_trajectories(ref_spec):
     tg, phase = small_grids()
     E = F.zero_field(tg, phase.xgrid)
     traj = S.solve_characteristics(E, phase, a=1.0)
-    out1 = S.apply_field_map(E, ref_spec, 0.0, phase, traj=traj,
+    out1 = H.apply_field_map(E, ref_spec, 0.0, phase, traj=traj,
                              method="split")
-    out2 = S.apply_field_map(E, ref_spec, 0.0, phase, method="split")
+    out2 = H.apply_field_map(E, ref_spec, 0.0, phase, method="split")
     assert np.array_equal(out1.values, out2.values)
 
 
@@ -397,7 +398,7 @@ def test_product_bound_two_exponentials_saturates():
     a, t0 = 1.0, 8.0
     ts = np.linspace(t0, 20.0, 121)
     f = np.exp(-a * ts)
-    rep = S.check_nonlinear_norm_product(ts, [(f, 0), (f, 0)], k=0, a=a,
+    rep = H.check_nonlinear_norm_product(ts, [(f, 0), (f, 0)], k=0, a=a,
                                          t0=t0)
     assert rep.case == "t0"
     assert rep.constant == pytest.approx(math.exp(-a * t0), rel=1e-14)
@@ -411,7 +412,7 @@ def test_product_bound_mixed_moments():
     ts = np.linspace(t0, 20.0, 121)
     f1 = ts * np.exp(-a * ts)
     f2 = np.exp(-a * ts)
-    rep = S.check_nonlinear_norm_product(ts, [(f1, 1), (f2, 0)], k=1, a=a,
+    rep = H.check_nonlinear_norm_product(ts, [(f1, 1), (f2, 0)], k=1, a=a,
                                          t0=t0)
     assert rep.case == "t0" and rep.passed
     assert rep.lhs == pytest.approx(rep.rhs, rel=1e-12)
@@ -422,7 +423,7 @@ def test_product_bound_interior_peak_case():
     a, t0 = 1.0, 1.0
     ts = _times()
     f = ts * np.exp(-a * ts)
-    rep = S.check_nonlinear_norm_product(ts, [(f, 1), (f, 1)], k=0, a=a,
+    rep = H.check_nonlinear_norm_product(ts, [(f, 1), (f, 1)], k=0, a=a,
                                          t0=t0)
     assert rep.case == "t1"
     assert rep.constant == pytest.approx(4.0 * math.exp(-2.0), rel=1e-14)
@@ -434,7 +435,7 @@ def test_product_bound_validation():
     ts = _times()
     f = np.exp(-ts)
     with pytest.raises(ValueError, match="two factors"):
-        S.check_nonlinear_norm_product(ts, [(f, 0)], k=0, a=1.0, t0=1.0)
+        H.check_nonlinear_norm_product(ts, [(f, 0)], k=0, a=1.0, t0=1.0)
     with pytest.raises(ValueError, match="exceeds"):
-        S.check_nonlinear_norm_product(ts, [(f, 0), (f, 0)], k=1, a=1.0,
+        H.check_nonlinear_norm_product(ts, [(f, 0), (f, 0)], k=1, a=1.0,
                                        t0=1.0)

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from numpy.polynomial import legendre as npleg
 
+import helpers as H
 from helpers import make_spec, resolved_corollary_survey, small_grids
 from vlandau import params as P
 from vlandau import scattering as S
@@ -63,18 +64,18 @@ def test_fd_weights_scaling_and_polynomial_exactness():
 def test_collocation_derivative_polynomial_exactness():
     nodes, _ = U.gauss_legendre_nodes(7)
     vals = 2.0 - nodes + 3.0 * nodes ** 3          # p(z), p'(0) = -1
-    assert U.collocation_derivative(nodes, vals, 0) == pytest.approx(2.0)
-    assert U.collocation_derivative(nodes, vals, 1) == pytest.approx(
+    assert H.collocation_derivative(nodes, vals, 0) == pytest.approx(2.0)
+    assert H.collocation_derivative(nodes, vals, 1) == pytest.approx(
         -1.0, abs=1e-12)
-    assert U.collocation_derivative(nodes, vals, 2) == pytest.approx(
+    assert H.collocation_derivative(nodes, vals, 2) == pytest.approx(
         0.0, abs=1e-11)
-    assert U.collocation_derivative(nodes, vals, 3) == pytest.approx(
+    assert H.collocation_derivative(nodes, vals, 3) == pytest.approx(
         18.0, rel=1e-11)
-    assert U.collocation_derivative(nodes, vals, 1, at=0.5) == pytest.approx(
+    assert H.collocation_derivative(nodes, vals, 1, at=0.5) == pytest.approx(
         -1.0 + 9.0 * 0.25, rel=1e-11)
     # array-valued samples broadcast over trailing axes
     stack = np.stack([vals, 2 * vals], axis=1)
-    out = U.collocation_derivative(nodes, stack, 1)
+    out = H.collocation_derivative(nodes, stack, 1)
     assert out.shape == (2,)
     assert out[1] == pytest.approx(2 * out[0], rel=1e-13)
 
@@ -298,7 +299,7 @@ def test_roundoff_floor_bounds_node_identical_stacks():
                 stack = np.repeat(base[None], n, axis=0)
                 scale = np.abs(base).max()
                 spec = U.spectral_derivative_stack(nodes, weights, stack, k)
-                fd = U.collocation_derivative(nodes[idx], stack[idx], k)
+                fd = H.collocation_derivative(nodes[idx], stack[idx], k)
                 assert np.abs(spec).max() <= spec_floor * scale, (n, k)
                 assert np.abs(fd).max() <= fd_floor * scale, (n, k)
             if k <= 2:
