@@ -16,9 +16,11 @@ one statement per line.
     }
 
 `#` starts a comment.  A block opens with `name {` and closes with a
-lone `}`.  Every field has a documented default, applied when the field
-(or its whole block) is omitted.  Parsing either yields a fully
-validated RunConfig or raises ConfigError anchored to a line number.
+lone `}`.  Each key is declared once, as a RunConfig field with its
+block and default; the default applies when the key (or its whole block)
+is omitted.  Every key takes one value, except a mode's coefficient
+list.  Parsing either yields a fully validated RunConfig or raises
+ConfigError anchored to a line number.
 Serialization is canonical: parse(serialize(c)) == c, and the SHA-256
 of the canonical text is the config's provenance hash.
 """
@@ -27,10 +29,10 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 
 from .fields import PhaseGrid, TimeGrid, XGrid
-from .params import DampingParams, derive_constants, minimal_start_time
+from .params import DampingParams, derive_constants
 from .profiles import Amplitude, Mode, ProfileSpec
 
 _FLOAT_FMT = "%.17g"
@@ -129,20 +131,22 @@ def _as_int(tok: str, line: int, key: str) -> int:
             from None
 
 
-def _get(node: _Node | None, key: str, conv, default):
-    if node is None or key not in node.fields:
-        return default
+def _single(node: _Node, key: str) -> tuple[str, int]:
     line, toks = node.fields[key]
-    if conv in (_as_float, _as_int):
-        if len(toks) != 1:
-            raise ConfigError(f"'{key}' expects a single value", line)
-        return conv(toks[0], line, key)
-    return conv(toks, line, key)
+    if len(toks) != 1:
+        raise ConfigError(f"'{key}' expects a single value", line)
+    return toks[0], line
 
 
-def _reject_unknown(node: _Node | None, fields: set, blocks: set):
-    if node is None:
-        return
+# a field's annotation -> (converter, canonical format)
+_TYPES = {
+    "float": (_as_float, _FLOAT_FMT),
+    "int": (_as_int, "%d"),
+    "str": (lambda tok, line, key: tok, "%s"),
+}
+
+
+def _reject_unknown(node: _Node, fields, blocks) -> None:
     for key, (line, _) in node.fields.items():
         if key not in fields:
             raise ConfigError(f"unknown field '{key}' in block "
@@ -157,37 +161,42 @@ def _reject_unknown(node: _Node | None, fields: set, blocks: set):
 # the validated config
 # ---------------------------------------------------------------------------
 
+_MODE = "mode"   # the one key that names repeatable blocks, not a value
+
+
+def _key(block: str, default, key: str | None = None):
+    """A config key: its block, its default, and its name in the text when
+    that is not the field name.  Field order is canonical order."""
+    return field(default=default, metadata={"block": block, "key": key})
+
+
 @dataclass(frozen=True)
 class RunConfig:
-    # params
-    a: float = 1.0
-    a1: float = 0.002
-    a2: float = 0.002
-    K: int = 2
-    t0: float | None = 8.0          # None -> minimal admissible start time
-    # profile
-    shape: str = "sech"
-    rate: float = math.pi / 2.0
-    scale: float = 1.0
-    modes: tuple[tuple[int, str, tuple[float, ...]], ...] = (
-        (0, "poly", (8e-05,)),
-        (1, "poly", (1e-05, 3e-06)),
-    )
-    # grids
-    nx: int = 64
-    nv: int = 129
-    v_max: float = 6.0
-    nt: int | None = 176            # node count; None -> from dt <= 0.2/a
-    t_end: float | None = 43.0      # None -> t0 + 35/a
-    n_z: int = 9
-    # solver
-    picard_tol: float = 1e-10
-    max_iter: int = 30
-    inner_tol: float = 1e-12
-    max_inner: int = 50
-    method: str = "split"
-    # output
-    out_dir: str = "out"
+    """A validated run config; each field is one config key."""
+
+    a: float = _key("params", 1.0)
+    a1: float = _key("params", 0.002)
+    a2: float = _key("params", 0.002)
+    K: int = _key("params", 2)
+    t0: float = _key("params", 8.0)
+    shape: str = _key("profile", "sech")
+    rate: float = _key("profile", math.pi / 2.0)
+    scale: float = _key("profile", 1.0)
+    modes: tuple[tuple[int, str, tuple[float, ...]], ...] = _key(
+        "profile", ((0, "poly", (8e-05,)), (1, "poly", (1e-05, 3e-06))),
+        key=_MODE)
+    nx: int = _key("grids", 64)
+    nv: int = _key("grids", 129)
+    v_max: float = _key("grids", 6.0)
+    nt: int = _key("grids", 176)            # time nodes on [t0, t_end]
+    t_end: float = _key("grids", 43.0)
+    n_z: int = _key("grids", 9)
+    picard_tol: float = _key("solver", 1e-10)
+    max_iter: int = _key("solver", 30)
+    inner_tol: float = _key("solver", 1e-12)
+    max_inner: int = _key("solver", 50)
+    method: str = _key("solver", "split")
+    out_dir: str = _key("output", "out", key="dir")
 
     # -- derived builders ---------------------------------------------------
 
@@ -200,25 +209,8 @@ class RunConfig:
         return ProfileSpec(modes=modes, shape=self.shape, rate=self.rate,
                            scale=self.scale)
 
-    def start_time(self) -> float:
-        if self.t0 is not None:
-            return self.t0
-        return minimal_start_time(self.a, self.a1, self.K)
-
-    def end_time(self) -> float:
-        if self.t_end is not None:
-            return self.t_end
-        return self.start_time() + 35.0 / self.a
-
-    def n_time_nodes(self) -> int:
-        if self.nt is not None:
-            return self.nt
-        span = self.end_time() - self.start_time()
-        return int(math.ceil(span / (0.2 / self.a))) + 1
-
     def time_grid(self) -> TimeGrid:
-        return TimeGrid(self.start_time(), self.end_time(),
-                        self.n_time_nodes() - 1)
+        return TimeGrid(self.t0, self.t_end, self.nt - 1)
 
     def phase_grid(self) -> PhaseGrid:
         return PhaseGrid(XGrid(self.nx), self.nv, self.v_max)
@@ -226,61 +218,72 @@ class RunConfig:
     # -- canonical text -----------------------------------------------------
 
     def canonical_text(self) -> str:
-        f = _FLOAT_FMT
         out = []
-        out.append("params {")
-        out.append("  a %s" % (f % self.a))
-        out.append("  a1 %s" % (f % self.a1))
-        out.append("  a2 %s" % (f % self.a2))
-        out.append("  K %d" % self.K)
-        if self.t0 is not None:
-            out.append("  t0 %s" % (f % self.t0))
-        out.append("}")
-        out.append("profile {")
-        out.append("  shape %s" % self.shape)
-        out.append("  rate %s" % (f % self.rate))
-        out.append("  scale %s" % (f % self.scale))
-        for k, kind, coeffs in self.modes:
-            coeff_txt = " ".join(f % c for c in coeffs)
-            out.append("  mode {")
-            out.append("    k %d" % k)
-            out.append("    %s %s" % (kind, coeff_txt))
-            out.append("  }")
-        out.append("}")
-        out.append("grids {")
-        out.append("  nx %d" % self.nx)
-        out.append("  nv %d" % self.nv)
-        out.append("  v_max %s" % (f % self.v_max))
-        if self.nt is not None:
-            out.append("  nt %d" % self.nt)
-        if self.t_end is not None:
-            out.append("  t_end %s" % (f % self.t_end))
-        out.append("  n_z %d" % self.n_z)
-        out.append("}")
-        out.append("solver {")
-        out.append("  picard_tol %s" % (f % self.picard_tol))
-        out.append("  max_iter %d" % self.max_iter)
-        out.append("  inner_tol %s" % (f % self.inner_tol))
-        out.append("  max_inner %d" % self.max_inner)
-        out.append("  method %s" % self.method)
-        out.append("}")
-        out.append("output {")
-        out.append("  dir %s" % self.out_dir)
-        out.append("}")
+        for block, keys in _BLOCKS.items():
+            out.append(block + " {")
+            for key, f in keys.items():
+                value = getattr(self, f.name)
+                if key != _MODE:
+                    fmt = _TYPES[f.type][1]
+                    out.append(f"  {key} {fmt % value}")
+                    continue
+                for k, kind, coeffs in value:
+                    coeff_txt = " ".join(_FLOAT_FMT % c for c in coeffs)
+                    out += ["  mode {", "    k %d" % k,
+                            f"    {kind} {coeff_txt}", "  }"]
+            out.append("}")
         return "\n".join(out) + "\n"
 
     def content_hash(self) -> str:
         return hashlib.sha256(self.canonical_text().encode()).hexdigest()
 
 
+# block -> {key in the text: field}, in canonical order
+_BLOCKS: dict[str, dict] = {}
+for _f in fields(RunConfig):
+    _BLOCKS.setdefault(_f.metadata["block"], {})[
+        _f.metadata["key"] or _f.name] = _f
+
+# (fields, predicate, message): checked in order once every key is parsed;
+# a failure names the line of the first of its fields that the text sets,
+# and '{}' in its message takes the first field's value.
+_CHECKS = (
+    ("a", lambda c: c.a > 0, "decay rate 'a' must be positive"),
+    ("a1", lambda c: c.a1 > 0, "amplitude constants must be positive"),
+    ("a2", lambda c: c.a2 > 0, "amplitude constants must be positive"),
+    ("K", lambda c: c.K >= 1, "derivative order cap K must be >= 1"),
+    ("t0", lambda c: c.t0 > 0, "start time must be positive"),
+    ("shape", lambda c: c.shape in ("gaussian", "sech"),
+     "unknown shape '{}' (expected gaussian or sech)"),
+    ("rate", lambda c: c.rate > 0, "shape rate must be positive"),
+    ("nx", lambda c: c.nx >= 4 and not c.nx & (c.nx - 1),
+     "nx must be a power of two, at least 4"),
+    ("nv", lambda c: c.nv >= 3 and c.nv % 2 == 1,
+     "nv must be odd and at least 3"),
+    ("v_max", lambda c: c.v_max > 0, "v_max must be positive"),
+    ("nt", lambda c: c.nt >= 2, "need at least two time nodes"),
+    ("t_end t0", lambda c: c.t_end > c.t0,
+     "end time must exceed the start time"),
+    ("n_z", lambda c: c.n_z >= 1, "need at least one z node"),
+    ("picard_tol", lambda c: c.picard_tol >= 0,
+     "tolerances must be nonnegative"),
+    ("max_iter", lambda c: c.max_iter >= 1, "iteration caps must be >= 1"),
+    ("inner_tol", lambda c: c.inner_tol >= 0,
+     "tolerances must be nonnegative"),
+    ("max_inner", lambda c: c.max_inner >= 1, "iteration caps must be >= 1"),
+    ("method", lambda c: c.method in ("split", "direct"),
+     "unknown field-map method '{}'"),
+)
+
+
 def _parse_mode(node: _Node) -> tuple[int, str, tuple[float, ...]]:
-    _reject_unknown(node, {"k", "poly", "trig"}, set())
+    _reject_unknown(node, {"k", "poly", "trig"}, ())
     if "k" not in node.fields:
         raise ConfigError("mode block needs a wavenumber 'k'", node.line)
-    k = _get(node, "k", _as_int, None)
+    tok, line = _single(node, "k")
+    k = _as_int(tok, line, "k")
     if k < 0:
-        raise ConfigError("mode wavenumber must be >= 0",
-                          node.fields["k"][0])
+        raise ConfigError("mode wavenumber must be >= 0", line)
     kinds = [kind for kind in ("poly", "trig") if kind in node.fields]
     if len(kinds) != 1:
         raise ConfigError("mode block needs exactly one coefficient list "
@@ -291,106 +294,40 @@ def _parse_mode(node: _Node) -> tuple[int, str, tuple[float, ...]]:
     return k, kind, coeffs
 
 
+def _parse_modes(nodes: list[_Node]) -> tuple:
+    modes: dict = {}
+    for node in nodes:
+        mode = _parse_mode(node)
+        if mode[0] in modes:
+            raise ConfigError("duplicate mode wavenumber", node.line)
+        modes[mode[0]] = mode
+    return tuple(modes[k] for k in sorted(modes))
+
+
 def parse_config(text: str) -> RunConfig:
     root = parse_text(text)
-    _reject_unknown(root, set(),
-                    {"params", "profile", "grids", "solver", "output"})
-    d = RunConfig()   # defaults
-
-    pb = root.child("params")
-    _reject_unknown(pb, {"a", "a1", "a2", "K", "t0"}, set())
-    a = _get(pb, "a", _as_float, d.a)
-    a1 = _get(pb, "a1", _as_float, d.a1)
-    a2 = _get(pb, "a2", _as_float, d.a2)
-    K = _get(pb, "K", _as_int, d.K)
-    t0 = _get(pb, "t0", _as_float, d.t0)
-
-    fb = root.child("profile")
-    _reject_unknown(fb, {"shape", "rate", "scale"}, {"mode"})
-    shape = _get(fb, "shape", lambda t, ln, k: t[0], d.shape)
-    if shape not in ("gaussian", "sech"):
-        line = fb.fields["shape"][0] if fb and "shape" in fb.fields else None
-        raise ConfigError(f"unknown shape '{shape}' "
-                          "(expected gaussian or sech)", line)
-    rate = _get(fb, "rate", _as_float, d.rate)
-    scale = _get(fb, "scale", _as_float, d.scale)
-    if fb is not None and "mode" in fb.blocks:
-        parsed = [(m.line, _parse_mode(m)) for m in fb.blocks["mode"]]
-        seen: set = set()
-        for line, (k, _, _) in parsed:
-            if k in seen:
-                raise ConfigError("duplicate mode wavenumber", line)
-            seen.add(k)
-        modes = tuple(sorted((m for _, m in parsed), key=lambda m: m[0]))
-    else:
-        modes = d.modes
-
-    gb = root.child("grids")
-    _reject_unknown(gb, {"nx", "nv", "v_max", "nt", "t_end", "n_z"}, set())
-    nx = _get(gb, "nx", _as_int, d.nx)
-    nv = _get(gb, "nv", _as_int, d.nv)
-    v_max = _get(gb, "v_max", _as_float, d.v_max)
-    nt = _get(gb, "nt", _as_int, d.nt)
-    t_end = _get(gb, "t_end", _as_float, d.t_end)
-    n_z = _get(gb, "n_z", _as_int, d.n_z)
-
-    sb = root.child("solver")
-    _reject_unknown(sb, {"picard_tol", "max_iter", "inner_tol", "max_inner",
-                         "method"}, set())
-    picard_tol = _get(sb, "picard_tol", _as_float, d.picard_tol)
-    max_iter = _get(sb, "max_iter", _as_int, d.max_iter)
-    inner_tol = _get(sb, "inner_tol", _as_float, d.inner_tol)
-    max_inner = _get(sb, "max_inner", _as_int, d.max_inner)
-    method = _get(sb, "method", lambda t, ln, k: t[0], d.method)
-    if method not in ("split", "direct"):
-        line = sb.fields["method"][0] if sb and "method" in sb.fields else None
-        raise ConfigError(f"unknown field-map method '{method}'", line)
-
-    ob = root.child("output")
-    _reject_unknown(ob, {"dir"}, set())
-    out_dir = _get(ob, "dir", lambda t, ln, k: t[0], d.out_dir)
-
-    cfg = RunConfig(a=a, a1=a1, a2=a2, K=K, t0=t0, shape=shape, rate=rate,
-                    scale=scale, modes=modes, nx=nx, nv=nv, v_max=v_max,
-                    nt=nt, t_end=t_end, n_z=n_z, picard_tol=picard_tol,
-                    max_iter=max_iter, inner_tol=inner_tol,
-                    max_inner=max_inner, method=method, out_dir=out_dir)
-    _validate(cfg, root)
-    return cfg
-
-
-def _validate(cfg: RunConfig, root: _Node) -> None:
-    def fail(block: str, key: str, msg: str):
+    _reject_unknown(root, (), _BLOCKS)
+    values: dict = {}
+    lines: dict[str, int] = {}
+    for block, keys in _BLOCKS.items():
         node = root.child(block)
-        line = node.fields[key][0] if node and key in node.fields else None
-        raise ConfigError(msg, line)
-
-    if cfg.a <= 0:
-        fail("params", "a", "decay rate 'a' must be positive")
-    if cfg.a1 <= 0 or cfg.a2 <= 0:
-        fail("params", "a1", "amplitude constants must be positive")
-    if cfg.K < 1:
-        fail("params", "K", "derivative order cap K must be >= 1")
-    if cfg.t0 is not None and cfg.t0 <= 0:
-        fail("params", "t0", "start time must be positive")
-    if cfg.rate <= 0:
-        fail("profile", "rate", "shape rate must be positive")
-    if cfg.nx < 4 or cfg.nx & (cfg.nx - 1):
-        fail("grids", "nx", "nx must be a power of two, at least 4")
-    if cfg.nv < 3 or cfg.nv % 2 == 0:
-        fail("grids", "nv", "nv must be odd and at least 3")
-    if cfg.v_max <= 0:
-        fail("grids", "v_max", "v_max must be positive")
-    if cfg.nt is not None and cfg.nt < 2:
-        fail("grids", "nt", "need at least two time nodes")
-    if cfg.t_end is not None and cfg.t_end <= cfg.start_time():
-        fail("grids", "t_end", "end time must exceed the start time")
-    if cfg.n_z < 1:
-        fail("grids", "n_z", "need at least one z node")
-    if cfg.picard_tol < 0 or cfg.inner_tol < 0:
-        fail("solver", "picard_tol", "tolerances must be nonnegative")
-    if cfg.max_iter < 1 or cfg.max_inner < 1:
-        fail("solver", "max_iter", "iteration caps must be >= 1")
+        if node is None:
+            continue
+        _reject_unknown(node, keys.keys() - {_MODE}, keys.keys() & {_MODE})
+        for key in node.fields:
+            f = keys[key]
+            tok, line = _single(node, key)
+            values[f.name] = _TYPES[f.type][0](tok, line, key)
+            lines[f.name] = line
+        if _MODE in node.blocks:
+            values[keys[_MODE].name] = _parse_modes(node.blocks[_MODE])
+    cfg = RunConfig(**values)
+    for names, ok, message in _CHECKS:
+        if not ok(cfg):
+            names = names.split()
+            line = next((lines[n] for n in names if n in lines), None)
+            raise ConfigError(message.format(getattr(cfg, names[0])), line)
+    return cfg
 
 
 def load_config(path) -> RunConfig:

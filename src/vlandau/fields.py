@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -138,7 +138,6 @@ class FieldTable:
     tgrid: TimeGrid
     xgrid: XGrid
     values: np.ndarray
-    _coeff_cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
         vals = np.asarray(self.values, dtype=float)
@@ -151,10 +150,8 @@ class FieldTable:
     def coefficients(self) -> np.ndarray:
         """Complex mode amplitudes c(t_n, k) with
         E(x) = c_0 + sum_{0<k<n/2} 2 Re(c_k e^{i k x'}) + Re(c_{n/2}) cos(n/2 x'),
-        x' = 2 pi x / length; cached."""
-        if "c" not in self._coeff_cache:
-            self._coeff_cache["c"] = np.fft.rfft(self.values, axis=1) / self.xgrid.n
-        return self._coeff_cache["c"]
+        x' = 2 pi x / length."""
+        return np.fft.rfft(self.values, axis=1) / self.xgrid.n
 
     def sup_x(self) -> np.ndarray:
         """max_i |E(x_i, t_n)| for each time sample."""
@@ -187,8 +184,7 @@ class NormReport:
 
     horizon_dominated is True when the supremum is achieved at the final
     time sample, meaning the reported value is only a lower bound for the
-    supremum over the half-line.  argmax_x is the spatial location of the
-    supremum when the caller tracks one (None for pre-reduced series).
+    supremum over the half-line.
     """
 
     value: float
@@ -197,15 +193,6 @@ class NormReport:
     a: float
     moment: int
     t_start: float
-    argmax_x: float | None = None
-
-    def as_dict(self) -> dict:
-        return {
-            "value": self.value, "argmax_t": self.argmax_t,
-            "horizon_dominated": self.horizon_dominated,
-            "a": self.a, "moment": self.moment, "t_start": self.t_start,
-            "argmax_x": self.argmax_x,
-        }
 
 
 def weighted_sup(times, sup_spatial, a: float, moment: int = 0,
@@ -237,16 +224,10 @@ def weighted_sup(times, sup_spatial, a: float, moment: int = 0,
 
 def weighted_norm(table: FieldTable, a: float, moment: int = 0,
                   t_start: float | None = None) -> NormReport:
-    """sup_{t_n >= t_start} t^{-moment} e^{a t} max_x |E|, with argmax."""
+    """sup_{t_n >= t_start} t^{-moment} e^{a t} max_x |E|, with argmax_t."""
     if t_start is None:
         t_start = table.tgrid.t0
-    rep = weighted_sup(table.tgrid.times, table.sup_x(), a, moment, t_start)
-    n = int(round((rep.argmax_t - table.tgrid.t0) / table.tgrid.dt))
-    i = int(np.argmax(np.abs(table.values[n])))
-    return NormReport(value=rep.value, argmax_t=rep.argmax_t,
-                      horizon_dominated=rep.horizon_dominated, a=rep.a,
-                      moment=rep.moment, t_start=rep.t_start,
-                      argmax_x=float(table.xgrid.points[i]))
+    return weighted_sup(table.tgrid.times, table.sup_x(), a, moment, t_start)
 
 
 # ---------------------------------------------------------------------------

@@ -363,7 +363,7 @@ def check_smoothness(spec: ProfileSpec, a: float, a1: float,
     for m in spec.modes:
         # np.max, unlike max(), keeps the NaN of an amplitude at z = nan
         amp_worst = float(np.max([abs(m.amplitude(z)) for z in z_samples]))
-        base = amp_worst * spec.scale * (1.0 + m.k * m.k) / a1
+        base = amp_worst * abs(spec.scale) * (1.0 + m.k * m.k) / a1
         per_mode[m.k] = base * wsup if structural_ok else math.inf
         if structural_ok:
             grid_modes.append(base * grid_factor)

@@ -1,11 +1,19 @@
 """Config grammar: parsing, canonicalization, hashing, validation."""
 
+import dataclasses
+import hashlib
 import math
+import pathlib
+import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vlandau import config as C
 from vlandau.config import ConfigError, RunConfig, load_config, parse_config
+
+_ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
 def test_defaults_match_reference_run():
@@ -32,6 +40,15 @@ def test_canonical_round_trip():
     assert parse_config(text) == cfg
     # canonical form is a fixed point
     assert parse_config(text).canonical_text() == text
+
+
+def test_readme_config_block_is_the_reference_config():
+    readme = (_ROOT / "README.md").read_text()
+    section = readme.split("## Configuration format", 1)[1]
+    block = re.search(r"```text\n(.*?)```", section, re.S).group(1)
+    assert parse_config(block) == RunConfig()
+    assert parse_config(block).content_hash() == \
+        load_config(_ROOT / "configs" / "reference.cfg").content_hash()
 
 
 def test_reference_file_matches_defaults():
@@ -96,6 +113,16 @@ def _error(text):
     ("grids {\n nt 1\n}", "at least two time nodes", 2),
     ("grids {\n n_z 0\n}", "at least one z node", 2),
     ("params {\n t0 -2\n}", "start time must be positive", 2),
+    ("params {\n a1 -1\n}", "amplitude constants must be positive", 2),
+    ("params {\n a2 -1\n}", "amplitude constants must be positive", 2),
+    ("params {\n K 0\n}", "order cap K must be >= 1", 2),
+    ("profile {\n rate -1\n}", "shape rate must be positive", 2),
+    ("grids {\n v_max -1\n}", "v_max must be positive", 2),
+    ("solver {\n picard_tol -1\n}", "tolerances must be nonnegative", 2),
+    ("solver {\n inner_tol -1\n}", "tolerances must be nonnegative", 2),
+    ("solver {\n max_iter 0\n}", "iteration caps must be >= 1", 2),
+    ("solver {\n max_inner 0\n}", "iteration caps must be >= 1", 2),
+    ("solver {\n method split direct\n}", "expects a single value", 2),
 ])
 def test_errors_carry_line_numbers(text, fragment, line):
     err = _error(text)
@@ -136,5 +163,40 @@ def test_derived_objects():
     assert tg.t0 == 8.0 and tg.t_end == 43.0 and len(tg.times) == 176
     ph = cfg.phase_grid()
     assert ph.xgrid.n == 64 and ph.nv == 129 and ph.v_max == 6.0
-    assert cfg.start_time() == 8.0 and cfg.end_time() == 43.0
-    assert cfg.n_time_nodes() == 176
+
+
+_positive = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+_finite = st.floats(allow_nan=False, allow_infinity=False)
+_modes = st.lists(
+    st.tuples(st.integers(0, 40), st.sampled_from(["poly", "trig"]),
+              st.lists(_finite, min_size=1, max_size=4).map(tuple)),
+    min_size=1, max_size=3, unique_by=lambda m: m[0],
+).map(lambda ms: tuple(sorted(ms)))
+_valid_config = st.builds(
+    lambda t0, span, **kw: RunConfig(t0=t0, t_end=t0 + span, **kw),
+    t0=st.floats(1e-3, 1e3), span=st.floats(1e-3, 1e3),
+    a=_positive, a1=_positive, a2=_positive, K=st.integers(1, 8),
+    shape=st.sampled_from(["gaussian", "sech"]), rate=_positive,
+    scale=_finite, modes=_modes,
+    nx=st.integers(2, 12).map(lambda e: 2 ** e),
+    nv=st.integers(1, 500).map(lambda h: 2 * h + 1), v_max=_positive,
+    nt=st.integers(2, 10 ** 6), n_z=st.integers(1, 100),
+    picard_tol=st.floats(0.0, 1.0), max_iter=st.integers(1, 10 ** 4),
+    inner_tol=st.floats(0.0, 1.0), max_inner=st.integers(1, 10 ** 4),
+    method=st.sampled_from(["split", "direct"]),
+    out_dir=st.text("abcxyz0123456789._-/", min_size=1, max_size=12),
+)
+
+
+@settings(max_examples=30, deadline=None)
+@given(cfg=_valid_config)
+def test_canonical_text_round_trips_every_key(cfg):
+    text = cfg.canonical_text()
+    parsed = parse_config(text)
+    assert parsed == cfg
+    assert parsed.canonical_text() == text
+    assert parsed.content_hash() == cfg.content_hash() == \
+        hashlib.sha256(text.encode()).hexdigest()
+    # mode blocks may come in any order; the config sorts them by k
+    reordered = dataclasses.replace(cfg, modes=cfg.modes[::-1])
+    assert parse_config(reordered.canonical_text()) == cfg

@@ -142,14 +142,11 @@ def test_weighted_norm_t_start_excludes_early_samples():
         F.weighted_norm(tab, 0.0, t_start=1e9)
 
 
-def test_weighted_norm_homogeneity_and_argmax_x():
+def test_weighted_norm_homogeneity():
     tab = _table(lambda x, t: math.exp(-t) * np.cos(x - 1.0))
     one = F.weighted_norm(tab, 1.0)
     three = F.weighted_norm(tab.with_values(3.0 * tab.values), 1.0)
     assert three.value == pytest.approx(3.0 * one.value, rel=1e-14)
-    # |cos(x - 1)| peaks at the grid point nearest 1.0
-    xs = tab.xgrid.points
-    assert one.argmax_x == xs[np.argmax(np.abs(np.cos(xs - 1.0)))]
 
 
 def test_weighted_sup_validation():

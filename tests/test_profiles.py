@@ -272,6 +272,26 @@ def test_smoothness_reference_margin(ref_spec):
     assert rep.check.passed
 
 
+def test_smoothness_uses_the_magnitude_of_scale(ref_spec, ref_params):
+    # scale -1 with negated amplitudes is the same f*, so the same margin
+    def negated(spec, factor):
+        return ProfileSpec(
+            modes=tuple(Mode(m.k, Amplitude(m.amplitude.kind, tuple(
+                -factor * c for c in m.amplitude.coeffs)))
+                for m in spec.modes),
+            shape=spec.shape, rate=spec.rate, scale=-spec.scale)
+
+    p = ref_params
+    flipped = PR.check_smoothness(negated(ref_spec, 1.0), p.a, p.a1)
+    assert flipped.margin == PR.check_smoothness(ref_spec, p.a, p.a1).margin
+    # amplitudes x100 give margin 16 while the mean density stays positive
+    large = negated(ref_spec, 100.0)
+    assert not PR.check_profile(large, p.a, p.a1, p.a2, p.K).checks[
+        "smoothness"].passed
+    with pytest.raises(HypothesisError, match="smoothness"):
+        PR.require_hypotheses(large, p.a, p.a1, p.a2)
+
+
 def test_smoothness_structural_failure():
     # sech rate b = 2 decays like e^{-pi w/4}, slower than e^{-w}
     spec = make_spec({0: 1e-5}, shape="sech", rate=2.0)
