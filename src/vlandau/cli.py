@@ -189,13 +189,13 @@ def cmd_solve(cfg: RunConfig, args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_uq(cfg: RunConfig, args) -> int:
+    if cfg.n_z < 2:
+        raise ConfigError("uq needs n_z >= 2: its z-derivative estimates "
+                          "reach order n_z - 2")
     out = _outdir(cfg, args)
     params = cfg.damping_params()
     spec = cfg.profile_spec()
     tgrid, phase = cfg.time_grid(), cfg.phase_grid()
-    if cfg.n_z < 2:
-        raise ConfigError("uq needs n_z >= 2: its z-derivative estimates "
-                          "reach order n_z - 2")
 
     def sweep(n_z):
         return run_collocation(spec, params, tgrid, phase, n_z=n_z,
@@ -212,8 +212,8 @@ def cmd_uq(cfg: RunConfig, args) -> int:
 
     gpc = gpc_coefficients(ens)
     write_gpc_csv(gpc, os.path.join(out, "gpc.csv"))
-    theorem = check_theorem_bounds(ens, params.K, refined=refined)
-    corollary = check_corollary(ens, spec, refined=refined)
+    theorem = check_theorem_bounds(ens, refined=refined)
+    corollary = check_corollary(ens, refined=refined)
 
     manifest = ens.manifest()
     manifest["config_sha256"] = cfg.content_hash()
@@ -257,13 +257,41 @@ def cmd_uq(cfg: RunConfig, args) -> int:
 # report
 # ---------------------------------------------------------------------------
 
+def _corrupt(name: str, detail) -> ConfigError:
+    return ConfigError(f"corrupt or unreadable manifest '{name}': {detail}")
+
+
 def _load_manifest(path: str) -> dict:
     try:
         with open(path) as fh:
             return json.load(fh)
     except (OSError, json.JSONDecodeError) as err:
-        raise ConfigError(f"corrupt or unreadable manifest "
-                          f"'{os.path.basename(path)}': {err}") from None
+        raise _corrupt(os.path.basename(path), err) from None
+
+
+def _is_check(row) -> bool:
+    """A BoundCheck.as_dict entry: numeric value, bound, ratio; bool passed."""
+    return isinstance(row, dict) and isinstance(row.get("passed"), bool) \
+        and all(isinstance(row.get(key), (int, float))
+                for key in ("value", "bound", "ratio"))
+
+
+def _manifest_rows(name: str, manifest: dict) -> list:
+    """Rows of a manifest's checks and of each per_node entry's checks."""
+    stem = name[:-len(".json")]
+    nodes = manifest.get("per_node", [])
+    if not isinstance(nodes, list) or \
+            not all(isinstance(n, dict) for n in nodes):
+        raise _corrupt(name, "'per_node' is not a list of objects")
+    rows = []
+    for source, checks in [(stem, manifest.get("checks", {}))] + [
+            (f"{stem}[node {j}]", n.get("checks"))
+            for j, n in enumerate(nodes)]:
+        if not isinstance(checks, dict) or \
+                not all(map(_is_check, checks.values())):
+            raise _corrupt(name, f"malformed checks in {source}")
+        rows.extend(_check_rows(source, checks))
+    return rows
 
 
 def _report_rows(directory: str) -> tuple[list, list]:
@@ -275,10 +303,7 @@ def _report_rows(directory: str) -> tuple[list, list]:
         manifest = _load_manifest(os.path.join(directory, name))
         if not isinstance(manifest, dict):      # not one of our reports
             continue
-        stem = name[:-len(".json")]
-        rows.extend(_check_rows(stem, manifest.get("checks", {})))
-        for j, node in enumerate(manifest.get("per_node", [])):
-            rows.extend(_check_rows(f"{stem}[node {j}]", node["checks"]))
+        rows.extend(_manifest_rows(name, manifest))
         if manifest.get("passed") is False:
             failed_files.append(name)
     return rows, failed_files

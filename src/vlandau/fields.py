@@ -64,20 +64,17 @@ class TimeGrid:
 
 @dataclass(frozen=True)
 class XGrid:
-    """Uniform periodic grid x_i = i * length / n on [0, length)."""
+    """Uniform periodic grid x_i = 2 pi i / n on the torus [0, 2 pi)."""
 
     n: int
-    length: float = TWO_PI
 
     def __post_init__(self):
         if self.n < 4 or (self.n & (self.n - 1)) != 0:
             raise ValueError("x grid size must be a power of two >= 4")
-        if not self.length > 0:
-            raise ValueError("x grid length must be positive")
 
     @property
     def dx(self) -> float:
-        return self.length / self.n
+        return TWO_PI / self.n
 
     @property
     def points(self) -> np.ndarray:
@@ -85,8 +82,8 @@ class XGrid:
 
     @property
     def wavenumbers(self) -> np.ndarray:
-        """Nonnegative mode numbers matching rfft layout, scaled to length."""
-        return np.arange(self.n // 2 + 1) * (TWO_PI / self.length)
+        """Nonnegative mode numbers k matching the rfft layout."""
+        return np.arange(self.n // 2 + 1, dtype=float)
 
 
 @dataclass(frozen=True)
@@ -148,9 +145,8 @@ class FieldTable:
         object.__setattr__(self, "values", vals)
 
     def coefficients(self) -> np.ndarray:
-        """Complex mode amplitudes c(t_n, k) with
-        E(x) = c_0 + sum_{0<k<n/2} 2 Re(c_k e^{i k x'}) + Re(c_{n/2}) cos(n/2 x'),
-        x' = 2 pi x / length."""
+        """Complex mode amplitudes c(t_n, k) with E(x) = c_0
+        + sum_{0<k<n/2} 2 Re(c_k e^{i k x}) + Re(c_{n/2}) cos(n/2 x)."""
         return np.fft.rfft(self.values, axis=1) / self.xgrid.n
 
     def sup_x(self) -> np.ndarray:
@@ -190,8 +186,6 @@ class NormReport:
     value: float
     argmax_t: float
     horizon_dominated: bool
-    a: float
-    moment: int
     t_start: float
 
 
@@ -218,8 +212,8 @@ def weighted_sup(times, sup_spatial, a: float, moment: int = 0,
         weighted = weighted / tt ** moment
     idx = int(np.argmax(weighted))
     return NormReport(value=float(weighted[idx]), argmax_t=float(tt[idx]),
-                      horizon_dominated=(idx == len(tt) - 1), a=float(a),
-                      moment=int(moment), t_start=float(t_start))
+                      horizon_dominated=(idx == len(tt) - 1),
+                      t_start=float(t_start))
 
 
 def weighted_norm(table: FieldTable, a: float, moment: int = 0,
@@ -258,7 +252,7 @@ def write_field_csv(table: FieldTable, path, metadata: dict | None = None) -> No
         "t_end": table.tgrid.t_end,
         "n_steps": table.tgrid.n_steps,
         "nx": table.xgrid.n,
-        "length": table.xgrid.length,
+        "length": TWO_PI,
     }
     if metadata:
         side.update(metadata)
@@ -294,16 +288,16 @@ def read_field_csv(path) -> tuple[FieldTable, dict]:
     dts = np.diff(times)
     if not np.allclose(dts, dts[0], rtol=1e-9, atol=0.0):
         raise ValueError(f"{path}: time samples are not uniform")
-    dxs = np.diff(xs)
-    if not np.allclose(dxs, dxs[0], rtol=1e-9, atol=0.0):
-        raise ValueError(f"{path}: position samples are not uniform")
+    n = len(xs)
+    if n < 4 or n & (n - 1) or np.abs(
+            xs - (TWO_PI / n) * np.arange(n)).max() > 1e-9 * TWO_PI / n:
+        raise ValueError(f"{path}: position header is not the grid "
+                         "2 pi i/n with n a power of two >= 4")
     try:
         with open(_sidecar_path(path)) as fh:
             side = json.load(fh)
     except FileNotFoundError:
         side = {}
-    length = side.get("length", len(xs) * dxs[0])
     tgrid = TimeGrid(t0=float(times[0]), t_end=float(times[-1]),
                      n_steps=len(times) - 1)
-    xgrid = XGrid(n=len(xs), length=float(length))
-    return FieldTable(tgrid, xgrid, np.array(rows)), side
+    return FieldTable(tgrid, XGrid(n), np.array(rows)), side

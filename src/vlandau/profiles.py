@@ -341,8 +341,7 @@ class SmoothnessReport:
 
 
 def check_smoothness(spec: ProfileSpec, a: float, a1: float,
-                     z_samples=(0.0,), kv_max: float = 10.0,
-                     kv_points: int = 2001) -> SmoothnessReport:
+                     z_samples=(0.0,)) -> SmoothnessReport:
     """Check |fhat| <= a1 e^{-a|kv|}/(1+kx^2) over retained modes.
 
     The analytic envelope bounds sup_kv exactly; the kv grid cross-checks
@@ -354,7 +353,7 @@ def check_smoothness(spec: ProfileSpec, a: float, a1: float,
     wsup = _weighted_transform_sup(spec, a)
     structural_ok = math.isfinite(wsup)
 
-    kv = np.linspace(0.0, kv_max, kv_points)
+    kv = np.linspace(0.0, _KV_MAX, _KV_POINTS)
     weighted_grid = spec.shape_transform(kv) * np.exp(a * kv)  # even in kv
     grid_factor = float(weighted_grid.max()) if structural_ok else math.inf
 
@@ -429,9 +428,12 @@ def check_decay(spec: ProfileSpec, a2: float, z_samples=(0.0,),
 
 
 # The decay and gradient sups are taken on one (x, v) grid of _GRID_NX
-# positions and _GRID_NV velocities on [-v_half, v_half].
+# positions and _GRID_NV velocities on [-v_half, v_half]; the smoothness
+# cross-check samples _KV_POINTS wavenumbers kv on [0, _KV_MAX].
 _GRID_NX = 256
 _GRID_NV = 4001
+_KV_MAX = 10.0
+_KV_POINTS = 2001
 _BLOCK_BYTES = 1 << 17     # per float64 temporary: a block stays in L2
 _EPS = np.finfo(float).eps
 _TINY = np.finfo(float).tiny

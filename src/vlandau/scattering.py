@@ -89,8 +89,8 @@ class TrajectoryTable:
     dV: np.ndarray
     inner_iterations: int
     residual: float
-    tail_bound_x: float | None = None
-    tail_bound_v: float | None = None
+    tail_bound_x: float
+    tail_bound_v: float
 
     def X(self) -> np.ndarray:
         x, v, _ = _flat_labels(self.phase)
@@ -103,8 +103,8 @@ class TrajectoryTable:
         return v.reshape(1, self.phase.xgrid.n, self.phase.nv) + self.dV
 
 
-def solve_characteristics(E: FieldTable, phase: PhaseGrid, tol: float = 1e-12,
-                          max_inner: int = 50, a: float | None = None,
+def solve_characteristics(E: FieldTable, phase: PhaseGrid, a: float,
+                          tol: float = 1e-12, max_inner: int = 50,
                           initial: np.ndarray | None = None) -> TrajectoryTable:
     """Waveform relaxation for the backward trajectory integral equations.
 
@@ -117,23 +117,20 @@ def solve_characteristics(E: FieldTable, phase: PhaseGrid, tol: float = 1e-12,
     the plain trapezoid overshoots decaying convex envelopes by
     (a dt)^2/12 relative - far more than the headroom of the pointwise
     velocity bound |V - v| <= (|E|_{a,t0}/a) e^{-a t}.  The integral
-    tail beyond the stored horizon is neglected; when the decay rate a
-    is supplied, the neglected tail is certified via the closed-form
-    tail integrals and the precondition |E|_{a,t0} e^{-a t0} <= a is
-    enforced.
+    tail beyond the stored horizon is neglected and certified via the
+    closed-form tail integrals; the precondition |E|_{a,t0} e^{-a t0} <= a
+    is enforced.
     """
     tg = E.tgrid
     x, v, _ = _flat_labels(phase)
     nt, npart = len(tg), x.shape[0]
 
-    norm_e = None
-    if a is not None:
-        norm_e = weighted_norm(E, a).value
-        if norm_e * math.exp(-a * tg.t0) > a:
-            raise ConvergenceError(
-                f"field too large for the trajectory map: |E| e^(-a t0) = "
-                f"{norm_e * math.exp(-a * tg.t0):.3e} > a = {a:.3e}",
-                residual=math.inf)
+    norm_e = weighted_norm(E, a).value
+    if norm_e * math.exp(-a * tg.t0) > a:
+        raise ConvergenceError(
+            f"field too large for the trajectory map: |E| e^(-a t0) = "
+            f"{norm_e * math.exp(-a * tg.t0):.3e} > a = {a:.3e}",
+            residual=math.inf)
 
     c = E.coefficients()
     cre = np.ascontiguousarray(c.real)
@@ -157,18 +154,15 @@ def solve_characteristics(E: FieldTable, phase: PhaseGrid, tol: float = 1e-12,
             f"characteristics did not converge in {max_inner} sweeps "
             f"(last update {residual:.3e} > tol {tol:.3e})", residual)
 
-    alpha, beta = kernels.exp_cell_weights(a if a is not None else 0.0, tg.dt)
+    alpha, beta = kernels.exp_cell_weights(a, tg.dt)
     dV = -kernels.suffix_weighted(g, alpha, beta)
 
     shape = (nt, phase.xgrid.n, phase.nv)
-    tail_x = tail_v = None
-    if a is not None and norm_e is not None:
-        tail_x = norm_e * tail_integral_moment(a, tg.t_end, 0)
-        tail_v = norm_e * tail_integral(a, tg.t_end, 0)
-    return TrajectoryTable(phase=phase, tgrid=tg, dX=dX.reshape(shape),
-                           dV=dV.reshape(shape), inner_iterations=sweeps,
-                           residual=residual, tail_bound_x=tail_x,
-                           tail_bound_v=tail_v)
+    return TrajectoryTable(
+        phase=phase, tgrid=tg, dX=dX.reshape(shape), dV=dV.reshape(shape),
+        inner_iterations=sweeps, residual=residual,
+        tail_bound_x=norm_e * tail_integral_moment(a, tg.t_end, 0),
+        tail_bound_v=norm_e * tail_integral(a, tg.t_end, 0))
 
 
 def check_trajectory_bounds(traj: TrajectoryTable, E: FieldTable,
@@ -421,8 +415,6 @@ class SolveResult:
     phase: PhaseGrid
     traj: TrajectoryTable | None = None
     var: VariationalTable | None = None
-    density: FieldTable | None = None
-    density_pert: FieldTable | None = None
 
     @property
     def passed(self) -> bool:
@@ -552,7 +544,7 @@ def picard_solve(spec: ProfileSpec, params: DampingParams, z: float,
     iterations = 0
     for iterations in range(1, max_iter + 1):
         traj = solve_characteristics(
-            E, phase, tol=inner_tol, max_inner=max_inner, a=a,
+            E, phase, a, tol=inner_tol, max_inner=max_inner,
             initial=None if traj is None else traj.dX)
         E_next = _map_from_traj(traj, spec, z, xgrid, method)
         d = weighted_norm(E_next.with_values(E_next.values - E.values), a).value
@@ -575,8 +567,8 @@ def picard_solve(spec: ProfileSpec, params: DampingParams, z: float,
             residual=d_hist[-1])
 
     # certify the residual of the accepted iterate with one more map
-    traj = solve_characteristics(E, phase, tol=inner_tol,
-                                 max_inner=max_inner, a=a, initial=traj.dX)
+    traj = solve_characteristics(E, phase, a, tol=inner_tol,
+                                 max_inner=max_inner, initial=traj.dX)
     E_map = _map_from_traj(traj, spec, z, xgrid, method)
     residual_norm = weighted_norm(
         E_map.with_values(E_map.values - E.values), a).value
@@ -607,5 +599,4 @@ def picard_solve(spec: ProfileSpec, params: DampingParams, z: float,
         contraction_ratios=tuple(ratios), residual_norm=residual_norm,
         checks=checks, certificates=certificates, method=method, phase=phase,
         traj=traj if keep_tables else None,
-        var=var if keep_tables else None,
-        density=rho, density_pert=rho_pert)
+        var=var if keep_tables else None)

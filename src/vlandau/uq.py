@@ -23,6 +23,7 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass, field, replace
+from typing import ClassVar
 
 import numpy as np
 from numpy.polynomial import legendre as npleg
@@ -34,6 +35,11 @@ from .scattering import BoundCheck, SolveResult, TimeGrid, PhaseGrid, \
     TrajectoryTable, picard_solve
 # unused here, but perfbench/tracer.py rebinds it in this module by name
 from .scattering import solve_characteristics  # noqa: F401
+
+# nodes of the finite-difference cross-estimator, and the largest relative
+# refinement drift of a derivative norm that passes
+_FD_STENCIL = 5
+_STABILITY_TOL = 0.05
 
 
 class CollocationError(RuntimeError):
@@ -224,10 +230,9 @@ def _solve_node(spec, params, z, tgrid, phase, solve_kw):
 
 def run_collocation(spec: ProfileSpec, params: DampingParams,
                     tgrid: TimeGrid, phase: PhaseGrid, n_z: int = 9,
-                    nodes=None, weights=None, tol: float = 1e-10,
-                    max_iter: int = 30, inner_tol: float = 1e-12,
-                    max_inner: int = 50, method: str = "split") -> ZEnsemble:
-    """Deterministic solve at every z node; aborts naming a failing node.
+                    **solve_kw) -> ZEnsemble:
+    """Deterministic solve at each of the n_z Gauss-Legendre nodes, with
+    solve_kw passed on to picard_solve; aborts naming a failing node.
 
     Each node's corollary residual D(z_j) is formed from its own solve
     and streamed into k_max + 1 accumulators of sum_j w_kj D(z_j), the
@@ -236,12 +241,7 @@ def run_collocation(spec: ProfileSpec, params: DampingParams,
     the reduced ResidualSurvey.  A z-independent profile is solved once:
     every node gets that result, with its own z, and its residual.
     """
-    if nodes is None:
-        nodes, weights = gauss_legendre_nodes(n_z)
-    nodes = np.asarray(nodes, dtype=float)
-    weights = np.asarray(weights, dtype=float)
-    solve_kw = dict(tol=tol, max_iter=max_iter, inner_tol=inner_tol,
-                    max_inner=max_inner, method=method)
+    nodes, weights = gauss_legendre_nodes(n_z)
     # weight rows k <= k_max; none for a single node (k_max = -1)
     k_max = min(params.K, len(nodes) - 2)
     dw = fd_weights(nodes, 0.0, max(k_max, 0))[:k_max + 1]
@@ -403,22 +403,22 @@ def z_derivative(ensemble: ZEnsemble, k: int) -> FieldTable:
     return FieldTable(ref.tgrid, ref.xgrid, vals)
 
 
-def fd_stencil(nodes, k: int, stencil: int = 5) -> tuple[np.ndarray, np.ndarray]:
-    """Indices (increasing) of the `stencil` nodes nearest 0, at least
+def fd_stencil(nodes, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Indices (increasing) of the _FD_STENCIL nodes nearest 0, at least
     k + 1 of them, and their order-k difference weights at 0."""
     z = np.asarray(nodes, dtype=float)
-    stencil = min(max(stencil, k + 1), z.shape[0])
+    stencil = min(max(_FD_STENCIL, k + 1), z.shape[0])
     order = np.sort(np.argsort(np.abs(z))[:stencil])
     return order, fd_weights(z[order], 0.0, k)[k]
 
 
-def z_derivative_fd(ensemble: ZEnsemble, k: int, stencil: int = 5) -> FieldTable:
+def z_derivative_fd(ensemble: ZEnsemble, k: int) -> FieldTable:
     """d^k/dz^k of the field at z = 0 by unequally-spaced differences
-    on the `stencil` nodes nearest 0 (the independent cross-estimator)."""
+    on the _FD_STENCIL nodes nearest 0 (the independent cross-estimator)."""
     n = ensemble.n_nodes
     if k < 1 or k > n - 2:
         raise ValueError("need 1 <= k <= n_nodes - 2")
-    order, w = fd_stencil(ensemble.nodes, k, stencil)
+    order, w = fd_stencil(ensemble.nodes, k)
     vals = np.tensordot(w, ensemble.field_stack()[order], axes=(0, 0))
     ref = ensemble.results[0].field
     return FieldTable(ref.tgrid, ref.xgrid, vals)
@@ -523,7 +523,7 @@ class TheoremReport:
     agreement: dict
     drift: dict
     floors: dict = field(default_factory=dict)
-    stability_tol: float = 0.05
+    stability_tol: ClassVar[float] = _STABILITY_TOL
 
     @property
     def checks(self) -> dict:
@@ -570,12 +570,13 @@ def _relative_weighted_diff(tab_a: FieldTable, tab_b: FieldTable,
     return diff / base
 
 
-def check_theorem_bounds(ensemble: ZEnsemble, K: int,
+def check_theorem_bounds(ensemble: ZEnsemble,
                          refined: ZEnsemble | None = None) -> TheoremReport:
-    """Report |d^k_z E|_{a,t0} for k <= K with estimator and refinement
-    cross-checks; "bounded" is operationalized as refinement stability."""
+    """Report |d^k_z E|_{a,t0} for k <= K (the ensemble's params.K) with
+    estimator and refinement cross-checks; "bounded" is operationalized
+    as refinement stability."""
     a = ensemble.params.a
-    k_max = min(K, ensemble.n_nodes - 2)
+    k_max = min(ensemble.params.K, ensemble.n_nodes - 2)
     # derivative norms within the roundoff floor of their estimate are
     # numerically zero; comparisons between them carry no information.
     # The floors come from the weights each estimate applies, so they
@@ -626,7 +627,7 @@ class CorollaryReport:
     comparison_bounds: tuple[float, ...]
     drift: dict
     floors: dict = field(default_factory=dict)
-    stability_tol: float = 0.05
+    stability_tol: ClassVar[float] = _STABILITY_TOL
 
     @property
     def k0_ratio(self) -> float:
@@ -659,26 +660,24 @@ class CorollaryReport:
         }
 
 
-def _survey_of(ensemble: ZEnsemble, spec: ProfileSpec) -> ResidualSurvey:
+def _survey_of(ensemble: ZEnsemble) -> ResidualSurvey:
     survey = ensemble.residuals
     if survey is None:
         raise ValueError("the ensemble carries no residual survey; "
                          "run_collocation forms it")
-    if survey.spec != spec:
-        raise ValueError("the ensemble was solved for a different profile")
     return survey
 
 
-def check_corollary(ensemble: ZEnsemble, spec: ProfileSpec,
+def check_corollary(ensemble: ZEnsemble,
                     refined: ZEnsemble | None = None) -> CorollaryReport:
     """The residual norms and their z-derivatives at 0, with refinement
-    drift, from the residual surveys run_collocation formed at each node;
-    nothing is solved again."""
-    base = _survey_of(ensemble, spec)
+    drift, from the residual surveys run_collocation formed at each node
+    for the profile it solved; nothing is solved again."""
+    base = _survey_of(ensemble)
     floors = {"base": base.floors}
     drift = {}
     if refined is not None:
-        ref = _survey_of(refined, spec)
+        ref = _survey_of(refined)
         floors["refined"] = ref.floors
         for k in range(min(len(base.derivative_norms),
                            len(ref.derivative_norms))):
@@ -692,7 +691,7 @@ def check_corollary(ensemble: ZEnsemble, spec: ProfileSpec,
     params = ensemble.params
     norm_e0 = weighted_norm(z_derivative(ensemble, 0), params.a).value
     bounds = []
-    dspec = spec
+    dspec = base.spec
     for k in range(len(base.derivative_norms)):
         g_k = sup_gradient(dspec, 0.0)
         bounds.append(g_k * norm_e0 * (2.0 + 1.0 / params.t0) / params.a)

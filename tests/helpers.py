@@ -51,9 +51,10 @@ def kernel_B(x):
     return 0.5 - np.mod(x, 2.0 * np.pi) / (2.0 * np.pi)
 
 
-def apply_field_map(E, spec, z, phase, a=None, method="direct", traj=None):
+def apply_field_map(E, spec, z, phase, a=1.0, method="direct", traj=None):
     """One application of the scattering field map to E, solving the
-    characteristics unless traj is given."""
+    characteristics with decay rate a unless traj is given (the map reads
+    only the positions, which do not depend on a)."""
     if traj is None:
         traj = solve_characteristics(E, phase, a=a)
     return _map_from_traj(traj, spec, z, E.xgrid, method)

@@ -241,7 +241,7 @@ def test_criterion_12_z_independence(zind_ens):
 # ---------------------------------------------------------------------------
 
 def test_criterion_13_z_derivative_stability(ens9, ens13):
-    rep = U.check_theorem_bounds(ens9, K=K, refined=ens13)
+    rep = U.check_theorem_bounds(ens9, refined=ens13)
     assert all(math.isfinite(n) for n in rep.norms)
     for k in (1, 2):
         assert rep.agreement[k] <= 1e-4, \
@@ -254,8 +254,8 @@ def test_criterion_13_z_derivative_stability(ens9, ens13):
 # 14. transported-profile residual bounds
 # ---------------------------------------------------------------------------
 
-def test_criterion_14_residual_bounds(ens9, ens13, ref_spec):
-    rep = U.check_corollary(ens9, ref_spec, refined=ens13)
+def test_criterion_14_residual_bounds(ens9, ens13):
+    rep = U.check_corollary(ens9, refined=ens13)
     assert rep.k0_ratio <= 1.0, f"k=0 residual ratio {rep.k0_ratio}"
     assert all(r <= 1.0 for r in rep.node_ratios)
     assert len(rep.derivative_norms) == K + 1

@@ -353,7 +353,7 @@ def test_uq_rejects_single_node(tmp_path, capsys):
     code = run_cli("uq", "--config", cfg, "--out", str(out))
     assert code == 2
     assert "n_z >= 2" in capsys.readouterr().err
-    assert not (out / "gpc.csv").exists()
+    assert not out.exists()
     # check keeps accepting a single z node
     assert run_cli("check", "--config", cfg, "--out", str(out)) == 0
 
@@ -425,3 +425,25 @@ def test_report_corrupt_manifest(tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == 2
     assert "corrupt or unreadable" in err
+
+
+_CHECK = {"name": "c", "value": 0.5, "bound": 1.0, "ratio": 0.5,
+          "passed": True, "horizon_dominated": False}
+
+
+@pytest.mark.parametrize("payload", [
+    {"per_node": [{}]},
+    {"per_node": {"checks": {}}},
+    {"checks": []},
+    {"checks": {"c": {k: v for k, v in _CHECK.items() if k != "bound"}}},
+    {"checks": {"c": {**_CHECK, "value": "0.5"}}},
+    {"per_node": [{"checks": {"c": 1.0}}]},
+], ids=["node_without_checks", "per_node_object", "checks_list",
+        "check_without_bound", "string_value", "check_not_object"])
+def test_report_malformed_manifest(tmp_path, capsys, payload):
+    (tmp_path / "run.json").write_text(json.dumps(payload))
+    code = run_cli("report", str(tmp_path))
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "corrupt or unreadable manifest 'run.json'" in err
+    assert not (tmp_path / "report.csv").exists()

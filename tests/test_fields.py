@@ -193,3 +193,14 @@ def test_csv_read_rejects_malformed(tmp_path):
     p.write_text("t,0,1\n8.0,1.0,2.0\n8.5,1.0,2.0\n9.7,1.0,2.0\n")
     with pytest.raises(ValueError, match="not uniform"):
         F.read_field_csv(p)
+    # the position header must be the grid 2 pi i/n, n a power of two >= 4
+    for xs in ([0.0],                                   # one x column
+               np.pi * np.arange(4),                    # a period of 4 pi
+               TWO_PI / 3 * np.arange(3),               # n not a power of 2
+               TWO_PI / 4 * (np.arange(4) + 0.5)):      # shifted nodes
+        head = ",".join("%.17g" % x for x in xs)
+        row = ",".join(["1.0"] * len(xs))
+        p.write_text(f"t,{head}\n8.0,{row}\n8.5,{row}\n")
+        with pytest.raises(ValueError, match="position header") as exc:
+            F.read_field_csv(p)
+        assert str(p) in str(exc.value)

@@ -126,9 +126,6 @@ def test_characteristics_tail_certificates():
         eps * math.exp(-tg.t_end), rel=1e-12)     # |E| e^{-a T}/a^2
     assert traj.tail_bound_v == pytest.approx(
         eps * math.exp(-tg.t_end), rel=1e-12)     # |E| e^{-a T}/a
-    # without a rate the tails are not certified
-    traj2 = S.solve_characteristics(E, phase)
-    assert traj2.tail_bound_x is None and traj2.tail_bound_v is None
 
 
 # ---------------------------------------------------------------------------

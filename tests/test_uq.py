@@ -251,7 +251,7 @@ def test_gpc_table_reconstruct_and_decay(zind_small):
 def test_theorem_report_z_independent(zind_small):
     spec, params, tg, phase = _small_setup()
     refined = U.run_collocation(spec, params, tg, phase, n_z=7)
-    rep = U.check_theorem_bounds(zind_small, K=2, refined=refined)
+    rep = U.check_theorem_bounds(zind_small, refined=refined)
     assert len(rep.norms) == 3 and rep.norms[0] > 0
     assert rep.norms[1] <= 1e-12 * rep.norms[0]
     assert rep.norms[2] <= 1e-12 * rep.norms[0]
@@ -271,7 +271,7 @@ def test_theorem_report_z_independent(zind_small):
 def test_theorem_report_records_floors(zind_small):
     # the report carries the floor each k >= 1 norm was judged against,
     # so a zero drift or a small agreement explains itself
-    rep = U.check_theorem_bounds(zind_small, K=2)
+    rep = U.check_theorem_bounds(zind_small)
     assert set(rep.floors) == {"base", "fd"}
     for k in (1, 2):
         assert 0.0 < rep.norms[k] <= rep.floors["base"][k]
@@ -315,7 +315,7 @@ def test_corollary_report_z_independent_refined(zind_small):
     # both ensembles are roundoff within their floors and do not drift
     spec, params, tg, phase = _small_setup()
     refined = U.run_collocation(spec, params, tg, phase, n_z=7)
-    rep = U.check_corollary(zind_small, spec, refined=refined)
+    rep = U.check_corollary(zind_small, refined=refined)
     assert len(rep.derivative_norms) == 3 and rep.derivative_norms[0] > 0
     for k in (1, 2):
         assert rep.derivative_norms[k] <= rep.floors["base"][k]
@@ -333,7 +333,7 @@ def test_corollary_report_zero_field():
     # corollary ratios collapse to zero
     spec, params, tg, phase = _small_setup({0: 8e-5})
     ens = U.run_collocation(spec, params, tg, phase, n_z=5)
-    rep = U.check_corollary(ens, spec)
+    rep = U.check_corollary(ens)
     assert rep.node_norms == pytest.approx([0.0] * 5, abs=1e-30)
     assert rep.k0_ratio == 0.0
     assert np.all(np.asarray(rep.derivative_norms) <= 1e-30)
@@ -343,7 +343,7 @@ def test_corollary_report_zero_field():
 def test_corollary_report_small_z_dependent():
     spec, params, tg, phase = _small_setup({0: 8e-5, 1: (1e-5, 3e-6)})
     ens = U.run_collocation(spec, params, tg, phase, n_z=7)
-    rep = U.check_corollary(ens, spec)
+    rep = U.check_corollary(ens)
     assert len(rep.node_norms) == 7
     assert all(r <= 1.0 for r in rep.node_ratios)
     assert rep.k0_ratio <= 1.0
@@ -365,7 +365,7 @@ def test_corollary_from_node_solves_matches_resolving_oracle(zdep_small):
     # the survey formed from each node's own trajectories agrees with one
     # that solves every node's characteristics again from its field
     spec = _small_setup(ZDEP_MODES)[0]
-    rep = U.check_corollary(zdep_small, spec)
+    rep = U.check_corollary(zdep_small)
     norms, ratios, deriv = resolved_corollary_survey(zdep_small, spec)
     assert rep.node_norms == pytest.approx(norms, rel=1e-12, abs=0.0)
     assert rep.node_ratios == pytest.approx(ratios, rel=1e-12, abs=0.0)
@@ -387,20 +387,31 @@ def test_check_corollary_solves_nothing(zdep_small, monkeypatch):
             "solve_characteristics", S.solve_characteristics))
         monkeypatch.setattr(mod, "picard_solve",
                             counted("picard_solve", S.picard_solve))
-    spec = _small_setup(ZDEP_MODES)[0]
-    rep = U.check_corollary(zdep_small, spec, refined=zdep_small)
+    rep = U.check_corollary(zdep_small, refined=zdep_small)
     assert calls == []
     assert rep.passed and set(rep.drift) == {0, 1, 2}
 
 
+def test_reports_stop_at_order_K_1():
+    # K = 1 caps every derivative order at 1, though 4 nodes reach n_z - 2 = 2
+    spec, _, tg, phase = _small_setup(ZDEP_MODES)
+    params = P.derive_constants(1.0, 0.002, 0.002, 1, t0=8.0)
+    ens = U.run_collocation(spec, params, tg, phase, n_z=4)
+    refined = U.run_collocation(spec, params, tg, phase, n_z=5)
+    thm = U.check_theorem_bounds(ens, refined=refined)
+    cor = U.check_corollary(ens, refined=refined)
+    assert len(thm.norms) == 2 and set(thm.agreement) == {1}
+    assert len(cor.derivative_norms) == len(cor.comparison_bounds) == 2
+    assert set(thm.drift) == set(cor.drift) == {0, 1}
+    assert set(cor.floors["base"]) == set(cor.floors["refined"]) == {1}
+    assert thm.passed and cor.passed
+
+
 def test_check_corollary_needs_the_ensembles_survey(zdep_small):
-    spec = _small_setup(ZDEP_MODES)[0]
     bare = U.ZEnsemble(zdep_small.nodes, zdep_small.weights,
                        zdep_small.results, zdep_small.phase)
     with pytest.raises(ValueError, match="no residual survey"):
-        U.check_corollary(bare, spec)
-    with pytest.raises(ValueError, match="different profile"):
-        U.check_corollary(zdep_small, spec.z_derivative())
+        U.check_corollary(bare)
     with pytest.raises(ValueError, match="residual survey must align"):
         U.ZEnsemble(zdep_small.nodes[:-1], zdep_small.weights[:-1],
                     zdep_small.results[:-1], zdep_small.phase,
@@ -416,7 +427,7 @@ def test_run_collocation_few_nodes(n_z, n_derivs):
     assert ens.n_nodes == len(survey.node_norms) == n_z
     assert len(survey.derivative_norms) == n_derivs
     assert survey.floors == {}
-    rep = U.check_corollary(ens, spec)
+    rep = U.check_corollary(ens)
     assert rep.passed and len(rep.comparison_bounds) == n_derivs
 
 
