@@ -265,6 +265,19 @@ def _sidecar_path(path: str) -> str:
     return (path[:-4] if path.endswith(".csv") else path) + ".json"
 
 
+def _finite_floats(toks, path: str) -> list[float]:
+    """The tokens as finite floats; a ValueError names the file."""
+    vals = []
+    for tok in toks:
+        try:
+            vals.append(float(tok))
+        except ValueError:
+            raise ValueError(f"{path}: non-numeric entry {tok!r}") from None
+        if not math.isfinite(vals[-1]):
+            raise ValueError(f"{path}: non-finite entry {tok!r}")
+    return vals
+
+
 def read_field_csv(path) -> tuple[FieldTable, dict]:
     """Read a table written by write_field_csv; returns (table, sidecar)."""
     path = str(path)
@@ -272,7 +285,7 @@ def read_field_csv(path) -> tuple[FieldTable, dict]:
         lines = [ln for ln in fh.read().splitlines() if ln.strip()]
     if not lines or not lines[0].startswith("t,"):
         raise ValueError(f"{path}: not a field table (missing 't' header)")
-    xs = np.array([float(tok) for tok in lines[0].split(",")[1:]])
+    xs = np.array(_finite_floats(lines[0].split(",")[1:], path))
     times = []
     rows = []
     for ln in lines[1:]:
@@ -280,8 +293,9 @@ def read_field_csv(path) -> tuple[FieldTable, dict]:
         if len(toks) != len(xs) + 1:
             raise ValueError(f"{path}: row with {len(toks)} fields, "
                              f"expected {len(xs) + 1}")
-        times.append(float(toks[0]))
-        rows.append([float(tok) for tok in toks[1:]])
+        vals = _finite_floats(toks, path)
+        times.append(vals[0])
+        rows.append(vals[1:])
     times = np.array(times)
     if len(times) < 2:
         raise ValueError(f"{path}: need at least two time samples")

@@ -5,16 +5,17 @@ deterministic solve runs at Gauss-Legendre nodes; smooth quantities of
 interest are then (a) projected onto the orthonormal Legendre basis
 phi_m(z) = sqrt(2m+1) P_m(z) (coefficient decay certifies smooth
 z-dependence) and (b) differentiated in z at z = 0 by differentiating
-the collocation interpolant.  Derivatives of the interpolant at a point
-are fixed linear combinations of the node values, so ensemble
+the collocation interpolant.  The order-k derivative of the interpolant
+at 0 is one fixed row of difference weights over every node
+(fd_weights, Fornberg's recursion), so the field, the corollary
+residual and their roundoff floors all use that one row, and ensemble
 post-processing streams over nodes without retaining per-node
 phase-space tables.
 
-Two independent derivative estimators are kept deliberately distinct:
-the spectral one differentiates the full-degree interpolant via its
-Legendre series, the finite-difference one applies exact
-unequally-spaced difference weights on the few nodes nearest z = 0.
-Their agreement is a reported verification quantity, not an assumption.
+The cross-estimator applies the same recursion to the _FD_STENCIL nodes
+nearest z = 0 only; its agreement with the full interpolant is a
+reported verification quantity, and 0 by construction when the stencil
+is every node.
 """
 
 from __future__ import annotations
@@ -101,19 +102,18 @@ def fd_weights(nodes, x0: float, max_order: int) -> np.ndarray:
 @dataclass(frozen=True)
 class ZEnsemble:
     """Per-node solve results over a quadrature node set in z, with the
-    corollary's ResidualSurvey when run_collocation solved them."""
+    corollary's ResidualSurvey that run_collocation formed from them."""
 
     nodes: tuple[float, ...]
     weights: tuple[float, ...]
     results: tuple[SolveResult, ...]
     phase: PhaseGrid
-    residuals: ResidualSurvey | None = None
+    residuals: ResidualSurvey
 
     def __post_init__(self):
         if not (len(self.nodes) == len(self.weights) == len(self.results)):
             raise ValueError("nodes, weights and results must align")
-        if self.residuals is not None and \
-                len(self.residuals.node_norms) != len(self.nodes):
+        if len(self.residuals.node_norms) != len(self.nodes):
             raise ValueError("nodes and residual survey must align")
         if any(b <= a for a, b in zip(self.nodes, self.nodes[1:])):
             raise ValueError("nodes must be strictly increasing")
@@ -147,13 +147,15 @@ class ZEnsemble:
 
 
 def r_setup_signature(result: SolveResult) -> str:
-    """Hash of params + grid shape, for the shared-setup invariant."""
+    """Hash of params + grids, for the shared-setup invariant."""
     ident = {
         "params": result.params.as_dict(),
         "t0": result.field.tgrid.t0,
         "t_end": result.field.tgrid.t_end,
         "nt": len(result.field.tgrid),
         "nx": result.field.xgrid.n,
+        "nv": result.phase.nv,
+        "v_max": result.phase.v_max,
         "method": result.method,
     }
     blob = json.dumps(ident, sort_keys=True).encode()
@@ -323,37 +325,17 @@ def _orthonormal_legendre(z: np.ndarray, n_modes: int) -> np.ndarray:
     return vander * scale[None, :]
 
 
-def _projection(nodes, weights) -> np.ndarray:
-    """Projection weights (1/2) w_j phi_m(z_j), shape (m, n)."""
-    z = np.asarray(nodes, dtype=float)
-    w = np.asarray(weights, dtype=float)
-    basis = _orthonormal_legendre(z, len(z))            # (n, m)
-    return 0.5 * (basis * w[:, None]).T
-
-
 def project_stack(nodes, weights, stack) -> np.ndarray:
     """Orthonormal-Legendre projection of node-major values.
 
     Returns coefficients c_m = (1/2) sum_j w_j phi_m(z_j) stack[j],
     shape (n_nodes,) + stack.shape[1:].
     """
+    z = np.asarray(nodes, dtype=float)
+    w = np.asarray(weights, dtype=float)
+    basis = _orthonormal_legendre(z, len(z))            # (n, m)
     stack = np.asarray(stack, dtype=float)
-    return np.tensordot(_projection(nodes, weights), stack, axes=(1, 0))
-
-
-def spectral_derivative_stack(nodes, weights, stack, k: int) -> np.ndarray:
-    """d^k/dz^k at z = 0 of the interpolant through node-major values,
-    computed by differentiating its Legendre series (the projection is
-    exact for the interpolant at Gauss quadrature order)."""
-    if k < 0:
-        raise ValueError("derivative order must be nonnegative")
-    coeffs = project_stack(nodes, weights, stack)
-    extra = (1,) * (coeffs.ndim - 1)
-    scale = np.sqrt(2.0 * np.arange(coeffs.shape[0]) + 1.0)
-    series = coeffs * scale.reshape((-1,) + extra)
-    if k:
-        series = npleg.legder(series, m=k, axis=0)
-    return npleg.legval(0.0, series, tensor=True)
+    return np.tensordot(0.5 * (basis * w[:, None]).T, stack, axes=(1, 0))
 
 
 def gpc_coefficients(ensemble: ZEnsemble) -> GpcTable:
@@ -386,9 +368,9 @@ def write_gpc_csv(table: GpcTable, path) -> None:
 def z_derivative(ensemble: ZEnsemble, k: int) -> FieldTable:
     """d^k/dz^k of the field at z = 0 via the collocation interpolant.
 
-    The interpolant is represented in the Legendre basis (its gPC
-    projection, exact at this quadrature order) and differentiated
-    analytically.  k = 0 evaluates the interpolant at 0.
+    Applies the order-k difference weights of every node at 0, the row
+    run_collocation applies to the corollary residuals; k = 0 evaluates
+    the interpolant at 0.
     """
     n = ensemble.n_nodes
     if k < 0:
@@ -397,8 +379,8 @@ def z_derivative(ensemble: ZEnsemble, k: int) -> FieldTable:
         raise ValueError(
             f"order-{k} differentiation of a {n}-node ensemble is "
             "unstable; need at least k+2 nodes")
-    vals = spectral_derivative_stack(ensemble.nodes, ensemble.weights,
-                                     ensemble.field_stack(), k)
+    w = fd_weights(ensemble.nodes, 0.0, k)[k]
+    vals = np.tensordot(w, ensemble.field_stack(), axes=(0, 0))
     ref = ensemble.results[0].field
     return FieldTable(ref.tgrid, ref.xgrid, vals)
 
@@ -431,70 +413,56 @@ def z_derivative_fd(ensemble: ZEnsemble, k: int) -> FieldTable:
 _UNIT_ROUNDOFF = np.finfo(float).eps / 2
 
 
-def roundoff_floor(weights, gains=None) -> float:
+def roundoff_floor(weights) -> float:
     """Roundoff bound, per unit node scale, of an order k >= 1 derivative
     estimate applied to node values that agree.
 
-    weights[m, j] (or a single row) are the computed weights with which
-    the estimate combines the node values F_j, |F_j| <= 1; gains[m]
-    (default 1) is the exact linear map applied to the combinations
-    afterwards.  A derivative of order k >= 1 maps a constant to zero,
-    so the exact weights of every row with a nonzero gain sum to zero.
-    Each computed row contributes its defect |sum_j w_mj| plus the
-    rounding of the sum, gamma_n sum_j |w_mj| with
-    gamma_n = n u / (1 - n u) (Higham, Accuracy and Stability of
-    Numerical Algorithms, section 3.1).
+    weights[j] are the computed weights with which the estimate combines
+    the node values F_j, |F_j| <= 1.  A derivative of order k >= 1 maps a
+    constant to zero, so the exact weights sum to zero; the computed row
+    contributes its defect |sum_j w_j| plus the rounding of the sum,
+    gamma_n sum_j |w_j| with gamma_n = n u / (1 - n u) (Higham, Accuracy
+    and Stability of Numerical Algorithms, section 3.1).
     """
-    w = np.atleast_2d(np.asarray(weights, dtype=float))
-    n = w.shape[1]
+    w = np.asarray(weights, dtype=float)
+    n = w.shape[0]
     gamma = n * _UNIT_ROUNDOFF / (1.0 - n * _UNIT_ROUNDOFF)
-    defect = np.array([abs(math.fsum(row)) for row in w])
-    rows = defect + gamma * np.abs(w).sum(axis=1)
-    g = np.ones(len(rows)) if gains is None else np.abs(gains)
-    return float(g @ rows)
-
-
-def spectral_floor(nodes, weights, k: int) -> float:
-    """roundoff_floor of spectral_derivative_stack at order k >= 1.
-
-    The estimate combines the node values only in the projection; the
-    Legendre scaling, legder and legval that follow act on coefficients
-    that are themselves roundoff when the node values agree, so they
-    enter as the exact gains sqrt(2m+1) P_m^(k)(0).
-    """
-    if k < 1:
-        raise ValueError("the roundoff floor needs derivative order >= 1")
-    scale = np.sqrt(2.0 * np.arange(len(nodes)) + 1.0)
-    gains = npleg.legval(0.0, npleg.legder(np.diag(scale), m=k, axis=0))
-    return roundoff_floor(_projection(nodes, weights), gains)
+    return abs(math.fsum(w)) + gamma * float(np.abs(w).sum())
 
 
 def _theorem_floors(ensemble: ZEnsemble, k_max: int) -> tuple[dict, dict]:
-    """Floors {k: ...}, 1 <= k <= k_max, of the spectral and the
-    finite-difference estimate of |d^k_z E|_{a,t0}: their roundoff_floor
-    times the node scale max_j |E(z_j)|_{a,t0}."""
+    """Floors {k: ...}, 1 <= k <= k_max, of the interpolant's and the
+    cross-estimator's |d^k_z E|_{a,t0}: the roundoff_floor of the row
+    each applies times the node scale max_j |E(z_j)|_{a,t0}."""
     a = ensemble.params.a
     scale = max(weighted_norm(r.field, a).value for r in ensemble.results)
     ks = range(1, k_max + 1)
-    spectral = {k: scale * spectral_floor(ensemble.nodes, ensemble.weights, k)
-                for k in ks}
+    full = {k: scale * roundoff_floor(fd_weights(ensemble.nodes, 0.0, k)[k])
+            for k in ks}
     fd = {k: scale * roundoff_floor(fd_stencil(ensemble.nodes, k)[1])
           for k in ks}
-    return spectral, fd
+    return full, fd
 
 
-def _refinement_drift(base: float, base_floor: float, refined: float,
-                      refined_floor: float) -> float:
-    """Relative change of a norm under node refinement.
+def _drift(base_norms, base_floors: dict, ref_norms,
+           ref_floors: dict) -> dict:
+    """Relative change {k: ...} of each norm under node refinement, over
+    the orders both ensembles reach.
 
-    Norms within their own ensemble's roundoff floor are numerically
-    zero, so two of them do not drift; otherwise the change is relative
-    to the base norm, or to its floor where the base lies below it.
+    Norms within their own ensemble's roundoff floor (none for k = 0)
+    are numerically zero, so two of them do not drift; otherwise the
+    change is relative to the base norm, or to its floor where the base
+    lies below it.
     """
-    if base <= base_floor and refined <= refined_floor:
-        return 0.0
-    denom = max(base, base_floor)
-    return abs(refined - base) / denom if denom > 0.0 else math.inf
+    drift = {}
+    for k, (base, ref) in enumerate(zip(base_norms, ref_norms)):
+        base_floor = base_floors.get(k, 0.0)
+        denom = max(base, base_floor)
+        if base <= base_floor and ref <= ref_floors.get(k, 0.0):
+            drift[k] = 0.0
+        else:
+            drift[k] = abs(ref - base) / denom if denom > 0.0 else math.inf
+    return drift
 
 
 # ---------------------------------------------------------------------------
@@ -506,16 +474,17 @@ class TheoremReport:
     """Weighted norms of the z-derivative fields at z = 0.
 
     norms[k] = |d^k_z E|_{a,t0} for k = 0..K; agreement[k] is the
-    relative weighted-norm difference between the spectral and
-    finite-difference estimators (k >= 1); drift[k] is the relative
-    change under node refinement when a refined ensemble was supplied.
+    relative weighted-norm difference between the full interpolant's
+    derivative and the nearest-node cross-estimator (k >= 1); drift[k]
+    is the relative change under node refinement when a refined ensemble
+    was supplied.
 
     floors["base"][k], floors["fd"][k] and floors["refined"][k] bound the
-    roundoff of the k >= 1 spectral estimate, the finite-difference
-    estimate and the refined spectral estimate (see roundoff_floor).  A
-    norm within its floor is numerically zero: two such norms have drift
-    0, and agreement is taken relative to base + fd floor when the
-    spectral norm lies below that sum.
+    roundoff of the k >= 1 interpolant derivative, the cross-estimator
+    and the refined interpolant derivative (see roundoff_floor).  A norm
+    within its floor is numerically zero: two such norms have drift 0,
+    and agreement is taken relative to base + fd floor when the norm
+    lies below that sum.
     checks holds z_deriv_{k}_drift per refined k, bound stability_tol.
     """
 
@@ -584,11 +553,8 @@ def check_theorem_bounds(ensemble: ZEnsemble,
     # value itself (k = 0) is not a roundoff quantity and has no floor.
     base_floors, fd_floors = _theorem_floors(ensemble, k_max)
     floors = {"base": base_floors, "fd": fd_floors}
-    if refined is not None:
-        floors["refined"] = _theorem_floors(refined, k_max)[0]
     norms = []
     agreement = {}
-    drift = {}
     for k in range(k_max + 1):
         tab = z_derivative(ensemble, k)
         norms.append(weighted_norm(tab, a).value)
@@ -596,11 +562,12 @@ def check_theorem_bounds(ensemble: ZEnsemble,
             agreement[k] = _relative_weighted_diff(
                 tab, z_derivative_fd(ensemble, k), a,
                 floor=floors["base"][k] + floors["fd"][k])
-        if refined is not None:
-            ref_norm = weighted_norm(z_derivative(refined, k), a).value
-            drift[k] = _refinement_drift(
-                norms[k], floors["base"].get(k, 0.0),
-                ref_norm, floors["refined"].get(k, 0.0))
+    drift = {}
+    if refined is not None:
+        floors["refined"] = _theorem_floors(refined, k_max)[0]
+        ref_norms = [weighted_norm(z_derivative(refined, k), a).value
+                     for k in range(k_max + 1)]
+        drift = _drift(norms, floors["base"], ref_norms, floors["refined"])
     return TheoremReport(norms=tuple(norms), agreement=agreement,
                          drift=drift, floors=floors)
 
@@ -660,30 +627,19 @@ class CorollaryReport:
         }
 
 
-def _survey_of(ensemble: ZEnsemble) -> ResidualSurvey:
-    survey = ensemble.residuals
-    if survey is None:
-        raise ValueError("the ensemble carries no residual survey; "
-                         "run_collocation forms it")
-    return survey
-
-
 def check_corollary(ensemble: ZEnsemble,
                     refined: ZEnsemble | None = None) -> CorollaryReport:
     """The residual norms and their z-derivatives at 0, with refinement
     drift, from the residual surveys run_collocation formed at each node
     for the profile it solved; nothing is solved again."""
-    base = _survey_of(ensemble)
+    base = ensemble.residuals
     floors = {"base": base.floors}
     drift = {}
     if refined is not None:
-        ref = _survey_of(refined)
+        ref = refined.residuals
         floors["refined"] = ref.floors
-        for k in range(min(len(base.derivative_norms),
-                           len(ref.derivative_norms))):
-            drift[k] = _refinement_drift(
-                base.derivative_norms[k], base.floors.get(k, 0.0),
-                ref.derivative_norms[k], ref.floors.get(k, 0.0))
+        drift = _drift(base.derivative_norms, base.floors,
+                       ref.derivative_norms, ref.floors)
 
     # First-order comparison scale per derivative order:
     # sup|grad d^k_z f*| . |E|_{a,t0} . ((2/a) t + 1/a) e^{-at}, measured in

@@ -204,3 +204,17 @@ def test_csv_read_rejects_malformed(tmp_path):
         with pytest.raises(ValueError, match="position header") as exc:
             F.read_field_csv(p)
         assert str(p) in str(exc.value)
+    # every header token, time and cell must be a finite number
+    grid = ",".join("%.17g" % x for x in TWO_PI / 4 * np.arange(4))
+    first, last = "8.0,1,2,3,4", "8.5,1,2,3,4"
+    for head, row, what in ((grid, "8.0,1,2,nan,4", "non-finite"),
+                            (grid, "8.0,1,inf,3,4", "non-finite"),
+                            (grid, "-inf,1,2,3,4", "non-finite"),
+                            (grid, "8.0,1,2,3,x", "non-numeric"),
+                            (grid, "x,1,2,3,4", "non-numeric"),
+                            ("0,x,3,4", first, "non-numeric"),
+                            ("0,nan,3,4", first, "non-finite")):
+        p.write_text(f"t,{head}\n{row}\n{last}\n")
+        with pytest.raises(ValueError, match=what) as exc:
+            F.read_field_csv(p)
+        assert str(p) in str(exc.value)

@@ -2,8 +2,9 @@
 
 perfbench/workloads.py writes each run configuration in the program's
 canonical form, so that its sha256 is the config_sha256 of every manifest,
-and perfbench/reference.py makes its reference tables through
-picard_solve.  Both modules are imported as they stand.
+and validates each run's outputs against the reference tables that
+perfbench/reference.py makes through picard_solve.  Both modules are
+imported as they stand.
 """
 
 import os
@@ -11,6 +12,7 @@ import os
 import numpy as np
 import pytest
 
+from vlandau import cli
 from vlandau.config import parse_config
 
 PERFBENCH = os.path.join(
@@ -44,3 +46,18 @@ def test_reference_solve_reproduces_the_stored_table(bench):
     err = workloads._weighted_rel_err(values, stored.field(workloads.C1_MEAN),
                                       stored.times)
     assert err <= reference.FIELD_TOL
+
+
+@pytest.mark.parametrize("end", [0, 1])
+def test_uq_coarse_run_passes_the_benchmarks_validation(bench, tmp_path, end):
+    # the benchmark's own verdict, gPC reference check included, at each
+    # end of the slope range its seeds draw from
+    workloads, reference = bench
+    w = workloads.WORKLOADS["uq-coarse"]
+    inp = workloads.Inputs(w, z=None, slope=workloads.UQ_SLOPES[end])
+    config = tmp_path / "run.cfg"
+    config.write_text(inp.config)
+    out = str(tmp_path / "out")
+    code = cli.main(inp.cli_args(str(config), out))
+    ref = reference.ReferenceField(w.name)
+    assert workloads.validate(inp, str(config), out, code, ref) == []

@@ -5,10 +5,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.polynomial import legendre as npleg
 
 import helpers as H
-from helpers import make_spec, resolved_corollary_survey, small_grids
+from helpers import ensemble_with_fields, make_spec, \
+    resolved_corollary_survey, small_grids
 from vlandau import params as P
 from vlandau import scattering as S
 from vlandau import uq as U
@@ -108,30 +111,6 @@ def test_project_stack_recovers_legendre_coefficients():
         0.5 * np.trapezoid(f2, zz) * g[0, 0] ** 2, rel=1e-7)
 
 
-def test_spectral_derivative_stack_polynomial_exactness():
-    n = 7
-    nodes, weights = U.gauss_legendre_nodes(n)
-    g = np.array([[2.0, -1.0], [0.5, 4.0]])
-    p = np.polynomial.Polynomial([0.3, -1.2, 0.0, 2.0])   # cubic
-    stack = p(nodes)[:, None, None] * g[None]
-    for k in range(4):
-        want = (p.deriv(k)(0.0) if k else p(0.0)) * g
-        got = U.spectral_derivative_stack(nodes, weights, stack, k)
-        assert np.allclose(got, want, atol=1e-11)
-    with pytest.raises(ValueError, match="nonnegative"):
-        U.spectral_derivative_stack(nodes, weights, stack, -1)
-
-
-def test_spectral_and_fd_derivatives_agree_on_smooth_function():
-    nodes, weights = U.gauss_legendre_nodes(11)
-    vals = np.exp(0.4 * nodes)
-    stack = vals[:, None, None]
-    d1 = float(U.spectral_derivative_stack(nodes, weights, stack, 1)[0, 0])
-    assert d1 == pytest.approx(0.4, rel=1e-9)
-    d2 = float(U.spectral_derivative_stack(nodes, weights, stack, 2)[0, 0])
-    assert d2 == pytest.approx(0.16, rel=1e-7)
-
-
 # ---------------------------------------------------------------------------
 # ensembles
 # ---------------------------------------------------------------------------
@@ -147,6 +126,53 @@ def _small_setup(modes=None):
 def zind_small():
     spec, params, tg, phase = _small_setup()
     return U.run_collocation(spec, params, tg, phase, n_z=5)
+
+
+def test_z_derivative_polynomial_exactness(zind_small):
+    n = 7
+    nodes, _ = U.gauss_legendre_nodes(n)
+    g = np.random.default_rng(5).standard_normal(
+        zind_small.results[0].field.values.shape)
+    p = np.polynomial.Polynomial([0.3, -1.2, 0.0, 2.0])   # cubic
+    ens = ensemble_with_fields(zind_small, p(nodes)[:, None, None] * g[None])
+    for k in range(4):
+        want = (p.deriv(k)(0.0) if k else p(0.0)) * g
+        got = U.z_derivative(ens, k).values
+        assert np.allclose(got, want, atol=1e-11)
+    with pytest.raises(ValueError, match="nonnegative"):
+        U.z_derivative(ens, -1)
+
+
+def test_z_derivative_of_smooth_function(zind_small):
+    nodes, _ = U.gauss_legendre_nodes(11)
+    ones = np.ones(zind_small.results[0].field.values.shape)
+    ens = ensemble_with_fields(zind_small,
+                               np.exp(0.4 * nodes)[:, None, None] * ones)
+    d1 = float(U.z_derivative(ens, 1).values[0, 0])
+    assert d1 == pytest.approx(0.4, rel=1e-9)
+    d2 = float(U.z_derivative(ens, 2).values[0, 0])
+    assert d2 == pytest.approx(0.16, rel=1e-7)
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(3, 13), data=st.data())
+def test_z_derivative_matches_polynomial_derivatives(zind_small, n, data):
+    # the interpolant through n Gauss nodes reproduces a polynomial of
+    # degree < n, so each derivative at 0 is the polynomial's own
+    coeff = st.floats(-10.0, 10.0, allow_subnormal=False)
+    coeffs = data.draw(st.lists(coeff, min_size=1, max_size=n),
+                       label="coefficients")
+    p = np.polynomial.Polynomial(coeffs)
+    nodes, _ = U.gauss_legendre_nodes(n)
+    e0 = zind_small.results[0].field.values
+    g = e0 / np.abs(e0).max()
+    ens = ensemble_with_fields(zind_small, p(nodes)[:, None, None] * g[None])
+    scale = np.abs(p(nodes)).max()
+    for k in range(n - 1):
+        w = U.fd_weights(nodes, 0.0, k)[k]
+        got = U.z_derivative(ens, k).values
+        err = np.abs(got - p.deriv(k)(0.0) * g).max()
+        assert err <= 1e-12 * np.abs(w).sum() * scale, (n, k)
 
 
 def test_z_independent_ensemble_fields_identical(zind_small):
@@ -174,17 +200,17 @@ def test_z_independent_derivatives_vanish(zind_small):
 
 
 def test_z_dependent_ensemble_linear_mode():
-    # c1(z) = 1e-5 + 3e-6 z: fields vary over z and the first two
-    # derivative estimators must agree
+    # c1(z) = 1e-5 + 3e-6 z: fields vary over z and the interpolant's
+    # first derivative must agree with the nearest-node estimate
     spec, params, tg, phase = _small_setup({0: 8e-5, 1: (1e-5, 3e-6)})
     ens = U.run_collocation(spec, params, tg, phase, n_z=7)
     stack = ens.field_stack()
     assert np.abs(stack[-1] - stack[0]).max() > 0
-    d_spec = U.z_derivative(ens, 1).values
+    d_full = U.z_derivative(ens, 1).values
     d_fd = U.z_derivative_fd(ens, 1).values
-    scale = np.abs(d_spec).max()
+    scale = np.abs(d_full).max()
     assert scale > 0
-    assert np.abs(d_spec - d_fd).max() <= 1e-6 * scale
+    assert np.abs(d_full - d_fd).max() <= 1e-6 * scale
 
 
 def test_z_derivative_order_limits(zind_small):
@@ -216,16 +242,22 @@ def test_collocation_error_carries_node_context():
 def test_ensemble_validation(zind_small):
     ens = zind_small
     with pytest.raises(ValueError, match="align"):
-        U.ZEnsemble(ens.nodes[:-1], ens.weights, ens.results, ens.phase)
+        U.ZEnsemble(ens.nodes[:-1], ens.weights, ens.results, ens.phase,
+                    ens.residuals)
     with pytest.raises(ValueError, match="strictly increasing"):
-        U.ZEnsemble(ens.nodes[::-1], ens.weights, ens.results, ens.phase)
-    mixed = list(ens.results)
-    spec, params, tg, phase = _small_setup()
-    other = S.picard_solve(spec, params, 0.0, tg,
-                           small_grids(nx=16, nv=65, t_end=24.0, steps=80)[1])
-    mixed[2] = other
-    with pytest.raises(ValueError, match="differing grids"):
-        U.ZEnsemble(ens.nodes, ens.weights, mixed, ens.phase)
+        U.ZEnsemble(ens.nodes[::-1], ens.weights, ens.results, ens.phase,
+                    ens.residuals)
+    # zind_small solved on nx 32, nv 65, v_max 6: a node solved on any
+    # other grid, with every other setting equal, is not its node
+    spec, params, tg, _ = _small_setup()
+    for nx, nv, v_max in ((16, 65, 6.0), (32, 33, 6.0), (32, 65, 3.0)):
+        phase = small_grids(nx=nx, nv=nv, t_end=24.0, steps=80,
+                            v_max=v_max)[1]
+        mixed = list(ens.results)
+        mixed[2] = S.picard_solve(spec, params, 0.0, tg, phase)
+        with pytest.raises(ValueError, match="differing grids"):
+            U.ZEnsemble(ens.nodes, ens.weights, mixed, ens.phase,
+                        ens.residuals)
 
 
 def test_gpc_table_reconstruct_and_decay(zind_small):
@@ -256,9 +288,9 @@ def test_theorem_report_z_independent(zind_small):
     assert rep.norms[1] <= 1e-12 * rep.norms[0]
     assert rep.norms[2] <= 1e-12 * rep.norms[0]
     assert set(rep.agreement) == {1, 2}
-    # both derivative norms sit at projection roundoff, so refinement
-    # drift and estimator disagreement are measured against the roundoff
-    # floor and must come out negligible
+    # both derivative norms sit at roundoff, so refinement drift and
+    # estimator disagreement are measured against the roundoff floor and
+    # must come out negligible
     assert max(rep.drift.values()) <= rep.stability_tol
     # estimator disagreement at roundoff stays within the floor scale
     # instead of exploding into a meaningless O(1) ratio
@@ -283,31 +315,33 @@ def test_theorem_report_records_floors(zind_small):
     assert set(d["floors"]["fd"]) == {"1", "2"}
 
 
-def test_roundoff_floor_bounds_node_identical_stacks():
+def test_roundoff_floor_bounds_node_identical_stacks(zind_small):
     # node values that agree have exactly zero z-derivatives, so both
     # estimates of them are pure roundoff and must stay within their
     # floors, at every node count and order the reports can use
     rng = np.random.default_rng(3)
+    shape = zind_small.results[0].field.values.shape
     for n in range(3, 14):
-        nodes, weights = U.gauss_legendre_nodes(n)
-        for k in range(1, n - 1):
-            spec_floor = U.spectral_floor(nodes, weights, k)
-            idx, w = U.fd_stencil(nodes, k)
-            fd_floor = U.roundoff_floor(w)
-            for _ in range(4):
-                base = rng.standard_normal((6, 9)) * 10.0 ** rng.uniform(-30, 30)
-                stack = np.repeat(base[None], n, axis=0)
-                scale = np.abs(base).max()
-                spec = U.spectral_derivative_stack(nodes, weights, stack, k)
-                fd = H.collocation_derivative(nodes[idx], stack[idx], k)
-                assert np.abs(spec).max() <= spec_floor * scale, (n, k)
-                assert np.abs(fd).max() <= fd_floor * scale, (n, k)
-            if k <= 2:
-                # far below the smallest resolved derivative of a run
-                # (|d2_z E| / |E| = 2.7e-7 on a slope-1e-6 profile)
-                assert max(spec_floor, fd_floor) <= 1e-11, (n, k)
-    with pytest.raises(ValueError, match="order >= 1"):
-        U.spectral_floor(nodes, weights, 0)
+        nodes, _ = U.gauss_legendre_nodes(n)
+        ks = range(1, n - 1)
+        full_floor = {k: U.roundoff_floor(U.fd_weights(nodes, 0.0, k)[k])
+                      for k in ks}
+        fd_floor = {k: U.roundoff_floor(U.fd_stencil(nodes, k)[1])
+                    for k in ks}
+        for _ in range(4):
+            base = rng.standard_normal(shape) * 10.0 ** rng.uniform(-30, 30)
+            ens = ensemble_with_fields(zind_small,
+                                       np.repeat(base[None], n, axis=0))
+            scale = np.abs(base).max()
+            for k in ks:
+                full = U.z_derivative(ens, k).values
+                fd = U.z_derivative_fd(ens, k).values
+                assert np.abs(full).max() <= full_floor[k] * scale, (n, k)
+                assert np.abs(fd).max() <= fd_floor[k] * scale, (n, k)
+        for k in ks[:2]:
+            # far below the smallest resolved derivative of a run
+            # (|d2_z E| / |E| = 2.7e-7 on a slope-1e-6 profile)
+            assert max(full_floor[k], fd_floor[k]) <= 1e-11, (n, k)
 
 
 def test_corollary_report_z_independent_refined(zind_small):
@@ -408,10 +442,6 @@ def test_reports_stop_at_order_K_1():
 
 
 def test_check_corollary_needs_the_ensembles_survey(zdep_small):
-    bare = U.ZEnsemble(zdep_small.nodes, zdep_small.weights,
-                       zdep_small.results, zdep_small.phase)
-    with pytest.raises(ValueError, match="no residual survey"):
-        U.check_corollary(bare)
     with pytest.raises(ValueError, match="residual survey must align"):
         U.ZEnsemble(zdep_small.nodes[:-1], zdep_small.weights[:-1],
                     zdep_small.results[:-1], zdep_small.phase,
