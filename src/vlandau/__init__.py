@@ -33,7 +33,6 @@ from .uq import (
     CollocationError, CorollaryReport, GpcTable, TheoremReport, ZEnsemble,
     check_corollary, check_theorem_bounds, fd_weights, gauss_legendre_nodes,
     gpc_coefficients, project_stack, run_collocation, write_gpc_csv,
-    z_derivative, z_derivative_fd,
 )
 from .config import ConfigError, RunConfig, load_config, parse_config
 

@@ -231,12 +231,8 @@ def cmd_uq(cfg: RunConfig, args) -> int:
                     {**refined.manifest(), "config_sha256": cfg.content_hash()})
 
     for k, norm in enumerate(theorem.norms):
-        extras = []
-        if k in theorem.agreement:
-            extras.append(f"estimator agreement {theorem.agreement[k]:.3e}")
-        if k in theorem.drift:
-            extras.append(f"refinement drift {theorem.drift[k]:.3%}")
-        note = ("  (" + "; ".join(extras) + ")") if extras else ""
+        note = (f"  (refinement drift {theorem.drift[k]:.3%})"
+                if k in theorem.drift else "")
         print(f"  |d^{k}_z E|_a,t0 = {norm:.6g}{note}")
     print(f"  residual k=0 worst node ratio = {corollary.k0_ratio:.6g}")
 
@@ -341,6 +337,12 @@ def cmd_report(args) -> int:
 
 def main(argv=None) -> int:
     parser = build_parser()
+    argv = list(sys.argv[1:] if argv is None else argv)
+    if "--z" in argv[:-1]:
+        # argparse reads a negative number in exponent form, such as
+        # -1e-05, as an option; bind it to --z as one token instead
+        i = argv.index("--z")
+        argv[i:i + 2] = [f"--z={argv[i + 1]}"]
     try:
         args = parser.parse_args(argv)
     except SystemExit as exit_err:

@@ -7,15 +7,11 @@ phi_m(z) = sqrt(2m+1) P_m(z) (coefficient decay certifies smooth
 z-dependence) and (b) differentiated in z at z = 0 by differentiating
 the collocation interpolant.  The order-k derivative of the interpolant
 at 0 is one fixed row of difference weights over every node
-(fd_weights, Fornberg's recursion), so the field, the corollary
-residual and their roundoff floors all use that one row, and ensemble
-post-processing streams over nodes without retaining per-node
-phase-space tables.
-
-The cross-estimator applies the same recursion to the _FD_STENCIL nodes
-nearest z = 0 only; its agreement with the full interpolant is a
-reported verification quantity, and 0 by construction when the stencil
-is every node.
+(fd_weights, Fornberg's recursion).  One survey (_z_survey) streams the
+node values through those rows: run_collocation feeds it each node's
+corollary residual as the node is solved, so that no two nodes'
+phase-space tables are alive at once, and the theorem report feeds it
+the node fields; each roundoff floor comes from the same rows.
 """
 
 from __future__ import annotations
@@ -23,13 +19,13 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import ClassVar
 
 import numpy as np
 from numpy.polynomial import legendre as npleg
 
-from .fields import FieldTable, weighted_norm, weighted_sup
+from .fields import weighted_norm, weighted_sup
 from .params import DampingParams
 from .profiles import ProfileSpec, shifted_difference, sup_gradient
 from .scattering import BoundCheck, SolveResult, TimeGrid, PhaseGrid, \
@@ -37,9 +33,7 @@ from .scattering import BoundCheck, SolveResult, TimeGrid, PhaseGrid, \
 # unused here, but perfbench/tracer.py rebinds it in this module by name
 from .scattering import solve_characteristics  # noqa: F401
 
-# nodes of the finite-difference cross-estimator, and the largest relative
-# refinement drift of a derivative norm that passes
-_FD_STENCIL = 5
+# the largest relative refinement drift of a derivative norm that passes
 _STABILITY_TOL = 0.05
 
 
@@ -210,7 +204,8 @@ def _residual_norm(times, table: np.ndarray, params: DampingParams) -> float:
 
 
 def _solve_node(spec, params, z, tgrid, phase, solve_kw):
-    """A node's solve, its residual table and the table's norm and ratio.
+    """A node's solve, its residual table and the table's comparison
+    bound 3 |grad f*(z)|_Linf |E(z)|_{a,t0} / a.
 
     The residual comes from the trajectories the solve just certified;
     the variational tables are dropped before it is formed and the
@@ -222,12 +217,8 @@ def _solve_node(spec, params, z, tgrid, phase, solve_kw):
     result = replace(result, traj=None, var=None)
     delta = _transport_residual(traj, spec, z)
     del traj
-    a = params.a
-    norm = _residual_norm(tgrid.times, delta, params)
-    norm_e = weighted_norm(result.field, a).value
-    bound = 3.0 * sup_gradient(spec, z) * norm_e / a
-    ratio = norm / bound if bound > 0 else (0.0 if norm == 0.0 else math.inf)
-    return result, delta, norm, ratio
+    norm_e = weighted_norm(result.field, params.a).value
+    return result, delta, 3.0 * sup_gradient(spec, z) * norm_e / params.a
 
 
 def run_collocation(spec: ProfileSpec, params: DampingParams,
@@ -237,42 +228,40 @@ def run_collocation(spec: ProfileSpec, params: DampingParams,
     solve_kw passed on to picard_solve; aborts naming a failing node.
 
     Each node's corollary residual D(z_j) is formed from its own solve
-    and streamed into k_max + 1 accumulators of sum_j w_kj D(z_j), the
-    order-k derivative at 0 of the interpolant (fd_weights), so that at
+    and handed to _z_survey before the next node is solved, so that at
     most one node's tables are alive at a time; the ensemble keeps only
     the reduced ResidualSurvey.  A z-independent profile is solved once:
     every node gets that result, with its own z, and its residual.
     """
     nodes, weights = gauss_legendre_nodes(n_z)
-    # weight rows k <= k_max; none for a single node (k_max = -1)
-    k_max = min(params.K, len(nodes) - 2)
-    dw = fd_weights(nodes, 0.0, max(k_max, 0))[:k_max + 1]
-    accum = np.zeros((k_max + 1, len(tgrid), phase.xgrid.n * phase.nv))
-    results, node_norms, node_ratios = [], [], []
+    results, bounds = [], []
     z_independent = spec.is_z_independent
-    for j, z in enumerate(float(z) for z in nodes):
-        if j == 0 or not z_independent:
-            try:
-                result, delta, norm, ratio = _solve_node(
-                    spec, params, z, tgrid, phase, solve_kw)
-            except Exception as err:
-                raise CollocationError(j, z, err) from err
-        else:                 # the first node's solve serves every node
-            result = replace(result, z=z)
-        results.append(result)
-        node_norms.append(norm)
-        node_ratios.append(ratio)
-        for k in range(k_max + 1):
-            accum[k] += dw[k, j] * delta
-        if not z_independent:
-            del delta         # not alive during the next node's solve
-    deriv_norms = tuple(_residual_norm(tgrid.times, acc, params)
-                        for acc in accum)
-    scale = max(node_norms)
-    floors = {k: scale * roundoff_floor(dw[k]) for k in range(1, k_max + 1)}
-    survey = ResidualSurvey(spec=spec, node_norms=tuple(node_norms),
-                            node_ratios=tuple(node_ratios),
-                            derivative_norms=deriv_norms, floors=floors)
+
+    def residuals():
+        for j, z in enumerate(float(z) for z in nodes):
+            if j == 0 or not z_independent:
+                try:
+                    result, delta, bound = _solve_node(
+                        spec, params, z, tgrid, phase, solve_kw)
+                except Exception as err:
+                    raise CollocationError(j, z, err) from err
+            else:             # the first node's solve serves every node
+                result = replace(result, z=z)
+            results.append(result)
+            bounds.append(bound)
+            yield delta
+            if not z_independent:
+                del delta     # not alive during the next node's solve
+
+    node_norms, deriv_norms, floors = _z_survey(
+        nodes, params.K, residuals(),
+        lambda table: _residual_norm(tgrid.times, table, params))
+    ratios = tuple(norm / bound if bound > 0 else
+                   (0.0 if norm == 0.0 else math.inf)
+                   for norm, bound in zip(node_norms, bounds))
+    survey = ResidualSurvey(spec=spec, node_norms=node_norms,
+                            node_ratios=ratios, derivative_norms=deriv_norms,
+                            floors=floors)
     return ZEnsemble(nodes=tuple(float(z) for z in nodes),
                      weights=tuple(float(w) for w in weights),
                      results=tuple(results), phase=phase, residuals=survey)
@@ -365,45 +354,41 @@ def write_gpc_csv(table: GpcTable, path) -> None:
 # z-derivatives
 # ---------------------------------------------------------------------------
 
-def z_derivative(ensemble: ZEnsemble, k: int) -> FieldTable:
-    """d^k/dz^k of the field at z = 0 via the collocation interpolant.
+def _z_survey(nodes, K: int, tables, norm) -> tuple[tuple, tuple, dict]:
+    """Every z-derivative at 0 of a node quantity Q, streamed.
 
-    Applies the order-k difference weights of every node at 0, the row
-    run_collocation applies to the corollary residuals; k = 0 evaluates
-    the interpolant at 0.
+    tables yields Q(z_j) in node order.  Each is added into the sums of
+    the interpolant's order-k difference weights at 0 (fd_weights) for
+    k <= k_max = min(K, n_nodes - 2), none for a single node, and then
+    dropped, so that no two nodes' tables are alive at once.  Returns
+    the node norms norm(Q(z_j)), the derivative norms norm(d^k_z Q at 0)
+    and their floors {k: max_j norm(Q(z_j)) roundoff_floor(row k)} for
+    k >= 1.
     """
-    n = ensemble.n_nodes
-    if k < 0:
-        raise ValueError("derivative order must be nonnegative")
-    if k > 0 and k > n - 2:
-        raise ValueError(
-            f"order-{k} differentiation of a {n}-node ensemble is "
-            "unstable; need at least k+2 nodes")
-    w = fd_weights(ensemble.nodes, 0.0, k)[k]
-    vals = np.tensordot(w, ensemble.field_stack(), axes=(0, 0))
+    k_max = min(K, len(nodes) - 2)
+    rows = fd_weights(nodes, 0.0, max(k_max, 0))[:k_max + 1]
+    node_norms = []
+    for table in tables:      # not enumerate: its tuple would hold a table
+        j = len(node_norms)
+        node_norms.append(norm(table))
+        if j == 0:
+            sums = np.zeros((k_max + 1,) + table.shape)
+        for k in range(k_max + 1):
+            sums[k] += rows[k, j] * table
+        del table
+    scale = max(node_norms)
+    floors = {k: scale * roundoff_floor(rows[k]) for k in range(1, k_max + 1)}
+    return tuple(node_norms), tuple(norm(s) for s in sums), floors
+
+
+def _field_survey(ensemble: ZEnsemble) -> tuple[tuple, tuple, dict]:
+    """_z_survey of the node fields E(z_j) in the norm |.|_{a,t0}."""
     ref = ensemble.results[0].field
-    return FieldTable(ref.tgrid, ref.xgrid, vals)
-
-
-def fd_stencil(nodes, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Indices (increasing) of the _FD_STENCIL nodes nearest 0, at least
-    k + 1 of them, and their order-k difference weights at 0."""
-    z = np.asarray(nodes, dtype=float)
-    stencil = min(max(_FD_STENCIL, k + 1), z.shape[0])
-    order = np.sort(np.argsort(np.abs(z))[:stencil])
-    return order, fd_weights(z[order], 0.0, k)[k]
-
-
-def z_derivative_fd(ensemble: ZEnsemble, k: int) -> FieldTable:
-    """d^k/dz^k of the field at z = 0 by unequally-spaced differences
-    on the _FD_STENCIL nodes nearest 0 (the independent cross-estimator)."""
-    n = ensemble.n_nodes
-    if k < 1 or k > n - 2:
-        raise ValueError("need 1 <= k <= n_nodes - 2")
-    order, w = fd_stencil(ensemble.nodes, k)
-    vals = np.tensordot(w, ensemble.field_stack()[order], axes=(0, 0))
-    ref = ensemble.results[0].field
-    return FieldTable(ref.tgrid, ref.xgrid, vals)
+    a = ensemble.params.a
+    return _z_survey(ensemble.nodes, ensemble.params.K,
+                     (r.field.values for r in ensemble.results),
+                     lambda values: weighted_norm(ref.with_values(values),
+                                                  a).value)
 
 
 # ---------------------------------------------------------------------------
@@ -430,39 +415,29 @@ def roundoff_floor(weights) -> float:
     return abs(math.fsum(w)) + gamma * float(np.abs(w).sum())
 
 
-def _theorem_floors(ensemble: ZEnsemble, k_max: int) -> tuple[dict, dict]:
-    """Floors {k: ...}, 1 <= k <= k_max, of the interpolant's and the
-    cross-estimator's |d^k_z E|_{a,t0}: the roundoff_floor of the row
-    each applies times the node scale max_j |E(z_j)|_{a,t0}."""
-    a = ensemble.params.a
-    scale = max(weighted_norm(r.field, a).value for r in ensemble.results)
-    ks = range(1, k_max + 1)
-    full = {k: scale * roundoff_floor(fd_weights(ensemble.nodes, 0.0, k)[k])
-            for k in ks}
-    fd = {k: scale * roundoff_floor(fd_stencil(ensemble.nodes, k)[1])
-          for k in ks}
-    return full, fd
+def _refinement(norms, floors: dict, refined) -> tuple[dict, dict]:
+    """The floors {"base": ..., "refined": ...} and the drift {k: ...} of
+    a survey's derivative norms and floors under node refinement, from
+    refined = (norms, floors) of the refined survey or None (no drift).
 
-
-def _drift(base_norms, base_floors: dict, ref_norms,
-           ref_floors: dict) -> dict:
-    """Relative change {k: ...} of each norm under node refinement, over
-    the orders both ensembles reach.
-
-    Norms within their own ensemble's roundoff floor (none for k = 0)
-    are numerically zero, so two of them do not drift; otherwise the
-    change is relative to the base norm, or to its floor where the base
-    lies below it.
+    Drift is the relative change of each norm over the orders both
+    surveys reach.  Norms within their own survey's roundoff floor (none
+    for k = 0) are numerically zero, so two of them do not drift;
+    otherwise the change is relative to the base norm, or to its floor
+    where the base lies below it.
     """
+    if refined is None:
+        return {"base": floors}, {}
+    ref_norms, ref_floors = refined
     drift = {}
-    for k, (base, ref) in enumerate(zip(base_norms, ref_norms)):
-        base_floor = base_floors.get(k, 0.0)
+    for k, (base, ref) in enumerate(zip(norms, ref_norms)):
+        base_floor = floors.get(k, 0.0)
         denom = max(base, base_floor)
         if base <= base_floor and ref <= ref_floors.get(k, 0.0):
             drift[k] = 0.0
         else:
             drift[k] = abs(ref - base) / denom if denom > 0.0 else math.inf
-    return drift
+    return {"base": floors, "refined": ref_floors}, drift
 
 
 # ---------------------------------------------------------------------------
@@ -473,25 +448,17 @@ def _drift(base_norms, base_floors: dict, ref_norms,
 class TheoremReport:
     """Weighted norms of the z-derivative fields at z = 0.
 
-    norms[k] = |d^k_z E|_{a,t0} for k = 0..K; agreement[k] is the
-    relative weighted-norm difference between the full interpolant's
-    derivative and the nearest-node cross-estimator (k >= 1); drift[k]
-    is the relative change under node refinement when a refined ensemble
-    was supplied.
-
-    floors["base"][k], floors["fd"][k] and floors["refined"][k] bound the
-    roundoff of the k >= 1 interpolant derivative, the cross-estimator
-    and the refined interpolant derivative (see roundoff_floor).  A norm
-    within its floor is numerically zero: two such norms have drift 0,
-    and agreement is taken relative to base + fd floor when the norm
-    lies below that sum.
+    norms[k] = |d^k_z E|_{a,t0} for k = 0..K; drift[k] is the relative
+    change under node refinement when a refined ensemble was supplied.
+    floors["base"][k] and floors["refined"][k] bound the roundoff of the
+    k >= 1 norms of the two ensembles (see roundoff_floor); two norms
+    within their floors are numerically zero and have drift 0.
     checks holds z_deriv_{k}_drift per refined k, bound stability_tol.
     """
 
     norms: tuple[float, ...]
-    agreement: dict
     drift: dict
-    floors: dict = field(default_factory=dict)
+    floors: dict
     stability_tol: ClassVar[float] = _STABILITY_TOL
 
     @property
@@ -506,7 +473,6 @@ class TheoremReport:
     def as_dict(self) -> dict:
         return {
             "norms": list(self.norms),
-            "agreement": {str(k): v for k, v in self.agreement.items()},
             "drift": {str(k): v for k, v in self.drift.items()},
             "floors": _floors_dict(self.floors),
             "stability_tol": self.stability_tol,
@@ -526,50 +492,15 @@ def _floors_dict(floors: dict) -> dict:
             for name, per_k in floors.items()}
 
 
-def _relative_weighted_diff(tab_a: FieldTable, tab_b: FieldTable,
-                            a: float, floor: float = 0.0) -> float:
-    # `floor` bounds the roundoff of the two estimates; quantities below
-    # it are indistinguishable from zero, so their disagreement is
-    # reported relative to the floor instead of to themselves
-    base = max(weighted_norm(tab_a, a).value, floor)
-    diff = weighted_norm(tab_a.with_values(tab_a.values - tab_b.values),
-                         a).value
-    if base == 0.0:
-        return 0.0 if diff == 0.0 else math.inf
-    return diff / base
-
-
 def check_theorem_bounds(ensemble: ZEnsemble,
                          refined: ZEnsemble | None = None) -> TheoremReport:
     """Report |d^k_z E|_{a,t0} for k <= K (the ensemble's params.K) with
-    estimator and refinement cross-checks; "bounded" is operationalized
-    as refinement stability."""
-    a = ensemble.params.a
-    k_max = min(ensemble.params.K, ensemble.n_nodes - 2)
-    # derivative norms within the roundoff floor of their estimate are
-    # numerically zero; comparisons between them carry no information.
-    # The floors come from the weights each estimate applies, so they
-    # grow with k and with the node count as the roundoff does.  The
-    # value itself (k = 0) is not a roundoff quantity and has no floor.
-    base_floors, fd_floors = _theorem_floors(ensemble, k_max)
-    floors = {"base": base_floors, "fd": fd_floors}
-    norms = []
-    agreement = {}
-    for k in range(k_max + 1):
-        tab = z_derivative(ensemble, k)
-        norms.append(weighted_norm(tab, a).value)
-        if k >= 1:
-            agreement[k] = _relative_weighted_diff(
-                tab, z_derivative_fd(ensemble, k), a,
-                floor=floors["base"][k] + floors["fd"][k])
-    drift = {}
-    if refined is not None:
-        floors["refined"] = _theorem_floors(refined, k_max)[0]
-        ref_norms = [weighted_norm(z_derivative(refined, k), a).value
-                     for k in range(k_max + 1)]
-        drift = _drift(norms, floors["base"], ref_norms, floors["refined"])
-    return TheoremReport(norms=tuple(norms), agreement=agreement,
-                         drift=drift, floors=floors)
+    their refinement drift; "bounded" is operationalized as refinement
+    stability."""
+    _, norms, floors = _field_survey(ensemble)
+    floors, drift = _refinement(
+        norms, floors, None if refined is None else _field_survey(refined)[1:])
+    return TheoremReport(norms=norms, drift=drift, floors=floors)
 
 
 @dataclass(frozen=True)
@@ -593,7 +524,7 @@ class CorollaryReport:
     derivative_norms: tuple[float, ...]
     comparison_bounds: tuple[float, ...]
     drift: dict
-    floors: dict = field(default_factory=dict)
+    floors: dict
     stability_tol: ClassVar[float] = _STABILITY_TOL
 
     @property
@@ -633,24 +564,22 @@ def check_corollary(ensemble: ZEnsemble,
     drift, from the residual surveys run_collocation formed at each node
     for the profile it solved; nothing is solved again."""
     base = ensemble.residuals
-    floors = {"base": base.floors}
-    drift = {}
-    if refined is not None:
-        ref = refined.residuals
-        floors["refined"] = ref.floors
-        drift = _drift(base.derivative_norms, base.floors,
-                       ref.derivative_norms, ref.floors)
+    floors, drift = _refinement(
+        base.derivative_norms, base.floors, None if refined is None else
+        (refined.residuals.derivative_norms, refined.residuals.floors))
 
     # First-order comparison scale per derivative order:
     # sup|grad d^k_z f*| . |E|_{a,t0} . ((2/a) t + 1/a) e^{-at}, measured in
-    # the same weighted norm, which collapses to G_k N (2 + 1/t0) / a.
+    # the same weighted norm, which collapses to G_k N (2 + 1/t0) / a with
+    # N = |E at z = 0|_{a,t0}, order 0 of the field survey.
     params = ensemble.params
-    norm_e0 = weighted_norm(z_derivative(ensemble, 0), params.a).value
+    field_norms = _field_survey(ensemble)[1]
     bounds = []
     dspec = base.spec
     for k in range(len(base.derivative_norms)):
         g_k = sup_gradient(dspec, 0.0)
-        bounds.append(g_k * norm_e0 * (2.0 + 1.0 / params.t0) / params.a)
+        bounds.append(g_k * field_norms[0] * (2.0 + 1.0 / params.t0)
+                      / params.a)
         dspec = dspec.z_derivative()
     return CorollaryReport(node_norms=base.node_norms,
                            node_ratios=base.node_ratios,

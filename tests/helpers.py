@@ -5,7 +5,7 @@ tail-integral and product lemmas, one field-map application, the profile
 gradient and the interpolant's z-derivative."""
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -13,8 +13,7 @@ from vlandau import fields
 from vlandau.params import tail_integral, tail_integral_moment
 from vlandau.profiles import Amplitude, Mode, ProfileSpec
 from vlandau.scattering import _map_from_traj, solve_characteristics
-from vlandau.uq import ResidualSurvey, ZEnsemble, fd_weights, \
-    gauss_legendre_nodes
+from vlandau.uq import fd_weights
 
 
 def small_grids(nx=16, nv=33, t0=8.0, t_end=20.0, steps=60, v_max=6.0):
@@ -76,21 +75,6 @@ def collocation_derivative(nodes, values, k, at=0.0):
     if k >= nodes.shape[0]:
         raise ValueError("derivative order must be below the node count")
     return np.tensordot(fd_weights(nodes, at, k)[k], values, axes=(0, 0))
-
-
-def ensemble_with_fields(template, values):
-    """A ZEnsemble on len(values) Gauss-Legendre nodes whose node fields
-    are values[j], on the grids and params of template's solves, with an
-    empty residual survey: known node data for the z-derivatives."""
-    nodes, weights = gauss_legendre_nodes(len(values))
-    r0 = template.results[0]
-    results = tuple(replace(r0, z=z, field=r0.field.with_values(v))
-                    for z, v in zip(nodes.tolist(), values))
-    zeros = (0.0,) * len(nodes)
-    survey = ResidualSurvey(spec=template.residuals.spec, node_norms=zeros,
-                            node_ratios=zeros, derivative_norms=(), floors={})
-    return ZEnsemble(tuple(nodes.tolist()), tuple(weights.tolist()), results,
-                     template.phase, survey)
 
 
 # ---------------------------------------------------------------------------

@@ -221,18 +221,18 @@ def test_criterion_12_z_independence(zind_ens):
     assert scale > 0
     assert max(mags[1:]) <= 1e-12 * scale, f"gPC modes {mags}"
 
-    d1 = U.z_derivative(zind_ens, 1)
-    assert np.abs(d1.values).max() <= 1e-12 * scale
+    nodes, stack = np.asarray(zind_ens.nodes), zind_ens.field_stack()
+    d1 = H.collocation_derivative(nodes, stack, 1)
+    assert np.abs(d1).max() <= 1e-12 * scale
 
-    # manufactured linear dependence: both estimators recover the slope
-    # to machine precision
-    nodes, _ = U.gauss_legendre_nodes(5)
-    base = zind_ens.field_stack()[0]
-    stack = (1.0 + 0.3 * nodes)[:, None, None] * base[None]
-    lin = H.ensemble_with_fields(zind_ens, stack)
-    slope = U.z_derivative(lin, 1).values
+    # manufactured linear dependence: the interpolant and the differences
+    # on the five nodes nearest 0 recover the slope to machine precision
+    base = stack[0]
+    lin = (1.0 + 0.3 * nodes)[:, None, None] * base[None]
+    slope = H.collocation_derivative(nodes, lin, 1)
     assert np.abs(slope - 0.3 * base).max() <= 1e-12 * np.abs(base).max()
-    fd_slope = U.z_derivative_fd(lin, 1).values
+    near = np.sort(np.argsort(np.abs(nodes))[:5])
+    fd_slope = H.collocation_derivative(nodes[near], lin[near], 1)
     assert np.abs(fd_slope - 0.3 * base).max() <= 1e-12 * np.abs(base).max()
 
 
@@ -243,9 +243,20 @@ def test_criterion_12_z_independence(zind_ens):
 def test_criterion_13_z_derivative_stability(ens9, ens13):
     rep = U.check_theorem_bounds(ens9, refined=ens13)
     assert all(math.isfinite(n) for n in rep.norms)
+    # the interpolant's derivative against differences on the five nodes
+    # nearest 0, in the relative weighted norm
+    nodes, stack = np.asarray(ens9.nodes), ens9.field_stack()
+    near = np.sort(np.argsort(np.abs(nodes))[:5])
+    table, a = ens9.results[0].field, ens9.params.a
     for k in (1, 2):
-        assert rep.agreement[k] <= 1e-4, \
-            f"estimators disagree at k={k}: {rep.agreement[k]}"
+        full = H.collocation_derivative(nodes, stack, k)
+        fd = H.collocation_derivative(nodes[near], stack[near], k)
+        norm = F.weighted_norm(table.with_values(full), a).value
+        assert norm > rep.floors["base"][k]
+        agreement = F.weighted_norm(table.with_values(full - fd),
+                                    a).value / norm
+        assert agreement <= 1e-4, \
+            f"estimators disagree at k={k}: {agreement}"
         assert rep.drift[k] <= 0.05, \
             f"norm k={k} drifts {rep.drift[k]:.2%} under refinement"
 

@@ -1,15 +1,22 @@
 """End-to-end command-line behavior: exit codes, artifacts, determinism."""
 
+import contextlib
 import dataclasses
+import io
 import json
+import math
 import os
 import subprocess
 import sys
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vlandau import cli
 from vlandau.config import load_config
+from vlandau.fields import read_field_csv
 from vlandau.scattering import BoundCheck
 
 SMALL_GRIDS = """
@@ -236,6 +243,16 @@ def test_solve_nonzero_z(tmp_path):
     assert manifest["z"] == 0.5
 
 
+def test_solve_accepts_negative_z_in_exponent_form(tmp_path):
+    # argparse alone reads "-1e-05" as an option and exits 2
+    cfg = write_cfg(tmp_path, SMALL_GRIDS)
+    out = tmp_path / "z"
+    assert run_cli("solve", "--config", cfg, "--out", str(out),
+                   "--z", "-1e-05") == 0
+    manifest = json.loads((out / "solve_manifest.json").read_text())
+    assert manifest["z"] == -1e-05
+
+
 def test_solver_failure_exit_code(tmp_path, capsys):
     cfg = write_cfg(tmp_path, SMALL_GRIDS
                     + "solver {\n picard_tol 1e-30\n max_iter 1\n}\n")
@@ -252,6 +269,94 @@ def test_solve_homogeneous_profile_single_pass(tmp_path):
     assert run_cli("solve", "--config", cfg, "--out", str(out)) == 0
     manifest = json.loads((out / "solve_manifest.json").read_text())
     assert manifest["iterations"] == 1
+
+
+# ---------------------------------------------------------------------------
+# check and solve on sampled configurations
+# ---------------------------------------------------------------------------
+
+# relative offsets from a gate boundary: just inside, on it, just outside
+_NEAR = st.sampled_from([-1e-9, 0.0, 1e-9])
+
+
+@st.composite
+def _sampled_run(draw):
+    """A config on 16 x 33 x 40 grids and a z for solve: gate parameters
+    each either inside their range or within 1e-9 of its boundary, and a
+    profile of one to three modes (mode 0 always) of either kind."""
+
+    def scaled(bound, spread):
+        # bound (1 + eps) near the boundary, else bound / u inside it
+        if draw(st.booleans()):
+            return bound * (1.0 + draw(_NEAR))
+        return bound / draw(st.floats(1.0, spread))
+
+    a2 = scaled(1.0 / (160.0 * math.e), 10.0)                  # A4
+    a = 1.0 / scaled(1.0 / max(1.0, 15.0 * math.sqrt(a2)), 2.0)   # A1
+    c_e_max = min(a ** 4 * math.exp(3.0) / 1350.0, a * a / 8.0)  # A3, A5
+    a1 = scaled(c_e_max / (240.0 * a2 / a + 4.0), 10.0)
+    t0 = 1.0 / scaled(1.0 / max(8.0, math.log(8.0 * a1) / a), 1.5)  # A2
+    shape = draw(st.sampled_from(["sech", "gaussian"]))
+    rate = scaled(math.pi / (2.0 * a), 1.5)       # sech transform vs e^{-a w}
+    coeffs = st.lists(st.floats(-4e-5, 4e-5), min_size=1, max_size=3)
+    kinds = st.sampled_from(["poly", "trig"])
+    modes = [(0, draw(kinds), [draw(st.floats(-1e-5, 1.6e-4))]
+              + draw(coeffs)[1:])]
+    for k in draw(st.lists(st.integers(1, 8), unique=True, max_size=2)):
+        modes.append((k, draw(kinds), draw(coeffs)))
+    text = "\n".join(
+        ["params {", f"  a {a!r}", f"  a1 {a1!r}", f"  a2 {a2!r}",
+         f"  t0 {t0!r}", "}", "profile {", f"  shape {shape}",
+         f"  rate {rate!r}"]
+        + [f"  mode {{\n    k {k}\n    {kind} "
+           + " ".join(map(repr, cs)) + "\n  }" for k, kind, cs in modes]
+        + ["}", "grids {", "  nx 16", "  nv 33", "  nt 40",
+           f"  t_end {t0 + 16.0!r}", "}", ""])
+    return text, draw(st.floats(-1.0, 1.0))
+
+
+def _all_finite(node) -> bool:
+    if isinstance(node, dict):
+        return all(_all_finite(v) for v in node.values())
+    if isinstance(node, list):
+        return all(_all_finite(v) for v in node)
+    return not isinstance(node, float) or math.isfinite(node)
+
+
+def _passed_and_finite(report: dict) -> bool:
+    return report["passed"] is True and _all_finite(report) and all(
+        c["passed"] for c in report["checks"].values())
+
+
+@settings(max_examples=50, deadline=None)
+@given(run=_sampled_run())
+def test_check_and_solve_end_in_documented_codes(run):
+    # exit 0 means every check passed with finite values, and a config
+    # that check passes is one that solve starts on, at any z in [-1, 1]
+    text, z = run
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = os.path.join(tmp, "run.cfg")
+        with open(cfg, "w") as fh:
+            fh.write(text)
+        codes, errs = {}, {}
+        for cmd, extra in (("check", []), ("solve", ["--z", repr(z)])):
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(err):
+                codes[cmd] = run_cli(cmd, "--config", cfg, "--out",
+                                     os.path.join(tmp, cmd), *extra)
+            errs[cmd] = err.getvalue()
+        assert set(codes.values()) <= {0, 1, 2, 3}, (codes, errs)
+        if codes["check"] == 0:
+            with open(os.path.join(tmp, "check", "check_report.json")) as fh:
+                assert _passed_and_finite(json.load(fh))
+            assert codes["solve"] != 2 and "check failed" not in \
+                errs["solve"], errs["solve"]
+        if codes["solve"] == 0:
+            out = os.path.join(tmp, "solve")
+            with open(os.path.join(out, "solve_manifest.json")) as fh:
+                assert _passed_and_finite(json.load(fh))
+            read_field_csv(os.path.join(out, "field.csv"))   # finite cells
 
 
 # ---------------------------------------------------------------------------

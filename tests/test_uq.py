@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 from numpy.polynomial import legendre as npleg
 
 import helpers as H
-from helpers import ensemble_with_fields, make_spec, \
-    resolved_corollary_survey, small_grids
+from helpers import make_spec, resolved_corollary_survey, small_grids
+from vlandau import fields as F
 from vlandau import params as P
 from vlandau import scattering as S
 from vlandau import uq as U
@@ -128,51 +128,75 @@ def zind_small():
     return U.run_collocation(spec, params, tg, phase, n_z=5)
 
 
+def _max_abs(table):
+    return float(np.abs(table).max())
+
+
 def test_z_derivative_polynomial_exactness(zind_small):
     n = 7
     nodes, _ = U.gauss_legendre_nodes(n)
     g = np.random.default_rng(5).standard_normal(
         zind_small.results[0].field.values.shape)
     p = np.polynomial.Polynomial([0.3, -1.2, 0.0, 2.0])   # cubic
-    ens = ensemble_with_fields(zind_small, p(nodes)[:, None, None] * g[None])
+    _, norms, _ = U._z_survey(nodes, 3, (p(z) * g for z in nodes), _max_abs)
     for k in range(4):
-        want = (p.deriv(k)(0.0) if k else p(0.0)) * g
-        got = U.z_derivative(ens, k).values
-        assert np.allclose(got, want, atol=1e-11)
-    with pytest.raises(ValueError, match="nonnegative"):
-        U.z_derivative(ens, -1)
+        want = abs(p.deriv(k)(0.0) if k else p(0.0)) * _max_abs(g)
+        assert np.isclose(norms[k], want, atol=1e-11)
 
 
 def test_z_derivative_of_smooth_function(zind_small):
     nodes, _ = U.gauss_legendre_nodes(11)
     ones = np.ones(zind_small.results[0].field.values.shape)
-    ens = ensemble_with_fields(zind_small,
-                               np.exp(0.4 * nodes)[:, None, None] * ones)
-    d1 = float(U.z_derivative(ens, 1).values[0, 0])
-    assert d1 == pytest.approx(0.4, rel=1e-9)
-    d2 = float(U.z_derivative(ens, 2).values[0, 0])
-    assert d2 == pytest.approx(0.16, rel=1e-7)
+    _, norms, _ = U._z_survey(nodes, 2, (np.exp(0.4 * z) * ones
+                                         for z in nodes), _max_abs)
+    assert norms[1] == pytest.approx(0.4, rel=1e-9)
+    assert norms[2] == pytest.approx(0.16, rel=1e-7)
 
 
 @settings(max_examples=60, deadline=None)
 @given(n=st.integers(3, 13), data=st.data())
 def test_z_derivative_matches_polynomial_derivatives(zind_small, n, data):
     # the interpolant through n Gauss nodes reproduces a polynomial of
-    # degree < n, so each derivative at 0 is the polynomial's own
+    # degree < n, so each derivative at 0 is the polynomial's own; the
+    # survey stops at order n - 2 whatever K asks for
     coeff = st.floats(-10.0, 10.0, allow_subnormal=False)
     coeffs = data.draw(st.lists(coeff, min_size=1, max_size=n),
                        label="coefficients")
+    K = data.draw(st.integers(0, n + 2), label="K")
     p = np.polynomial.Polynomial(coeffs)
     nodes, _ = U.gauss_legendre_nodes(n)
     e0 = zind_small.results[0].field.values
     g = e0 / np.abs(e0).max()
-    ens = ensemble_with_fields(zind_small, p(nodes)[:, None, None] * g[None])
+    node_norms, norms, floors = U._z_survey(
+        nodes, K, (p(z) * g for z in nodes), _max_abs)
+    k_max = min(K, n - 2)
+    assert len(norms) == k_max + 1 and set(floors) == set(range(1, k_max + 1))
+    assert node_norms == tuple(np.abs(p(nodes)))
     scale = np.abs(p(nodes)).max()
-    for k in range(n - 1):
+    for k in range(k_max + 1):
         w = U.fd_weights(nodes, 0.0, k)[k]
-        got = U.z_derivative(ens, k).values
-        err = np.abs(got - p.deriv(k)(0.0) * g).max()
+        err = abs(norms[k] - abs(p.deriv(k)(0.0)))
         assert err <= 1e-12 * np.abs(w).sum() * scale, (n, k)
+        if k:
+            assert floors[k] == scale * U.roundoff_floor(w)
+
+
+@pytest.mark.parametrize("name", ["ens9", "ens13"])
+def test_theorem_norms_match_the_interpolant_oracle(request, name):
+    # the streamed survey against the oracle's weight row applied to the
+    # whole field stack at once
+    ens = request.getfixturevalue(name)
+    rep = U.check_theorem_bounds(ens)
+    table, a = ens.results[0].field, ens.params.a
+    stack = ens.field_stack()
+    assert len(rep.norms) == 3
+    for k, norm in enumerate(rep.norms):
+        want = F.weighted_norm(table.with_values(
+            H.collocation_derivative(ens.nodes, stack, k)), a).value
+        if k == 0:
+            assert norm == want
+        else:
+            assert abs(norm - want) <= rep.floors["base"][k], k
 
 
 def test_z_independent_ensemble_fields_identical(zind_small):
@@ -191,12 +215,14 @@ def test_z_independent_gpc_modes_vanish(zind_small):
 
 
 def test_z_independent_derivatives_vanish(zind_small):
-    scale = np.abs(zind_small.field_stack()[0]).max()
+    nodes, stack = np.asarray(zind_small.nodes), zind_small.field_stack()
+    scale = np.abs(stack[0]).max()
     for k in (1, 2, 3):
-        d = U.z_derivative(zind_small, k)
-        assert np.abs(d.values).max() <= 1e-12 * max(scale, 1e-30)
-    fd = U.z_derivative_fd(zind_small, 1)
-    assert np.abs(fd.values).max() <= 1e-10 * max(scale, 1e-30)
+        d = H.collocation_derivative(nodes, stack, k)
+        assert np.abs(d).max() <= 1e-12 * max(scale, 1e-30)
+    near = np.sort(np.argsort(np.abs(nodes))[:5])
+    fd = H.collocation_derivative(nodes[near], stack[near], 1)
+    assert np.abs(fd).max() <= 1e-10 * max(scale, 1e-30)
 
 
 def test_z_dependent_ensemble_linear_mode():
@@ -204,10 +230,11 @@ def test_z_dependent_ensemble_linear_mode():
     # first derivative must agree with the nearest-node estimate
     spec, params, tg, phase = _small_setup({0: 8e-5, 1: (1e-5, 3e-6)})
     ens = U.run_collocation(spec, params, tg, phase, n_z=7)
-    stack = ens.field_stack()
+    nodes, stack = np.asarray(ens.nodes), ens.field_stack()
     assert np.abs(stack[-1] - stack[0]).max() > 0
-    d_full = U.z_derivative(ens, 1).values
-    d_fd = U.z_derivative_fd(ens, 1).values
+    d_full = H.collocation_derivative(nodes, stack, 1)
+    near = np.sort(np.argsort(np.abs(nodes))[:5])
+    d_fd = H.collocation_derivative(nodes[near], stack[near], 1)
     scale = np.abs(d_full).max()
     assert scale > 0
     assert np.abs(d_full - d_fd).max() <= 1e-6 * scale
@@ -215,15 +242,16 @@ def test_z_dependent_ensemble_linear_mode():
 
 def test_z_derivative_order_limits(zind_small):
     # k = 0 is the plain value; it must match the reconstruction at z = 0
-    d0 = U.z_derivative(zind_small, 0)
+    nodes = zind_small.nodes
+    fields = [r.field.values for r in zind_small.results]
+    _, norms, floors = U._z_survey(nodes, 4, iter(fields), _max_abs)
     recon = U.gpc_coefficients(zind_small).reconstruct(0.0)
-    assert np.allclose(d0.values, recon, atol=1e-18)
-    with pytest.raises(ValueError, match="nonnegative"):
-        U.z_derivative(zind_small, -1)
-    with pytest.raises(ValueError, match="need at least k\\+2 nodes"):
-        U.z_derivative(zind_small, 4)
-    with pytest.raises(ValueError, match="1 <= k"):
-        U.z_derivative_fd(zind_small, 0)
+    assert np.isclose(norms[0], _max_abs(recon), atol=1e-18)
+    # order 4 needs 6 nodes: five stop at order n_z - 2 = 3
+    assert len(norms) == 4 and set(floors) == {1, 2, 3}
+    # a single node reaches no order at all (n_z - 2 = -1)
+    assert U._z_survey(nodes[:1], 2, iter(fields[:1]), _max_abs)[1:] \
+        == ((), {})
 
 
 def test_collocation_error_carries_node_context():
@@ -287,14 +315,9 @@ def test_theorem_report_z_independent(zind_small):
     assert len(rep.norms) == 3 and rep.norms[0] > 0
     assert rep.norms[1] <= 1e-12 * rep.norms[0]
     assert rep.norms[2] <= 1e-12 * rep.norms[0]
-    assert set(rep.agreement) == {1, 2}
-    # both derivative norms sit at roundoff, so refinement drift and
-    # estimator disagreement are measured against the roundoff floor and
-    # must come out negligible
+    # both derivative norms sit at roundoff, so refinement drift is
+    # measured against the roundoff floor and must come out negligible
     assert max(rep.drift.values()) <= rep.stability_tol
-    # estimator disagreement at roundoff stays within the floor scale
-    # instead of exploding into a meaningless O(1) ratio
-    assert max(rep.agreement.values()) <= 1.0
     assert rep.passed
     d = rep.as_dict()
     assert d["passed"] is True and len(d["norms"]) == 3
@@ -302,40 +325,45 @@ def test_theorem_report_z_independent(zind_small):
 
 def test_theorem_report_records_floors(zind_small):
     # the report carries the floor each k >= 1 norm was judged against,
-    # so a zero drift or a small agreement explains itself
+    # so a zero drift explains itself
     rep = U.check_theorem_bounds(zind_small)
-    assert set(rep.floors) == {"base", "fd"}
+    assert set(rep.floors) == {"base"}
     for k in (1, 2):
         assert 0.0 < rep.norms[k] <= rep.floors["base"][k]
-        assert rep.floors["fd"][k] > 0.0
     assert rep.floors["base"][2] > rep.floors["base"][1]
     d = rep.as_dict()
     assert d["floors"]["base"] == {"1": rep.floors["base"][1],
                                    "2": rep.floors["base"][2]}
-    assert set(d["floors"]["fd"]) == {"1", "2"}
 
 
 def test_roundoff_floor_bounds_node_identical_stacks(zind_small):
-    # node values that agree have exactly zero z-derivatives, so both
-    # estimates of them are pure roundoff and must stay within their
-    # floors, at every node count and order the reports can use
+    # node values that agree have exactly zero z-derivatives, so the
+    # survey's derivatives, the oracle's and the nearest-node differences
+    # are pure roundoff and must stay within their floors, at every node
+    # count and order the reports can use
     rng = np.random.default_rng(3)
     shape = zind_small.results[0].field.values.shape
     for n in range(3, 14):
         nodes, _ = U.gauss_legendre_nodes(n)
         ks = range(1, n - 1)
+        near = {k: np.sort(np.argsort(np.abs(nodes))[:max(5, k + 1)])
+                for k in ks}
         full_floor = {k: U.roundoff_floor(U.fd_weights(nodes, 0.0, k)[k])
                       for k in ks}
-        fd_floor = {k: U.roundoff_floor(U.fd_stencil(nodes, k)[1])
+        fd_floor = {k: U.roundoff_floor(U.fd_weights(nodes[near[k]], 0.0,
+                                                     k)[k])
                     for k in ks}
         for _ in range(4):
             base = rng.standard_normal(shape) * 10.0 ** rng.uniform(-30, 30)
-            ens = ensemble_with_fields(zind_small,
-                                       np.repeat(base[None], n, axis=0))
+            stack = np.repeat(base[None], n, axis=0)
             scale = np.abs(base).max()
+            _, norms, floors = U._z_survey(nodes, n, iter(stack), _max_abs)
             for k in ks:
-                full = U.z_derivative(ens, k).values
-                fd = U.z_derivative_fd(ens, k).values
+                full = H.collocation_derivative(nodes, stack, k)
+                fd = H.collocation_derivative(nodes[near[k]],
+                                              stack[near[k]], k)
+                assert floors[k] == full_floor[k] * scale, (n, k)
+                assert norms[k] <= floors[k], (n, k)
                 assert np.abs(full).max() <= full_floor[k] * scale, (n, k)
                 assert np.abs(fd).max() <= fd_floor[k] * scale, (n, k)
         for k in ks[:2]:
@@ -434,10 +462,11 @@ def test_reports_stop_at_order_K_1():
     refined = U.run_collocation(spec, params, tg, phase, n_z=5)
     thm = U.check_theorem_bounds(ens, refined=refined)
     cor = U.check_corollary(ens, refined=refined)
-    assert len(thm.norms) == 2 and set(thm.agreement) == {1}
+    assert len(thm.norms) == 2
     assert len(cor.derivative_norms) == len(cor.comparison_bounds) == 2
     assert set(thm.drift) == set(cor.drift) == {0, 1}
     assert set(cor.floors["base"]) == set(cor.floors["refined"]) == {1}
+    assert set(thm.floors["base"]) == set(thm.floors["refined"]) == {1}
     assert thm.passed and cor.passed
 
 
@@ -489,8 +518,8 @@ def test_node_manifest_records_velocity_grid(zdep_small):
 
 
 def test_report_verdicts_are_their_checks():
-    thm = U.TheoremReport(norms=(1.0, 0.5), agreement={},
-                          drift={0: 0.0, 1: 0.06})
+    thm = U.TheoremReport(norms=(1.0, 0.5), drift={0: 0.0, 1: 0.06},
+                          floors={})
     assert set(thm.checks) == {"z_deriv_0_drift", "z_deriv_1_drift"}
     failing = thm.checks["z_deriv_1_drift"]
     assert failing.bound == thm.stability_tol and not failing.passed
@@ -501,7 +530,7 @@ def test_report_verdicts_are_their_checks():
 
     cor = U.CorollaryReport(node_norms=(1.0, 2.0), node_ratios=(0.5, 1.5),
                             derivative_norms=(1.0,), comparison_bounds=(1.0,),
-                            drift={0: 0.01})
+                            drift={0: 0.01}, floors={})
     assert set(cor.checks) == {"residual_k0", "residual_deriv_0_drift"}
     k0 = cor.checks["residual_k0"]
     assert (k0.value, k0.bound, k0.passed) == (1.5, 1.0, False)
@@ -510,5 +539,5 @@ def test_report_verdicts_are_their_checks():
         is False
 
     # a non-finite norm fails the verdict even when every check passes
-    thm = U.TheoremReport(norms=(math.inf,), agreement={}, drift={})
+    thm = U.TheoremReport(norms=(math.inf,), drift={}, floors={})
     assert thm.checks == {} and not thm.passed
