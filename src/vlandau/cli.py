@@ -22,7 +22,8 @@ import sys
 from .config import ConfigError, RunConfig, load_config
 from .params import AdmissibilityError, check_assumptions
 from .profiles import HypothesisError, check_profile
-from .scattering import ConvergenceError, picard_solve, solver_preconditions
+from .scattering import FIELD_MAP_METHOD, ConvergenceError, picard_solve, \
+    solver_preconditions
 from .fields import write_field_csv
 from .uq import CollocationError, check_corollary, check_theorem_bounds, \
     gauss_legendre_nodes, gpc_coefficients, run_collocation, write_gpc_csv
@@ -164,13 +165,13 @@ def cmd_solve(cfg: RunConfig, args) -> int:
     result = picard_solve(spec, params, args.z, cfg.time_grid(),
                           cfg.phase_grid(), tol=cfg.picard_tol,
                           max_iter=cfg.max_iter, inner_tol=cfg.inner_tol,
-                          max_inner=cfg.max_inner, method=cfg.method)
+                          max_inner=cfg.max_inner)
 
     manifest = result.manifest()
     manifest["config_sha256"] = cfg.content_hash()
     manifest["artifacts"] = {"field": "field.csv"}
     write_field_csv(result.field, os.path.join(out, "field.csv"),
-                    metadata={"z": result.z, "method": result.method,
+                    metadata={"z": result.z, "method": FIELD_MAP_METHOD,
                               "config_sha256": cfg.content_hash()})
     _write_json(os.path.join(out, "solve_manifest.json"), manifest)
 
@@ -201,7 +202,7 @@ def cmd_uq(cfg: RunConfig, args) -> int:
         return run_collocation(spec, params, tgrid, phase, n_z=n_z,
                                tol=cfg.picard_tol, max_iter=cfg.max_iter,
                                inner_tol=cfg.inner_tol,
-                               max_inner=cfg.max_inner, method=cfg.method)
+                               max_inner=cfg.max_inner)
 
     ens = sweep(cfg.n_z)
     print(f"collocation sweep: {ens.n_nodes} nodes converged")

@@ -34,6 +34,7 @@ from dataclasses import dataclass, field, fields
 from .fields import PhaseGrid, TimeGrid, XGrid
 from .params import DampingParams, derive_constants
 from .profiles import Amplitude, Mode, ProfileSpec
+from .scattering import FIELD_MAP_METHOD
 
 _FLOAT_FMT = "%.17g"
 
@@ -195,7 +196,7 @@ class RunConfig:
     max_iter: int = _key("solver", 30)
     inner_tol: float = _key("solver", 1e-12)
     max_inner: int = _key("solver", 50)
-    method: str = _key("solver", "split")
+    method: str = _key("solver", FIELD_MAP_METHOD)   # the only value
     out_dir: str = _key("output", "out", key="dir")
 
     # -- derived builders ---------------------------------------------------
@@ -271,7 +272,7 @@ _CHECKS = (
     ("inner_tol", lambda c: c.inner_tol >= 0,
      "tolerances must be nonnegative"),
     ("max_inner", lambda c: c.max_inner >= 1, "iteration caps must be >= 1"),
-    ("method", lambda c: c.method in ("split", "direct"),
+    ("method", lambda c: c.method == FIELD_MAP_METHOD,
      "unknown field-map method '{}'"),
 )
 

@@ -1,30 +1,29 @@
 """Hot numerical kernels, vectorized with numpy over particles.
 
-Each kernel loops over time rows (or mode indices) and applies whole-array
-numpy operations across the particles.
-
-``eval_rows`` and ``corr_fourier`` take a tensor-grid FFT path when the
-labels are the solver's phase nodes, ``x = repeat(xs, nv)`` and
-``v = tile(vs, nx)`` with ``xs = (2 pi / nx) arange(nx)`` and nx equal to
-twice the top mode.  There ``e^{ik(x_i + v_j t_n + d)}`` factors into
-``e^{2 pi i k i / nx}``, a real FFT of length nx over i; the grid-only
-table ``e^{i k v_j t_n}`` (``phase_table``, which keeps the last table it
-built, so sweeps, Picard iterations, the variational solve and the z
-nodes of one grid share it); and ``e^{i k d}``, summed as its Taylor
-series in the small displacement d.  Each time row n gets the smallest
-order M whose remainder ``r^{M+1}/(M+1)!``, with
-``r = k_max max_p |d_{n,p}|``, is below 2^-53 relative (``taylor_order``;
-for ``corr_fourier`` relative to the leading term of ``e^{-ikd} - 1``).
-Rows are processed in blocks so that no complex temporary outgrows about
-1 MiB.  Other labels, and every row with r > 1 (or not finite), take the
-mode-by-mode recurrences below.  ``truncation_remainder`` reports the
-largest remainder the FFT path leaves, the solver's ``kernel_truncation``
-certificate.
-
-numpy's FFT is single-threaded, so the FFT path runs on one thread.  The
-threaded operations left are the BLAS products that reduce over
-particles in the ``corr_fourier`` recurrence and in ``direct_bmap``;
-``OPENBLAS_NUM_THREADS`` sets their thread count.
+``eval_rows`` and ``corr_fourier`` take the solver's phase nodes as labels,
+``x = repeat(xs, nv)`` and ``v = tile(vs, nx)`` with
+``xs = (2 pi / nx) arange(nx)`` and nx equal to twice the top mode; other
+labels raise ValueError.  On this tensor grid ``e^{ik(x_i + v_j t_n + d)}``
+factors into ``e^{2 pi i k i / nx}``, a real FFT of length nx over i; the
+grid-only table ``e^{i k v_j t_n}`` (``phase_table``, which keeps the last
+table it built, so sweeps, Picard iterations, the variational solve and
+the z nodes of one grid share it); and ``e^{i k d}``, summed as its Taylor
+series in the displacement d.  Time row n has the Taylor radius
+``r = k_max max_p |d_{n,p}|``.  A row with r > pi/2 is first reduced onto
+the grid: ``d = q h + s`` with grid step ``h = 2 pi / nx``, integer
+``q = rint(d / h)`` and ``|s| <= h/2``, so that ``k_max |s| <= pi/2``; the
+factor ``e^{i k q h}`` moves the particle's FFT index from i to i + q, and
+the series runs in s.  Each row gets the smallest order M whose remainder
+``r^{M+1}/(M+1)!`` is below 2^-53 relative (``taylor_order``; for
+``corr_fourier`` relative to the leading term of ``e^{-ikd} - 1``, whose
+series starts at order 1 so that its error stays proportional to the
+displacement, which matters because downstream norms weight late times by
+``e^{a t}``).  Rows are processed in blocks so that no complex temporary
+outgrows about 1 MiB.  A row that is not finite comes out NaN.
+``truncation_remainder`` reports the largest remainder the kernels leave
+(inf on a row that is not finite), the solver's ``kernel_truncation``
+certificate.  numpy's FFT is single-threaded, so these kernels run on one
+thread.
 
 Numerical conventions shared by several kernels:
 
@@ -32,12 +31,6 @@ Numerical conventions shared by several kernels:
   length nx//2 + 1 represents
   ``F(theta) = c[0] + sum_{0<k<nx/2} 2 (Re c[k] cos k theta - Im c[k] sin k theta)
   + Re c[nx/2] cos((nx/2) theta)``.
-* Off the FFT path, phase factors ``e^{-i k theta}`` are built by
-  rotation recurrences, and the small factor ``e^{-i k d} - 1`` by the
-  product recurrence ``r_{k+1} = r_k + r_k r_1 + r_1`` with ``r_1``
-  evaluated as ``(-2 sin^2(d/2), -sin d)``.  This keeps the error of the small factor
-  proportional to its size, which matters because downstream norms weight
-  late times by ``e^{a t}``.
 * Suffix integrals over [t_n, t_end] use composite-trapezoid recurrences
   that only ever add same-sign increments:
   ``A_n = A_{n+1} + dt (g_n + g_{n+1}) / 2`` and, for the first moment
@@ -62,25 +55,27 @@ import numpy as np
 
 
 # ---------------------------------------------------------------------------
-# tensor-grid FFT path: label detection, phase table, Taylor orders
+# tensor-grid FFT path: label check, phase table, Taylor orders
 # ---------------------------------------------------------------------------
 
 _TAYLOR_TOL = 2.0 ** -53
+_MAX_RADIUS = 0.5 * math.pi   # Taylor radius above which a row is reduced
 _BLOCK_BYTES = 1 << 20        # size of the largest complex temporary per block
 
 
 def taylor_order(r, lowest=0):
-    """Smallest Taylor order of e^{i theta}, |theta| <= r <= 1, and remainder.
+    """Smallest Taylor order of e^{i theta}, |theta| <= r, and remainder.
 
     Returns (M, rem).  The polynomial sum_{lowest <= m <= M} (i theta)^m / m!
     approximates e^{i theta} (lowest 0) or e^{i theta} - 1 (lowest 1) with
     error at most r^{M+1}/(M+1)!; rem = r^{M+1-lowest}/(M+1)! is that bound
     relative to r^lowest, the size of the leading retained term.  M is the
     smallest order with rem < 2^-53.  r = 0 gives (0, 0.0): the factor is
-    exactly 1 and the difference exactly 0.
+    exactly 1 and the difference exactly 0.  r <= pi/2, up to the
+    rounding of a reduced displacement dX - q h.
     """
-    if not 0.0 <= r <= 1.0:
-        raise ValueError(f"Taylor radius must lie in [0, 1], got {r!r}")
+    if not 0.0 <= r <= _MAX_RADIUS * (1.0 + 1e-9):
+        raise ValueError(f"Taylor radius must lie in [0, pi/2], got {r!r}")
     if r == 0.0:
         return 0, 0.0
     order = lowest
@@ -92,20 +87,19 @@ def taylor_order(r, lowest=0):
 
 
 def _grid_velocities(x, v, nk):
-    """Velocity nodes vs when the labels are the tensor grid
-    x = repeat(xs, nv), v = tile(vs, nx) with xs = (2 pi / nx) arange(nx)
-    and nx = 2 (nk - 1), as the solver builds them; None otherwise."""
+    """Velocity nodes vs of the tensor-grid labels x = repeat(xs, nv),
+    v = tile(vs, nx) with xs = (2 pi / nx) arange(nx) and nx = 2 (nk - 1),
+    as the solver builds them; ValueError for any other labels."""
     nx = 2 * (int(nk) - 1)
-    if nx < 2 or x.ndim != 1 or v.shape != x.shape or not x.shape[0] \
-            or x.shape[0] % nx:
-        return None
-    nv = x.shape[0] // nx
-    vs = v[:nv]
-    xs = (2.0 * math.pi / nx) * np.arange(nx)
-    if np.array_equal(x, np.repeat(xs, nv)) and \
-            np.array_equal(v, np.tile(vs, nx)):
-        return vs
-    return None
+    if nx >= 2 and x.ndim == 1 and v.shape == x.shape and x.shape[0] \
+            and not x.shape[0] % nx:
+        vs = v[:x.shape[0] // nx]
+        xs = (2.0 * math.pi / nx) * np.arange(nx)
+        if np.array_equal(x, np.repeat(xs, vs.shape[0])) and \
+                np.array_equal(v, np.tile(vs, nx)):
+            return vs
+    raise ValueError(f"kernel labels must be the tensor grid of {nx} "
+                     "positions times the velocity nodes")
 
 
 @functools.lru_cache(maxsize=1)
@@ -129,15 +123,35 @@ def phase_table(vs, times, nk):
 
 
 def _taylor_rows(dx_dev, kmax, lowest):
-    """Per-row Taylor orders (-1 where r = kmax max|dX_n| is not <= 1, so
-    the recurrence runs) and relative remainders (0 on those rows)."""
+    """(d, q, orders, rems, bad) for the rows of dx_dev.
+
+    Rows with radius r = kmax max|dX_n| > pi/2 are reduced onto the grid,
+    dX = q h + s with h = pi / kmax and q = rint(dX / h); d holds s on
+    them, 0 on the rows that are not finite (bad) and dX elsewhere; q
+    holds the shifts mod nx = 2 kmax, None when no row is reduced.  orders
+    and rems are each row's taylor_order of its radius in d, rem inf on bad
+    rows.
+    """
     r = kmax * np.maximum(dx_dev.max(axis=1), -dx_dev.min(axis=1))
-    orders = np.full(r.shape, -1)
-    rems = np.zeros(r.shape)
+    bad = ~np.isfinite(r)
+    r[bad] = 0.0
+    far = r > _MAX_RADIUS
+    d, q = dx_dev, None
+    if bad.any() or far.any():
+        d = np.where(bad[:, None], 0.0, dx_dev)
+    if far.any():
+        h = math.pi / kmax
+        shift = np.rint(d[far] / h)
+        d[far] -= shift * h
+        q = np.zeros(d.shape, dtype=np.intp)
+        q[far] = np.mod(shift, 2 * kmax)      # only i + q mod nx is used
+        r[far] = kmax * np.abs(d[far]).max(axis=1)
+    orders = np.empty(r.shape, dtype=int)
+    rems = np.empty(r.shape)
     for n, rn in enumerate(r):
-        if rn <= 1.0:
-            orders[n], rems[n] = taylor_order(float(rn), lowest)
-    return orders, rems
+        orders[n], rems[n] = taylor_order(float(rn), lowest)
+    rems[bad] = math.inf
+    return d, q, orders, rems, bad
 
 
 def _row_blocks(orders, block):
@@ -153,13 +167,16 @@ def _row_blocks(orders, block):
         n0 = n1
 
 
+def _shifted_index(q, nx, nv):
+    """(i + q) mod nx for a block of shifts q, shaped (rows, nx, nv)."""
+    return (np.arange(nx)[:, None] + q.reshape(-1, nx, nv)) % nx
+
+
 def truncation_remainder(x, v, dx_dev, nk):
     """Largest relative Taylor remainder that eval_rows and corr_fourier
-    leave on these inputs with nk modes; 0 on rows (or labels) where the
-    recurrence runs instead."""
-    if _grid_velocities(x, v, nk) is None:
-        return 0.0
-    return max(float(_taylor_rows(dx_dev, nk - 1, lowest)[1].max(initial=0.0))
+    leave on these inputs with nk modes; inf if a row is not finite."""
+    _grid_velocities(x, v, nk)
+    return max(float(_taylor_rows(dx_dev, nk - 1, lowest)[3].max(initial=0.0))
                for lowest in (0, 1))
 
 
@@ -171,55 +188,35 @@ def eval_rows(cre, cim, x, v, times, dx_dev):
     """Evaluate per-time mode rows at particle angles x + v t + dx_dev.
 
     cre/cim: (nt, nk) mode rows (see module docstring for the layout);
-    x, v: flat particle labels (P,); dx_dev: (nt, P) position deviations.
+    x, v: the tensor-grid labels (P,); dx_dev: (nt, P) position deviations.
     Returns (nt, P).
-    """
-    out = np.empty(dx_dev.shape)
-    nt, nk = cre.shape
-    half = nk - 1
-    rows = range(nt)
-    vs = _grid_velocities(x, v, nk)
-    if vs is not None:
-        rows = _eval_rows_fft(out, cre, cim, vs, times, dx_dev)
-    for n in rows:
-        theta = x + v * times[n] + dx_dev[n]
-        ure = np.cos(theta)
-        uim = np.sin(theta)
-        acc = np.full(theta.shape, cre[n, 0])
-        pre, pim = ure.copy(), uim.copy()
-        for k in range(1, half):
-            acc += 2.0 * (cre[n, k] * pre - cim[n, k] * pim)
-            pre, pim = pre * ure - pim * uim, pre * uim + pim * ure
-        acc += cre[n, half] * pre
-        out[n] = acc
-    return out
 
-
-def _eval_rows_fft(out, cre, cim, vs, times, dx_dev):
-    """Tensor-grid rows of eval_rows; returns the rows left to recurrence.
-
-    With theta = x_i + v_j t_n + d, each Taylor order m of e^{i k d} gives
+    With theta = x_i + v_j t_n + q h + s, Taylor order m of e^{i k s} gives
     F_m[n, i, j] = Re sum_k (i k)^m c_k e^{i k v_j t_n} e^{2 pi i k i / nx},
-    one inverse real FFT over k; the row is sum_m d^m / m! F_m (Horner).
+    one inverse real FFT over k, read at index i + q; the row is
+    sum_m s^m / m! F_m (Horner).
     """
-    nt, nk = cre.shape
+    nk = cre.shape[1]
+    vs = _grid_velocities(x, v, nk)
     nx, nv = 2 * (nk - 1), vs.shape[0]
+    out = np.empty(dx_dev.shape)
     c = cre + 1j * cim
     c[:, nk - 1] = cre[:, nk - 1]            # cosine-only Nyquist row
     ik = 1j * np.arange(nk)
     table = phase_table(vs, times, nk)
-    orders, _ = _taylor_rows(dx_dev, nk - 1, 0)
+    dx_red, q, orders, _, bad = _taylor_rows(dx_dev, nk - 1, 0)
     block = max(1, _BLOCK_BYTES // (16 * nk * nv))
     for n0, n1, order in _row_blocks(orders, block):
-        if order < 0:
-            continue
         acc = out[n0:n1].reshape(n1 - n0, nx, nv)
-        d = dx_dev[n0:n1].reshape(n1 - n0, nx, nv)
+        d = dx_red[n0:n1].reshape(n1 - n0, nx, nv)
         tab = table[n0:n1]
+        at = None if q is None else _shifted_index(q[n0:n1], nx, nv)
         for m in range(order, -1, -1):
             coef = c[n0:n1] * ik ** m
             f = np.fft.irfft(coef[:, :, None] * tab, n=nx, axis=1,
                              norm="forward")
+            if at is not None:
+                f = np.take_along_axis(f, at, axis=1)
             if m == order:
                 acc[...] = f
             else:
@@ -227,7 +224,8 @@ def _eval_rows_fft(out, cre, cim, vs, times, dx_dev):
                 if m:
                     acc *= 1.0 / (m + 1)
                 acc += f
-    return np.flatnonzero(orders < 0)
+    out[bad] = np.nan
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -306,92 +304,64 @@ def corr_fourier(wf, x, v, times, dx_dev, nk):
 
     i.e. the transported-density Fourier modes minus their free-streaming
     part, with the cancellation done analytically per particle.
+
+    With dX = q h + s on the tensor-grid labels, each Taylor order m >= 1
+    of e^{-i k s} contributes
+    ((-i k)^m / m!) sum_j e^{-i k v_j t_n} G_m[n, k, j], where G_m is the
+    real FFT over i of the weights wf s^m moved from index i to i + q.
+    Rows with shifts add order 0: the FFT of the moved weights minus the
+    unmoved ones, whose k = 0 term is set to its exact value 0.
     """
     nk = int(nk)
     nt = times.shape[0]
+    vs = _grid_velocities(x, v, nk)
+    nx, nv = 2 * (nk - 1), vs.shape[0]
     out_re = np.zeros((nt, nk))
     out_im = np.zeros((nt, nk))
-    inv2pi = 1.0 / (2.0 * math.pi)
-    rows = range(nt)
-    vs = _grid_velocities(x, v, nk)
-    if vs is not None:
-        rows = _corr_fourier_fft(out_re, out_im, wf, vs, times, dx_dev)
-    for n in rows:
-        psi = x + v * times[n]
-        ure, uim = np.cos(psi), np.sin(psi)
-        d = dx_dev[n]
-        halfs = np.sin(0.5 * d)
-        r1re = -2.0 * halfs * halfs
-        r1im = -np.sin(d)
-        pre = ure.copy()
-        pim = -uim.copy()                     # e^{-i psi}
-        rre = r1re.copy()
-        rim = r1im.copy()                     # e^{-i d} - 1
-        for k in range(1, nk):
-            # (e^{-i k psi}) (e^{-i k d} - 1), accumulated against weights
-            fre = pre * rre - pim * rim
-            fim = pre * rim + pim * rre
-            out_re[n, k] = inv2pi * float(np.dot(wf, fre))
-            out_im[n, k] = inv2pi * float(np.dot(wf, fim))
-            if k + 1 < nk:
-                pre, pim = (pre * ure + pim * uim,
-                            -pre * uim + pim * ure)
-                rre, rim = (rre + rre * r1re - rim * r1im + r1re,
-                            rim + rre * r1im + rim * r1re + r1im)
-    return out_re, out_im
-
-
-def _corr_fourier_fft(out_re, out_im, wf, vs, times, dx_dev):
-    """Tensor-grid rows of corr_fourier; returns the rows left to recurrence.
-
-    Each Taylor order m >= 1 of e^{-i k d} - 1 contributes
-    ((-i k)^m / m!) sum_j e^{-i k v_j t_n} G_m[n, k, j], where G_m is the
-    real FFT over i of wf d^m.
-    """
-    nt, nk = out_re.shape
-    nx, nv = 2 * (nk - 1), vs.shape[0]
     mik = -1j * np.arange(nk)
     wgrid = wf.reshape(nx, nv) / (2.0 * math.pi)
     table = phase_table(vs, times, nk)
-    orders, _ = _taylor_rows(dx_dev, nk - 1, 1)
+    dx_red, q, orders, _, bad = _taylor_rows(dx_dev, nk - 1, 1)
     block = max(1, _BLOCK_BYTES // (16 * nk * nv))
     for n0, n1, order in _row_blocks(orders, block):
-        if order < 1:
+        if order < 1 and q is None:
             continue
-        d = dx_dev[n0:n1].reshape(n1 - n0, nx, nv)
+        rows = n1 - n0
+        d = dx_red[n0:n1].reshape(rows, nx, nv)
         conj = table[n0:n1].conj()
+        acc = np.zeros((rows, nk), dtype=complex)
+        move = None
+        if q is not None:
+            # destination of each particle in the block's flat (rows, nx, nv)
+            dest = ((np.arange(rows)[:, None, None] * nx
+                     + _shifted_index(q[n0:n1], nx, nv)) * nv
+                    + np.arange(nv)).ravel()
+
+            def move(vals):
+                return np.bincount(dest, weights=vals.ravel(),
+                                   minlength=dest.size).reshape(d.shape)
+
+            wrow = np.broadcast_to(wgrid, d.shape)
+            g = np.fft.rfft(move(wrow) - wrow, axis=1)
+            g[:, 0] = 0.0           # moving the weights keeps their total
+            acc += np.einsum("nkj,nkj->nk", conj, g)
         wdm = wgrid * d
-        acc = np.zeros((n1 - n0, nk), dtype=complex)
         for m in range(1, order + 1):
             if m > 1:
                 wdm *= d
-            g = np.fft.rfft(wdm, axis=1)
+            g = np.fft.rfft(wdm if move is None else move(wdm), axis=1)
             acc += (mik ** m / math.factorial(m)) * np.einsum(
                 "nkj,nkj->nk", conj, g)
         out_re[n0:n1] = acc.real
         out_im[n0:n1] = acc.imag
-    return np.flatnonzero(orders < 0)
+    out_re[bad, 1:] = np.nan
+    out_im[bad, 1:] = np.nan
+    return out_re, out_im
 
 
 # ---------------------------------------------------------------------------
-# direct kernel summation and charge deposition
+# charge deposition
 # ---------------------------------------------------------------------------
-
-def direct_bmap(wf, pos, xs):
-    """Field by direct kernel summation: E(x_i,t_n) = sum_p wf_p B(x_i - X_p).
-
-    pos is (nt, P) absolute particle positions; xs the evaluation grid.
-    """
-    pos = np.ascontiguousarray(pos)
-    nt = pos.shape[0]
-    out = np.empty((nt, xs.shape[0]))
-    two_pi = 2.0 * math.pi
-    for n in range(nt):
-        diff = xs[:, None] - pos[n][None, :]
-        bvals = 0.5 - np.mod(diff, two_pi) / two_pi
-        out[n] = bvals @ wf
-    return out
-
 
 def cic_density(wf, pos, nx, dx):
     """Cloud-in-cell density on the x grid from weighted particles."""

@@ -21,17 +21,17 @@ the deviations decay like e^{-a t} and downstream norms weight them by
 e^{a t}, so representing them as differences of O(1) or O(t) quantities
 would drown the late-time signal in representation noise.
 
-For the same reason the default field-map evaluation is split: the
-free-streaming part of the transported density is summed analytically
-from the profile transforms, and only the correction
+For the same reason the field map is evaluated split (FIELD_MAP_METHOD,
+the only method): the free-streaming part of the transported density is
+summed analytically from the profile transforms, and only the correction
 
     (1/2pi) sum_p w_p f*_p e^{-ik(x_p + v_p t)} (e^{-ik dX_p(t)} - 1)
 
 is evaluated by quadrature, keeping the quadrature noise proportional
 to the (decaying) displacement.  The literal kernel summation
-sum_p w_p f*_p B(y - X_p) is available as method="direct"; it agrees
-with the split form to quadrature accuracy in the plain sup norm but
-carries a flat noise floor that exponentially weighted norms amplify.
+sum_p w_p f*_p B(y - X_p) agrees with it to quadrature accuracy in the
+plain sup norm but carries a flat noise floor that exponentially
+weighted norms amplify.
 """
 
 from __future__ import annotations
@@ -48,6 +48,8 @@ from .params import BoundCheck, DampingParams, require_admissible, \
     tail_integral, tail_integral_moment
 from .profiles import HypothesisError, ProfileSpec, eval_profile, \
     neutral_density, profile_fourier, require_hypotheses
+
+FIELD_MAP_METHOD = "split"     # recorded in the manifests and the config
 
 
 class ConvergenceError(RuntimeError):
@@ -366,22 +368,11 @@ def field_map_zero(spec: ProfileSpec, z: float, tgrid: TimeGrid,
 
 
 def _map_from_traj(traj: TrajectoryTable, spec: ProfileSpec, z: float,
-                   xgrid: XGrid, method: str) -> FieldTable:
+                   xgrid: XGrid) -> FieldTable:
     """Evaluate the field map given already-solved trajectories."""
     x, v, wf = _profile_weights(traj.phase, spec, z)
-    nt = len(traj.tgrid)
     times = traj.tgrid.times
-    dX = traj.dX.reshape(nt, -1)
-
-    if method == "direct":
-        pos = x[None, :] + v[None, :] * times[:, None] + dX
-        vals = kernels.direct_bmap(wf, pos, xgrid.points)
-        vals -= vals.mean(axis=1, keepdims=True)
-        return FieldTable(traj.tgrid, xgrid, vals)
-
-    if method != "split":
-        raise ValueError(f"unknown field-map method {method!r}")
-
+    dX = traj.dX.reshape(len(times), -1)
     nk = xgrid.n // 2 + 1
     corr_re, corr_im = kernels.corr_fourier(wf, x, v, times, dX, nk)
     vals = field_map_zero(spec, z, traj.tgrid, xgrid).values.copy()
@@ -411,7 +402,6 @@ class SolveResult:
     residual_norm: float
     checks: dict
     certificates: dict
-    method: str
     phase: PhaseGrid
     traj: TrajectoryTable | None = None
     var: VariationalTable | None = None
@@ -429,7 +419,7 @@ class SolveResult:
             "iterate_norms": list(self.iterate_norms),
             "contraction_ratios": list(self.contraction_ratios),
             "residual_norm": self.residual_norm,
-            "method": self.method,
+            "method": FIELD_MAP_METHOD,
             "grids": {
                 "t0": self.field.tgrid.t0, "t_end": self.field.tgrid.t_end,
                 "nt": len(self.field.tgrid), "nx": self.field.xgrid.n,
@@ -507,7 +497,7 @@ def solver_preconditions(spec: ProfileSpec, nx: int,
 def picard_solve(spec: ProfileSpec, params: DampingParams, z: float,
                  tgrid: TimeGrid, phase: PhaseGrid, tol: float = 1e-10,
                  max_iter: int = 30, inner_tol: float = 1e-12,
-                 max_inner: int = 50, method: str = "split",
+                 max_inner: int = 50, method: str = FIELD_MAP_METHOD,
                  keep_tables: bool = True) -> SolveResult:
     """Iterate the field map from E = 0 to its fixed point.
 
@@ -518,8 +508,11 @@ def picard_solve(spec: ProfileSpec, params: DampingParams, z: float,
     grid-resolution diagnosis.  After convergence one extra map
     application certifies the fixed-point residual, and the returned
     result carries the full set of inequality checks evaluated at the
-    converged field.
+    converged field.  method accepts only FIELD_MAP_METHOD; it remains for
+    callers that pass the config's method (perfbench/reference.py).
     """
+    if method != FIELD_MAP_METHOD:
+        raise ValueError(f"unknown field-map method {method!r}")
     if max_iter < 1:
         raise ValueError("max_iter must be at least 1")
     require_admissible(params)
@@ -546,7 +539,7 @@ def picard_solve(spec: ProfileSpec, params: DampingParams, z: float,
         traj = solve_characteristics(
             E, phase, a, tol=inner_tol, max_inner=max_inner,
             initial=None if traj is None else traj.dX)
-        E_next = _map_from_traj(traj, spec, z, xgrid, method)
+        E_next = _map_from_traj(traj, spec, z, xgrid)
         d = weighted_norm(E_next.with_values(E_next.values - E.values), a).value
         d_hist.append(d)
         if len(d_hist) >= 2 and d_hist[-2] > 0.0:
@@ -569,7 +562,7 @@ def picard_solve(spec: ProfileSpec, params: DampingParams, z: float,
     # certify the residual of the accepted iterate with one more map
     traj = solve_characteristics(E, phase, a, tol=inner_tol,
                                  max_inner=max_inner, initial=traj.dX)
-    E_map = _map_from_traj(traj, spec, z, xgrid, method)
+    E_map = _map_from_traj(traj, spec, z, xgrid)
     residual_norm = weighted_norm(
         E_map.with_values(E_map.values - E.values), a).value
 
@@ -597,6 +590,6 @@ def picard_solve(spec: ProfileSpec, params: DampingParams, z: float,
         field=E, params=params, z=z, converged=converged,
         iterations=iterations, iterate_norms=tuple(d_hist),
         contraction_ratios=tuple(ratios), residual_norm=residual_norm,
-        checks=checks, certificates=certificates, method=method, phase=phase,
+        checks=checks, certificates=certificates, phase=phase,
         traj=traj if keep_tables else None,
         var=var if keep_tables else None)

@@ -28,8 +28,8 @@ from numpy.polynomial import legendre as npleg
 from .fields import weighted_norm, weighted_sup
 from .params import DampingParams
 from .profiles import ProfileSpec, shifted_difference, sup_gradient
-from .scattering import BoundCheck, SolveResult, TimeGrid, PhaseGrid, \
-    TrajectoryTable, picard_solve
+from .scattering import FIELD_MAP_METHOD, BoundCheck, SolveResult, \
+    TimeGrid, PhaseGrid, TrajectoryTable, picard_solve
 # unused here, but perfbench/tracer.py rebinds it in this module by name
 from .scattering import solve_characteristics  # noqa: F401
 
@@ -150,7 +150,7 @@ def r_setup_signature(result: SolveResult) -> str:
         "nx": result.field.xgrid.n,
         "nv": result.phase.nv,
         "v_max": result.phase.v_max,
-        "method": result.method,
+        "method": FIELD_MAP_METHOD,
     }
     blob = json.dumps(ident, sort_keys=True).encode()
     return hashlib.sha256(blob).hexdigest()[:16]

@@ -1,8 +1,9 @@
 """Small construction utilities and test oracles shared across test
 modules.  The oracles are closed forms or literal evaluations that the
 library itself does not need: the force kernel, field tabulation, the
-tail-integral and product lemmas, one field-map application, the profile
-gradient and the interpolant's z-derivative."""
+tail-integral and product lemmas, one field-map application, the field
+map by direct kernel summation, the profile gradient and the
+interpolant's z-derivative."""
 
 import math
 from dataclasses import dataclass, field
@@ -12,7 +13,8 @@ import numpy as np
 from vlandau import fields
 from vlandau.params import tail_integral, tail_integral_moment
 from vlandau.profiles import Amplitude, Mode, ProfileSpec
-from vlandau.scattering import _map_from_traj, solve_characteristics
+from vlandau.scattering import _map_from_traj, _profile_weights, \
+    solve_characteristics
 from vlandau.uq import fd_weights
 
 
@@ -51,13 +53,27 @@ def kernel_B(x):
     return 0.5 - np.mod(x, 2.0 * np.pi) / (2.0 * np.pi)
 
 
-def apply_field_map(E, spec, z, phase, a=1.0, method="direct", traj=None):
+def apply_field_map(E, spec, z, phase, a=1.0, traj=None):
     """One application of the scattering field map to E, solving the
     characteristics with decay rate a unless traj is given (the map reads
     only the positions, which do not depend on a)."""
     if traj is None:
         traj = solve_characteristics(E, phase, a=a)
-    return _map_from_traj(traj, spec, z, E.xgrid, method)
+    return _map_from_traj(traj, spec, z, E.xgrid)
+
+
+def direct_field_map(E, spec, z, phase, a=1.0):
+    """The field map by literal kernel summation,
+    E(y_i, t_n) = sum_p w_p f*_p B(y_i - X_p(t_n)) minus its mean over i,
+    along the characteristics of E with decay rate a."""
+    traj = solve_characteristics(E, phase, a=a)
+    _, _, wf = _profile_weights(phase, spec, z)
+    pos = traj.X().reshape(len(traj.tgrid), -1)
+    ys = E.xgrid.points
+    vals = np.array([kernel_B(ys[:, None] - row[None, :]) @ wf
+                     for row in pos])
+    vals -= vals.mean(axis=1, keepdims=True)
+    return fields.FieldTable(traj.tgrid, E.xgrid, vals)
 
 
 def eval_profile_grad(spec, x, v, z=0.0):

@@ -96,15 +96,13 @@ def test_criterion_03_free_transport(ref_tgrid, ref_phase):
 def test_criterion_04_zero_field_image(ref_spec, ref_tgrid, ref_phase):
     E0 = F.zero_field(ref_tgrid, ref_phase.xgrid)
     series = S.field_map_zero(ref_spec, 0.0, ref_tgrid, ref_phase.xgrid)
-    direct = H.apply_field_map(E0, ref_spec, 0.0, ref_phase, a=A,
-                               method="direct")
+    direct = H.direct_field_map(E0, ref_spec, 0.0, ref_phase, a=A)
     err = np.abs(direct.values - series.values).max()
     assert err <= 1e-6, f"direct map deviates from the analytic image: {err}"
 
     envelope = 4 * A1 * np.exp(-A * ref_tgrid.times)[:, None]
     assert np.all(np.abs(series.values) <= envelope)
-    split = H.apply_field_map(E0, ref_spec, 0.0, ref_phase, a=A,
-                              method="split")
+    split = H.apply_field_map(E0, ref_spec, 0.0, ref_phase, a=A)
     assert np.all(np.abs(split.values) <= envelope)
 
 

@@ -179,6 +179,17 @@ def test_malformed_config_reports_line(tmp_path, capsys):
     assert "line 2" in err and "expects an integer" in err
 
 
+@pytest.mark.parametrize("command", ["check", "solve", "uq"])
+def test_method_direct_is_a_config_error(tmp_path, capsys, command):
+    # the split map is the only field-map method
+    cfg = write_cfg(tmp_path, "solver {\n method direct\n}\n")
+    out = tmp_path / "out"
+    assert run_cli(command, "--config", cfg, "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert "line 2" in err and "unknown field-map method 'direct'" in err
+    assert not out.exists()
+
+
 def test_missing_config_is_usage_error(tmp_path, capsys):
     code = run_cli("check", "--config", str(tmp_path / "nope.cfg"))
     err = capsys.readouterr().err

@@ -106,6 +106,7 @@ def _error(text):
     ("profile {\n mode {\n  k 1\n  poly 1\n }\n mode {\n  k 1\n  poly 2\n }"
      "\n}", "duplicate mode wavenumber", 6),
     ("solver {\n method magic\n}", "unknown field-map method", 2),
+    ("solver {\n method direct\n}", "unknown field-map method 'direct'", 2),
     ("params {\n a -1\n}", "must be positive", 2),
     ("grids {\n nx 48\n}", "power of two", 2),
     ("grids {\n nv 64\n}", "must be odd", 2),
@@ -183,7 +184,7 @@ _valid_config = st.builds(
     nt=st.integers(2, 10 ** 6), n_z=st.integers(1, 100),
     picard_tol=st.floats(0.0, 1.0), max_iter=st.integers(1, 10 ** 4),
     inner_tol=st.floats(0.0, 1.0), max_inner=st.integers(1, 10 ** 4),
-    method=st.sampled_from(["split", "direct"]),
+    method=st.sampled_from(["split"]),
     out_dir=st.text("abcxyz0123456789._-/", min_size=1, max_size=12),
 )
 

@@ -4,9 +4,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vlandau import kernels as K
-from helpers import kernel_B
+
 
 def _case(nt=24, npart=40, seed=0):
     rng = np.random.default_rng(seed)
@@ -22,21 +24,65 @@ def _case(nt=24, npart=40, seed=0):
     return times, x, v, dX, wf, cre, cim
 
 
+def _grid_case(nx, nv, row_scales, seed):
+    """Solver-style labels x = repeat(xs, nv), v = tile(vs, nx) on the
+    uniform 2 pi-periodic grid, with row n of dX scaled by row_scales[n]."""
+    rng = np.random.default_rng(seed)
+    nt = len(row_scales)
+    times = 8.0 + 0.25 * np.arange(nt)
+    xs = (2 * np.pi / nx) * np.arange(nx)
+    vs = np.linspace(-6.0, 6.0, nv)
+    x, v = np.repeat(xs, nv), np.tile(vs, nx)
+    dX = np.asarray(row_scales)[:, None] * rng.standard_normal((nt, nx * nv))
+    wf = rng.uniform(0.1, 1.0, nx * nv)
+    nk = nx // 2 + 1
+    cre = rng.standard_normal((nt, nk)) * 1e-4
+    cim = rng.standard_normal((nt, nk)) * 1e-4
+    return times, x, v, dX, wf, cre, cim
+
+
+def _eval_rows_sum(cre, cim, x, v, times, dX):
+    # layout: constant + 2 Re(c_k e^{ik theta}) + cosine-only Nyquist row
+    theta = x[None, :] + v[None, :] * times[:, None] + dX
+    c = cre + 1j * cim
+    half = cre.shape[1] - 1
+    out = np.full(theta.shape, cre[:, 0:1])
+    for k in range(1, half):
+        out = out + 2 * np.real(c[:, k:k + 1] * np.exp(1j * k * theta))
+    return out + cre[:, -1:] * np.cos(half * theta)
+
+
+def _corr_sum(wf, x, v, times, dX, nk):
+    k = np.arange(nk)[:, None]
+    out = np.empty((len(times), nk), dtype=complex)
+    for n in range(len(times)):
+        free = x + v * times[n]
+        out[n] = (np.exp(-1j * k * free) * np.expm1(-1j * k * dX[n])) @ wf
+    return out / (2 * np.pi)
+
+
+@pytest.fixture
+def table_calls(monkeypatch):
+    """Counts the phase-table requests, one per kernel call."""
+    calls = []
+    real = K.phase_table
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(K, "phase_table", spy)
+    return calls
+
+
 # ---------------------------------------------------------------------------
 # mode-row evaluation
 # ---------------------------------------------------------------------------
 
 def test_eval_rows_matches_explicit_sum():
-    # layout: constant + 2 Re(c_k e^{ik theta}) + cosine-only Nyquist row
-    times, x, v, dX, _, cre, cim = _case()
+    times, x, v, dX, _, cre, cim = _grid_case(16, 5, [1e-3] * 24, 0)
     got = K.eval_rows(cre, cim, x, v, times, dX)
-    theta = x[None, :] + v[None, :] * times[:, None] + dX
-    c = cre + 1j * cim
-    half = cre.shape[1] - 1
-    expect = np.full(theta.shape, cre[:, 0:1])
-    for k in range(1, half):
-        expect = expect + 2 * np.real(c[:, k:k + 1] * np.exp(1j * k * theta))
-    expect = expect + cre[:, -1:] * np.cos(half * theta)
+    expect = _eval_rows_sum(cre, cim, x, v, times, dX)
     assert np.allclose(got, expect, rtol=1e-12, atol=1e-16)
 
 
@@ -159,7 +205,7 @@ def test_suffix_weighted_trapezoid_weights_match_suffix_trapz():
 # ---------------------------------------------------------------------------
 
 def test_corr_fourier_matches_complex_sum():
-    times, x, v, dX, wf, _, _ = _case(nt=12, npart=30, seed=4)
+    times, x, v, dX, wf, _, _ = _grid_case(10, 3, [1e-3] * 12, 4)
     nk = 6
     re, im = K.corr_fourier(wf, x, v, times, dX, nk)
     two_pi = 2 * np.pi
@@ -173,55 +219,37 @@ def test_corr_fourier_matches_complex_sum():
     assert np.all(re[:, 0] == 0.0) and np.all(im[:, 0] == 0.0)
 
 
-def test_corr_fourier_matches_complex_sum_at_production_size():
-    # reference grids (P = 64 x 129 particles, nt = 176, nx = 64): well
-    # above numpy's pairwise-summation block, so the kernel's BLAS
-    # reduction and the oracle's sum agree to summation roundoff, on the
-    # scale eps * sum|wf|
-    times, x, v, dX, wf, _, _ = _case(nt=176, npart=64 * 129, seed=21)
-    nk = 64 // 2 + 1
+def test_corr_fourier_matches_complex_sum_at_production_size(table_calls):
+    # reference grids (nx = 64, nv = 129, nt = 176) with displacements
+    # decaying from 1e-3 to 2e-8 along the rows, so many Taylor orders and
+    # row blocks occur; the kernel and the oracle's sum agree to summation
+    # roundoff, on the scale eps * sum|wf|
+    nx, nv, nt = 64, 129, 176
+    times = 8.0 + 0.25 * np.arange(nt)
+    scales = 1e-3 * np.exp(-(times - 8.0) / 4.0)
+    times, x, v, dX, wf, _, _ = _grid_case(nx, nv, scales, 22)
+    nk = nx // 2 + 1
     re, im = K.corr_fourier(wf, x, v, times, dX, nk)
+    assert len(table_calls) == 1
+    expect = _corr_sum(wf, x, v, times, dX, nk)
     atol = 50 * np.finfo(float).eps * np.abs(wf).sum()
-    k = np.arange(nk)[:, None]
-    worst = 0.0
-    for n in range(len(times)):
-        free = x + v * times[n]
-        z = (np.exp(-1j * k * free) * np.expm1(-1j * k * dX[n])) @ wf
-        z /= 2 * np.pi
-        worst = max(worst, np.abs(re[n] - z.real).max(),
-                    np.abs(im[n] - z.imag).max())
-    assert worst <= atol
+    assert np.abs(re - expect.real).max() <= atol
+    assert np.abs(im - expect.imag).max() <= atol
 
 
 def test_corr_fourier_tiny_displacement_linearizes():
     # for |k dX| ~ 1e-14 the correction must follow -i k dX, not collapse
-    # into subtraction noise
-    times, x, v, _, wf, _, _ = _case(nt=6, npart=25, seed=6)
-    dX = np.full((6, 25), 1e-14)
+    # into subtraction noise, also when the displacements differ in size
+    # and sign from particle to particle
+    times, x, v, dX, wf, _, _ = _grid_case(6, 5, [1e-14] * 6, 6)
     re, im = K.corr_fourier(wf, x, v, times, dX, 4)
     two_pi = 2 * np.pi
     for n in range(6):
         for k in (1, 2, 3):
             z = (wf * np.exp(-1j * k * (x + v * times[n]))
-                 * (-1j * k * 1e-14)).sum() / two_pi
+                 * (-1j * k * dX[n])).sum() / two_pi
             assert re[n, k] == pytest.approx(z.real, rel=1e-6, abs=1e-30)
             assert im[n, k] == pytest.approx(z.imag, rel=1e-6, abs=1e-30)
-
-
-# ---------------------------------------------------------------------------
-# direct kernel summation
-# ---------------------------------------------------------------------------
-
-def test_direct_bmap_matches_explicit_sum():
-    times, x, v, dX, wf, _, _ = _case(nt=8, npart=20, seed=8)
-    pos = x[None, :] + v[None, :] * times[:, None] + dX
-    xs = (2 * np.pi / 16) * np.arange(16)
-    got = K.direct_bmap(wf, pos, xs)
-    expect = np.empty_like(got)
-    for n in range(8):
-        for i, y in enumerate(xs):
-            expect[n, i] = float((wf * kernel_B(y - pos[n])).sum())
-    assert np.allclose(got, expect, rtol=1e-13, atol=1e-15)
 
 
 # ---------------------------------------------------------------------------
@@ -289,65 +317,13 @@ def test_cic_density_pert_same_cell_transfer():
 
 
 # ---------------------------------------------------------------------------
-# tensor-grid FFT path and its recurrence fallback
+# tensor-grid FFT path and its range reduction
 # ---------------------------------------------------------------------------
-
-def _grid_case(nx, nv, row_scales, seed):
-    """Solver-style labels x = repeat(xs, nv), v = tile(vs, nx) on the
-    uniform 2 pi-periodic grid, with row n of dX scaled by row_scales[n]."""
-    rng = np.random.default_rng(seed)
-    nt = len(row_scales)
-    times = 8.0 + 0.25 * np.arange(nt)
-    xs = (2 * np.pi / nx) * np.arange(nx)
-    vs = np.linspace(-6.0, 6.0, nv)
-    x, v = np.repeat(xs, nv), np.tile(vs, nx)
-    dX = np.asarray(row_scales)[:, None] * rng.standard_normal((nt, nx * nv))
-    wf = rng.uniform(0.1, 1.0, nx * nv)
-    nk = nx // 2 + 1
-    cre = rng.standard_normal((nt, nk)) * 1e-4
-    cim = rng.standard_normal((nt, nk)) * 1e-4
-    return times, x, v, dX, wf, cre, cim
-
-
-def _eval_rows_sum(cre, cim, x, v, times, dX):
-    # the explicit mode sum of test_eval_rows_matches_explicit_sum
-    theta = x[None, :] + v[None, :] * times[:, None] + dX
-    c = cre + 1j * cim
-    half = cre.shape[1] - 1
-    out = np.full(theta.shape, cre[:, 0:1])
-    for k in range(1, half):
-        out = out + 2 * np.real(c[:, k:k + 1] * np.exp(1j * k * theta))
-    return out + cre[:, -1:] * np.cos(half * theta)
-
-
-def _corr_sum(wf, x, v, times, dX, nk):
-    k = np.arange(nk)[:, None]
-    out = np.empty((len(times), nk), dtype=complex)
-    for n in range(len(times)):
-        free = x + v * times[n]
-        out[n] = (np.exp(-1j * k * free) * np.expm1(-1j * k * dX[n])) @ wf
-    return out / (2 * np.pi)
-
-
-@pytest.fixture
-def table_calls(monkeypatch):
-    """Counts the phase-table requests, i.e. the kernel calls that take the
-    tensor-grid FFT path."""
-    calls = []
-    real = K.phase_table
-
-    def spy(*args):
-        calls.append(args)
-        return real(*args)
-
-    monkeypatch.setattr(K, "phase_table", spy)
-    return calls
-
 
 def test_taylor_order_is_smallest_certified_order():
     assert K.taylor_order(0.0) == (0, 0.0)
     assert K.taylor_order(0.0, lowest=1) == (0, 0.0)
-    for r in (1e-30, 1e-14, 9.3e-7, 1e-3, 0.3, 1.0):
+    for r in (1e-30, 1e-14, 9.3e-7, 1e-3, 0.3, 1.0, 1.5, math.pi / 2):
         for lowest in (0, 1):
             order, rem = K.taylor_order(r, lowest)
             assert order >= lowest
@@ -360,26 +336,24 @@ def test_taylor_order_is_smallest_certified_order():
     # for e^{-ikd} - 1
     assert K.taylor_order(9.3e-7)[0] == 2
     assert K.taylor_order(9.3e-7, lowest=1)[0] == 3
-    for bad in (1.5, -1e-3, math.nan):
+    for bad in (1.6, -1e-3, math.nan):
         with pytest.raises(ValueError):
             K.taylor_order(bad)
 
 
-def test_fft_path_matches_mpmath_sums(table_calls):
-    # 30-digit oracle for both kernels on a small tensor grid; the rows
-    # cover no displacement, two Taylor orders and a larger radius
+def _assert_matches_mpmath(times, x, v, dX, wf, cre, cim):
+    """Both kernels against 30-digit sums: eval_rows within 1e-13 of the
+    row's coefficient scale, corr_fourier within 1e-13 of
+    (1/2pi) sum_p wf_p |e^{-ik dX_p} - 1|, so that rows without
+    displacement must be exact; corr_fourier's k = 0 column is exactly 0."""
     import mpmath
     mp = mpmath.mp
     mp.dps = 30
-    nx, nv = 8, 5
-    times, x, v, dX, wf, cre, cim = _grid_case(nx, nv,
-                                               [0.0, 1e-9, 1e-5, 2e-2], 31)
-    nk = nx // 2 + 1
+    nk = cre.shape[1]
     half = nk - 1
     rows = K.eval_rows(cre, cim, x, v, times, dX)
     re, im = K.corr_fourier(wf, x, v, times, dX, nk)
-    assert len(table_calls) == 2
-    assert 0.0 < K.truncation_remainder(x, v, dX, nk) < 2.0 ** -53
+    assert np.all(re[:, 0] == 0.0) and np.all(im[:, 0] == 0.0)
     for n in range(len(times)):
         scale = abs(cre[n, 0]) + abs(cre[n, half]) + 2 * sum(
             math.hypot(cre[n, k], cim[n, k]) for k in range(1, half))
@@ -392,7 +366,7 @@ def test_fft_path_matches_mpmath_sums(table_calls):
                 exact += 2 * mp.re(mp.mpc(cre[n, k], cim[n, k])
                                    * mp.expj(k * theta))
             assert abs(rows[n, p] - float(exact)) <= 1e-13 * scale
-        for k in range(nk):
+        for k in range(1, nk):
             exact = mp.mpc(0)
             size = mp.mpf(0)
             for p in range(x.shape[0]):
@@ -402,27 +376,50 @@ def test_fft_path_matches_mpmath_sums(table_calls):
                 size += mp.mpf(wf[p]) * abs(diff)
             exact /= 2 * mp.pi
             size /= 2 * mp.pi
-            # the error scales with the displacement: 0 rows are exact
             assert abs(re[n, k] - float(mp.re(exact))) <= 1e-13 * float(size)
             assert abs(im[n, k] - float(mp.im(exact))) <= 1e-13 * float(size)
 
 
-def test_fft_path_corr_fourier_matches_complex_sum_at_production_size(
-        table_calls):
-    # reference grids (nx = 64, nv = 129, nt = 176) with displacements
-    # decaying from 1e-3 to 2e-8 along the rows, so many Taylor orders
-    # and row blocks occur; same tolerance as the recurrence test above
-    nx, nv, nt = 64, 129, 176
-    times = 8.0 + 0.25 * np.arange(nt)
-    scales = 1e-3 * np.exp(-(times - 8.0) / 4.0)
-    times, x, v, dX, wf, _, _ = _grid_case(nx, nv, scales, 22)
-    nk = nx // 2 + 1
-    re, im = K.corr_fourier(wf, x, v, times, dX, nk)
-    assert len(table_calls) == 1
-    expect = _corr_sum(wf, x, v, times, dX, nk)
-    atol = 50 * np.finfo(float).eps * np.abs(wf).sum()
-    assert np.abs(re - expect.real).max() <= atol
-    assert np.abs(im - expect.imag).max() <= atol
+def test_fft_path_matches_mpmath_sums(table_calls):
+    # 30-digit oracle for both kernels on a small tensor grid (grid step
+    # pi/4); the rows cover no displacement, two Taylor orders, a larger
+    # radius, rows reduced by up to about three grid steps and a row of
+    # whole grid steps
+    nx, nv = 8, 5
+    times, x, v, dX, wf, cre, cim = _grid_case(
+        nx, nv, [0.0, 1e-9, 1e-5, 2e-2, 0.4, 1.0, 0.0], 31)
+    step = 2 * np.pi / nx
+    dX[-1] = step * np.random.default_rng(32).integers(-3, 4, nx * nv)
+    assert np.abs(dX[5]).max() > 2 * step
+    _assert_matches_mpmath(times, x, v, dX, wf, cre, cim)
+    assert len(table_calls) == 2
+    assert 0.0 < K.truncation_remainder(x, v, dX, nx // 2 + 1) < 2.0 ** -53
+
+
+@st.composite
+def _grid_rows(draw):
+    """(nx, nv, row scales, seed): each row scale is 0 or log-uniform from
+    1e-14 to three grid steps."""
+    nx = draw(st.sampled_from([4, 8, 16]))
+    nv = draw(st.sampled_from([1, 3, 5]))
+    top = math.log10(3 * 2 * np.pi / nx)
+    scale = st.floats(-14.0, top).map(lambda e: 10.0 ** e)
+    scales = draw(st.lists(st.just(0.0) | scale, min_size=1, max_size=3))
+    return nx, nv, scales, draw(st.integers(0, 2 ** 32 - 1))
+
+
+@settings(max_examples=25, deadline=None)
+@given(_grid_rows())
+def test_kernels_match_mpmath_sums_on_random_grids(case):
+    # each row displaces its particles uniformly by up to its scale, of
+    # either sign
+    nx, nv, scales, seed = case
+    times, x, v, _, wf, cre, cim = _grid_case(nx, nv, scales, seed)
+    u = np.random.default_rng(seed).uniform(-1.0, 1.0,
+                                            (len(scales), nx * nv))
+    dX = np.asarray(scales)[:, None] * u
+    _assert_matches_mpmath(times, x, v, dX, wf, cre, cim)
+    assert K.truncation_remainder(x, v, dX, nx // 2 + 1) < 2.0 ** -53
 
 
 def test_fft_path_corr_fourier_tiny_displacement_linearizes(table_calls):
@@ -441,15 +438,16 @@ def test_fft_path_corr_fourier_tiny_displacement_linearizes(table_calls):
             assert im[n, k] == pytest.approx(z.imag, rel=1e-6, abs=1e-30)
 
 
-def test_rows_beyond_taylor_radius_fall_back(table_calls):
-    # rows 0 and 2 have k_max |dX_n| > 1 and take the recurrence, rows 1
-    # and 3 the FFT path; every row must match the explicit sums
+def test_rows_beyond_taylor_radius_are_reduced_onto_the_grid(table_calls):
+    # rows 0 and 2 have k_max |dX_n| > pi/2 and are reduced onto the grid,
+    # rows 1 and 3 are not; every row must match the explicit sums, and the
+    # reduced rows' remainders stay certified
     nx, nv = 16, 9
     times, x, v, dX, wf, cre, cim = _grid_case(nx, nv,
                                                [0.5, 1e-4, 2.0, 1e-8], 12)
     nk = nx // 2 + 1
     r = (nk - 1) * np.abs(dX).max(axis=1)
-    assert r[0] > 1 and r[2] > 1 and r[1] < 1 and r[3] < 1
+    assert r[0] > np.pi / 2 and r[2] > 2 * np.pi and r[1] < 1 and r[3] < 1
     rows = K.eval_rows(cre, cim, x, v, times, dX)
     assert np.allclose(rows, _eval_rows_sum(cre, cim, x, v, times, dX),
                        rtol=1e-12, atol=1e-16)
@@ -459,11 +457,34 @@ def test_rows_beyond_taylor_radius_fall_back(table_calls):
     assert np.abs(re - expect.real).max() <= atol
     assert np.abs(im - expect.imag).max() <= atol
     assert len(table_calls) == 2
-    assert K.truncation_remainder(x, v, dX, nk) > 0.0
+    assert 0.0 < K.truncation_remainder(x, v, dX, nk) < 2.0 ** -53
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_non_finite_rows_come_out_nan(value):
+    # a row with a non-finite displacement is NaN in eval_rows and in
+    # corr_fourier's columns k >= 1, its k = 0 column stays exactly 0, the
+    # other rows are unchanged, nothing warns, and the remainder is inf
+    nx, nv = 8, 3
+    times, x, v, dX, wf, cre, cim = _grid_case(nx, nv, [1e-3, 1e-3, 0.5], 16)
+    nk = nx // 2 + 1
+    clean_rows = K.eval_rows(cre, cim, x, v, times, dX)
+    clean_re, clean_im = K.corr_fourier(wf, x, v, times, dX, nk)
+    dX[1, 4] = value
+    rows = K.eval_rows(cre, cim, x, v, times, dX)
+    re, im = K.corr_fourier(wf, x, v, times, dX, nk)
+    assert np.isnan(rows[1]).all()
+    assert np.isnan(re[1, 1:]).all() and np.isnan(im[1, 1:]).all()
+    assert re[1, 0] == 0.0 and im[1, 0] == 0.0
+    kept = [0, 2]
+    assert np.array_equal(rows[kept], clean_rows[kept])
+    assert np.array_equal(re[kept], clean_re[kept])
+    assert np.array_equal(im[kept], clean_im[kept])
+    assert K.truncation_remainder(x, v, dX, nk) == math.inf
 
 
 @pytest.mark.parametrize("labels", ["permuted", "nonuniform"])
-def test_non_grid_labels_take_the_recurrence(monkeypatch, labels):
+def test_non_grid_labels_are_rejected(labels):
     nx, nv = 16, 9
     times, x, v, dX, wf, cre, cim = _grid_case(nx, nv, [1e-3] * 5, 14)
     if labels == "permuted":
@@ -474,17 +495,9 @@ def test_non_grid_labels_take_the_recurrence(monkeypatch, labels):
         xs[5] += 1e-3
         x = np.repeat(xs, nv)
     nk = nx // 2 + 1
-    assert K.truncation_remainder(x, v, dX, nk) == 0.0
-
-    def no_table(*args):
-        raise AssertionError("the FFT path ran on non-grid labels")
-
-    monkeypatch.setattr(K, "phase_table", no_table)
-    rows = K.eval_rows(cre, cim, x, v, times, dX)
-    assert np.allclose(rows, _eval_rows_sum(cre, cim, x, v, times, dX),
-                       rtol=1e-12, atol=1e-16)
-    re, im = K.corr_fourier(wf, x, v, times, dX, nk)
-    expect = _corr_sum(wf, x, v, times, dX, nk)
-    atol = 50 * np.finfo(float).eps * np.abs(wf).sum()
-    assert np.abs(re - expect.real).max() <= atol
-    assert np.abs(im - expect.imag).max() <= atol
+    with pytest.raises(ValueError, match="tensor grid"):
+        K.eval_rows(cre, cim, x, v, times, dX)
+    with pytest.raises(ValueError, match="tensor grid"):
+        K.corr_fourier(wf, x, v, times, dX, nk)
+    with pytest.raises(ValueError, match="tensor grid"):
+        K.truncation_remainder(x, v, dX, nk)

@@ -203,8 +203,7 @@ def test_field_map_zero_mode_zero_only_vanishes():
 def test_split_map_at_zero_field_equals_series(ref_spec, ref_tgrid,
                                                ref_phase):
     E = F.zero_field(ref_tgrid, ref_phase.xgrid)
-    out = H.apply_field_map(E, ref_spec, 0.0, ref_phase, a=1.0,
-                            method="split")
+    out = H.apply_field_map(E, ref_spec, 0.0, ref_phase, a=1.0)
     series = S.field_map_zero(ref_spec, 0.0, ref_tgrid, ref_phase.xgrid)
     # free flight leaves no displacement, so the spectral correction is 0
     assert np.array_equal(out.values, series.values)
@@ -214,27 +213,19 @@ def test_homogeneous_profile_map_vanishes():
     spec = make_spec({0: 1e-4})
     tg, phase = small_grids()
     E = F.zero_field(tg, phase.xgrid)
-    split = H.apply_field_map(E, spec, 0.0, phase, a=1.0, method="split")
+    split = H.apply_field_map(E, spec, 0.0, phase, a=1.0)
     assert np.abs(split.values).max() == 0.0
-    direct = H.apply_field_map(E, spec, 0.0, phase, a=1.0, method="direct")
+    direct = H.direct_field_map(E, spec, 0.0, phase, a=1.0)
     # uniformly loaded cells: kernel summation cancels to roundoff
     assert np.abs(direct.values).max() <= 1e-15
-
-
-def test_apply_field_map_rejects_unknown_method(ref_spec):
-    tg, phase = small_grids()
-    E = F.zero_field(tg, phase.xgrid)
-    with pytest.raises(ValueError, match="unknown field-map method"):
-        H.apply_field_map(E, ref_spec, 0.0, phase, method="fft")
 
 
 def test_apply_field_map_accepts_precomputed_trajectories(ref_spec):
     tg, phase = small_grids()
     E = F.zero_field(tg, phase.xgrid)
     traj = S.solve_characteristics(E, phase, a=1.0)
-    out1 = H.apply_field_map(E, ref_spec, 0.0, phase, traj=traj,
-                             method="split")
-    out2 = H.apply_field_map(E, ref_spec, 0.0, phase, method="split")
+    out1 = H.apply_field_map(E, ref_spec, 0.0, phase, traj=traj)
+    out2 = H.apply_field_map(E, ref_spec, 0.0, phase)
     assert np.array_equal(out1.values, out2.values)
 
 
@@ -294,7 +285,7 @@ def test_small_solve_converges(small_solve):
     assert r.residual_norm <= 1e-10
     assert r.iterate_norms[0] > 0
     assert all(c <= 0.25 for c in r.contraction_ratios)
-    assert r.method == "split"
+    assert r.manifest()["method"] == "split"
 
 
 def test_small_solve_checks_and_certificates(small_solve):
@@ -355,6 +346,16 @@ def test_picard_iteration_limit_raises():
         S.picard_solve(spec, params, 0.0, tg, phase, tol=1e-30, max_iter=2)
     with pytest.raises(ValueError):
         S.picard_solve(spec, params, 0.0, tg, phase, max_iter=0)
+
+
+def test_picard_solve_rejects_unknown_method():
+    # the split map is the only field-map method
+    spec = make_spec({0: 8e-5, 1: 1e-5})
+    params = P.derive_constants(1.0, 0.002, 0.002, 2, t0=8.0)
+    tg, phase = small_grids()
+    for method in ("direct", "fft"):
+        with pytest.raises(ValueError, match="unknown field-map method"):
+            S.picard_solve(spec, params, 0.0, tg, phase, method=method)
 
 
 def test_picard_gates():
