@@ -220,14 +220,12 @@ def test_corr_fourier_matches_complex_sum():
 
 
 def test_corr_fourier_matches_complex_sum_at_production_size(table_calls):
-    # reference grids (nx = 64, nv = 129, nt = 176) with displacements
-    # decaying from 1e-3 to 2e-8 along the rows, so many Taylor orders and
-    # row blocks occur; the kernel and the oracle's sum agree to summation
-    # roundoff, on the scale eps * sum|wf|
+    # reference grids (P = 64 x 129 particles, nt = 176, nx = 64): well
+    # above numpy's pairwise-summation block, so the kernel's BLAS
+    # reduction and the oracle's sum agree to summation roundoff, on the
+    # scale eps * sum|wf|
     nx, nv, nt = 64, 129, 176
-    times = 8.0 + 0.25 * np.arange(nt)
-    scales = 1e-3 * np.exp(-(times - 8.0) / 4.0)
-    times, x, v, dX, wf, _, _ = _grid_case(nx, nv, scales, 22)
+    times, x, v, dX, wf, _, _ = _grid_case(nx, nv, [1e-3] * nt, 21)
     nk = nx // 2 + 1
     re, im = K.corr_fourier(wf, x, v, times, dX, nk)
     assert len(table_calls) == 1
@@ -420,6 +418,24 @@ def test_kernels_match_mpmath_sums_on_random_grids(case):
     dX = np.asarray(scales)[:, None] * u
     _assert_matches_mpmath(times, x, v, dX, wf, cre, cim)
     assert K.truncation_remainder(x, v, dX, nx // 2 + 1) < 2.0 ** -53
+
+
+def test_fft_path_corr_fourier_matches_complex_sum_at_production_size(
+        table_calls):
+    # reference grids (nx = 64, nv = 129, nt = 176) with displacements
+    # decaying from 1e-3 to 2e-8 along the rows, so many Taylor orders
+    # and row blocks occur; same tolerance as the uniform-scale test
+    nx, nv, nt = 64, 129, 176
+    times = 8.0 + 0.25 * np.arange(nt)
+    scales = 1e-3 * np.exp(-(times - 8.0) / 4.0)
+    times, x, v, dX, wf, _, _ = _grid_case(nx, nv, scales, 22)
+    nk = nx // 2 + 1
+    re, im = K.corr_fourier(wf, x, v, times, dX, nk)
+    assert len(table_calls) == 1
+    expect = _corr_sum(wf, x, v, times, dX, nk)
+    atol = 50 * np.finfo(float).eps * np.abs(wf).sum()
+    assert np.abs(re - expect.real).max() <= atol
+    assert np.abs(im - expect.imag).max() <= atol
 
 
 def test_fft_path_corr_fourier_tiny_displacement_linearizes(table_calls):
