@@ -36,6 +36,8 @@ Numerical conventions shared by several kernels:
   ``A_n = A_{n+1} + dt (g_n + g_{n+1}) / 2`` and, for the first moment
   ``I_n = int (s - t_n) g ds``, ``I_n = I_{n+1} + dt A_{n+1} + dt^2 g_{n+1} / 2``
   (an exact identity for the composite rule, not an extra approximation).
+  ``suffix_volterra`` runs the same recurrence with ``g_n`` replaced by
+  ``g_n (c_n + I_n)``, which the step computes before it needs it.
 * ``suffix_weighted`` generalizes the plain suffix rule to arbitrary
   two-point cell weights ``A_n = A_{n+1} + alpha g_n + beta g_{n+1}``.
   With ``alpha = (a dt - 1 + e^{-a dt})/(a^2 dt)`` and
@@ -232,6 +234,7 @@ def eval_rows(cre, cim, x, v, times, dx_dev):
 # suffix trapezoid integrals
 # ---------------------------------------------------------------------------
 
+# unused in the package, but perfbench/tracer.py lists it in TRACED by name
 def suffix_trapz(g, dt):
     """A[n] = trapezoid of g over [t_n, t_end]; g is (nt, P)."""
     g = np.ascontiguousarray(g)
@@ -255,6 +258,28 @@ def suffix_trapz_moment(g, dt):
     for n in range(g.shape[0] - 2, -1, -1):
         mom[n] = mom[n + 1] + dt * acc[n + 1] + (0.5 * dt * dt) * g[n + 1]
         acc[n] = acc[n + 1] + (0.5 * dt) * (g[n] + g[n + 1])
+    return acc, mom
+
+
+def suffix_volterra(g, c, dt):
+    """(A, I) solving I = suffix_trapz_moment(g (c + I))[1], with A the
+    plain suffix integral of the same integrand; c broadcasts to g.
+
+    The moment weight (s - t_n) vanishes at s = t_n, so this linear Volterra
+    system is strictly triangular, and one backward pass in the operation
+    order of suffix_trapz_moment solves it exactly (bitwise a fixed point).
+    """
+    g = np.ascontiguousarray(g)
+    c = np.broadcast_to(c, g.shape)
+    dt = float(dt)
+    acc = np.zeros_like(g)
+    mom = np.zeros_like(g)
+    h_next = g[-1] * (c[-1] + mom[-1])
+    for n in range(g.shape[0] - 2, -1, -1):
+        mom[n] = mom[n + 1] + dt * acc[n + 1] + (0.5 * dt * dt) * h_next
+        h = g[n] * (c[n] + mom[n])
+        acc[n] = acc[n + 1] + (0.5 * dt) * (h + h_next)
+        h_next = h
     return acc, mom
 
 

@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -207,8 +208,8 @@ class VariationalTable:
     eta: np.ndarray
     chi: np.ndarray
     omega: np.ndarray
-    inner_iterations: int
-    residual: float
+    # one backward pass; perfbench/tracer.py reads it as the sweep count
+    inner_iterations: ClassVar[int] = 1
 
     def dX_dx(self) -> np.ndarray:
         return 1.0 + self.xi
@@ -230,13 +231,15 @@ class VariationalTable:
                 - (t + self.eta) * self.chi)
 
 
-def solve_variational(E: FieldTable, traj: TrajectoryTable, tol: float = 1e-12,
-                      max_inner: int = 50) -> VariationalTable:
-    """Waveform relaxation for the linearized flow along frozen trajectories.
+def solve_variational(E: FieldTable, traj: TrajectoryTable) -> VariationalTable:
+    """The linearized flow along frozen trajectories, in one backward pass.
 
-    dX/dx and dX/dv each satisfy a linear suffix integral equation driven
-    by dE/dx evaluated along X; dV/dx and dV/dv follow by one direct
-    quadrature from the converged position derivatives.
+    With g = dE/dx evaluated along X, the position derivatives solve the
+    linear suffix equations y = int_t^inf (s - t) g(s) (c(s) + y(s)) ds,
+    xi for c = 1 and eta for c = s; the velocity derivatives chi and omega
+    are minus the plain suffix integrals of the same integrands.  On the
+    composite-trapezoid rule the system is strictly triangular, and
+    kernels.suffix_volterra solves it exactly from t_end backward.
     """
     tg = traj.tgrid
     phase = traj.phase
@@ -250,32 +253,15 @@ def solve_variational(E: FieldTable, traj: TrajectoryTable, tol: float = 1e-12,
     dX = traj.dX.reshape(nt, npart)
     g_ex = kernels.eval_rows(cre, cim, x, v, times, dX)
 
-    xi = np.zeros((nt, npart))
-    eta = np.zeros((nt, npart))
-    tcol = times[:, None]
-    residual = math.inf
-    sweeps = 0
-    for sweeps in range(1, max_inner + 1):
-        _, xi_new = kernels.suffix_trapz_moment(g_ex * (1.0 + xi), tg.dt)
-        _, eta_new = kernels.suffix_trapz_moment(g_ex * (tcol + eta), tg.dt)
-        residual = max(float(np.abs(xi_new - xi).max()),
-                       float(np.abs(eta_new - eta).max()))
-        xi, eta = xi_new, eta_new
-        if residual < tol:
-            break
-    else:
-        raise ConvergenceError(
-            f"variational system did not converge in {max_inner} sweeps "
-            f"(last update {residual:.3e} > tol {tol:.3e})", residual)
-
-    chi = -kernels.suffix_trapz(g_ex * (1.0 + xi), tg.dt)
-    omega = -kernels.suffix_trapz(g_ex * (tcol + eta), tg.dt)
+    chi, xi = kernels.suffix_volterra(g_ex, 1.0, tg.dt)
+    omega, eta = kernels.suffix_volterra(g_ex, times[:, None], tg.dt)
+    np.negative(chi, out=chi)
+    np.negative(omega, out=omega)
 
     shape = (nt, phase.xgrid.n, phase.nv)
     return VariationalTable(phase=phase, tgrid=tg, xi=xi.reshape(shape),
                             eta=eta.reshape(shape), chi=chi.reshape(shape),
-                            omega=omega.reshape(shape),
-                            inner_iterations=sweeps, residual=residual)
+                            omega=omega.reshape(shape))
 
 
 def check_variational_bounds(var: VariationalTable,
@@ -566,7 +552,7 @@ def picard_solve(spec: ProfileSpec, params: DampingParams, z: float,
     residual_norm = weighted_norm(
         E_map.with_values(E_map.values - E.values), a).value
 
-    var = solve_variational(E, traj, tol=inner_tol, max_inner=max_inner)
+    var = solve_variational(E, traj)
     rho = deposit_density(traj, spec, z, xgrid)
     rho_pert = deposit_density_pert(traj, spec, z, xgrid)
 
@@ -581,7 +567,6 @@ def picard_solve(spec: ProfileSpec, params: DampingParams, z: float,
         "velocity_truncation_density": 2.0 * params.a2 / (3.0 * phase.v_max ** 3),
         "mean_density_drift": abs(float(rho.values.mean()) - rho0),
         "inner_residual": traj.residual,
-        "variational_residual": var.residual,
         "kernel_truncation": kernels.truncation_remainder(
             x, v, traj.dX.reshape(len(tgrid), -1), xgrid.n // 2 + 1),
     }

@@ -200,6 +200,73 @@ def test_suffix_weighted_trapezoid_weights_match_suffix_trapz():
     assert np.allclose(got, K.suffix_trapz(g, dt), rtol=1e-13, atol=1e-16)
 
 
+def _dense_volterra(g, c, dt):
+    """(A, I) of y = I[g (c + y)] by one dense linear solve per column.
+
+    W[n, m] = (t_m - t_n) w_m is the composite-trapezoid moment matrix
+    (w_m = dt, dt/2 at the last node; m = n carries weight 0) and V the
+    plain suffix-trapezoid matrix, so I = W g (c + I) and A = V g (c + I).
+    """
+    nt = g.shape[0]
+    w = np.full(nt, dt)
+    w[-1] = 0.5 * dt
+    steps = np.arange(nt)
+    upper = np.triu(np.ones((nt, nt)), k=1)
+    W = upper * ((steps[None, :] - steps[:, None]) * dt) * w[None, :]
+    V = upper * w[None, :]
+    V[np.arange(nt - 1), np.arange(nt - 1)] = 0.5 * dt
+    c = np.broadcast_to(c, g.shape)
+    mom = np.empty(g.shape)
+    for p in range(g.shape[1]):
+        mom[:, p] = np.linalg.solve(np.eye(nt) - W * g[None, :, p],
+                                    W @ (g[:, p] * c[:, p]))
+    return V @ (g * (c + mom)), mom
+
+
+@settings(max_examples=25, deadline=None)
+@given(nt=st.integers(2, 60), length=st.floats(0.5, 30.0),
+       t0=st.floats(0.0, 10.0), size=st.floats(1e-6, 10.0),
+       sign=st.sampled_from([-1.0, 1.0]), seed=st.integers(0, 2 ** 32 - 1))
+def test_suffix_volterra_matches_dense_solve(nt, length, t0, size, sign,
+                                             seed):
+    # |g| (t_end - t0)^2 up to 10, entries of either sign; c = 1 and c = t
+    strength = sign * size
+    rng = np.random.default_rng(seed)
+    dt = length / (nt - 1)
+    times = t0 + dt * np.arange(nt)
+    g = (strength / length ** 2) * rng.uniform(-1.0, 1.0, (nt, 3))
+    g[:, 0] = strength / length ** 2            # one column of fixed sign
+    for c in (1.0, times[:, None]):
+        acc, mom = K.suffix_volterra(g, c, dt)
+        want_acc, want_mom = _dense_volterra(g, c, dt)
+        for got, want in ((mom, want_mom), (acc, want_acc)):
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("gamma", [0.8, -0.8])
+def test_suffix_volterra_is_second_order_on_closed_form(gamma):
+    # constant g = gamma, c = 1: y'' = gamma (1 + y) with y = y' = 0 at
+    # t_end, so 1 + y = cosh(sqrt(gamma) (T - t)) and
+    # A = sqrt(gamma) sinh(sqrt(gamma) (T - t)) (cos/sin forms for gamma < 0)
+    t0, t_end = 2.0, 7.0
+    root = math.sqrt(abs(gamma))
+
+    def errors(nt):
+        times = np.linspace(t0, t_end, nt)
+        u = root * (t_end - times)
+        if gamma > 0:
+            y, a = np.cosh(u) - 1.0, root * np.sinh(u)
+        else:
+            y, a = np.cos(u) - 1.0, -root * np.sin(u)
+        acc, mom = K.suffix_volterra(np.full((nt, 1), gamma), 1.0,
+                                     times[1] - times[0])
+        return np.abs(mom[:, 0] - y).max(), np.abs(acc[:, 0] - a).max()
+
+    coarse, fine = errors(101), errors(201)
+    for e_coarse, e_fine in zip(coarse, fine):
+        assert e_coarse / e_fine == pytest.approx(4.0, rel=0.1)
+
+
 # ---------------------------------------------------------------------------
 # density-correction modes
 # ---------------------------------------------------------------------------

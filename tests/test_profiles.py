@@ -244,7 +244,58 @@ def test_weighted_transform_sup_sech_factor():
         rep = PR.check_smoothness(spec, a=a, a1=1.0)
         assert rep.envelope_ratio == pytest.approx(math.pi * analytic,
                                                    rel=1e-12)
-        assert rep.grid_ratio <= rep.envelope_ratio * (1 + 1e-12)
+
+
+@pytest.mark.parametrize("gap", [1e-4, 1e-6, 1e-8, 1e-9, 1e-12])
+def test_sech_envelope_keeps_precision_near_the_decay_rate(gap):
+    # sup_w sech(c w) e^{a w} = (1 + r)^{(1 + r)/2} (1 - r)^{(1 - r)/2} for
+    # r = a/c < 1, in 40-digit mpmath; forming 1 - r^2 in floating point
+    # would lose up to 3e-10 of it as r -> 1
+    import mpmath
+    spec = make_spec({0: 1.0}, shape="sech", rate=0.7)
+    c = spec.transform_decay_rate
+    a = (1.0 - gap) * c
+    with mpmath.workdps(40):
+        r = mpmath.mpf(a / c)
+        exact = (mpmath.pi / mpmath.mpf(0.7)) * (1 + r) ** ((1 + r) / 2) \
+            * (1 - r) ** ((1 - r) / 2)
+    env = PR.check_smoothness(spec, a=a, a1=1.0).envelope_ratio
+    assert env == pytest.approx(float(exact), rel=1e-14)
+
+
+@settings(max_examples=40, deadline=None)
+@given(shape=st.sampled_from(["sech", "gaussian"]), rate=st.floats(0.2, 3.0),
+       frac=st.floats(0.01, 1.0))
+def test_smoothness_envelope_is_the_sup_over_sampled_kv(shape, rate, frac):
+    # T(kv) e^{a kv} sampled on 2001 points of [0, 10] never exceeds the
+    # analytic envelope, and where the peak is interior a zoom into the
+    # grid maximum's two cells reaches it; one k = 0 mode of unit amplitude
+    # makes the envelope ratio the envelope itself
+    spec = make_spec({0: 1.0}, shape=shape, rate=rate)
+    if shape == "sech":
+        c = spec.transform_decay_rate
+        a = frac * c
+        peak = math.atanh(frac) / c if frac < 1.0 else math.inf
+    else:
+        a = 5.0 * frac
+        peak = 2.0 * a
+    rep = PR.check_smoothness(spec, a=a, a1=1.0)
+    env = rep.envelope_ratio
+    assert rep.structural_ok and rep.margin == env
+
+    def weighted(kv):
+        return spec.shape_transform(kv) * np.exp(a * kv)
+
+    # slack for the rounding of the exponents at the peak, up to 2 a^2 = 50
+    # (gaussian) and atanh(a / c) (sech)
+    kv = np.linspace(0.0, 10.0, 2001)
+    sampled = weighted(kv)
+    assert sampled.max() <= env * (1.0 + 1e-13)
+    if 0.0 < peak < 10.0:
+        i = int(np.argmax(sampled))
+        zoom = weighted(np.linspace(kv[max(i - 1, 0)],
+                                    kv[min(i + 1, kv.size - 1)], 2001))
+        assert env * (1.0 - 1e-6) <= zoom.max() <= env * (1.0 + 1e-13)
 
 
 def test_smoothness_gaussian_boundary():

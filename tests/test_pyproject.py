@@ -1,5 +1,6 @@
 """The pytest settings of pyproject.toml."""
 
+import os
 import pathlib
 import subprocess
 import sys
@@ -35,3 +36,15 @@ def test_failing_hypothesis_test_is_one_failure(tmp_path):
     assert run.returncode == 1, out
     assert "1 failed, 1 passed" in out
     assert "INTERNALERROR" not in out
+
+
+def test_suite_collects_without_pythonpath():
+    # a bare `python -m pytest` from a checkout finds the package in src/
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    run = subprocess.run(
+        [sys.executable, "-m", "pytest", "-p", "no:cacheprovider",
+         "--collect-only", "-q", "tests/test_params.py"],
+        cwd=_ROOT, env=env, capture_output=True, text=True, timeout=120)
+    out = run.stdout + run.stderr
+    assert run.returncode == 0, out
+    assert "tests/test_params.py::" in out, out

@@ -166,6 +166,27 @@ def test_variational_matches_label_finite_differences(ref_solve):
     check_v_derivative(traj.dV, var.omega)
 
 
+def test_variational_is_a_fixed_point_of_one_sweep(ref_solve):
+    # the one-pass solve is the exact solution of the discrete system: one
+    # more sweep of the moment rule returns xi and eta bitwise, and the
+    # plain suffix rule of the same integrands returns -chi and -omega
+    traj, var = ref_solve.traj, ref_solve.var
+    nt = len(traj.tgrid)
+    x = np.repeat(traj.phase.xgrid.points, traj.phase.nv)
+    v = np.tile(traj.phase.v, traj.phase.xgrid.n)
+    cdx = F.spectral_dx(ref_solve.field).coefficients()
+    g_ex = K.eval_rows(np.ascontiguousarray(cdx.real),
+                       np.ascontiguousarray(cdx.imag), x, v,
+                       traj.tgrid.times, traj.dX.reshape(nt, -1))
+    tcol = traj.tgrid.times[:, None]
+    dt = traj.tgrid.dt
+    for c, y, vel in ((1.0, var.xi, var.chi), (tcol, var.eta, var.omega)):
+        y, vel = y.reshape(nt, -1), vel.reshape(nt, -1)
+        integrand = g_ex * (c + y)
+        assert np.array_equal(K.suffix_trapz_moment(integrand, dt)[1], y)
+        assert np.array_equal(K.suffix_trapz(integrand, dt), -vel)
+
+
 def test_jacobian_identity(ref_solve):
     var = ref_solve.var
     t = var.tgrid.times[:, None, None]
@@ -301,10 +322,13 @@ def test_small_solve_checks_and_certificates(small_solve):
     for c in r.checks.values():
         assert c.passed, f"{c.name}: {c.value} > {c.bound}"
     certs = r.certificates
+    assert set(certs) == {"time_tail_position", "time_tail_velocity",
+                          "velocity_truncation_density",
+                          "mean_density_drift", "inner_residual",
+                          "kernel_truncation"}
     assert certs["time_tail_position"] > 0
     assert certs["mean_density_drift"] < 1e-7
     assert certs["inner_residual"] < 1e-12
-    assert certs["variational_residual"] < 1e-12
 
 
 def test_small_solve_kernel_truncation_certificate(small_solve):
