@@ -4,8 +4,8 @@ Subcommands
     check   — parameter gate + profile hypothesis checks
     solve   — one deterministic fixed-point solve at a given z
     uq      — collocation sweep in z with gPC projection and
-              derivative-bound reports (including an N_z + 4 refinement
-              pass for the stability verdicts)
+              derivative-bound reports (the z-derivatives at 0 from the
+              tangent solve at the node z = 0, so n_z must be odd)
     report  — aggregate manifests in a directory into one summary table
 
 Exit codes: 0 all checks pass, 1 a checked inequality failed, 2 usage
@@ -64,11 +64,8 @@ def build_parser() -> argparse.ArgumentParser:
     common(sp)
     sp.add_argument("--z", type=_z_value, default=0.0,
                     help="parameter value in [-1, 1] (default 0)")
-    sp = sub.add_parser("uq", help="collocation sweep over z")
+    sp = sub.add_parser("uq", help="collocation sweep over z (odd n_z)")
     common(sp)
-    sp.add_argument("--no-refine", action="store_true",
-                    help="skip the N_z + 4 refinement pass (stability "
-                         "verdicts are then not evaluated)")
     sp = sub.add_parser("report", help="summarize manifests in a directory")
     sp.add_argument("directory", help="directory containing run manifests")
     return parser
@@ -193,28 +190,22 @@ def cmd_uq(cfg: RunConfig, args) -> int:
     if cfg.n_z < 2:
         raise ConfigError("uq needs n_z >= 2: its z-derivative estimates "
                           "reach order n_z - 2")
+    if cfg.n_z % 2 == 0:
+        raise ConfigError("uq needs an odd n_z: the tangent solve runs at "
+                          "the node z = 0")
     out = _outdir(cfg, args)
     params = cfg.damping_params()
     spec = cfg.profile_spec()
-    tgrid, phase = cfg.time_grid(), cfg.phase_grid()
-
-    def sweep(n_z):
-        return run_collocation(spec, params, tgrid, phase, n_z=n_z,
-                               tol=cfg.picard_tol, max_iter=cfg.max_iter,
-                               inner_tol=cfg.inner_tol,
-                               max_inner=cfg.max_inner)
-
-    ens = sweep(cfg.n_z)
+    ens = run_collocation(spec, params, cfg.time_grid(), cfg.phase_grid(),
+                          n_z=cfg.n_z, tol=cfg.picard_tol,
+                          max_iter=cfg.max_iter, inner_tol=cfg.inner_tol,
+                          max_inner=cfg.max_inner)
     print(f"collocation sweep: {ens.n_nodes} nodes converged")
-    refined = None
-    if not args.no_refine and not spec.is_z_independent:
-        refined = sweep(cfg.n_z + 4)
-        print(f"refinement sweep: {refined.n_nodes} nodes converged")
 
     gpc = gpc_coefficients(ens)
     write_gpc_csv(gpc, os.path.join(out, "gpc.csv"))
-    theorem = check_theorem_bounds(ens, refined=refined)
-    corollary = check_corollary(ens, refined=refined)
+    theorem = check_theorem_bounds(ens)
+    corollary = check_corollary(ens)
 
     manifest = ens.manifest()
     manifest["config_sha256"] = cfg.content_hash()
@@ -227,20 +218,15 @@ def cmd_uq(cfg: RunConfig, args) -> int:
     _write_json(os.path.join(out, "theorem_report.json"), theorem.as_dict())
     _write_json(os.path.join(out, "corollary_report.json"),
                 corollary.as_dict())
-    if refined is not None:
-        _write_json(os.path.join(out, "refined_manifest.json"),
-                    {**refined.manifest(), "config_sha256": cfg.content_hash()})
 
     for k, norm in enumerate(theorem.norms):
-        note = (f"  (refinement drift {theorem.drift[k]:.3%})"
-                if k in theorem.drift else "")
+        cert = theorem.checks.get(f"z_deriv_{k}_tangent")
+        note = f"  (certificate {cert.bound:.6g})" if cert else ""
         print(f"  |d^{k}_z E|_a,t0 = {norm:.6g}{note}")
     print(f"  residual k=0 worst node ratio = {corollary.k0_ratio:.6g}")
 
     verdicts = [("theorem", theorem), ("corollary", corollary)] + [
-        (f"{label} z = {r.z:.6g}", r)
-        for label, e in (("node", ens), ("refined node", refined))
-        if e is not None for r in e.results]
+        (f"node z = {r.z:.6g}", r) for r in ens.results]
     failed = [(source, v) for source, v in verdicts if not v.passed]
     for source, v in failed:
         names = ", ".join(n for n, c in sorted(v.checks.items())

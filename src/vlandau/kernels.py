@@ -37,7 +37,7 @@ Numerical conventions shared by several kernels:
   ``I_n = int (s - t_n) g ds``, ``I_n = I_{n+1} + dt A_{n+1} + dt^2 g_{n+1} / 2``
   (an exact identity for the composite rule, not an extra approximation).
   ``suffix_volterra`` runs the same recurrence with ``g_n`` replaced by
-  ``g_n (c_n + I_n)``, which the step computes before it needs it.
+  ``g_n I_n + f_n``, which the step computes before it needs it.
 * ``suffix_weighted`` generalizes the plain suffix rule to arbitrary
   two-point cell weights ``A_n = A_{n+1} + alpha g_n + beta g_{n+1}``.
   With ``alpha = (a dt - 1 + e^{-a dt})/(a^2 dt)`` and
@@ -261,23 +261,23 @@ def suffix_trapz_moment(g, dt):
     return acc, mom
 
 
-def suffix_volterra(g, c, dt):
-    """(A, I) solving I = suffix_trapz_moment(g (c + I))[1], with A the
-    plain suffix integral of the same integrand; c broadcasts to g.
+def suffix_volterra(g, f, dt):
+    """(A, I) solving I = suffix_trapz_moment(g I + f)[1], with A the
+    plain suffix integral of the same integrand; f broadcasts to g.
 
     The moment weight (s - t_n) vanishes at s = t_n, so this linear Volterra
     system is strictly triangular, and one backward pass in the operation
     order of suffix_trapz_moment solves it exactly (bitwise a fixed point).
     """
     g = np.ascontiguousarray(g)
-    c = np.broadcast_to(c, g.shape)
+    f = np.broadcast_to(f, g.shape)
     dt = float(dt)
     acc = np.zeros_like(g)
     mom = np.zeros_like(g)
-    h_next = g[-1] * (c[-1] + mom[-1])
+    h_next = g[-1] * mom[-1] + f[-1]
     for n in range(g.shape[0] - 2, -1, -1):
         mom[n] = mom[n + 1] + dt * acc[n + 1] + (0.5 * dt * dt) * h_next
-        h = g[n] * (c[n] + mom[n])
+        h = g[n] * mom[n] + f[n]
         acc[n] = acc[n + 1] + (0.5 * dt) * (h + h_next)
         h_next = h
     return acc, mom
@@ -327,6 +327,8 @@ def corr_fourier(wf, x, v, times, dx_dev, nk):
 
         (1/2pi) sum_p wf_p e^{-i k (x_p + v_p t_n)} (e^{-i k dX_p(t_n)} - 1)
 
+    for weights wf of shape (P,), or (nt, P) with wf_p read from row n.
+
     i.e. the transported-density Fourier modes minus their free-streaming
     part, with the cancellation done analytically per particle.
 
@@ -344,7 +346,7 @@ def corr_fourier(wf, x, v, times, dx_dev, nk):
     out_re = np.zeros((nt, nk))
     out_im = np.zeros((nt, nk))
     mik = -1j * np.arange(nk)
-    wgrid = wf.reshape(nx, nv) / (2.0 * math.pi)
+    wgrid = wf.reshape(-1, nx, nv)
     table = phase_table(vs, times, nk)
     dx_red, q, orders, _, bad = _taylor_rows(dx_dev, nk - 1, 1)
     block = max(1, _BLOCK_BYTES // (16 * nk * nv))
@@ -353,6 +355,7 @@ def corr_fourier(wf, x, v, times, dx_dev, nk):
             continue
         rows = n1 - n0
         d = dx_red[n0:n1].reshape(rows, nx, nv)
+        w = (wgrid if wgrid.shape[0] == 1 else wgrid[n0:n1]) / (2.0 * math.pi)
         conj = table[n0:n1].conj()
         acc = np.zeros((rows, nk), dtype=complex)
         move = None
@@ -366,11 +369,11 @@ def corr_fourier(wf, x, v, times, dx_dev, nk):
                 return np.bincount(dest, weights=vals.ravel(),
                                    minlength=dest.size).reshape(d.shape)
 
-            wrow = np.broadcast_to(wgrid, d.shape)
+            wrow = np.broadcast_to(w, d.shape)
             g = np.fft.rfft(move(wrow) - wrow, axis=1)
             g[:, 0] = 0.0           # moving the weights keeps their total
             acc += np.einsum("nkj,nkj->nk", conj, g)
-        wdm = wgrid * d
+        wdm = w * d
         for m in range(1, order + 1):
             if m > 1:
                 wdm *= d

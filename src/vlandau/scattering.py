@@ -32,6 +32,10 @@ to the (decaying) displacement.  The literal kernel summation
 sum_p w_p f*_p B(y - X_p) agrees with it to quadrature accuracy in the
 plain sup norm but carries a flat noise floor that exponentially
 weighted norms amplify.
+
+solve_tangent differentiates the fixed point in the profile parameter z:
+each Taylor coefficient of E(z) solves one linear fixed point along the
+certified trajectories, with a contraction certificate.
 """
 
 from __future__ import annotations
@@ -72,6 +76,14 @@ def _profile_weights(phase: PhaseGrid, spec: ProfileSpec, z: float):
     """Quadrature weight times profile value per flattened phase node."""
     x, v, w = _flat_labels(phase)
     return x, v, w * eval_profile(spec, x, v, z)
+
+
+def _along(E: FieldTable, x, v, dX) -> np.ndarray:
+    """E at the positions x + v t + dX of the flattened labels, (nt, P)."""
+    c = E.coefficients()
+    return kernels.eval_rows(np.ascontiguousarray(c.real),
+                             np.ascontiguousarray(c.imag), x, v,
+                             E.tgrid.times, dX)
 
 
 # ---------------------------------------------------------------------------
@@ -135,18 +147,13 @@ def solve_characteristics(E: FieldTable, phase: PhaseGrid, a: float,
             f"{norm_e * math.exp(-a * tg.t0):.3e} > a = {a:.3e}",
             residual=math.inf)
 
-    c = E.coefficients()
-    cre = np.ascontiguousarray(c.real)
-    cim = np.ascontiguousarray(c.imag)
-    times = tg.times
-
     dX = np.zeros((nt, npart)) if initial is None \
         else np.ascontiguousarray(initial.reshape(nt, npart)).copy()
     g = np.zeros((nt, npart))
     residual = math.inf
     sweeps = 0
     for sweeps in range(1, max_inner + 1):
-        g = kernels.eval_rows(cre, cim, x, v, times, dX)
+        g = _along(E, x, v, dX)
         _, mom = kernels.suffix_trapz_moment(g, tg.dt)
         residual = float(np.abs(mom - dX).max())
         dX = mom
@@ -235,26 +242,21 @@ def solve_variational(E: FieldTable, traj: TrajectoryTable) -> VariationalTable:
     """The linearized flow along frozen trajectories, in one backward pass.
 
     With g = dE/dx evaluated along X, the position derivatives solve the
-    linear suffix equations y = int_t^inf (s - t) g(s) (c(s) + y(s)) ds,
-    xi for c = 1 and eta for c = s; the velocity derivatives chi and omega
-    are minus the plain suffix integrals of the same integrands.  On the
-    composite-trapezoid rule the system is strictly triangular, and
+    linear suffix equations y = int_t^inf (s - t) (g(s) y(s) + f(s)) ds,
+    xi for f = g and eta for f = g s; the velocity derivatives chi and
+    omega are minus the plain suffix integrals of the same integrands.  On
+    the composite-trapezoid rule the system is strictly triangular, and
     kernels.suffix_volterra solves it exactly from t_end backward.
     """
     tg = traj.tgrid
     phase = traj.phase
     x, v, _ = _flat_labels(phase)
     nt, npart = len(tg), x.shape[0]
-    times = tg.times
+    g_ex = _along(spectral_dx(E), x, v, traj.dX.reshape(nt, npart))
 
-    cdx = spectral_dx(E).coefficients()
-    cre = np.ascontiguousarray(cdx.real)
-    cim = np.ascontiguousarray(cdx.imag)
-    dX = traj.dX.reshape(nt, npart)
-    g_ex = kernels.eval_rows(cre, cim, x, v, times, dX)
-
-    chi, xi = kernels.suffix_volterra(g_ex, 1.0, tg.dt)
-    omega, eta = kernels.suffix_volterra(g_ex, times[:, None], tg.dt)
+    chi, xi = kernels.suffix_volterra(g_ex, g_ex, tg.dt)
+    omega, eta = kernels.suffix_volterra(g_ex, g_ex * tg.times[:, None],
+                                         tg.dt)
     np.negative(chi, out=chi)
     np.negative(omega, out=omega)
 
@@ -362,12 +364,16 @@ def _map_from_traj(traj: TrajectoryTable, spec: ProfileSpec, z: float,
     nk = xgrid.n // 2 + 1
     corr_re, corr_im = kernels.corr_fourier(wf, x, v, times, dX, nk)
     vals = field_map_zero(spec, z, traj.tgrid, xgrid).values.copy()
-    xs = xgrid.points
-    for k in range(1, nk - 1):       # Nyquist row dropped (negligible, odd)
-        ck, sk = np.cos(k * xs), np.sin(k * xs)
-        vals += (2.0 / k) * (np.outer(corr_im[:, k], ck)
-                             + np.outer(corr_re[:, k], sk))
+    _add_modes(vals, corr_re, corr_im, xgrid.points)
     return FieldTable(traj.tgrid, xgrid, vals)
+
+
+def _add_modes(vals, re, im, xs) -> None:
+    """vals += the field of the density modes re + i im, (nt, nk):
+    sum_{0 < k < nk - 1} (2/k) (im_k cos kx + re_k sin kx)."""
+    for k in range(1, re.shape[1] - 1):   # Nyquist row dropped (negligible)
+        ck, sk = np.cos(k * xs), np.sin(k * xs)
+        vals += (2.0 / k) * (np.outer(im[:, k], ck) + np.outer(re[:, k], sk))
 
 
 # ---------------------------------------------------------------------------
@@ -488,7 +494,8 @@ def picard_solve(spec: ProfileSpec, params: DampingParams, z: float,
     """Iterate the field map from E = 0 to its fixed point.
 
     Gates on the parameter conditions and the profile hypotheses first.
-    Stops when the weighted increment |E_{n+1} - E_n|_{a,t0} drops below
+    The first iterate, the image of E = 0, is field_map_zero.  Stops when
+    the weighted increment |E_{n+1} - E_n|_{a,t0} drops below
     tol; contraction ratios are recorded from the second increment
     onward, and three consecutive ratios above 1 abort with a
     grid-resolution diagnosis.  After convergence one extra map
@@ -522,10 +529,13 @@ def picard_solve(spec: ProfileSpec, params: DampingParams, z: float,
     converged = False
     iterations = 0
     for iterations in range(1, max_iter + 1):
-        traj = solve_characteristics(
-            E, phase, a, tol=inner_tol, max_inner=max_inner,
-            initial=None if traj is None else traj.dX)
-        E_next = _map_from_traj(traj, spec, z, xgrid)
+        if iterations == 1:     # the image of E = 0 is the free-flight field
+            E_next = field_map_zero(spec, z, tgrid, xgrid)
+        else:
+            traj = solve_characteristics(
+                E, phase, a, tol=inner_tol, max_inner=max_inner,
+                initial=None if traj is None else traj.dX)
+            E_next = _map_from_traj(traj, spec, z, xgrid)
         d = weighted_norm(E_next.with_values(E_next.values - E.values), a).value
         d_hist.append(d)
         if len(d_hist) >= 2 and d_hist[-2] > 0.0:
@@ -547,7 +557,8 @@ def picard_solve(spec: ProfileSpec, params: DampingParams, z: float,
 
     # certify the residual of the accepted iterate with one more map
     traj = solve_characteristics(E, phase, a, tol=inner_tol,
-                                 max_inner=max_inner, initial=traj.dX)
+                                 max_inner=max_inner,
+                                 initial=None if traj is None else traj.dX)
     E_map = _map_from_traj(traj, spec, z, xgrid)
     residual_norm = weighted_norm(
         E_map.with_values(E_map.values - E.values), a).value
@@ -578,3 +589,141 @@ def picard_solve(spec: ProfileSpec, params: DampingParams, z: float,
         checks=checks, certificates=certificates, phase=phase,
         traj=traj if keep_tables else None,
         var=var if keep_tables else None)
+
+
+# ---------------------------------------------------------------------------
+# z-derivatives of the fixed point
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class TaylorCoefficients:
+    """E_k = d^k_z E / k! at one z for k = 1..K, with the certificate
+    z_deriv_{k}_tangent of each order (see solve_tangent)."""
+
+    fields: tuple[FieldTable, ...]
+    checks: dict
+
+
+def _free_modes(W, phase: PhaseGrid, times) -> np.ndarray:
+    """(1/2pi) sum_p W_{n,p} e^{-ik (x_p + v_p t_n)}, complex (nt, nk), for
+    per-row weights W (nt, P): a real FFT over the positions against the
+    velocity phases of kernels.phase_table."""
+    nx, nv = phase.xgrid.n, phase.nv
+    table = kernels.phase_table(phase.v, times, nx // 2 + 1)
+    g = np.fft.rfft(W.reshape(-1, nx, nv), axis=1)
+    np.conjugate(g, out=g)
+    return np.einsum("nkj,nkj->nk", table, g).conj() / (2.0 * math.pi)
+
+
+def _power(X, m: int, l: int):
+    """[delta^m]_l, the z^l coefficient of delta^m for delta = sum_i X[i-1]
+    z^i, 1 <= m <= l <= len(X) + m - 1."""
+    if m == 1:
+        return X[l - 1]
+    return sum(X[i - 1] * _power(X, m - 1, l - i)
+               for i in range(1, l - m + 2))
+
+
+def _trajectory_forcing(E, X, x, v, dX0):
+    """R_j = sum_{i<j} sum_{m=1..j-i} E_i^(m)(X0) [delta^m]_{j-i} / m!
+    without (i, m) = (0, 1), j = len(X) + 1, from the Taylor fields E_0..
+    E_{j-1} and trajectories X_1..X_{j-1}; E_i^(m) = d^m_x E_i (spectral).
+    """
+    j, R = len(X) + 1, 0.0
+    for i, Ei in enumerate(E):
+        for m in range(1, j - i + 1):
+            Ei = spectral_dx(Ei)
+            if (i, m) != (0, 1):
+                term = _along(Ei, x, v, dX0)
+                term *= _power(X, m, j - i)
+                term *= 1.0 / math.factorial(m)
+                if isinstance(R, float):
+                    R = term
+                else:
+                    R += term
+    return R
+
+
+def solve_tangent(spec: ProfileSpec, result: SolveResult, tol: float = 1e-10,
+                  max_iter: int = 30) -> TaylorCoefficients:
+    """Taylor coefficients E_j = d^j_z E / j!, j = 1..K, of the fixed point
+    at result.z, along the trajectories X0 that certified it (kept tables).
+
+    With delta = sum_l X_l z^l, wf_i = w d^i_z f* / i!, [delta^m]_l the
+    z^l coefficient of delta^m, M the trapezoid suffix moment and
+    S[W]_k = (1/2pi) sum_p W_p e^{-ik X0_p}, order j solves
+      X_j = M[E_0'(X0) X_j + E_j(X0) + R_j]  (_trajectory_forcing),
+      E_j = field_map_zero(d^j_z f*) / j! + field(corr_fourier(wf_j)
+            + sum_{m=1..j} ((-ik)^m / m!) S[sum_i wf_i [delta^m]_{j-i}]),
+    where only the wf_0 X_j term reads the unknown.  E_j is iterated from
+    0 until the weighted increment is at most tol |E_j|_a / |E_0|_a (tol
+    if E_0 = 0), else ConvergenceError after max_iter iterations.  The
+    first iterate is the forcing F_j; with the contraction bound
+    L = 88 a2 / (a^2 - 80 a2) it gives the check z_deriv_{j}_tangent,
+    j! |E_j|_{a,t0} <= j! |F_j|_{a,t0} / (1 - L).
+    """
+    if result.traj is None:
+        raise ValueError("the tangent solve needs the solve's trajectories")
+    E0, params, phase, z = result.field, result.params, result.phase, result.z
+    x, v, _ = _flat_labels(phase)
+    times, xs, nk = E0.tgrid.times, E0.xgrid.points, E0.xgrid.n // 2 + 1
+    mik = -1j * np.arange(nk)
+    dX0 = result.traj.dX.reshape(len(times), -1)
+    lip = 88.0 * params.a2 / (params.a ** 2 - 80.0 * params.a2)
+
+    def corr(W):
+        re, im = kernels.corr_fourier(W, x, v, times, dX0, nk)
+        return re + 1j * im
+
+    def S(W):
+        return corr(W) + _free_modes(W, phase, times)
+
+    def norm(values):
+        return weighted_norm(E0.with_values(values), params.a).value
+
+    norm0 = norm(E0.values)
+    E, X, specs, checks = [E0], [], [spec], {}
+    wf = [_profile_weights(phase, spec, z)[2]]
+    g = _along(spectral_dx(E0), x, v, dX0)
+    for j in range(1, params.K + 1):
+        specs.append(specs[-1].z_derivative())
+        wf.append(_profile_weights(phase, specs[j], z)[2] / math.factorial(j))
+        c = corr(wf[j])
+        for m in range(1, j + 1):
+            terms = range(m == 1, j - m + 1)    # m = 1 leaves out wf_0 X_j
+            if terms:
+                c += (mik ** m / math.factorial(m)) * S(sum(
+                    wf[i] * _power(X, m, j - i) for i in terms))
+        const = field_map_zero(specs[j], z, E0.tgrid, E0.xgrid).values \
+            / math.factorial(j)
+        _add_modes(const, c.real, c.imag, xs)
+        R = _trajectory_forcing(E, X, x, v, dX0)
+        if j == params.K:
+            X.clear()       # only the forcings of higher orders read X
+
+        def trajectories(Ej):
+            f = _along(E0.with_values(Ej), x, v, dX0)
+            f += R
+            return kernels.suffix_volterra(g, f, E0.tgrid.dt)[1]
+
+        Ej, forcing = np.zeros_like(E0.values), None
+        for _ in range(max_iter):
+            c = mik * S(wf[0] * trajectories(Ej))
+            new = const.copy()
+            _add_modes(new, c.real, c.imag, xs)
+            step, Ej = norm(new - Ej), new
+            size = norm(Ej)
+            forcing = size if forcing is None else forcing
+            if step <= tol * (size / norm0 if norm0 > 0.0 else 1.0):
+                break
+        else:
+            raise ConvergenceError(
+                f"order-{j} tangent did not converge in {max_iter} "
+                f"iterations (last increment {step:.3e})", residual=step)
+        if j < params.K:      # the next orders read X_j of the accepted E_j
+            X.append(trajectories(Ej))
+        E.append(E0.with_values(Ej))
+        name, fac = f"z_deriv_{j}_tangent", math.factorial(j)
+        checks[name] = BoundCheck(name, fac * size,
+                                  fac * forcing / (1.0 - lip))
+    return TaylorCoefficients(fields=tuple(E[1:]), checks=checks)

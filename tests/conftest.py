@@ -48,10 +48,3 @@ def ens9(ref_spec, ref_params, ref_tgrid, ref_phase):
     """9-node collocation ensemble on the reference grids."""
     return uq.run_collocation(ref_spec, ref_params, ref_tgrid, ref_phase,
                               n_z=9)
-
-
-@pytest.fixture(scope="session")
-def ens13(ref_spec, ref_params, ref_tgrid, ref_phase):
-    """Refined 13-node ensemble used for drift comparisons."""
-    return uq.run_collocation(ref_spec, ref_params, ref_tgrid, ref_phase,
-                              n_z=13)

@@ -29,7 +29,7 @@ grids {
 }
 """
 
-# the default profile depends on z, so uq also runs its refinement sweep
+# the default profile depends on z, so uq's tangent solve has work to do
 TINY_GRIDS = """
 grids {
   nx 16
@@ -377,7 +377,7 @@ def test_check_and_solve_end_in_documented_codes(run):
 def test_uq_writes_reports(tmp_path, capsys):
     cfg = write_cfg(tmp_path, SMALL_GRIDS + Z_INDEPENDENT_PROFILE)
     out = tmp_path / "uq"
-    code = run_cli("uq", "--config", cfg, "--out", str(out), "--no-refine")
+    code = run_cli("uq", "--config", cfg, "--out", str(out))
     txt = capsys.readouterr().out
     assert code == 0
     assert "collocation sweep: 5 nodes converged" in txt
@@ -393,13 +393,11 @@ def test_uq_writes_reports(tmp_path, capsys):
     assert (out / "gpc.csv").exists()
 
 
-def test_uq_verdict_counts_refined_nodes(tmp_path, monkeypatch, capsys):
+def test_uq_verdict_counts_nodes(tmp_path, monkeypatch, capsys):
     real = cli.run_collocation
 
-    def spoil_refined(*args, n_z, **kwargs):
-        ens = real(*args, n_z=n_z, **kwargs)
-        if n_z == 3:
-            return ens
+    def spoil_node(*args, **kwargs):
+        ens = real(*args, **kwargs)
         results = list(ens.results)
         bad = results[1]
         p = bad.params
@@ -409,25 +407,21 @@ def test_uq_verdict_counts_refined_nodes(tmp_path, monkeypatch, capsys):
             bad, checks={**bad.checks, "contraction_ratio": ratio})
         return dataclasses.replace(ens, results=tuple(results))
 
-    monkeypatch.setattr(cli, "run_collocation", spoil_refined)
+    monkeypatch.setattr(cli, "run_collocation", spoil_node)
     cfg = write_cfg(tmp_path, TINY_GRIDS)
     code = run_cli("uq", "--config", cfg, "--out", str(tmp_path / "uq"))
     txt = capsys.readouterr().out
     assert code == 1
-    assert "refinement sweep: 7 nodes converged" in txt
     assert "uq checks FAILED" in txt
     failing = [line.strip() for line in txt.splitlines() if "FAILED:" in line]
-    assert len(failing) == 1
-    assert failing[0].startswith("refined node z = ")
-    assert failing[0].endswith("FAILED: contraction_ratio")
+    assert failing == ["node z = 0 FAILED: contraction_ratio"]
 
     assert run_cli("report", str(tmp_path / "uq")) == 1
     lines = (tmp_path / "uq" / "report.csv").read_text().splitlines()
     rows = {(row[0], row[1]): row[5] for row in (line.split(",")
                                                  for line in lines[1:])}
-    assert rows[("refined_manifest[node 1]", "contraction_ratio")] == "fail"
     assert [key for key, status in rows.items() if status == "fail"] == [
-        ("refined_manifest[node 1]", "contraction_ratio")]
+        ("ensemble_manifest[node 1]", "contraction_ratio")]
 
 
 def test_uq_manifests_record_velocity_grid(tmp_path):
@@ -435,12 +429,64 @@ def test_uq_manifests_record_velocity_grid(tmp_path):
     cfg = write_cfg(tmp_path, TINY_GRIDS)
     out = tmp_path / "uq"
     assert run_cli("uq", "--config", cfg, "--out", str(out)) == 0
-    for name, n_nodes in (("ensemble_manifest.json", 3),
-                          ("refined_manifest.json", 7)):
-        nodes = json.loads((out / name).read_text())["per_node"]
-        assert len(nodes) == n_nodes
-        for node in nodes:
-            assert (node["grids"]["nv"], node["grids"]["v_max"]) == (33, 6.0)
+    nodes = json.loads((out / "ensemble_manifest.json").read_text())[
+        "per_node"]
+    assert len(nodes) == 3
+    for node in nodes:
+        assert (node["grids"]["nv"], node["grids"]["v_max"]) == (33, 6.0)
+    assert sorted(p.name for p in out.iterdir()) == [
+        "corollary_report.json", "ensemble_manifest.json", "gpc.csv",
+        "theorem_report.json"]
+
+
+def test_uq_rejects_the_removed_no_refine_flag(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, TINY_GRIDS)
+    out = tmp_path / "uq"
+    assert run_cli("uq", "--config", cfg, "--out", str(out),
+                   "--no-refine") == 2
+    assert "--no-refine" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_uq_rejects_an_even_node_count(tmp_path, capsys):
+    # the tangent solve runs at the node z = 0, which only odd counts have
+    cfg = write_cfg(tmp_path, TINY_GRIDS.replace("n_z 3", "n_z 4"))
+    out = tmp_path / "uq"
+    assert run_cli("uq", "--config", cfg, "--out", str(out)) == 2
+    assert "odd n_z" in capsys.readouterr().err
+    assert not out.exists()
+
+
+SIN_5Z_PROFILE = """
+profile {
+  shape sech
+  rate  1.5707963267948966
+  mode {
+    k 0
+    poly 8e-05
+  }
+  mode {
+    k 1
+    trig 1e-05 0 0 0 0 0 0 0 0 0 6e-07
+  }
+}
+"""
+
+
+def test_uq_fails_an_underresolved_z_dependence(tmp_path, capsys):
+    # c1 = 1e-5 + 6e-7 sin 5z: five nodes cannot resolve it, so the
+    # interpolant's first derivative misses the tangent's
+    cfg = write_cfg(tmp_path, TINY_GRIDS.replace("n_z 3", "n_z 5")
+                    + SIN_5Z_PROFILE)
+    out = tmp_path / "uq"
+    assert run_cli("uq", "--config", cfg, "--out", str(out)) == 1
+    failing = [line.strip() for line in capsys.readouterr().out.splitlines()
+               if "FAILED:" in line]
+    assert len(failing) == 1 and failing[0].startswith(
+        "theorem FAILED: z_deriv_1_resolution")
+    theorem = json.loads((out / "theorem_report.json").read_text())
+    assert theorem["checks"]["z_deriv_1_tangent"]["passed"] is True
+    assert theorem["checks"]["z_deriv_1_resolution"]["passed"] is False
 
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -503,9 +549,11 @@ def test_report_summarizes_uq(tmp_path, capsys):
     rows = [line.split(",") for line in lines[1:]]
     assert all(row[5] == "pass" for row in rows)
     checks = {(row[0], row[1]) for row in rows}
-    assert {("theorem_report", "z_deriv_0_drift"),
-            ("theorem_report", "z_deriv_1_drift"),
+    assert {("theorem_report", "z_deriv_1_tangent"),
+            ("theorem_report", "z_deriv_2_tangent"),
+            ("theorem_report", "z_deriv_1_resolution"),
             ("corollary_report", "residual_k0")} <= checks
+    assert not any(check.endswith("_drift") for _, check in checks)
     for j in range(3):
         assert (f"ensemble_manifest[node {j}]", "contraction_ratio") in checks
 

@@ -200,12 +200,12 @@ def test_suffix_weighted_trapezoid_weights_match_suffix_trapz():
     assert np.allclose(got, K.suffix_trapz(g, dt), rtol=1e-13, atol=1e-16)
 
 
-def _dense_volterra(g, c, dt):
-    """(A, I) of y = I[g (c + y)] by one dense linear solve per column.
+def _dense_volterra(g, f, dt):
+    """(A, I) of y = I[g y + f] by one dense linear solve per column.
 
     W[n, m] = (t_m - t_n) w_m is the composite-trapezoid moment matrix
     (w_m = dt, dt/2 at the last node; m = n carries weight 0) and V the
-    plain suffix-trapezoid matrix, so I = W g (c + I) and A = V g (c + I).
+    plain suffix-trapezoid matrix, so I = W (g I + f) and A = V (g I + f).
     """
     nt = g.shape[0]
     w = np.full(nt, dt)
@@ -215,12 +215,12 @@ def _dense_volterra(g, c, dt):
     W = upper * ((steps[None, :] - steps[:, None]) * dt) * w[None, :]
     V = upper * w[None, :]
     V[np.arange(nt - 1), np.arange(nt - 1)] = 0.5 * dt
-    c = np.broadcast_to(c, g.shape)
+    f = np.broadcast_to(f, g.shape)
     mom = np.empty(g.shape)
     for p in range(g.shape[1]):
         mom[:, p] = np.linalg.solve(np.eye(nt) - W * g[None, :, p],
-                                    W @ (g[:, p] * c[:, p]))
-    return V @ (g * (c + mom)), mom
+                                    W @ f[:, p])
+    return V @ (g * mom + f), mom
 
 
 @settings(max_examples=25, deadline=None)
@@ -229,16 +229,17 @@ def _dense_volterra(g, c, dt):
        sign=st.sampled_from([-1.0, 1.0]), seed=st.integers(0, 2 ** 32 - 1))
 def test_suffix_volterra_matches_dense_solve(nt, length, t0, size, sign,
                                              seed):
-    # |g| (t_end - t0)^2 up to 10, entries of either sign; c = 1 and c = t
+    # |g| (t_end - t0)^2 up to 10, entries of either sign; the forcings of
+    # the variational solve, f = g and f = g t, and one unrelated to g
     strength = sign * size
     rng = np.random.default_rng(seed)
     dt = length / (nt - 1)
     times = t0 + dt * np.arange(nt)
     g = (strength / length ** 2) * rng.uniform(-1.0, 1.0, (nt, 3))
     g[:, 0] = strength / length ** 2            # one column of fixed sign
-    for c in (1.0, times[:, None]):
-        acc, mom = K.suffix_volterra(g, c, dt)
-        want_acc, want_mom = _dense_volterra(g, c, dt)
+    for f in (g, g * times[:, None], rng.standard_normal((nt, 3))):
+        acc, mom = K.suffix_volterra(g, f, dt)
+        want_acc, want_mom = _dense_volterra(g, f, dt)
         for got, want in ((mom, want_mom), (acc, want_acc)):
             assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
@@ -258,7 +259,7 @@ def test_suffix_volterra_is_second_order_on_closed_form(gamma):
             y, a = np.cosh(u) - 1.0, root * np.sinh(u)
         else:
             y, a = np.cos(u) - 1.0, -root * np.sin(u)
-        acc, mom = K.suffix_volterra(np.full((nt, 1), gamma), 1.0,
+        acc, mom = K.suffix_volterra(np.full((nt, 1), gamma), gamma,
                                      times[1] - times[0])
         return np.abs(mom[:, 0] - y).max(), np.abs(acc[:, 0] - a).max()
 
@@ -284,6 +285,24 @@ def test_corr_fourier_matches_complex_sum():
             assert re[n, k] == pytest.approx(z.real, abs=1e-15)
             assert im[n, k] == pytest.approx(z.imag, abs=1e-15)
     assert np.all(re[:, 0] == 0.0) and np.all(im[:, 0] == 0.0)
+
+
+def test_corr_fourier_per_row_weights_match_complex_sum():
+    # weights of shape (nt, P), one row per time, on rows both inside the
+    # Taylor radius and reduced onto the grid (the order-0 term of moved
+    # weights); one row of the table equals the (P,) weights bitwise
+    times, x, v, dX, _, _, _ = _grid_case(8, 5, [1e-3, 0.5, 2.0, 1e-12], 9)
+    w = np.random.default_rng(10).uniform(-1.0, 1.0, dX.shape)
+    nk = 5
+    re, im = K.corr_fourier(w, x, v, times, dX, nk)
+    expect = np.array([_corr_sum(w[n], x, v, times[n:n + 1], dX[n:n + 1],
+                                 nk)[0] for n in range(len(times))])
+    atol = 50 * np.finfo(float).eps * np.abs(w).sum(axis=1).max()
+    assert np.abs(re + 1j * im - expect).max() <= atol
+    for n in range(len(times)):
+        row = K.corr_fourier(w[n], x, v, times, dX, nk)
+        assert np.array_equal(row[0][n], re[n])
+        assert np.array_equal(row[1][n], im[n])
 
 
 def test_corr_fourier_matches_complex_sum_at_production_size(table_calls):

@@ -16,6 +16,7 @@ from vlandau import fields as F
 from vlandau import kernels as K
 from vlandau import params as P
 from vlandau import scattering as S
+from vlandau import uq as U
 from vlandau.profiles import HypothesisError
 
 
@@ -170,6 +171,7 @@ def test_variational_is_a_fixed_point_of_one_sweep(ref_solve):
     # the one-pass solve is the exact solution of the discrete system: one
     # more sweep of the moment rule returns xi and eta bitwise, and the
     # plain suffix rule of the same integrands returns -chi and -omega
+    # (integrands g y + f with the forcings f = g c the solve passes)
     traj, var = ref_solve.traj, ref_solve.var
     nt = len(traj.tgrid)
     x = np.repeat(traj.phase.xgrid.points, traj.phase.nv)
@@ -182,7 +184,7 @@ def test_variational_is_a_fixed_point_of_one_sweep(ref_solve):
     dt = traj.tgrid.dt
     for c, y, vel in ((1.0, var.xi, var.chi), (tcol, var.eta, var.omega)):
         y, vel = y.reshape(nt, -1), vel.reshape(nt, -1)
-        integrand = g_ex * (c + y)
+        integrand = g_ex * y + g_ex * c
         assert np.array_equal(K.suffix_trapz_moment(integrand, dt)[1], y)
         assert np.array_equal(K.suffix_trapz(integrand, dt), -vel)
 
@@ -406,6 +408,164 @@ def test_homogeneous_profile_fixed_point_in_one_iteration():
     r = S.picard_solve(spec, params, 0.0, tg, phase)
     assert r.converged and r.iterations == 1
     assert np.all(r.field.values == 0.0)
+
+
+def test_picard_first_iterate_is_the_free_flight_field(monkeypatch):
+    # iteration 1 maps E = 0 in closed form: no characteristics are solved
+    # for it, and its increment is the norm of field_map_zero
+    calls = []
+    real = S.solve_characteristics
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs.get("initial"))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(S, "solve_characteristics", counted)
+    spec = make_spec({0: 8e-5, 1: 1e-5})
+    params = P.derive_constants(1.0, 0.002, 0.002, 2, t0=8.0)
+    tg, phase = small_grids()
+    r = S.picard_solve(spec, params, 0.0, tg, phase)
+    assert len(calls) == r.iterations      # iterations 2.. and the residual
+    assert calls[0] is None and all(c is not None for c in calls[1:])
+    free = S.field_map_zero(spec, 0.0, tg, phase.xgrid)
+    assert r.iterate_norms[0] == F.weighted_norm(free, params.a).value
+
+
+# ---------------------------------------------------------------------------
+# z-derivatives of the fixed point: the tangent solve
+# ---------------------------------------------------------------------------
+
+LINEAR_Z = {0: 8e-5, 1: (1e-5, 3e-6)}
+
+
+def _tangent_case(modes, K=2, z=0.0):
+    """A solve on 32 x 65 x 88 grids (those of the uq-coarse benchmark,
+    from t0 = 4K if that is later than 8, as A2 asks) and its tangent
+    solve."""
+    spec = make_spec(modes)
+    t0 = max(8.0, 4.0 * K)
+    params = P.derive_constants(1.0, 0.002, 0.002, K, t0=t0)
+    tg, phase = small_grids(nx=32, nv=65, t0=t0, t_end=43.0, steps=87)
+    result = S.picard_solve(spec, params, z, tg, phase)
+    return spec, params, tg, phase, S.solve_tangent(spec, result)
+
+
+@pytest.fixture(scope="module")
+def linear_tangent():
+    return _tangent_case(LINEAR_Z)
+
+
+def _wnorm(table, values=None):
+    return F.weighted_norm(table if values is None
+                           else table.with_values(values), 1.0).value
+
+
+def _node_fields(spec, params, tg, phase, nodes):
+    return np.stack([S.picard_solve(spec, params, float(z), tg,
+                                    phase).field.values for z in nodes])
+
+
+def test_tangent_first_order_matches_central_differences(linear_tangent):
+    spec, params, tg, phase, taylor = linear_tangent
+    e1 = taylor.fields[0]
+    assert _wnorm(e1) == pytest.approx(2.4e-5, rel=1e-12)
+    for h in (0.05, 0.025):
+        plus, minus = _node_fields(spec, params, tg, phase, (h, -h))
+        err = _wnorm(e1, (plus - minus) / (2.0 * h) - e1.values)
+        assert err <= 1e-11 * _wnorm(e1), h
+
+
+def test_tangent_second_order_matches_the_interpolant(linear_tangent):
+    spec, params, tg, phase, taylor = linear_tangent
+    nodes, _ = U.gauss_legendre_nodes(5)
+    stack = _node_fields(spec, params, tg, phase, nodes)
+    for k, ek in enumerate(taylor.fields, 1):
+        exact = math.factorial(k) * ek.values
+        fd = H.collocation_derivative(nodes, stack, k)
+        assert _wnorm(ek, fd - exact) <= 1e-7 * _wnorm(ek, exact), k
+
+
+def test_tangent_certificates(linear_tangent):
+    # each order's norm against its forcing's over 1 - L; here the
+    # unknown's own term is small, so the forcing is most of E_k
+    _, params, _, _, taylor = linear_tangent
+    assert set(taylor.checks) == {"z_deriv_1_tangent", "z_deriv_2_tangent"}
+    lip = 88 * params.a2 / (params.a ** 2 - 80 * params.a2)
+    for k, ek in enumerate(taylor.fields, 1):
+        c = taylor.checks[f"z_deriv_{k}_tangent"]
+        assert c.value == math.factorial(k) * _wnorm(ek)
+        assert c.passed
+        assert (1.0 - lip) * c.bound == pytest.approx(c.value, rel=1e-6)
+
+
+def test_tangent_of_a_z_independent_profile_vanishes():
+    _, _, _, _, taylor = _tangent_case({0: 8e-5, 1: 1e-5})
+    assert len(taylor.fields) == 2
+    for ek in taylor.fields:
+        assert np.all(ek.values == 0.0)
+    for c in taylor.checks.values():
+        assert (c.value, c.bound, c.passed) == (0.0, 0.0, True)
+
+
+def test_tangent_orders_follow_K(linear_tangent):
+    # K = 1 stops after the first order, which is the K = 2 one bitwise;
+    # K = 3 of a cubic amplitude matches the interpolant through 7 nodes
+    _, _, _, _, taylor2 = linear_tangent
+    _, _, _, _, taylor1 = _tangent_case(LINEAR_Z, K=1)
+    assert set(taylor1.checks) == {"z_deriv_1_tangent"}
+    assert np.array_equal(taylor1.fields[0].values, taylor2.fields[0].values)
+
+    cubic = {0: 8e-5, 1: (1e-5, 2e-6, 1e-6, 5e-7)}
+    spec, params, tg, phase, taylor3 = _tangent_case(cubic, K=3)
+    assert len(taylor3.fields) == 3
+    assert all(c.passed for c in taylor3.checks.values())
+    nodes, _ = U.gauss_legendre_nodes(7)
+    stack = _node_fields(spec, params, tg, phase, nodes)
+    for k, ek in enumerate(taylor3.fields, 1):
+        exact = math.factorial(k) * ek.values
+        fd = H.collocation_derivative(nodes, stack, k)
+        assert _wnorm(ek, fd - exact) <= 1e-9 * _wnorm(ek, exact), k
+
+
+def test_trajectory_coefficients_match_central_differences():
+    # strong prescribed fields E(z) = E_0 + z E_1 + z^2 E_2, with
+    # displacements near 0.1, so that every term of the forcing R_2 shows
+    # (E_0''(X0) X_1^2 / 2 among them): the Taylor coefficients X_1, X_2 of
+    # the characteristics against central differences in z of full solves
+    tg, phase = small_grids()
+    xg = phase.xgrid
+    E = [H.tabulate_field(tg, xg, lambda x, t, c=c, k=k, p=p:
+                          c * np.exp(tg.t0 - t) * np.sin(k * x + p))
+         for c, k, p in ((0.2, 1, 0.0), (0.1, 2, 0.5), (0.05, 1, 1.0))]
+    x = np.repeat(xg.points, phase.nv)
+    v = np.tile(phase.v, xg.n)
+    nt = len(tg)
+
+    def dX(z):
+        Ez = E[0].with_values(E[0].values + z * E[1].values
+                              + z * z * E[2].values)
+        return S.solve_characteristics(Ez, phase, a=1.0, tol=1e-16,
+                                       max_inner=200).dX.reshape(nt, -1)
+
+    dX0 = dX(0.0)
+    g = S._along(F.spectral_dx(E[0]), x, v, dX0)
+    X = []
+    for j in (1, 2):
+        R = S._trajectory_forcing(E[:j], X, x, v, dX0)
+        X.append(K.suffix_volterra(g, S._along(E[j], x, v, dX0) + R,
+                                   tg.dt)[1])
+    h = 1e-3
+    plus, minus = dX(h), dX(-h)
+    fd = ((plus - minus) / (2 * h), (plus + minus - 2 * dX0) / (2 * h * h))
+    for k in (0, 1):     # central-difference error h^2 X_3, X_4 ~ 1e-8
+        assert np.abs(fd[k] - X[k]).max() <= 1e-6 * np.abs(X[k]).max(), k
+
+
+def test_tangent_needs_the_trajectories(linear_tangent):
+    spec, params, tg, phase, _ = linear_tangent
+    r = S.picard_solve(spec, params, 0.0, tg, phase, keep_tables=False)
+    with pytest.raises(ValueError, match="trajectories"):
+        S.solve_tangent(spec, r)
 
 
 # ---------------------------------------------------------------------------

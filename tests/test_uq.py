@@ -2,6 +2,7 @@
 ensemble machinery, checked against polynomial and closed-form oracles."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,6 +16,8 @@ from vlandau import fields as F
 from vlandau import params as P
 from vlandau import scattering as S
 from vlandau import uq as U
+from vlandau.params import BoundCheck
+from vlandau.profiles import Amplitude, Mode
 
 
 # ---------------------------------------------------------------------------
@@ -132,13 +135,19 @@ def _max_abs(table):
     return float(np.abs(table).max())
 
 
+def _survey_norms(nodes, K, tables, norm=_max_abs):
+    """_z_survey with norm applied to its derivative tables as well."""
+    node_norms, sums, floors = U._z_survey(nodes, K, tables, norm)
+    return node_norms, tuple(map(norm, sums)), floors
+
+
 def test_z_derivative_polynomial_exactness(zind_small):
     n = 7
     nodes, _ = U.gauss_legendre_nodes(n)
     g = np.random.default_rng(5).standard_normal(
         zind_small.results[0].field.values.shape)
     p = np.polynomial.Polynomial([0.3, -1.2, 0.0, 2.0])   # cubic
-    _, norms, _ = U._z_survey(nodes, 3, (p(z) * g for z in nodes), _max_abs)
+    _, norms, _ = _survey_norms(nodes, 3, (p(z) * g for z in nodes))
     for k in range(4):
         want = abs(p.deriv(k)(0.0) if k else p(0.0)) * _max_abs(g)
         assert np.isclose(norms[k], want, atol=1e-11)
@@ -147,8 +156,8 @@ def test_z_derivative_polynomial_exactness(zind_small):
 def test_z_derivative_of_smooth_function(zind_small):
     nodes, _ = U.gauss_legendre_nodes(11)
     ones = np.ones(zind_small.results[0].field.values.shape)
-    _, norms, _ = U._z_survey(nodes, 2, (np.exp(0.4 * z) * ones
-                                         for z in nodes), _max_abs)
+    _, norms, _ = _survey_norms(nodes, 2, (np.exp(0.4 * z) * ones
+                                           for z in nodes))
     assert norms[1] == pytest.approx(0.4, rel=1e-9)
     assert norms[2] == pytest.approx(0.16, rel=1e-7)
 
@@ -167,8 +176,8 @@ def test_z_derivative_matches_polynomial_derivatives(zind_small, n, data):
     nodes, _ = U.gauss_legendre_nodes(n)
     e0 = zind_small.results[0].field.values
     g = e0 / np.abs(e0).max()
-    node_norms, norms, floors = U._z_survey(
-        nodes, K, (p(z) * g for z in nodes), _max_abs)
+    node_norms, norms, floors = _survey_norms(
+        nodes, K, (p(z) * g for z in nodes))
     k_max = min(K, n - 2)
     assert len(norms) == k_max + 1 and set(floors) == set(range(1, k_max + 1))
     assert node_norms == tuple(np.abs(p(nodes)))
@@ -181,22 +190,31 @@ def test_z_derivative_matches_polynomial_derivatives(zind_small, n, data):
             assert floors[k] == scale * U.roundoff_floor(w)
 
 
-@pytest.mark.parametrize("name", ["ens9", "ens13"])
+@pytest.mark.parametrize("name", ["ens9"])
 def test_theorem_norms_match_the_interpolant_oracle(request, name):
-    # the streamed survey against the oracle's weight row applied to the
-    # whole field stack at once
+    # the tangent's norms against the oracle's weight row applied to the
+    # whole field stack at once, and the streamed survey's resolution
+    # values against the oracle's distance from the tangent, within the
+    # survey's floor; at k = 0 the norm is the node z = 0's own, which the
+    # oracle's row picks with weight 1 + 2^-52 on nine nodes
     ens = request.getfixturevalue(name)
     rep = U.check_theorem_bounds(ens)
     table, a = ens.results[0].field, ens.params.a
     stack = ens.field_stack()
     assert len(rep.norms) == 3
     for k, norm in enumerate(rep.norms):
-        want = F.weighted_norm(table.with_values(
-            H.collocation_derivative(ens.nodes, stack, k)), a).value
+        oracle = H.collocation_derivative(ens.nodes, stack, k)
+        want = F.weighted_norm(table.with_values(oracle), a).value
         if k == 0:
-            assert norm == want
-        else:
-            assert abs(norm - want) <= rep.floors["base"][k], k
+            zero = ens.results[ens.nodes.index(0.0)].field
+            assert norm == F.weighted_norm(zero, a).value
+            assert abs(norm - want) <= 2 * np.finfo(float).eps * norm
+            continue
+        assert abs(norm - want) <= 1e-7 * norm, k
+        exact = math.factorial(k) * ens.taylor.fields[k - 1].values
+        dist = F.weighted_norm(table.with_values(oracle - exact), a).value
+        value = rep.checks[f"z_deriv_{k}_resolution"].value
+        assert abs(value - dist) <= rep.floors[k], k
 
 
 def test_z_independent_ensemble_fields_identical(zind_small):
@@ -244,14 +262,13 @@ def test_z_derivative_order_limits(zind_small):
     # k = 0 is the plain value; it must match the reconstruction at z = 0
     nodes = zind_small.nodes
     fields = [r.field.values for r in zind_small.results]
-    _, norms, floors = U._z_survey(nodes, 4, iter(fields), _max_abs)
+    _, norms, floors = _survey_norms(nodes, 4, iter(fields))
     recon = U.gpc_coefficients(zind_small).reconstruct(0.0)
     assert np.isclose(norms[0], _max_abs(recon), atol=1e-18)
     # order 4 needs 6 nodes: five stop at order n_z - 2 = 3
     assert len(norms) == 4 and set(floors) == {1, 2, 3}
     # a single node reaches no order at all (n_z - 2 = -1)
-    assert U._z_survey(nodes[:1], 2, iter(fields[:1]), _max_abs)[1:] \
-        == ((), {})
+    assert _survey_norms(nodes[:1], 2, iter(fields[:1]))[1:] == ((), {})
 
 
 def test_collocation_error_carries_node_context():
@@ -270,11 +287,11 @@ def test_collocation_error_carries_node_context():
 def test_ensemble_validation(zind_small):
     ens = zind_small
     with pytest.raises(ValueError, match="align"):
-        U.ZEnsemble(ens.nodes[:-1], ens.weights, ens.results, ens.phase,
-                    ens.residuals)
+        U.ZEnsemble(ens.nodes[:-1], ens.weights, ens.results, ens.residuals,
+                    ens.taylor)
     with pytest.raises(ValueError, match="strictly increasing"):
-        U.ZEnsemble(ens.nodes[::-1], ens.weights, ens.results, ens.phase,
-                    ens.residuals)
+        U.ZEnsemble(ens.nodes[::-1], ens.weights, ens.results,
+                    ens.residuals, ens.taylor)
     # zind_small solved on nx 32, nv 65, v_max 6: a node solved on any
     # other grid, with every other setting equal, is not its node
     spec, params, tg, _ = _small_setup()
@@ -284,8 +301,8 @@ def test_ensemble_validation(zind_small):
         mixed = list(ens.results)
         mixed[2] = S.picard_solve(spec, params, 0.0, tg, phase)
         with pytest.raises(ValueError, match="differing grids"):
-            U.ZEnsemble(ens.nodes, ens.weights, mixed, ens.phase,
-                        ens.residuals)
+            U.ZEnsemble(ens.nodes, ens.weights, mixed, ens.residuals,
+                        ens.taylor)
 
 
 def test_gpc_table_reconstruct_and_decay(zind_small):
@@ -309,31 +326,58 @@ def test_gpc_table_reconstruct_and_decay(zind_small):
 # ---------------------------------------------------------------------------
 
 def test_theorem_report_z_independent(zind_small):
-    spec, params, tg, phase = _small_setup()
-    refined = U.run_collocation(spec, params, tg, phase, n_z=7)
-    rep = U.check_theorem_bounds(zind_small, refined=refined)
+    # the tangent of a z-independent profile is exactly 0, so are its
+    # certificates, and the interpolant's derivatives sit within their
+    # roundoff floors
+    rep = U.check_theorem_bounds(zind_small)
     assert len(rep.norms) == 3 and rep.norms[0] > 0
-    assert rep.norms[1] <= 1e-12 * rep.norms[0]
-    assert rep.norms[2] <= 1e-12 * rep.norms[0]
-    # both derivative norms sit at roundoff, so refinement drift is
-    # measured against the roundoff floor and must come out negligible
-    assert max(rep.drift.values()) <= rep.stability_tol
+    assert rep.norms[1:] == (0.0, 0.0)
+    assert set(rep.checks) == {"z_deriv_1_tangent", "z_deriv_2_tangent",
+                               "z_deriv_1_resolution",
+                               "z_deriv_2_resolution"}
+    for k in (1, 2):
+        tangent = rep.checks[f"z_deriv_{k}_tangent"]
+        assert (tangent.value, tangent.bound) == (0.0, 0.0)
+        assert rep.checks[f"z_deriv_{k}_resolution"].bound == rep.floors[k]
     assert rep.passed
     d = rep.as_dict()
     assert d["passed"] is True and len(d["norms"]) == 3
 
 
 def test_theorem_report_records_floors(zind_small):
-    # the report carries the floor each k >= 1 norm was judged against,
-    # so a zero drift explains itself
+    # the report carries the floor each resolution check was judged
+    # against; node values that agree have interpolant derivatives within it
     rep = U.check_theorem_bounds(zind_small)
-    assert set(rep.floors) == {"base"}
+    assert set(rep.floors) == {1, 2}
     for k in (1, 2):
-        assert 0.0 < rep.norms[k] <= rep.floors["base"][k]
-    assert rep.floors["base"][2] > rep.floors["base"][1]
+        res = rep.checks[f"z_deriv_{k}_resolution"]
+        assert 0.0 < res.value <= rep.floors[k]
+    assert rep.floors[2] > rep.floors[1]
     d = rep.as_dict()
-    assert d["floors"]["base"] == {"1": rep.floors["base"][1],
-                                   "2": rep.floors["base"][2]}
+    assert d["floors"] == {"1": rep.floors[1], "2": rep.floors[2]}
+
+
+def test_theorem_report_needs_the_node_zero():
+    spec, params, tg, phase = _small_setup(ZDEP_MODES)
+    ens = U.run_collocation(spec, params, tg, phase, n_z=2)
+    assert ens.taylor is None
+    with pytest.raises(ValueError, match="z = 0 as a node"):
+        U.check_theorem_bounds(ens)
+
+
+def test_theorem_report_fails_an_underresolved_interpolant():
+    # c1 = 1e-5 + 6e-7 sin 5z: c1'(0) = 3e-6 as for the linear profile, so
+    # the tangent is 2.4e-5, but five nodes cannot resolve sin 5z and the
+    # interpolant's first derivative falls far off it
+    spec, params, tg, phase = _small_setup({0: 8e-5})
+    sin5z = Amplitude("trig", (1e-5,) + (0.0,) * 9 + (6e-7,))
+    spec = replace(spec, modes=spec.modes + (Mode(1, sin5z),))
+    rep = U.check_theorem_bounds(U.run_collocation(spec, params, tg, phase,
+                                                   n_z=5))
+    assert rep.norms[1] == pytest.approx(2.4e-5, rel=1e-9)
+    assert rep.checks["z_deriv_1_tangent"].passed
+    assert not rep.checks["z_deriv_1_resolution"].passed
+    assert not rep.passed
 
 
 def test_roundoff_floor_bounds_node_identical_stacks(zind_small):
@@ -357,7 +401,7 @@ def test_roundoff_floor_bounds_node_identical_stacks(zind_small):
             base = rng.standard_normal(shape) * 10.0 ** rng.uniform(-30, 30)
             stack = np.repeat(base[None], n, axis=0)
             scale = np.abs(base).max()
-            _, norms, floors = U._z_survey(nodes, n, iter(stack), _max_abs)
+            _, norms, floors = _survey_norms(nodes, n, iter(stack))
             for k in ks:
                 full = H.collocation_derivative(nodes, stack, k)
                 fd = H.collocation_derivative(nodes[near[k]],
@@ -372,22 +416,18 @@ def test_roundoff_floor_bounds_node_identical_stacks(zind_small):
             assert max(full_floor[k], fd_floor[k]) <= 1e-11, (n, k)
 
 
-def test_corollary_report_z_independent_refined(zind_small):
-    # every node residual agrees, so the k >= 1 residual derivatives of
-    # both ensembles are roundoff within their floors and do not drift
-    spec, params, tg, phase = _small_setup()
-    refined = U.run_collocation(spec, params, tg, phase, n_z=7)
-    rep = U.check_corollary(zind_small, refined=refined)
+def test_corollary_report_z_independent(zind_small):
+    # every node residual agrees, so the k >= 1 residual derivatives are
+    # roundoff within the floor of their difference weights
+    rep = U.check_corollary(zind_small)
     assert len(rep.derivative_norms) == 3 and rep.derivative_norms[0] > 0
+    rows = U.fd_weights(zind_small.nodes, 0.0, 2)
     for k in (1, 2):
-        assert rep.derivative_norms[k] <= rep.floors["base"][k]
-        assert rep.drift[k] == 0.0
-    assert rep.drift[0] <= 1e-12
+        floor = max(rep.node_norms) * U.roundoff_floor(rows[k])
+        assert rep.derivative_norms[k] <= floor
     assert rep.passed
     d = rep.as_dict()
-    assert d["passed"] is True
-    assert set(d["floors"]) == {"base", "refined"}
-    assert set(d["floors"]["refined"]) == {"1", "2"}
+    assert d["passed"] is True and set(d["checks"]) == {"residual_k0"}
 
 
 def test_corollary_report_zero_field():
@@ -449,32 +489,31 @@ def test_check_corollary_solves_nothing(zdep_small, monkeypatch):
             "solve_characteristics", S.solve_characteristics))
         monkeypatch.setattr(mod, "picard_solve",
                             counted("picard_solve", S.picard_solve))
-    rep = U.check_corollary(zdep_small, refined=zdep_small)
+    rep = U.check_corollary(zdep_small)
     assert calls == []
-    assert rep.passed and set(rep.drift) == {0, 1, 2}
+    assert rep.passed and len(rep.derivative_norms) == 3
 
 
 def test_reports_stop_at_order_K_1():
-    # K = 1 caps every derivative order at 1, though 4 nodes reach n_z - 2 = 2
+    # K = 1 caps every derivative order at 1, though 5 nodes reach
+    # n_z - 2 = 3
     spec, _, tg, phase = _small_setup(ZDEP_MODES)
     params = P.derive_constants(1.0, 0.002, 0.002, 1, t0=8.0)
-    ens = U.run_collocation(spec, params, tg, phase, n_z=4)
-    refined = U.run_collocation(spec, params, tg, phase, n_z=5)
-    thm = U.check_theorem_bounds(ens, refined=refined)
-    cor = U.check_corollary(ens, refined=refined)
-    assert len(thm.norms) == 2
+    ens = U.run_collocation(spec, params, tg, phase, n_z=5)
+    thm = U.check_theorem_bounds(ens)
+    cor = U.check_corollary(ens)
+    assert len(thm.norms) == 2 and len(ens.taylor.fields) == 1
+    assert set(thm.checks) == {"z_deriv_1_tangent", "z_deriv_1_resolution"}
+    assert set(thm.floors) == {1}
     assert len(cor.derivative_norms) == len(cor.comparison_bounds) == 2
-    assert set(thm.drift) == set(cor.drift) == {0, 1}
-    assert set(cor.floors["base"]) == set(cor.floors["refined"]) == {1}
-    assert set(thm.floors["base"]) == set(thm.floors["refined"]) == {1}
     assert thm.passed and cor.passed
 
 
 def test_check_corollary_needs_the_ensembles_survey(zdep_small):
     with pytest.raises(ValueError, match="residual survey must align"):
         U.ZEnsemble(zdep_small.nodes[:-1], zdep_small.weights[:-1],
-                    zdep_small.results[:-1], zdep_small.phase,
-                    zdep_small.residuals)
+                    zdep_small.results[:-1], zdep_small.residuals,
+                    zdep_small.taylor)
 
 
 @pytest.mark.parametrize("n_z, n_derivs", [(1, 0), (2, 1)])
@@ -485,25 +524,32 @@ def test_run_collocation_few_nodes(n_z, n_derivs):
     survey = ens.residuals
     assert ens.n_nodes == len(survey.node_norms) == n_z
     assert len(survey.derivative_norms) == n_derivs
-    assert survey.floors == {}
     rep = U.check_corollary(ens)
     assert rep.passed and len(rep.comparison_bounds) == n_derivs
 
 
-def test_z_independent_profile_is_solved_once(monkeypatch):
-    calls = []
-    real = U.picard_solve
+def test_every_node_is_solved_and_the_tangent_runs_once(monkeypatch):
+    # a z-independent profile too is solved at every node, and the
+    # tangent solve runs at the node z = 0 only, on its own solve
+    calls, tangents = [], []
+    real_solve, real_tangent = U.picard_solve, U.solve_tangent
 
     def counted(*args, **kwargs):
         calls.append(args[2])
-        return real(*args, **kwargs)
+        return real_solve(*args, **kwargs)
+
+    def counted_tangent(spec, result, **kwargs):
+        tangents.append((result.z, kwargs))
+        return real_tangent(spec, result, **kwargs)
 
     monkeypatch.setattr(U, "picard_solve", counted)
+    monkeypatch.setattr(U, "solve_tangent", counted_tangent)
     spec, params, tg, phase = _small_setup()
-    ens = U.run_collocation(spec, params, tg, phase, n_z=5)
-    assert len(calls) == 1
+    ens = U.run_collocation(spec, params, tg, phase, n_z=5, tol=1e-11,
+                            inner_tol=1e-13)
+    assert calls == list(ens.nodes)
+    assert tangents == [(0.0, {"tol": 1e-11})]
     assert [r.z for r in ens.results] == list(ens.nodes)
-    assert all(r.field is ens.results[0].field for r in ens.results)
     survey = ens.residuals
     assert len(set(survey.node_norms)) == len(set(survey.node_ratios)) == 1
 
@@ -518,26 +564,23 @@ def test_node_manifest_records_velocity_grid(zdep_small):
 
 
 def test_report_verdicts_are_their_checks():
-    thm = U.TheoremReport(norms=(1.0, 0.5), drift={0: 0.0, 1: 0.06},
-                          floors={})
-    assert set(thm.checks) == {"z_deriv_0_drift", "z_deriv_1_drift"}
-    failing = thm.checks["z_deriv_1_drift"]
-    assert failing.bound == thm.stability_tol and not failing.passed
+    ok = BoundCheck("z_deriv_1_tangent", 1.0, 2.0)
+    bad = BoundCheck("z_deriv_1_resolution", 0.06, 0.05)
+    thm = U.TheoremReport(norms=(1.0, 0.5), floors={1: 0.0},
+                          checks={c.name: c for c in (ok, bad)})
     assert not thm.passed
     d = thm.as_dict()
-    assert d["checks"]["z_deriv_1_drift"] == failing.as_dict()
-    assert d["passed"] is False
+    assert d["checks"]["z_deriv_1_resolution"] == bad.as_dict()
+    assert d["passed"] is False and d["floors"] == {"1": 0.0}
 
     cor = U.CorollaryReport(node_norms=(1.0, 2.0), node_ratios=(0.5, 1.5),
-                            derivative_norms=(1.0,), comparison_bounds=(1.0,),
-                            drift={0: 0.01}, floors={})
-    assert set(cor.checks) == {"residual_k0", "residual_deriv_0_drift"}
+                            derivative_norms=(1.0,), comparison_bounds=(1.0,))
+    assert set(cor.checks) == {"residual_k0"}
     k0 = cor.checks["residual_k0"]
     assert (k0.value, k0.bound, k0.passed) == (1.5, 1.0, False)
-    assert cor.checks["residual_deriv_0_drift"].passed
     assert not cor.passed and cor.as_dict()["checks"]["residual_k0"]["passed"] \
         is False
 
     # a non-finite norm fails the verdict even when every check passes
-    thm = U.TheoremReport(norms=(math.inf,), drift={}, floors={})
+    thm = U.TheoremReport(norms=(math.inf,), floors={}, checks={})
     assert thm.checks == {} and not thm.passed
