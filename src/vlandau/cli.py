@@ -161,8 +161,7 @@ def cmd_solve(cfg: RunConfig, args) -> int:
     spec = cfg.profile_spec()
     result = picard_solve(spec, params, args.z, cfg.time_grid(),
                           cfg.phase_grid(), tol=cfg.picard_tol,
-                          max_iter=cfg.max_iter, inner_tol=cfg.inner_tol,
-                          max_inner=cfg.max_inner)
+                          max_iter=cfg.max_iter)
 
     manifest = result.manifest()
     manifest["config_sha256"] = cfg.content_hash()
@@ -198,8 +197,7 @@ def cmd_uq(cfg: RunConfig, args) -> int:
     spec = cfg.profile_spec()
     ens = run_collocation(spec, params, cfg.time_grid(), cfg.phase_grid(),
                           n_z=cfg.n_z, tol=cfg.picard_tol,
-                          max_iter=cfg.max_iter, inner_tol=cfg.inner_tol,
-                          max_inner=cfg.max_inner)
+                          max_iter=cfg.max_iter)
     print(f"collocation sweep: {ens.n_nodes} nodes converged")
 
     gpc = gpc_coefficients(ens)

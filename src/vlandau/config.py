@@ -194,6 +194,8 @@ class RunConfig:
     n_z: int = _key("grids", 9)
     picard_tol: float = _key("solver", 1e-10)
     max_iter: int = _key("solver", 30)
+    # met by construction: the characteristics are solved exactly in one
+    # pass; kept so that existing configs and their hashes stay valid
     inner_tol: float = _key("solver", 1e-12)
     max_inner: int = _key("solver", 50)
     method: str = _key("solver", FIELD_MAP_METHOD)   # the only value

@@ -1,13 +1,14 @@
 """Hot numerical kernels, vectorized with numpy over particles.
 
-``eval_rows`` and ``corr_fourier`` take the solver's phase nodes as labels,
+``eval_rows`` (and ``row_evaluator``, the same algorithm by rows) and
+``corr_fourier`` take the solver's phase nodes as labels,
 ``x = repeat(xs, nv)`` and ``v = tile(vs, nx)`` with
 ``xs = (2 pi / nx) arange(nx)`` and nx equal to twice the top mode; other
 labels raise ValueError.  On this tensor grid ``e^{ik(x_i + v_j t_n + d)}``
 factors into ``e^{2 pi i k i / nx}``, a real FFT of length nx over i; the
 grid-only table ``e^{i k v_j t_n}`` (``phase_table``, which keeps the last
-table it built, so sweeps, Picard iterations, the variational solve and
-the z nodes of one grid share it); and ``e^{i k d}``, summed as its Taylor
+table it built, so the passes, Picard iterations, the variational solve
+and the z nodes of one grid share it); and ``e^{i k d}``, summed as its Taylor
 series in the displacement d.  Time row n has the Taylor radius
 ``r = k_max max_p |d_{n,p}|``.  A row with r > pi/2 is first reduced onto
 the grid: ``d = q h + s`` with grid step ``h = 2 pi / nx``, integer
@@ -36,8 +37,11 @@ Numerical conventions shared by several kernels:
   ``A_n = A_{n+1} + dt (g_n + g_{n+1}) / 2`` and, for the first moment
   ``I_n = int (s - t_n) g ds``, ``I_n = I_{n+1} + dt A_{n+1} + dt^2 g_{n+1} / 2``
   (an exact identity for the composite rule, not an extra approximation).
-  ``suffix_volterra`` runs the same recurrence with ``g_n`` replaced by
-  ``g_n I_n + f_n``, which the step computes before it needs it.
+  ``suffix_pass`` is the one implementation: its integrand row ``g_n`` may
+  depend on ``I_n``, which the step computes before it needs it, so one
+  backward pass solves the (strictly triangular) Volterra equations of the
+  characteristics, the variational system (``suffix_volterra``,
+  ``g_n I_n + f_n``) and the tangent exactly.
 * ``suffix_weighted`` generalizes the plain suffix rule to arbitrary
   two-point cell weights ``A_n = A_{n+1} + alpha g_n + beta g_{n+1}``.
   With ``alpha = (a dt - 1 + e^{-a dt})/(a^2 dt)`` and
@@ -192,6 +196,17 @@ def eval_rows(cre, cim, x, v, times, dx_dev):
     cre/cim: (nt, nk) mode rows (see module docstring for the layout);
     x, v: the tensor-grid labels (P,); dx_dev: (nt, P) position deviations.
     Returns (nt, P).
+    """
+    out = np.empty(dx_dev.shape)
+    row_evaluator(cre, cim, x, v, times)(out, 0, dx_dev)
+    return out
+
+
+def row_evaluator(cre, cim, x, v, times):
+    """eval_rows by rows: a function rows(out, n0, dx) that writes rows
+    n0, n0 + 1, ... of eval_rows(cre, cim, x, v, times, dx_dev) into out
+    from those rows' displacements dx alone; the characteristics pass
+    asks for one row as soon as its displacement is known.
 
     With theta = x_i + v_j t_n + q h + s, Taylor order m of e^{i k s} gives
     F_m[n, i, j] = Re sum_k (i k)^m c_k e^{i k v_j t_n} e^{2 pi i k i / nx},
@@ -201,86 +216,90 @@ def eval_rows(cre, cim, x, v, times, dx_dev):
     nk = cre.shape[1]
     vs = _grid_velocities(x, v, nk)
     nx, nv = 2 * (nk - 1), vs.shape[0]
-    out = np.empty(dx_dev.shape)
     c = cre + 1j * cim
     c[:, nk - 1] = cre[:, nk - 1]            # cosine-only Nyquist row
     ik = 1j * np.arange(nk)
     table = phase_table(vs, times, nk)
-    dx_red, q, orders, _, bad = _taylor_rows(dx_dev, nk - 1, 0)
     block = max(1, _BLOCK_BYTES // (16 * nk * nv))
-    for n0, n1, order in _row_blocks(orders, block):
-        acc = out[n0:n1].reshape(n1 - n0, nx, nv)
-        d = dx_red[n0:n1].reshape(n1 - n0, nx, nv)
-        tab = table[n0:n1]
-        at = None if q is None else _shifted_index(q[n0:n1], nx, nv)
-        for m in range(order, -1, -1):
-            coef = c[n0:n1] * ik ** m
-            f = np.fft.irfft(coef[:, :, None] * tab, n=nx, axis=1,
-                             norm="forward")
-            if at is not None:
-                f = np.take_along_axis(f, at, axis=1)
-            if m == order:
-                acc[...] = f
-            else:
-                acc *= d
-                if m:
-                    acc *= 1.0 / (m + 1)
-                acc += f
-    out[bad] = np.nan
-    return out
+
+    def rows(out, n0, dx):
+        cn, tn = c[n0:n0 + len(dx)], table[n0:n0 + len(dx)]
+        dx_red, q, orders, _, bad = _taylor_rows(dx, nk - 1, 0)
+        for r0, r1, order in _row_blocks(orders, block):
+            acc = out[r0:r1].reshape(r1 - r0, nx, nv)
+            d = dx_red[r0:r1].reshape(r1 - r0, nx, nv)
+            tab = tn[r0:r1]
+            at = None if q is None else _shifted_index(q[r0:r1], nx, nv)
+            for m in range(order, -1, -1):
+                coef = cn[r0:r1] * ik ** m
+                f = np.fft.irfft(coef[:, :, None] * tab, n=nx, axis=1,
+                                 norm="forward")
+                if at is not None:
+                    f = np.take_along_axis(f, at, axis=1)
+                if m == order:
+                    acc[...] = f
+                else:
+                    acc *= d
+                    if m:
+                        acc *= 1.0 / (m + 1)
+                    acc += f
+        out[bad] = np.nan
+    return rows
 
 
 # ---------------------------------------------------------------------------
 # suffix trapezoid integrals
 # ---------------------------------------------------------------------------
 
+def suffix_pass(integrand, shape, dt):
+    """(A, I), each of shape (nt, ...): the composite-trapezoid suffix
+    integral A[n] = int_{t_n}^{t_end} h ds and first moment
+    I[n] = int (s - t_n) h(s) ds of an integrand whose row
+    h_n = integrand(n, I[n]) may read the moment of its own row.
+
+    The moment weight (s - t_n) vanishes at s = t_n, so I[n] needs only
+    the rows > n: the system is strictly triangular, and this one
+    backward pass solves it exactly (bitwise a fixed point of
+    suffix_trapz_moment).  integrand is called once per row, from
+    n = nt - 1 down to 0.
+    """
+    dt = float(dt)
+    acc = np.zeros(shape)
+    mom = np.zeros(shape)
+    h_next = integrand(shape[0] - 1, mom[-1])
+    for n in range(shape[0] - 2, -1, -1):
+        mom[n] = mom[n + 1] + dt * acc[n + 1] + (0.5 * dt * dt) * h_next
+        h = integrand(n, mom[n])
+        acc[n] = acc[n + 1] + (0.5 * dt) * (h + h_next)
+        h_next = h
+    return acc, mom
+
+
 # unused in the package, but perfbench/tracer.py lists it in TRACED by name
 def suffix_trapz(g, dt):
     """A[n] = trapezoid of g over [t_n, t_end]; g is (nt, P)."""
-    g = np.ascontiguousarray(g)
-    dt = float(dt)
-    acc = np.zeros_like(g)
-    for n in range(g.shape[0] - 2, -1, -1):
-        acc[n] = acc[n + 1] + (0.5 * dt) * (g[n] + g[n + 1])
-    return acc
+    return suffix_trapz_moment(g, dt)[0]
 
 
+# unused in the package, but perfbench/tracer.py lists it in TRACED by name
 def suffix_trapz_moment(g, dt):
     """(A, I) with A as in suffix_trapz and I[n] = int (s - t_n) g(s) ds.
 
     I is the exact first moment of the same composite-trapezoid rule, so
     A and I stay consistent to rounding.
     """
-    g = np.ascontiguousarray(g)
-    dt = float(dt)
-    acc = np.zeros_like(g)
-    mom = np.zeros_like(g)
-    for n in range(g.shape[0] - 2, -1, -1):
-        mom[n] = mom[n + 1] + dt * acc[n + 1] + (0.5 * dt * dt) * g[n + 1]
-        acc[n] = acc[n + 1] + (0.5 * dt) * (g[n] + g[n + 1])
-    return acc, mom
+    g = np.asarray(g, dtype=float)
+    return suffix_pass(lambda n, _: g[n], g.shape, dt)
 
 
 def suffix_volterra(g, f, dt):
     """(A, I) solving I = suffix_trapz_moment(g I + f)[1], with A the
     plain suffix integral of the same integrand; f broadcasts to g.
-
-    The moment weight (s - t_n) vanishes at s = t_n, so this linear Volterra
-    system is strictly triangular, and one backward pass in the operation
-    order of suffix_trapz_moment solves it exactly (bitwise a fixed point).
+    One suffix_pass solves this linear Volterra system exactly.
     """
-    g = np.ascontiguousarray(g)
+    g = np.asarray(g, dtype=float)
     f = np.broadcast_to(f, g.shape)
-    dt = float(dt)
-    acc = np.zeros_like(g)
-    mom = np.zeros_like(g)
-    h_next = g[-1] * mom[-1] + f[-1]
-    for n in range(g.shape[0] - 2, -1, -1):
-        mom[n] = mom[n + 1] + dt * acc[n + 1] + (0.5 * dt * dt) * h_next
-        h = g[n] * mom[n] + f[n]
-        acc[n] = acc[n + 1] + (0.5 * dt) * (h + h_next)
-        h_next = h
-    return acc, mom
+    return suffix_pass(lambda n, y: g[n] * y + f[n], g.shape, dt)
 
 
 def exp_cell_weights(a: float, dt: float) -> tuple[float, float]:

@@ -7,8 +7,9 @@ equations
     X(x,v,t) = x + v t + int_t^inf (s - t) E(X(x,v,s), s) ds
     V(x,v,t) = v       - int_t^inf         E(X(x,v,s), s) ds
 
-are solved per phase node by waveform relaxation over the whole stored
-time window at once.  The induced field map takes a field E to
+are solved on the composite-trapezoid rule in one exact backward pass
+over the stored time window (the discrete system is strictly
+triangular).  The induced field map takes a field E to
 
     (map E)(y, t) = int int B(y - X(x,v,t)) f*(x,v) dx dv,
 
@@ -102,10 +103,10 @@ class TrajectoryTable:
     tgrid: TimeGrid
     dX: np.ndarray
     dV: np.ndarray
-    inner_iterations: int
-    residual: float
     tail_bound_x: float
     tail_bound_v: float
+    # one backward pass; perfbench/tracer.py reads it as the sweep count
+    inner_iterations: ClassVar[int] = 1
 
     def X(self) -> np.ndarray:
         x, v, _ = _flat_labels(self.phase)
@@ -118,59 +119,56 @@ class TrajectoryTable:
         return v.reshape(1, self.phase.xgrid.n, self.phase.nv) + self.dV
 
 
-def solve_characteristics(E: FieldTable, phase: PhaseGrid, a: float,
-                          tol: float = 1e-12, max_inner: int = 50,
-                          initial: np.ndarray | None = None) -> TrajectoryTable:
-    """Waveform relaxation for the backward trajectory integral equations.
+def solve_characteristics(E: FieldTable, phase: PhaseGrid,
+                          a: float) -> TrajectoryTable:
+    """The backward trajectory integral equations in one backward pass.
 
-    Starting from the free flight (or the supplied initial deviation),
-    each sweep re-evaluates E along the current trajectories and
-    recomputes the position suffix integrals by the composite-trapezoid
-    moment rule; sweeps stop when the sup-norm update of X falls below
-    tol.  The velocity deviation is then accumulated once with the
-    exponential-weight product rule (exact for e^{-a s} x linear), since
-    the plain trapezoid overshoots decaying convex envelopes by
-    (a dt)^2/12 relative - far more than the headroom of the pointwise
-    velocity bound |V - v| <= (|E|_{a,t0}/a) e^{-a t}.  The integral
-    tail beyond the stored horizon is neglected and certified via the
-    closed-form tail integrals; the precondition |E|_{a,t0} e^{-a t0} <= a
-    is enforced.
+    On the composite-trapezoid moment rule the position deviation dX_n
+    needs the field only on the rows > n, so kernels.suffix_pass solves
+    the discrete system exactly from t_end backward: each row's dX_n comes
+    from the recurrence, and E is then evaluated along that row alone
+    (kernels.row_evaluator).  The velocity deviation is then accumulated
+    once with the exponential-weight product rule (exact for e^{-a s} x
+    linear), since the plain trapezoid overshoots decaying convex
+    envelopes by (a dt)^2/12 relative - far more than the headroom of the
+    pointwise velocity bound |V - v| <= (|E|_{a,t0}/a) e^{-a t}.  The
+    integral tail beyond the stored horizon is neglected and certified via
+    the closed-form tail integrals.  A field that is not finite, or
+    violates the precondition |E|_{a,t0} e^{-a t0} <= a, raises
+    ConvergenceError.
     """
     tg = E.tgrid
     x, v, _ = _flat_labels(phase)
     nt, npart = len(tg), x.shape[0]
 
     norm_e = weighted_norm(E, a).value
+    if not math.isfinite(norm_e):
+        raise ConvergenceError(
+            f"field is not finite: |E|_(a,t0) = {norm_e}", residual=math.inf)
     if norm_e * math.exp(-a * tg.t0) > a:
         raise ConvergenceError(
             f"field too large for the trajectory map: |E| e^(-a t0) = "
             f"{norm_e * math.exp(-a * tg.t0):.3e} > a = {a:.3e}",
             residual=math.inf)
 
-    dX = np.zeros((nt, npart)) if initial is None \
-        else np.ascontiguousarray(initial.reshape(nt, npart)).copy()
-    g = np.zeros((nt, npart))
-    residual = math.inf
-    sweeps = 0
-    for sweeps in range(1, max_inner + 1):
-        g = _along(E, x, v, dX)
-        _, mom = kernels.suffix_trapz_moment(g, tg.dt)
-        residual = float(np.abs(mom - dX).max())
-        dX = mom
-        if residual < tol:
-            break
-    else:
-        raise ConvergenceError(
-            f"characteristics did not converge in {max_inner} sweeps "
-            f"(last update {residual:.3e} > tol {tol:.3e})", residual)
+    c = E.coefficients()
+    rows = kernels.row_evaluator(np.ascontiguousarray(c.real),
+                                 np.ascontiguousarray(c.imag), x, v, tg.times)
+    g = np.empty((nt, npart))
 
+    def field_along(n, dX_n):
+        rows(g[n:n + 1], n, dX_n[None, :])
+        return g[n]
+
+    dX = kernels.suffix_pass(field_along, (nt, npart), tg.dt)[1]
     alpha, beta = kernels.exp_cell_weights(a, tg.dt)
-    dV = -kernels.suffix_weighted(g, alpha, beta)
+    dV = kernels.suffix_weighted(g, alpha, beta)
+    del g
+    np.negative(dV, out=dV)
 
     shape = (nt, phase.xgrid.n, phase.nv)
     return TrajectoryTable(
         phase=phase, tgrid=tg, dX=dX.reshape(shape), dV=dV.reshape(shape),
-        inner_iterations=sweeps, residual=residual,
         tail_bound_x=norm_e * tail_integral_moment(a, tg.t_end, 0),
         tail_bound_v=norm_e * tail_integral(a, tg.t_end, 0))
 
@@ -502,7 +500,9 @@ def picard_solve(spec: ProfileSpec, params: DampingParams, z: float,
     application certifies the fixed-point residual, and the returned
     result carries the full set of inequality checks evaluated at the
     converged field.  method accepts only FIELD_MAP_METHOD; it remains for
-    callers that pass the config's method (perfbench/reference.py).
+    callers that pass the config's method (perfbench/reference.py), and so
+    do inner_tol and max_inner: the characteristics are solved exactly in
+    one pass, which meets any tolerance and sweep cap.
     """
     if method != FIELD_MAP_METHOD:
         raise ValueError(f"unknown field-map method {method!r}")
@@ -525,16 +525,13 @@ def picard_solve(spec: ProfileSpec, params: DampingParams, z: float,
     E = zero_field(tgrid, xgrid)
     d_hist: list[float] = []
     ratios: list[float] = []
-    traj = None
     converged = False
     iterations = 0
     for iterations in range(1, max_iter + 1):
         if iterations == 1:     # the image of E = 0 is the free-flight field
             E_next = field_map_zero(spec, z, tgrid, xgrid)
         else:
-            traj = solve_characteristics(
-                E, phase, a, tol=inner_tol, max_inner=max_inner,
-                initial=None if traj is None else traj.dX)
+            traj = solve_characteristics(E, phase, a)
             E_next = _map_from_traj(traj, spec, z, xgrid)
         d = weighted_norm(E_next.with_values(E_next.values - E.values), a).value
         d_hist.append(d)
@@ -556,9 +553,7 @@ def picard_solve(spec: ProfileSpec, params: DampingParams, z: float,
             residual=d_hist[-1])
 
     # certify the residual of the accepted iterate with one more map
-    traj = solve_characteristics(E, phase, a, tol=inner_tol,
-                                 max_inner=max_inner,
-                                 initial=None if traj is None else traj.dX)
+    traj = solve_characteristics(E, phase, a)
     E_map = _map_from_traj(traj, spec, z, xgrid)
     residual_norm = weighted_norm(
         E_map.with_values(E_map.values - E.values), a).value
@@ -577,7 +572,6 @@ def picard_solve(spec: ProfileSpec, params: DampingParams, z: float,
         "time_tail_velocity": traj.tail_bound_v,
         "velocity_truncation_density": 2.0 * params.a2 / (3.0 * phase.v_max ** 3),
         "mean_density_drift": abs(float(rho.values.mean()) - rho0),
-        "inner_residual": traj.residual,
         "kernel_truncation": kernels.truncation_remainder(
             x, v, traj.dX.reshape(len(tgrid), -1), xgrid.n // 2 + 1),
     }

@@ -351,13 +351,12 @@ def write_gpc_csv(table: GpcTable, path) -> None:
     """Long-format CSV (m, x, t, coefficient), m-major then t then x."""
     fmt = "%.17g"
     lines = ["m,x,t,coefficient"]
-    times = table.tgrid.times
+    xs = [fmt % x for x in table.xs]
     for m in range(table.n_modes):
-        for n, t in enumerate(times):
-            row = table.coefficients[m, n]
-            for i, x in enumerate(table.xs):
-                lines.append("%d,%s,%s,%s" % (m, fmt % x, fmt % t,
-                                              fmt % row[i]))
+        for t, row in zip(table.tgrid.times, table.coefficients[m]):
+            t_col = "," + fmt % t + ","
+            lines += [f"{m},{x}{t_col}{fmt % c}"
+                      for x, c in zip(xs, row.tolist())]
     with open(str(path), "w") as fh:
         fh.write("\n".join(lines) + "\n")
 

@@ -230,7 +230,7 @@ def full_grid_sup_gradient(spec, z):
     return float(np.sqrt(gx * gx + gv * gv).max())
 
 
-def resolved_corollary_survey(ens, spec, inner_tol=1e-12, max_inner=50):
+def resolved_corollary_survey(ens, spec):
     """The corollary survey as first written, independent of the node
     solves' own trajectories: each node's characteristics are solved again
     from its converged field, its residual f* - f* o (X - Vt, V) is formed
@@ -253,8 +253,7 @@ def resolved_corollary_survey(ens, spec, inner_tol=1e-12, max_inner=50):
 
     norms, ratios = [], []
     for j, (z, result) in enumerate(zip(ens.nodes, ens.results)):
-        traj = scattering.solve_characteristics(
-            result.field, phase, tol=inner_tol, max_inner=max_inner, a=a)
+        traj = scattering.solve_characteristics(result.field, phase, a=a)
         dX = traj.dX.reshape(len(times), -1)
         dV = traj.dV.reshape(len(times), -1)
         delta = -profiles.shifted_difference(

@@ -206,10 +206,13 @@ def test_criterion_11_field_density_consistency(ref_solve):
 # ---------------------------------------------------------------------------
 
 @pytest.fixture(scope="module")
-def zind_ens(ref_params, ref_tgrid, ref_phase):
-    from helpers import make_spec
+def zind_ens(ref_params):
+    # every check below is grid-independent, so the coarse 32 x 65 x 80
+    # grids of test_uq.py's zind_small serve
+    from helpers import make_spec, small_grids
     spec = make_spec({0: 8e-5, 1: 1e-5})            # no z dependence
-    return U.run_collocation(spec, ref_params, ref_tgrid, ref_phase, n_z=5)
+    tg, phase = small_grids(nx=32, nv=65, t_end=24.0, steps=80)
+    return U.run_collocation(spec, ref_params, tg, phase, n_z=5)
 
 
 def test_criterion_12_z_independence(zind_ens):

@@ -273,6 +273,26 @@ def test_solver_failure_exit_code(tmp_path, capsys):
     assert "did not reach" in err
 
 
+def test_non_finite_field_is_a_solver_failure(tmp_path, monkeypatch,
+                                              capsys):
+    # a NaN in the first Picard iterate stops the next characteristics
+    # solve by name, and solve exits with the solver-failure code
+    from vlandau import scattering
+    real = scattering.field_map_zero
+
+    def spoiled(*args):
+        table = real(*args)
+        values = table.values.copy()
+        values[-1, 1] = math.nan
+        return table.with_values(values)
+
+    monkeypatch.setattr(scattering, "field_map_zero", spoiled)
+    cfg = write_cfg(tmp_path, SMALL_GRIDS)
+    code = run_cli("solve", "--config", cfg, "--out", str(tmp_path / "o"))
+    assert code == 3
+    assert "field is not finite" in capsys.readouterr().err
+
+
 def test_solve_homogeneous_profile_single_pass(tmp_path):
     cfg = write_cfg(tmp_path, SMALL_GRIDS
                     + "profile {\n mode {\n  k 0\n  poly 8e-05\n }\n}\n")

@@ -268,6 +268,25 @@ def test_suffix_volterra_is_second_order_on_closed_form(gamma):
         assert e_coarse / e_fine == pytest.approx(4.0, rel=0.1)
 
 
+def test_suffix_pass_solves_an_integrand_of_its_own_moment():
+    # h_n = f_n + sin(5 I_n) reads the moment of its own row: the one pass
+    # is bitwise a fixed point of the moment rule, and each row is asked
+    # for once, from the last
+    rng = np.random.default_rng(3)
+    nt, dt = 40, 0.3
+    f = rng.standard_normal((nt, 4))
+    asked = []
+
+    def integrand(n, y):
+        asked.append(n)
+        return f[n] + np.sin(5.0 * y)
+
+    acc, mom = K.suffix_pass(integrand, f.shape, dt)
+    assert asked == list(range(nt - 1, -1, -1))
+    plain, moment = K.suffix_trapz_moment(f + np.sin(5.0 * mom), dt)
+    assert np.array_equal(moment, mom) and np.array_equal(plain, acc)
+
+
 # ---------------------------------------------------------------------------
 # density-correction modes
 # ---------------------------------------------------------------------------
@@ -583,6 +602,23 @@ def test_non_finite_rows_come_out_nan(value):
     assert np.array_equal(re[kept], clean_re[kept])
     assert np.array_equal(im[kept], clean_im[kept])
     assert K.truncation_remainder(x, v, dX, nk) == math.inf
+
+
+def test_row_evaluator_is_eval_rows_one_row_at_a_time(table_calls):
+    # the same values bitwise on reduced, unreduced, zero and non-finite
+    # rows, from one phase-table request
+    nx, nv = 16, 9
+    times, x, v, dX, wf, cre, cim = _grid_case(
+        nx, nv, [0.5, 1e-4, 2.0, 0.0, 1e-3], 12)
+    dX[4, 3] = math.nan
+    rows = K.eval_rows(cre, cim, x, v, times, dX)
+    by_rows = K.row_evaluator(cre, cim, x, v, times)
+    out = np.empty(rows.shape)
+    for n in range(len(times)):
+        by_rows(out[n:n + 1], n, dX[n:n + 1])
+    assert np.isnan(out[4]).all()
+    assert np.array_equal(out, rows, equal_nan=True)
+    assert len(table_calls) == 2
 
 
 @pytest.mark.parametrize("labels", ["permuted", "nonuniform"])
