@@ -160,8 +160,7 @@ def cmd_solve(cfg: RunConfig, args) -> int:
     params = cfg.damping_params()
     spec = cfg.profile_spec()
     result = picard_solve(spec, params, args.z, cfg.time_grid(),
-                          cfg.phase_grid(), tol=cfg.picard_tol,
-                          max_iter=cfg.max_iter)
+                          cfg.phase_grid(), tol=cfg.picard_tol)
 
     manifest = result.manifest()
     manifest["config_sha256"] = cfg.content_hash()
@@ -171,8 +170,8 @@ def cmd_solve(cfg: RunConfig, args) -> int:
                               "config_sha256": cfg.content_hash()})
     _write_json(os.path.join(out, "solve_manifest.json"), manifest)
 
-    print(f"converged in {result.iterations} iterations "
-          f"(residual {result.residual_norm:.3e})")
+    print("converged in one backward pass (residual "
+          f"{result.residual_norm:.3e})")
     _print_rows(_check_rows("solve", manifest["checks"]))
     if result.passed:
         print("all bound checks passed")
@@ -196,8 +195,7 @@ def cmd_uq(cfg: RunConfig, args) -> int:
     params = cfg.damping_params()
     spec = cfg.profile_spec()
     ens = run_collocation(spec, params, cfg.time_grid(), cfg.phase_grid(),
-                          n_z=cfg.n_z, tol=cfg.picard_tol,
-                          max_iter=cfg.max_iter)
+                          n_z=cfg.n_z, tol=cfg.picard_tol)
     print(f"collocation sweep: {ens.n_nodes} nodes converged")
 
     gpc = gpc_coefficients(ens)

@@ -192,10 +192,11 @@ class RunConfig:
     nt: int = _key("grids", 176)            # time nodes on [t0, t_end]
     t_end: float = _key("grids", 43.0)
     n_z: int = _key("grids", 9)
-    picard_tol: float = _key("solver", 1e-10)
+    picard_tol: float = _key("solver", 1e-10)   # fixed_point_residual bound
+    # met by construction: the fixed point and the characteristics are
+    # solved exactly in one pass each; kept so that existing configs and
+    # their hashes stay valid
     max_iter: int = _key("solver", 30)
-    # met by construction: the characteristics are solved exactly in one
-    # pass; kept so that existing configs and their hashes stay valid
     inner_tol: float = _key("solver", 1e-12)
     max_inner: int = _key("solver", 50)
     method: str = _key("solver", FIELD_MAP_METHOD)   # the only value

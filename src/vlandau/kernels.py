@@ -1,13 +1,14 @@
 """Hot numerical kernels, vectorized with numpy over particles.
 
-``eval_rows`` (and ``row_evaluator``, the same algorithm by rows) and
-``corr_fourier`` take the solver's phase nodes as labels,
+``eval_rows`` and ``corr_fourier`` (and ``row_evaluator`` and
+``corr_evaluator``, the same algorithms by rows) take the solver's phase
+nodes as labels,
 ``x = repeat(xs, nv)`` and ``v = tile(vs, nx)`` with
 ``xs = (2 pi / nx) arange(nx)`` and nx equal to twice the top mode; other
 labels raise ValueError.  On this tensor grid ``e^{ik(x_i + v_j t_n + d)}``
 factors into ``e^{2 pi i k i / nx}``, a real FFT of length nx over i; the
 grid-only table ``e^{i k v_j t_n}`` (``phase_table``, which keeps the last
-table it built, so the passes, Picard iterations, the variational solve
+table it built, so the passes, the certifying map, the variational solve
 and the z nodes of one grid share it); and ``e^{i k d}``, summed as its Taylor
 series in the displacement d.  Time row n has the Taylor radius
 ``r = k_max max_p |d_{n,p}|``.  A row with r > pi/2 is first reduced onto
@@ -41,7 +42,7 @@ Numerical conventions shared by several kernels:
   depend on ``I_n``, which the step computes before it needs it, so one
   backward pass solves the (strictly triangular) Volterra equations of the
   characteristics, the variational system (``suffix_volterra``,
-  ``g_n I_n + f_n``) and the tangent exactly.
+  ``g_n I_n + f_n``), the field fixed point and its tangent exactly.
 * ``suffix_weighted`` generalizes the plain suffix rule to arbitrary
   two-point cell weights ``A_n = A_{n+1} + alpha g_n + beta g_{n+1}``.
   With ``alpha = (a dt - 1 + e^{-a dt})/(a^2 dt)`` and
@@ -206,7 +207,9 @@ def row_evaluator(cre, cim, x, v, times):
     """eval_rows by rows: a function rows(out, n0, dx) that writes rows
     n0, n0 + 1, ... of eval_rows(cre, cim, x, v, times, dx_dev) into out
     from those rows' displacements dx alone; the characteristics pass
-    asks for one row as soon as its displacement is known.
+    asks for one row as soon as its displacement is known.  The mode rows
+    are read at each call, so a backward pass may fill cre and cim row by
+    row as it goes.
 
     With theta = x_i + v_j t_n + q h + s, Taylor order m of e^{i k s} gives
     F_m[n, i, j] = Re sum_k (i k)^m c_k e^{i k v_j t_n} e^{2 pi i k i / nx},
@@ -216,14 +219,14 @@ def row_evaluator(cre, cim, x, v, times):
     nk = cre.shape[1]
     vs = _grid_velocities(x, v, nk)
     nx, nv = 2 * (nk - 1), vs.shape[0]
-    c = cre + 1j * cim
-    c[:, nk - 1] = cre[:, nk - 1]            # cosine-only Nyquist row
     ik = 1j * np.arange(nk)
     table = phase_table(vs, times, nk)
     block = max(1, _BLOCK_BYTES // (16 * nk * nv))
 
     def rows(out, n0, dx):
-        cn, tn = c[n0:n0 + len(dx)], table[n0:n0 + len(dx)]
+        n1 = n0 + len(dx)
+        cn, tn = cre[n0:n1] + 1j * cim[n0:n1], table[n0:n1]
+        cn[:, nk - 1] = cre[n0:n1, nk - 1]    # cosine-only Nyquist row
         dx_red, q, orders, _, bad = _taylor_rows(dx, nk - 1, 0)
         for r0, r1, order in _row_blocks(orders, block):
             acc = out[r0:r1].reshape(r1 - r0, nx, nv)
@@ -340,16 +343,26 @@ def suffix_weighted(g, alpha, beta):
 # ---------------------------------------------------------------------------
 
 def corr_fourier(wf, x, v, times, dx_dev, nk):
-    """Density-correction modes against the free flow.
-
-    Returns (re, im), each (nt, nk), holding
+    """Density-correction modes against the free flow: (re, im), each
+    (nt, nk), of
 
         (1/2pi) sum_p wf_p e^{-i k (x_p + v_p t_n)} (e^{-i k dX_p(t_n)} - 1)
 
-    for weights wf of shape (P,), or (nt, P) with wf_p read from row n.
+    for weights wf of shape (P,), or (nt, P) with wf_p read from row n:
+    the transported-density Fourier modes minus their free-streaming part,
+    with the cancellation done analytically per particle.
+    """
+    out = np.empty((times.shape[0], int(nk)), dtype=complex)
+    corr_evaluator(x, v, times, nk)(out, 0, wf, dx_dev)
+    return out.real, out.imag
 
-    i.e. the transported-density Fourier modes minus their free-streaming
-    part, with the cancellation done analytically per particle.
+
+def corr_evaluator(x, v, times, nk):
+    """corr_fourier by rows: a function rows(out, n0, wf, dx) that writes
+    rows n0, n0 + 1, ... of corr_fourier(wf, x, v, times, dx_dev, nk), as
+    complex modes, into out from those rows' weights wf ((P,), or one row
+    each) and displacements dx alone; the field pass asks for one row as
+    soon as its displacement is known.
 
     With dX = q h + s on the tensor-grid labels, each Taylor order m >= 1
     of e^{-i k s} contributes
@@ -359,51 +372,48 @@ def corr_fourier(wf, x, v, times, dx_dev, nk):
     unmoved ones, whose k = 0 term is set to its exact value 0.
     """
     nk = int(nk)
-    nt = times.shape[0]
     vs = _grid_velocities(x, v, nk)
     nx, nv = 2 * (nk - 1), vs.shape[0]
-    out_re = np.zeros((nt, nk))
-    out_im = np.zeros((nt, nk))
     mik = -1j * np.arange(nk)
-    wgrid = wf.reshape(-1, nx, nv)
     table = phase_table(vs, times, nk)
-    dx_red, q, orders, _, bad = _taylor_rows(dx_dev, nk - 1, 1)
     block = max(1, _BLOCK_BYTES // (16 * nk * nv))
-    for n0, n1, order in _row_blocks(orders, block):
-        if order < 1 and q is None:
-            continue
-        rows = n1 - n0
-        d = dx_red[n0:n1].reshape(rows, nx, nv)
-        w = (wgrid if wgrid.shape[0] == 1 else wgrid[n0:n1]) / (2.0 * math.pi)
-        conj = table[n0:n1].conj()
-        acc = np.zeros((rows, nk), dtype=complex)
-        move = None
-        if q is not None:
-            # destination of each particle in the block's flat (rows, nx, nv)
-            dest = ((np.arange(rows)[:, None, None] * nx
-                     + _shifted_index(q[n0:n1], nx, nv)) * nv
-                    + np.arange(nv)).ravel()
 
-            def move(vals):
-                return np.bincount(dest, weights=vals.ravel(),
-                                   minlength=dest.size).reshape(d.shape)
+    def rows(out, n0, wf, dx):
+        wgrid = wf.reshape(-1, nx, nv) / (2.0 * math.pi)
+        dx_red, q, orders, _, bad = _taylor_rows(dx, nk - 1, 1)
+        for r0, r1, order in _row_blocks(orders, block):
+            acc = out[r0:r1]
+            acc[...] = 0.0
+            if order < 1 and q is None:
+                continue
+            d = dx_red[r0:r1].reshape(r1 - r0, nx, nv)
+            w = wgrid if wgrid.shape[0] == 1 else wgrid[r0:r1]
+            conj = table[n0 + r0:n0 + r1].conj()
+            move = None
+            if q is not None:
+                # destination of each particle in the block's flat
+                # (rows, nx, nv)
+                dest = ((np.arange(r1 - r0)[:, None, None] * nx
+                         + _shifted_index(q[r0:r1], nx, nv)) * nv
+                        + np.arange(nv)).ravel()
 
-            wrow = np.broadcast_to(w, d.shape)
-            g = np.fft.rfft(move(wrow) - wrow, axis=1)
-            g[:, 0] = 0.0           # moving the weights keeps their total
-            acc += np.einsum("nkj,nkj->nk", conj, g)
-        wdm = w * d
-        for m in range(1, order + 1):
-            if m > 1:
-                wdm *= d
-            g = np.fft.rfft(wdm if move is None else move(wdm), axis=1)
-            acc += (mik ** m / math.factorial(m)) * np.einsum(
-                "nkj,nkj->nk", conj, g)
-        out_re[n0:n1] = acc.real
-        out_im[n0:n1] = acc.imag
-    out_re[bad, 1:] = np.nan
-    out_im[bad, 1:] = np.nan
-    return out_re, out_im
+                def move(vals):
+                    return np.bincount(dest, weights=vals.ravel(),
+                                       minlength=dest.size).reshape(d.shape)
+
+                wrow = np.broadcast_to(w, d.shape)
+                g = np.fft.rfft(move(wrow) - wrow, axis=1)
+                g[:, 0] = 0.0         # moving the weights keeps their total
+                acc += np.einsum("nkj,nkj->nk", conj, g)
+            wdm = w * d
+            for m in range(1, order + 1):
+                if m > 1:
+                    wdm *= d
+                g = np.fft.rfft(wdm if move is None else move(wdm), axis=1)
+                acc += (mik ** m / math.factorial(m)) * np.einsum(
+                    "nkj,nkj->nk", conj, g)
+        out[bad, 1:] = complex(math.nan, math.nan)
+    return rows
 
 
 # ---------------------------------------------------------------------------

@@ -222,11 +222,7 @@ def _solve_node(spec, params, z, tgrid, phase, solve_kw):
     """
     result = replace(picard_solve(spec, params, z, tgrid, phase,
                                   keep_tables=True, **solve_kw), var=None)
-    taylor = None
-    if z == 0.0:
-        taylor = solve_tangent(spec, result, **{
-            key: solve_kw[key] for key in ("tol", "max_iter")
-            if key in solve_kw})
+    taylor = solve_tangent(spec, result) if z == 0.0 else None
     traj = result.traj
     result = replace(result, traj=None)
     delta = _transport_residual(traj, spec, z)
@@ -240,8 +236,8 @@ def run_collocation(spec: ProfileSpec, params: DampingParams,
                     tgrid: TimeGrid, phase: PhaseGrid, n_z: int = 9,
                     **solve_kw) -> ZEnsemble:
     """Deterministic solve at each of the n_z Gauss-Legendre nodes, with
-    solve_kw passed on to picard_solve (its tol and max_iter also to the
-    tangent solve at z = 0); aborts naming a failing node.
+    solve_kw passed on to picard_solve, and the tangent solve at the node
+    z = 0; aborts naming a failing node.
 
     Each node's corollary residual D(z_j) is formed from its own solve
     and handed to _z_survey before the next node is solved, so that at

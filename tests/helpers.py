@@ -2,15 +2,19 @@
 modules.  The oracles are closed forms or literal evaluations that the
 library itself does not need: the force kernel, field tabulation, the
 tail-integral and product lemmas, one field-map application, the field
-map by direct kernel summation, the profile gradient and the
-interpolant's z-derivative."""
+map by direct kernel summation, the iterations that the field and tangent
+passes replace, a march of the field pass in mpmath, the profile gradient
+and the interpolant's z-derivative."""
 
 import math
 from dataclasses import dataclass, field
 
+import mpmath
 import numpy as np
 
 from vlandau import fields
+from vlandau import kernels
+from vlandau import scattering as S
 from vlandau.params import tail_integral, tail_integral_moment
 from vlandau.profiles import Amplitude, Mode, ProfileSpec
 from vlandau.scattering import _map_from_traj, _profile_weights, \
@@ -74,6 +78,128 @@ def direct_field_map(E, spec, z, phase, a=1.0):
                      for row in pos])
     vals -= vals.mean(axis=1, keepdims=True)
     return fields.FieldTable(traj.tgrid, E.xgrid, vals)
+
+
+# ---------------------------------------------------------------------------
+# the iterations that the backward passes replace, and an mpmath march
+# ---------------------------------------------------------------------------
+
+def picard_iterate(spec, z, tgrid, phase, maps, a=1.0):
+    """The Picard iteration from E = 0 that the field pass replaces: the
+    image of 0, field_map_zero, then `maps` more map applications, each
+    along the characteristics of the previous iterate."""
+    E = S.field_map_zero(spec, z, tgrid, phase.xgrid)
+    for _ in range(maps):
+        E = apply_field_map(E, spec, z, phase, a=a)
+    return E
+
+
+def tangent_map(spec, result, tables):
+    """One step of the iteration that the tangent pass replaces: the
+    order-j map, j = len(tables), applied to tables[-1], with tables[:-1]
+    the accepted E_1..E_{j-1} (value arrays), along the trajectories of
+    result.  Each X_i comes from E_i as that iteration formed it,
+    suffix_volterra(E_0'(X0), E_i(X0) + R_i), and the whole density sum
+    sum_m ((-ik)^m / m!) S[sum_i wf_i [delta^m]_{j-i}] is formed at once."""
+    E0, phase, z = result.field, result.phase, result.z
+    x, v, _ = S._flat_labels(phase)
+    times, nx = E0.tgrid.times, E0.xgrid.n
+    nk = nx // 2 + 1
+    mik = -1j * np.arange(nk)
+    dX0 = result.traj.dX.reshape(len(times), -1)
+    table = kernels.phase_table(phase.v, times, nk)
+
+    def density(W):
+        re, im = kernels.corr_fourier(W, x, v, times, dX0, nk)
+        return re + 1j * im + S._free_modes(W, table)
+
+    g = S._along(fields.spectral_dx(E0), x, v, dX0)
+    E = [E0] + [E0.with_values(t) for t in tables]
+    X = []
+    for i in range(1, len(E)):
+        R = S._trajectory_forcing(E[:i], X, x, v, dX0)
+        X.append(kernels.suffix_volterra(
+            g, S._along(E[i], x, v, dX0) + R, E0.tgrid.dt)[1])
+    j = len(tables)
+    specs, wf = [spec], [_profile_weights(phase, spec, z)[2]]
+    for i in range(1, j + 1):
+        specs.append(specs[-1].z_derivative())
+        wf.append(_profile_weights(phase, specs[i], z)[2]
+                  / math.factorial(i))
+    re, im = kernels.corr_fourier(wf[j], x, v, times, dX0, nk)
+    c = re + 1j * im
+    for m in range(1, j + 1):
+        c += (mik ** m / math.factorial(m)) * density(sum(
+            wf[i] * S._power(X, m, j - i) for i in range(j - m + 1)))
+    return S.field_map_zero(specs[j], z, E0.tgrid, E0.xgrid).values \
+        / math.factorial(j) + S._field_of_modes(c, nx)
+
+
+def tangent_iterate(spec, result, maps):
+    """The tangent iteration that the tangent pass replaces: each order's
+    map iterated `maps` times from 0, order by order; returns the value
+    arrays of E_1..E_K."""
+    tables = []
+    for j in range(1, result.params.K + 1):
+        Ej = np.zeros_like(result.field.values)
+        for _ in range(maps):
+            Ej = tangent_map(spec, result, tables + [Ej])
+        tables.append(Ej)
+    return tables
+
+
+def mp_field_march(spec, z, tgrid, phase, dps=30):
+    """The discrete fixed point of the field pass by an independent march
+    in mpmath at dps digits, for tiny grids: the same composite-trapezoid
+    recurrence from t_end backward (dX_n from the rows > n), and at each
+    row the density modes as a direct sum over the particles,
+    rho_k = (1/2pi) sum_p wf_p e^{-ik(x_p + v_p t_n)} (e^{-ik dX_p} - 1),
+    the row of the field as free + sum_{0<k<nx/2} 2 Re(rho_k/(ik) e^{ikx})
+    on the grid, and its value along x_p + v_p t_n + dX_p as the direct
+    Fourier sum of the row's trigonometric interpolant (the cosine-only
+    Nyquist term included).  The labels, weights and field_map_zero come
+    from the library.  Returns the field as floats, (nt, nx)."""
+    with mpmath.workdps(dps):
+        x, v, wf = ([mpmath.mpf(float(e)) for e in arr]
+                    for arr in _profile_weights(phase, spec, z))
+        free = S.field_map_zero(spec, z, tgrid, phase.xgrid).values
+        nt, nx = free.shape
+        half = nx // 2
+        grid = [2 * mpmath.pi * i / nx for i in range(nx)]
+        times = [mpmath.mpf(float(t)) for t in tgrid.times]
+        dt = mpmath.mpf(tgrid.dt)
+        out = np.empty((nt, nx))
+
+        def row(n, dX):
+            rho = [sum(w * mpmath.expj(-k * (xp + vp * times[n]))
+                       * (mpmath.expj(-k * d) - 1)
+                       for w, xp, vp, d in zip(wf, x, v, dX)) / (2 * mpmath.pi)
+                   for k in range(half)]
+            vals = [mpmath.mpf(float(free[n, i])) + sum(
+                2 * mpmath.re(rho[k] / (1j * k) * mpmath.expj(k * xi))
+                for k in range(1, half)) for i, xi in enumerate(grid)]
+            out[n] = [float(e) for e in vals]
+            c = [sum(e * mpmath.expj(-k * xi) for e, xi in zip(vals, grid))
+                 / nx for k in range(half + 1)]
+            h = []
+            for xp, vp, d in zip(x, v, dX):
+                y = xp + vp * times[n] + d
+                h.append(mpmath.re(c[0]) + sum(
+                    2 * mpmath.re(c[k] * mpmath.expj(k * y))
+                    for k in range(1, half))
+                    + mpmath.re(c[half]) * mpmath.cos(half * y))
+            return h
+
+        acc = [mpmath.mpf(0)] * len(x)
+        mom = list(acc)
+        h_next = row(nt - 1, mom)
+        for n in range(nt - 2, -1, -1):
+            mom = [m + dt * s + dt * dt / 2 * hn
+                   for m, s, hn in zip(mom, acc, h_next)]
+            h = row(n, mom)
+            acc = [s + dt / 2 * (a + b) for s, a, b in zip(acc, h, h_next)]
+            h_next = h
+        return out
 
 
 def eval_profile_grad(spec, x, v, z=0.0):

@@ -264,19 +264,47 @@ def test_solve_accepts_negative_z_in_exponent_form(tmp_path):
     assert manifest["z"] == -1e-05
 
 
-def test_solver_failure_exit_code(tmp_path, capsys):
-    cfg = write_cfg(tmp_path, SMALL_GRIDS
-                    + "solver {\n picard_tol 1e-30\n max_iter 1\n}\n")
+def test_solver_failure_exit_code(tmp_path, monkeypatch, capsys):
+    # an infinite entry at t0, the last row the pass reaches, spoils no
+    # earlier row; the certifying characteristics stop on it by name
+    from vlandau import scattering
+    real = scattering.field_map_zero
+
+    def spoiled(*args):
+        table = real(*args)
+        values = table.values.copy()
+        values[0, 3] = math.inf
+        return table.with_values(values)
+
+    monkeypatch.setattr(scattering, "field_map_zero", spoiled)
+    cfg = write_cfg(tmp_path, SMALL_GRIDS)
     code = run_cli("solve", "--config", cfg, "--out", str(tmp_path / "o"))
     err = capsys.readouterr().err
     assert code == 3
-    assert "did not reach" in err
+    assert "solver failure: field is not finite" in err
+
+
+def test_tiny_picard_tol_is_a_check_verdict(tmp_path):
+    # the pass is exact, so picard_tol no longer stops a solve: it is the
+    # bound of the fixed_point_residual check, whose verdict sets the exit
+    # code (1 when the residual exceeds 1e-30, else 0)
+    cfg = write_cfg(tmp_path, SMALL_GRIDS
+                    + "solver {\n picard_tol 1e-30\n max_iter 1\n}\n")
+    out = tmp_path / "o"
+    code = run_cli("solve", "--config", cfg, "--out", str(out))
+    manifest = json.loads((out / "solve_manifest.json").read_text())
+    c = manifest["checks"]["fixed_point_residual"]
+    norm = manifest["checks"]["field_weighted"]["value"]
+    assert c["bound"] == 1e-30 and c["value"] <= 1e-14 * norm
+    assert code == (0 if c["passed"] else 1)
+    assert manifest["passed"] is c["passed"] and manifest["converged"]
 
 
 def test_non_finite_field_is_a_solver_failure(tmp_path, monkeypatch,
                                               capsys):
-    # a NaN in the first Picard iterate stops the next characteristics
-    # solve by name, and solve exits with the solver-failure code
+    # a NaN in the free-flight field spoils the pass's field, which stops
+    # the certifying characteristics solve by name, and solve exits with
+    # the solver-failure code
     from vlandau import scattering
     real = scattering.field_map_zero
 
@@ -299,7 +327,9 @@ def test_solve_homogeneous_profile_single_pass(tmp_path):
     out = tmp_path / "h"
     assert run_cli("solve", "--config", cfg, "--out", str(out)) == 0
     manifest = json.loads((out / "solve_manifest.json").read_text())
-    assert manifest["iterations"] == 1
+    assert manifest["converged"] is True and "iterations" not in manifest
+    assert manifest["residual_norm"] == 0.0
+    assert "contraction_ratio" not in manifest["checks"]
 
 
 # ---------------------------------------------------------------------------

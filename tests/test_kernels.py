@@ -621,6 +621,46 @@ def test_row_evaluator_is_eval_rows_one_row_at_a_time(table_calls):
     assert len(table_calls) == 2
 
 
+def test_row_evaluator_reads_mode_rows_filled_after_it_is_built():
+    # a backward pass fills the mode rows as it goes: each row written
+    # after the evaluator is built is the one it evaluates
+    nx, nv = 16, 9
+    times, x, v, dX, _, cre, cim = _grid_case(nx, nv, [0.5, 1e-4, 1e-3], 13)
+    rows = K.eval_rows(cre, cim, x, v, times, dX)
+    fre, fim = np.full(cre.shape, np.nan), np.full(cim.shape, np.nan)
+    by_rows = K.row_evaluator(fre, fim, x, v, times)
+    out = np.empty(rows.shape)
+    for n in range(len(times) - 1, -1, -1):
+        fre[n], fim[n] = cre[n], cim[n]
+        by_rows(out[n:n + 1], n, dX[n:n + 1])
+    assert np.array_equal(out, rows)
+
+
+@pytest.mark.parametrize("per_row", [False, True])
+def test_corr_evaluator_is_corr_fourier_one_row_at_a_time(table_calls,
+                                                           per_row):
+    # the same complex modes bitwise on reduced, unreduced, zero and
+    # non-finite rows, for one weight row or a weight row per time row,
+    # from one phase-table request
+    nx, nv = 16, 9
+    times, x, v, dX, wf, _, _ = _grid_case(
+        nx, nv, [0.5, 1e-4, 2.0, 0.0, 1e-3], 17)
+    dX[4, 3] = math.nan
+    if per_row:
+        wf = wf * np.linspace(0.5, 1.5, len(times))[:, None]
+    nk = nx // 2 + 1
+    re, im = K.corr_fourier(wf, x, v, times, dX, nk)
+    by_rows = K.corr_evaluator(x, v, times, nk)
+    out = np.empty((len(times), nk), dtype=complex)
+    for n in range(len(times)):
+        w = wf[n:n + 1] if per_row else wf
+        by_rows(out[n:n + 1], n, w, dX[n:n + 1])
+    assert np.isnan(out[4, 1:].real).all() and np.isnan(out[4, 1:].imag).all()
+    assert np.array_equal(out.real, re, equal_nan=True)
+    assert np.array_equal(out.imag, im, equal_nan=True)
+    assert len(table_calls) == 2
+
+
 @pytest.mark.parametrize("labels", ["permuted", "nonuniform"])
 def test_non_grid_labels_are_rejected(labels):
     nx, nv = 16, 9
