@@ -186,12 +186,11 @@ class NormReport:
     value: float
     argmax_t: float
     horizon_dominated: bool
-    t_start: float
 
 
-def weighted_sup(times, sup_spatial, a: float, moment: int = 0,
-                 t_start: float | None = None) -> NormReport:
-    """Weighted sup of a pre-reduced series sup_spatial(t_n) >= 0.
+def weighted_sup(times, sup_spatial, a: float, moment: int = 0) -> NormReport:
+    """Weighted sup over all samples of a pre-reduced series
+    sup_spatial(t_n) >= 0; the first time is t0.
 
     a = 0 gives the plain polynomially weighted norm sup t^{-moment} |F|.
     """
@@ -199,29 +198,18 @@ def weighted_sup(times, sup_spatial, a: float, moment: int = 0,
         raise ValueError("decay rate a must be nonnegative")
     if moment < 0 or int(moment) != moment:
         raise ValueError("moment must be a nonnegative integer")
-    times = np.asarray(times, dtype=float)
-    sup_spatial = np.asarray(sup_spatial, dtype=float)
-    if t_start is None:
-        t_start = float(times[0])
-    mask = times >= t_start - 1e-12 * max(1.0, abs(t_start))
-    if not mask.any():
-        raise ValueError("t_start lies beyond the sampled horizon")
-    tt = times[mask]
-    weighted = np.exp(a * tt) * sup_spatial[mask]
+    tt = np.asarray(times, dtype=float)
+    weighted = np.exp(a * tt) * np.asarray(sup_spatial, dtype=float)
     if moment:
         weighted = weighted / tt ** moment
     idx = int(np.argmax(weighted))
     return NormReport(value=float(weighted[idx]), argmax_t=float(tt[idx]),
-                      horizon_dominated=(idx == len(tt) - 1),
-                      t_start=float(t_start))
+                      horizon_dominated=(idx == len(tt) - 1))
 
 
-def weighted_norm(table: FieldTable, a: float, moment: int = 0,
-                  t_start: float | None = None) -> NormReport:
-    """sup_{t_n >= t_start} t^{-moment} e^{a t} max_x |E|, with argmax_t."""
-    if t_start is None:
-        t_start = table.tgrid.t0
-    return weighted_sup(table.tgrid.times, table.sup_x(), a, moment, t_start)
+def weighted_norm(table: FieldTable, a: float, moment: int = 0) -> NormReport:
+    """sup_{t_n >= t0} t^{-moment} e^{a t} max_x |E|, with argmax_t."""
+    return weighted_sup(table.tgrid.times, table.sup_x(), a, moment)
 
 
 # ---------------------------------------------------------------------------

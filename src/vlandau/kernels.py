@@ -21,9 +21,10 @@ the series runs in s.  Each row gets the smallest order M whose remainder
 series starts at order 1 so that its error stays proportional to the
 displacement, which matters because downstream norms weight late times by
 ``e^{a t}``).  Rows are processed in blocks so that no complex temporary
-outgrows about 1 MiB.  A row that is not finite comes out NaN.
-``truncation_remainder`` reports the largest remainder the kernels leave
-(inf on a row that is not finite), the solver's ``kernel_truncation``
+outgrows about 1 MiB.  A row that is not finite, or too large for the
+reduction to keep |s| <= h/2 (|d| near 1e15 or beyond at nx 8), comes out
+NaN.  ``truncation_remainder`` reports the largest remainder the kernels
+leave (inf on such a row), the solver's ``kernel_truncation``
 certificate.  numpy's FFT is single-threaded, so these kernels run on one
 thread.
 
@@ -134,10 +135,11 @@ def _taylor_rows(dx_dev, kmax, lowest):
 
     Rows with radius r = kmax max|dX_n| > pi/2 are reduced onto the grid,
     dX = q h + s with h = pi / kmax and q = rint(dX / h); d holds s on
-    them, 0 on the rows that are not finite (bad) and dX elsewhere; q
-    holds the shifts mod nx = 2 kmax, None when no row is reduced.  orders
-    and rems are each row's taylor_order of its radius in d, rem inf on bad
-    rows.
+    them, 0 on the bad rows and dX elsewhere; q holds the shifts mod
+    nx = 2 kmax, None when no row is reduced.  A row is bad when it is not
+    finite, or so large that its reduced radius still exceeds pi/2 (dX
+    keeps no digit at the scale of h).  orders and rems are each row's
+    taylor_order of its radius in d, rem inf on bad rows.
     """
     r = kmax * np.maximum(dx_dev.max(axis=1), -dx_dev.min(axis=1))
     bad = ~np.isfinite(r)
@@ -150,9 +152,13 @@ def _taylor_rows(dx_dev, kmax, lowest):
         h = math.pi / kmax
         shift = np.rint(d[far] / h)
         d[far] -= shift * h
-        q = np.zeros(d.shape, dtype=np.intp)
-        q[far] = np.mod(shift, 2 * kmax)      # only i + q mod nx is used
         r[far] = kmax * np.abs(d[far]).max(axis=1)
+        lost = r > _MAX_RADIUS * (1.0 + 1e-9)
+        bad |= lost
+        r[lost], d[lost] = 0.0, 0.0
+        q = np.zeros(d.shape, dtype=np.intp)
+        # only i + q mod nx is used
+        q[far & ~lost] = np.mod(shift[~lost[far]], 2 * kmax)
     orders = np.empty(r.shape, dtype=int)
     rems = np.empty(r.shape)
     for n, rn in enumerate(r):

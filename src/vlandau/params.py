@@ -9,9 +9,10 @@ The damping model is controlled by four numbers:
 
 From these we derive the field-gradient constant
 
-    C_E = 240 a1 a2 / a + 4 a1
+    C_E = 240 a1 a2 / a + 4 a1,
 
-and the earliest admissible start time t0.  Five inequalities (A1)-(A5)
+the contraction bound 88 a2 / (a^2 - 80 a2) of the field map, and the
+earliest admissible start time t0.  Five inequalities (A1)-(A5)
 must hold before any of the quantitative bounds downstream are meaningful;
 `check_assumptions` evaluates them literally as BoundChecks.
 
@@ -40,14 +41,14 @@ def _factorial(n: int) -> float:
 
 @dataclass(frozen=True)
 class DampingParams:
-    """Validated parameter bundle.  Construct through `derive_constants`."""
+    """Validated parameter bundle; C_E and the contraction bound are
+    derived from it.  Construct through `derive_constants`."""
 
     a: float
     a1: float
     a2: float
     K: int
     t0: float
-    C_E: float
 
     def __post_init__(self):
         if not (self.a > 0 and self.a1 > 0 and self.a2 > 0):
@@ -56,6 +57,17 @@ class DampingParams:
             raise ValueError("K must be a nonnegative integer")
         if self.t0 <= 0:
             raise ValueError("t0 must be positive")
+
+    @property
+    def C_E(self) -> float:
+        """The field-gradient constant 240 a1 a2 / a + 4 a1."""
+        return 240.0 * self.a1 * self.a2 / self.a + 4.0 * self.a1
+
+    @property
+    def contraction_bound(self) -> float:
+        """88 a2 / (a^2 - 80 a2), the field map's Lipschitz estimate; (A1)
+        keeps the denominator positive."""
+        return 88.0 * self.a2 / (self.a ** 2 - 80.0 * self.a2)
 
     def as_dict(self) -> dict:
         return {
@@ -80,19 +92,15 @@ def minimal_start_time(a: float, a1: float, K: int) -> float:
 
 def derive_constants(a: float, a1: float, a2: float, K: int,
                      t0: float | None = None) -> DampingParams:
-    """Build a DampingParams with C_E and (optionally minimal) t0.
+    """Build a DampingParams with (optionally minimal) t0.
 
-    C_E = 240 a1 a2 / a + 4 a1.  When t0 is omitted, the minimal value
-    allowed by (A2) is used.
+    When t0 is omitted, the minimal value allowed by (A2) is used.
     """
-    if a <= 0 or a1 <= 0 or a2 <= 0:
-        raise ValueError("a, a1, a2 must be positive")
     if K < 0 or int(K) != K:
         raise ValueError("K must be a nonnegative integer")
-    c_e = 240.0 * a1 * a2 / a + 4.0 * a1
     if t0 is None:
         t0 = minimal_start_time(a, a1, K)
-    return DampingParams(a=a, a1=a1, a2=a2, K=int(K), t0=float(t0), C_E=c_e)
+    return DampingParams(a=a, a1=a1, a2=a2, K=int(K), t0=float(t0))
 
 
 @dataclass(frozen=True)

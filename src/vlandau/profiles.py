@@ -422,8 +422,6 @@ def check_decay(spec: ProfileSpec, a2: float, z_samples=(0.0,),
 _GRID_NX = 256
 _GRID_NV = 4001
 _BLOCK_BYTES = 1 << 17     # per float64 temporary: a block stays in L2
-_EPS = np.finfo(float).eps
-_TINY = np.finfo(float).tiny
 
 
 def _first_max(weighted: np.ndarray, v: np.ndarray) -> tuple[float, float]:
@@ -433,50 +431,6 @@ def _first_max(weighted: np.ndarray, v: np.ndarray) -> tuple[float, float]:
     return float(weighted[i, j]), float(v[j])
 
 
-def _decay0_sup(spec: ProfileSpec, z: float, x, v, wv):
-    """Order-0 sup and argmax_v in O(nx + nv).
-
-    On the grid, (1+v^4)|f*| is fl(fl(|A_i| S_j) w_j) with A_i = scale f1(x_i)
-    and S_j > 0.  Rounding is monotone, so no row beats the row of the
-    largest |A_i|.  Products of normal numbers also carry a relative error
-    of at most eps/2, so a row whose |A_i| lies 3 eps below the largest
-    stays strictly below it in every column.  The rows within 3 eps are
-    evaluated, the first of each |A_i| value (equal |A_i|, equal rows), in
-    grid order, so the maximum and its argmax are those of the full grid.
-    Non-finite or subnormal data take every row.
-    """
-    amp = np.abs(spec.scale * spec.f1_value(x, z))
-    s = spec.shape_value(v)
-    top = float(amp.max())
-    rows = np.arange(len(x))
-    if top == 0.0 or (math.isfinite(top) and top * s.min() >= 4.0 * _TINY):
-        near = np.flatnonzero(amp >= top * (1.0 - 3.0 * _EPS))
-        rows = np.sort(near[np.unique(amp[near], return_index=True)[1]])
-    return _first_max(amp[rows, None] * s * wv, v)
-
-
-def _gradient_sups(spec: ProfileSpec, z: float, x, v, wv):
-    """Order-1 sup with its argmax_v, and the unweighted sup of |grad f*|,
-    from one pass over the grid in row blocks that stay in cache."""
-    s, ds = spec.shape_value(v), spec.shape_dv(v)
-    a_dx = spec.scale * spec.f1_dx(x, z)
-    a_f = spec.scale * spec.f1_value(x, z)
-    step = max(1, _BLOCK_BYTES // (8 * len(v)))
-    best = None
-    sups = []
-    for lo in range(0, len(x), step):
-        gx = a_dx[lo:lo + step, None] * s
-        gv = a_f[lo:lo + step, None] * ds
-        val = np.sqrt(gx * gx + gv * gv)
-        sups.append(val.max())
-        cand = _first_max(val * wv, v)
-        # the first maximum wins; a NaN, once found, stays
-        if best is None or (not math.isnan(best[0]) and (
-                math.isnan(cand[0]) or cand[0] > best[0])):
-            best = cand
-    return best, float(np.max(sups))
-
-
 @functools.lru_cache(maxsize=64)
 def grid_sups(spec: ProfileSpec, z: float):
     """((sup0, argmax_v0), (sup1, argmax_v1), sup_grad) at parameter z.
@@ -484,16 +438,34 @@ def grid_sups(spec: ProfileSpec, z: float):
     sup0 and sup1 are the grid maxima of (1+v^4)|f*| and (1+v^4)|grad f*|
     with the v of their first maximum in (x, v) row-major order, and
     sup_grad the maximum of |grad f*|; each is bitwise what evaluating
-    the whole grid gives, and a NaN anywhere makes the sup NaN.  Recent
-    (spec, z) pairs are cached, so a node's hypothesis gate and its
-    corollary ratio share one pass.
+    the whole grid gives, and a NaN anywhere makes the sup NaN.  The grid
+    is taken in row blocks that stay in cache.  Recent (spec, z) pairs are
+    cached, so a node's hypothesis gate and its corollary ratio share one
+    pass.
     """
     v_half = _decay_v_window(spec)
     x = np.linspace(0.0, 2.0 * math.pi, _GRID_NX, endpoint=False)
     v = np.linspace(-v_half, v_half, _GRID_NV)
     wv = 1.0 + v ** 4
-    return (_decay0_sup(spec, z, x, v, wv),) + _gradient_sups(spec, z, x, v,
-                                                              wv)
+    s, ds = spec.shape_value(v), spec.shape_dv(v)
+    a_dx = spec.scale * spec.f1_dx(x, z)
+    a_f = spec.scale * spec.f1_value(x, z)
+    step = max(1, _BLOCK_BYTES // (8 * len(v)))
+    best = [None, None]
+    sups = []
+    for lo in range(0, len(x), step):
+        gx = a_dx[lo:lo + step, None] * s
+        gv = a_f[lo:lo + step, None] * ds
+        val = np.sqrt(gx * gx + gv * gv)
+        sups.append(val.max())
+        f = np.abs(a_f[lo:lo + step, None] * s)
+        for order, weighted in enumerate((f * wv, val * wv)):
+            cand, top = _first_max(weighted, v), best[order]
+            # the first maximum wins; a NaN, once found, stays
+            if top is None or (not math.isnan(top[0]) and (
+                    math.isnan(cand[0]) or cand[0] > top[0])):
+                best[order] = cand
+    return best[0], best[1], float(np.max(sups))
 
 
 @dataclass(frozen=True)

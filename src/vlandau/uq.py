@@ -30,8 +30,8 @@ from .fields import weighted_norm, weighted_sup
 from .params import DampingParams
 from .profiles import ProfileSpec, shifted_difference, sup_gradient
 from .scattering import FIELD_MAP_METHOD, BoundCheck, SolveResult, \
-    TaylorCoefficients, TimeGrid, PhaseGrid, TrajectoryTable, picard_solve, \
-    solve_tangent
+    TaylorCoefficients, TimeGrid, PhaseGrid, TrajectoryTable, _flat_labels, \
+    picard_solve, solve_tangent
 # unused here, but perfbench/tracer.py rebinds it in this module by name
 from .scattering import solve_characteristics  # noqa: F401
 
@@ -192,22 +192,13 @@ def _transport_residual(traj: TrajectoryTable, spec: ProfileSpec,
     exact shifted-difference identities: X - Vt = x + (dX - t dV) and
     V = v + dV with tiny arguments.
     """
-    phase = traj.phase
-    x = np.repeat(phase.xgrid.points, phase.nv)
-    v = np.tile(phase.v, phase.xgrid.n)
+    x, v, _ = _flat_labels(traj.phase)
     nt = len(traj.tgrid)
     t = traj.tgrid.times[:, None]
     dv_arg = traj.dV.reshape(nt, -1)
     dx_arg = traj.dX.reshape(nt, -1) - t * dv_arg
     return -shifted_difference(spec, x[None, :], v[None, :], dx_arg, dv_arg,
                                z)
-
-
-def _residual_norm(times, table: np.ndarray, params: DampingParams) -> float:
-    """|table|_{a,t0,1}: the weighted sup over t of the sup over nodes."""
-    sup = np.abs(table).reshape(len(times), -1).max(axis=1)
-    return weighted_sup(times, sup, params.a, moment=1,
-                        t_start=params.t0).value
 
 
 def _solve_node(spec, params, z, tgrid, phase, solve_kw):
@@ -261,7 +252,9 @@ def run_collocation(spec: ProfileSpec, params: DampingParams,
             del delta         # not alive during the next node's solve
 
     def norm(table):
-        return _residual_norm(tgrid.times, table, params)
+        """|table|_{a,t0,1}: the weighted sup over t of the sup over nodes."""
+        sup = np.abs(table).reshape(len(tgrid), -1).max(axis=1)
+        return weighted_sup(tgrid.times, sup, params.a, moment=1).value
 
     node_norms, sums, _ = _z_survey(nodes, params.K, residuals(), norm)
     ratios = tuple(n / bound if bound > 0 else (0.0 if n == 0.0 else math.inf)

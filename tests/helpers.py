@@ -294,8 +294,8 @@ def check_nonlinear_norm_product(times, factors, k, a, t0):
     """Verify the weighted product estimate on sampled factors.
 
     factors is a sequence of (samples, k_i) with samples on the given
-    times; k is the target moment.  Requires n >= 2 factors and
-    k <= sum k_i.
+    times, which start at t0; k is the target moment.  Requires n >= 2
+    factors and k <= sum k_i.
     """
     factors = list(factors)
     n = len(factors)
@@ -313,10 +313,9 @@ def check_nonlinear_norm_product(times, factors, k, a, t0):
     for samples, ki in factors:
         samples = np.asarray(samples, dtype=float)
         norms.append(fields.weighted_sup(times, np.abs(samples), a,
-                                         moment=ki, t_start=t0).value)
+                                         moment=ki).value)
         prod = samples if prod is None else prod * samples
-    lhs = fields.weighted_sup(times, np.abs(prod), a, moment=int(k),
-                              t_start=t0).value
+    lhs = fields.weighted_sup(times, np.abs(prod), a, moment=int(k)).value
     return ProductBoundReport(constant=constant, case=case, lhs=lhs,
                               rhs=constant * math.prod(norms),
                               factor_norms=tuple(norms))
@@ -375,7 +374,7 @@ def resolved_corollary_survey(ens, spec):
 
     def norm_of(table):
         return fields.weighted_sup(times, np.abs(table).max(axis=1), a,
-                                   moment=1, t_start=params.t0).value
+                                   moment=1).value
 
     norms, ratios = [], []
     for j, (z, result) in enumerate(zip(ens.nodes, ens.results)):

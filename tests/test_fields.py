@@ -133,15 +133,6 @@ def test_weighted_norm_horizon_flag():
     assert rep.argmax_t == pytest.approx(tab.tgrid.t_end)
 
 
-def test_weighted_norm_t_start_excludes_early_samples():
-    tab = _table(lambda x, t: (10.0 if t < 10.0 else 1.0) * np.ones_like(x))
-    rep = F.weighted_norm(tab, 0.0, t_start=10.0)
-    assert rep.value == pytest.approx(1.0, rel=1e-14)
-    assert rep.t_start == 10.0
-    with pytest.raises(ValueError):
-        F.weighted_norm(tab, 0.0, t_start=1e9)
-
-
 def test_weighted_norm_homogeneity():
     tab = _table(lambda x, t: math.exp(-t) * np.cos(x - 1.0))
     one = F.weighted_norm(tab, 1.0)

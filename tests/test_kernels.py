@@ -604,6 +604,31 @@ def test_non_finite_rows_come_out_nan(value):
     assert K.truncation_remainder(x, v, dX, nk) == math.inf
 
 
+@pytest.mark.parametrize("scale", [1e15, 1e17, 1e270])
+def test_rows_too_large_to_reduce_come_out_nan(scale):
+    # a finite row so large that dX - rint(dX/h) h keeps no digit at the
+    # scale of h is treated like a row that is not finite
+    nx, nv = 8, 3
+    times, x, v, dX, wf, cre, cim = _grid_case(nx, nv, [1e-3, 1e-3, 0.5], 16)
+    nk = nx // 2 + 1
+    clean_rows = K.eval_rows(cre, cim, x, v, times, dX)
+    clean_re, clean_im = K.corr_fourier(wf, x, v, times, dX, nk)
+    dX[1] = scale * np.linspace(1.0, 2.0, dX.shape[1])
+    h = np.pi / (nk - 1)
+    reduced = dX[1] - np.rint(dX[1] / h) * h
+    assert (nk - 1) * np.abs(reduced).max() > np.pi / 2
+    rows = K.eval_rows(cre, cim, x, v, times, dX)
+    re, im = K.corr_fourier(wf, x, v, times, dX, nk)
+    assert np.isnan(rows[1]).all()
+    assert np.isnan(re[1, 1:]).all() and np.isnan(im[1, 1:]).all()
+    assert re[1, 0] == 0.0 and im[1, 0] == 0.0
+    kept = [0, 2]
+    assert np.array_equal(rows[kept], clean_rows[kept])
+    assert np.array_equal(re[kept], clean_re[kept])
+    assert np.array_equal(im[kept], clean_im[kept])
+    assert K.truncation_remainder(x, v, dX, nk) == math.inf
+
+
 def test_row_evaluator_is_eval_rows_one_row_at_a_time(table_calls):
     # the same values bitwise on reduced, unreduced, zero and non-finite
     # rows, from one phase-table request

@@ -148,6 +148,28 @@ def test_derive_constants_defaults_t0():
         P.derive_constants(1.0, 0.002, 0.002, -1)
 
 
+@pytest.mark.parametrize("t0", [None, 8.0])
+def test_derive_constants_rejects_bad_inputs(t0):
+    for a, a1, a2 in ((0.0, 0.002, 0.002), (1.0, -0.002, 0.002),
+                      (1.0, 0.002, 0.0)):
+        with pytest.raises(ValueError, match="must be positive"):
+            P.derive_constants(a, a1, a2, 2, t0=t0)
+    for K in (-1, 1.5):
+        with pytest.raises(ValueError, match="nonnegative integer"):
+            P.derive_constants(1.0, 0.002, 0.002, K, t0=t0)
+
+
+def test_derived_values_are_read_from_the_independent_ones():
+    # C_E and the contraction bound are derived, not stored: a direct
+    # construction cannot set them apart from a, a1, a2
+    p = P.DampingParams(a=1.5, a1=0.003, a2=0.004, K=1, t0=8.0)
+    assert p.C_E == 240.0 * 0.003 * 0.004 / 1.5 + 4.0 * 0.003
+    assert p.contraction_bound == 88.0 * 0.004 / (1.5 ** 2 - 80.0 * 0.004)
+    assert p.as_dict()["C_E"] == p.C_E
+    with pytest.raises(TypeError):
+        P.DampingParams(a=1.0, a1=0.002, a2=0.002, K=2, t0=8.0, C_E=1.0)
+
+
 # ---------------------------------------------------------------------------
 # admissibility gate
 # ---------------------------------------------------------------------------

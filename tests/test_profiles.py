@@ -410,8 +410,7 @@ SUP_Z = (-1.0, -0.3, 0.0, 0.7, 1.0)
     {0: 8e-5},                          # equal rows; its derivatives vanish
 ], ids=["three_modes", "homogeneous"])
 def test_grid_sups_equal_the_full_grid_bitwise(shape, modes):
-    # the order-0 sup evaluates only the rows nearest the largest |A_i|,
-    # and the gradient grid goes in blocks; margins, argmax_v and sup_gradient must
+    # the grid goes in row blocks; margins, argmax_v and sup_gradient must
     # still be what the whole 256 x 4001 grid gives, bit for bit, for the
     # profile and its first two z-derivatives
     grid_sups.cache_clear()
@@ -437,6 +436,25 @@ def test_grid_sups_equal_the_full_grid_bitwise(shape, modes):
         for z in SUP_Z:
             assert sup_gradient(spec, z) == full_grid_sup_gradient(spec, z)
         spec = spec.z_derivative()
+
+
+def test_grid_sups_nan_in_a_later_row_block_wins(monkeypatch):
+    # rows past x = 3 are NaN: the finite maximum of the earlier row
+    # blocks must not hide them, in both decay orders, as on the whole grid
+    real = ProfileSpec.f1_value
+
+    def spoiled(self, x, z):
+        return np.where(np.asarray(x) > 3.0, math.nan, real(self, x, z))
+
+    monkeypatch.setattr(ProfileSpec, "f1_value", spoiled)
+    grid_sups.cache_clear()
+    spec = make_spec({0: 8e-5, 1: 1e-5})
+    got = grid_sups(spec, 0.0)
+    grid_sups.cache_clear()
+    for order in (0, 1):
+        want = full_grid_decay(spec, 0.0, order)
+        assert math.isnan(got[order][0]) and math.isnan(want[0])
+        assert got[order][1] == want[1]
 
 
 def test_grid_sups_cache_serves_the_corollary(ref_spec, ref_params):

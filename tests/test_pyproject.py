@@ -1,7 +1,9 @@
 """The pytest settings of pyproject.toml."""
 
+import ast
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -48,3 +50,23 @@ def test_suite_collects_without_pythonpath():
     out = run.stdout + run.stderr
     assert run.returncode == 0, out
     assert "tests/test_params.py::" in out, out
+
+
+def test_test_extra_declares_every_test_import():
+    # `pip install .[test]` must be enough to collect the suite: every
+    # third-party module a test file imports is a declared dependency
+    text = (_ROOT / "pyproject.toml").read_text()
+    declared = {re.match(r"[A-Za-z0-9_.-]+", req).group().lower()
+                for block in re.findall(r"^(?:dependencies|test) = \[(.*?)\]",
+                                        text, re.M | re.S)
+                for req in re.findall(r'"([^"]+)"', block)}
+    local = {"helpers", "vlandau", "reference", "workloads"}  # perfbench/
+    imported = set()
+    for path in (_ROOT / "tests").glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                imported |= {a.name.split(".")[0] for a in node.names}
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                imported.add(node.module.split(".")[0])
+    third_party = imported - set(sys.stdlib_module_names) - local
+    assert third_party and third_party <= declared, third_party - declared

@@ -7,6 +7,7 @@ and the single-mode analytic image of the zero field.
 
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -117,17 +118,6 @@ def test_field_too_large_precondition():
     E = constant_field(tg, phase.xgrid, lambda t: 1.0)
     with pytest.raises(S.ConvergenceError, match="field too large"):
         S.solve_characteristics(E, phase, a=1.0)
-
-
-def test_characteristics_tail_certificates():
-    a, eps = 1.0, 1e-4
-    tg, phase = small_grids()
-    E = constant_field(tg, phase.xgrid, lambda t: eps * math.exp(-a * t))
-    traj = S.solve_characteristics(E, phase, a=a)
-    assert traj.tail_bound_x == pytest.approx(
-        eps * math.exp(-tg.t_end), rel=1e-12)     # |E| e^{-a T}/a^2
-    assert traj.tail_bound_v == pytest.approx(
-        eps * math.exp(-tg.t_end), rel=1e-12)     # |E| e^{-a T}/a
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf])
@@ -450,6 +440,27 @@ def test_small_solve_checks_and_certificates(small_solve):
     assert certs["mean_density_drift"] < 1e-7
 
 
+def test_characteristics_tail_certificates(small_solve):
+    # the integral tails beyond t_end that the characteristics neglect,
+    # |E|_{a,t0} e^{-a T}/a^2 for X and |E|_{a,t0} e^{-a T}/a for V
+    r = small_solve
+    a, T = r.params.a, r.field.tgrid.t_end
+    ne = F.weighted_norm(r.field, a).value
+    certs = r.certificates
+    assert certs["time_tail_position"] == ne * P.tail_integral_moment(a, T, 0)
+    assert certs["time_tail_velocity"] == ne * P.tail_integral(a, T, 0)
+    assert certs["time_tail_position"] == pytest.approx(
+        ne * math.exp(-a * T) / a ** 2, rel=1e-12)
+    assert certs["time_tail_velocity"] == pytest.approx(
+        ne * math.exp(-a * T) / a, rel=1e-12)
+
+
+def test_small_solve_residual_norm_is_the_residual_check(small_solve):
+    r = small_solve
+    assert r.residual_norm == r.checks["fixed_point_residual"].value
+    assert r.manifest()["residual_norm"] == r.residual_norm
+
+
 def test_small_solve_kernel_truncation_certificate(small_solve):
     # the largest Taylor remainder the FFT kernels leave on the final
     # trajectory: positive (displacements are nonzero) and below 2^-53
@@ -475,6 +486,7 @@ def test_small_solve_contraction_ratio_check(small_solve):
         E.with_values(E.values - free.values), a).value \
         / F.weighted_norm(E, a).value
     assert c.bound == 88 * a2 / (a ** 2 - 80 * a2)
+    assert c.bound == r.params.contraction_bound
     assert c.passed
     assert r.manifest()["checks"]["contraction_ratio"] == c.as_dict()
 
@@ -512,6 +524,36 @@ def test_picard_solve_rejects_unknown_method():
     for method in ("direct", "fft"):
         with pytest.raises(ValueError, match="unknown field-map method"):
             S.picard_solve(spec, params, 0.0, tg, phase, method=method)
+
+
+@pytest.mark.parametrize("t0", [9.0, 7.0])
+def test_picard_solve_rejects_a_grid_not_starting_at_params_t0(t0):
+    # every norm |.|_{a,t0} runs over the stored times, so the grid's
+    # first time is the one t0
+    spec = make_spec({0: 8e-5, 1: 1e-5})
+    params = P.derive_constants(1.0, 0.002, 0.002, 2, t0=8.0)
+    tg, phase = small_grids(t0=t0)
+    with pytest.raises(ValueError, match=re.escape(
+            f"starts at t0 = {t0!r}, not at params.t0 = 8.0")):
+        S.picard_solve(spec, params, 0.0, tg, phase)
+
+
+def test_a_field_far_too_large_fails_by_name(monkeypatch):
+    # the pass meets displacements that the kernels' range reduction
+    # cannot represent; those rows, and the rows below them, come out NaN,
+    # and the certifying characteristics name the field
+    real = S.field_map_zero
+
+    def scaled(*args):
+        table = real(*args)
+        return table.with_values(1e300 * table.values)
+
+    monkeypatch.setattr(S, "field_map_zero", scaled)
+    spec = make_spec({0: 8e-5, 1: 1e-5})
+    params = P.derive_constants(1.0, 0.002, 0.002, 2, t0=8.0)
+    tg, phase = small_grids(nx=8)
+    with pytest.raises(S.ConvergenceError, match="field is not finite"):
+        S.picard_solve(spec, params, 0.0, tg, phase)
 
 
 def test_picard_gates():

@@ -305,6 +305,17 @@ def test_collocation_error_carries_node_context(monkeypatch):
     assert "node 0" in str(err)
 
 
+def test_collocation_rejects_a_grid_not_starting_at_params_t0():
+    spec, params, _, phase = _small_setup()
+    tg = F.TimeGrid(9.0, 24.0, 80)
+    with pytest.raises(U.CollocationError) as exc:
+        U.run_collocation(spec, params, tg, phase, n_z=3)
+    err = exc.value
+    assert err.node_index == 0
+    assert type(err.cause) is ValueError
+    assert "not at params.t0 = 8.0" in str(err.cause)
+
+
 def test_ensemble_validation(zind_small):
     ens = zind_small
     with pytest.raises(ValueError, match="align"):
