@@ -24,9 +24,9 @@ displacement, which matters because downstream norms weight late times by
 outgrows about 1 MiB.  A row that is not finite, or too large for the
 reduction to keep |s| <= h/2 (|d| near 1e15 or beyond at nx 8), comes out
 NaN.  ``truncation_remainder`` reports the largest remainder the kernels
-leave (inf on such a row), the solver's ``kernel_truncation``
-certificate.  numpy's FFT is single-threaded, so these kernels run on one
-thread.
+leave, with the rounding of ``s`` on reduced rows (inf on such a row),
+the solver's ``kernel_truncation`` certificate.  numpy's FFT is
+single-threaded, so these kernels run on one thread.
 
 Numerical conventions shared by several kernels:
 
@@ -139,19 +139,29 @@ def _taylor_rows(dx_dev, kmax, lowest):
     nx = 2 kmax, None when no row is reduced.  A row is bad when it is not
     finite, or so large that its reduced radius still exceeds pi/2 (dX
     keeps no digit at the scale of h).  orders and rems are each row's
-    taylor_order of its radius in d, rem inf on bad rows.
+    taylor_order of its radius in d, rem inf on bad rows.  A reduced row's
+    rem adds the rounding of s, which moves each phase k s by at most
+    k_max (|q| err(h) + ulp(max|dX_n|)): err(h) <= ulp(pi)/(2 k_max) +
+    ulp(h)/2 is the error of h as a double, and the ulp term covers the
+    rounding of q h (the subtraction is exact, Sterbenz).  Relative to
+    the kernels' scale this is absolute per unit coefficient or weight;
+    other rows add exactly 0.
     """
     r = kmax * np.maximum(dx_dev.max(axis=1), -dx_dev.min(axis=1))
     bad = ~np.isfinite(r)
     r[bad] = 0.0
     far = r > _MAX_RADIUS
     d, q = dx_dev, None
+    slip = np.zeros(r.shape)
     if bad.any() or far.any():
         d = np.where(bad[:, None], 0.0, dx_dev)
     if far.any():
         h = math.pi / kmax
         shift = np.rint(d[far] / h)
         d[far] -= shift * h
+        err_h = math.ulp(math.pi) / (2 * kmax) + math.ulp(h) / 2
+        slip[far] = kmax * (np.abs(shift).max(axis=1) * err_h
+                            + np.spacing(np.abs(dx_dev[far]).max(axis=1)))
         r[far] = kmax * np.abs(d[far]).max(axis=1)
         lost = r > _MAX_RADIUS * (1.0 + 1e-9)
         bad |= lost
@@ -163,6 +173,7 @@ def _taylor_rows(dx_dev, kmax, lowest):
     rems = np.empty(r.shape)
     for n, rn in enumerate(r):
         orders[n], rems[n] = taylor_order(float(rn), lowest)
+    rems += slip
     rems[bad] = math.inf
     return d, q, orders, rems, bad
 
@@ -187,7 +198,8 @@ def _shifted_index(q, nx, nv):
 
 def truncation_remainder(x, v, dx_dev, nk):
     """Largest relative Taylor remainder that eval_rows and corr_fourier
-    leave on these inputs with nk modes; inf if a row is not finite."""
+    leave on these inputs with nk modes, with the rounding of the range
+    reduction on reduced rows; inf if a row is not finite."""
     _grid_velocities(x, v, nk)
     return max(float(_taylor_rows(dx_dev, nk - 1, lowest)[3].max(initial=0.0))
                for lowest in (0, 1))

@@ -109,10 +109,6 @@ class TrajectoryTable:
         flat = x[None, :] + v[None, :] * t + self.dX.reshape(len(self.tgrid), -1)
         return flat.reshape(self.dX.shape)
 
-    def V(self) -> np.ndarray:
-        _, v, _ = _flat_labels(self.phase)
-        return v.reshape(1, self.phase.xgrid.n, self.phase.nv) + self.dV
-
 
 def solve_characteristics(E: FieldTable, phase: PhaseGrid,
                           a: float) -> TrajectoryTable:
@@ -213,12 +209,6 @@ class VariationalTable:
 
     def dX_dv(self) -> np.ndarray:
         return self.tgrid.times[:, None, None] + self.eta
-
-    def dV_dx(self) -> np.ndarray:
-        return self.chi
-
-    def dV_dv(self) -> np.ndarray:
-        return 1.0 + self.omega
 
     def jacobian_minus_one(self) -> np.ndarray:
         """det d(X,V)/d(x,v) - 1, assembled without forming the O(t) terms:

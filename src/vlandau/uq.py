@@ -99,20 +99,20 @@ def fd_weights(nodes, x0: float, max_order: int) -> np.ndarray:
 @dataclass(frozen=True)
 class ZEnsemble:
     """Per-node solve results over a quadrature node set in z, with the
-    corollary's ResidualSurvey that run_collocation formed from them and
-    the tangent solve's Taylor coefficients at the node z = 0 (None when
-    0 is not a node, as for an even node count)."""
+    CorollaryReport that run_collocation formed from them and the tangent
+    solve's Taylor coefficients at the node z = 0 (None when 0 is not a
+    node, as for an even node count)."""
 
     nodes: tuple[float, ...]
     weights: tuple[float, ...]
     results: tuple[SolveResult, ...]
-    residuals: ResidualSurvey
+    corollary: CorollaryReport
     taylor: TaylorCoefficients | None
 
     def __post_init__(self):
         if not (len(self.nodes) == len(self.weights) == len(self.results)):
             raise ValueError("nodes, weights and results must align")
-        if len(self.residuals.node_norms) != len(self.nodes):
+        if len(self.corollary.node_norms) != len(self.nodes):
             raise ValueError("nodes and residual survey must align")
         if any(b <= a for a, b in zip(self.nodes, self.nodes[1:])):
             raise ValueError("nodes must be strictly increasing")
@@ -166,20 +166,47 @@ def r_setup_signature(result: SolveResult) -> str:
 
 
 @dataclass(frozen=True)
-class ResidualSurvey:
-    """The corollary's per-ensemble data, reduced while the nodes are solved.
+class CorollaryReport:
+    """Weighted-in-t norms of the transported-profile residual
+    D(x,v,t,z) = f*(x,v,z) - f*(X - V t, V, z) and its z-derivatives,
+    reduced while the nodes are solved.
 
-    D(x,v,t,z) = f*(x,v,z) - f*(X - V t, V, z) is the transported-profile
-    residual.  node_norms[j] = |D(., z_j)|_{a,t0,1}; node_ratios[j]
-    compares it against 3 |grad f*(z_j)|_Linf |E(z_j)|_{a,t0} / a.
+    node_norms[j] = |D(., z_j)|_{a,t0,1}; node_ratios[j] compares it
+    against the first-order bound 3 |grad f*(z_j)|_Linf |E(z_j)|_{a,t0} / a.
     derivative_norms[k] = |d^k_z D at 0|_{a,t0,1}, of the interpolant
-    through the node residuals, for k <= k_max = min(K, n_nodes - 2).
+    through the node residuals, for k <= k_max = min(K, n_nodes - 2): the
+    same nodes as the theorem report's z_deriv_{k}_resolution.  They carry
+    no bound.  checks holds residual_k0 (worst node ratio, bound 1).
     """
 
-    spec: ProfileSpec
     node_norms: tuple[float, ...]
     node_ratios: tuple[float, ...]
     derivative_norms: tuple[float, ...]
+
+    @property
+    def k0_ratio(self) -> float:
+        # np.max, unlike max(), keeps the NaN of any node
+        return float(np.max(self.node_ratios)) if self.node_ratios else 0.0
+
+    @property
+    def checks(self) -> dict:
+        return {"residual_k0": BoundCheck("residual_k0", self.k0_ratio, 1.0)}
+
+    @property
+    def passed(self) -> bool:
+        return (all(math.isfinite(v)
+                    for v in self.node_norms + self.derivative_norms)
+                and all(c.passed for c in self.checks.values()))
+
+    def as_dict(self) -> dict:
+        return {
+            "node_norms": list(self.node_norms),
+            "node_ratios": list(self.node_ratios),
+            "k0_worst_ratio": self.k0_ratio,
+            "derivative_norms": list(self.derivative_norms),
+            "checks": {n: c.as_dict() for n, c in self.checks.items()},
+            "passed": self.passed,
+        }
 
 
 def _transport_residual(traj: TrajectoryTable, spec: ProfileSpec,
@@ -233,7 +260,7 @@ def run_collocation(spec: ProfileSpec, params: DampingParams,
     Each node's corollary residual D(z_j) is formed from its own solve
     and handed to _z_survey before the next node is solved, so that at
     most one node's tables are alive at a time; the ensemble keeps only
-    the reduced ResidualSurvey and the K Taylor fields.
+    the reduced CorollaryReport and the K Taylor fields.
     """
     nodes, weights = gauss_legendre_nodes(n_z)
     results, bounds, taylor = [], [], []
@@ -259,12 +286,11 @@ def run_collocation(spec: ProfileSpec, params: DampingParams,
     node_norms, sums, _ = _z_survey(nodes, params.K, residuals(), norm)
     ratios = tuple(n / bound if bound > 0 else (0.0 if n == 0.0 else math.inf)
                    for n, bound in zip(node_norms, bounds))
-    survey = ResidualSurvey(spec=spec, node_norms=node_norms,
-                            node_ratios=ratios,
-                            derivative_norms=tuple(map(norm, sums)))
+    corollary = CorollaryReport(node_norms=node_norms, node_ratios=ratios,
+                                derivative_norms=tuple(map(norm, sums)))
     return ZEnsemble(nodes=tuple(float(z) for z in nodes),
                      weights=tuple(float(w) for w in weights),
-                     results=tuple(results), residuals=survey,
+                     results=tuple(results), corollary=corollary,
                      taylor=next((t for t in taylor if t is not None), None))
 
 
@@ -302,10 +328,6 @@ class GpcTable:
             return 0.0
         m = np.arange(self.n_modes, dtype=float)[keep]
         return float(np.polyfit(m, np.log10(mags[keep]), 1)[0])
-
-    def reconstruct(self, z: float) -> np.ndarray:
-        basis = _orthonormal_legendre(np.asarray([z]), self.n_modes)[0]
-        return np.tensordot(basis, self.coefficients, axes=(0, 0))
 
 
 def _orthonormal_legendre(z: np.ndarray, n_modes: int) -> np.ndarray:
@@ -388,13 +410,6 @@ def _field_norm(ensemble: ZEnsemble, values) -> float:
                          ensemble.params.a).value
 
 
-def _field_survey(ensemble: ZEnsemble) -> tuple[tuple, list, dict]:
-    """_z_survey of the node fields E(z_j) in the norm |.|_{a,t0}."""
-    return _z_survey(ensemble.nodes, ensemble.params.K,
-                     (r.field.values for r in ensemble.results),
-                     lambda values: _field_norm(ensemble, values))
-
-
 # ---------------------------------------------------------------------------
 # roundoff floors
 # ---------------------------------------------------------------------------
@@ -465,7 +480,9 @@ def check_theorem_bounds(ensemble: ZEnsemble) -> TheoremReport:
         math.factorial(k) * e.values
         for k, e in enumerate(ensemble.taylor.fields, 1)]
     norms = tuple(_field_norm(ensemble, d) for d in derivs)
-    _, fd, floors = _field_survey(ensemble)
+    _, fd, floors = _z_survey(ensemble.nodes, ensemble.params.K,
+                              (r.field.values for r in ensemble.results),
+                              lambda values: _field_norm(ensemble, values))
     checks = dict(ensemble.taylor.checks)
     for k in range(1, len(fd)):
         name = f"z_deriv_{k}_resolution"
@@ -475,68 +492,7 @@ def check_theorem_bounds(ensemble: ZEnsemble) -> TheoremReport:
     return TheoremReport(norms=norms, floors=floors, checks=checks)
 
 
-@dataclass(frozen=True)
-class CorollaryReport:
-    """Weighted-in-t norms of the transported-profile residual
-    D(x,v,t,z) = f*(x,v,z) - f*(X - V t, V, z) and its z-derivatives.
-
-    node_norms[j] = |D(., z_j)|_{a,t0,1}; node_ratios[j] compares against
-    the first-order bound 3 |grad f*(z_j)|_Linf |E(z_j)|_{a,t0} / a.
-    derivative_norms[k] = |d^k_z D at 0|_{a,t0,1}, from the same nodes
-    as the theorem report's z_deriv_{k}_resolution.  checks holds
-    residual_k0 (worst node ratio, bound 1).
-    """
-
-    node_norms: tuple[float, ...]
-    node_ratios: tuple[float, ...]
-    derivative_norms: tuple[float, ...]
-    comparison_bounds: tuple[float, ...]
-
-    @property
-    def k0_ratio(self) -> float:
-        return max(self.node_ratios) if self.node_ratios else 0.0
-
-    @property
-    def checks(self) -> dict:
-        return {"residual_k0": BoundCheck("residual_k0", self.k0_ratio, 1.0)}
-
-    @property
-    def passed(self) -> bool:
-        return (all(math.isfinite(v) for v in self.derivative_norms)
-                and all(c.passed for c in self.checks.values()))
-
-    def as_dict(self) -> dict:
-        return {
-            "node_norms": list(self.node_norms),
-            "node_ratios": list(self.node_ratios),
-            "k0_worst_ratio": self.k0_ratio,
-            "derivative_norms": list(self.derivative_norms),
-            "comparison_bounds": list(self.comparison_bounds),
-            "checks": {n: c.as_dict() for n, c in self.checks.items()},
-            "passed": self.passed,
-        }
-
-
 def check_corollary(ensemble: ZEnsemble) -> CorollaryReport:
-    """The residual norms and their z-derivatives at 0, from the residual
-    survey run_collocation formed at each node for the profile it solved;
-    nothing is solved again."""
-    base = ensemble.residuals
-
-    # First-order comparison scale per derivative order:
-    # sup|grad d^k_z f*| . |E|_{a,t0} . ((2/a) t + 1/a) e^{-at}, measured in
-    # the same weighted norm, which collapses to G_k N (2 + 1/t0) / a with
-    # N = |E at z = 0|_{a,t0}, order 0 of the field survey.
-    params = ensemble.params
-    fd = _field_survey(ensemble)[1]
-    bounds = []
-    dspec = base.spec
-    for _ in fd:              # orders k = 0..min(K, n_nodes - 2)
-        g_k = sup_gradient(dspec, 0.0)
-        bounds.append(g_k * _field_norm(ensemble, fd[0])
-                      * (2.0 + 1.0 / params.t0) / params.a)
-        dspec = dspec.z_derivative()
-    return CorollaryReport(node_norms=base.node_norms,
-                           node_ratios=base.node_ratios,
-                           derivative_norms=base.derivative_norms,
-                           comparison_bounds=tuple(bounds))
+    """The CorollaryReport run_collocation formed at each node for the
+    profile it solved; nothing is solved again."""
+    return ensemble.corollary

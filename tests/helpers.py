@@ -3,14 +3,15 @@ modules.  The oracles are closed forms or literal evaluations that the
 library itself does not need: the force kernel, field tabulation, the
 tail-integral and product lemmas, one field-map application, the field
 map by direct kernel summation, the iterations that the field and tangent
-passes replace, a march of the field pass in mpmath, the profile gradient
-and the interpolant's z-derivative."""
+passes replace, a march of the field pass in mpmath, the profile gradient,
+the interpolant's z-derivative and the gPC expansion's value."""
 
 import math
 from dataclasses import dataclass, field
 
 import mpmath
 import numpy as np
+from numpy.polynomial import legendre as npleg
 
 from vlandau import fields
 from vlandau import kernels
@@ -217,6 +218,13 @@ def collocation_derivative(nodes, values, k, at=0.0):
     if k >= nodes.shape[0]:
         raise ValueError("derivative order must be below the node count")
     return np.tensordot(fd_weights(nodes, at, k)[k], values, axes=(0, 0))
+
+
+def gpc_reconstruct(table, z):
+    """sum_m c_m sqrt(2m+1) P_m(z), the gPC expansion of a GpcTable at z,
+    by numpy's Legendre series."""
+    scale = np.sqrt(2.0 * np.arange(table.n_modes) + 1.0)
+    return npleg.legval(z, table.coefficients * scale[:, None, None])
 
 
 # ---------------------------------------------------------------------------

@@ -85,8 +85,8 @@ def test_criterion_03_free_transport(ref_tgrid, ref_phase):
     t = ref_tgrid.times[:, None, None]
     assert np.abs(var.dX_dx() - 1.0).max() <= 1e-12
     assert np.abs(var.dX_dv() - t).max() <= 1e-12
-    assert np.abs(var.dV_dx()).max() <= 1e-12
-    assert np.abs(var.dV_dv() - 1.0).max() <= 1e-12
+    assert np.abs(var.chi).max() <= 1e-12
+    assert np.abs((1.0 + var.omega) - 1.0).max() <= 1e-12
 
 
 # ---------------------------------------------------------------------------

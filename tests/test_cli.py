@@ -420,6 +420,35 @@ def test_check_and_solve_end_in_documented_codes(run):
             read_field_csv(os.path.join(out, "field.csv"))   # finite cells
 
 
+def _bounds_outside_checks(node, path=(), in_checks=False):
+    """Paths of the keys that name a bound but sit in no "checks" entry."""
+    if isinstance(node, dict):
+        for key, value in node.items():
+            if "bound" in key and not in_checks:
+                yield path + (key,)
+            yield from _bounds_outside_checks(value, path + (key,),
+                                              in_checks or key == "checks")
+    elif isinstance(node, list):
+        for i, value in enumerate(node):
+            yield from _bounds_outside_checks(value, path + (i,), in_checks)
+
+
+def test_every_reported_bound_is_a_check(tmp_path, capsys):
+    # a bound that no verdict reads would look certified without being
+    # checked: every artifact of check, solve and uq states its bounds
+    # inside a "checks" entry only
+    cfg = write_cfg(tmp_path, TINY_GRIDS)
+    for command in ("check", "solve", "uq"):
+        assert run_cli(command, "--config", cfg, "--out",
+                       str(tmp_path / command)) == 0, command
+    capsys.readouterr()
+    artifacts = sorted(tmp_path.glob("*/*.json"))
+    assert len(artifacts) == 6
+    for path in artifacts:
+        found = list(_bounds_outside_checks(json.loads(path.read_text())))
+        assert found == [], path
+
+
 # ---------------------------------------------------------------------------
 # uq
 # ---------------------------------------------------------------------------

@@ -444,6 +444,17 @@ def test_taylor_order_is_smallest_certified_order():
             K.taylor_order(bad)
 
 
+def _assert_row_remainders(x, v, dX, nk):
+    """Each row's remainder is below 2^-53 on a row the kernels need not
+    reduce, and below 2^-53 + 8 k_max ulp(max|dX_n|) on a reduced row,
+    whose remainder adds the rounding of the reduction."""
+    kmax = nk - 1
+    for row in dX:
+        big = float(np.abs(row).max())
+        extra = 8 * kmax * math.ulp(big) if kmax * big > math.pi / 2 else 0.0
+        assert K.truncation_remainder(x, v, row[None], nk) < 2.0 ** -53 + extra
+
+
 def _assert_matches_mpmath(times, x, v, dX, wf, cre, cim):
     """Both kernels against 30-digit sums: eval_rows within 1e-13 of the
     row's coefficient scale, corr_fourier within 1e-13 of
@@ -496,7 +507,8 @@ def test_fft_path_matches_mpmath_sums(table_calls):
     assert np.abs(dX[5]).max() > 2 * step
     _assert_matches_mpmath(times, x, v, dX, wf, cre, cim)
     assert len(table_calls) == 2
-    assert 0.0 < K.truncation_remainder(x, v, dX, nx // 2 + 1) < 2.0 ** -53
+    assert 0.0 < K.truncation_remainder(x, v, dX, nx // 2 + 1)
+    _assert_row_remainders(x, v, dX, nx // 2 + 1)
 
 
 @st.composite
@@ -522,7 +534,7 @@ def test_kernels_match_mpmath_sums_on_random_grids(case):
                                             (len(scales), nx * nv))
     dX = np.asarray(scales)[:, None] * u
     _assert_matches_mpmath(times, x, v, dX, wf, cre, cim)
-    assert K.truncation_remainder(x, v, dX, nx // 2 + 1) < 2.0 ** -53
+    _assert_row_remainders(x, v, dX, nx // 2 + 1)
 
 
 def test_fft_path_corr_fourier_matches_complex_sum_at_production_size(
@@ -578,7 +590,58 @@ def test_rows_beyond_taylor_radius_are_reduced_onto_the_grid(table_calls):
     assert np.abs(re - expect.real).max() <= atol
     assert np.abs(im - expect.imag).max() <= atol
     assert len(table_calls) == 2
-    assert 0.0 < K.truncation_remainder(x, v, dX, nk) < 2.0 ** -53
+    assert 0.0 < K.truncation_remainder(x, v, dX, nk)
+    _assert_row_remainders(x, v, dX, nk)
+
+
+def test_range_reduction_rounding_is_certified():
+    # rows of |dX| about 1e2, 1e6 and 1e10 at nx 8: s = dX - q h carries
+    # the rounding of q h and of h, which the remainder of each row must
+    # bound against 40-digit sums, for eval_rows relative to the row's
+    # coefficient scale and for corr_fourier relative to
+    # (1/2pi) sum_p |wf_p|; the Taylor series alone leaves below 1e-16
+    import mpmath
+    mp = mpmath.mp
+    mp.dps = 40
+    nx, nv = 8, 3
+    times, x, v, _, wf, cre, cim = _grid_case(nx, nv, [0.0] * 3, 3)
+    cre, cim = cre * 1e4, cim * 1e4
+    nk = nx // 2 + 1
+    half = nk - 1
+    u = np.random.default_rng(3).uniform(0.5, 1.0, (3, nx * nv))
+    dX = np.array([1e2, 1e6, 1e10])[:, None] * u
+    rows = K.eval_rows(cre, cim, x, v, times, dX)
+    re, im = K.corr_fourier(wf, x, v, times, dX, nk)
+    for n in range(len(times)):
+        cert = K.truncation_remainder(x, v, dX[n:n + 1], nk)
+        assert cert < 1e3 * dX[n].max() * 2.0 ** -52, n
+        scale = abs(cre[n, 0]) + abs(cre[n, half]) + 2 * sum(
+            math.hypot(cre[n, k], cim[n, k]) for k in range(1, half))
+        err = 0.0
+        for p in range(x.shape[0]):
+            theta = mp.mpf(x[p]) + mp.mpf(v[p]) * mp.mpf(times[n]) \
+                + mp.mpf(dX[n, p])
+            exact = mp.mpf(cre[n, 0]) + mp.mpf(cre[n, half]) * mp.cos(
+                half * theta)
+            for k in range(1, half):
+                exact += 2 * mp.re(mp.mpc(cre[n, k], cim[n, k])
+                                   * mp.expj(k * theta))
+            err = max(err, abs(rows[n, p] - float(exact)))
+        assert err <= cert * scale, (n, err / scale, cert)
+        size = float(np.abs(wf).sum()) / (2 * math.pi)
+        for k in range(1, nk):
+            exact = mp.mpc(0)
+            for p in range(x.shape[0]):
+                free = mp.mpf(x[p]) + mp.mpf(v[p]) * mp.mpf(times[n])
+                exact += mp.mpf(wf[p]) * mp.expj(-k * free) * (
+                    mp.expj(-k * mp.mpf(dX[n, p])) - 1)
+            err = float(abs(mp.mpc(re[n, k], im[n, k]) - exact / (2 * mp.pi)))
+            assert err <= cert * size, (n, k, err / size, cert)
+    # a row that needs no reduction adds nothing to its Taylor remainder
+    small = 1e-3 * u[:1]
+    assert K.truncation_remainder(x, v, small, nk) == max(
+        K.taylor_order(float(half * np.abs(small).max()), lowest)[1]
+        for lowest in (0, 1))
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
