@@ -24,7 +24,7 @@ from .fields import (
     spectral_dx, weighted_norm, weighted_sup, write_field_csv, zero_field,
 )
 from .scattering import (
-    ConvergenceError, SolveResult, TrajectoryTable, VariationalTable,
+    ConvergenceError, SolveResult, TrajectoryTable, VariationalSups,
     check_trajectory_bounds, check_variational_bounds, deposit_density,
     deposit_density_pert, field_map_zero, picard_solve,
     solve_characteristics, solve_variational,

@@ -42,8 +42,9 @@ Numerical conventions shared by several kernels:
   ``suffix_pass`` is the one implementation: its integrand row ``g_n`` may
   depend on ``I_n``, which the step computes before it needs it, so one
   backward pass solves the (strictly triangular) Volterra equations of the
-  characteristics, the variational system (``suffix_volterra``,
-  ``g_n I_n + f_n``), the field fixed point and its tangent exactly.
+  characteristics, the variational system (``g_n I_n + f_n``), the field
+  fixed point and its tangent exactly.  It hands out each finished row
+  and keeps only two, so no caller holds a table it does not read.
 * ``suffix_weighted`` generalizes the plain suffix rule to arbitrary
   two-point cell weights ``A_n = A_{n+1} + alpha g_n + beta g_{n+1}``.
   With ``alpha = (a dt - 1 + e^{-a dt})/(a^2 dt)`` and
@@ -117,7 +118,8 @@ def _cached_phase_table(vs_bytes, times_bytes, nk):
     table = np.empty((phi.shape[0], nk, vs.shape[0]), dtype=complex)
     for k in range(nk):
         arg = k * phi
-        table[:, k, :] = np.cos(arg) + 1j * np.sin(arg)
+        np.cos(arg, out=table.real[:, k, :])
+        np.sin(arg, out=table.imag[:, k, :])
     table.flags.writeable = False
     return table
 
@@ -273,27 +275,30 @@ def row_evaluator(cre, cim, x, v, times):
 # ---------------------------------------------------------------------------
 
 def suffix_pass(integrand, shape, dt):
-    """(A, I), each of shape (nt, ...): the composite-trapezoid suffix
-    integral A[n] = int_{t_n}^{t_end} h ds and first moment
-    I[n] = int (s - t_n) h(s) ds of an integrand whose row
-    h_n = integrand(n, I[n]) may read the moment of its own row.
+    """Each row n, from nt - 1 down to 0, as (n, A_n, I_n): the
+    composite-trapezoid suffix integral A_n = int_{t_n}^{t_end} h ds and
+    first moment I_n = int (s - t_n) h(s) ds, each of shape shape[1:], of
+    an integrand whose row h_n = integrand(n, I_n) may read the moment of
+    its own row.
 
-    The moment weight (s - t_n) vanishes at s = t_n, so I[n] needs only
+    The moment weight (s - t_n) vanishes at s = t_n, so I_n needs only
     the rows > n: the system is strictly triangular, and this one
     backward pass solves it exactly (bitwise a fixed point of
-    suffix_trapz_moment).  integrand is called once per row, from
-    n = nt - 1 down to 0.
+    suffix_trapz_moment).  integrand is called once per row, just before
+    that row is handed out; only the rows n and n + 1 are kept, so a
+    caller stores what it needs of each row.
     """
     dt = float(dt)
-    acc = np.zeros(shape)
-    mom = np.zeros(shape)
-    h_next = integrand(shape[0] - 1, mom[-1])
+    acc = np.zeros(shape[1:])
+    mom = np.zeros(shape[1:])
+    h_next = integrand(shape[0] - 1, mom)
+    yield shape[0] - 1, acc, mom
     for n in range(shape[0] - 2, -1, -1):
-        mom[n] = mom[n + 1] + dt * acc[n + 1] + (0.5 * dt * dt) * h_next
-        h = integrand(n, mom[n])
-        acc[n] = acc[n + 1] + (0.5 * dt) * (h + h_next)
+        mom = mom + dt * acc + (0.5 * dt * dt) * h_next
+        h = integrand(n, mom)
+        acc = acc + (0.5 * dt) * (h + h_next)
         h_next = h
-    return acc, mom
+        yield n, acc, mom
 
 
 # unused in the package, but perfbench/tracer.py lists it in TRACED by name
@@ -310,17 +315,10 @@ def suffix_trapz_moment(g, dt):
     A and I stay consistent to rounding.
     """
     g = np.asarray(g, dtype=float)
-    return suffix_pass(lambda n, _: g[n], g.shape, dt)
-
-
-def suffix_volterra(g, f, dt):
-    """(A, I) solving I = suffix_trapz_moment(g I + f)[1], with A the
-    plain suffix integral of the same integrand; f broadcasts to g.
-    One suffix_pass solves this linear Volterra system exactly.
-    """
-    g = np.asarray(g, dtype=float)
-    f = np.broadcast_to(f, g.shape)
-    return suffix_pass(lambda n, y: g[n] * y + f[n], g.shape, dt)
+    acc, mom = np.empty(g.shape), np.empty(g.shape)
+    for n, acc_n, mom_n in suffix_pass(lambda n, _: g[n], g.shape, dt):
+        acc[n], mom[n] = acc_n, mom_n
+    return acc, mom
 
 
 def exp_cell_weights(a: float, dt: float) -> tuple[float, float]:

@@ -17,11 +17,16 @@ whose fixed point is the damped solution.  Row n of the map reads dX_n
 alone, and dX_n only the field's rows > n, so picard_solve solves the
 fixed point in one exact backward pass and certifies it with one more map.
 
-Everything time-dependent is stored in deviation form (X - x - vt,
+Everything time-dependent is held in deviation form (X - x - vt,
 V - v, dX/dx - 1, dX/dv - t, dV/dv - 1, ...), never in absolute form:
 the deviations decay like e^{-a t} and downstream norms weight them by
 e^{a t}, so representing them as differences of O(1) or O(t) quantities
-would drown the late-time signal in representation noise.
+would drown the late-time signal in representation noise.  Only dX and
+dV are stored whole, (nt, nx, nv) each.  The stages after the
+characteristics (the label derivatives, the trajectory checks, the
+deposit) form what they need of each row block (_row_blocks) and reduce
+it there, so once the characteristics are solved no table of that size
+is alive beyond these two and the kernels' phase table.
 
 For the same reason the field map is evaluated split (FIELD_MAP_METHOD,
 the only method): the free-streaming part of the transported density is
@@ -84,6 +89,24 @@ def _along(E: FieldTable, x, v, dX) -> np.ndarray:
                              E.tgrid.times, dX)
 
 
+def _row_blocks(nt: int, npart: int):
+    """(n0, n1) blocks of the rows of (nt, npart) float tables, the last
+    rows first, that the streamed stages form and reduce one at a time.
+    As the kernels block their temporaries, a block is as many rows as
+    fit in kernels._BLOCK_BYTES, here for the four variational
+    derivatives that solve_variational holds per row."""
+    size = max(1, kernels._BLOCK_BYTES // (4 * 8 * npart))
+    return [(max(0, n1 - size), n1) for n1 in range(nt, 0, -size)]
+
+
+def _moments(integrand, shape, dt) -> np.ndarray:
+    """The moment table I of kernels.suffix_pass(integrand, shape, dt)."""
+    mom = np.empty(shape)
+    for n, _, mom_n in kernels.suffix_pass(integrand, shape, dt):
+        mom[n] = mom_n
+    return mom
+
+
 # ---------------------------------------------------------------------------
 # trajectories
 # ---------------------------------------------------------------------------
@@ -102,12 +125,6 @@ class TrajectoryTable:
     dV: np.ndarray
     # one backward pass; perfbench/tracer.py reads it as the sweep count
     inner_iterations: ClassVar[int] = 1
-
-    def X(self) -> np.ndarray:
-        x, v, _ = _flat_labels(self.phase)
-        t = self.tgrid.times[:, None]
-        flat = x[None, :] + v[None, :] * t + self.dX.reshape(len(self.tgrid), -1)
-        return flat.reshape(self.dX.shape)
 
 
 def solve_characteristics(E: FieldTable, phase: PhaseGrid,
@@ -150,7 +167,7 @@ def solve_characteristics(E: FieldTable, phase: PhaseGrid,
         rows(g[n:n + 1], n, dX_n[None, :])
         return g[n]
 
-    dX = kernels.suffix_pass(field_along, (nt, npart), tg.dt)[1]
+    dX = _moments(field_along, (nt, npart), tg.dt)
     alpha, beta = kernels.exp_cell_weights(a, tg.dt)
     dV = kernels.suffix_weighted(g, alpha, beta)
     del g
@@ -168,19 +185,27 @@ def check_trajectory_bounds(traj: TrajectoryTable, E: FieldTable,
     |v - V| <= (|E|_{a,t0}/a) e^{-a t},
     |x - (X - V t)| <= |E|_{a,t0} (2/a) t e^{-a t},
 
-    as {traj_velocity, traj_position} BoundChecks against 1.  For E == 0
-    both sides vanish and the ratios are defined as 0.
+    as {traj_velocity, traj_position} BoundChecks against 1, formed one
+    row block at a time.  For E == 0 both sides vanish and the ratios are
+    defined as 0.
     """
     a = params.a
     norm_e = weighted_norm(E, a).value
     ratio_v = ratio_x = 0.0
     if norm_e != 0.0:
-        t = traj.tgrid.times[:, None, None]
-        decay = np.exp(-a * traj.tgrid.times)[:, None, None]
-        ratio_v = float((np.abs(traj.dV) / ((norm_e / a) * decay)).max())
-        # x - (X - V t) = dV * t - dX when X, V are expanded around free flight
-        lhs_x = np.abs(traj.dV * t - traj.dX)
-        ratio_x = float((lhs_x / (norm_e * (2.0 / a) * t * decay)).max())
+        nt = len(traj.tgrid)
+        dX, dV = traj.dX.reshape(nt, -1), traj.dV.reshape(nt, -1)
+        times = traj.tgrid.times[:, None]
+        decays = np.exp(-a * traj.tgrid.times)[:, None]
+        ratios = []
+        for n0, n1 in _row_blocks(nt, dX.shape[1]):
+            t, decay = times[n0:n1], decays[n0:n1]
+            # x - (X - V t) = dV * t - dX when X, V are expanded around
+            # free flight
+            lhs_x = np.abs(dV[n0:n1] * t - dX[n0:n1])
+            ratios.append(((np.abs(dV[n0:n1]) / ((norm_e / a) * decay)).max(),
+                           (lhs_x / (norm_e * (2.0 / a) * t * decay)).max()))
+        ratio_v, ratio_x = map(float, np.max(ratios, axis=0))
     return {"traj_velocity": BoundCheck("traj_velocity", ratio_v, 1.0),
             "traj_position": BoundCheck("traj_position", ratio_x, 1.0)}
 
@@ -189,36 +214,34 @@ def check_trajectory_bounds(traj: TrajectoryTable, E: FieldTable,
 # variational system
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class VariationalTable:
-    """First derivatives of the flow w.r.t. the asymptotic labels,
-    in deviation form: xi = dX/dx - 1, eta = dX/dv - t, chi = dV/dx,
-    omega = dV/dv - 1; all shaped (nt, nx, nv)."""
+def _jacobian_minus_one(t, xi, eta, chi, omega):
+    """det d(X,V)/d(x,v) - 1 of the variational deviations, assembled
+    without forming the O(t) terms: (1+xi)(1+omega) - (t+eta) chi - 1
+    = xi + omega + xi omega - (t+eta) chi."""
+    return xi + omega + xi * omega - (t + eta) * chi
 
-    phase: PhaseGrid
+
+@dataclass(frozen=True)
+class VariationalSups:
+    """What the checks read of the first derivatives of the flow w.r.t.
+    the asymptotic labels, in deviation form xi = dX/dx - 1,
+    eta = dX/dv - t, chi = dV/dx and omega = dV/dv - 1: the per-row sups
+    (nt,) of |xi|, |eta|, |chi| and |omega|, and over all rows and labels
+    the maxima of |dX/dx|, |dX/dv| / t and |det d(X,V)/d(x,v) - 1|."""
+
     tgrid: TimeGrid
     xi: np.ndarray
     eta: np.ndarray
     chi: np.ndarray
     omega: np.ndarray
+    dX_dx: float
+    dX_dv_moment1: float
+    jacobian: float
     # one backward pass; perfbench/tracer.py reads it as the sweep count
     inner_iterations: ClassVar[int] = 1
 
-    def dX_dx(self) -> np.ndarray:
-        return 1.0 + self.xi
 
-    def dX_dv(self) -> np.ndarray:
-        return self.tgrid.times[:, None, None] + self.eta
-
-    def jacobian_minus_one(self) -> np.ndarray:
-        """det d(X,V)/d(x,v) - 1, assembled without forming the O(t) terms:
-        (1+xi)(1+omega) - (t+eta) chi - 1 = xi + omega + xi omega - (t+eta) chi."""
-        t = self.tgrid.times[:, None, None]
-        return (self.xi + self.omega + self.xi * self.omega
-                - (t + self.eta) * self.chi)
-
-
-def solve_variational(E: FieldTable, traj: TrajectoryTable) -> VariationalTable:
+def solve_variational(E: FieldTable, traj: TrajectoryTable) -> VariationalSups:
     """The linearized flow along frozen trajectories, in one backward pass.
 
     With g = dE/dx evaluated along X, the position derivatives solve the
@@ -226,46 +249,72 @@ def solve_variational(E: FieldTable, traj: TrajectoryTable) -> VariationalTable:
     xi for f = g and eta for f = g s; the velocity derivatives chi and
     omega are minus the plain suffix integrals of the same integrands.  On
     the composite-trapezoid rule the system is strictly triangular, and
-    kernels.suffix_volterra solves it exactly from t_end backward.
+    one kernels.suffix_pass solves both systems exactly from t_end
+    backward.  The march keeps one row block (_row_blocks) of g and of
+    the four derivatives: g is evaluated along X a block at a time, and a
+    finished block is reduced to what check_variational_bounds reads.
     """
     tg = traj.tgrid
-    phase = traj.phase
-    x, v, _ = _flat_labels(phase)
+    x, v, _ = _flat_labels(traj.phase)
     nt, npart = len(tg), x.shape[0]
-    g_ex = _along(spectral_dx(E), x, v, traj.dX.reshape(nt, npart))
+    times = tg.times
+    dX = traj.dX.reshape(nt, npart)
+    c = spectral_dx(E).coefficients()
+    along = kernels.row_evaluator(np.ascontiguousarray(c.real),
+                                  np.ascontiguousarray(c.imag), x, v, times)
+    blocks = _row_blocks(nt, npart)
+    size = blocks[0][1] - blocks[0][0]
+    g = np.empty((size, npart))
+    ders = np.empty((4, size, npart))      # xi, eta, chi, omega
+    sups = np.empty((4, nt))
+    peaks = []
+    block = iter(blocks)
+    n0 = n1 = nt
 
-    chi, xi = kernels.suffix_volterra(g_ex, g_ex, tg.dt)
-    omega, eta = kernels.suffix_volterra(g_ex, g_ex * tg.times[:, None],
-                                         tg.dt)
-    np.negative(chi, out=chi)
-    np.negative(omega, out=omega)
+    def integrand(n, y):
+        nonlocal n0, n1
+        if n < n0:
+            n0, n1 = next(block)
+            along(g[:n1 - n0], n0, dX[n0:n1])
+        gn = g[n - n0]
+        h = gn * y
+        h[0] += gn
+        h[1] += gn * times[n]
+        return h
 
-    shape = (nt, phase.xgrid.n, phase.nv)
-    return VariationalTable(phase=phase, tgrid=tg, xi=xi.reshape(shape),
-                            eta=eta.reshape(shape), chi=chi.reshape(shape),
-                            omega=omega.reshape(shape))
+    for n, acc, mom in kernels.suffix_pass(integrand, (nt, 2, npart), tg.dt):
+        ders[:2, n - n0] = mom
+        np.negative(acc, out=ders[2:, n - n0])
+        if n == n0:
+            xi, eta, chi, omega = d = ders[:, :n1 - n0]
+            t = times[n0:n1, None]
+            sups[:, n0:n1] = np.abs(d).max(axis=2)
+            peaks.append((
+                np.abs(1.0 + xi).max(), (np.abs(t + eta) / t).max(),
+                np.abs(_jacobian_minus_one(t, xi, eta, chi, omega)).max()))
+    return VariationalSups(tg, *sups, *map(float, np.max(peaks, axis=0)))
 
 
-def check_variational_bounds(var: VariationalTable,
+def check_variational_bounds(var: VariationalSups,
                              params: DampingParams) -> dict:
-    """The four weighted-norm estimates for the linearized flow plus the
-    two plain-sup bounds, as {name: BoundCheck}."""
+    """The four weighted-norm estimates for the linearized flow, the two
+    plain-sup bounds and the volume deviation |det - 1|, as
+    {name: BoundCheck}."""
     a, ce = params.a, params.C_E
     times = var.tgrid.times
 
-    def wsup(name, arr, moment, bound):
-        sup = np.abs(arr).reshape(len(times), -1).max(axis=1)
+    def wsup(name, sup, moment, bound):
         rep = weighted_sup(times, sup, a, moment=moment)
         return BoundCheck(name, rep.value, bound, rep.horizon_dominated)
 
-    sup1_dxdv = float((np.abs(var.dX_dv()) / times[:, None, None]).max())
     checks = [
         wsup("dXdx_weighted", var.xi, 1, 8.0 * ce / a ** 2),
         wsup("dXdv_weighted", var.eta, 2, 8.0 * ce / a ** 2),
         wsup("dVdx_weighted", var.chi, 1, 4.0 * ce / a),
         wsup("dVdv_weighted", var.omega, 2, 10.0 * ce / a),
-        BoundCheck("dXdx_sup", float(np.abs(var.dX_dx()).max()), 2.0),
-        BoundCheck("dXdv_sup_moment1", sup1_dxdv, 2.0),
+        BoundCheck("dXdx_sup", var.dX_dx, 2.0),
+        BoundCheck("dXdv_sup_moment1", var.dX_dv_moment1, 2.0),
+        BoundCheck("jacobian_deviation", var.jacobian, 1e-6),
     ]
     return {c.name: c for c in checks}
 
@@ -280,13 +329,17 @@ def deposit_density(traj: TrajectoryTable, spec: ProfileSpec, z: float,
 
     Particles sit at X(x,v,t) with weight w_xv f*(x,v,z); linear hats of
     one cell width replace the delta function.  Homogeneous free
-    transport reproduces the mean density by construction.
+    transport reproduces the mean density by construction.  The
+    positions are formed and deposited one row block at a time.
     """
     x, v, wf = _profile_weights(traj.phase, spec, z)
     nt = len(traj.tgrid)
     t = traj.tgrid.times[:, None]
-    pos = x[None, :] + v[None, :] * t + traj.dX.reshape(nt, -1)
-    rho = kernels.cic_density(wf, pos, xgrid.n, xgrid.dx)
+    dX = traj.dX.reshape(nt, -1)
+    rho = np.empty((nt, xgrid.n))
+    for n0, n1 in _row_blocks(nt, x.shape[0]):
+        pos = x[None, :] + v[None, :] * t[n0:n1] + dX[n0:n1]
+        rho[n0:n1] = kernels.cic_density(wf, pos, xgrid.n, xgrid.dx)
     return FieldTable(traj.tgrid, xgrid, rho)
 
 
@@ -396,7 +449,9 @@ def _field_pass(spec: ProfileSpec, z: float, tgrid: TimeGrid,
     # a row that is not finite spoils the rows below it quietly; the
     # certifying characteristics of picard_solve raise on it by name
     with np.errstate(all="ignore"):
-        kernels.suffix_pass(field_along, (len(tgrid), len(x)), tgrid.dt)
+        for _ in kernels.suffix_pass(field_along, (len(tgrid), len(x)),
+                                     tgrid.dt):
+            pass
     return free.with_values(vals), free
 
 
@@ -415,7 +470,6 @@ class SolveResult:
     certificates: dict
     phase: PhaseGrid
     traj: TrajectoryTable | None = None
-    var: VariationalTable | None = None
     # one exact pass; perfbench/tracer.py reads iterations, and the
     # benchmark's output check asks the manifest for "converged"
     converged: ClassVar[bool] = True
@@ -450,7 +504,7 @@ class SolveResult:
 
 def _fixed_point_checks(E: FieldTable, free: FieldTable,
                         params: DampingParams, traj: TrajectoryTable,
-                        var: VariationalTable, rho: FieldTable,
+                        var: VariationalSups, rho: FieldTable,
                         rho_pert: FieldTable, residual_norm: float,
                         tol: float):
     a, a1, a2, ce = params.a, params.a1, params.a2, params.C_E
@@ -474,9 +528,6 @@ def _fixed_point_checks(E: FieldTable, free: FieldTable,
 
     checks.update(check_trajectory_bounds(traj, E, params))
     checks.update(check_variational_bounds(var, params))
-
-    jac = float(np.abs(var.jacobian_minus_one()).max())
-    checks["jacobian_deviation"] = BoundCheck("jacobian_deviation", jac, 1e-6)
 
     consistency = float(np.abs(ex.values - rho_pert.values).max())
     checks["field_density_consistency"] = BoundCheck(
@@ -576,8 +627,7 @@ def picard_solve(spec: ProfileSpec, params: DampingParams, z: float,
     return SolveResult(
         field=E, params=params, z=z, checks=checks,
         certificates=certificates, phase=phase,
-        traj=traj if keep_tables else None,
-        var=var if keep_tables else None)
+        traj=traj if keep_tables else None)
 
 
 # ---------------------------------------------------------------------------
@@ -684,12 +734,16 @@ def solve_tangent(spec: ProfileSpec,
                     wf[i] * _power(X, m, j - i) for i in terms))
         const = field_map_zero(specs[j], z, E0.tgrid, E0.xgrid).values \
             / math.factorial(j) + _field_of_modes(c, nx)
-        R = _trajectory_forcing(E, X, x, v, dX0)
+        if j == 1:      # R_1 has no term: (i, m) = (0, 1) is left out
+            R, forcing = None, norm(const)
+        else:
+            R = _trajectory_forcing(E, X, x, v, dX0)
+            Xf = _moments(lambda n, y: g[n] * y + R[n], g.shape,
+                          E0.tgrid.dt)                      # of E_j = 0
+            forcing = norm(const + _field_of_modes(mik * S(wf[0] * Xf), nx))
+            del Xf
         if j == params.K:
             X.clear()       # only the forcings of higher orders read X
-        Xf = kernels.suffix_volterra(g, R, E0.tgrid.dt)[1]   # of E_j = 0
-        forcing = norm(const + _field_of_modes(mik * S(wf[0] * Xf), nx))
-        del Xf
 
         vals, put = _field_rows(E0.with_values(const), x, v)
 
@@ -699,10 +753,11 @@ def solve_tangent(spec: ProfileSpec,
             modes[...] += _free_modes(W, table[n:n + 1])
             out = put(n, mik * modes[0], dX0[n])
             out += g[n] * Xn
-            out += R[n]
+            if R is not None:
+                out += R[n]
             return out
 
-        Xj = kernels.suffix_pass(integrand, g.shape, E0.tgrid.dt)[1]
+        Xj = _moments(integrand, g.shape, E0.tgrid.dt)
         if j < params.K:      # the next orders read X_j
             X.append(Xj)
         E.append(E0.with_values(vals))

@@ -234,12 +234,11 @@ def _solve_node(spec, params, z, tgrid, phase, solve_kw):
     solve's Taylor coefficients (else None).
 
     The tangent and the residual come from the trajectories the solve
-    just certified; the variational tables are dropped before either is
-    formed and the trajectories after, so the returned result holds no
-    tables.
+    just certified; the trajectories are dropped after, so the returned
+    result holds no tables.
     """
-    result = replace(picard_solve(spec, params, z, tgrid, phase,
-                                  keep_tables=True, **solve_kw), var=None)
+    result = picard_solve(spec, params, z, tgrid, phase, keep_tables=True,
+                          **solve_kw)
     taylor = solve_tangent(spec, result) if z == 0.0 else None
     traj = result.traj
     result = replace(result, traj=None)

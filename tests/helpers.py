@@ -3,8 +3,10 @@ modules.  The oracles are closed forms or literal evaluations that the
 library itself does not need: the force kernel, field tabulation, the
 tail-integral and product lemmas, one field-map application, the field
 map by direct kernel summation, the iterations that the field and tangent
-passes replace, a march of the field pass in mpmath, the profile gradient,
-the interpolant's z-derivative and the gPC expansion's value."""
+passes replace, a march of the field pass in mpmath, the whole-table
+variational solve, trajectory ratios and deposit that the streamed stages
+replace, the profile gradient, the interpolant's z-derivative and the gPC
+expansion's value."""
 
 import math
 from dataclasses import dataclass, field
@@ -67,18 +69,123 @@ def apply_field_map(E, spec, z, phase, a=1.0, traj=None):
     return _map_from_traj(traj, spec, z, E.xgrid)
 
 
+def trajectory_X(traj):
+    """The absolute positions X = x + v t + dX of a TrajectoryTable,
+    shaped like traj.dX."""
+    x, v, _ = S._flat_labels(traj.phase)
+    t = traj.tgrid.times[:, None]
+    flat = x[None, :] + v[None, :] * t + traj.dX.reshape(len(traj.tgrid), -1)
+    return flat.reshape(traj.dX.shape)
+
+
 def direct_field_map(E, spec, z, phase, a=1.0):
     """The field map by literal kernel summation,
     E(y_i, t_n) = sum_p w_p f*_p B(y_i - X_p(t_n)) minus its mean over i,
     along the characteristics of E with decay rate a."""
     traj = solve_characteristics(E, phase, a=a)
     _, _, wf = _profile_weights(phase, spec, z)
-    pos = traj.X().reshape(len(traj.tgrid), -1)
+    pos = trajectory_X(traj).reshape(len(traj.tgrid), -1)
     ys = E.xgrid.points
     vals = np.array([kernel_B(ys[:, None] - row[None, :]) @ wf
                      for row in pos])
     vals -= vals.mean(axis=1, keepdims=True)
     return fields.FieldTable(traj.tgrid, E.xgrid, vals)
+
+
+# ---------------------------------------------------------------------------
+# whole tables that the streamed stages replace
+# ---------------------------------------------------------------------------
+
+def suffix_tables(integrand, shape, dt):
+    """(A, I), each of shape `shape`: the rows that
+    kernels.suffix_pass(integrand, shape, dt) hands out, as tables."""
+    acc, mom = np.empty(shape), np.empty(shape)
+    for n, acc_n, mom_n in kernels.suffix_pass(integrand, shape, dt):
+        acc[n], mom[n] = acc_n, mom_n
+    return acc, mom
+
+
+def suffix_volterra(g, f, dt):
+    """(A, I) solving I = suffix_trapz_moment(g I + f)[1], with A the
+    plain suffix integral of the same integrand; f broadcasts to g."""
+    g = np.asarray(g, dtype=float)
+    f = np.broadcast_to(f, g.shape)
+    return suffix_tables(lambda n, y: g[n] * y + f[n], g.shape, dt)
+
+
+@dataclass(frozen=True)
+class VariationalTables:
+    """First derivatives of the flow w.r.t. the asymptotic labels,
+    in deviation form: xi = dX/dx - 1, eta = dX/dv - t, chi = dV/dx,
+    omega = dV/dv - 1; all shaped (nt, nx, nv)."""
+
+    tgrid: fields.TimeGrid
+    xi: np.ndarray
+    eta: np.ndarray
+    chi: np.ndarray
+    omega: np.ndarray
+
+    def dX_dx(self):
+        return 1.0 + self.xi
+
+    def dX_dv(self):
+        return self.tgrid.times[:, None, None] + self.eta
+
+    def jacobian_minus_one(self):
+        return S._jacobian_minus_one(self.tgrid.times[:, None, None],
+                                     self.xi, self.eta, self.chi, self.omega)
+
+
+def variational_tables(E, traj):
+    """The variational system solved on whole tables, as
+    scattering.solve_variational did before it streamed: g = dE/dx along
+    X, then two suffix_volterra solves, xi and -chi for the forcing g,
+    eta and -omega for g t."""
+    tg = traj.tgrid
+    x, v, _ = S._flat_labels(traj.phase)
+    nt = len(tg)
+    g_ex = S._along(fields.spectral_dx(E), x, v, traj.dX.reshape(nt, -1))
+    chi, xi = suffix_volterra(g_ex, g_ex, tg.dt)
+    omega, eta = suffix_volterra(g_ex, g_ex * tg.times[:, None], tg.dt)
+    np.negative(chi, out=chi)
+    np.negative(omega, out=omega)
+    shape = traj.dX.shape
+    return VariationalTables(tg, xi.reshape(shape), eta.reshape(shape),
+                             chi.reshape(shape), omega.reshape(shape))
+
+
+def variational_sups(tables):
+    """scattering.VariationalSups from whole tables."""
+    t = tables.tgrid.times
+
+    def row_sup(arr):
+        return np.abs(arr).reshape(len(t), -1).max(axis=1)
+
+    return S.VariationalSups(
+        tables.tgrid, row_sup(tables.xi), row_sup(tables.eta),
+        row_sup(tables.chi), row_sup(tables.omega),
+        float(np.abs(tables.dX_dx()).max()),
+        float((np.abs(tables.dX_dv()) / t[:, None, None]).max()),
+        float(np.abs(tables.jacobian_minus_one()).max()))
+
+
+def trajectory_ratios(traj, E, a):
+    """(traj_velocity, traj_position) values on whole tables."""
+    norm_e = fields.weighted_norm(E, a).value
+    t = traj.tgrid.times[:, None, None]
+    decay = np.exp(-a * traj.tgrid.times)[:, None, None]
+    ratio_v = float((np.abs(traj.dV) / ((norm_e / a) * decay)).max())
+    lhs_x = np.abs(traj.dV * t - traj.dX)
+    ratio_x = float((lhs_x / (norm_e * (2.0 / a) * t * decay)).max())
+    return ratio_v, ratio_x
+
+
+def deposit_table(traj, spec, z, xgrid):
+    """The cloud-in-cell density of deposit_density from one whole table
+    of positions."""
+    _, _, wf = _profile_weights(traj.phase, spec, z)
+    pos = trajectory_X(traj).reshape(len(traj.tgrid), -1)
+    return kernels.cic_density(wf, pos, xgrid.n, xgrid.dx)
 
 
 # ---------------------------------------------------------------------------
@@ -119,7 +226,7 @@ def tangent_map(spec, result, tables):
     X = []
     for i in range(1, len(E)):
         R = S._trajectory_forcing(E[:i], X, x, v, dX0)
-        X.append(kernels.suffix_volterra(
+        X.append(suffix_volterra(
             g, S._along(E[i], x, v, dX0) + R, E0.tgrid.dt)[1])
     j = len(tables)
     specs, wf = [spec], [_profile_weights(phase, spec, z)[2]]

@@ -81,7 +81,10 @@ def test_criterion_03_free_transport(ref_tgrid, ref_phase):
     traj = S.solve_characteristics(E0, ref_phase, a=A)
     assert np.abs(traj.dX).max() <= 1e-12            # X - (x + v t)
     assert np.abs(traj.dV).max() <= 1e-12            # V - v
-    var = S.solve_variational(E0, traj)
+    sups = S.solve_variational(E0, traj)
+    for sup in (sups.xi, sups.eta, sups.chi, sups.omega):
+        assert sup.max() <= 1e-12
+    var = H.variational_tables(E0, traj)
     t = ref_tgrid.times[:, None, None]
     assert np.abs(var.dX_dx() - 1.0).max() <= 1e-12
     assert np.abs(var.dX_dv() - t).max() <= 1e-12

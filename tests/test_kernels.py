@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import helpers as H
 from vlandau import kernels as K
 
 
@@ -73,6 +74,21 @@ def table_calls(monkeypatch):
 
     monkeypatch.setattr(K, "phase_table", spy)
     return calls
+
+
+@pytest.mark.parametrize("nx, nv, nt", [(64, 129, 176), (128, 65, 176),
+                                        (32, 65, 88)])
+def test_phase_table_is_cos_plus_i_sin(nx, nv, nt):
+    # built in place, the table equals cos(k v t) + i sin(k v t) bitwise
+    # on the grids of the three benchmark workloads
+    times = 8.0 + (35.0 / (nt - 1)) * np.arange(nt)
+    vs = np.linspace(-6.0, 6.0, nv)
+    nk = nx // 2 + 1
+    got = K.phase_table(vs, times, nk)
+    phi = times[:, None] * vs[None, :]
+    for k in range(nk):
+        assert np.array_equal(got[:, k, :],
+                              np.cos(k * phi) + 1j * np.sin(k * phi)), k
 
 
 # ---------------------------------------------------------------------------
@@ -238,7 +254,7 @@ def test_suffix_volterra_matches_dense_solve(nt, length, t0, size, sign,
     g = (strength / length ** 2) * rng.uniform(-1.0, 1.0, (nt, 3))
     g[:, 0] = strength / length ** 2            # one column of fixed sign
     for f in (g, g * times[:, None], rng.standard_normal((nt, 3))):
-        acc, mom = K.suffix_volterra(g, f, dt)
+        acc, mom = H.suffix_volterra(g, f, dt)
         want_acc, want_mom = _dense_volterra(g, f, dt)
         for got, want in ((mom, want_mom), (acc, want_acc)):
             assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
@@ -259,7 +275,7 @@ def test_suffix_volterra_is_second_order_on_closed_form(gamma):
             y, a = np.cosh(u) - 1.0, root * np.sinh(u)
         else:
             y, a = np.cos(u) - 1.0, -root * np.sin(u)
-        acc, mom = K.suffix_volterra(np.full((nt, 1), gamma), gamma,
+        acc, mom = H.suffix_volterra(np.full((nt, 1), gamma), gamma,
                                      times[1] - times[0])
         return np.abs(mom[:, 0] - y).max(), np.abs(acc[:, 0] - a).max()
 
@@ -281,7 +297,7 @@ def test_suffix_pass_solves_an_integrand_of_its_own_moment():
         asked.append(n)
         return f[n] + np.sin(5.0 * y)
 
-    acc, mom = K.suffix_pass(integrand, f.shape, dt)
+    acc, mom = H.suffix_tables(integrand, f.shape, dt)
     assert asked == list(range(nt - 1, -1, -1))
     plain, moment = K.suffix_trapz_moment(f + np.sin(5.0 * mom), dt)
     assert np.array_equal(moment, mom) and np.array_equal(plain, acc)

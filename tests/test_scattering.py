@@ -8,6 +8,7 @@ and the single-mode analytic image of the zero field.
 import dataclasses
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -38,14 +39,19 @@ def test_free_transport_is_exact(ref_tgrid, ref_phase):
     v = np.tile(ref_phase.v, ref_phase.xgrid.n).reshape(
         ref_phase.xgrid.n, ref_phase.nv)
     t = ref_tgrid.times[:, None, None]
-    assert np.abs(traj.X() - (x[None] + v[None] * t)).max() <= 1e-12
+    assert np.abs(H.trajectory_X(traj) - (x[None] + v[None] * t)).max() \
+        <= 1e-12
     assert np.abs((v[None] + traj.dV) - v[None]).max() <= 1e-12
 
 
 def test_free_transport_variational_identity(ref_tgrid, ref_phase):
     E = F.zero_field(ref_tgrid, ref_phase.xgrid)
     traj = S.solve_characteristics(E, ref_phase, a=1.0)
-    var = S.solve_variational(E, traj)
+    sups = S.solve_variational(E, traj)
+    for sup in (sups.xi, sups.eta, sups.chi, sups.omega):
+        assert sup.max() <= 1e-12
+    assert sups.jacobian <= 1e-12
+    var = H.variational_tables(E, traj)
     for arr in (var.xi, var.eta, var.chi, var.omega):
         assert np.abs(arr).max() <= 1e-12
     t = ref_tgrid.times[:, None, None]
@@ -244,7 +250,8 @@ def test_characteristics_match_a_30_digit_march(case, ref_solve,
 # ---------------------------------------------------------------------------
 
 def test_variational_matches_label_finite_differences(ref_solve):
-    traj, var = ref_solve.traj, ref_solve.var
+    traj = ref_solve.traj
+    var = H.variational_tables(ref_solve.field, traj)
     phase = traj.phase
     dx_lbl = phase.xgrid.dx
     dv_lbl = phase.dv
@@ -282,7 +289,8 @@ def test_variational_is_a_fixed_point_of_one_sweep(ref_solve):
     # more sweep of the moment rule returns xi and eta bitwise, and the
     # plain suffix rule of the same integrands returns -chi and -omega
     # (integrands g y + f with the forcings f = g c the solve passes)
-    traj, var = ref_solve.traj, ref_solve.var
+    traj = ref_solve.traj
+    var = H.variational_tables(ref_solve.field, traj)
     nt = len(traj.tgrid)
     x = np.repeat(traj.phase.xgrid.points, traj.phase.nv)
     v = np.tile(traj.phase.v, traj.phase.xgrid.n)
@@ -300,7 +308,7 @@ def test_variational_is_a_fixed_point_of_one_sweep(ref_solve):
 
 
 def test_jacobian_identity(ref_solve):
-    var = ref_solve.var
+    var = H.variational_tables(ref_solve.field, ref_solve.traj)
     t = var.tgrid.times[:, None, None]
     direct = (var.dX_dx() * (1.0 + var.omega) - var.dX_dv() * var.chi) - 1.0
     stable = var.jacobian_minus_one()
@@ -308,6 +316,62 @@ def test_jacobian_identity(ref_solve):
     # cancellation noise of the O(t) products, which dwarfs the signal
     assert np.abs(direct - stable).max() <= 1e-13 * float(t.max())
     assert np.abs(stable).max() <= 1e-20
+
+
+# ---------------------------------------------------------------------------
+# the streamed certifying stage
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("blocks", [1, 2, 3])
+def test_streamed_stages_match_whole_tables_at_block_boundaries(blocks):
+    # nt below one row block, two whole blocks, and one row past them:
+    # the streamed variational sups, both trajectory ratios and the
+    # deposit equal their whole-table oracles bitwise
+    phase = F.PhaseGrid(F.XGrid(16), 129, 6.0)
+    npart = phase.xgrid.n * phase.nv
+    n0, n1 = S._row_blocks(10 ** 6, npart)[0]
+    nt = {1: (n1 - n0) // 2, 2: 2 * (n1 - n0), 3: 2 * (n1 - n0) + 1}[blocks]
+    assert len(S._row_blocks(nt, npart)) == blocks
+    tg = F.TimeGrid(8.0, 20.0, nt - 1)
+    spec = make_spec(LINEAR_Z)
+    params = P.derive_constants(1.0, 0.002, 0.002, 2, t0=tg.t0)
+    r = S.picard_solve(spec, params, 0.3, tg, phase)
+    E, traj = r.field, r.traj
+
+    got = S.solve_variational(E, traj)
+    want = H.variational_sups(H.variational_tables(E, traj))
+    for name in ("xi", "eta", "chi", "omega"):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+    assert (got.dX_dx, got.dX_dv_moment1, got.jacobian) \
+        == (want.dX_dx, want.dX_dv_moment1, want.jacobian)
+    assert got.jacobian > 0.0
+
+    checks = S.check_trajectory_bounds(traj, E, params)
+    assert (checks["traj_velocity"].value, checks["traj_position"].value) \
+        == H.trajectory_ratios(traj, E, params.a)
+
+    rho = S.deposit_density(traj, spec, 0.3, phase.xgrid)
+    assert np.array_equal(rho.values,
+                          H.deposit_table(traj, spec, 0.3, phase.xgrid))
+
+
+def test_picard_solve_memory_budget():
+    # once the characteristics are solved, no (nt, P) table is alive
+    # beyond dX, dV and the phase table: the traced peak of a solve on the
+    # uq-coarse grids, with the caches warm, stays within 6 such tables
+    spec = make_spec(LINEAR_Z)
+    params = P.derive_constants(1.0, 0.002, 0.002, 2, t0=8.0)
+    tg, phase = small_grids(nx=32, nv=65, t0=8.0, t_end=43.0, steps=87)
+    table = 8 * len(tg) * phase.xgrid.n * phase.nv
+    S.picard_solve(spec, params, 0.0, tg, phase)    # the phase table,
+    tracemalloc.start()                             # grid_sups
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        S.picard_solve(spec, params, 0.0, tg, phase)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - start <= 6 * table, (peak - start) / table
 
 
 # ---------------------------------------------------------------------------
@@ -673,7 +737,7 @@ def test_field_pass_matches_an_mpmath_march():
         rows(g[n:n + 1], n, dX_n[None, :])
         return g[n]
 
-    dX = K.suffix_pass(along, g.shape, tg.dt)[1]
+    dX = H.suffix_tables(along, g.shape, tg.dt)[1]
     radius = (phase.xgrid.n // 2) * np.abs(dX).max(axis=1)
     assert (radius > math.pi / 2).sum() == 3
 
@@ -821,7 +885,7 @@ def test_trajectory_coefficients_match_central_differences():
     X = []
     for j in (1, 2):
         R = S._trajectory_forcing(E[:j], X, x, v, dX0)
-        X.append(K.suffix_volterra(g, S._along(E[j], x, v, dX0) + R,
+        X.append(H.suffix_volterra(g, S._along(E[j], x, v, dX0) + R,
                                    tg.dt)[1])
     h = 1e-3
     plus, minus = dX(h), dX(-h)
