@@ -353,7 +353,7 @@ def main(argv=None) -> int:
         return EXIT_SOLVER
     except CollocationError as err:
         print(f"ensemble failure: {err}", file=sys.stderr)
-        if isinstance(err.cause, ConvergenceError):
+        if isinstance(err.cause, (ConvergenceError, ChildProcessError)):
             return EXIT_SOLVER
         return EXIT_CHECK_FAILED
 

@@ -344,6 +344,7 @@ def exp_cell_weights(a: float, dt: float) -> tuple[float, float]:
     return alpha, beta
 
 
+# unused in the package, but perfbench/tracer.py lists it in TRACED by name
 def suffix_weighted(g, alpha, beta):
     """A[n] = sum over cells of alpha g_left + beta g_right on [t_n, t_end]."""
     g = np.ascontiguousarray(g)

@@ -135,9 +135,10 @@ def solve_characteristics(E: FieldTable, phase: PhaseGrid,
     needs the field only on the rows > n, so kernels.suffix_pass solves
     the discrete system exactly from t_end backward: each row's dX_n comes
     from the recurrence, and E is then evaluated along that row alone
-    (kernels.row_evaluator).  The velocity deviation is then accumulated
-    once with the exponential-weight product rule (exact for e^{-a s} x
-    linear), since the plain trapezoid overshoots decaying convex
+    (kernels.row_evaluator).  The velocity deviation accumulates in the
+    same march, keeping the field along two rows only, with the
+    exponential-weight product rule of kernels.suffix_weighted (exact for
+    e^{-a s} x linear), since the plain trapezoid overshoots decaying convex
     envelopes by (a dt)^2/12 relative - far more than the headroom of the
     pointwise velocity bound |V - v| <= (|E|_{a,t0}/a) e^{-a t}.  The
     integral tail beyond the stored horizon is neglected; picard_solve
@@ -161,16 +162,21 @@ def solve_characteristics(E: FieldTable, phase: PhaseGrid,
     c = E.coefficients()
     rows = kernels.row_evaluator(np.ascontiguousarray(c.real),
                                  np.ascontiguousarray(c.imag), x, v, tg.times)
-    g = np.empty((nt, npart))
+    g = np.empty((2, npart))        # E along the rows n and n + 1
 
     def field_along(n, dX_n):
-        rows(g[n:n + 1], n, dX_n[None, :])
-        return g[n]
+        rows(g[n % 2:n % 2 + 1], n, dX_n[None, :])
+        return g[n % 2]
 
-    dX = _moments(field_along, (nt, npart), tg.dt)
+    # dV accumulates in the march, in the order of kernels.suffix_weighted
     alpha, beta = kernels.exp_cell_weights(a, tg.dt)
-    dV = kernels.suffix_weighted(g, alpha, beta)
-    del g
+    dX, dV = np.empty((nt, npart)), np.empty((nt, npart))
+    for n, _, mom in kernels.suffix_pass(field_along, (nt, npart), tg.dt):
+        dX[n] = mom
+        if n == nt - 1:
+            dV[n] = 0.0
+        else:
+            dV[n] = dV[n + 1] + alpha * g[n % 2] + beta * g[(n + 1) % 2]
     np.negative(dV, out=dV)
 
     shape = (nt, phase.xgrid.n, phase.nv)

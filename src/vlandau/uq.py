@@ -10,28 +10,35 @@ node's tables are alive); the theorem report compares them with the
 collocation interpolant's.  The order-k derivative of the interpolant
 at 0 is one fixed row of difference weights over every node
 (fd_weights, Fornberg's recursion).  One survey (_z_survey) streams the
-node values through those rows: run_collocation feeds it each node's
-corollary residual as the node is solved, so that no two nodes'
-phase-space tables are alive at once, and the theorem report feeds it
-the node fields, with roundoff floors from the same rows.
+node values through those rows: run_collocation solves the nodes
+concurrently, one process per usable CPU, each process holding one
+node's phase-space tables at a time, and feeds the survey each node's
+corollary residual strictly in node order, so that every sum is the
+same on any CPU count; the theorem report feeds it the node fields,
+with roundoff floors from the same rows.
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import math
+import os
+import pickle
+import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
 from numpy.polynomial import legendre as npleg
 
+from . import kernels
 from .fields import weighted_norm, weighted_sup
 from .params import DampingParams
 from .profiles import ProfileSpec, shifted_difference, sup_gradient
 from .scattering import FIELD_MAP_METHOD, BoundCheck, SolveResult, \
     TaylorCoefficients, TimeGrid, PhaseGrid, TrajectoryTable, _flat_labels, \
-    picard_solve, solve_tangent
+    _row_blocks, picard_solve, solve_tangent
 # unused here, but perfbench/tracer.py rebinds it in this module by name
 from .scattering import solve_characteristics  # noqa: F401
 
@@ -217,15 +224,19 @@ def _transport_residual(traj: TrajectoryTable, spec: ProfileSpec,
     by definition of the transported solution, so D = f* - f* o (X - Vt, V)
     needs only the forward tables.  It is assembled by the profile's
     exact shifted-difference identities: X - Vt = x + (dX - t dV) and
-    V = v + dV with tiny arguments.
+    V = v + dV with tiny arguments, one row block (_row_blocks) at a time
+    so that the identities' temporaries stay in cache.
     """
     x, v, _ = _flat_labels(traj.phase)
     nt = len(traj.tgrid)
     t = traj.tgrid.times[:, None]
-    dv_arg = traj.dV.reshape(nt, -1)
-    dx_arg = traj.dX.reshape(nt, -1) - t * dv_arg
-    return -shifted_difference(spec, x[None, :], v[None, :], dx_arg, dv_arg,
-                               z)
+    dX, dV = traj.dX.reshape(nt, -1), traj.dV.reshape(nt, -1)
+    out = np.empty(dX.shape)
+    for n0, n1 in _row_blocks(*out.shape):
+        dx_arg = dX[n0:n1] - t[n0:n1] * dV[n0:n1]
+        out[n0:n1] = shifted_difference(spec, x[None, :], v[None, :], dx_arg,
+                                        dV[n0:n1], z)
+    return np.negative(out, out=out)
 
 
 def _solve_node(spec, params, z, tgrid, phase, solve_kw):
@@ -249,45 +260,177 @@ def _solve_node(spec, params, z, tgrid, phase, solve_kw):
     return result, delta, bound, taylor
 
 
+def _portable(err: Exception) -> Exception:
+    """err, or a RuntimeError naming its type if it does not survive a
+    pickle round trip (a worker sends its failures to the parent)."""
+    try:
+        pickle.loads(pickle.dumps(err))
+        return err
+    except Exception:
+        return RuntimeError(f"{type(err).__name__}: {err}")
+
+
+def _send_all(outbox, conn) -> None:
+    """Send each item of outbox until None, then close conn."""
+    for item in iter(outbox.get, None):
+        conn.send(item)
+    conn.close()
+
+
+def _in_node_order(ctx, solve, n: int):
+    """solve(j) for the nodes j < n, yielded in node order; solve returns
+    a failure as an exception instead of raising it, and the generator
+    ends after the first failure it yields.
+
+    The calling process and min(usable CPUs, n) - 1 workers forked from
+    it (ctx, the fork context) claim the nodes in node order from one
+    shared counter, and each claimant solves its own.  A worker hands its
+    outcomes to a sender thread, so that it claims its next node while
+    the parent is still busy with one of its own.  Once a node fails no
+    process claims another.  A worker that dies leaves a
+    ChildProcessError for each node it claimed and did not return.  Every
+    worker is stopped and reaped when the generator ends, however it
+    ends.
+    """
+    import queue
+    import threading
+    from multiprocessing.connection import wait
+
+    next_node = ctx.Value("i", 0)
+    owner = ctx.RawArray("i", n)        # the claimant of each node; 0: parent
+
+    def claim(who):
+        with next_node.get_lock():
+            j = next_node.value
+            if j >= n:
+                return None
+            next_node.value = j + 1
+            owner[j] = who
+            return j
+
+    def stop():
+        with next_node.get_lock():
+            next_node.value = n
+
+    def work(who, conn):
+        outbox = queue.SimpleQueue()
+        sender = threading.Thread(target=_send_all, args=(outbox, conn))
+        sender.start()
+        try:
+            while (j := claim(who)) is not None:
+                out = solve(j)
+                if isinstance(out, Exception):
+                    stop()
+                    out = _portable(out)
+                outbox.put((j, out))
+                del out       # not alive during the next node's solve
+        finally:
+            outbox.put(None)
+            sender.join()
+
+    done, workers = {}, {}
+    try:
+        for who in range(1, min(len(os.sched_getaffinity(0)), n)):
+            recv, send = ctx.Pipe(duplex=False)
+            proc = ctx.Process(target=work, args=(who, send), daemon=True)
+            proc.start()
+            send.close()
+            workers[recv] = who, proc
+        for j in range(n):
+            while j not in done:
+                ready = wait(list(workers), timeout=0)
+                if not ready and (k := claim(0)) is not None:
+                    done[k] = solve(k)
+                    if isinstance(done[k], Exception):
+                        stop()
+                    continue
+                for conn in ready or wait(list(workers)):
+                    try:
+                        done.update([conn.recv()])
+                    except EOFError:
+                        who, proc = workers.pop(conn)
+                        conn.close()
+                        proc.join()
+                        died = ChildProcessError(
+                            f"worker process exited with code "
+                            f"{proc.exitcode}")
+                        for k in range(j, n):
+                            if owner[k] == who and k not in done:
+                                done[k] = died
+            failed = isinstance(done[j], Exception)
+            yield done.pop(j)
+            if failed:
+                return
+    finally:
+        stop()
+        for conn, (_, proc) in workers.items():
+            proc.terminate()
+            proc.join()
+            conn.close()
+
+
 def run_collocation(spec: ProfileSpec, params: DampingParams,
                     tgrid: TimeGrid, phase: PhaseGrid, n_z: int = 9,
                     **solve_kw) -> ZEnsemble:
     """Deterministic solve at each of the n_z Gauss-Legendre nodes, with
     solve_kw passed on to picard_solve, and the tangent solve at the node
-    z = 0; aborts naming a failing node.
+    z = 0; aborts naming the first failing node.
 
-    Each node's corollary residual D(z_j) is formed from its own solve
-    and handed to _z_survey before the next node is solved, so that at
-    most one node's tables are alive at a time; the ensemble keeps only
-    the reduced CorollaryReport and the K Taylor fields.
+    The nodes are solved concurrently, one per usable CPU, with this
+    process as one of the workers (_in_node_order).  Each process forms
+    its node's corollary residual D(z_j) from its own solve, so each holds
+    one node's tables at a time, and this process hands the residuals to
+    _z_survey strictly in node order, with a progress line on stderr per
+    node, so that every sum is formed in the same order on any CPU count.
+    A residual that arrives ahead of its turn waits in this process.  The
+    ensemble keeps only the reduced CorollaryReport and the K Taylor
+    fields.
     """
+    import multiprocessing      # not at the top: it would slow every CLI start
+
     nodes, weights = gauss_legendre_nodes(n_z)
+    zs = [float(z) for z in nodes]
     results, bounds, taylor = [], [], []
 
+    def solve(j):
+        try:
+            return _solve_node(spec, params, zs[j], tgrid, phase, solve_kw)
+        except Exception as err:
+            return err
+
+    # the kernels' table of the grids, built before the fork so that the
+    # workers share this process's copy instead of each building its own
+    kernels.phase_table(phase.v, tgrid.times, phase.xgrid.n // 2 + 1)
+    outcomes = _in_node_order(multiprocessing.get_context("fork"), solve,
+                              n_z)
+
     def residuals():
-        for j, z in enumerate(float(z) for z in nodes):
-            try:
-                result, delta, bound, tay = _solve_node(
-                    spec, params, z, tgrid, phase, solve_kw)
-            except Exception as err:
-                raise CollocationError(j, z, err) from err
+        for j, z in enumerate(zs):
+            out = next(outcomes)
+            if isinstance(out, Exception):
+                raise CollocationError(j, z, out) from out
+            result, delta, bound, tay = out
+            del out
+            print(f"uq: node {j} (z = {z:.6g}) solved, {j + 1} of {n_z}",
+                  file=sys.stderr, flush=True)
             results.append(result)
             bounds.append(bound)
             taylor.append(tay)
             yield delta
-            del delta         # not alive during the next node's solve
+            del delta         # not alive during this process's next solve
 
     def norm(table):
         """|table|_{a,t0,1}: the weighted sup over t of the sup over nodes."""
         sup = np.abs(table).reshape(len(tgrid), -1).max(axis=1)
         return weighted_sup(tgrid.times, sup, params.a, moment=1).value
 
-    node_norms, sums, _ = _z_survey(nodes, params.K, residuals(), norm)
+    with contextlib.closing(outcomes):
+        node_norms, sums, _ = _z_survey(nodes, params.K, residuals(), norm)
     ratios = tuple(n / bound if bound > 0 else (0.0 if n == 0.0 else math.inf)
                    for n, bound in zip(node_norms, bounds))
     corollary = CorollaryReport(node_norms=node_norms, node_ratios=ratios,
                                 derivative_norms=tuple(map(norm, sums)))
-    return ZEnsemble(nodes=tuple(float(z) for z in nodes),
+    return ZEnsemble(nodes=tuple(zs),
                      weights=tuple(float(w) for w in weights),
                      results=tuple(results), corollary=corollary,
                      taylor=next((t for t in taylor if t is not None), None))
@@ -381,7 +524,7 @@ def _z_survey(nodes, K: int, tables, norm) -> tuple[tuple, list, dict]:
     tables yields Q(z_j) in node order.  Each is added into the sums of
     the interpolant's order-k difference weights at 0 (fd_weights) for
     k <= k_max = min(K, n_nodes - 2), none for a single node, and then
-    dropped, so that no two nodes' tables are alive at once.  Returns
+    dropped, so that the survey holds one node's table at a time.  Returns
     the node norms norm(Q(z_j)), the derivative tables d^k_z Q at 0 and
     the floors of their norms {k: max_j norm(Q(z_j)) roundoff_floor(row
     k)} for k >= 1.

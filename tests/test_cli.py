@@ -6,6 +6,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -18,6 +19,7 @@ from vlandau import cli
 from vlandau.config import load_config
 from vlandau.fields import read_field_csv
 from vlandau.scattering import BoundCheck
+from vlandau.uq import gauss_legendre_nodes
 
 SMALL_GRIDS = """
 grids {
@@ -586,6 +588,63 @@ def test_benchmark_tracer_runs_uq(tmp_path):
     names = {span["name"] for span in json.loads(spans.read_text())}
     assert {"uq.run_collocation", "uq.check_corollary",
             "scattering.picard_solve"} <= names
+
+
+def test_uq_artifacts_do_not_depend_on_the_cpu_count(tmp_path, monkeypatch,
+                                                    capsys):
+    # the nodes' results reach the survey in node order on any CPU count,
+    # so every artifact and stdout are byte-identical on one CPU and two;
+    # stderr holds one progress line per node, in node order
+    cfg = write_cfg(tmp_path, TINY_GRIDS.replace("n_z 3", "n_z 5"))
+    outputs = {}
+    for cpus in ({0}, {0, 1}):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
+        out = tmp_path / str(len(cpus))
+        assert run_cli("uq", "--config", cfg, "--out", str(out)) == 0
+        captured = capsys.readouterr()
+        outputs[len(cpus)] = captured.out, {
+            path.name: path.read_bytes() for path in sorted(out.iterdir())}
+        progress = [line.split(" solved")[0]
+                    for line in captured.err.splitlines()]
+        assert progress == [f"uq: node {j} (z = {z:.6g})" for j, z in
+                            enumerate(gauss_legendre_nodes(5)[0])], \
+            captured.err
+    assert len(outputs[1][1]) == 4
+    assert outputs[1] == outputs[2]
+
+
+WORKER_DIES = """
+import os, sys
+from vlandau import cli, uq
+
+parent, real = os.getpid(), uq._solve_node
+os.sched_getaffinity = lambda pid: {0, 1}
+
+
+def dying(*args):
+    if os.getpid() != parent:
+        os._exit(7)
+    return real(*args)
+
+
+uq._solve_node = dying
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+
+def test_uq_worker_that_dies_is_a_solver_failure(tmp_path):
+    # a worker process that exits while solving a node ends the run with
+    # the solver-failure code and names the node, never a hang
+    cfg = write_cfg(tmp_path, TINY_GRIDS.replace("n_z 3", "n_z 5"))
+    env = dict(os.environ, PYTHONPATH=os.path.join(REPO, "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c", WORKER_DIES, "uq", "--config", cfg, "--out",
+         str(tmp_path / "uq")],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 3, proc.stderr
+    assert re.search(r"ensemble failure: node \d \(z = [-.\de]+\) failed: "
+                     r"worker process exited with code 7", proc.stderr), \
+        proc.stderr
 
 
 def test_uq_rejects_single_node(tmp_path, capsys):

@@ -189,6 +189,27 @@ def test_characteristics_are_a_fixed_point_of_one_sweep(case, ref_solve,
     assert np.abs(swept - dX).max() <= 4 * np.spacing(np.abs(dX).max())
 
 
+@pytest.mark.parametrize("case", ["reference", "strong"])
+def test_characteristics_velocity_is_the_weighted_suffix_rule(case, ref_solve,
+                                                              strong_traj):
+    # the march accumulates dV from two rows of E along the trajectories;
+    # kernels.suffix_weighted on the whole table of E along dX, in the
+    # same order, is the oracle, bitwise
+    if case == "reference":
+        E, traj = ref_solve.field, ref_solve.traj
+    else:
+        E, traj = strong_traj
+    nt = len(traj.tgrid)
+    x, v, _ = S._flat_labels(traj.phase)
+    c = E.coefficients()
+    g = K.eval_rows(np.ascontiguousarray(c.real),
+                    np.ascontiguousarray(c.imag), x, v, traj.tgrid.times,
+                    traj.dX.reshape(nt, -1))
+    alpha, beta = K.exp_cell_weights(1.0, traj.tgrid.dt)
+    want = -K.suffix_weighted(g, alpha, beta)
+    assert traj.dV.reshape(nt, -1).tobytes() == want.tobytes()
+
+
 def _mp_march(E, phase, a, particles):
     """dX and dV of the given flat particle indices at 30 digits: E by its
     Fourier sum, the trapezoid moment recurrence for dX and the

@@ -1,7 +1,10 @@
 """Quadrature, differentiation stencils, spectral projection, and the
 ensemble machinery, checked against polynomial and closed-form oracles."""
 
+import faulthandler
 import math
+import multiprocessing
+import os
 from dataclasses import replace
 
 import numpy as np
@@ -17,7 +20,7 @@ from vlandau import params as P
 from vlandau import scattering as S
 from vlandau import uq as U
 from vlandau.params import BoundCheck
-from vlandau.profiles import Amplitude, Mode
+from vlandau.profiles import Amplitude, Mode, shifted_difference
 
 
 # ---------------------------------------------------------------------------
@@ -507,6 +510,22 @@ def test_corollary_from_node_solves_matches_resolving_oracle(zdep_small):
     assert len(deriv) == 3 and min(deriv) > 0.0
 
 
+def test_transport_residual_by_row_blocks_is_the_whole_table(ref_solve,
+                                                              ref_spec):
+    # the residual is formed a row block at a time (3 rows on the
+    # reference grids); the identities on the whole table are the oracle,
+    # bitwise
+    traj = ref_solve.traj
+    nt = len(traj.tgrid)
+    x, v, _ = S._flat_labels(traj.phase)
+    dv = traj.dV.reshape(nt, -1)
+    dx = traj.dX.reshape(nt, -1) - traj.tgrid.times[:, None] * dv
+    want = -shifted_difference(ref_spec, x[None, :], v[None, :], dx, dv, 0.0)
+    assert len(S._row_blocks(nt, x.shape[0])) > 1
+    got = U._transport_residual(traj, ref_spec, 0.0)
+    assert got.tobytes() == want.tobytes()
+
+
 def test_check_corollary_solves_nothing(zdep_small, monkeypatch):
     calls = []
 
@@ -562,7 +581,9 @@ def test_run_collocation_few_nodes(n_z, n_derivs):
 
 def test_every_node_is_solved_and_the_tangent_runs_once(monkeypatch):
     # a z-independent profile too is solved at every node, and the
-    # tangent solve runs at the node z = 0 only, on its own solve
+    # tangent solve runs at the node z = 0 only, on its own solve; on one
+    # usable CPU every node is solved in this process, in node order
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
     calls, tangents = [], []
     real_solve, real_tangent = U.picard_solve, U.solve_tangent
 
@@ -584,6 +605,123 @@ def test_every_node_is_solved_and_the_tangent_runs_once(monkeypatch):
     assert [r.z for r in ens.results] == list(ens.nodes)
     survey = ens.corollary
     assert len(set(survey.node_norms)) == len(set(survey.node_ratios)) == 1
+
+
+def test_every_node_is_solved_once_on_two_cpus(monkeypatch, tmp_path):
+    # the two-CPU sibling: the calls are recorded across processes, one
+    # appended line per call, and each node is still solved exactly once,
+    # the tangent once at z = 0, with the results in node order
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    log = tmp_path / "calls"
+    real_solve, real_tangent = U.picard_solve, U.solve_tangent
+
+    def record(kind, z):
+        with open(log, "a") as fh:
+            fh.write(f"{kind} {os.getpid()} {z!r}\n")
+
+    def counted(*args, **kwargs):
+        record("solve", args[2])
+        return real_solve(*args, **kwargs)
+
+    def counted_tangent(spec, result):
+        record("tangent", result.z)
+        return real_tangent(spec, result)
+
+    monkeypatch.setattr(U, "picard_solve", counted)
+    monkeypatch.setattr(U, "solve_tangent", counted_tangent)
+    spec, params, tg, phase = _small_setup()
+    ens = U.run_collocation(spec, params, tg, phase, n_z=5, tol=1e-11,
+                            inner_tol=1e-13)
+    calls = [line.split() for line in log.read_text().splitlines()]
+    solved = sorted(float(z) for kind, _, z in calls if kind == "solve")
+    assert solved == list(ens.nodes)
+    assert [float(z) for kind, _, z in calls if kind == "tangent"] == [0.0]
+    assert len({pid for _, pid, _ in calls}) == 2
+    assert [r.z for r in ens.results] == list(ens.nodes)
+    assert multiprocessing.active_children() == []
+
+
+def test_every_node_is_claimed_once_by_more_workers_than_cpus(monkeypatch,
+                                                              tmp_path):
+    # six claimants on two CPUs race for 60 quick nodes through the shared
+    # counter: a lost update would solve a node twice or skip one; a hang
+    # ends the test run with tracebacks after 60 s
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(6)))
+    log = tmp_path / "claims"
+
+    def solve(j):
+        with open(log, "a") as fh:
+            fh.write(f"{j}\n")
+        return j
+
+    faulthandler.dump_traceback_later(60, exit=True)
+    try:
+        outcomes = list(U._in_node_order(
+            multiprocessing.get_context("fork"), solve, 60))
+    finally:
+        faulthandler.cancel_dump_traceback_later()
+    assert outcomes == list(range(60))
+    assert sorted(map(int, log.read_text().split())) == list(range(60))
+    assert multiprocessing.active_children() == []
+
+
+def _spoil_in_workers(monkeypatch, spoil):
+    """Two usable CPUs, and spoil(*args) in place of picard_solve in every
+    process but this one; returns the nodes' z that this process solved."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    parent, real, solved = os.getpid(), U.picard_solve, []
+
+    def solve(*args, **kwargs):
+        if os.getpid() != parent:
+            spoil(*args)
+        solved.append(args[2])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(U, "picard_solve", solve)
+    return solved
+
+
+def test_a_failing_node_in_a_worker_is_named(monkeypatch):
+    # the first failing node in node order is the worker's first node: the
+    # nodes before it are this process's; its exception keeps its type
+    def spoil(*args):
+        raise ValueError("spoiled in a worker")
+
+    solved = _spoil_in_workers(monkeypatch, spoil)
+    spec, params, tg, phase = _small_setup()
+    nodes = list(U.gauss_legendre_nodes(5)[0])
+    with pytest.raises(U.CollocationError) as exc:
+        U.run_collocation(spec, params, tg, phase, n_z=5)
+    err = exc.value
+    first = min(j for j, z in enumerate(nodes) if z not in solved)
+    assert err.node_index == first and err.z == nodes[first]
+    assert type(err.cause) is ValueError
+    assert "spoiled in a worker" in str(err)
+    assert multiprocessing.active_children() == []
+
+
+def test_an_earlier_failing_node_is_named_before_a_later_one(monkeypatch):
+    # node 0, this process's first, fails too: it is named, whatever the
+    # worker's node did
+    def spoil(*args):
+        raise ValueError("spoiled in a worker")
+
+    _spoil_in_workers(monkeypatch, spoil)
+    real = U.picard_solve
+    nodes = list(U.gauss_legendre_nodes(5)[0])
+
+    def solve(*args, **kwargs):
+        if args[2] == nodes[0]:
+            raise S.ConvergenceError("spoiled node 0")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(U, "picard_solve", solve)
+    spec, params, tg, phase = _small_setup()
+    with pytest.raises(U.CollocationError) as exc:
+        U.run_collocation(spec, params, tg, phase, n_z=5)
+    assert exc.value.node_index == 0
+    assert isinstance(exc.value.cause, S.ConvergenceError)
+    assert multiprocessing.active_children() == []
 
 
 def test_node_manifest_records_velocity_grid(zdep_small):
