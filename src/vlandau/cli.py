@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -77,9 +78,24 @@ def _outdir(cfg: RunConfig, args) -> str:
     return out
 
 
+# JSON (RFC 8259) has no inf or nan, so artifacts hold these strings
+_NON_FINITE = {"inf": math.inf, "-inf": -math.inf, "nan": math.nan}
+
+
+def _strict_json(node):
+    """node with each non-finite float replaced by its _NON_FINITE string."""
+    if isinstance(node, dict):
+        return {key: _strict_json(value) for key, value in node.items()}
+    if isinstance(node, (list, tuple)):
+        return [_strict_json(value) for value in node]
+    finite = not isinstance(node, float) or math.isfinite(node)
+    return node if finite else str(float(node))
+
+
 def _write_json(path: str, payload: dict) -> None:
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
+        json.dump(_strict_json(payload), fh, indent=2, sort_keys=True,
+                  allow_nan=False)
         fh.write("\n")
 
 
@@ -240,10 +256,19 @@ def _corrupt(name: str, detail) -> ConfigError:
     return ConfigError(f"corrupt or unreadable manifest '{name}': {detail}")
 
 
+def _read_numbers(obj: dict) -> dict:
+    """A JSON object with the _NON_FINITE strings of its value, bound and
+    ratio read as the numbers that _is_check wants."""
+    for key in ("value", "bound", "ratio"):
+        if isinstance(obj.get(key), str):
+            obj[key] = _NON_FINITE.get(obj[key], obj[key])
+    return obj
+
+
 def _load_manifest(path: str) -> dict:
     try:
         with open(path) as fh:
-            return json.load(fh)
+            return json.load(fh, object_hook=_read_numbers)
     except (OSError, json.JSONDecodeError) as err:
         raise _corrupt(os.path.basename(path), err) from None
 

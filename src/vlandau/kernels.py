@@ -30,8 +30,8 @@ single-threaded, so these kernels run on one thread.
 
 Numerical conventions shared by several kernels:
 
-* Mode rows follow the real-FFT layout scaled by 1/nx: a row ``c`` of
-  length nx//2 + 1 represents
+* Mode rows are complex, in the real-FFT layout scaled by 1/nx (that of
+  ``FieldTable.coefficients``): a row ``c`` of length nx//2 + 1 represents
   ``F(theta) = c[0] + sum_{0<k<nx/2} 2 (Re c[k] cos k theta - Im c[k] sin k theta)
   + Re c[nx/2] cos((nx/2) theta)``.
 * Suffix integrals over [t_n, t_end] use composite-trapezoid recurrences
@@ -214,29 +214,31 @@ def truncation_remainder(x, v, dx_dev, nk):
 def eval_rows(cre, cim, x, v, times, dx_dev):
     """Evaluate per-time mode rows at particle angles x + v t + dx_dev.
 
-    cre/cim: (nt, nk) mode rows (see module docstring for the layout);
-    x, v: the tensor-grid labels (P,); dx_dev: (nt, P) position deviations.
-    Returns (nt, P).
+    cre/cim: the real and imaginary parts of the (nt, nk) complex mode rows
+    (see module docstring for the layout); x, v: the tensor-grid labels
+    (P,); dx_dev: (nt, P) position deviations.  Returns (nt, P).
     """
+    # perfbench/tracer.py binds cre and cim by position and reads
+    # cre.shape, so this one entry point keeps the pair; it joins it once
     out = np.empty(dx_dev.shape)
-    row_evaluator(cre, cim, x, v, times)(out, 0, dx_dev)
+    row_evaluator(cre + 1j * cim, x, v, times)(out, 0, dx_dev)
     return out
 
 
-def row_evaluator(cre, cim, x, v, times):
+def row_evaluator(c, x, v, times):
     """eval_rows by rows: a function rows(out, n0, dx) that writes rows
-    n0, n0 + 1, ... of eval_rows(cre, cim, x, v, times, dx_dev) into out
-    from those rows' displacements dx alone; the characteristics pass
-    asks for one row as soon as its displacement is known.  The mode rows
-    are read at each call, so a backward pass may fill cre and cim row by
-    row as it goes.
+    n0, n0 + 1, ... of eval_rows(c.real, c.imag, x, v, times, dx_dev) into
+    out from those rows' displacements dx alone; the characteristics pass
+    asks for one row as soon as its displacement is known.  The complex
+    mode rows c are read at each call, so a backward pass may fill them
+    row by row as it goes.
 
     With theta = x_i + v_j t_n + q h + s, Taylor order m of e^{i k s} gives
     F_m[n, i, j] = Re sum_k (i k)^m c_k e^{i k v_j t_n} e^{2 pi i k i / nx},
     one inverse real FFT over k, read at index i + q; the row is
     sum_m s^m / m! F_m (Horner).
     """
-    nk = cre.shape[1]
+    nk = c.shape[1]
     vs = _grid_velocities(x, v, nk)
     nx, nv = 2 * (nk - 1), vs.shape[0]
     ik = 1j * np.arange(nk)
@@ -245,8 +247,8 @@ def row_evaluator(cre, cim, x, v, times):
 
     def rows(out, n0, dx):
         n1 = n0 + len(dx)
-        cn, tn = cre[n0:n1] + 1j * cim[n0:n1], table[n0:n1]
-        cn[:, nk - 1] = cre[n0:n1, nk - 1]    # cosine-only Nyquist row
+        cn, tn = c[n0:n1].copy(), table[n0:n1]
+        cn[:, nk - 1] = cn[:, nk - 1].real    # cosine-only Nyquist row
         dx_red, q, orders, _, bad = _taylor_rows(dx, nk - 1, 0)
         for r0, r1, order in _row_blocks(orders, block):
             acc = out[r0:r1].reshape(r1 - r0, nx, nv)
@@ -347,8 +349,6 @@ def exp_cell_weights(a: float, dt: float) -> tuple[float, float]:
 # unused in the package, but perfbench/tracer.py lists it in TRACED by name
 def suffix_weighted(g, alpha, beta):
     """A[n] = sum over cells of alpha g_left + beta g_right on [t_n, t_end]."""
-    g = np.ascontiguousarray(g)
-    alpha, beta = float(alpha), float(beta)
     acc = np.zeros_like(g)
     for n in range(g.shape[0] - 2, -1, -1):
         acc[n] = acc[n + 1] + alpha * g[n] + beta * g[n + 1]
@@ -360,8 +360,8 @@ def suffix_weighted(g, alpha, beta):
 # ---------------------------------------------------------------------------
 
 def corr_fourier(wf, x, v, times, dx_dev, nk):
-    """Density-correction modes against the free flow: (re, im), each
-    (nt, nk), of
+    """Density-correction modes against the free flow: the complex (nt, nk)
+    table of
 
         (1/2pi) sum_p wf_p e^{-i k (x_p + v_p t_n)} (e^{-i k dX_p(t_n)} - 1)
 
@@ -371,15 +371,15 @@ def corr_fourier(wf, x, v, times, dx_dev, nk):
     """
     out = np.empty((times.shape[0], int(nk)), dtype=complex)
     corr_evaluator(x, v, times, nk)(out, 0, wf, dx_dev)
-    return out.real, out.imag
+    return out
 
 
 def corr_evaluator(x, v, times, nk):
     """corr_fourier by rows: a function rows(out, n0, wf, dx) that writes
-    rows n0, n0 + 1, ... of corr_fourier(wf, x, v, times, dx_dev, nk), as
-    complex modes, into out from those rows' weights wf ((P,), or one row
-    each) and displacements dx alone; the field pass asks for one row as
-    soon as its displacement is known.
+    rows n0, n0 + 1, ... of corr_fourier(wf, x, v, times, dx_dev, nk) into
+    out from those rows' weights wf ((P,), or one row each) and
+    displacements dx alone; the field pass asks for one row as soon as its
+    displacement is known.
 
     With dX = q h + s on the tensor-grid labels, each Taylor order m >= 1
     of e^{-i k s} contributes
@@ -439,8 +439,6 @@ def corr_evaluator(x, v, times, nk):
 
 def cic_density(wf, pos, nx, dx):
     """Cloud-in-cell density on the x grid from weighted particles."""
-    pos = np.ascontiguousarray(pos)
-    nx, dx = int(nx), float(dx)
     nt = pos.shape[0]
     out = np.zeros((nt, nx))
     for n in range(nt):
@@ -462,8 +460,6 @@ def cic_density_pert(wf, x, v, times, dx_dev, nx, dx):
     the no-crossing branch transfers exactly wf * dX/dx between the two
     touched cells.
     """
-    dx_dev = np.ascontiguousarray(dx_dev)
-    nx, dx = int(nx), float(dx)
     nt = times.shape[0]
     out = np.zeros((nt, nx))
     for n in range(nt):

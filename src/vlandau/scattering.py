@@ -84,9 +84,7 @@ def _profile_weights(phase: PhaseGrid, spec: ProfileSpec, z: float):
 def _along(E: FieldTable, x, v, dX) -> np.ndarray:
     """E at the positions x + v t + dX of the flattened labels, (nt, P)."""
     c = E.coefficients()
-    return kernels.eval_rows(np.ascontiguousarray(c.real),
-                             np.ascontiguousarray(c.imag), x, v,
-                             E.tgrid.times, dX)
+    return kernels.eval_rows(c.real, c.imag, x, v, E.tgrid.times, dX)
 
 
 def _row_blocks(nt: int, npart: int):
@@ -159,9 +157,7 @@ def solve_characteristics(E: FieldTable, phase: PhaseGrid,
             f"field too large for the trajectory map: |E| e^(-a t0) = "
             f"{norm_e * math.exp(-a * tg.t0):.3e} > a = {a:.3e}")
 
-    c = E.coefficients()
-    rows = kernels.row_evaluator(np.ascontiguousarray(c.real),
-                                 np.ascontiguousarray(c.imag), x, v, tg.times)
+    rows = kernels.row_evaluator(E.coefficients(), x, v, tg.times)
     g = np.empty((2, npart))        # E along the rows n and n + 1
 
     def field_along(n, dX_n):
@@ -265,9 +261,8 @@ def solve_variational(E: FieldTable, traj: TrajectoryTable) -> VariationalSups:
     nt, npart = len(tg), x.shape[0]
     times = tg.times
     dX = traj.dX.reshape(nt, npart)
-    c = spectral_dx(E).coefficients()
-    along = kernels.row_evaluator(np.ascontiguousarray(c.real),
-                                  np.ascontiguousarray(c.imag), x, v, times)
+    along = kernels.row_evaluator(spectral_dx(E).coefficients(), x, v,
+                                  times)
     blocks = _row_blocks(nt, npart)
     size = blocks[0][1] - blocks[0][0]
     g = np.empty((size, npart))
@@ -401,10 +396,9 @@ def _map_from_traj(traj: TrajectoryTable, spec: ProfileSpec, z: float,
     times = traj.tgrid.times
     dX = traj.dX.reshape(len(times), -1)
     nk = xgrid.n // 2 + 1
-    corr_re, corr_im = kernels.corr_fourier(wf, x, v, times, dX, nk)
+    corr = kernels.corr_fourier(wf, x, v, times, dX, nk)
     free = field_map_zero(spec, z, traj.tgrid, xgrid)
-    return free.with_values(
-        free.values + _field_of_modes(corr_re + 1j * corr_im, xgrid.n))
+    return free.with_values(free.values + _field_of_modes(corr, xgrid.n))
 
 
 def _field_of_modes(modes, nx: int) -> np.ndarray:
@@ -423,13 +417,12 @@ def _field_rows(base: FieldTable, x, v):
     modes (nk,) to row n and returns that row along x + v t_n + dX_n."""
     nt, nx = base.values.shape
     vals = base.values.copy()
-    cre, cim = np.empty((2, nt, nx // 2 + 1))
-    along = kernels.row_evaluator(cre, cim, x, v, base.tgrid.times)
+    c = np.empty((nt, nx // 2 + 1), dtype=complex)
+    along = kernels.row_evaluator(c, x, v, base.tgrid.times)
 
     def put(n, modes, dX_n):
         vals[n] += _field_of_modes(modes, nx)
-        c = np.fft.rfft(vals[n]) / nx
-        cre[n], cim[n] = c.real, c.imag
+        c[n] = np.fft.rfft(vals[n]) / nx
         out = np.empty((1, dX_n.shape[-1]))
         along(out, n, dX_n.reshape(1, -1))
         return out[0]
@@ -715,12 +708,9 @@ def solve_tangent(spec: ProfileSpec,
     table = kernels.phase_table(phase.v, times, nk)
     corr_rows = kernels.corr_evaluator(x, v, times, nk)
 
-    def corr(W):
-        re, im = kernels.corr_fourier(W, x, v, times, dX0, nk)
-        return re + 1j * im
-
     def S(W):
-        return corr(W) + _free_modes(W, table)
+        return kernels.corr_fourier(W, x, v, times, dX0, nk) \
+            + _free_modes(W, table)
 
     def norm(values):
         return weighted_norm(E0.with_values(values), params.a).value
@@ -732,7 +722,7 @@ def solve_tangent(spec: ProfileSpec,
     for j in range(1, params.K + 1):
         specs.append(specs[-1].z_derivative())
         wf.append(_profile_weights(phase, specs[j], z)[2] / math.factorial(j))
-        c = corr(wf[j])
+        c = kernels.corr_fourier(wf[j], x, v, times, dX0, nk)
         for m in range(1, j + 1):
             terms = range(m == 1, j - m + 1)    # m = 1 leaves out wf_0 X_j
             if terms:

@@ -255,7 +255,7 @@ def _solve_node(spec, params, z, tgrid, phase, solve_kw):
     result = replace(result, traj=None)
     delta = _transport_residual(traj, spec, z)
     del traj
-    norm_e = weighted_norm(result.field, params.a).value
+    norm_e = result.checks["field_weighted"].value      # |E|_{a,t0}
     bound = 3.0 * sup_gradient(spec, z) * norm_e / params.a
     return result, delta, bound, taylor
 

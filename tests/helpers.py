@@ -218,8 +218,8 @@ def tangent_map(spec, result, tables):
     table = kernels.phase_table(phase.v, times, nk)
 
     def density(W):
-        re, im = kernels.corr_fourier(W, x, v, times, dX0, nk)
-        return re + 1j * im + S._free_modes(W, table)
+        return kernels.corr_fourier(W, x, v, times, dX0, nk) \
+            + S._free_modes(W, table)
 
     g = S._along(fields.spectral_dx(E0), x, v, dX0)
     E = [E0] + [E0.with_values(t) for t in tables]
@@ -234,8 +234,7 @@ def tangent_map(spec, result, tables):
         specs.append(specs[-1].z_derivative())
         wf.append(_profile_weights(phase, specs[i], z)[2]
                   / math.factorial(i))
-    re, im = kernels.corr_fourier(wf[j], x, v, times, dX0, nk)
-    c = re + 1j * im
+    c = kernels.corr_fourier(wf[j], x, v, times, dX0, nk)
     for m in range(1, j + 1):
         c += (mik ** m / math.factorial(m)) * density(sum(
             wf[i] * S._power(X, m, j - i) for i in range(j - m + 1)))

@@ -133,6 +133,39 @@ def test_check_report_states_each_verdict_once(tmp_path, body):
                                    for c in report["checks"].values())
 
 
+def _strict_loads(text):
+    """json.loads that refuses the non-JSON constants Infinity and NaN."""
+    def refuse(name):
+        raise ValueError(f"{name} is not JSON")
+    return json.loads(text, parse_constant=refuse)
+
+
+def test_non_finite_numbers_are_written_as_strings(tmp_path):
+    path = tmp_path / "run.json"
+    cli._write_json(str(path), {"a": [math.inf, -math.inf, math.nan, 0.5],
+                                "b": {"c": (math.inf, 1)}, "d": "inf"})
+    assert _strict_loads(path.read_text()) == {
+        "a": ["inf", "-inf", "nan", 0.5], "b": {"c": ["inf", 1]}, "d": "inf"}
+
+
+def test_check_report_with_an_infinite_ratio_is_valid_json(tmp_path, capsys):
+    # the failing neutrality check has bound 0, so its ratio is inf: the
+    # report holds it as the string "inf", and report reads it as inf
+    cfg = write_cfg(tmp_path, "profile {\n scale -1\n}\n" + TINY_GRIDS)
+    out = tmp_path / "o"
+    assert run_cli("check", "--config", cfg, "--out", str(out)) == 1
+    report = _strict_loads((out / "check_report.json").read_text())
+    assert report["checks"]["neutrality"]["ratio"] == "inf"
+    capsys.readouterr()
+    assert run_cli("report", str(out)) == 1
+    rows = [line.split() for line in capsys.readouterr().out.splitlines()]
+    assert [r[4:6] for r in rows if r[:2] == ["check_report", "neutrality"]] \
+        == [["inf", "FAIL"]]
+    lines = (out / "report.csv").read_text().splitlines()
+    assert [line.split(",")[4:] for line in lines
+            if line.startswith("check_report,neutrality,")] == [["inf", "fail"]]
+
+
 MODE_9_ON_16_POINTS = """
 grids {
   nx 16
@@ -731,6 +764,17 @@ def test_report_corrupt_manifest(tmp_path, capsys):
 
 _CHECK = {"name": "c", "value": 0.5, "bound": 1.0, "ratio": 0.5,
           "passed": True, "horizon_dominated": False}
+
+
+def test_report_reads_non_finite_strings_as_numbers(tmp_path, capsys):
+    checks = {"c": {**_CHECK, "value": "nan", "ratio": "nan",
+                    "passed": False},
+              "d": {**_CHECK, "value": "-inf", "ratio": "-inf"}}
+    (tmp_path / "run.json").write_text(json.dumps({"checks": checks}))
+    assert run_cli("report", str(tmp_path)) == 1
+    assert "run: c = nan exceeds 1" in capsys.readouterr().out
+    lines = (tmp_path / "report.csv").read_text().splitlines()
+    assert lines[1:] == ["run,c,nan,1,nan,fail", "run,d,-inf,1,-inf,pass"]
 
 
 @pytest.mark.parametrize("payload", [

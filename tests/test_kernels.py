@@ -310,7 +310,8 @@ def test_suffix_pass_solves_an_integrand_of_its_own_moment():
 def test_corr_fourier_matches_complex_sum():
     times, x, v, dX, wf, _, _ = _grid_case(10, 3, [1e-3] * 12, 4)
     nk = 6
-    re, im = K.corr_fourier(wf, x, v, times, dX, nk)
+    modes = K.corr_fourier(wf, x, v, times, dX, nk)
+    re, im = modes.real, modes.imag
     two_pi = 2 * np.pi
     for n in range(len(times)):
         free = x + v * times[n]
@@ -329,15 +330,16 @@ def test_corr_fourier_per_row_weights_match_complex_sum():
     times, x, v, dX, _, _, _ = _grid_case(8, 5, [1e-3, 0.5, 2.0, 1e-12], 9)
     w = np.random.default_rng(10).uniform(-1.0, 1.0, dX.shape)
     nk = 5
-    re, im = K.corr_fourier(w, x, v, times, dX, nk)
+    modes = K.corr_fourier(w, x, v, times, dX, nk)
+    re, im = modes.real, modes.imag
     expect = np.array([_corr_sum(w[n], x, v, times[n:n + 1], dX[n:n + 1],
                                  nk)[0] for n in range(len(times))])
     atol = 50 * np.finfo(float).eps * np.abs(w).sum(axis=1).max()
     assert np.abs(re + 1j * im - expect).max() <= atol
     for n in range(len(times)):
         row = K.corr_fourier(w[n], x, v, times, dX, nk)
-        assert np.array_equal(row[0][n], re[n])
-        assert np.array_equal(row[1][n], im[n])
+        assert np.array_equal(row.real[n], re[n])
+        assert np.array_equal(row.imag[n], im[n])
 
 
 def test_corr_fourier_matches_complex_sum_at_production_size(table_calls):
@@ -348,7 +350,8 @@ def test_corr_fourier_matches_complex_sum_at_production_size(table_calls):
     nx, nv, nt = 64, 129, 176
     times, x, v, dX, wf, _, _ = _grid_case(nx, nv, [1e-3] * nt, 21)
     nk = nx // 2 + 1
-    re, im = K.corr_fourier(wf, x, v, times, dX, nk)
+    modes = K.corr_fourier(wf, x, v, times, dX, nk)
+    re, im = modes.real, modes.imag
     assert len(table_calls) == 1
     expect = _corr_sum(wf, x, v, times, dX, nk)
     atol = 50 * np.finfo(float).eps * np.abs(wf).sum()
@@ -361,7 +364,8 @@ def test_corr_fourier_tiny_displacement_linearizes():
     # into subtraction noise, also when the displacements differ in size
     # and sign from particle to particle
     times, x, v, dX, wf, _, _ = _grid_case(6, 5, [1e-14] * 6, 6)
-    re, im = K.corr_fourier(wf, x, v, times, dX, 4)
+    modes = K.corr_fourier(wf, x, v, times, dX, 4)
+    re, im = modes.real, modes.imag
     two_pi = 2 * np.pi
     for n in range(6):
         for k in (1, 2, 3):
@@ -482,7 +486,8 @@ def _assert_matches_mpmath(times, x, v, dX, wf, cre, cim):
     nk = cre.shape[1]
     half = nk - 1
     rows = K.eval_rows(cre, cim, x, v, times, dX)
-    re, im = K.corr_fourier(wf, x, v, times, dX, nk)
+    modes = K.corr_fourier(wf, x, v, times, dX, nk)
+    re, im = modes.real, modes.imag
     assert np.all(re[:, 0] == 0.0) and np.all(im[:, 0] == 0.0)
     for n in range(len(times)):
         scale = abs(cre[n, 0]) + abs(cre[n, half]) + 2 * sum(
@@ -563,7 +568,8 @@ def test_fft_path_corr_fourier_matches_complex_sum_at_production_size(
     scales = 1e-3 * np.exp(-(times - 8.0) / 4.0)
     times, x, v, dX, wf, _, _ = _grid_case(nx, nv, scales, 22)
     nk = nx // 2 + 1
-    re, im = K.corr_fourier(wf, x, v, times, dX, nk)
+    modes = K.corr_fourier(wf, x, v, times, dX, nk)
+    re, im = modes.real, modes.imag
     assert len(table_calls) == 1
     expect = _corr_sum(wf, x, v, times, dX, nk)
     atol = 50 * np.finfo(float).eps * np.abs(wf).sum()
@@ -576,7 +582,8 @@ def test_fft_path_corr_fourier_tiny_displacement_linearizes(table_calls):
     nx, nv = 8, 5
     times, x, v, _, wf, _, _ = _grid_case(nx, nv, [0.0] * 6, 6)
     dX = np.full((6, nx * nv), 1e-14)
-    re, im = K.corr_fourier(wf, x, v, times, dX, 4 + 1)
+    modes = K.corr_fourier(wf, x, v, times, dX, 4 + 1)
+    re, im = modes.real, modes.imag
     assert len(table_calls) == 1
     two_pi = 2 * np.pi
     for n in range(6):
@@ -600,7 +607,8 @@ def test_rows_beyond_taylor_radius_are_reduced_onto_the_grid(table_calls):
     rows = K.eval_rows(cre, cim, x, v, times, dX)
     assert np.allclose(rows, _eval_rows_sum(cre, cim, x, v, times, dX),
                        rtol=1e-12, atol=1e-16)
-    re, im = K.corr_fourier(wf, x, v, times, dX, nk)
+    modes = K.corr_fourier(wf, x, v, times, dX, nk)
+    re, im = modes.real, modes.imag
     expect = _corr_sum(wf, x, v, times, dX, nk)
     atol = 50 * np.finfo(float).eps * np.abs(wf).sum()
     assert np.abs(re - expect.real).max() <= atol
@@ -627,7 +635,8 @@ def test_range_reduction_rounding_is_certified():
     u = np.random.default_rng(3).uniform(0.5, 1.0, (3, nx * nv))
     dX = np.array([1e2, 1e6, 1e10])[:, None] * u
     rows = K.eval_rows(cre, cim, x, v, times, dX)
-    re, im = K.corr_fourier(wf, x, v, times, dX, nk)
+    modes = K.corr_fourier(wf, x, v, times, dX, nk)
+    re, im = modes.real, modes.imag
     for n in range(len(times)):
         cert = K.truncation_remainder(x, v, dX[n:n + 1], nk)
         assert cert < 1e3 * dX[n].max() * 2.0 ** -52, n
@@ -669,10 +678,12 @@ def test_non_finite_rows_come_out_nan(value):
     times, x, v, dX, wf, cre, cim = _grid_case(nx, nv, [1e-3, 1e-3, 0.5], 16)
     nk = nx // 2 + 1
     clean_rows = K.eval_rows(cre, cim, x, v, times, dX)
-    clean_re, clean_im = K.corr_fourier(wf, x, v, times, dX, nk)
+    modes = K.corr_fourier(wf, x, v, times, dX, nk)
+    clean_re, clean_im = modes.real, modes.imag
     dX[1, 4] = value
     rows = K.eval_rows(cre, cim, x, v, times, dX)
-    re, im = K.corr_fourier(wf, x, v, times, dX, nk)
+    modes = K.corr_fourier(wf, x, v, times, dX, nk)
+    re, im = modes.real, modes.imag
     assert np.isnan(rows[1]).all()
     assert np.isnan(re[1, 1:]).all() and np.isnan(im[1, 1:]).all()
     assert re[1, 0] == 0.0 and im[1, 0] == 0.0
@@ -691,13 +702,15 @@ def test_rows_too_large_to_reduce_come_out_nan(scale):
     times, x, v, dX, wf, cre, cim = _grid_case(nx, nv, [1e-3, 1e-3, 0.5], 16)
     nk = nx // 2 + 1
     clean_rows = K.eval_rows(cre, cim, x, v, times, dX)
-    clean_re, clean_im = K.corr_fourier(wf, x, v, times, dX, nk)
+    modes = K.corr_fourier(wf, x, v, times, dX, nk)
+    clean_re, clean_im = modes.real, modes.imag
     dX[1] = scale * np.linspace(1.0, 2.0, dX.shape[1])
     h = np.pi / (nk - 1)
     reduced = dX[1] - np.rint(dX[1] / h) * h
     assert (nk - 1) * np.abs(reduced).max() > np.pi / 2
     rows = K.eval_rows(cre, cim, x, v, times, dX)
-    re, im = K.corr_fourier(wf, x, v, times, dX, nk)
+    modes = K.corr_fourier(wf, x, v, times, dX, nk)
+    re, im = modes.real, modes.imag
     assert np.isnan(rows[1]).all()
     assert np.isnan(re[1, 1:]).all() and np.isnan(im[1, 1:]).all()
     assert re[1, 0] == 0.0 and im[1, 0] == 0.0
@@ -716,7 +729,7 @@ def test_row_evaluator_is_eval_rows_one_row_at_a_time(table_calls):
         nx, nv, [0.5, 1e-4, 2.0, 0.0, 1e-3], 12)
     dX[4, 3] = math.nan
     rows = K.eval_rows(cre, cim, x, v, times, dX)
-    by_rows = K.row_evaluator(cre, cim, x, v, times)
+    by_rows = K.row_evaluator(cre + 1j * cim, x, v, times)
     out = np.empty(rows.shape)
     for n in range(len(times)):
         by_rows(out[n:n + 1], n, dX[n:n + 1])
@@ -731,11 +744,11 @@ def test_row_evaluator_reads_mode_rows_filled_after_it_is_built():
     nx, nv = 16, 9
     times, x, v, dX, _, cre, cim = _grid_case(nx, nv, [0.5, 1e-4, 1e-3], 13)
     rows = K.eval_rows(cre, cim, x, v, times, dX)
-    fre, fim = np.full(cre.shape, np.nan), np.full(cim.shape, np.nan)
-    by_rows = K.row_evaluator(fre, fim, x, v, times)
+    filled = np.full(cre.shape, np.nan, dtype=complex)
+    by_rows = K.row_evaluator(filled, x, v, times)
     out = np.empty(rows.shape)
     for n in range(len(times) - 1, -1, -1):
-        fre[n], fim[n] = cre[n], cim[n]
+        filled[n] = cre[n] + 1j * cim[n]
         by_rows(out[n:n + 1], n, dX[n:n + 1])
     assert np.array_equal(out, rows)
 
@@ -753,7 +766,8 @@ def test_corr_evaluator_is_corr_fourier_one_row_at_a_time(table_calls,
     if per_row:
         wf = wf * np.linspace(0.5, 1.5, len(times))[:, None]
     nk = nx // 2 + 1
-    re, im = K.corr_fourier(wf, x, v, times, dX, nk)
+    modes = K.corr_fourier(wf, x, v, times, dX, nk)
+    re, im = modes.real, modes.imag
     by_rows = K.corr_evaluator(x, v, times, nk)
     out = np.empty((len(times), nk), dtype=complex)
     for n in range(len(times)):

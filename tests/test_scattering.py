@@ -749,9 +749,7 @@ def test_field_pass_matches_an_mpmath_march():
     # the field is too large for solve_characteristics' precondition, so
     # its displacements come from the pass's recurrence directly
     x, v, _ = S._flat_labels(phase)
-    c = E.coefficients()
-    rows = K.row_evaluator(np.ascontiguousarray(c.real),
-                           np.ascontiguousarray(c.imag), x, v, tg.times)
+    rows = K.row_evaluator(E.coefficients(), x, v, tg.times)
     g = np.empty((len(tg), x.shape[0]))
 
     def along(n, dX_n):

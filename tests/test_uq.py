@@ -700,6 +700,34 @@ def test_a_failing_node_in_a_worker_is_named(monkeypatch):
     assert multiprocessing.active_children() == []
 
 
+class _TwoArgumentError(Exception):
+    """Pickles, but its constructor's two arguments do not come back from
+    its one-argument args, so it does not unpickle."""
+
+    def __init__(self, node, detail):
+        super().__init__(f"node {node}: {detail}")
+
+
+def test_a_worker_failure_that_does_not_unpickle_is_named(monkeypatch):
+    # the worker sends a RuntimeError naming the exception's class in its
+    # place, so the parent's receive does not fail on it
+    def spoil(*args):
+        raise _TwoArgumentError(args[2], "spoiled in a worker")
+
+    solved = _spoil_in_workers(monkeypatch, spoil)
+    spec, params, tg, phase = _small_setup()
+    nodes = list(U.gauss_legendre_nodes(5)[0])
+    with pytest.raises(U.CollocationError) as exc:
+        U.run_collocation(spec, params, tg, phase, n_z=5)
+    err = exc.value
+    first = min(j for j, z in enumerate(nodes) if z not in solved)
+    assert err.node_index == first and err.z == nodes[first]
+    assert type(err.cause) is RuntimeError
+    assert "_TwoArgumentError" in str(err.cause)
+    assert "spoiled in a worker" in str(err.cause)
+    assert multiprocessing.active_children() == []
+
+
 def test_an_earlier_failing_node_is_named_before_a_later_one(monkeypatch):
     # node 0, this process's first, fails too: it is named, whatever the
     # worker's node did
