@@ -163,11 +163,16 @@ def zero_field(tgrid: TimeGrid, xgrid: XGrid) -> FieldTable:
 
 def spectral_dx(table: FieldTable) -> FieldTable:
     """d/dx by mode multiplication; the Nyquist mode is annihilated."""
-    c = np.fft.rfft(table.values, axis=1)
-    k = table.xgrid.wavenumbers
-    c = c * (1j * k)[None, :]
-    c[:, -1] = 0.0
-    return table.with_values(np.fft.irfft(c, n=table.xgrid.n, axis=1))
+    return table.with_values(_dx_rows(table.values))
+
+
+def _dx_rows(values: np.ndarray) -> np.ndarray:
+    """spectral_dx of grid rows (..., nx), each row on its own."""
+    nx = values.shape[-1]
+    c = np.fft.rfft(values, axis=-1)
+    c = c * (1j * np.arange(nx // 2 + 1, dtype=float))
+    c[..., -1] = 0.0
+    return np.fft.irfft(c, n=nx, axis=-1)
 
 
 # ---------------------------------------------------------------------------

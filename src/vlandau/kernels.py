@@ -1,8 +1,8 @@
 """Hot numerical kernels, vectorized with numpy over particles.
 
 ``eval_rows`` and ``corr_fourier`` (and ``row_evaluator`` and
-``corr_evaluator``, the same algorithms by rows) take the solver's phase
-nodes as labels,
+``corr_evaluator``, the same algorithms by rows, which the passes call)
+take the solver's phase nodes as labels,
 ``x = repeat(xs, nv)`` and ``v = tile(vs, nx)`` with
 ``xs = (2 pi / nx) arange(nx)`` and nx equal to twice the top mode; other
 labels raise ValueError.  On this tensor grid ``e^{ik(x_i + v_j t_n + d)}``
@@ -43,8 +43,9 @@ Numerical conventions shared by several kernels:
   depend on ``I_n``, which the step computes before it needs it, so one
   backward pass solves the (strictly triangular) Volterra equations of the
   characteristics, the variational system (``g_n I_n + f_n``), the field
-  fixed point and its tangent exactly.  It hands out each finished row
-  and keeps only two, so no caller holds a table it does not read.
+  fixed point and its tangent, every order in one pass, exactly.  It
+  hands out each finished row and keeps only two, so no caller holds a
+  table it does not read.
 * ``suffix_weighted`` generalizes the plain suffix rule to arbitrary
   two-point cell weights ``A_n = A_{n+1} + alpha g_n + beta g_{n+1}``.
   With ``alpha = (a dt - 1 + e^{-a dt})/(a^2 dt)`` and
@@ -211,6 +212,7 @@ def truncation_remainder(x, v, dx_dev, nk):
 # mode-row evaluation along trajectories
 # ---------------------------------------------------------------------------
 
+# unused in the package, but perfbench/tracer.py lists it in TRACED by name
 def eval_rows(cre, cim, x, v, times, dx_dev):
     """Evaluate per-time mode rows at particle angles x + v t + dx_dev.
 

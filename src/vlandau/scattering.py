@@ -42,7 +42,8 @@ weighted norms amplify.
 
 solve_tangent differentiates the fixed point in the profile parameter z:
 each Taylor coefficient of E(z) solves one linear fixed point along the
-certified trajectories in one backward pass, with a contraction certificate.
+certified trajectories, with a contraction certificate, and one backward
+pass solves every order at once, keeping no table of that size beyond dX.
 """
 
 from __future__ import annotations
@@ -54,8 +55,8 @@ from typing import ClassVar
 import numpy as np
 
 from . import kernels
-from .fields import (FieldTable, PhaseGrid, TimeGrid, XGrid, spectral_dx,
-                     weighted_norm, weighted_sup)
+from .fields import (FieldTable, PhaseGrid, TimeGrid, XGrid, _dx_rows,
+                     spectral_dx, weighted_norm, weighted_sup)
 from .params import BoundCheck, DampingParams, require_admissible, \
     tail_integral, tail_integral_moment
 from .profiles import HypothesisError, ProfileSpec, eval_profile, \
@@ -81,12 +82,6 @@ def _profile_weights(phase: PhaseGrid, spec: ProfileSpec, z: float):
     return x, v, w * eval_profile(spec, x, v, z)
 
 
-def _along(E: FieldTable, x, v, dX) -> np.ndarray:
-    """E at the positions x + v t + dX of the flattened labels, (nt, P)."""
-    c = E.coefficients()
-    return kernels.eval_rows(c.real, c.imag, x, v, E.tgrid.times, dX)
-
-
 def _row_blocks(nt: int, npart: int):
     """(n0, n1) blocks of the rows of (nt, npart) float tables, the last
     rows first, that the streamed stages form and reduce one at a time.
@@ -95,14 +90,6 @@ def _row_blocks(nt: int, npart: int):
     derivatives that solve_variational holds per row."""
     size = max(1, kernels._BLOCK_BYTES // (4 * 8 * npart))
     return [(max(0, n1 - size), n1) for n1 in range(nt, 0, -size)]
-
-
-def _moments(integrand, shape, dt) -> np.ndarray:
-    """The moment table I of kernels.suffix_pass(integrand, shape, dt)."""
-    mom = np.empty(shape)
-    for n, _, mom_n in kernels.suffix_pass(integrand, shape, dt):
-        mom[n] = mom_n
-    return mom
 
 
 # ---------------------------------------------------------------------------
@@ -180,19 +167,18 @@ def solve_characteristics(E: FieldTable, phase: PhaseGrid,
                            dV=dV.reshape(shape))
 
 
-def check_trajectory_bounds(traj: TrajectoryTable, E: FieldTable,
+def check_trajectory_bounds(traj: TrajectoryTable, norm_e: float,
                             params: DampingParams) -> dict:
     """Worst node ratios of the two displacement inequalities
 
     |v - V| <= (|E|_{a,t0}/a) e^{-a t},
     |x - (X - V t)| <= |E|_{a,t0} (2/a) t e^{-a t},
 
-    as {traj_velocity, traj_position} BoundChecks against 1, formed one
-    row block at a time.  For E == 0 both sides vanish and the ratios are
-    defined as 0.
+    for the trajectories of a field E of norm_e = |E|_{a,t0}, as
+    {traj_velocity, traj_position} BoundChecks against 1, formed one row
+    block at a time.  For E == 0 both sides vanish and the ratios are 0.
     """
     a = params.a
-    norm_e = weighted_norm(E, a).value
     ratio_v = ratio_x = 0.0
     if norm_e != 0.0:
         nt = len(traj.tgrid)
@@ -411,39 +397,28 @@ def _field_of_modes(modes, nx: int) -> np.ndarray:
     return np.fft.irfft(e, n=nx, axis=-1, norm="forward")
 
 
-def _field_rows(base: FieldTable, x, v):
-    """(vals, put) for a pass that builds a field row by row: vals starts as
-    base.values, and put(n, modes, dX_n) adds the field of the density
-    modes (nk,) to row n and returns that row along x + v t_n + dX_n."""
-    nt, nx = base.values.shape
-    vals = base.values.copy()
-    c = np.empty((nt, nx // 2 + 1), dtype=complex)
-    along = kernels.row_evaluator(c, x, v, base.tgrid.times)
-
-    def put(n, modes, dX_n):
-        vals[n] += _field_of_modes(modes, nx)
-        c[n] = np.fft.rfft(vals[n]) / nx
-        out = np.empty((1, dX_n.shape[-1]))
-        along(out, n, dX_n.reshape(1, -1))
-        return out[0]
-    return vals, put
-
-
 def _field_pass(spec: ProfileSpec, z: float, tgrid: TimeGrid,
                 phase: PhaseGrid) -> tuple[FieldTable, FieldTable]:
     """(E, field_map_zero) with E = map E solved in one backward pass:
     kernels.suffix_pass gives dX_n from the rows > n, row n of the map is
     formed from dX_n alone and then evaluated along x + v t_n + dX_n."""
     x, v, wf = _profile_weights(phase, spec, z)
-    nk = phase.xgrid.n // 2 + 1
+    nx = phase.xgrid.n
+    nk = nx // 2 + 1
     free = field_map_zero(spec, z, tgrid, phase.xgrid)
-    vals, put = _field_rows(free, x, v)
+    vals = free.values.copy()
+    c = np.empty((len(tgrid), nk), dtype=complex)
+    along = kernels.row_evaluator(c, x, v, tgrid.times)
     corr = kernels.corr_evaluator(x, v, tgrid.times, nk)
     modes = np.empty((1, nk), dtype=complex)
 
     def field_along(n, dX_n):
         corr(modes, n, wf, dX_n[None, :])
-        return put(n, modes[0], dX_n)
+        vals[n] += _field_of_modes(modes[0], nx)
+        c[n] = np.fft.rfft(vals[n]) / nx
+        out = np.empty((1, len(x)))
+        along(out, n, dX_n[None, :])
+        return out[0]
 
     # a row that is not finite spoils the rows below it quietly; the
     # certifying characteristics of picard_solve raise on it by name
@@ -525,7 +500,7 @@ def _fixed_point_checks(E: FieldTable, free: FieldTable,
     checks["density_pert_weighted"] = BoundCheck(
         "density_pert_weighted", npert.value, ce, npert.horizon_dominated)
 
-    checks.update(check_trajectory_bounds(traj, E, params))
+    checks.update(check_trajectory_bounds(traj, ne.value, params))
     checks.update(check_variational_bounds(var, params))
 
     consistency = float(np.abs(ex.values - rho_pert.values).max())
@@ -661,103 +636,114 @@ def _power(X, m: int, l: int):
                for i in range(1, l - m + 2))
 
 
-def _trajectory_forcing(E, X, x, v, dX0):
-    """R_j = sum_{i<j} sum_{m=1..j-i} E_i^(m)(X0) [delta^m]_{j-i} / m!
-    without (i, m) = (0, 1), j = len(X) + 1, from the Taylor fields E_0..
-    E_{j-1} and trajectories X_1..X_{j-1}; E_i^(m) = d^m_x E_i (spectral).
-    """
-    j, R = len(X) + 1, np.zeros(dX0.shape)
-    for i, Ei in enumerate(E):
-        for m in range(1, j - i + 1):
-            Ei = spectral_dx(Ei)
-            if (i, m) != (0, 1):
-                term = _along(Ei, x, v, dX0)
-                term *= _power(X, m, j - i)
-                R += term * (1.0 / math.factorial(m))
-    return R
-
-
 def solve_tangent(spec: ProfileSpec,
                   result: SolveResult) -> TaylorCoefficients:
     """Taylor coefficients E_j = d^j_z E / j!, j = 1..K, of the fixed point
     at result.z, along the trajectories X0 that certified it (kept tables).
 
     With delta = sum_l X_l z^l, wf_i = w d^i_z f* / i!, [delta^m]_l the
-    z^l coefficient of delta^m, M the trapezoid suffix moment and
-    S[W]_k = (1/2pi) sum_p W_p e^{-ik X0_p}, order j solves
-      X_j = M[E_0'(X0) X_j + E_j(X0) + R_j]  (_trajectory_forcing),
+    z^l coefficient of delta^m, M the trapezoid suffix moment,
+    S[W]_k = (1/2pi) sum_p W_p e^{-ik X0_p} and E_i^(m) = d^m_x E_i
+    (spectral), order j solves
+      X_j = M[E_0'(X0) X_j + E_j(X0) + R_j],
+      R_j = sum_{i<j} sum_{m=1..j-i} E_i^(m)(X0) [delta^m]_{j-i} / m!
+            without (i, m) = (0, 1),
       E_j = field_map_zero(d^j_z f*) / j! + field(corr_fourier(wf_j)
             + sum_{m=1..j} ((-ik)^m / m!) S[sum_i wf_i [delta^m]_{j-i}]),
-    where only the wf_0 X_j term reads the unknown.  Row n of E_j reads
-    X_j on row n alone, and X_j on row n reads E_j only on the rows > n,
-    so one kernels.suffix_pass solves each order exactly: at row n it maps
-    E_j's row from X_j's and evaluates it along X0.  The forcing
-    F_j, the image of E_j = 0, gives with the contraction bound
-    L = params.contraction_bound the check z_deriv_{j}_tangent,
-    j! |E_j|_{a,t0} <= j! |F_j|_{a,t0} / (1 - L).
+    where only the wf_0 X_j term reads the unknown.  Order j on row n
+    reads the lower orders on row n alone, and X_j on row n reads E_j only
+    on the rows > n, so one kernels.suffix_pass over rows (2, K, P) solves
+    every order exactly: at row n it forms E_1, ..., E_K in turn and
+    evaluates each, with the derivatives the higher orders read, along X0
+    (kernels.row_evaluator).  The same rows carry the trajectory of each
+    order's forcing F_j, the image of E_j = 0, whose norm gives with the
+    contraction bound L = params.contraction_bound the check
+    z_deriv_{j}_tangent, j! |E_j|_{a,t0} <= j! |F_j|_{a,t0} / (1 - L).
     """
     if result.traj is None:
         raise ValueError("the tangent solve needs the solve's trajectories")
     E0, params, phase, z = result.field, result.params, result.phase, result.z
     x, v, _ = _flat_labels(phase)
-    times, nx = E0.tgrid.times, E0.xgrid.n
+    tg, nx, K = E0.tgrid, E0.xgrid.n, params.K
+    times, nt, npart = tg.times, len(tg), x.shape[0]
     nk = nx // 2 + 1
     mik = -1j * np.arange(nk)
-    dX0 = result.traj.dX.reshape(len(times), -1)
-    lip = params.contraction_bound
+    dX0 = result.traj.dX.reshape(nt, npart)
     table = kernels.phase_table(phase.v, times, nk)
     corr_rows = kernels.corr_evaluator(x, v, times, nk)
-
-    def S(W):
-        return kernels.corr_fourier(W, x, v, times, dX0, nk) \
-            + _free_modes(W, table)
-
-    def norm(values):
-        return weighted_norm(E0.with_values(values), params.a).value
-
-    E, X, specs, checks = [E0], [], [spec], {}
-    wf = [_profile_weights(phase, spec, z)[2]]
-    g = _along(spectral_dx(E0), x, v, dX0)
     modes = np.empty((1, nk), dtype=complex)
-    for j in range(1, params.K + 1):
+
+    def S(n, W):        # S[W] on row n, (nk,), of that row's weights (P,)
+        corr_rows(modes, n, W[None, :], dX0[n:n + 1])
+        return modes[0] + _free_modes(W[None, :], table[n:n + 1])[0]
+
+    # the unknown-free parts of each order, (nt, nk) and (nt, nx)
+    specs, wf = [spec], [_profile_weights(phase, spec, z)[2]]
+    for j in range(1, K + 1):
         specs.append(specs[-1].z_derivative())
         wf.append(_profile_weights(phase, specs[j], z)[2] / math.factorial(j))
-        c = kernels.corr_fourier(wf[j], x, v, times, dX0, nk)
-        for m in range(1, j + 1):
-            terms = range(m == 1, j - m + 1)    # m = 1 leaves out wf_0 X_j
-            if terms:
-                c += (mik ** m / math.factorial(m)) * S(sum(
-                    wf[i] * _power(X, m, j - i) for i in terms))
-        const = field_map_zero(specs[j], z, E0.tgrid, E0.xgrid).values \
-            / math.factorial(j) + _field_of_modes(c, nx)
-        if j == 1:      # R_1 has no term: (i, m) = (0, 1) is left out
-            R, forcing = None, norm(const)
-        else:
-            R = _trajectory_forcing(E, X, x, v, dX0)
-            Xf = _moments(lambda n, y: g[n] * y + R[n], g.shape,
-                          E0.tgrid.dt)                      # of E_j = 0
-            forcing = norm(const + _field_of_modes(mik * S(wf[0] * Xf), nx))
-            del Xf
-        if j == params.K:
-            X.clear()       # only the forcings of higher orders read X
+    corr = [kernels.corr_fourier(w, x, v, times, dX0, nk) for w in wf[1:]]
+    free = [field_map_zero(s, z, tg, E0.xgrid).values / math.factorial(j)
+            for j, s in enumerate(specs[1:], 1)]
 
-        vals, put = _field_rows(E0.with_values(const), x, v)
+    # E_i^(m)(X0) on the current row for the (i, m) that some order reads
+    pairs = [(i, m) for i in range(K + 1) for m in range(i == 0, K - i + 1)]
+    coef = {p: np.empty((nt, nk), dtype=complex) for p in pairs}
+    along = {p: kernels.row_evaluator(coef[p], x, v, times) for p in pairs}
+    ev = {p: np.empty((1, npart)) for p in pairs}
 
-        def integrand(n, Xn):
-            W = wf[0][None, :] * Xn
-            corr_rows(modes, n, W, dX0[n:n + 1])
-            modes[...] += _free_modes(W, table[n:n + 1])
-            out = put(n, mik * modes[0], dX0[n])
-            out += g[n] * Xn
-            if R is not None:
-                out += R[n]
-            return out
+    def evaluate(n, i, row):
+        for m in range(i == 0, K - i + 1):
+            if m:
+                row = _dx_rows(row)
+            coef[i, m][n] = np.fft.rfft(row) / nx
+            along[i, m](ev[i, m], n, dX0[n:n + 1])
 
-        Xj = _moments(integrand, g.shape, E0.tgrid.dt)
-        if j < params.K:      # the next orders read X_j
-            X.append(Xj)
-        E.append(E0.with_values(vals))
+    vals = np.empty((K, nt, nx))            # E_1..E_K
+    sups = np.empty((2, K, nt))             # the row sups of E_j and F_j
+
+    def integrand(n, mom):
+        X, Xf = mom                         # X_j and F_j's trajectory
+        h = np.zeros(mom.shape)
+        evaluate(n, 0, E0.values[n])
+        g = ev[0, 1][0]
+        for j in range(1, K + 1):
+            c = corr[j - 1][n]
+            for m in range(1, j + 1):
+                terms = range(m == 1, j - m + 1)  # m = 1 leaves out wf_0 X_j
+                if terms:
+                    c += (mik ** m / math.factorial(m)) * S(n, sum(
+                        wf[i] * _power(X, m, j - i) for i in terms))
+            const = free[j - 1][n] + _field_of_modes(c, nx)
+            if j == 1:      # R_1 has no term: (i, m) = (0, 1) is left out
+                sups[1, 0, n] = np.abs(const).max()
+            else:
+                R = np.zeros(npart)
+                for i in range(j):
+                    for m in range(1 + (i == 0), j - i + 1):
+                        term = ev[i, m][0] * _power(X, m, j - i)
+                        R += term * (1.0 / math.factorial(m))
+                F = const + _field_of_modes(
+                    mik * S(n, wf[0] * Xf[j - 1]), nx)
+                sups[1, j - 1, n] = np.abs(F).max()
+                h[1, j - 1] = g * Xf[j - 1] + R
+            vals[j - 1, n] = const + _field_of_modes(
+                mik * S(n, wf[0] * X[j - 1]), nx)
+            sups[0, j - 1, n] = np.abs(vals[j - 1, n]).max()
+            evaluate(n, j, vals[j - 1, n])
+            h[0, j - 1] = ev[j, 0][0] + g * X[j - 1]
+            if j > 1:
+                h[0, j - 1] += R
+        return h
+
+    for _ in kernels.suffix_pass(integrand, (nt, 2, K, npart), tg.dt):
+        pass
+    checks, lip = {}, params.contraction_bound
+    for j in range(1, K + 1):
         name, fac = f"z_deriv_{j}_tangent", math.factorial(j)
-        checks[name] = BoundCheck(name, fac * norm(vals),
-                                  fac * forcing / (1.0 - lip))
-    return TaylorCoefficients(fields=tuple(E[1:]), checks=checks)
+        norm_e, norm_f = (weighted_sup(times, sup, params.a).value
+                          for sup in sups[:, j - 1])
+        checks[name] = BoundCheck(name, fac * norm_e,
+                                  fac * norm_f / (1.0 - lip))
+    return TaylorCoefficients(fields=tuple(E0.with_values(e) for e in vals),
+                              checks=checks)

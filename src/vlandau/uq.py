@@ -3,8 +3,8 @@
 The scalar parameter z lives on [-1, 1] with the uniform measure.  The
 deterministic solve runs at Gauss-Legendre nodes; smooth quantities of
 interest are then projected onto the orthonormal Legendre basis
-phi_m(z) = sqrt(2m+1) P_m(z) (coefficient decay certifies smooth
-z-dependence).  The field's z-derivatives at 0 come from the tangent
+phi_m(z) = sqrt(2m+1) P_m(z) (the decay of the coefficients estimates
+z-smoothness).  The field's z-derivatives at 0 come from the tangent
 solve at the node z = 0 (scattering.solve_tangent, run while that
 node's tables are alive); the theorem report compares them with the
 collocation interpolant's.  The order-k derivative of the interpolant
@@ -120,7 +120,7 @@ class ZEnsemble:
         if not (len(self.nodes) == len(self.weights) == len(self.results)):
             raise ValueError("nodes, weights and results must align")
         if len(self.corollary.node_norms) != len(self.nodes):
-            raise ValueError("nodes and residual survey must align")
+            raise ValueError("nodes and corollary report must align")
         if any(b <= a for a, b in zip(self.nodes, self.nodes[1:])):
             raise ValueError("nodes must be strictly increasing")
         sigs = {r_setup_signature(r) for r in self.results}
@@ -420,8 +420,11 @@ def run_collocation(spec: ProfileSpec, params: DampingParams,
             del delta         # not alive during this process's next solve
 
     def norm(table):
-        """|table|_{a,t0,1}: the weighted sup over t of the sup over nodes."""
-        sup = np.abs(table).reshape(len(tgrid), -1).max(axis=1)
+        """|table|_{a,t0,1}: the weighted sup over t of the sup over nodes,
+        formed one row block at a time."""
+        sup = np.empty(len(tgrid))
+        for n0, n1 in _row_blocks(*table.shape):
+            sup[n0:n1] = np.abs(table[n0:n1]).max(axis=1)
         return weighted_sup(tgrid.times, sup, params.a, moment=1).value
 
     with contextlib.closing(outcomes):
@@ -459,7 +462,7 @@ class GpcTable:
         return self.coefficients.shape[0]
 
     def mode_magnitudes(self) -> np.ndarray:
-        """max |c_m| per mode; geometric decay certifies z-smoothness."""
+        """max |c_m| per mode; geometric decay estimates z-smoothness."""
         return np.abs(self.coefficients).reshape(self.n_modes, -1).max(axis=1)
 
     def decay_rate(self) -> float:
@@ -523,8 +526,9 @@ def _z_survey(nodes, K: int, tables, norm) -> tuple[tuple, list, dict]:
 
     tables yields Q(z_j) in node order.  Each is added into the sums of
     the interpolant's order-k difference weights at 0 (fd_weights) for
-    k <= k_max = min(K, n_nodes - 2), none for a single node, and then
-    dropped, so that the survey holds one node's table at a time.  Returns
+    k <= k_max = min(K, n_nodes - 2), none for a single node, by row
+    blocks (_row_blocks), and then dropped: the survey holds one node's
+    table at a time and no temporary of that size.  Returns
     the node norms norm(Q(z_j)), the derivative tables d^k_z Q at 0 and
     the floors of their norms {k: max_j norm(Q(z_j)) roundoff_floor(row
     k)} for k >= 1.
@@ -538,8 +542,9 @@ def _z_survey(nodes, K: int, tables, norm) -> tuple[tuple, list, dict]:
         node_norms.append(norm(table))
         if j == 0:
             sums = [np.zeros(table.shape) for _ in range(k_max + 1)]
-        for k in range(k_max + 1):
-            sums[k] += rows[k, j] * table
+        for n0, n1 in _row_blocks(*table.shape):
+            for k in range(k_max + 1):
+                sums[k][n0:n1] += rows[k, j] * table[n0:n1]
         del table
     scale = max(node_norms)
     floors = {k: scale * roundoff_floor(rows[k]) for k in range(1, k_max + 1)}

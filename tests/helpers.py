@@ -17,6 +17,7 @@ from numpy.polynomial import legendre as npleg
 
 from vlandau import fields
 from vlandau import kernels
+from vlandau import params as P
 from vlandau import scattering as S
 from vlandau.params import tail_integral, tail_integral_moment
 from vlandau.profiles import Amplitude, Mode, ProfileSpec
@@ -96,6 +97,13 @@ def direct_field_map(E, spec, z, phase, a=1.0):
 # whole tables that the streamed stages replace
 # ---------------------------------------------------------------------------
 
+def along(E, x, v, dX):
+    """E at the positions x + v t + dX of the flattened labels, (nt, P),
+    from whole tables (kernels.eval_rows)."""
+    c = E.coefficients()
+    return kernels.eval_rows(c.real, c.imag, x, v, E.tgrid.times, dX)
+
+
 def suffix_tables(integrand, shape, dt):
     """(A, I), each of shape `shape`: the rows that
     kernels.suffix_pass(integrand, shape, dt) hands out, as tables."""
@@ -144,7 +152,7 @@ def variational_tables(E, traj):
     tg = traj.tgrid
     x, v, _ = S._flat_labels(traj.phase)
     nt = len(tg)
-    g_ex = S._along(fields.spectral_dx(E), x, v, traj.dX.reshape(nt, -1))
+    g_ex = along(fields.spectral_dx(E), x, v, traj.dX.reshape(nt, -1))
     chi, xi = suffix_volterra(g_ex, g_ex, tg.dt)
     omega, eta = suffix_volterra(g_ex, g_ex * tg.times[:, None], tg.dt)
     np.negative(chi, out=chi)
@@ -202,6 +210,22 @@ def picard_iterate(spec, z, tgrid, phase, maps, a=1.0):
     return E
 
 
+def trajectory_forcing(E, X, x, v, dX0):
+    """R_j = sum_{i<j} sum_{m=1..j-i} E_i^(m)(X0) [delta^m]_{j-i} / m!
+    without (i, m) = (0, 1), j = len(X) + 1, on whole tables, from the
+    Taylor fields E_0..E_{j-1} and trajectories X_1..X_{j-1};
+    E_i^(m) = d^m_x E_i (spectral)."""
+    j, R = len(X) + 1, np.zeros(dX0.shape)
+    for i, Ei in enumerate(E):
+        for m in range(1, j - i + 1):
+            Ei = fields.spectral_dx(Ei)
+            if (i, m) != (0, 1):
+                term = along(Ei, x, v, dX0)
+                term *= S._power(X, m, j - i)
+                R += term * (1.0 / math.factorial(m))
+    return R
+
+
 def tangent_map(spec, result, tables):
     """One step of the iteration that the tangent pass replaces: the
     order-j map, j = len(tables), applied to tables[-1], with tables[:-1]
@@ -221,13 +245,13 @@ def tangent_map(spec, result, tables):
         return kernels.corr_fourier(W, x, v, times, dX0, nk) \
             + S._free_modes(W, table)
 
-    g = S._along(fields.spectral_dx(E0), x, v, dX0)
+    g = along(fields.spectral_dx(E0), x, v, dX0)
     E = [E0] + [E0.with_values(t) for t in tables]
     X = []
     for i in range(1, len(E)):
-        R = S._trajectory_forcing(E[:i], X, x, v, dX0)
+        R = trajectory_forcing(E[:i], X, x, v, dX0)
         X.append(suffix_volterra(
-            g, S._along(E[i], x, v, dX0) + R, E0.tgrid.dt)[1])
+            g, along(E[i], x, v, dX0) + R, E0.tgrid.dt)[1])
     j = len(tables)
     specs, wf = [spec], [_profile_weights(phase, spec, z)[2]]
     for i in range(1, j + 1):
@@ -240,6 +264,79 @@ def tangent_map(spec, result, tables):
             wf[i] * S._power(X, m, j - i) for i in range(j - m + 1)))
     return S.field_map_zero(specs[j], z, E0.tgrid, E0.xgrid).values \
         / math.factorial(j) + S._field_of_modes(c, nx)
+
+
+def tangent_by_orders(spec, result):
+    """scattering.solve_tangent as it was before it formed every order in
+    one pass: one kernels.suffix_pass per order on whole (nt, P) tables,
+    E_0'(X0) and each order's forcing R_j and trajectory X_j kept whole,
+    and a separate march for the trajectory of the forcing F_j.  Returns
+    (the value arrays of E_1..E_K, the checks z_deriv_{j}_tangent)."""
+    E0, params, phase, z = result.field, result.params, result.phase, \
+        result.z
+    x, v, _ = S._flat_labels(phase)
+    times, nx = E0.tgrid.times, E0.xgrid.n
+    nk = nx // 2 + 1
+    mik = -1j * np.arange(nk)
+    dX0 = result.traj.dX.reshape(len(times), -1)
+    lip = params.contraction_bound
+    table = kernels.phase_table(phase.v, times, nk)
+    corr_rows = kernels.corr_evaluator(x, v, times, nk)
+
+    def density(W):
+        return kernels.corr_fourier(W, x, v, times, dX0, nk) \
+            + S._free_modes(W, table)
+
+    def norm(values):
+        return fields.weighted_norm(E0.with_values(values), params.a).value
+
+    E, X, specs, checks = [E0], [], [spec], {}
+    wf = [_profile_weights(phase, spec, z)[2]]
+    g = along(fields.spectral_dx(E0), x, v, dX0)
+    modes = np.empty((1, nk), dtype=complex)
+    for j in range(1, params.K + 1):
+        specs.append(specs[-1].z_derivative())
+        wf.append(_profile_weights(phase, specs[j], z)[2]
+                  / math.factorial(j))
+        c = kernels.corr_fourier(wf[j], x, v, times, dX0, nk)
+        for m in range(1, j + 1):
+            terms = range(m == 1, j - m + 1)
+            if terms:
+                c += (mik ** m / math.factorial(m)) * density(sum(
+                    wf[i] * S._power(X, m, j - i) for i in terms))
+        const = S.field_map_zero(specs[j], z, E0.tgrid, E0.xgrid).values \
+            / math.factorial(j) + S._field_of_modes(c, nx)
+        if j == 1:
+            R, forcing = None, norm(const)
+        else:
+            R = trajectory_forcing(E, X, x, v, dX0)
+            Xf = suffix_volterra(g, R, E0.tgrid.dt)[1]
+            forcing = norm(const + S._field_of_modes(
+                mik * density(wf[0] * Xf), nx))
+        vals = const.copy()
+        coef = np.empty((len(times), nk), dtype=complex)
+        rows = kernels.row_evaluator(coef, x, v, times)
+
+        def integrand(n, Xn):
+            W = wf[0][None, :] * Xn
+            corr_rows(modes, n, W, dX0[n:n + 1])
+            modes[...] += S._free_modes(W, table[n:n + 1])
+            vals[n] += S._field_of_modes(mik * modes[0], nx)
+            coef[n] = np.fft.rfft(vals[n]) / nx
+            out = np.empty((1, len(x)))
+            rows(out, n, dX0[n:n + 1])
+            out = out[0]
+            out += g[n] * Xn
+            if R is not None:
+                out += R[n]
+            return out
+
+        X.append(suffix_tables(integrand, g.shape, E0.tgrid.dt)[1])
+        E.append(E0.with_values(vals))
+        name, fac = f"z_deriv_{j}_tangent", math.factorial(j)
+        checks[name] = P.BoundCheck(name, fac * norm(vals),
+                                    fac * forcing / (1.0 - lip))
+    return [e.values for e in E[1:]], checks
 
 
 def tangent_iterate(spec, result, maps):

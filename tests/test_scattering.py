@@ -66,7 +66,8 @@ def test_zero_field_trajectory_report_is_zero(ref_tgrid, ref_phase,
                                               ref_params):
     E = F.zero_field(ref_tgrid, ref_phase.xgrid)
     traj = S.solve_characteristics(E, ref_phase, a=1.0)
-    checks = S.check_trajectory_bounds(traj, E, ref_params)
+    checks = S.check_trajectory_bounds(
+        traj, F.weighted_norm(E, ref_params.a).value, ref_params)
     assert checks["traj_velocity"].value == 0.0
     assert checks["traj_position"].value == 0.0
     assert all(c.passed for c in checks.values())
@@ -107,7 +108,8 @@ def test_constant_in_x_field_bound_ratios():
     E = constant_field(tg, phase.xgrid, lambda t: eps * math.exp(-a * t))
     traj = S.solve_characteristics(E, phase, a=a)
     params = P.derive_constants(a, 0.002, 0.002, 2, t0=tg.t0)
-    checks = S.check_trajectory_bounds(traj, E, params)
+    checks = S.check_trajectory_bounds(
+        traj, F.weighted_norm(E, params.a).value, params)
     assert F.weighted_norm(E, a).value == pytest.approx(eps, rel=1e-12)
     ratio_v = checks["traj_velocity"].value
     assert ratio_v <= 1.0
@@ -367,7 +369,8 @@ def test_streamed_stages_match_whole_tables_at_block_boundaries(blocks):
         == (want.dX_dx, want.dX_dv_moment1, want.jacobian)
     assert got.jacobian > 0.0
 
-    checks = S.check_trajectory_bounds(traj, E, params)
+    checks = S.check_trajectory_bounds(
+        traj, F.weighted_norm(E, params.a).value, params)
     assert (checks["traj_velocity"].value, checks["traj_position"].value) \
         == H.trajectory_ratios(traj, E, params.a)
 
@@ -766,16 +769,22 @@ def test_field_pass_matches_an_mpmath_march():
 # ---------------------------------------------------------------------------
 
 
-def _tangent_case(modes, K=2, z=0.0):
-    """A solve on 32 x 65 x 88 grids (those of the uq-coarse benchmark,
-    from t0 = 4K if that is later than 8, as A2 asks) and its tangent
-    solve."""
+def _tangent_solve(modes, K=2, z=0.0):
+    """(spec, result): a solve on 32 x 65 x 88 grids (those of the
+    uq-coarse benchmark, from t0 = 4K if that is later than 8, as A2
+    asks)."""
     spec = make_spec(modes)
     t0 = max(8.0, 4.0 * K)
     params = P.derive_constants(1.0, 0.002, 0.002, K, t0=t0)
     tg, phase = small_grids(nx=32, nv=65, t0=t0, t_end=43.0, steps=87)
-    result = S.picard_solve(spec, params, z, tg, phase)
-    return spec, params, tg, phase, S.solve_tangent(spec, result)
+    return spec, S.picard_solve(spec, params, z, tg, phase)
+
+
+def _tangent_case(modes, K=2, z=0.0):
+    """_tangent_solve's solve and its tangent solve."""
+    spec, result = _tangent_solve(modes, K, z)
+    return (spec, result.params, result.field.tgrid, result.phase,
+            S.solve_tangent(spec, result))
 
 
 @pytest.fixture(scope="module")
@@ -813,6 +822,46 @@ def test_tangent_pass_matches_the_tangent_iteration(coarse_case):
     E0 = result.field
     for k, (ek, want) in enumerate(zip(taylor.fields, old), 1):
         assert _wnorm(E0, ek.values - want) <= 1e-14 * _wnorm(E0, want), k
+
+
+@pytest.mark.parametrize("case", [
+    "coarse_case", "strong_tangent",
+    ({0: 8e-5, 1: (1e-5, 2e-6, 1e-6, 5e-7)}, 3, 0.0),
+    ({0: 8e-5, 1: (1e-5, 3e-6), 2: (2e-6, 1e-6, 4e-7)}, 3, 0.37),
+], ids=["coarse", "strong", "cubic-K3", "k2-mode-K3-z0.37"])
+def test_tangent_pass_equals_the_per_order_passes_bitwise(case, request):
+    # one pass over every order against one pass per order on whole
+    # tables: the fields, values and bounds are the same doubles
+    if isinstance(case, str):
+        spec, result, taylor = request.getfixturevalue(case)
+    else:
+        spec, result = _tangent_solve(*case)
+        taylor = S.solve_tangent(spec, result)
+    vals, checks = H.tangent_by_orders(spec, result)
+    assert len(taylor.fields) == len(vals) == result.params.K
+    for got, want in zip(taylor.fields, vals):
+        assert np.array_equal(got.values, want)
+    assert {n: (c.value, c.bound) for n, c in taylor.checks.items()} \
+        == {n: (c.value, c.bound) for n, c in checks.items()}
+
+
+def test_solve_tangent_memory_budget(coarse_case):
+    # the pass keeps rows of the K orders, not tables: the traced peak of
+    # the tangent solve on the uq-coarse grids with K = 2, with the caches
+    # warm, stays within 3 (nt, P) tables
+    spec, result, _ = coarse_case
+    assert result.params.K == 2
+    phase = result.phase
+    table = 8 * len(result.field.tgrid) * phase.xgrid.n * phase.nv
+    S.solve_tangent(spec, result)                   # the phase table
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        S.solve_tangent(spec, result)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - start <= 3 * table, (peak - start) / table
 
 
 def _node_fields(spec, params, tg, phase, nodes):
@@ -900,11 +949,11 @@ def test_trajectory_coefficients_match_central_differences():
         return S.solve_characteristics(Ez, phase, a=1.0).dX.reshape(nt, -1)
 
     dX0 = dX(0.0)
-    g = S._along(F.spectral_dx(E[0]), x, v, dX0)
+    g = H.along(F.spectral_dx(E[0]), x, v, dX0)
     X = []
     for j in (1, 2):
-        R = S._trajectory_forcing(E[:j], X, x, v, dX0)
-        X.append(H.suffix_volterra(g, S._along(E[j], x, v, dX0) + R,
+        R = H.trajectory_forcing(E[:j], X, x, v, dX0)
+        X.append(H.suffix_volterra(g, H.along(E[j], x, v, dX0) + R,
                                    tg.dt)[1])
     h = 1e-3
     plus, minus = dX(h), dX(-h)

@@ -561,7 +561,7 @@ def test_reports_stop_at_order_K_1():
 
 
 def test_check_corollary_needs_the_ensembles_survey(zdep_small):
-    with pytest.raises(ValueError, match="residual survey must align"):
+    with pytest.raises(ValueError, match="corollary report must align"):
         U.ZEnsemble(zdep_small.nodes[:-1], zdep_small.weights[:-1],
                     zdep_small.results[:-1], zdep_small.corollary,
                     zdep_small.taylor)
