@@ -80,11 +80,6 @@ class XGrid:
     def points(self) -> np.ndarray:
         return self.dx * np.arange(self.n)
 
-    @property
-    def wavenumbers(self) -> np.ndarray:
-        """Nonnegative mode numbers k matching the rfft layout."""
-        return np.arange(self.n // 2 + 1, dtype=float)
-
 
 @dataclass(frozen=True)
 class PhaseGrid:
@@ -189,7 +184,6 @@ class NormReport:
     """
 
     value: float
-    argmax_t: float
     horizon_dominated: bool
 
 
@@ -208,12 +202,12 @@ def weighted_sup(times, sup_spatial, a: float, moment: int = 0) -> NormReport:
     if moment:
         weighted = weighted / tt ** moment
     idx = int(np.argmax(weighted))
-    return NormReport(value=float(weighted[idx]), argmax_t=float(tt[idx]),
+    return NormReport(value=float(weighted[idx]),
                       horizon_dominated=(idx == len(tt) - 1))
 
 
 def weighted_norm(table: FieldTable, a: float, moment: int = 0) -> NormReport:
-    """sup_{t_n >= t0} t^{-moment} e^{a t} max_x |E|, with argmax_t."""
+    """sup_{t_n >= t0} t^{-moment} e^{a t} max_x |E|."""
     return weighted_sup(table.tgrid.times, table.sup_x(), a, moment)
 
 

@@ -1,14 +1,15 @@
 """Hot numerical kernels, vectorized with numpy over particles.
 
 ``eval_rows`` and ``corr_fourier`` (and ``row_evaluator`` and
-``corr_evaluator``, the same algorithms by rows, which the passes call)
-take the solver's phase nodes as labels,
+``corr_evaluator``, the same algorithms by rows, which the passes call;
+``row_evaluator`` also evaluates a stack of mode rows along one
+displacement) take the solver's phase nodes as labels,
 ``x = repeat(xs, nv)`` and ``v = tile(vs, nx)`` with
 ``xs = (2 pi / nx) arange(nx)`` and nx equal to twice the top mode; other
 labels raise ValueError.  On this tensor grid ``e^{ik(x_i + v_j t_n + d)}``
 factors into ``e^{2 pi i k i / nx}``, a real FFT of length nx over i; the
 grid-only table ``e^{i k v_j t_n}`` (``phase_table``, which keeps the last
-table it built, so the passes, the certifying map, the variational solve
+table it built, so the passes, the certifying characteristics and map
 and the z nodes of one grid share it); and ``e^{i k d}``, summed as its Taylor
 series in the displacement d.  Time row n has the Taylor radius
 ``r = k_max max_p |d_{n,p}|``.  A row with r > pi/2 is first reduced onto
@@ -42,10 +43,10 @@ Numerical conventions shared by several kernels:
   ``suffix_pass`` is the one implementation: its integrand row ``g_n`` may
   depend on ``I_n``, which the step computes before it needs it, so one
   backward pass solves the (strictly triangular) Volterra equations of the
-  characteristics, the variational system (``g_n I_n + f_n``), the field
-  fixed point and its tangent, every order in one pass, exactly.  It
-  hands out each finished row and keeps only two, so no caller holds a
-  table it does not read.
+  characteristics with their variational system (``g_n I_n + f_n``) in
+  one march, the field fixed point, and its tangent, every order in one
+  pass, exactly.  It hands out each finished row and keeps only two, so
+  no caller holds a table it does not read.
 * ``suffix_weighted`` generalizes the plain suffix rule to arbitrary
   two-point cell weights ``A_n = A_{n+1} + alpha g_n + beta g_{n+1}``.
   With ``alpha = (a dt - 1 + e^{-a dt})/(a^2 dt)`` and
@@ -235,34 +236,42 @@ def row_evaluator(c, x, v, times):
     mode rows c are read at each call, so a backward pass may fill them
     row by row as it goes.
 
+    c may also stack L mode rows per time, (nt, L, nk); out is then
+    (rows, L, P), each of the L rows bitwise its own evaluator's, all
+    along the one displacement: one range reduction and one inverse FFT
+    per Taylor order serve them all.
+
     With theta = x_i + v_j t_n + q h + s, Taylor order m of e^{i k s} gives
     F_m[n, i, j] = Re sum_k (i k)^m c_k e^{i k v_j t_n} e^{2 pi i k i / nx},
     one inverse real FFT over k, read at index i + q; the row is
     sum_m s^m / m! F_m (Horner).
     """
-    nk = c.shape[1]
+    nk = c.shape[-1]
+    lines = c.shape[1] if c.ndim == 3 else 1
     vs = _grid_velocities(x, v, nk)
     nx, nv = 2 * (nk - 1), vs.shape[0]
     ik = 1j * np.arange(nk)
-    table = phase_table(vs, times, nk)
-    block = max(1, _BLOCK_BYTES // (16 * nk * nv))
+    table = phase_table(vs, times, nk)[:, None]
+    block = max(1, _BLOCK_BYTES // (16 * lines * nk * nv))
 
     def rows(out, n0, dx):
         n1 = n0 + len(dx)
-        cn, tn = c[n0:n1].copy(), table[n0:n1]
-        cn[:, nk - 1] = cn[:, nk - 1].real    # cosine-only Nyquist row
+        cn = c[n0:n1].reshape(n1 - n0, lines, nk).copy()
+        cn[..., nk - 1] = cn[..., nk - 1].real    # cosine-only Nyquist row
+        tn = table[n0:n1]
         dx_red, q, orders, _, bad = _taylor_rows(dx, nk - 1, 0)
         for r0, r1, order in _row_blocks(orders, block):
-            acc = out[r0:r1].reshape(r1 - r0, nx, nv)
-            d = dx_red[r0:r1].reshape(r1 - r0, nx, nv)
+            acc = out[r0:r1].reshape(r1 - r0, lines, nx, nv)
+            d = dx_red[r0:r1].reshape(r1 - r0, 1, nx, nv)
             tab = tn[r0:r1]
-            at = None if q is None else _shifted_index(q[r0:r1], nx, nv)
+            at = None if q is None else \
+                _shifted_index(q[r0:r1], nx, nv)[:, None]
             for m in range(order, -1, -1):
                 coef = cn[r0:r1] * ik ** m
-                f = np.fft.irfft(coef[:, :, None] * tab, n=nx, axis=1,
+                f = np.fft.irfft(coef[..., None] * tab, n=nx, axis=2,
                                  norm="forward")
                 if at is not None:
-                    f = np.take_along_axis(f, at, axis=1)
+                    f = np.take_along_axis(f, at, axis=2)
                 if m == order:
                     acc[...] = f
                 else:

@@ -22,11 +22,12 @@ V - v, dX/dx - 1, dX/dv - t, dV/dv - 1, ...), never in absolute form:
 the deviations decay like e^{-a t} and downstream norms weight them by
 e^{a t}, so representing them as differences of O(1) or O(t) quantities
 would drown the late-time signal in representation noise.  Only dX and
-dV are stored whole, (nt, nx, nv) each.  The stages after the
-characteristics (the label derivatives, the trajectory checks, the
-deposit) form what they need of each row block (_row_blocks) and reduce
-it there, so once the characteristics are solved no table of that size
-is alive beyond these two and the kernels' phase table.
+dV are stored whole, (nt, nx, nv) each.  The label derivatives are
+solved in the march of the characteristics, and each finished row block
+(_row_blocks) of them is reduced to what the checks read; the stages
+after the characteristics (the trajectory checks, the deposit) form what
+they need of each row block and reduce it there too, so no other table
+of that size is alive beyond these two and the kernels' phase table.
 
 For the same reason the field map is evaluated split (FIELD_MAP_METHOD,
 the only method): the free-streaming part of the transported density is
@@ -48,6 +49,7 @@ pass solves every order at once, keeping no table of that size beyond dX.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import ClassVar
@@ -86,15 +88,42 @@ def _row_blocks(nt: int, npart: int):
     """(n0, n1) blocks of the rows of (nt, npart) float tables, the last
     rows first, that the streamed stages form and reduce one at a time.
     As the kernels block their temporaries, a block is as many rows as
-    fit in kernels._BLOCK_BYTES, here for the four variational
-    derivatives that solve_variational holds per row."""
+    fit in kernels._BLOCK_BYTES, here for the four label derivatives
+    that the march of solve_characteristics holds per row."""
     size = max(1, kernels._BLOCK_BYTES // (4 * 8 * npart))
     return [(max(0, n1 - size), n1) for n1 in range(nt, 0, -size)]
 
 
 # ---------------------------------------------------------------------------
-# trajectories
+# trajectories and their label derivatives
 # ---------------------------------------------------------------------------
+
+def _jacobian_minus_one(t, xi, eta, chi, omega):
+    """det d(X,V)/d(x,v) - 1 of the variational deviations, assembled
+    without forming the O(t) terms: (1+xi)(1+omega) - (t+eta) chi - 1
+    = xi + omega + xi omega - (t+eta) chi."""
+    return xi + omega + xi * omega - (t + eta) * chi
+
+
+@dataclass(frozen=True)
+class VariationalSups:
+    """What the checks read of the first derivatives of the flow w.r.t.
+    the asymptotic labels, in deviation form xi = dX/dx - 1,
+    eta = dX/dv - t, chi = dV/dx and omega = dV/dv - 1: the per-row sups
+    (nt,) of |xi|, |eta|, |chi| and |omega|, and over all rows and labels
+    the maxima of |dX/dx|, |dX/dv| / t and |det d(X,V)/d(x,v) - 1|."""
+
+    tgrid: TimeGrid
+    xi: np.ndarray
+    eta: np.ndarray
+    chi: np.ndarray
+    omega: np.ndarray
+    dX_dx: float
+    dX_dv_moment1: float
+    jacobian: float
+    # one backward pass; perfbench/tracer.py reads it as the sweep count
+    inner_iterations: ClassVar[int] = 1
+
 
 @dataclass(frozen=True)
 class TrajectoryTable:
@@ -102,31 +131,47 @@ class TrajectoryTable:
 
     dX = X - (x + v t) and dV = V - v, shaped (nt, nx, nv).  With E == 0
     both are identically zero, i.e. free transport is represented exactly.
+    var holds what the checks read of their label derivatives, solved in
+    the same backward pass.
     """
 
     phase: PhaseGrid
     tgrid: TimeGrid
     dX: np.ndarray
     dV: np.ndarray
+    var: VariationalSups
     # one backward pass; perfbench/tracer.py reads it as the sweep count
     inner_iterations: ClassVar[int] = 1
 
 
 def solve_characteristics(E: FieldTable, phase: PhaseGrid,
                           a: float) -> TrajectoryTable:
-    """The backward trajectory integral equations in one backward pass.
+    """The backward trajectory integral equations and their label
+    derivatives in one backward pass.
 
     On the composite-trapezoid moment rule the position deviation dX_n
     needs the field only on the rows > n, so kernels.suffix_pass solves
     the discrete system exactly from t_end backward: each row's dX_n comes
-    from the recurrence, and E is then evaluated along that row alone
-    (kernels.row_evaluator).  The velocity deviation accumulates in the
-    same march, keeping the field along two rows only, with the
-    exponential-weight product rule of kernels.suffix_weighted (exact for
-    e^{-a s} x linear), since the plain trapezoid overshoots decaying convex
-    envelopes by (a dt)^2/12 relative - far more than the headroom of the
-    pointwise velocity bound |V - v| <= (|E|_{a,t0}/a) e^{-a t}.  The
-    integral tail beyond the stored horizon is neglected; picard_solve
+    from the recurrence, and E and g = dE/dx are then evaluated along that
+    row alone (one kernels.row_evaluator on the stacked mode rows).  The
+    velocity deviation accumulates in the same march, keeping the field
+    along two rows only, with the exponential-weight product rule of
+    kernels.suffix_weighted (exact for e^{-a s} x linear), since the plain
+    trapezoid overshoots decaying convex envelopes by (a dt)^2/12 relative
+    - far more than the headroom of the pointwise velocity bound
+    |V - v| <= (|E|_{a,t0}/a) e^{-a t}.
+
+    The label derivatives ride along the same rows: the position
+    derivatives solve the linear suffix equations
+    y = int_t^inf (s - t) (g(s) y(s) + f(s)) ds, xi for f = g and eta for
+    f = g s, and the velocity derivatives chi and omega are minus the
+    plain suffix integrals of the same integrands; the system is strictly
+    triangular on the same rule, so the state of the march is (dX, xi,
+    eta).  One row block (_row_blocks) of the four derivatives is kept,
+    and each finished block is reduced to what check_variational_bounds
+    reads (TrajectoryTable.var).
+
+    The integral tail beyond the stored horizon is neglected; picard_solve
     certifies it with the closed-form tail integrals.  A field that is not
     finite, or violates the precondition |E|_{a,t0} e^{-a t0} <= a, raises
     ConvergenceError.
@@ -134,6 +179,7 @@ def solve_characteristics(E: FieldTable, phase: PhaseGrid,
     tg = E.tgrid
     x, v, _ = _flat_labels(phase)
     nt, npart = len(tg), x.shape[0]
+    times = tg.times
 
     norm_e = weighted_norm(E, a).value
     if not math.isfinite(norm_e):
@@ -144,27 +190,50 @@ def solve_characteristics(E: FieldTable, phase: PhaseGrid,
             f"field too large for the trajectory map: |E| e^(-a t0) = "
             f"{norm_e * math.exp(-a * tg.t0):.3e} > a = {a:.3e}")
 
-    rows = kernels.row_evaluator(E.coefficients(), x, v, tg.times)
-    g = np.empty((2, npart))        # E along the rows n and n + 1
+    rows = kernels.row_evaluator(
+        np.stack([E.coefficients(), spectral_dx(E).coefficients()], axis=1),
+        x, v, times)
+    ev = np.empty((2, 2, npart))        # E and g along the rows n and n + 1
 
-    def field_along(n, dX_n):
-        rows(g[n % 2:n % 2 + 1], n, dX_n[None, :])
-        return g[n % 2]
+    def integrand(n, mom):              # mom = (dX, xi, eta) on row n
+        rows(ev[n % 2:n % 2 + 1], n, mom[:1])
+        e, g = ev[n % 2]
+        h = np.empty(mom.shape)
+        h[0] = e
+        h[1:] = g * mom[1:]
+        h[1] += g
+        h[2] += g * times[n]
+        return h
 
     # dV accumulates in the march, in the order of kernels.suffix_weighted
     alpha, beta = kernels.exp_cell_weights(a, tg.dt)
     dX, dV = np.empty((nt, npart)), np.empty((nt, npart))
-    for n, _, mom in kernels.suffix_pass(field_along, (nt, npart), tg.dt):
-        dX[n] = mom
-        if n == nt - 1:
-            dV[n] = 0.0
-        else:
-            dV[n] = dV[n + 1] + alpha * g[n % 2] + beta * g[(n + 1) % 2]
+    blocks = _row_blocks(nt, npart)
+    ders = np.empty((4, blocks[0][1] - blocks[0][0], npart))  # xi .. omega
+    sups, peaks = np.empty((4, nt)), []
+    march = kernels.suffix_pass(integrand, (nt, 3, npart), tg.dt)
+    for n0, n1 in blocks:
+        for n, acc, mom in itertools.islice(march, n1 - n0):
+            dX[n] = mom[0]
+            if n == nt - 1:
+                dV[n] = 0.0
+            else:
+                dV[n] = dV[n + 1] + alpha * ev[n % 2, 0] \
+                    + beta * ev[(n + 1) % 2, 0]
+            ders[:2, n - n0] = mom[1:]
+            np.negative(acc[1:], out=ders[2:, n - n0])
+        xi, eta, chi, omega = d = ders[:, :n1 - n0]
+        t = times[n0:n1, None]
+        sups[:, n0:n1] = np.abs(d).max(axis=2)
+        peaks.append((
+            np.abs(1.0 + xi).max(), (np.abs(t + eta) / t).max(),
+            np.abs(_jacobian_minus_one(t, xi, eta, chi, omega)).max()))
     np.negative(dV, out=dV)
 
     shape = (nt, phase.xgrid.n, phase.nv)
+    var = VariationalSups(tg, *sups, *map(float, np.max(peaks, axis=0)))
     return TrajectoryTable(phase=phase, tgrid=tg, dX=dX.reshape(shape),
-                           dV=dV.reshape(shape))
+                           dV=dV.reshape(shape), var=var)
 
 
 def check_trajectory_bounds(traj: TrajectoryTable, norm_e: float,
@@ -198,88 +267,11 @@ def check_trajectory_bounds(traj: TrajectoryTable, norm_e: float,
             "traj_position": BoundCheck("traj_position", ratio_x, 1.0)}
 
 
-# ---------------------------------------------------------------------------
-# variational system
-# ---------------------------------------------------------------------------
-
-def _jacobian_minus_one(t, xi, eta, chi, omega):
-    """det d(X,V)/d(x,v) - 1 of the variational deviations, assembled
-    without forming the O(t) terms: (1+xi)(1+omega) - (t+eta) chi - 1
-    = xi + omega + xi omega - (t+eta) chi."""
-    return xi + omega + xi * omega - (t + eta) * chi
-
-
-@dataclass(frozen=True)
-class VariationalSups:
-    """What the checks read of the first derivatives of the flow w.r.t.
-    the asymptotic labels, in deviation form xi = dX/dx - 1,
-    eta = dX/dv - t, chi = dV/dx and omega = dV/dv - 1: the per-row sups
-    (nt,) of |xi|, |eta|, |chi| and |omega|, and over all rows and labels
-    the maxima of |dX/dx|, |dX/dv| / t and |det d(X,V)/d(x,v) - 1|."""
-
-    tgrid: TimeGrid
-    xi: np.ndarray
-    eta: np.ndarray
-    chi: np.ndarray
-    omega: np.ndarray
-    dX_dx: float
-    dX_dv_moment1: float
-    jacobian: float
-    # one backward pass; perfbench/tracer.py reads it as the sweep count
-    inner_iterations: ClassVar[int] = 1
-
-
+# unused in the package, but perfbench/tracer.py lists it in TRACED by name
 def solve_variational(E: FieldTable, traj: TrajectoryTable) -> VariationalSups:
-    """The linearized flow along frozen trajectories, in one backward pass.
-
-    With g = dE/dx evaluated along X, the position derivatives solve the
-    linear suffix equations y = int_t^inf (s - t) (g(s) y(s) + f(s)) ds,
-    xi for f = g and eta for f = g s; the velocity derivatives chi and
-    omega are minus the plain suffix integrals of the same integrands.  On
-    the composite-trapezoid rule the system is strictly triangular, and
-    one kernels.suffix_pass solves both systems exactly from t_end
-    backward.  The march keeps one row block (_row_blocks) of g and of
-    the four derivatives: g is evaluated along X a block at a time, and a
-    finished block is reduced to what check_variational_bounds reads.
-    """
-    tg = traj.tgrid
-    x, v, _ = _flat_labels(traj.phase)
-    nt, npart = len(tg), x.shape[0]
-    times = tg.times
-    dX = traj.dX.reshape(nt, npart)
-    along = kernels.row_evaluator(spectral_dx(E).coefficients(), x, v,
-                                  times)
-    blocks = _row_blocks(nt, npart)
-    size = blocks[0][1] - blocks[0][0]
-    g = np.empty((size, npart))
-    ders = np.empty((4, size, npart))      # xi, eta, chi, omega
-    sups = np.empty((4, nt))
-    peaks = []
-    block = iter(blocks)
-    n0 = n1 = nt
-
-    def integrand(n, y):
-        nonlocal n0, n1
-        if n < n0:
-            n0, n1 = next(block)
-            along(g[:n1 - n0], n0, dX[n0:n1])
-        gn = g[n - n0]
-        h = gn * y
-        h[0] += gn
-        h[1] += gn * times[n]
-        return h
-
-    for n, acc, mom in kernels.suffix_pass(integrand, (nt, 2, npart), tg.dt):
-        ders[:2, n - n0] = mom
-        np.negative(acc, out=ders[2:, n - n0])
-        if n == n0:
-            xi, eta, chi, omega = d = ders[:, :n1 - n0]
-            t = times[n0:n1, None]
-            sups[:, n0:n1] = np.abs(d).max(axis=2)
-            peaks.append((
-                np.abs(1.0 + xi).max(), (np.abs(t + eta) / t).max(),
-                np.abs(_jacobian_minus_one(t, xi, eta, chi, omega)).max()))
-    return VariationalSups(tg, *sups, *map(float, np.max(peaks, axis=0)))
+    """What the checks read of the label derivatives along the
+    trajectories of E, which solve_characteristics solves with them."""
+    return traj.var
 
 
 def check_variational_bounds(var: VariationalSups,
@@ -478,9 +470,8 @@ class SolveResult:
 
 def _fixed_point_checks(E: FieldTable, free: FieldTable,
                         params: DampingParams, traj: TrajectoryTable,
-                        var: VariationalSups, rho: FieldTable,
-                        rho_pert: FieldTable, residual_norm: float,
-                        tol: float):
+                        rho: FieldTable, rho_pert: FieldTable,
+                        residual_norm: float, tol: float):
     a, a1, a2, ce = params.a, params.a1, params.a2, params.C_E
     checks: dict[str, BoundCheck] = {}
 
@@ -501,7 +492,7 @@ def _fixed_point_checks(E: FieldTable, free: FieldTable,
         "density_pert_weighted", npert.value, ce, npert.horizon_dominated)
 
     checks.update(check_trajectory_bounds(traj, ne.value, params))
-    checks.update(check_variational_bounds(var, params))
+    checks.update(check_variational_bounds(traj.var, params))
 
     consistency = float(np.abs(ex.values - rho_pert.values).max())
     checks["field_density_consistency"] = BoundCheck(
@@ -547,8 +538,9 @@ def picard_solve(spec: ProfileSpec, params: DampingParams, z: float,
     The norms |.|_{a,t0} are taken over the stored times, so tgrid must
     start at params.t0 (ValueError otherwise).  Gates on the parameter
     conditions and the profile hypotheses first.
-    One more map application, along the characteristics of E (which
-    raise ConvergenceError for a field that is not finite or too large),
+    One more map application, along the characteristics of E (solved
+    with their label derivatives, and which raise ConvergenceError for a
+    field that is not finite or too large),
     certifies the residual |map E - E|_{a,t0} against tol; the result
     carries every inequality check at E.  The pass meets any iteration
     cap: max_iter, inner_tol, max_inner and method (FIELD_MAP_METHOD
@@ -579,12 +571,11 @@ def picard_solve(spec: ProfileSpec, params: DampingParams, z: float,
     residual_norm = weighted_norm(
         E_map.with_values(E_map.values - E.values), a).value
 
-    var = solve_variational(E, traj)
     rho = deposit_density(traj, spec, z, xgrid)
     rho_pert = deposit_density_pert(traj, spec, z, xgrid)
 
     checks = _fixed_point_checks(
-        E, free, params, traj, var, rho, rho_pert, residual_norm, tol)
+        E, free, params, traj, rho, rho_pert, residual_norm, tol)
 
     rho0 = neutral_density(spec, z)
     x, v, _ = _flat_labels(phase)

@@ -723,7 +723,9 @@ def test_rows_too_large_to_reduce_come_out_nan(scale):
 
 def test_row_evaluator_is_eval_rows_one_row_at_a_time(table_calls):
     # the same values bitwise on reduced, unreduced, zero and non-finite
-    # rows, from one phase-table request
+    # rows, from one phase-table request; stacked mode rows (nt, L, nk)
+    # give each of their L rows bitwise as its own evaluator does, by rows
+    # and on all rows at once, from one request too
     nx, nv = 16, 9
     times, x, v, dX, wf, cre, cim = _grid_case(
         nx, nv, [0.5, 1e-4, 2.0, 0.0, 1e-3], 12)
@@ -736,6 +738,26 @@ def test_row_evaluator_is_eval_rows_one_row_at_a_time(table_calls):
     assert np.isnan(out[4]).all()
     assert np.array_equal(out, rows, equal_nan=True)
     assert len(table_calls) == 2
+
+    other = np.random.default_rng(12).standard_normal((2,) + cre.shape)
+    c = cre + 1j * cim
+    stack = np.stack([c, 1e-4 * (other[0] + 1j * other[1]),
+                      c * 1j * np.arange(c.shape[1])], axis=1)
+    by_stack = K.row_evaluator(stack, x, v, times)
+    stacked = np.empty((len(times), 3, x.shape[0]))
+    for n in range(len(times)):
+        by_stack(stacked[n:n + 1], n, dX[n:n + 1])
+    at_once = np.empty(stacked.shape)
+    by_stack(at_once, 0, dX)
+    assert len(table_calls) == 3
+    for line in range(3):
+        alone = K.row_evaluator(stack[:, line], x, v, times)
+        for n in range(len(times)):
+            alone(out[n:n + 1], n, dX[n:n + 1])
+        assert np.isnan(stacked[4, line]).all()
+        assert np.array_equal(stacked[:, line], out, equal_nan=True), line
+        assert np.array_equal(at_once[:, line], out, equal_nan=True), line
+    assert np.array_equal(stacked[:, 0], rows, equal_nan=True)
 
 
 def test_row_evaluator_reads_mode_rows_filled_after_it_is_built():

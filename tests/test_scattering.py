@@ -149,10 +149,10 @@ def _strong_fields(tg, xg):
             for c, k, p in ((0.2, 1, 0.0), (0.1, 2, 0.5), (0.05, 1, 1.0))]
 
 
-def _strong_case():
+def _strong_case(t0=8.0):
     """Small grids and E_0 + E_1 + E_2, whose trajectories reach rows
     beyond the Taylor radius, which the kernels reduce onto the grid."""
-    tg, phase = small_grids()
+    tg, phase = small_grids(t0=t0)
     E = _strong_fields(tg, phase.xgrid)
     return phase, E[0].with_values(sum(e.values for e in E))
 
@@ -693,6 +693,25 @@ def test_the_only_characteristics_solve_is_the_certifying_one(monkeypatch):
     assert not np.array_equal(r.field.values[0], free.values[0])
 
 
+def test_picard_solve_makes_two_marches(monkeypatch):
+    # the field pass, and the certifying characteristics, which solve the
+    # label derivatives in the same march: two kernels.suffix_pass calls
+    shapes = []
+    real = K.suffix_pass
+
+    def counted(integrand, shape, dt):
+        shapes.append(shape)
+        return real(integrand, shape, dt)
+
+    monkeypatch.setattr(K, "suffix_pass", counted)
+    spec = make_spec({0: 8e-5, 1: 1e-5})
+    params = P.derive_constants(1.0, 0.002, 0.002, 2, t0=8.0)
+    tg, phase = small_grids()
+    S.picard_solve(spec, params, 0.0, tg, phase)
+    npart = phase.xgrid.n * phase.nv
+    assert shapes == [(len(tg), npart), (len(tg), 3, npart)]
+
+
 # ---------------------------------------------------------------------------
 # the field pass against its oracles
 # ---------------------------------------------------------------------------
@@ -805,6 +824,22 @@ def strong_tangent(strong_traj):
     return spec, result, S.solve_tangent(spec, result)
 
 
+@pytest.fixture(scope="module")
+def strong_tangent_k3():
+    """strong_tangent at K = 3, from t0 = 12 as A2 asks.  Order j scales
+    as the j-th power of the z-slope, so a steeper profile alone leaves
+    the size of the m = 3 terms against the others as it is; the strong
+    field's displacements make E_0^(3)(X0) X_1^3 / 3! in R_3 and the
+    k^3 X_1^3 / 3! term of the density sum show (spec, result, tangent)."""
+    phase, E = _strong_case(t0=12.0)
+    spec = make_spec(LINEAR_Z)
+    params = P.derive_constants(1.0, 0.002, 0.002, 3, t0=12.0)
+    result = dataclasses.replace(
+        S.picard_solve(spec, params, 0.0, E.tgrid, phase), field=E,
+        traj=S.solve_characteristics(E, phase, a=1.0))
+    return spec, result, S.solve_tangent(spec, result)
+
+
 @pytest.mark.parametrize("case", ["coarse_case", "strong_tangent"])
 def test_tangent_pass_is_a_fixed_point_of_one_more_map(case, request):
     spec, result, taylor = request.getfixturevalue(case)
@@ -825,10 +860,10 @@ def test_tangent_pass_matches_the_tangent_iteration(coarse_case):
 
 
 @pytest.mark.parametrize("case", [
-    "coarse_case", "strong_tangent",
+    "coarse_case", "strong_tangent", "strong_tangent_k3",
     ({0: 8e-5, 1: (1e-5, 2e-6, 1e-6, 5e-7)}, 3, 0.0),
     ({0: 8e-5, 1: (1e-5, 3e-6), 2: (2e-6, 1e-6, 4e-7)}, 3, 0.37),
-], ids=["coarse", "strong", "cubic-K3", "k2-mode-K3-z0.37"])
+], ids=["coarse", "strong", "strong-K3", "cubic-K3", "k2-mode-K3-z0.37"])
 def test_tangent_pass_equals_the_per_order_passes_bitwise(case, request):
     # one pass over every order against one pass per order on whole
     # tables: the fields, values and bounds are the same doubles
@@ -933,9 +968,10 @@ def test_tangent_orders_follow_K(linear_tangent):
 
 def test_trajectory_coefficients_match_central_differences():
     # strong prescribed fields E(z) = E_0 + z E_1 + z^2 E_2, with
-    # displacements near 0.1, so that every term of the forcing R_2 shows
-    # (E_0''(X0) X_1^2 / 2 among them): the Taylor coefficients X_1, X_2 of
-    # the characteristics against central differences in z of full solves
+    # displacements near 0.1, so that every term of the forcings R_2 and
+    # R_3 shows (E_0''(X0) X_1^2 / 2 and E_0'''(X0) X_1^3 / 3! among
+    # them): the Taylor coefficients X_1, X_2, X_3 of the characteristics
+    # against central differences in z of full solves
     tg, phase = small_grids()
     xg = phase.xgrid
     E = _strong_fields(tg, xg)
@@ -951,15 +987,21 @@ def test_trajectory_coefficients_match_central_differences():
     dX0 = dX(0.0)
     g = H.along(F.spectral_dx(E[0]), x, v, dX0)
     X = []
-    for j in (1, 2):
+    for j in (1, 2, 3):
         R = H.trajectory_forcing(E[:j], X, x, v, dX0)
-        X.append(H.suffix_volterra(g, H.along(E[j], x, v, dX0) + R,
-                                   tg.dt)[1])
+        if j < len(E):              # E_3 = 0
+            R += H.along(E[j], x, v, dX0)
+        X.append(H.suffix_volterra(g, R, tg.dt)[1])
     h = 1e-3
     plus, minus = dX(h), dX(-h)
     fd = ((plus - minus) / (2 * h), (plus + minus - 2 * dX0) / (2 * h * h))
     for k in (0, 1):     # central-difference error h^2 X_3, X_4 ~ 1e-8
         assert np.abs(fd[k] - X[k]).max() <= 1e-6 * np.abs(X[k]).max(), k
+    # the five-point third difference, error 5 h^2 X_5, about 1e-6 of X_3
+    # here; the E_0''' term alone moves X_3 by 7e-4 of it
+    h = 2e-3
+    fd3 = (dX(2 * h) - 2 * dX(h) + 2 * dX(-h) - dX(-2 * h)) / (12 * h ** 3)
+    assert np.abs(fd3 - X[2]).max() <= 1e-5 * np.abs(X[2]).max()
 
 
 def test_tangent_needs_the_trajectories(linear_tangent):
