@@ -2,7 +2,7 @@
 
 ``eval_rows`` and ``corr_fourier`` (and ``row_evaluator`` and
 ``corr_evaluator``, the same algorithms by rows, which the passes call;
-``row_evaluator`` also evaluates a stack of mode rows along one
+both also take a stack, of mode rows or of weight lines, along one
 displacement) take the solver's phase nodes as labels,
 ``x = repeat(xs, nv)`` and ``v = tile(vs, nx)`` with
 ``xs = (2 pi / nx) arange(nx)`` and nx equal to twice the top mode; other
@@ -390,7 +390,8 @@ def corr_evaluator(x, v, times, nk):
     rows n0, n0 + 1, ... of corr_fourier(wf, x, v, times, dx_dev, nk) into
     out from those rows' weights wf ((P,), or one row each) and
     displacements dx alone; the field pass asks for one row as soon as its
-    displacement is known.
+    displacement is known.  Stacked weights wf (rows or 1, L, P) give out
+    (rows, L, nk), each line bitwise its own call's, from one reduction.
 
     With dX = q h + s on the tensor-grid labels, each Taylor order m >= 1
     of e^{-i k s} contributes
@@ -404,43 +405,44 @@ def corr_evaluator(x, v, times, nk):
     nx, nv = 2 * (nk - 1), vs.shape[0]
     mik = -1j * np.arange(nk)
     table = phase_table(vs, times, nk)
-    block = max(1, _BLOCK_BYTES // (16 * nk * nv))
 
     def rows(out, n0, wf, dx):
-        wgrid = wf.reshape(-1, nx, nv) / (2.0 * math.pi)
+        lines = wf.shape[1] if wf.ndim == 3 else 1
+        block = max(1, _BLOCK_BYTES // (16 * lines * nk * nv))
+        wgrid = wf.reshape(-1, lines, nx, nv) / (2.0 * math.pi)
         dx_red, q, orders, _, bad = _taylor_rows(dx, nk - 1, 1)
         for r0, r1, order in _row_blocks(orders, block):
-            acc = out[r0:r1]
+            acc = out[r0:r1].reshape(r1 - r0, lines, nk)
             acc[...] = 0.0
             if order < 1 and q is None:
                 continue
-            d = dx_red[r0:r1].reshape(r1 - r0, nx, nv)
+            d = dx_red[r0:r1].reshape(r1 - r0, 1, nx, nv)
             w = wgrid if wgrid.shape[0] == 1 else wgrid[r0:r1]
             conj = table[n0 + r0:n0 + r1].conj()
             move = None
             if q is not None:
                 # destination of each particle in the block's flat
-                # (rows, nx, nv)
-                dest = ((np.arange(r1 - r0)[:, None, None] * nx
-                         + _shifted_index(q[r0:r1], nx, nv)) * nv
-                        + np.arange(nv)).ravel()
+                # (rows, lines, nx, nv)
+                dest = (np.arange((r1 - r0) * lines)[:, None, None] * nx
+                        + _shifted_index(q[r0:r1], nx, nv).repeat(lines, 0)
+                        ) * nv + np.arange(nv)
+                wrow = np.broadcast_to(w, (r1 - r0,) + w.shape[1:])
 
                 def move(vals):
-                    return np.bincount(dest, weights=vals.ravel(),
-                                       minlength=dest.size).reshape(d.shape)
+                    return np.bincount(dest.ravel(), weights=vals.ravel(),
+                                       minlength=dest.size).reshape(wrow.shape)
 
-                wrow = np.broadcast_to(w, d.shape)
-                g = np.fft.rfft(move(wrow) - wrow, axis=1)
-                g[:, 0] = 0.0         # moving the weights keeps their total
-                acc += np.einsum("nkj,nkj->nk", conj, g)
+                g = np.fft.rfft(move(wrow) - wrow, axis=2)
+                g[:, :, 0] = 0.0      # moving the weights keeps their total
+                acc += np.einsum("nkj,nlkj->nlk", conj, g)
             wdm = w * d
             for m in range(1, order + 1):
                 if m > 1:
                     wdm *= d
-                g = np.fft.rfft(wdm if move is None else move(wdm), axis=1)
+                g = np.fft.rfft(wdm if move is None else move(wdm), axis=2)
                 acc += (mik ** m / math.factorial(m)) * np.einsum(
-                    "nkj,nkj->nk", conj, g)
-        out[bad, 1:] = complex(math.nan, math.nan)
+                    "nkj,nlkj->nlk", conj, g)
+        out[bad, ..., 1:] = complex(math.nan, math.nan)
     return rows
 
 

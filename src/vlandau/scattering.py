@@ -612,8 +612,8 @@ def _free_modes(W, table) -> np.ndarray:
     """(1/2pi) sum_p W_{n,p} e^{-ik (x_p + v_p t_n)}, complex (rows, nk),
     for per-row weights W (rows, P) on the tensor grid: a real FFT over
     the positions against the rows of the phase table (kernels.phase_table)
-    e^{ik v_j t_n}, (rows, nk, nv)."""
-    g = np.fft.rfft(W.reshape(table.shape[0], -1, table.shape[2]), axis=1)
+    e^{ik v_j t_n}, (rows, nk, nv), or its one row t_n, (1, nk, nv)."""
+    g = np.fft.rfft(W.reshape(W.shape[0], -1, table.shape[2]), axis=1)
     np.conjugate(g, out=g)
     return np.einsum("nkj,nkj->nk", table, g).conj() / (2.0 * math.pi)
 
@@ -644,16 +644,18 @@ def solve_tangent(spec: ProfileSpec,
     where only the wf_0 X_j term reads the unknown.  Order j on row n
     reads the lower orders on row n alone, and X_j on row n reads E_j only
     on the rows > n, so one kernels.suffix_pass over rows (2, K, P) solves
-    every order exactly: at row n it forms E_1, ..., E_K in turn and
-    evaluates each, with the derivatives the higher orders read, along X0
-    (kernels.row_evaluator).  The same rows carry the trajectory of each
-    order's forcing F_j, the image of E_j = 0, whose norm gives with the
-    contraction bound L = params.contraction_bound the check
+    every order exactly: at row n one density call (kernels.corr_evaluator)
+    gives E_1..E_K, and one row_evaluator call their values and derivatives
+    along X0, each on stacked lines.  The same rows carry the trajectory of
+    each order's forcing F_j, the image of E_j = 0, whose norm gives with
+    the contraction bound L = params.contraction_bound the check
     z_deriv_{j}_tangent, j! |E_j|_{a,t0} <= j! |F_j|_{a,t0} / (1 - L).
     """
     if result.traj is None:
         raise ValueError("the tangent solve needs the solve's trajectories")
     E0, params, phase, z = result.field, result.params, result.phase, result.z
+    if params.K == 0:
+        return TaylorCoefficients(fields=(), checks={})
     x, v, _ = _flat_labels(phase)
     tg, nx, K = E0.tgrid, E0.xgrid.n, params.K
     times, nt, npart = tg.times, len(tg), x.shape[0]
@@ -661,69 +663,67 @@ def solve_tangent(spec: ProfileSpec,
     mik = -1j * np.arange(nk)
     dX0 = result.traj.dX.reshape(nt, npart)
     table = kernels.phase_table(phase.v, times, nk)
-    corr_rows = kernels.corr_evaluator(x, v, times, nk)
-    modes = np.empty((1, nk), dtype=complex)
+    density = kernels.corr_evaluator(x, v, times, nk)
 
-    def S(n, W):        # S[W] on row n, (nk,), of that row's weights (P,)
-        corr_rows(modes, n, W[None, :], dX0[n:n + 1])
-        return modes[0] + _free_modes(W[None, :], table[n:n + 1])[0]
-
-    # the unknown-free parts of each order, (nt, nk) and (nt, nx)
+    # the unknown-free weights and free fields of each order
     specs, wf = [spec], [_profile_weights(phase, spec, z)[2]]
     for j in range(1, K + 1):
         specs.append(specs[-1].z_derivative())
         wf.append(_profile_weights(phase, specs[j], z)[2] / math.factorial(j))
-    corr = [kernels.corr_fourier(w, x, v, times, dX0, nk) for w in wf[1:]]
     free = [field_map_zero(s, z, tg, E0.xgrid).values / math.factorial(j)
             for j, s in enumerate(specs[1:], 1)]
 
-    # E_i^(m)(X0) on the current row for the (i, m) that some order reads
+    # E_i^(m)(X0) on the current row, one line per (i, m) some order reads
     pairs = [(i, m) for i in range(K + 1) for m in range(i == 0, K - i + 1)]
-    coef = {p: np.empty((nt, nk), dtype=complex) for p in pairs}
-    along = {p: kernels.row_evaluator(coef[p], x, v, times) for p in pairs}
-    ev = {p: np.empty((1, npart)) for p in pairs}
-
-    def evaluate(n, i, row):
-        for m in range(i == 0, K - i + 1):
-            if m:
-                row = _dx_rows(row)
-            coef[i, m][n] = np.fft.rfft(row) / nx
-            along[i, m](ev[i, m], n, dX0[n:n + 1])
+    line = {p: l for l, p in enumerate(pairs)}     # lines of coef and ev
+    coef = np.empty((nt, len(pairs), nk), dtype=complex)
+    along = kernels.row_evaluator(coef, x, v, times)
+    ev = np.empty((1, len(pairs), npart))
 
     vals = np.empty((K, nt, nx))            # E_1..E_K
     sups = np.empty((2, K, nt))             # the row sups of E_j and F_j
 
     def integrand(n, mom):
         X, Xf = mom                         # X_j and F_j's trajectory
-        h = np.zeros(mom.shape)
-        evaluate(n, 0, E0.values[n])
-        g = ev[0, 1][0]
+        # the weights of the row's densities, in the order read: wf_1..wf_K,
+        # then each order's terms, wf_0 F_j (j > 1) and wf_0 X_j
+        W = wf[1:]
         for j in range(1, K + 1):
-            c = corr[j - 1][n]
-            for m in range(1, j + 1):
-                terms = range(m == 1, j - m + 1)  # m = 1 leaves out wf_0 X_j
-                if terms:
-                    c += (mik ** m / math.factorial(m)) * S(n, sum(
-                        wf[i] * _power(X, m, j - i) for i in terms))
+            W += [sum(wf[i] * _power(X, m, j - i)
+                      for i in range(m == 1, j - m + 1))
+                  for m in range(1 + (j == 1), j + 1)]
+            W += [wf[0] * Xf[j - 1]] * (j > 1) + [wf[0] * X[j - 1]]
+        W = np.stack(W)
+        modes = np.empty((1,) + W.shape[:1] + (nk,), dtype=complex)
+        density(modes, n, W[None], dX0[n:n + 1])
+        modes[0, K:] += _free_modes(W[K:], table[n:n + 1])   # the S[.] lines
+        S = iter(modes[0, K:])
+        for j in range(1, K + 1):
+            c = modes[0, j - 1]
+            for m in range(1 + (j == 1), j + 1):
+                c += (mik ** m / math.factorial(m)) * next(S)
             const = free[j - 1][n] + _field_of_modes(c, nx)
-            if j == 1:      # R_1 has no term: (i, m) = (0, 1) is left out
-                sups[1, 0, n] = np.abs(const).max()
-            else:
-                R = np.zeros(npart)
-                for i in range(j):
-                    for m in range(1 + (i == 0), j - i + 1):
-                        term = ev[i, m][0] * _power(X, m, j - i)
-                        R += term * (1.0 / math.factorial(m))
-                F = const + _field_of_modes(
-                    mik * S(n, wf[0] * Xf[j - 1]), nx)
-                sups[1, j - 1, n] = np.abs(F).max()
-                h[1, j - 1] = g * Xf[j - 1] + R
-            vals[j - 1, n] = const + _field_of_modes(
-                mik * S(n, wf[0] * X[j - 1]), nx)
-            sups[0, j - 1, n] = np.abs(vals[j - 1, n]).max()
-            evaluate(n, j, vals[j - 1, n])
-            h[0, j - 1] = ev[j, 0][0] + g * X[j - 1]
+            F = const       # R_1 has no term: (i, m) = (0, 1) is left out
             if j > 1:
+                F = const + _field_of_modes(mik * next(S), nx)
+            sups[1, j - 1, n] = np.abs(F).max()
+            vals[j - 1, n] = const + _field_of_modes(mik * next(S), nx)
+            sups[0, j - 1, n] = np.abs(vals[j - 1, n]).max()
+        for i, row in enumerate([E0.values[n], *vals[:, n]]):
+            for m in range(i == 0, K - i + 1):
+                if m:
+                    row = _dx_rows(row)
+                coef[n, line[i, m]] = np.fft.rfft(row) / nx
+        along(ev, n, dX0[n:n + 1])
+        g = ev[0, line[0, 1]]
+        h = np.zeros(mom.shape)
+        for j in range(1, K + 1):
+            h[0, j - 1] = ev[0, line[j, 0]] + g * X[j - 1]
+            if j > 1:
+                R = sum(ev[0, line[i, m]] * _power(X, m, j - i)
+                        * (1.0 / math.factorial(m)) for i in range(j)
+                        for m in range(1 + (i == 0), j - i + 1))
+                h[1, j - 1] = g * Xf[j - 1] + R
                 h[0, j - 1] += R
         return h
 

@@ -780,11 +780,14 @@ def test_corr_evaluator_is_corr_fourier_one_row_at_a_time(table_calls,
                                                            per_row):
     # the same complex modes bitwise on reduced, unreduced, zero and
     # non-finite rows, for one weight row or a weight row per time row,
-    # from one phase-table request
+    # from one phase-table request; stacked weight lines, (1, L, P) or
+    # (rows, L, P), give each of their L lines bitwise as its own call
+    # does, by rows and on all rows at once (where the two reduced rows
+    # share a block), from the same request
     nx, nv = 16, 9
     times, x, v, dX, wf, _, _ = _grid_case(
-        nx, nv, [0.5, 1e-4, 2.0, 0.0, 1e-3], 17)
-    dX[4, 3] = math.nan
+        nx, nv, [0.5, 1e-4, 2.0, 2.0, 0.0, 1e-3], 17)
+    dX[5, 3] = math.nan
     if per_row:
         wf = wf * np.linspace(0.5, 1.5, len(times))[:, None]
     nk = nx // 2 + 1
@@ -795,10 +798,30 @@ def test_corr_evaluator_is_corr_fourier_one_row_at_a_time(table_calls,
     for n in range(len(times)):
         w = wf[n:n + 1] if per_row else wf
         by_rows(out[n:n + 1], n, w, dX[n:n + 1])
-    assert np.isnan(out[4, 1:].real).all() and np.isnan(out[4, 1:].imag).all()
+    assert np.isnan(out[5, 1:].real).all() and np.isnan(out[5, 1:].imag).all()
     assert np.array_equal(out.real, re, equal_nan=True)
     assert np.array_equal(out.imag, im, equal_nan=True)
+
+    other = np.random.default_rng(18).uniform(-1.0, 1.0, (2,) + wf.shape)
+    stack = np.stack([wf, other[0], 1e-4 * other[1]], axis=-2)
+    stack = stack.reshape(-1, 3, wf.shape[-1])      # (1 or nt, 3, P)
+    stacked = np.empty((len(times), 3, nk), dtype=complex)
+    for n in range(len(times)):
+        w = stack[n:n + 1] if per_row else stack
+        by_rows(stacked[n:n + 1], n, w, dX[n:n + 1])
+    at_once = np.empty(stacked.shape, dtype=complex)
+    by_rows(at_once, 0, stack, dX)
     assert len(table_calls) == 2
+    for line in range(3):
+        for n in range(len(times)):
+            w = stack[n:n + 1, line] if per_row else stack[0, line]
+            by_rows(out[n:n + 1], n, w, dX[n:n + 1])
+        for got in (stacked[:, line], at_once[:, line]):
+            assert np.isnan(got[5, 1:].real).all(), line
+            assert np.array_equal(got.real, out.real, equal_nan=True), line
+            assert np.array_equal(got.imag, out.imag, equal_nan=True), line
+    assert np.array_equal(stacked[:, 0].real, re, equal_nan=True)
+    assert np.array_equal(stacked[:, 0].imag, im, equal_nan=True)
 
 
 @pytest.mark.parametrize("labels", ["permuted", "nonuniform"])

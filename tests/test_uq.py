@@ -400,6 +400,19 @@ def test_theorem_report_needs_the_node_zero():
         U.check_theorem_bounds(ens)
 
 
+def test_collocation_at_order_zero_reports_the_field_alone():
+    # K = 0 asks for no z-derivative: the tangent solve has no order to
+    # solve, and the theorem report holds the norm of the field only
+    spec, _, tg, phase = _small_setup()
+    params = P.derive_constants(1.0, 0.002, 0.002, 0, t0=8.0)
+    ens = U.run_collocation(spec, params, tg, phase, n_z=3)
+    assert ens.taylor.fields == () and ens.taylor.checks == {}
+    rep = U.check_theorem_bounds(ens)
+    assert len(rep.norms) == 1
+    assert rep.norms[0] == pytest.approx(8e-5, rel=1e-9)
+    assert rep.checks == {} and rep.passed
+
+
 def test_theorem_report_fails_an_underresolved_interpolant():
     # c1 = 1e-5 + 6e-7 sin 5z: c1'(0) = 3e-6 as for the linear profile, so
     # the tangent is 2.4e-5, but five nodes cannot resolve sin 5z and the
