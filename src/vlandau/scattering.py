@@ -21,13 +21,17 @@ Everything time-dependent is held in deviation form (X - x - vt,
 V - v, dX/dx - 1, dX/dv - t, dV/dv - 1, ...), never in absolute form:
 the deviations decay like e^{-a t} and downstream norms weight them by
 e^{a t}, so representing them as differences of O(1) or O(t) quantities
-would drown the late-time signal in representation noise.  Only dX and
-dV are stored whole, (nt, nx, nv) each.  The label derivatives are
-solved in the march of the characteristics, and each finished row block
-(_row_blocks) of them is reduced to what the checks read; the stages
-after the characteristics (the trajectory checks, the deposit) form what
-they need of each row block and reduce it there too, so no other table
-of that size is alive beyond these two and the kernels' phase table.
+would drown the late-time signal in representation noise.  No table of
+(nt, nx, nv) is formed in a solve that keeps no trajectories: the march
+of the characteristics (_march) solves dX, dV and their label
+derivatives one row block (_row_blocks) at a time, and hands each
+finished block to the stages that read it (the field map, the two
+deposits, the trajectory checks, the kernel_truncation certificate),
+each of which reduces it to rows of the field grid or to maxima.  dX and
+dV are stored whole, (nt, nx, nv) each, only for a caller that reads
+them whole (solve_characteristics, picard_solve with keep_tables); the
+public whole-table functions of each stage run the same block form over
+such a stored table, so every value is the same double either way.
 
 For the same reason the field map is evaluated split (FIELD_MAP_METHOD,
 the only method): the free-streaming part of the transported density is
@@ -89,7 +93,7 @@ def _row_blocks(nt: int, npart: int):
     rows first, that the streamed stages form and reduce one at a time.
     As the kernels block their temporaries, a block is as many rows as
     fit in kernels._BLOCK_BYTES, here for the four label derivatives
-    that the march of solve_characteristics holds per row."""
+    that the march of the characteristics (_march) holds per row."""
     size = max(1, kernels._BLOCK_BYTES // (4 * 8 * npart))
     return [(max(0, n1 - size), n1) for n1 in range(nt, 0, -size)]
 
@@ -144,10 +148,109 @@ class TrajectoryTable:
     inner_iterations: ClassVar[int] = 1
 
 
+def _require_map_norm(norm_e: float, a: float, t0: float) -> None:
+    """The trajectory map's precondition |E|_{a,t0} e^{-a t0} <= a on a
+    finite field of norm norm_e; ConvergenceError otherwise."""
+    if not math.isfinite(norm_e):
+        raise ConvergenceError(
+            f"field is not finite: |E|_(a,t0) = {norm_e}")
+    if norm_e * math.exp(-a * t0) > a:
+        raise ConvergenceError(
+            f"field too large for the trajectory map: |E| e^(-a t0) = "
+            f"{norm_e * math.exp(-a * t0):.3e} > a = {a:.3e}")
+
+
+def _march(E: FieldTable, phase: PhaseGrid, a: float,
+           stages) -> VariationalSups:
+    """The backward march of the characteristics of E and their label
+    derivatives (see solve_characteristics), whose precondition the
+    caller has checked.  Each finished row block (_row_blocks) of dX and
+    dV, (rows, P) each, goes to stage.take(n0, n1, dX, dV) of every stage
+    in turn and is overwritten after, so no (nt, P) table is formed here;
+    returns what the checks read of the label derivatives."""
+    tg = E.tgrid
+    x, v, _ = _flat_labels(phase)
+    nt, npart = len(tg), x.shape[0]
+    times = tg.times
+
+    rows = kernels.row_evaluator(
+        np.stack([E.coefficients(), spectral_dx(E).coefficients()], axis=1),
+        x, v, times)
+    ev = np.empty((2, 2, npart))        # E and g along the rows n and n + 1
+
+    def integrand(n, mom):              # mom = (dX, xi, eta) on row n
+        rows(ev[n % 2:n % 2 + 1], n, mom[:1])
+        e, g = ev[n % 2]
+        h = np.empty(mom.shape)
+        h[0] = e
+        h[1:] = g * mom[1:]
+        h[1] += g
+        h[2] += g * times[n]
+        return h
+
+    # -dV accumulates in the march, in the order of kernels.suffix_weighted
+    alpha, beta = kernels.exp_cell_weights(a, tg.dt)
+    blocks = _row_blocks(nt, npart)
+    size = blocks[0][1] - blocks[0][0]
+    paths = np.empty((2, size, npart))              # dX and dV of a block
+    ders = np.empty((4, size, npart))               # xi .. omega
+    sups, peaks = np.empty((4, nt)), []
+    march = kernels.suffix_pass(integrand, (nt, 3, npart), tg.dt)
+    for n0, n1 in blocks:
+        dX, dV = paths[:, :n1 - n0]
+        for n, acc, mom in itertools.islice(march, n1 - n0):
+            dX[n - n0] = mom[0]
+            dV[n - n0] = 0.0 if n == nt - 1 else \
+                prev + alpha * ev[n % 2, 0] + beta * ev[(n + 1) % 2, 0]
+            prev = dV[n - n0]
+            ders[:2, n - n0] = mom[1:]
+            np.negative(acc[1:], out=ders[2:, n - n0])
+        prev = prev.copy()                  # the block's dV is negated next
+        np.negative(dV, out=dV)
+        for stage in stages:
+            stage.take(n0, n1, dX, dV)
+        xi, eta, chi, omega = d = ders[:, :n1 - n0]
+        t = times[n0:n1, None]
+        sups[:, n0:n1] = np.abs(d).max(axis=2)
+        peaks.append((
+            np.abs(1.0 + xi).max(), (np.abs(t + eta) / t).max(),
+            np.abs(_jacobian_minus_one(t, xi, eta, chi, omega)).max()))
+    return VariationalSups(tg, *sups, *map(float, np.max(peaks, axis=0)))
+
+
+class _Tables:
+    """The stage that stores the marched blocks whole, as a
+    TrajectoryTable (table)."""
+
+    def __init__(self, tgrid: TimeGrid, phase: PhaseGrid):
+        self.tgrid, self.phase = tgrid, phase
+        shape = (len(tgrid), phase.xgrid.n * phase.nv)
+        self.dX, self.dV = np.empty(shape), np.empty(shape)
+
+    def take(self, n0, n1, dX, dV):
+        self.dX[n0:n1], self.dV[n0:n1] = dX, dV
+
+    def table(self, var: VariationalSups) -> TrajectoryTable:
+        shape = (len(self.tgrid), self.phase.xgrid.n, self.phase.nv)
+        return TrajectoryTable(phase=self.phase, tgrid=self.tgrid,
+                               dX=self.dX.reshape(shape),
+                               dV=self.dV.reshape(shape), var=var)
+
+
+def _over_table(traj: TrajectoryTable, stage):
+    """stage.result() after stage.take of each row block of stored
+    trajectories, in the order of the march."""
+    nt = len(traj.tgrid)
+    dX, dV = traj.dX.reshape(nt, -1), traj.dV.reshape(nt, -1)
+    for n0, n1 in _row_blocks(*dX.shape):
+        stage.take(n0, n1, dX[n0:n1], dV[n0:n1])
+    return stage.result()
+
+
 def solve_characteristics(E: FieldTable, phase: PhaseGrid,
                           a: float) -> TrajectoryTable:
     """The backward trajectory integral equations and their label
-    derivatives in one backward pass.
+    derivatives in one backward pass (_march), stored whole.
 
     On the composite-trapezoid moment rule the position deviation dX_n
     needs the field only on the rows > n, so kernels.suffix_pass solves
@@ -171,69 +274,49 @@ def solve_characteristics(E: FieldTable, phase: PhaseGrid,
     and each finished block is reduced to what check_variational_bounds
     reads (TrajectoryTable.var).
 
+    The march itself keeps one row block of dX and dV too; this function
+    stores every block into the (nt, nx, nv) tables, for the callers that
+    read them whole.  picard_solve streams the blocks into its stages
+    instead and stores them only for a caller that keeps the tables.
+
     The integral tail beyond the stored horizon is neglected; picard_solve
     certifies it with the closed-form tail integrals.  A field that is not
     finite, or violates the precondition |E|_{a,t0} e^{-a t0} <= a, raises
     ConvergenceError.
     """
-    tg = E.tgrid
-    x, v, _ = _flat_labels(phase)
-    nt, npart = len(tg), x.shape[0]
-    times = tg.times
+    _require_map_norm(weighted_norm(E, a).value, a, E.tgrid.t0)
+    tables = _Tables(E.tgrid, phase)
+    return tables.table(_march(E, phase, a, [tables]))
 
-    norm_e = weighted_norm(E, a).value
-    if not math.isfinite(norm_e):
-        raise ConvergenceError(
-            f"field is not finite: |E|_(a,t0) = {norm_e}")
-    if norm_e * math.exp(-a * tg.t0) > a:
-        raise ConvergenceError(
-            f"field too large for the trajectory map: |E| e^(-a t0) = "
-            f"{norm_e * math.exp(-a * tg.t0):.3e} > a = {a:.3e}")
 
-    rows = kernels.row_evaluator(
-        np.stack([E.coefficients(), spectral_dx(E).coefficients()], axis=1),
-        x, v, times)
-    ev = np.empty((2, 2, npart))        # E and g along the rows n and n + 1
+class _TrajectoryRatios:
+    """The stage of check_trajectory_bounds: the worst node ratios of each
+    row block, and their maxima as the two BoundChecks (result)."""
 
-    def integrand(n, mom):              # mom = (dX, xi, eta) on row n
-        rows(ev[n % 2:n % 2 + 1], n, mom[:1])
-        e, g = ev[n % 2]
-        h = np.empty(mom.shape)
-        h[0] = e
-        h[1:] = g * mom[1:]
-        h[1] += g
-        h[2] += g * times[n]
-        return h
+    def __init__(self, norm_e: float, params: DampingParams,
+                 tgrid: TimeGrid):
+        self.norm_e, self.a = norm_e, params.a
+        self.times = tgrid.times[:, None]
+        self.decays = np.exp(-params.a * tgrid.times)[:, None]
+        self.ratios = []
 
-    # dV accumulates in the march, in the order of kernels.suffix_weighted
-    alpha, beta = kernels.exp_cell_weights(a, tg.dt)
-    dX, dV = np.empty((nt, npart)), np.empty((nt, npart))
-    blocks = _row_blocks(nt, npart)
-    ders = np.empty((4, blocks[0][1] - blocks[0][0], npart))  # xi .. omega
-    sups, peaks = np.empty((4, nt)), []
-    march = kernels.suffix_pass(integrand, (nt, 3, npart), tg.dt)
-    for n0, n1 in blocks:
-        for n, acc, mom in itertools.islice(march, n1 - n0):
-            dX[n] = mom[0]
-            if n == nt - 1:
-                dV[n] = 0.0
-            else:
-                dV[n] = dV[n + 1] + alpha * ev[n % 2, 0] \
-                    + beta * ev[(n + 1) % 2, 0]
-            ders[:2, n - n0] = mom[1:]
-            np.negative(acc[1:], out=ders[2:, n - n0])
-        xi, eta, chi, omega = d = ders[:, :n1 - n0]
-        t = times[n0:n1, None]
-        sups[:, n0:n1] = np.abs(d).max(axis=2)
-        peaks.append((
-            np.abs(1.0 + xi).max(), (np.abs(t + eta) / t).max(),
-            np.abs(_jacobian_minus_one(t, xi, eta, chi, omega)).max()))
-    np.negative(dV, out=dV)
+    def take(self, n0, n1, dX, dV):
+        if self.norm_e == 0.0:
+            return
+        a, norm_e = self.a, self.norm_e
+        t, decay = self.times[n0:n1], self.decays[n0:n1]
+        # x - (X - V t) = dV * t - dX when X, V are expanded around free
+        # flight
+        lhs_x = np.abs(dV * t - dX)
+        self.ratios.append(((np.abs(dV) / ((norm_e / a) * decay)).max(),
+                            (lhs_x / (norm_e * (2.0 / a) * t * decay)).max()))
 
-    shape = (nt, phase.xgrid.n, phase.nv)
-    var = VariationalSups(tg, *sups, *map(float, np.max(peaks, axis=0)))
-    return TrajectoryTable(phase=phase, tgrid=tg, dX=dX.reshape(shape),
-                           dV=dV.reshape(shape), var=var)
+    def result(self) -> dict:
+        ratio_v = ratio_x = 0.0
+        if self.ratios:
+            ratio_v, ratio_x = map(float, np.max(self.ratios, axis=0))
+        return {"traj_velocity": BoundCheck("traj_velocity", ratio_v, 1.0),
+                "traj_position": BoundCheck("traj_position", ratio_x, 1.0)}
 
 
 def check_trajectory_bounds(traj: TrajectoryTable, norm_e: float,
@@ -247,24 +330,7 @@ def check_trajectory_bounds(traj: TrajectoryTable, norm_e: float,
     {traj_velocity, traj_position} BoundChecks against 1, formed one row
     block at a time.  For E == 0 both sides vanish and the ratios are 0.
     """
-    a = params.a
-    ratio_v = ratio_x = 0.0
-    if norm_e != 0.0:
-        nt = len(traj.tgrid)
-        dX, dV = traj.dX.reshape(nt, -1), traj.dV.reshape(nt, -1)
-        times = traj.tgrid.times[:, None]
-        decays = np.exp(-a * traj.tgrid.times)[:, None]
-        ratios = []
-        for n0, n1 in _row_blocks(nt, dX.shape[1]):
-            t, decay = times[n0:n1], decays[n0:n1]
-            # x - (X - V t) = dV * t - dX when X, V are expanded around
-            # free flight
-            lhs_x = np.abs(dV[n0:n1] * t - dX[n0:n1])
-            ratios.append(((np.abs(dV[n0:n1]) / ((norm_e / a) * decay)).max(),
-                           (lhs_x / (norm_e * (2.0 / a) * t * decay)).max()))
-        ratio_v, ratio_x = map(float, np.max(ratios, axis=0))
-    return {"traj_velocity": BoundCheck("traj_velocity", ratio_v, 1.0),
-            "traj_position": BoundCheck("traj_position", ratio_x, 1.0)}
+    return _over_table(traj, _TrajectoryRatios(norm_e, params, traj.tgrid))
 
 
 # unused in the package, but perfbench/tracer.py lists it in TRACED by name
@@ -302,6 +368,26 @@ def check_variational_bounds(var: VariationalSups,
 # density and field map
 # ---------------------------------------------------------------------------
 
+class _Density:
+    """The stage of deposit_density: the cloud-in-cell density of each
+    row block's positions."""
+
+    def __init__(self, phase: PhaseGrid, spec: ProfileSpec, z: float,
+                 tgrid: TimeGrid, xgrid: XGrid):
+        self.x, self.v, self.wf = _profile_weights(phase, spec, z)
+        self.t = tgrid.times[:, None]
+        self.tgrid, self.xgrid = tgrid, xgrid
+        self.rho = np.empty((len(tgrid), xgrid.n))
+
+    def take(self, n0, n1, dX, dV):
+        pos = self.x[None, :] + self.v[None, :] * self.t[n0:n1] + dX
+        self.rho[n0:n1] = kernels.cic_density(self.wf, pos, self.xgrid.n,
+                                              self.xgrid.dx)
+
+    def result(self) -> FieldTable:
+        return FieldTable(self.tgrid, self.xgrid, self.rho)
+
+
 def deposit_density(traj: TrajectoryTable, spec: ProfileSpec, z: float,
                     xgrid: XGrid) -> FieldTable:
     """Cloud-in-cell density of the transported profile on xgrid.
@@ -311,15 +397,34 @@ def deposit_density(traj: TrajectoryTable, spec: ProfileSpec, z: float,
     transport reproduces the mean density by construction.  The
     positions are formed and deposited one row block at a time.
     """
-    x, v, wf = _profile_weights(traj.phase, spec, z)
-    nt = len(traj.tgrid)
-    t = traj.tgrid.times[:, None]
-    dX = traj.dX.reshape(nt, -1)
-    rho = np.empty((nt, xgrid.n))
-    for n0, n1 in _row_blocks(nt, x.shape[0]):
-        pos = x[None, :] + v[None, :] * t[n0:n1] + dX[n0:n1]
-        rho[n0:n1] = kernels.cic_density(wf, pos, xgrid.n, xgrid.dx)
-    return FieldTable(traj.tgrid, xgrid, rho)
+    return _over_table(traj, _Density(traj.phase, spec, z, traj.tgrid, xgrid))
+
+
+class _DensityPert:
+    """The stage of deposit_density_pert: the transport correction of each
+    row block, and the free-streaming part added at the end (result)."""
+
+    def __init__(self, phase: PhaseGrid, spec: ProfileSpec, z: float,
+                 tgrid: TimeGrid, xgrid: XGrid):
+        self.x, self.v, self.wf = _profile_weights(phase, spec, z)
+        self.spec, self.z, self.tgrid, self.xgrid = spec, z, tgrid, xgrid
+        self.corr = np.empty((len(tgrid), xgrid.n))
+
+    def take(self, n0, n1, dX, dV):
+        self.corr[n0:n1] = kernels.cic_density_pert(
+            self.wf, self.x, self.v, self.tgrid.times[n0:n1], dX,
+            self.xgrid.n, self.xgrid.dx)
+
+    def result(self) -> FieldTable:
+        times, xs = self.tgrid.times, self.xgrid.points
+        free = np.zeros(self.corr.shape)
+        for m in self.spec.modes:
+            if m.k == 0:
+                continue
+            amp = 2.0 * m.amplitude(self.z) * self.spec.scale
+            trans = np.asarray(self.spec.shape_transform(m.k * times))
+            free += amp * trans[:, None] * np.cos(m.k * xs)[None, :]
+        return FieldTable(self.tgrid, self.xgrid, self.corr + free)
 
 
 def deposit_density_pert(traj: TrajectoryTable, spec: ProfileSpec, z: float,
@@ -329,25 +434,12 @@ def deposit_density_pert(traj: TrajectoryTable, spec: ProfileSpec, z: float,
     Two decaying pieces are assembled separately: the free-streaming
     perturbation summed exactly from the profile transforms, and the
     transport correction deposited as a per-particle cloud-in-cell
-    *difference* against the free flight.  Subtracting two full CIC
-    tables instead would leave a flat noise floor far above the signal
-    once e^{-a t} has run its course.
+    *difference* against the free flight, one row block at a time.
+    Subtracting two full CIC tables instead would leave a flat noise
+    floor far above the signal once e^{-a t} has run its course.
     """
-    x, v, wf = _profile_weights(traj.phase, spec, z)
-    nt = len(traj.tgrid)
-    times = traj.tgrid.times
-    corr = kernels.cic_density_pert(wf, x, v, times,
-                                    traj.dX.reshape(nt, -1),
-                                    xgrid.n, xgrid.dx)
-    free = np.zeros((nt, xgrid.n))
-    xs = xgrid.points
-    for m in spec.modes:
-        if m.k == 0:
-            continue
-        amp = 2.0 * m.amplitude(z) * spec.scale
-        trans = np.asarray(spec.shape_transform(m.k * times))
-        free += amp * trans[:, None] * np.cos(m.k * xs)[None, :]
-    return FieldTable(traj.tgrid, xgrid, corr + free)
+    return _over_table(traj, _DensityPert(traj.phase, spec, z, traj.tgrid,
+                                          xgrid))
 
 
 def field_map_zero(spec: ProfileSpec, z: float, tgrid: TimeGrid,
@@ -367,16 +459,50 @@ def field_map_zero(spec: ProfileSpec, z: float, tgrid: TimeGrid,
     return FieldTable(tgrid, xgrid, vals)
 
 
+class _FieldMap:
+    """The stage of _map_from_traj: the correction modes of each row block
+    (kernels.corr_evaluator), and the field of the map at the end
+    (result)."""
+
+    def __init__(self, phase: PhaseGrid, spec: ProfileSpec, z: float,
+                 tgrid: TimeGrid, xgrid: XGrid):
+        x, v, self.wf = _profile_weights(phase, spec, z)
+        self.spec, self.z, self.tgrid, self.xgrid = spec, z, tgrid, xgrid
+        nk = xgrid.n // 2 + 1
+        self.rows = kernels.corr_evaluator(x, v, tgrid.times, nk)
+        self.corr = np.empty((len(tgrid), nk), dtype=complex)
+
+    def take(self, n0, n1, dX, dV):
+        self.rows(self.corr[n0:n1], n0, self.wf, dX)
+
+    def result(self) -> FieldTable:
+        free = field_map_zero(self.spec, self.z, self.tgrid, self.xgrid)
+        return free.with_values(free.values
+                                + _field_of_modes(self.corr, self.xgrid.n))
+
+
 def _map_from_traj(traj: TrajectoryTable, spec: ProfileSpec, z: float,
                    xgrid: XGrid) -> FieldTable:
     """Evaluate the field map given already-solved trajectories."""
-    x, v, wf = _profile_weights(traj.phase, spec, z)
-    times = traj.tgrid.times
-    dX = traj.dX.reshape(len(times), -1)
-    nk = xgrid.n // 2 + 1
-    corr = kernels.corr_fourier(wf, x, v, times, dX, nk)
-    free = field_map_zero(spec, z, traj.tgrid, xgrid)
-    return free.with_values(free.values + _field_of_modes(corr, xgrid.n))
+    return _over_table(traj, _FieldMap(traj.phase, spec, z, traj.tgrid,
+                                       xgrid))
+
+
+class _Truncation:
+    """The stage of the kernel_truncation certificate: the largest
+    kernels.truncation_remainder of the row blocks."""
+
+    def __init__(self, phase: PhaseGrid):
+        self.x, self.v, _ = _flat_labels(phase)
+        self.nk = phase.xgrid.n // 2 + 1
+        self.value = 0.0
+
+    def take(self, n0, n1, dX, dV):
+        self.value = max(self.value, kernels.truncation_remainder(
+            self.x, self.v, dX, self.nk))
+
+    def result(self) -> float:
+        return self.value
 
 
 def _field_of_modes(modes, nx: int) -> np.ndarray:
@@ -469,13 +595,13 @@ class SolveResult:
 
 
 def _fixed_point_checks(E: FieldTable, free: FieldTable,
-                        params: DampingParams, traj: TrajectoryTable,
-                        rho: FieldTable, rho_pert: FieldTable,
-                        residual_norm: float, tol: float):
+                        params: DampingParams, ne, traj_checks: dict,
+                        var: VariationalSups, rho: FieldTable,
+                        rho_pert: FieldTable, residual_norm: float,
+                        tol: float):
     a, a1, a2, ce = params.a, params.a1, params.a2, params.C_E
     checks: dict[str, BoundCheck] = {}
 
-    ne = weighted_norm(E, a)
     checks["field_weighted"] = BoundCheck("field_weighted", ne.value, 8 * a1,
                                           ne.horizon_dominated)
     ex = spectral_dx(E)
@@ -491,8 +617,8 @@ def _fixed_point_checks(E: FieldTable, free: FieldTable,
     checks["density_pert_weighted"] = BoundCheck(
         "density_pert_weighted", npert.value, ce, npert.horizon_dominated)
 
-    checks.update(check_trajectory_bounds(traj, ne.value, params))
-    checks.update(check_variational_bounds(traj.var, params))
+    checks.update(traj_checks)
+    checks.update(check_variational_bounds(var, params))
 
     consistency = float(np.abs(ex.values - rho_pert.values).max())
     checks["field_density_consistency"] = BoundCheck(
@@ -545,6 +671,15 @@ def picard_solve(spec: ProfileSpec, params: DampingParams, z: float,
     carries every inequality check at E.  The pass meets any iteration
     cap: max_iter, inner_tol, max_inner and method (FIELD_MAP_METHOD
     only) remain for perfbench/reference.py, which passes the config's.
+
+    The certifying march (_march) hands each finished row block of dX and
+    dV to every stage that reads the trajectories, while the block is in
+    cache: the map's correction modes, both deposits, the two trajectory
+    ratios (with the |E|_{a,t0} of the march's precondition) and the
+    kernel_truncation maximum.  keep_tables=True also stores the blocks
+    into the TrajectoryTable of result.traj, which solve_tangent and the
+    transport residual read; with keep_tables=False no (nt, P) table is
+    formed at all.  Every value is the same double either way.
     """
     if method != FIELD_MAP_METHOD:
         raise ValueError(f"unknown field-map method {method!r}")
@@ -566,33 +701,39 @@ def picard_solve(spec: ProfileSpec, params: DampingParams, z: float,
     xgrid = phase.xgrid
 
     E, free = _field_pass(spec, z, tgrid, phase)
-    traj = solve_characteristics(E, phase, a)
-    E_map = _map_from_traj(traj, spec, z, xgrid)
+    ne = weighted_norm(E, a)
+    _require_map_norm(ne.value, a, tgrid.t0)
+    field_map, density, density_pert, ratios, truncation = stages = [
+        _FieldMap(phase, spec, z, tgrid, xgrid),
+        _Density(phase, spec, z, tgrid, xgrid),
+        _DensityPert(phase, spec, z, tgrid, xgrid),
+        _TrajectoryRatios(ne.value, params, tgrid),
+        _Truncation(phase)]
+    tables = [_Tables(tgrid, phase)] if keep_tables else []
+    var = _march(E, phase, a, stages + tables)
+
+    E_map = field_map.result()
     residual_norm = weighted_norm(
         E_map.with_values(E_map.values - E.values), a).value
-
-    rho = deposit_density(traj, spec, z, xgrid)
-    rho_pert = deposit_density_pert(traj, spec, z, xgrid)
-
+    rho = density.result()
     checks = _fixed_point_checks(
-        E, free, params, traj, rho, rho_pert, residual_norm, tol)
+        E, free, params, ne, ratios.result(), var, rho, density_pert.result(),
+        residual_norm, tol)
 
     rho0 = neutral_density(spec, z)
-    x, v, _ = _flat_labels(phase)
     norm_e, t_end = checks["field_weighted"].value, tgrid.t_end
     certificates = {
         "time_tail_position": norm_e * tail_integral_moment(a, t_end, 0),
         "time_tail_velocity": norm_e * tail_integral(a, t_end, 0),
         "velocity_truncation_density": 2.0 * params.a2 / (3.0 * phase.v_max ** 3),
         "mean_density_drift": abs(float(rho.values.mean()) - rho0),
-        "kernel_truncation": kernels.truncation_remainder(
-            x, v, traj.dX.reshape(len(tgrid), -1), xgrid.n // 2 + 1),
+        "kernel_truncation": truncation.result(),
     }
 
     return SolveResult(
         field=E, params=params, z=z, checks=checks,
         certificates=certificates, phase=phase,
-        traj=traj if keep_tables else None)
+        traj=tables[0].table(var) if tables else None)
 
 
 # ---------------------------------------------------------------------------
@@ -683,18 +824,21 @@ def solve_tangent(spec: ProfileSpec,
     vals = np.empty((K, nt, nx))            # E_1..E_K
     sups = np.empty((2, K, nt))             # the row sups of E_j and F_j
 
+    # the weight lines of a row's densities, in the order read: wf_1..wf_K,
+    # then each order's terms m, wf_0 F_j (j > 1) and wf_0 X_j, stacked
+    # into one buffer for every row (see kernels._scratch)
+    terms = [(j, range(1 + (j == 1), j + 1)) for j in range(1, K + 1)]
+    W = np.empty((K + sum(len(ms) + (j > 1) + 1 for j, ms in terms), npart))
+    modes = np.empty((1, len(W), nk), dtype=complex)
+
     def integrand(n, mom):
         X, Xf = mom                         # X_j and F_j's trajectory
-        # the weights of the row's densities, in the order read: wf_1..wf_K,
-        # then each order's terms, wf_0 F_j (j > 1) and wf_0 X_j
-        W = wf[1:]
-        for j in range(1, K + 1):
-            W += [sum(wf[i] * _power(X, m, j - i)
-                      for i in range(m == 1, j - m + 1))
-                  for m in range(1 + (j == 1), j + 1)]
-            W += [wf[0] * Xf[j - 1]] * (j > 1) + [wf[0] * X[j - 1]]
-        W = np.stack(W)
-        modes = np.empty((1,) + W.shape[:1] + (nk,), dtype=complex)
+        lines = wf[1:]
+        for j, ms in terms:
+            lines += [sum(wf[i] * _power(X, m, j - i)
+                          for i in range(m == 1, j - m + 1)) for m in ms]
+            lines += [wf[0] * Xf[j - 1]] * (j > 1) + [wf[0] * X[j - 1]]
+        np.stack(lines, out=W)
         density(modes, n, W[None], dX0[n:n + 1])
         modes[0, K:] += _free_modes(W[K:], table[n:n + 1])   # the S[.] lines
         S = iter(modes[0, K:])

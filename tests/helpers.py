@@ -5,7 +5,7 @@ tail-integral and product lemmas, one field-map application, the field
 map by direct kernel summation, the iterations that the field and tangent
 passes replace, a march of the field pass in mpmath, the whole-table
 variational solve, trajectory ratios and deposit that the streamed stages
-replace, the profile gradient, the interpolant's z-derivative and the gPC
+replace, a solve's checks formed from whole tables, the profile gradient, the interpolant's z-derivative and the gPC
 expansion's value."""
 
 import math
@@ -194,6 +194,38 @@ def deposit_table(traj, spec, z, xgrid):
     _, _, wf = _profile_weights(traj.phase, spec, z)
     pos = trajectory_X(traj).reshape(len(traj.tgrid), -1)
     return kernels.cic_density(wf, pos, xgrid.n, xgrid.dx)
+
+
+def whole_table_checks(spec, result):
+    """(checks, kernel_truncation) of a solve that kept its trajectories,
+    formed as picard_solve formed them before it streamed the certifying
+    march: one kernel call on all rows per stage (corr_fourier, the two
+    deposits, truncation_remainder) and the ratios on whole tables."""
+    traj, E, params, z = result.traj, result.field, result.params, result.z
+    tg, xg, a = E.tgrid, E.xgrid, params.a
+    x, v, wf = _profile_weights(result.phase, spec, z)
+    nt, nk = len(tg), xg.n // 2 + 1
+    dX = traj.dX.reshape(nt, -1)
+    free = S.field_map_zero(spec, z, tg, xg)
+    E_map = free.values + S._field_of_modes(
+        kernels.corr_fourier(wf, x, v, tg.times, dX, nk), xg.n)
+    residual = fields.weighted_norm(E.with_values(E_map - E.values), a).value
+    rho = E.with_values(deposit_table(traj, spec, z, xg))
+    free_pert = np.zeros((nt, xg.n))
+    for m in spec.modes:
+        if m.k:
+            amp = 2.0 * m.amplitude(z) * spec.scale
+            trans = np.asarray(spec.shape_transform(m.k * tg.times))
+            free_pert += amp * trans[:, None] * np.cos(m.k * xg.points)[None, :]
+    pert = kernels.cic_density_pert(wf, x, v, tg.times, dX, xg.n, xg.dx)
+    ratio_v, ratio_x = trajectory_ratios(traj, E, a)
+    traj_checks = {"traj_velocity": S.BoundCheck("traj_velocity", ratio_v, 1.0),
+                   "traj_position": S.BoundCheck("traj_position", ratio_x, 1.0)}
+    checks = S._fixed_point_checks(
+        E, free, params, fields.weighted_norm(E, a), traj_checks, traj.var,
+        rho, E.with_values(pert + free_pert), residual,
+        result.checks["fixed_point_residual"].bound)
+    return checks, kernels.truncation_remainder(x, v, dX, nk)
 
 
 # ---------------------------------------------------------------------------

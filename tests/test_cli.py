@@ -623,6 +623,50 @@ def test_benchmark_tracer_runs_uq(tmp_path):
             "scattering.picard_solve"} <= names
 
 
+# Linux carries the peak resident set of the process that forks a child
+# over into the child's, so the children are started from a bare
+# interpreter, far smaller than any of them, and not from the test process
+PEAK_RSS = """
+import os, subprocess, sys
+with open(sys.argv[1], "w") as log:
+    proc = subprocess.Popen(sys.argv[2:], stdout=log, stderr=log)
+    _, status, usage = os.wait4(proc.pid, 0)
+proc.returncode = os.waitstatus_to_exitcode(status)
+print(proc.returncode, usage.ru_maxrss)
+"""
+
+
+def _peak_rss_mb(argv, env, log):
+    """The peak resident set of a child process, from wait4, in MB."""
+    proc = subprocess.run([sys.executable, "-c", PEAK_RSS, str(log)] + argv,
+                          env=env, capture_output=True, text=True,
+                          check=True)
+    code, maxrss = map(int, proc.stdout.split())
+    assert code == 0, open(log).read()
+    return maxrss / 1024.0
+
+
+def test_reference_solve_adds_at_most_two_trajectory_tables(tmp_path):
+    # a solve keeps no trajectories, so above an interpreter that only
+    # imports vlandau and loads the config, the reference solve peaks at
+    # most two (nt, P) tables higher (the phase table is one of them)
+    cfg_path = os.path.join(REPO, "configs", "reference.cfg")
+    cfg = load_config(cfg_path)
+    phase = cfg.phase_grid()
+    table_mb = 8 * len(cfg.time_grid()) * phase.xgrid.n * phase.nv / 2 ** 20
+    env = dict(os.environ, PYTHONPATH=os.path.join(REPO, "src"),
+               OPENBLAS_NUM_THREADS="1")
+    solve = _peak_rss_mb(
+        [sys.executable, "-m", "vlandau.cli", "solve", "--config", cfg_path,
+         "--z", "0.3", "--out", str(tmp_path / "solve")], env,
+        tmp_path / "solve.log")
+    base = _peak_rss_mb(
+        [sys.executable, "-c", "import sys, vlandau; "
+         "vlandau.load_config(sys.argv[1])", cfg_path], env,
+        tmp_path / "import.log")
+    assert solve - base <= 2 * table_mb, (solve - base, table_mb)
+
+
 def test_uq_artifacts_do_not_depend_on_the_cpu_count(tmp_path, monkeypatch,
                                                     capsys):
     # the nodes' results reach the survey in node order on any CPU count,

@@ -6,6 +6,7 @@ and the single-mode analytic image of the zero field.
 """
 
 import dataclasses
+import json
 import math
 import re
 import tracemalloc
@@ -345,19 +346,25 @@ def test_jacobian_identity(ref_solve):
 # the streamed certifying stage
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("blocks", [1, 2, 3])
-def test_streamed_stages_match_whole_tables_at_block_boundaries(blocks):
-    # nt below one row block, two whole blocks, and one row past them:
-    # the streamed variational sups, both trajectory ratios and the
-    # deposit equal their whole-table oracles bitwise
+def _block_case(blocks):
+    """(spec, params, z, tgrid, phase) whose nt is below one row block
+    (blocks 1), two whole blocks (2), or one row past them (3)."""
     phase = F.PhaseGrid(F.XGrid(16), 129, 6.0)
     npart = phase.xgrid.n * phase.nv
     n0, n1 = S._row_blocks(10 ** 6, npart)[0]
     nt = {1: (n1 - n0) // 2, 2: 2 * (n1 - n0), 3: 2 * (n1 - n0) + 1}[blocks]
     assert len(S._row_blocks(nt, npart)) == blocks
     tg = F.TimeGrid(8.0, 20.0, nt - 1)
-    spec = make_spec(LINEAR_Z)
     params = P.derive_constants(1.0, 0.002, 0.002, 2, t0=tg.t0)
+    return make_spec(LINEAR_Z), params, 0.3, tg, phase
+
+
+@pytest.mark.parametrize("blocks", [1, 2, 3])
+def test_streamed_stages_match_whole_tables_at_block_boundaries(blocks):
+    # nt below one row block, two whole blocks, and one row past them:
+    # the streamed variational sups, both trajectory ratios and the
+    # deposit equal their whole-table oracles bitwise
+    spec, params, _, tg, phase = _block_case(blocks)
     r = S.picard_solve(spec, params, 0.3, tg, phase)
     E, traj = r.field, r.traj
 
@@ -377,6 +384,77 @@ def test_streamed_stages_match_whole_tables_at_block_boundaries(blocks):
     rho = S.deposit_density(traj, spec, 0.3, phase.xgrid)
     assert np.array_equal(rho.values,
                           H.deposit_table(traj, spec, 0.3, phase.xgrid))
+
+
+def _solve_both_ways(spec, params, z, tg, phase, kept=None):
+    """picard_solve without and with its tables (kept, if given, is the
+    latter): the same field, checks and certificates bitwise; returns the
+    solve that kept its tables."""
+    lean = S.picard_solve(spec, params, z, tg, phase, keep_tables=False)
+    if kept is None:
+        kept = S.picard_solve(spec, params, z, tg, phase, keep_tables=True)
+    assert lean.traj is None and kept.traj is not None
+    assert lean.field.values.tobytes() == kept.field.values.tobytes()
+    assert json.dumps(lean.manifest()) == json.dumps(kept.manifest())
+    return kept
+
+
+@pytest.mark.parametrize("case", ["coarse", "reference", "blocks-1",
+                                  "blocks-2", "blocks-3", "strong"])
+def test_streamed_solve_is_the_whole_table_solve(case, request, monkeypatch):
+    # keep_tables only decides whether the march's blocks are also stored:
+    # every value is the same double without the tables, and the streamed
+    # checks and kernel_truncation certificate are those formed from the
+    # stored tables by one whole-table kernel call per stage.  The strong
+    # field's rows are reduced onto the grid by the kernels.
+    kept = None
+    if case == "coarse":
+        spec = make_spec(LINEAR_Z)
+        params = P.derive_constants(1.0, 0.002, 0.002, 2, t0=8.0)
+        tg, phase = small_grids(nx=32, nv=65, t0=8.0, t_end=43.0, steps=87)
+        z = 0.0
+    elif case == "reference":
+        spec, params, tg, phase = (request.getfixturevalue(name) for name in
+                                   ("ref_spec", "ref_params", "ref_tgrid",
+                                    "ref_phase"))
+        z, kept = 0.0, request.getfixturevalue("ref_solve")
+    elif case == "strong":
+        strong, traj = request.getfixturevalue("strong_traj")
+        tg, phase = strong.tgrid, traj.phase
+        spec, z = make_spec(LINEAR_Z), 0.0
+        params = P.derive_constants(1.0, 0.002, 0.002, 2, t0=tg.t0)
+        monkeypatch.setattr(S, "_field_pass", lambda spec, z, tg, phase: (
+            strong, S.field_map_zero(spec, z, tg, phase.xgrid)))
+    else:
+        spec, params, z, tg, phase = _block_case(int(case[-1]))
+    r = _solve_both_ways(spec, params, z, tg, phase, kept)
+    if case == "strong":
+        radius = (phase.xgrid.n // 2) * np.abs(r.traj.dX).max(axis=(1, 2))
+        assert (radius > math.pi / 2).sum() >= 2
+    checks, truncation = H.whole_table_checks(spec, r)
+    assert {n: c.as_dict() for n, c in r.checks.items()} \
+        == {n: c.as_dict() for n, c in checks.items()}
+    assert list(r.checks) == list(checks)
+    assert r.certificates["kernel_truncation"] == truncation
+
+
+def test_streamed_picard_solve_forms_no_trajectory_table(ref_spec, ref_params,
+                                                         ref_tgrid,
+                                                         ref_phase):
+    # without its tables the certifying march keeps row blocks only: the
+    # traced growth of a solve on the reference grids, with the caches
+    # warm, stays below one (nt, P) table
+    table = 8 * len(ref_tgrid) * ref_phase.xgrid.n * ref_phase.nv
+    args = (ref_spec, ref_params, 0.0, ref_tgrid, ref_phase)
+    S.picard_solve(*args, keep_tables=False)        # the phase table
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        S.picard_solve(*args, keep_tables=False)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - start < table, (peak - start) / table
 
 
 def test_picard_solve_memory_budget():
@@ -672,17 +750,17 @@ def test_homogeneous_profile_fixed_point_in_one_iteration():
 
 
 def test_the_only_characteristics_solve_is_the_certifying_one(monkeypatch):
-    # the pass solves the characteristics as it goes; the one
-    # solve_characteristics call is along its field, and that field's row
-    # at t_end, where no displacement is left, is the free-flight field
+    # the pass solves the characteristics as it goes; the one certifying
+    # march of the characteristics is along its field, and that field's
+    # row at t_end, where no displacement is left, is the free-flight field
     calls = []
-    real = S.solve_characteristics
+    real = S._march
 
     def counted(E, *args, **kwargs):
         calls.append(E)
         return real(E, *args, **kwargs)
 
-    monkeypatch.setattr(S, "solve_characteristics", counted)
+    monkeypatch.setattr(S, "_march", counted)
     spec = make_spec({0: 8e-5, 1: 1e-5})
     params = P.derive_constants(1.0, 0.002, 0.002, 2, t0=8.0)
     tg, phase = small_grids()
