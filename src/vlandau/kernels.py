@@ -22,8 +22,7 @@ the series runs in s.  Each row gets the smallest order M whose remainder
 series starts at order 1 so that its error stays proportional to the
 displacement, which matters because downstream norms weight late times by
 ``e^{a t}``).  Rows are processed in blocks so that no complex temporary
-outgrows about 1 MiB, and the row functions keep those temporaries in
-buffers of their own from call to call (``_scratch``).  A row that is not finite, or too large for the
+outgrows about 1 MiB.  A row that is not finite, or too large for the
 reduction to keep |s| <= h/2 (|d| near 1e15 or beyond at nx 8), comes out
 NaN.  ``truncation_remainder`` reports the largest remainder the kernels
 leave, with the rounding of ``s`` on reduced rows (inf on such a row),
@@ -201,23 +200,6 @@ def _shifted_index(q, nx, nv):
     return (np.arange(nx)[:, None] + q.reshape(-1, nx, nv)) % nx
 
 
-def _scratch():
-    """get(key, shape, dtype=float): a contiguous array of that shape, on
-    the same memory at every call with the same key (grown when too
-    small).  The row functions keep their per-block temporaries here:
-    fresh ones of a few hundred kB on every row make the allocator give
-    the top of the heap back and fault it in again on the next row."""
-    bufs = {}
-
-    def get(key, shape, dtype=float):
-        size = math.prod(shape)
-        buf = bufs.get(key)
-        if buf is None or buf.size < size:
-            buf = bufs[key] = np.empty(size, dtype)
-        return buf[:size].reshape(shape)
-    return get
-
-
 def truncation_remainder(x, v, dx_dev, nk):
     """Largest relative Taylor remainder that eval_rows and corr_fourier
     leave on these inputs with nk modes, with the rounding of the range
@@ -271,7 +253,6 @@ def row_evaluator(c, x, v, times):
     ik = 1j * np.arange(nk)
     table = phase_table(vs, times, nk)[:, None]
     block = max(1, _BLOCK_BYTES // (16 * lines * nk * nv))
-    scratch = _scratch()
 
     def rows(out, n0, dx):
         n1 = n0 + len(dx)
@@ -287,10 +268,8 @@ def row_evaluator(c, x, v, times):
                 _shifted_index(q[r0:r1], nx, nv)[:, None]
             for m in range(order, -1, -1):
                 coef = cn[r0:r1] * ik ** m
-                terms = np.multiply(coef[..., None], tab, out=scratch(
-                    "terms", (r1 - r0, lines, nk, nv), complex))
-                f = np.fft.irfft(terms, n=nx, axis=2, norm="forward",
-                                 out=scratch("f", acc.shape))
+                f = np.fft.irfft(coef[..., None] * tab, n=nx, axis=2,
+                                 norm="forward")
                 if at is not None:
                     f = np.take_along_axis(f, at, axis=2)
                 if m == order:
@@ -427,14 +406,16 @@ def corr_evaluator(x, v, times, nk):
     nx, nv = 2 * (nk - 1), vs.shape[0]
     mik = -1j * np.arange(nk)
     table = phase_table(vs, times, nk)
-    scratch = _scratch()
+    # w d^m lives in one buffer from block to block and call to call: a
+    # fresh one of a few hundred kB on every row makes the allocator give
+    # the top of the heap back and fault it in again on the next row
+    wd = np.empty(0)
 
     def rows(out, n0, wf, dx):
+        nonlocal wd
         lines = wf.shape[1] if wf.ndim == 3 else 1
         block = max(1, _BLOCK_BYTES // (16 * lines * nk * nv))
-        wgrid = wf.reshape(-1, lines, nx, nv)
-        wgrid = np.divide(wgrid, 2.0 * math.pi,
-                          out=scratch("w", wgrid.shape))
+        wgrid = wf.reshape(-1, lines, nx, nv) / (2.0 * math.pi)
         dx_red, q, orders, _, bad = _taylor_rows(dx, nk - 1, 1)
         for r0, r1, order in _row_blocks(orders, block):
             acc = out[r0:r1].reshape(r1 - r0, lines, nk)
@@ -460,14 +441,15 @@ def corr_evaluator(x, v, times, nk):
                 g = np.fft.rfft(move(wrow) - wrow, axis=2)
                 g[:, :, 0] = 0.0      # moving the weights keeps their total
                 acc += np.einsum("nkj,nlkj->nlk", conj, g)
-            wdm = np.multiply(w, d, out=scratch(
-                "wd", (r1 - r0, lines, nx, nv)))
+            size = (r1 - r0) * lines * nx * nv
+            if wd.size < size:
+                wd = np.empty(size)
+            wdm = np.multiply(w, d, out=wd[:size].reshape(r1 - r0, lines,
+                                                          nx, nv))
             for m in range(1, order + 1):
                 if m > 1:
                     wdm *= d
-                g = np.fft.rfft(wdm if move is None else move(wdm), axis=2,
-                                out=scratch("g", (r1 - r0, lines, nk, nv),
-                                            complex))
+                g = np.fft.rfft(wdm if move is None else move(wdm), axis=2)
                 acc += (mik ** m / math.factorial(m)) * np.einsum(
                     "nkj,nlkj->nlk", conj, g)
         out[bad, ..., 1:] = complex(math.nan, math.nan)

@@ -826,7 +826,7 @@ def solve_tangent(spec: ProfileSpec,
 
     # the weight lines of a row's densities, in the order read: wf_1..wf_K,
     # then each order's terms m, wf_0 F_j (j > 1) and wf_0 X_j, stacked
-    # into one buffer for every row (see kernels._scratch)
+    # into one buffer for every row (see kernels.corr_evaluator)
     terms = [(j, range(1 + (j == 1), j + 1)) for j in range(1, K + 1)]
     W = np.empty((K + sum(len(ms) + (j > 1) + 1 for j, ms in terms), npart))
     modes = np.empty((1, len(W), nk), dtype=complex)
