@@ -182,7 +182,7 @@ def _taylor_rows(dx_dev, kmax, lowest):
     return d, q, orders, rems, bad
 
 
-def _row_blocks(orders, block):
+def _order_runs(orders, block):
     """(n0, n1, M): runs of consecutive rows with one Taylor order M, at most
     `block` rows each."""
     nt = len(orders)
@@ -260,7 +260,7 @@ def row_evaluator(c, x, v, times):
         cn[..., nk - 1] = cn[..., nk - 1].real    # cosine-only Nyquist row
         tn = table[n0:n1]
         dx_red, q, orders, _, bad = _taylor_rows(dx, nk - 1, 0)
-        for r0, r1, order in _row_blocks(orders, block):
+        for r0, r1, order in _order_runs(orders, block):
             acc = out[r0:r1].reshape(r1 - r0, lines, nx, nv)
             d = dx_red[r0:r1].reshape(r1 - r0, 1, nx, nv)
             tab = tn[r0:r1]
@@ -370,7 +370,6 @@ def suffix_weighted(g, alpha, beta):
 # spectral density corrections
 # ---------------------------------------------------------------------------
 
-# unused in the package, but perfbench/tracer.py lists it in TRACED by name
 def corr_fourier(wf, x, v, times, dx_dev, nk):
     """Density-correction modes against the free flow: the complex (nt, nk)
     table of
@@ -417,7 +416,7 @@ def corr_evaluator(x, v, times, nk):
         block = max(1, _BLOCK_BYTES // (16 * lines * nk * nv))
         wgrid = wf.reshape(-1, lines, nx, nv) / (2.0 * math.pi)
         dx_red, q, orders, _, bad = _taylor_rows(dx, nk - 1, 1)
-        for r0, r1, order in _row_blocks(orders, block):
+        for r0, r1, order in _order_runs(orders, block):
             acc = out[r0:r1].reshape(r1 - r0, lines, nk)
             acc[...] = 0.0
             if order < 1 and q is None:

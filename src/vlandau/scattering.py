@@ -25,13 +25,14 @@ would drown the late-time signal in representation noise.  No table of
 (nt, nx, nv) is formed in a solve that keeps no trajectories: the march
 of the characteristics (_march) solves dX, dV and their label
 derivatives one row block (_row_blocks) at a time, and hands each
-finished block to the stages that read it (the field map, the two
-deposits, the trajectory checks, the kernel_truncation certificate),
-each of which reduces it to rows of the field grid or to maxima.  dX and
-dV are stored whole, (nt, nx, nv) each, only for a caller that reads
-them whole (solve_characteristics, picard_solve with keep_tables); the
-public whole-table functions of each stage run the same block form over
-such a stored table, so every value is the same double either way.
+finished block to one callback, take(n0, n1, dX, dV), which picard_solve
+uses to reduce it to rows of the field grid or to maxima (the field map,
+the two deposits, the trajectory ratios, the kernel_truncation
+certificate).  dX and dV are stored whole, (nt, nx, nv) each, only for a
+caller that reads them whole (solve_characteristics, picard_solve with
+keep_tables).  The public whole-table functions call the same kernels
+on all rows of such a stored table; the kernels work row by row, so
+every value is the same double either way.
 
 For the same reason the field map is evaluated split (FIELD_MAP_METHOD,
 the only method): the free-streaming part of the transported density is
@@ -90,7 +91,8 @@ def _profile_weights(phase: PhaseGrid, spec: ProfileSpec, z: float):
 
 def _row_blocks(nt: int, npart: int):
     """(n0, n1) blocks of the rows of (nt, npart) float tables, the last
-    rows first, that the streamed stages form and reduce one at a time.
+    rows first, that the march and uq's corollary form and reduce one at
+    a time.
     As the kernels block their temporaries, a block is as many rows as
     fit in kernels._BLOCK_BYTES, here for the four label derivatives
     that the march of the characteristics (_march) holds per row."""
@@ -160,14 +162,16 @@ def _require_map_norm(norm_e: float, a: float, t0: float) -> None:
             f"{norm_e * math.exp(-a * t0):.3e} > a = {a:.3e}")
 
 
-def _march(E: FieldTable, phase: PhaseGrid, a: float,
-           stages) -> VariationalSups:
+def _march(E: FieldTable, phase: PhaseGrid, a: float, take=None,
+           keep: bool = False):
     """The backward march of the characteristics of E and their label
     derivatives (see solve_characteristics), whose precondition the
     caller has checked.  Each finished row block (_row_blocks) of dX and
-    dV, (rows, P) each, goes to stage.take(n0, n1, dX, dV) of every stage
-    in turn and is overwritten after, so no (nt, P) table is formed here;
-    returns what the checks read of the label derivatives."""
+    dV, (rows, P) each, goes to take(n0, n1, dX, dV), if given.  Without
+    keep the block is overwritten after, so no (nt, P) table is formed
+    here; keep=True writes the blocks straight into whole (nt, nx, nv)
+    tables.  Returns (var, dX, dV): what the checks read of the label
+    derivatives, and the tables, None without keep."""
     tg = E.tgrid
     x, v, _ = _flat_labels(phase)
     nt, npart = len(tg), x.shape[0]
@@ -192,12 +196,12 @@ def _march(E: FieldTable, phase: PhaseGrid, a: float,
     alpha, beta = kernels.exp_cell_weights(a, tg.dt)
     blocks = _row_blocks(nt, npart)
     size = blocks[0][1] - blocks[0][0]
-    paths = np.empty((2, size, npart))              # dX and dV of a block
-    ders = np.empty((4, size, npart))               # xi .. omega
+    paths = np.empty((2, nt if keep else size, npart))   # dX and dV
+    ders = np.empty((4, size, npart))                   # xi .. omega
     sups, peaks = np.empty((4, nt)), []
     march = kernels.suffix_pass(integrand, (nt, 3, npart), tg.dt)
     for n0, n1 in blocks:
-        dX, dV = paths[:, :n1 - n0]
+        dX, dV = paths[:, n0:n1] if keep else paths[:, :n1 - n0]
         for n, acc, mom in itertools.islice(march, n1 - n0):
             dX[n - n0] = mom[0]
             dV[n - n0] = 0.0 if n == nt - 1 else \
@@ -207,44 +211,17 @@ def _march(E: FieldTable, phase: PhaseGrid, a: float,
             np.negative(acc[1:], out=ders[2:, n - n0])
         prev = prev.copy()                  # the block's dV is negated next
         np.negative(dV, out=dV)
-        for stage in stages:
-            stage.take(n0, n1, dX, dV)
+        if take is not None:
+            take(n0, n1, dX, dV)
         xi, eta, chi, omega = d = ders[:, :n1 - n0]
         t = times[n0:n1, None]
         sups[:, n0:n1] = np.abs(d).max(axis=2)
         peaks.append((
             np.abs(1.0 + xi).max(), (np.abs(t + eta) / t).max(),
             np.abs(_jacobian_minus_one(t, xi, eta, chi, omega)).max()))
-    return VariationalSups(tg, *sups, *map(float, np.max(peaks, axis=0)))
-
-
-class _Tables:
-    """The stage that stores the marched blocks whole, as a
-    TrajectoryTable (table)."""
-
-    def __init__(self, tgrid: TimeGrid, phase: PhaseGrid):
-        self.tgrid, self.phase = tgrid, phase
-        shape = (len(tgrid), phase.xgrid.n * phase.nv)
-        self.dX, self.dV = np.empty(shape), np.empty(shape)
-
-    def take(self, n0, n1, dX, dV):
-        self.dX[n0:n1], self.dV[n0:n1] = dX, dV
-
-    def table(self, var: VariationalSups) -> TrajectoryTable:
-        shape = (len(self.tgrid), self.phase.xgrid.n, self.phase.nv)
-        return TrajectoryTable(phase=self.phase, tgrid=self.tgrid,
-                               dX=self.dX.reshape(shape),
-                               dV=self.dV.reshape(shape), var=var)
-
-
-def _over_table(traj: TrajectoryTable, stage):
-    """stage.result() after stage.take of each row block of stored
-    trajectories, in the order of the march."""
-    nt = len(traj.tgrid)
-    dX, dV = traj.dX.reshape(nt, -1), traj.dV.reshape(nt, -1)
-    for n0, n1 in _row_blocks(*dX.shape):
-        stage.take(n0, n1, dX[n0:n1], dV[n0:n1])
-    return stage.result()
+    var = VariationalSups(tg, *sups, *map(float, np.max(peaks, axis=0)))
+    shape = (2, nt, phase.xgrid.n, phase.nv)
+    return (var, *(paths.reshape(shape) if keep else (None, None)))
 
 
 def solve_characteristics(E: FieldTable, phase: PhaseGrid,
@@ -274,10 +251,10 @@ def solve_characteristics(E: FieldTable, phase: PhaseGrid,
     and each finished block is reduced to what check_variational_bounds
     reads (TrajectoryTable.var).
 
-    The march itself keeps one row block of dX and dV too; this function
-    stores every block into the (nt, nx, nv) tables, for the callers that
-    read them whole.  picard_solve streams the blocks into its stages
-    instead and stores them only for a caller that keeps the tables.
+    This function has the march write dX and dV straight into the
+    (nt, nx, nv) tables, for the callers that read them whole.
+    picard_solve hands the march's blocks to its callback instead and
+    stores them only for a caller that keeps the tables.
 
     The integral tail beyond the stored horizon is neglected; picard_solve
     certifies it with the closed-form tail integrals.  A field that is not
@@ -285,38 +262,30 @@ def solve_characteristics(E: FieldTable, phase: PhaseGrid,
     ConvergenceError.
     """
     _require_map_norm(weighted_norm(E, a).value, a, E.tgrid.t0)
-    tables = _Tables(E.tgrid, phase)
-    return tables.table(_march(E, phase, a, [tables]))
+    var, dX, dV = _march(E, phase, a, keep=True)
+    return TrajectoryTable(phase=phase, tgrid=E.tgrid, dX=dX, dV=dV, var=var)
 
 
-class _TrajectoryRatios:
-    """The stage of check_trajectory_bounds: the worst node ratios of each
-    row block, and their maxima as the two BoundChecks (result)."""
+def _trajectory_ratios(dX, dV, t, norm_e: float, a: float):
+    """The worst node ratios (velocity, position) of the displacement
+    inequalities of check_trajectory_bounds on rows (rows, P) of dX and dV
+    at the times t (rows,); both 0 for E == 0, where both sides vanish."""
+    if norm_e == 0.0:
+        return 0.0, 0.0
+    t = t[:, None]
+    decay = np.exp(-a * t)
+    # x - (X - V t) = dV * t - dX when X, V are expanded around free flight
+    lhs_x = np.abs(dV * t - dX)
+    return ((np.abs(dV) / ((norm_e / a) * decay)).max(),
+            (lhs_x / (norm_e * (2.0 / a) * t * decay)).max())
 
-    def __init__(self, norm_e: float, params: DampingParams,
-                 tgrid: TimeGrid):
-        self.norm_e, self.a = norm_e, params.a
-        self.times = tgrid.times[:, None]
-        self.decays = np.exp(-params.a * tgrid.times)[:, None]
-        self.ratios = []
 
-    def take(self, n0, n1, dX, dV):
-        if self.norm_e == 0.0:
-            return
-        a, norm_e = self.a, self.norm_e
-        t, decay = self.times[n0:n1], self.decays[n0:n1]
-        # x - (X - V t) = dV * t - dX when X, V are expanded around free
-        # flight
-        lhs_x = np.abs(dV * t - dX)
-        self.ratios.append(((np.abs(dV) / ((norm_e / a) * decay)).max(),
-                            (lhs_x / (norm_e * (2.0 / a) * t * decay)).max()))
-
-    def result(self) -> dict:
-        ratio_v = ratio_x = 0.0
-        if self.ratios:
-            ratio_v, ratio_x = map(float, np.max(self.ratios, axis=0))
-        return {"traj_velocity": BoundCheck("traj_velocity", ratio_v, 1.0),
-                "traj_position": BoundCheck("traj_position", ratio_x, 1.0)}
+def _ratio_checks(ratios) -> dict:
+    """{traj_velocity, traj_position} BoundChecks against 1 from the
+    _trajectory_ratios of row blocks."""
+    ratio_v, ratio_x = map(float, np.max(ratios, axis=0))
+    return {"traj_velocity": BoundCheck("traj_velocity", ratio_v, 1.0),
+            "traj_position": BoundCheck("traj_position", ratio_x, 1.0)}
 
 
 def check_trajectory_bounds(traj: TrajectoryTable, norm_e: float,
@@ -327,10 +296,13 @@ def check_trajectory_bounds(traj: TrajectoryTable, norm_e: float,
     |x - (X - V t)| <= |E|_{a,t0} (2/a) t e^{-a t},
 
     for the trajectories of a field E of norm_e = |E|_{a,t0}, as
-    {traj_velocity, traj_position} BoundChecks against 1, formed one row
-    block at a time.  For E == 0 both sides vanish and the ratios are 0.
+    {traj_velocity, traj_position} BoundChecks against 1.  For E == 0
+    both sides vanish and the ratios are 0.
     """
-    return _over_table(traj, _TrajectoryRatios(norm_e, params, traj.tgrid))
+    nt = len(traj.tgrid)
+    return _ratio_checks([_trajectory_ratios(
+        traj.dX.reshape(nt, -1), traj.dV.reshape(nt, -1), traj.tgrid.times,
+        norm_e, params.a)])
 
 
 # unused in the package, but perfbench/tracer.py lists it in TRACED by name
@@ -368,63 +340,34 @@ def check_variational_bounds(var: VariationalSups,
 # density and field map
 # ---------------------------------------------------------------------------
 
-class _Density:
-    """The stage of deposit_density: the cloud-in-cell density of each
-    row block's positions."""
-
-    def __init__(self, phase: PhaseGrid, spec: ProfileSpec, z: float,
-                 tgrid: TimeGrid, xgrid: XGrid):
-        self.x, self.v, self.wf = _profile_weights(phase, spec, z)
-        self.t = tgrid.times[:, None]
-        self.tgrid, self.xgrid = tgrid, xgrid
-        self.rho = np.empty((len(tgrid), xgrid.n))
-
-    def take(self, n0, n1, dX, dV):
-        pos = self.x[None, :] + self.v[None, :] * self.t[n0:n1] + dX
-        self.rho[n0:n1] = kernels.cic_density(self.wf, pos, self.xgrid.n,
-                                              self.xgrid.dx)
-
-    def result(self) -> FieldTable:
-        return FieldTable(self.tgrid, self.xgrid, self.rho)
-
-
 def deposit_density(traj: TrajectoryTable, spec: ProfileSpec, z: float,
                     xgrid: XGrid) -> FieldTable:
     """Cloud-in-cell density of the transported profile on xgrid.
 
     Particles sit at X(x,v,t) with weight w_xv f*(x,v,z); linear hats of
     one cell width replace the delta function.  Homogeneous free
-    transport reproduces the mean density by construction.  The
-    positions are formed and deposited one row block at a time.
+    transport reproduces the mean density by construction.
     """
-    return _over_table(traj, _Density(traj.phase, spec, z, traj.tgrid, xgrid))
+    x, v, wf = _profile_weights(traj.phase, spec, z)
+    nt = len(traj.tgrid)
+    pos = x + v * traj.tgrid.times[:, None] + traj.dX.reshape(nt, -1)
+    return FieldTable(traj.tgrid, xgrid,
+                      kernels.cic_density(wf, pos, xgrid.n, xgrid.dx))
 
 
-class _DensityPert:
-    """The stage of deposit_density_pert: the transport correction of each
-    row block, and the free-streaming part added at the end (result)."""
-
-    def __init__(self, phase: PhaseGrid, spec: ProfileSpec, z: float,
-                 tgrid: TimeGrid, xgrid: XGrid):
-        self.x, self.v, self.wf = _profile_weights(phase, spec, z)
-        self.spec, self.z, self.tgrid, self.xgrid = spec, z, tgrid, xgrid
-        self.corr = np.empty((len(tgrid), xgrid.n))
-
-    def take(self, n0, n1, dX, dV):
-        self.corr[n0:n1] = kernels.cic_density_pert(
-            self.wf, self.x, self.v, self.tgrid.times[n0:n1], dX,
-            self.xgrid.n, self.xgrid.dx)
-
-    def result(self) -> FieldTable:
-        times, xs = self.tgrid.times, self.xgrid.points
-        free = np.zeros(self.corr.shape)
-        for m in self.spec.modes:
-            if m.k == 0:
-                continue
-            amp = 2.0 * m.amplitude(self.z) * self.spec.scale
-            trans = np.asarray(self.spec.shape_transform(m.k * times))
-            free += amp * trans[:, None] * np.cos(m.k * xs)[None, :]
-        return FieldTable(self.tgrid, self.xgrid, self.corr + free)
+def _free_density_pert(spec: ProfileSpec, z: float, tgrid: TimeGrid,
+                       xgrid: XGrid) -> np.ndarray:
+    """The free-streaming part of deposit_density_pert, (nt, nx), summed
+    exactly from the profile transforms."""
+    times, xs = tgrid.times, xgrid.points
+    free = np.zeros((len(tgrid), xgrid.n))
+    for m in spec.modes:
+        if m.k == 0:
+            continue
+        amp = 2.0 * m.amplitude(z) * spec.scale
+        trans = np.asarray(spec.shape_transform(m.k * times))
+        free += amp * trans[:, None] * np.cos(m.k * xs)[None, :]
+    return free
 
 
 def deposit_density_pert(traj: TrajectoryTable, spec: ProfileSpec, z: float,
@@ -432,14 +375,18 @@ def deposit_density_pert(traj: TrajectoryTable, spec: ProfileSpec, z: float,
     """Mean-free density perturbation rho - rho_mean, late-time accurate.
 
     Two decaying pieces are assembled separately: the free-streaming
-    perturbation summed exactly from the profile transforms, and the
-    transport correction deposited as a per-particle cloud-in-cell
-    *difference* against the free flight, one row block at a time.
+    perturbation summed exactly from the profile transforms
+    (_free_density_pert), and the transport correction deposited as a
+    per-particle cloud-in-cell *difference* against the free flight.
     Subtracting two full CIC tables instead would leave a flat noise
     floor far above the signal once e^{-a t} has run its course.
     """
-    return _over_table(traj, _DensityPert(traj.phase, spec, z, traj.tgrid,
-                                          xgrid))
+    x, v, wf = _profile_weights(traj.phase, spec, z)
+    nt = len(traj.tgrid)
+    corr = kernels.cic_density_pert(
+        wf, x, v, traj.tgrid.times, traj.dX.reshape(nt, -1), xgrid.n, xgrid.dx)
+    return FieldTable(traj.tgrid, xgrid,
+                      corr + _free_density_pert(spec, z, traj.tgrid, xgrid))
 
 
 def field_map_zero(spec: ProfileSpec, z: float, tgrid: TimeGrid,
@@ -459,50 +406,15 @@ def field_map_zero(spec: ProfileSpec, z: float, tgrid: TimeGrid,
     return FieldTable(tgrid, xgrid, vals)
 
 
-class _FieldMap:
-    """The stage of _map_from_traj: the correction modes of each row block
-    (kernels.corr_evaluator), and the field of the map at the end
-    (result)."""
-
-    def __init__(self, phase: PhaseGrid, spec: ProfileSpec, z: float,
-                 tgrid: TimeGrid, xgrid: XGrid):
-        x, v, self.wf = _profile_weights(phase, spec, z)
-        self.spec, self.z, self.tgrid, self.xgrid = spec, z, tgrid, xgrid
-        nk = xgrid.n // 2 + 1
-        self.rows = kernels.corr_evaluator(x, v, tgrid.times, nk)
-        self.corr = np.empty((len(tgrid), nk), dtype=complex)
-
-    def take(self, n0, n1, dX, dV):
-        self.rows(self.corr[n0:n1], n0, self.wf, dX)
-
-    def result(self) -> FieldTable:
-        free = field_map_zero(self.spec, self.z, self.tgrid, self.xgrid)
-        return free.with_values(free.values
-                                + _field_of_modes(self.corr, self.xgrid.n))
-
-
 def _map_from_traj(traj: TrajectoryTable, spec: ProfileSpec, z: float,
                    xgrid: XGrid) -> FieldTable:
     """Evaluate the field map given already-solved trajectories."""
-    return _over_table(traj, _FieldMap(traj.phase, spec, z, traj.tgrid,
-                                       xgrid))
-
-
-class _Truncation:
-    """The stage of the kernel_truncation certificate: the largest
-    kernels.truncation_remainder of the row blocks."""
-
-    def __init__(self, phase: PhaseGrid):
-        self.x, self.v, _ = _flat_labels(phase)
-        self.nk = phase.xgrid.n // 2 + 1
-        self.value = 0.0
-
-    def take(self, n0, n1, dX, dV):
-        self.value = max(self.value, kernels.truncation_remainder(
-            self.x, self.v, dX, self.nk))
-
-    def result(self) -> float:
-        return self.value
+    x, v, wf = _profile_weights(traj.phase, spec, z)
+    nt = len(traj.tgrid)
+    corr = kernels.corr_fourier(wf, x, v, traj.tgrid.times,
+                                traj.dX.reshape(nt, -1), xgrid.n // 2 + 1)
+    free = field_map_zero(spec, z, traj.tgrid, xgrid)
+    return free.with_values(free.values + _field_of_modes(corr, xgrid.n))
 
 
 def _field_of_modes(modes, nx: int) -> np.ndarray:
@@ -673,11 +585,12 @@ def picard_solve(spec: ProfileSpec, params: DampingParams, z: float,
     only) remain for perfbench/reference.py, which passes the config's.
 
     The certifying march (_march) hands each finished row block of dX and
-    dV to every stage that reads the trajectories, while the block is in
-    cache: the map's correction modes, both deposits, the two trajectory
-    ratios (with the |E|_{a,t0} of the march's precondition) and the
-    kernel_truncation maximum.  keep_tables=True also stores the blocks
-    into the TrajectoryTable of result.traj, which solve_tangent and the
+    dV to one callback, while the block is in cache: it forms the block's
+    rows of the map's correction modes and of both deposits, and the
+    maxima of the two trajectory ratios (with the |E|_{a,t0} of the
+    march's precondition) and of kernels.truncation_remainder (the
+    kernel_truncation certificate).  keep_tables=True also has the march
+    write the TrajectoryTable of result.traj, which solve_tangent and the
     transport residual read; with keep_tables=False no (nt, P) table is
     formed at all.  Every value is the same double either way.
     """
@@ -699,25 +612,33 @@ def picard_solve(spec: ProfileSpec, params: DampingParams, z: float,
             f"{phase.xgrid.n}-point position grid")
     a = params.a
     xgrid = phase.xgrid
+    times, nx, nk = tgrid.times, xgrid.n, xgrid.n // 2 + 1
 
     E, free = _field_pass(spec, z, tgrid, phase)
     ne = weighted_norm(E, a)
     _require_map_norm(ne.value, a, tgrid.t0)
-    field_map, density, density_pert, ratios, truncation = stages = [
-        _FieldMap(phase, spec, z, tgrid, xgrid),
-        _Density(phase, spec, z, tgrid, xgrid),
-        _DensityPert(phase, spec, z, tgrid, xgrid),
-        _TrajectoryRatios(ne.value, params, tgrid),
-        _Truncation(phase)]
-    tables = [_Tables(tgrid, phase)] if keep_tables else []
-    var = _march(E, phase, a, stages + tables)
+    x, v, wf = _profile_weights(phase, spec, z)
+    modes = kernels.corr_evaluator(x, v, times, nk)
+    corr = np.empty((len(tgrid), nk), dtype=complex)
+    rho, pert = np.empty((2, len(tgrid), nx))
+    ratios, remainders = [], []
 
-    E_map = field_map.result()
-    residual_norm = weighted_norm(
-        E_map.with_values(E_map.values - E.values), a).value
-    rho = density.result()
+    def take(n0, n1, dX, dV):
+        t = times[n0:n1]
+        modes(corr[n0:n1], n0, wf, dX)
+        rho[n0:n1] = kernels.cic_density(wf, x + v * t[:, None] + dX, nx,
+                                         xgrid.dx)
+        pert[n0:n1] = kernels.cic_density_pert(wf, x, v, t, dX, nx, xgrid.dx)
+        ratios.append(_trajectory_ratios(dX, dV, t, ne.value, a))
+        remainders.append(kernels.truncation_remainder(x, v, dX, nk))
+
+    var, dX, dV = _march(E, phase, a, take, keep=keep_tables)
+
+    E_map = free.values + _field_of_modes(corr, nx)
+    residual_norm = weighted_norm(E.with_values(E_map - E.values), a).value
     checks = _fixed_point_checks(
-        E, free, params, ne, ratios.result(), var, rho, density_pert.result(),
+        E, free, params, ne, _ratio_checks(ratios), var, E.with_values(rho),
+        E.with_values(pert + _free_density_pert(spec, z, tgrid, xgrid)),
         residual_norm, tol)
 
     rho0 = neutral_density(spec, z)
@@ -726,14 +647,15 @@ def picard_solve(spec: ProfileSpec, params: DampingParams, z: float,
         "time_tail_position": norm_e * tail_integral_moment(a, t_end, 0),
         "time_tail_velocity": norm_e * tail_integral(a, t_end, 0),
         "velocity_truncation_density": 2.0 * params.a2 / (3.0 * phase.v_max ** 3),
-        "mean_density_drift": abs(float(rho.values.mean()) - rho0),
-        "kernel_truncation": truncation.result(),
+        "mean_density_drift": abs(float(rho.mean()) - rho0),
+        "kernel_truncation": max(remainders),
     }
 
     return SolveResult(
         field=E, params=params, z=z, checks=checks,
         certificates=certificates, phase=phase,
-        traj=tables[0].table(var) if tables else None)
+        traj=TrajectoryTable(phase, tgrid, dX, dV, var) if keep_tables
+        else None)
 
 
 # ---------------------------------------------------------------------------

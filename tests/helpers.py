@@ -3,10 +3,10 @@ modules.  The oracles are closed forms or literal evaluations that the
 library itself does not need: the force kernel, field tabulation, the
 tail-integral and product lemmas, one field-map application, the field
 map by direct kernel summation, the iterations that the field and tangent
-passes replace, a march of the field pass in mpmath, the whole-table
-variational solve, trajectory ratios and deposit that the streamed stages
-replace, a solve's checks formed from whole tables, the profile gradient, the interpolant's z-derivative and the gPC
-expansion's value."""
+passes replace, a march of the field pass in mpmath, the variational
+solve, trajectory ratios and deposit on whole tables, a solve's checks
+and certificates formed from whole tables, the profile gradient, the
+interpolant's z-derivative and the gPC expansion's value."""
 
 import math
 from dataclasses import dataclass, field
@@ -20,7 +20,8 @@ from vlandau import kernels
 from vlandau import params as P
 from vlandau import scattering as S
 from vlandau.params import tail_integral, tail_integral_moment
-from vlandau.profiles import Amplitude, Mode, ProfileSpec
+from vlandau.profiles import Amplitude, Mode, ProfileSpec, \
+    neutral_density
 from vlandau.scattering import _map_from_traj, _profile_weights, \
     solve_characteristics
 from vlandau.uq import fd_weights
@@ -94,7 +95,7 @@ def direct_field_map(E, spec, z, phase, a=1.0):
 
 
 # ---------------------------------------------------------------------------
-# whole tables that the streamed stages replace
+# whole tables that the streamed certifying march replaces
 # ---------------------------------------------------------------------------
 
 def along(E, x, v, dX):
@@ -197,7 +198,7 @@ def deposit_table(traj, spec, z, xgrid):
 
 
 def whole_table_checks(spec, result):
-    """(checks, kernel_truncation) of a solve that kept its trajectories,
+    """(checks, certificates) of a solve that kept its trajectories,
     formed as picard_solve formed them before it streamed the certifying
     march: one kernel call on all rows per stage (corr_fourier, the two
     deposits, truncation_remainder) and the ratios on whole tables."""
@@ -225,7 +226,17 @@ def whole_table_checks(spec, result):
         E, free, params, fields.weighted_norm(E, a), traj_checks, traj.var,
         rho, E.with_values(pert + free_pert), residual,
         result.checks["fixed_point_residual"].bound)
-    return checks, kernels.truncation_remainder(x, v, dX, nk)
+    norm_e, t_end = checks["field_weighted"].value, tg.t_end
+    certificates = {
+        "time_tail_position": norm_e * tail_integral_moment(a, t_end, 0),
+        "time_tail_velocity": norm_e * tail_integral(a, t_end, 0),
+        "velocity_truncation_density":
+            2.0 * params.a2 / (3.0 * result.phase.v_max ** 3),
+        "mean_density_drift":
+            abs(float(rho.values.mean()) - neutral_density(spec, z)),
+        "kernel_truncation": kernels.truncation_remainder(x, v, dX, nk),
+    }
+    return checks, certificates
 
 
 # ---------------------------------------------------------------------------

@@ -362,8 +362,8 @@ def _block_case(blocks):
 @pytest.mark.parametrize("blocks", [1, 2, 3])
 def test_streamed_stages_match_whole_tables_at_block_boundaries(blocks):
     # nt below one row block, two whole blocks, and one row past them:
-    # the streamed variational sups, both trajectory ratios and the
-    # deposit equal their whole-table oracles bitwise
+    # the streamed variational sups, both trajectory ratios and the sup
+    # of the deposit equal their whole-table oracles bitwise
     spec, params, _, tg, phase = _block_case(blocks)
     r = S.picard_solve(spec, params, 0.3, tg, phase)
     E, traj = r.field, r.traj
@@ -376,14 +376,11 @@ def test_streamed_stages_match_whole_tables_at_block_boundaries(blocks):
         == (want.dX_dx, want.dX_dv_moment1, want.jacobian)
     assert got.jacobian > 0.0
 
-    checks = S.check_trajectory_bounds(
-        traj, F.weighted_norm(E, params.a).value, params)
-    assert (checks["traj_velocity"].value, checks["traj_position"].value) \
+    assert (r.checks["traj_velocity"].value,
+            r.checks["traj_position"].value) \
         == H.trajectory_ratios(traj, E, params.a)
-
-    rho = S.deposit_density(traj, spec, 0.3, phase.xgrid)
-    assert np.array_equal(rho.values,
-                          H.deposit_table(traj, spec, 0.3, phase.xgrid))
+    rho = H.deposit_table(traj, spec, 0.3, phase.xgrid)
+    assert r.checks["density_sup"].value == float(np.abs(rho).max())
 
 
 def _solve_both_ways(spec, params, z, tg, phase, kept=None):
@@ -404,9 +401,9 @@ def _solve_both_ways(spec, params, z, tg, phase, kept=None):
 def test_streamed_solve_is_the_whole_table_solve(case, request, monkeypatch):
     # keep_tables only decides whether the march's blocks are also stored:
     # every value is the same double without the tables, and the streamed
-    # checks and kernel_truncation certificate are those formed from the
-    # stored tables by one whole-table kernel call per stage.  The strong
-    # field's rows are reduced onto the grid by the kernels.
+    # checks and certificates are those formed from the stored tables by
+    # one whole-table kernel call per quantity.  The strong field's rows
+    # are reduced onto the grid by the kernels.
     kept = None
     if case == "coarse":
         spec = make_spec(LINEAR_Z)
@@ -431,11 +428,12 @@ def test_streamed_solve_is_the_whole_table_solve(case, request, monkeypatch):
     if case == "strong":
         radius = (phase.xgrid.n // 2) * np.abs(r.traj.dX).max(axis=(1, 2))
         assert (radius > math.pi / 2).sum() >= 2
-    checks, truncation = H.whole_table_checks(spec, r)
+    checks, certificates = H.whole_table_checks(spec, r)
     assert {n: c.as_dict() for n, c in r.checks.items()} \
         == {n: c.as_dict() for n, c in checks.items()}
     assert list(r.checks) == list(checks)
-    assert r.certificates["kernel_truncation"] == truncation
+    assert r.certificates == certificates
+    assert list(r.certificates) == list(certificates)
 
 
 def test_streamed_picard_solve_forms_no_trajectory_table(ref_spec, ref_params,
