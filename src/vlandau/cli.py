@@ -176,8 +176,7 @@ def cmd_solve(cfg: RunConfig, args) -> int:
     params = cfg.damping_params()
     spec = cfg.profile_spec()
     result = picard_solve(spec, params, args.z, cfg.time_grid(),
-                          cfg.phase_grid(), tol=cfg.picard_tol,
-                          keep_tables=False)
+                          cfg.phase_grid(), tol=cfg.picard_tol)
 
     manifest = result.manifest()
     manifest["config_sha256"] = cfg.content_hash()

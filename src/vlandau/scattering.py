@@ -22,17 +22,16 @@ V - v, dX/dx - 1, dX/dv - t, dV/dv - 1, ...), never in absolute form:
 the deviations decay like e^{-a t} and downstream norms weight them by
 e^{a t}, so representing them as differences of O(1) or O(t) quantities
 would drown the late-time signal in representation noise.  No table of
-(nt, nx, nv) is formed in a solve that keeps no trajectories: the march
-of the characteristics (_march) solves dX, dV and their label
-derivatives one row block (_row_blocks) at a time, and hands each
-finished block to one callback, take(n0, n1, dX, dV), which picard_solve
-uses to reduce it to rows of the field grid or to maxima (the field map,
-the two deposits, the trajectory ratios, the kernel_truncation
-certificate).  dX and dV are stored whole, (nt, nx, nv) each, only for a
-caller that reads them whole (solve_characteristics, picard_solve with
-keep_tables).  The public whole-table functions call the same kernels
-on all rows of such a stored table; the kernels work row by row, so
-every value is the same double either way.
+(nt, nx, nv) is formed in a solve: the march of the characteristics
+(_march) solves dX, dV and their label derivatives one row block
+(_row_blocks) at a time, and hands each finished block to one callback,
+take(n0, n1, dX, dV), which picard_solve uses to reduce it to rows of
+the field grid or to maxima (the field map, the two deposits, the
+trajectory ratios, the kernel_truncation certificate) and hands on to
+its caller's.  Only solve_characteristics stores dX and dV whole, for
+the callers that read them whole; the public whole-table functions call
+the same kernels on all rows of such a table.  The kernels work row by
+row, so every value is the same double either way.
 
 For the same reason the field map is evaluated split (FIELD_MAP_METHOD,
 the only method): the free-streaming part of the transported density is
@@ -46,10 +45,10 @@ sum_p w_p f*_p B(y - X_p) agrees with it to quadrature accuracy in the
 plain sup norm but carries a flat noise floor that exponentially
 weighted norms amplify.
 
-solve_tangent differentiates the fixed point in the profile parameter z:
-each Taylor coefficient of E(z) solves one linear fixed point along the
-certified trajectories, with a contraction certificate, and one backward
-pass solves every order at once, keeping no table of that size beyond dX.
+_tangent_pass differentiates the fixed point in the profile parameter
+z: each Taylor coefficient of E(z) solves one linear fixed point along
+the certified trajectories, with a contraction certificate, in one pass
+over every order that rides the blocks of the certifying march.
 """
 
 from __future__ import annotations
@@ -91,8 +90,7 @@ def _profile_weights(phase: PhaseGrid, spec: ProfileSpec, z: float):
 
 def _row_blocks(nt: int, npart: int):
     """(n0, n1) blocks of the rows of (nt, npart) float tables, the last
-    rows first, that the march and uq's corollary form and reduce one at
-    a time.
+    rows first, that the march forms and hands out one at a time.
     As the kernels block their temporaries, a block is as many rows as
     fit in kernels._BLOCK_BYTES, here for the four label derivatives
     that the march of the characteristics (_march) holds per row."""
@@ -162,16 +160,13 @@ def _require_map_norm(norm_e: float, a: float, t0: float) -> None:
             f"{norm_e * math.exp(-a * t0):.3e} > a = {a:.3e}")
 
 
-def _march(E: FieldTable, phase: PhaseGrid, a: float, take=None,
-           keep: bool = False):
+def _march(E: FieldTable, phase: PhaseGrid, a: float, take):
     """The backward march of the characteristics of E and their label
     derivatives (see solve_characteristics), whose precondition the
     caller has checked.  Each finished row block (_row_blocks) of dX and
-    dV, (rows, P) each, goes to take(n0, n1, dX, dV), if given.  Without
-    keep the block is overwritten after, so no (nt, P) table is formed
-    here; keep=True writes the blocks straight into whole (nt, nx, nv)
-    tables.  Returns (var, dX, dV): what the checks read of the label
-    derivatives, and the tables, None without keep."""
+    dV, (rows, P) each, goes to take(n0, n1, dX, dV) and is overwritten
+    after, so no (nt, P) table is formed here.  Returns what
+    the checks read of the label derivatives."""
     tg = E.tgrid
     x, v, _ = _flat_labels(phase)
     nt, npart = len(tg), x.shape[0]
@@ -196,12 +191,12 @@ def _march(E: FieldTable, phase: PhaseGrid, a: float, take=None,
     alpha, beta = kernels.exp_cell_weights(a, tg.dt)
     blocks = _row_blocks(nt, npart)
     size = blocks[0][1] - blocks[0][0]
-    paths = np.empty((2, nt if keep else size, npart))   # dX and dV
+    paths = np.empty((2, size, npart))                  # dX and dV
     ders = np.empty((4, size, npart))                   # xi .. omega
     sups, peaks = np.empty((4, nt)), []
     march = kernels.suffix_pass(integrand, (nt, 3, npart), tg.dt)
     for n0, n1 in blocks:
-        dX, dV = paths[:, n0:n1] if keep else paths[:, :n1 - n0]
+        dX, dV = paths[:, :n1 - n0]
         for n, acc, mom in itertools.islice(march, n1 - n0):
             dX[n - n0] = mom[0]
             dV[n - n0] = 0.0 if n == nt - 1 else \
@@ -211,17 +206,14 @@ def _march(E: FieldTable, phase: PhaseGrid, a: float, take=None,
             np.negative(acc[1:], out=ders[2:, n - n0])
         prev = prev.copy()                  # the block's dV is negated next
         np.negative(dV, out=dV)
-        if take is not None:
-            take(n0, n1, dX, dV)
+        take(n0, n1, dX, dV)
         xi, eta, chi, omega = d = ders[:, :n1 - n0]
         t = times[n0:n1, None]
         sups[:, n0:n1] = np.abs(d).max(axis=2)
         peaks.append((
             np.abs(1.0 + xi).max(), (np.abs(t + eta) / t).max(),
             np.abs(_jacobian_minus_one(t, xi, eta, chi, omega)).max()))
-    var = VariationalSups(tg, *sups, *map(float, np.max(peaks, axis=0)))
-    shape = (2, nt, phase.xgrid.n, phase.nv)
-    return (var, *(paths.reshape(shape) if keep else (None, None)))
+    return VariationalSups(tg, *sups, *map(float, np.max(peaks, axis=0)))
 
 
 def solve_characteristics(E: FieldTable, phase: PhaseGrid,
@@ -251,10 +243,9 @@ def solve_characteristics(E: FieldTable, phase: PhaseGrid,
     and each finished block is reduced to what check_variational_bounds
     reads (TrajectoryTable.var).
 
-    This function has the march write dX and dV straight into the
-    (nt, nx, nv) tables, for the callers that read them whole.
-    picard_solve hands the march's blocks to its callback instead and
-    stores them only for a caller that keeps the tables.
+    This function copies the march's blocks of dX and dV into whole
+    (nt, nx, nv) tables, for the callers that read them whole;
+    picard_solve reduces the blocks instead and stores none.
 
     The integral tail beyond the stored horizon is neglected; picard_solve
     certifies it with the closed-form tail integrals.  A field that is not
@@ -262,7 +253,13 @@ def solve_characteristics(E: FieldTable, phase: PhaseGrid,
     ConvergenceError.
     """
     _require_map_norm(weighted_norm(E, a).value, a, E.tgrid.t0)
-    var, dX, dV = _march(E, phase, a, keep=True)
+    paths = np.empty((2, len(E.tgrid), phase.xgrid.n * phase.nv))
+
+    def take(n0, n1, dX, dV):
+        paths[0, n0:n1], paths[1, n0:n1] = dX, dV
+
+    var = _march(E, phase, a, take)
+    dX, dV = paths.reshape(2, -1, phase.xgrid.n, phase.nv)
     return TrajectoryTable(phase=phase, tgrid=E.tgrid, dX=dX, dV=dV, var=var)
 
 
@@ -473,7 +470,6 @@ class SolveResult:
     checks: dict
     certificates: dict
     phase: PhaseGrid
-    traj: TrajectoryTable | None = None
     # one exact pass; perfbench/tracer.py reads iterations, and the
     # benchmark's output check asks the manifest for "converged"
     converged: ClassVar[bool] = True
@@ -570,7 +566,7 @@ def picard_solve(spec: ProfileSpec, params: DampingParams, z: float,
                  tgrid: TimeGrid, phase: PhaseGrid, tol: float = 1e-10,
                  max_iter: int = 30, inner_tol: float = 1e-12,
                  max_inner: int = 50, method: str = FIELD_MAP_METHOD,
-                 keep_tables: bool = True) -> SolveResult:
+                 keep_tables: bool = False, along=None) -> SolveResult:
     """The fixed point E = map E in one backward pass (_field_pass).
 
     The norms |.|_{a,t0} are taken over the stored times, so tgrid must
@@ -581,18 +577,18 @@ def picard_solve(spec: ProfileSpec, params: DampingParams, z: float,
     field that is not finite or too large),
     certifies the residual |map E - E|_{a,t0} against tol; the result
     carries every inequality check at E.  The pass meets any iteration
-    cap: max_iter, inner_tol, max_inner and method (FIELD_MAP_METHOD
-    only) remain for perfbench/reference.py, which passes the config's.
+    cap: max_iter, inner_tol, max_inner, method (FIELD_MAP_METHOD only)
+    and keep_tables (no table is kept) remain, unread, for
+    perfbench/reference.py, which passes them.
 
     The certifying march (_march) hands each finished row block of dX and
     dV to one callback, while the block is in cache: it forms the block's
     rows of the map's correction modes and of both deposits, and the
     maxima of the two trajectory ratios (with the |E|_{a,t0} of the
     march's precondition) and of kernels.truncation_remainder (the
-    kernel_truncation certificate).  keep_tables=True also has the march
-    write the TrajectoryTable of result.traj, which solve_tangent and the
-    transport residual read; with keep_tables=False no (nt, P) table is
-    formed at all.  Every value is the same double either way.
+    kernel_truncation certificate), and then hands the block to
+    along(E)'s take(n0, n1, dX, dV), if along is given: a caller that
+    reads the characteristics of E, as a uq node does, rides the march.
     """
     if method != FIELD_MAP_METHOD:
         raise ValueError(f"unknown field-map method {method!r}")
@@ -622,6 +618,7 @@ def picard_solve(spec: ProfileSpec, params: DampingParams, z: float,
     corr = np.empty((len(tgrid), nk), dtype=complex)
     rho, pert = np.empty((2, len(tgrid), nx))
     ratios, remainders = [], []
+    extra = along(E) if along is not None else lambda *block: None
 
     def take(n0, n1, dX, dV):
         t = times[n0:n1]
@@ -631,8 +628,9 @@ def picard_solve(spec: ProfileSpec, params: DampingParams, z: float,
         pert[n0:n1] = kernels.cic_density_pert(wf, x, v, t, dX, nx, xgrid.dx)
         ratios.append(_trajectory_ratios(dX, dV, t, ne.value, a))
         remainders.append(kernels.truncation_remainder(x, v, dX, nk))
+        extra(n0, n1, dX, dV)
 
-    var, dX, dV = _march(E, phase, a, take, keep=keep_tables)
+    var = _march(E, phase, a, take)
 
     E_map = free.values + _field_of_modes(corr, nx)
     residual_norm = weighted_norm(E.with_values(E_map - E.values), a).value
@@ -653,9 +651,7 @@ def picard_solve(spec: ProfileSpec, params: DampingParams, z: float,
 
     return SolveResult(
         field=E, params=params, z=z, checks=checks,
-        certificates=certificates, phase=phase,
-        traj=TrajectoryTable(phase, tgrid, dX, dV, var) if keep_tables
-        else None)
+        certificates=certificates, phase=phase)
 
 
 # ---------------------------------------------------------------------------
@@ -665,7 +661,7 @@ def picard_solve(spec: ProfileSpec, params: DampingParams, z: float,
 @dataclass(frozen=True)
 class TaylorCoefficients:
     """E_k = d^k_z E / k! at one z for k = 1..K, with the certificate
-    z_deriv_{k}_tangent of each order (see solve_tangent)."""
+    z_deriv_{k}_tangent of each order (see _tangent_pass)."""
 
     fields: tuple[FieldTable, ...]
     checks: dict
@@ -690,10 +686,13 @@ def _power(X, m: int, l: int):
                for i in range(1, l - m + 2))
 
 
-def solve_tangent(spec: ProfileSpec,
-                  result: SolveResult) -> TaylorCoefficients:
+def _tangent_pass(spec: ProfileSpec, E0: FieldTable, params: DampingParams,
+                  phase: PhaseGrid, z: float):
     """Taylor coefficients E_j = d^j_z E / j!, j = 1..K, of the fixed point
-    at result.z, along the trajectories X0 that certified it (kept tables).
+    E0 at z, along the trajectories X0 that certify it, as (take, finish):
+    take(n0, n1, dX, dV) advances the pass over one row block of the
+    march of X0 (_march hands the blocks out, the last rows first), and
+    finish() returns the TaylorCoefficients after the last block.
 
     With delta = sum_l X_l z^l, wf_i = w d^i_z f* / i!, [delta^m]_l the
     z^l coefficient of delta^m, M the trapezoid suffix moment,
@@ -714,17 +713,14 @@ def solve_tangent(spec: ProfileSpec,
     the contraction bound L = params.contraction_bound the check
     z_deriv_{j}_tangent, j! |E_j|_{a,t0} <= j! |F_j|_{a,t0} / (1 - L).
     """
-    if result.traj is None:
-        raise ValueError("the tangent solve needs the solve's trajectories")
-    E0, params, phase, z = result.field, result.params, result.phase, result.z
     if params.K == 0:
-        return TaylorCoefficients(fields=(), checks={})
+        return (lambda *block: None), lambda: TaylorCoefficients((), {})
     x, v, _ = _flat_labels(phase)
     tg, nx, K = E0.tgrid, E0.xgrid.n, params.K
     times, nt, npart = tg.times, len(tg), x.shape[0]
     nk = nx // 2 + 1
     mik = -1j * np.arange(nk)
-    dX0 = result.traj.dX.reshape(nt, npart)
+    block = []                          # the current block's n0 and its dX
     table = kernels.phase_table(phase.v, times, nk)
     density = kernels.corr_evaluator(x, v, times, nk)
 
@@ -740,7 +736,7 @@ def solve_tangent(spec: ProfileSpec,
     pairs = [(i, m) for i in range(K + 1) for m in range(i == 0, K - i + 1)]
     line = {p: l for l, p in enumerate(pairs)}     # lines of coef and ev
     coef = np.empty((nt, len(pairs), nk), dtype=complex)
-    along = kernels.row_evaluator(coef, x, v, times)
+    rows = kernels.row_evaluator(coef, x, v, times)
     ev = np.empty((1, len(pairs), npart))
 
     vals = np.empty((K, nt, nx))            # E_1..E_K
@@ -755,13 +751,14 @@ def solve_tangent(spec: ProfileSpec,
 
     def integrand(n, mom):
         X, Xf = mom                         # X_j and F_j's trajectory
+        dX0 = block[1][n - block[0]:n - block[0] + 1]
         lines = wf[1:]
         for j, ms in terms:
             lines += [sum(wf[i] * _power(X, m, j - i)
                           for i in range(m == 1, j - m + 1)) for m in ms]
             lines += [wf[0] * Xf[j - 1]] * (j > 1) + [wf[0] * X[j - 1]]
         np.stack(lines, out=W)
-        density(modes, n, W[None], dX0[n:n + 1])
+        density(modes, n, W[None], dX0)
         modes[0, K:] += _free_modes(W[K:], table[n:n + 1])   # the S[.] lines
         S = iter(modes[0, K:])
         for j in range(1, K + 1):
@@ -780,7 +777,7 @@ def solve_tangent(spec: ProfileSpec,
                 if m:
                     row = _dx_rows(row)
                 coef[n, line[i, m]] = np.fft.rfft(row) / nx
-        along(ev, n, dX0[n:n + 1])
+        rows(ev, n, dX0)
         g = ev[0, line[0, 1]]
         h = np.zeros(mom.shape)
         for j in range(1, K + 1):
@@ -793,14 +790,22 @@ def solve_tangent(spec: ProfileSpec,
                 h[0, j - 1] += R
         return h
 
-    for _ in kernels.suffix_pass(integrand, (nt, 2, K, npart), tg.dt):
-        pass
-    checks, lip = {}, params.contraction_bound
-    for j in range(1, K + 1):
-        name, fac = f"z_deriv_{j}_tangent", math.factorial(j)
-        norm_e, norm_f = (weighted_sup(times, sup, params.a).value
-                          for sup in sups[:, j - 1])
-        checks[name] = BoundCheck(name, fac * norm_e,
-                                  fac * norm_f / (1.0 - lip))
-    return TaylorCoefficients(fields=tuple(E0.with_values(e) for e in vals),
-                              checks=checks)
+    march = kernels.suffix_pass(integrand, (nt, 2, K, npart), tg.dt)
+
+    def take(n0, n1, dX, dV):
+        block[:] = n0, dX
+        for _ in itertools.islice(march, n1 - n0):
+            pass
+
+    def finish():
+        checks, lip = {}, params.contraction_bound
+        for j in range(1, K + 1):
+            name, fac = f"z_deriv_{j}_tangent", math.factorial(j)
+            norm_e, norm_f = (weighted_sup(times, sup, params.a).value
+                              for sup in sups[:, j - 1])
+            checks[name] = BoundCheck(name, fac * norm_e,
+                                      fac * norm_f / (1.0 - lip))
+        return TaylorCoefficients(
+            fields=tuple(E0.with_values(e) for e in vals), checks=checks)
+
+    return take, finish

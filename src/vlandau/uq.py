@@ -5,8 +5,8 @@ deterministic solve runs at Gauss-Legendre nodes; smooth quantities of
 interest are then projected onto the orthonormal Legendre basis
 phi_m(z) = sqrt(2m+1) P_m(z) (the decay of the coefficients estimates
 z-smoothness).  The field's z-derivatives at 0 come from the tangent
-solve at the node z = 0 (scattering.solve_tangent, run while that
-node's tables are alive); the theorem report compares them with the
+pass at the node z = 0 (scattering._tangent_pass, which rides that
+node's certifying march); the theorem report compares them with the
 collocation interpolant's.  The order-k derivative of the interpolant
 at 0 is one fixed row of difference weights over every node
 (fd_weights, Fornberg's recursion).  One survey (_z_survey) streams the
@@ -27,7 +27,7 @@ import math
 import os
 import pickle
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial import legendre as npleg
@@ -37,8 +37,8 @@ from .fields import weighted_norm, weighted_sup
 from .params import DampingParams
 from .profiles import ProfileSpec, shifted_difference, sup_gradient
 from .scattering import FIELD_MAP_METHOD, BoundCheck, SolveResult, \
-    TaylorCoefficients, TimeGrid, PhaseGrid, TrajectoryTable, _flat_labels, \
-    _row_blocks, picard_solve, solve_tangent
+    TaylorCoefficients, TimeGrid, PhaseGrid, _flat_labels, _row_blocks, \
+    _tangent_pass, picard_solve
 # unused here, but perfbench/tracer.py rebinds it in this module by name
 from .scattering import solve_characteristics  # noqa: F401
 
@@ -216,45 +216,38 @@ class CorollaryReport:
         }
 
 
-def _transport_residual(traj: TrajectoryTable, spec: ProfileSpec,
-                        z: float) -> np.ndarray:
-    """D at the phase nodes, shape (nt, nx nv).
-
-    The residual is evaluated in Lagrangian form: f(X, V, t) = f*(x, v)
-    by definition of the transported solution, so D = f* - f* o (X - Vt, V)
-    needs only the forward tables.  It is assembled by the profile's
-    exact shifted-difference identities: X - Vt = x + (dX - t dV) and
-    V = v + dV with tiny arguments, one row block (_row_blocks) at a time
-    so that the identities' temporaries stay in cache.
-    """
-    x, v, _ = _flat_labels(traj.phase)
-    nt = len(traj.tgrid)
-    t = traj.tgrid.times[:, None]
-    dX, dV = traj.dX.reshape(nt, -1), traj.dV.reshape(nt, -1)
-    out = np.empty(dX.shape)
-    for n0, n1 in _row_blocks(*out.shape):
-        dx_arg = dX[n0:n1] - t[n0:n1] * dV[n0:n1]
-        out[n0:n1] = shifted_difference(spec, x[None, :], v[None, :], dx_arg,
-                                        dV[n0:n1], z)
-    return np.negative(out, out=out)
-
-
 def _solve_node(spec, params, z, tgrid, phase, solve_kw):
     """A node's solve, its residual table, the table's comparison bound
     3 |grad f*(z)|_Linf |E(z)|_{a,t0} / a and, at z = 0, the tangent
     solve's Taylor coefficients (else None).
 
-    The tangent and the residual come from the trajectories the solve
-    just certified; the trajectories are dropped after, so the returned
-    result holds no tables.
+    The residual D, shape (nt, nx nv), is evaluated in Lagrangian form:
+    f(X, V, t) = f*(x, v) by definition of the transported solution, so
+    D = f* - f* o (X - Vt, V) needs only the forward characteristics.  It
+    is assembled by the profile's exact shifted-difference identities,
+    X - Vt = x + (dX - t dV) and V = v + dV with tiny arguments, on each
+    row block of the solve's certifying march (picard_solve's along),
+    which the tangent pass at z = 0 rides too: one march, no stored table.
     """
-    result = picard_solve(spec, params, z, tgrid, phase, keep_tables=True,
+    x, v, _ = _flat_labels(phase)
+    delta = np.empty((len(tgrid), x.shape[0]))
+    tangent = []                        # at z = 0: the pass's take, finish
+
+    def along(E):
+        if z == 0.0:
+            tangent.extend(_tangent_pass(spec, E, params, phase, z))
+
+        def take(n0, n1, dX, dV):
+            dx_arg = dX - tgrid.times[n0:n1, None] * dV
+            np.negative(shifted_difference(spec, x[None, :], v[None, :],
+                                           dx_arg, dV, z), out=delta[n0:n1])
+            if tangent:
+                tangent[0](n0, n1, dX, dV)
+        return take
+
+    result = picard_solve(spec, params, z, tgrid, phase, along=along,
                           **solve_kw)
-    taylor = solve_tangent(spec, result) if z == 0.0 else None
-    traj = result.traj
-    result = replace(result, traj=None)
-    delta = _transport_residual(traj, spec, z)
-    del traj
+    taylor = tangent[1]() if tangent else None
     norm_e = result.checks["field_weighted"].value      # |E|_{a,t0}
     bound = 3.0 * sup_gradient(spec, z) * norm_e / params.a
     return result, delta, bound, taylor

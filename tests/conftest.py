@@ -38,9 +38,17 @@ def ref_phase(ref_cfg):
 
 @pytest.fixture(scope="session")
 def ref_solve(ref_spec, ref_params, ref_tgrid, ref_phase):
-    """Fixed point at z = 0 on the reference grids, all tables kept."""
+    """Fixed point at z = 0 on the reference grids."""
     return scattering.picard_solve(ref_spec, ref_params, 0.0, ref_tgrid,
-                                   ref_phase, keep_tables=True)
+                                   ref_phase)
+
+
+@pytest.fixture(scope="session")
+def ref_traj(ref_solve):
+    """The characteristics of ref_solve's field, stored whole: the blocks
+    of its certifying march, bitwise."""
+    return scattering.solve_characteristics(
+        ref_solve.field, ref_solve.phase, ref_solve.params.a)
 
 
 @pytest.fixture(scope="session")

@@ -5,8 +5,9 @@ tail-integral and product lemmas, one field-map application, the field
 map by direct kernel summation, the iterations that the field and tangent
 passes replace, a march of the field pass in mpmath, the variational
 solve, trajectory ratios and deposit on whole tables, a solve's checks
-and certificates formed from whole tables, the profile gradient, the
-interpolant's z-derivative and the gPC expansion's value."""
+and certificates formed from whole tables, the tangent pass of a solve
+outside a uq node, the profile gradient, the interpolant's z-derivative
+and the gPC expansion's value."""
 
 import math
 from dataclasses import dataclass, field
@@ -197,12 +198,18 @@ def deposit_table(traj, spec, z, xgrid):
     return kernels.cic_density(wf, pos, xgrid.n, xgrid.dx)
 
 
-def whole_table_checks(spec, result):
-    """(checks, certificates) of a solve that kept its trajectories,
+def characteristics(result):
+    """The characteristics of a solve's field, stored whole
+    (solve_characteristics): its certifying march's blocks, bitwise."""
+    return solve_characteristics(result.field, result.phase, result.params.a)
+
+
+def whole_table_checks(spec, result, traj):
+    """(checks, certificates) of a solve along its characteristics traj,
     formed as picard_solve formed them before it streamed the certifying
     march: one kernel call on all rows per stage (corr_fourier, the two
     deposits, truncation_remainder) and the ratios on whole tables."""
-    traj, E, params, z = result.traj, result.field, result.params, result.z
+    E, params, z = result.field, result.params, result.z
     tg, xg, a = E.tgrid, E.xgrid, params.a
     x, v, wf = _profile_weights(result.phase, spec, z)
     nt, nk = len(tg), xg.n // 2 + 1
@@ -239,6 +246,38 @@ def whole_table_checks(spec, result):
     return checks, certificates
 
 
+def solve_tangent(spec, result, traj=None):
+    """The TaylorCoefficients of scattering._tangent_pass at result.z, as
+    a uq node forms them, fed by one march along result.field (_march):
+    the solve's own blocks, so bitwise the node's tangent.  Given traj,
+    the characteristics stored whole, the pass is fed the row blocks
+    (_row_blocks) of that table instead, which are the same doubles."""
+    E, params, phase = result.field, result.params, result.phase
+    take, finish = S._tangent_pass(spec, E, params, phase, result.z)
+    if traj is None:
+        S._march(E, phase, params.a, take)
+    else:
+        nt = len(E.tgrid)
+        dX, dV = traj.dX.reshape(nt, -1), traj.dV.reshape(nt, -1)
+        for n0, n1 in S._row_blocks(*dX.shape):
+            take(n0, n1, dX[n0:n1], dV[n0:n1])
+    return finish()
+
+
+def block_case(blocks):
+    """(spec, params, z, tgrid, phase) whose nt is below one row block
+    (blocks 1), two whole blocks (2), or one row past them (3), on
+    16 x 129 phase grids."""
+    phase = fields.PhaseGrid(fields.XGrid(16), 129, 6.0)
+    npart = phase.xgrid.n * phase.nv
+    n0, n1 = S._row_blocks(10 ** 6, npart)[0]
+    nt = {1: (n1 - n0) // 2, 2: 2 * (n1 - n0), 3: 2 * (n1 - n0) + 1}[blocks]
+    assert len(S._row_blocks(nt, npart)) == blocks
+    tg = fields.TimeGrid(8.0, 20.0, nt - 1)
+    params = P.derive_constants(1.0, 0.002, 0.002, 2, t0=tg.t0)
+    return make_spec({0: 8e-5, 1: (1e-5, 3e-6)}), params, 0.3, tg, phase
+
+
 # ---------------------------------------------------------------------------
 # the iterations that the backward passes replace, and an mpmath march
 # ---------------------------------------------------------------------------
@@ -269,11 +308,11 @@ def trajectory_forcing(E, X, x, v, dX0):
     return R
 
 
-def tangent_map(spec, result, tables):
+def tangent_map(spec, result, traj, tables):
     """One step of the iteration that the tangent pass replaces: the
     order-j map, j = len(tables), applied to tables[-1], with tables[:-1]
-    the accepted E_1..E_{j-1} (value arrays), along the trajectories of
-    result.  Each X_i comes from E_i as that iteration formed it,
+    the accepted E_1..E_{j-1} (value arrays), along the trajectories traj
+    of result.  Each X_i comes from E_i as that iteration formed it,
     suffix_volterra(E_0'(X0), E_i(X0) + R_i), and the whole density sum
     sum_m ((-ik)^m / m!) S[sum_i wf_i [delta^m]_{j-i}] is formed at once."""
     E0, phase, z = result.field, result.phase, result.z
@@ -281,7 +320,7 @@ def tangent_map(spec, result, tables):
     times, nx = E0.tgrid.times, E0.xgrid.n
     nk = nx // 2 + 1
     mik = -1j * np.arange(nk)
-    dX0 = result.traj.dX.reshape(len(times), -1)
+    dX0 = traj.dX.reshape(len(times), -1)
     table = kernels.phase_table(phase.v, times, nk)
 
     def density(W):
@@ -309,9 +348,10 @@ def tangent_map(spec, result, tables):
         / math.factorial(j) + S._field_of_modes(c, nx)
 
 
-def tangent_by_orders(spec, result):
-    """scattering.solve_tangent as it was before it formed every order in
-    one pass: one kernels.suffix_pass per order on whole (nt, P) tables,
+def tangent_by_orders(spec, result, traj):
+    """The tangent pass of result along its trajectories traj as it was
+    before it formed every order in one pass: one kernels.suffix_pass per
+    order on whole (nt, P) tables,
     E_0'(X0) and each order's forcing R_j and trajectory X_j kept whole,
     and a separate march for the trajectory of the forcing F_j.  Returns
     (the value arrays of E_1..E_K, the checks z_deriv_{j}_tangent)."""
@@ -321,7 +361,7 @@ def tangent_by_orders(spec, result):
     times, nx = E0.tgrid.times, E0.xgrid.n
     nk = nx // 2 + 1
     mik = -1j * np.arange(nk)
-    dX0 = result.traj.dX.reshape(len(times), -1)
+    dX0 = traj.dX.reshape(len(times), -1)
     lip = params.contraction_bound
     table = kernels.phase_table(phase.v, times, nk)
     corr_rows = kernels.corr_evaluator(x, v, times, nk)
@@ -382,15 +422,15 @@ def tangent_by_orders(spec, result):
     return [e.values for e in E[1:]], checks
 
 
-def tangent_iterate(spec, result, maps):
+def tangent_iterate(spec, result, traj, maps):
     """The tangent iteration that the tangent pass replaces: each order's
-    map iterated `maps` times from 0, order by order; returns the value
-    arrays of E_1..E_K."""
+    map iterated `maps` times from 0, order by order, along the
+    trajectories traj of result; returns the value arrays of E_1..E_K."""
     tables = []
     for j in range(1, result.params.K + 1):
         Ej = np.zeros_like(result.field.values)
         for _ in range(maps):
-            Ej = tangent_map(spec, result, tables + [Ej])
+            Ej = tangent_map(spec, result, traj, tables + [Ej])
         tables.append(Ej)
     return tables
 

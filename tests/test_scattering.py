@@ -173,11 +173,12 @@ def test_strong_field_rows_are_range_reduced(strong_traj):
 
 @pytest.mark.parametrize("case", ["reference", "strong"])
 def test_characteristics_are_a_fixed_point_of_one_sweep(case, ref_solve,
+                                                        ref_traj,
                                                         strong_traj):
     # one sweep of the relaxation the pass replaces (E along dX, then the
     # moment rule) returns dX within 4 ulp of its largest entry
     if case == "reference":
-        E, traj = ref_solve.field, ref_solve.traj
+        E, traj = ref_solve.field, ref_traj
     else:
         E, traj = strong_traj
     assert traj.inner_iterations == 1
@@ -194,12 +195,13 @@ def test_characteristics_are_a_fixed_point_of_one_sweep(case, ref_solve,
 
 @pytest.mark.parametrize("case", ["reference", "strong"])
 def test_characteristics_velocity_is_the_weighted_suffix_rule(case, ref_solve,
+                                                              ref_traj,
                                                               strong_traj):
     # the march accumulates dV from two rows of E along the trajectories;
     # kernels.suffix_weighted on the whole table of E along dX, in the
     # same order, is the oracle, bitwise
     if case == "reference":
-        E, traj = ref_solve.field, ref_solve.traj
+        E, traj = ref_solve.field, ref_traj
     else:
         E, traj = strong_traj
     nt = len(traj.tgrid)
@@ -254,10 +256,10 @@ def _mp_march(E, phase, a, particles):
 
 
 @pytest.mark.parametrize("case", ["reference", "strong"])
-def test_characteristics_match_a_30_digit_march(case, ref_solve,
+def test_characteristics_match_a_30_digit_march(case, ref_solve, ref_traj,
                                                 strong_traj):
     if case == "reference":
-        E, traj = ref_solve.field, ref_solve.traj
+        E, traj = ref_solve.field, ref_traj
     else:
         E, traj = strong_traj
     nt = len(traj.tgrid)
@@ -273,8 +275,8 @@ def test_characteristics_match_a_30_digit_march(case, ref_solve,
 # variational derivatives against label finite differences
 # ---------------------------------------------------------------------------
 
-def test_variational_matches_label_finite_differences(ref_solve):
-    traj = ref_solve.traj
+def test_variational_matches_label_finite_differences(ref_solve, ref_traj):
+    traj = ref_traj
     var = H.variational_tables(ref_solve.field, traj)
     phase = traj.phase
     dx_lbl = phase.xgrid.dx
@@ -308,12 +310,12 @@ def test_variational_matches_label_finite_differences(ref_solve):
     check_v_derivative(traj.dV, var.omega)
 
 
-def test_variational_is_a_fixed_point_of_one_sweep(ref_solve):
+def test_variational_is_a_fixed_point_of_one_sweep(ref_solve, ref_traj):
     # the one-pass solve is the exact solution of the discrete system: one
     # more sweep of the moment rule returns xi and eta bitwise, and the
     # plain suffix rule of the same integrands returns -chi and -omega
     # (integrands g y + f with the forcings f = g c the solve passes)
-    traj = ref_solve.traj
+    traj = ref_traj
     var = H.variational_tables(ref_solve.field, traj)
     nt = len(traj.tgrid)
     x = np.repeat(traj.phase.xgrid.points, traj.phase.nv)
@@ -331,8 +333,8 @@ def test_variational_is_a_fixed_point_of_one_sweep(ref_solve):
         assert np.array_equal(K.suffix_trapz(integrand, dt), -vel)
 
 
-def test_jacobian_identity(ref_solve):
-    var = H.variational_tables(ref_solve.field, ref_solve.traj)
+def test_jacobian_identity(ref_solve, ref_traj):
+    var = H.variational_tables(ref_solve.field, ref_traj)
     t = var.tgrid.times[:, None, None]
     direct = (var.dX_dx() * (1.0 + var.omega) - var.dX_dv() * var.chi) - 1.0
     stable = var.jacobian_minus_one()
@@ -346,27 +348,14 @@ def test_jacobian_identity(ref_solve):
 # the streamed certifying stage
 # ---------------------------------------------------------------------------
 
-def _block_case(blocks):
-    """(spec, params, z, tgrid, phase) whose nt is below one row block
-    (blocks 1), two whole blocks (2), or one row past them (3)."""
-    phase = F.PhaseGrid(F.XGrid(16), 129, 6.0)
-    npart = phase.xgrid.n * phase.nv
-    n0, n1 = S._row_blocks(10 ** 6, npart)[0]
-    nt = {1: (n1 - n0) // 2, 2: 2 * (n1 - n0), 3: 2 * (n1 - n0) + 1}[blocks]
-    assert len(S._row_blocks(nt, npart)) == blocks
-    tg = F.TimeGrid(8.0, 20.0, nt - 1)
-    params = P.derive_constants(1.0, 0.002, 0.002, 2, t0=tg.t0)
-    return make_spec(LINEAR_Z), params, 0.3, tg, phase
-
-
 @pytest.mark.parametrize("blocks", [1, 2, 3])
 def test_streamed_stages_match_whole_tables_at_block_boundaries(blocks):
     # nt below one row block, two whole blocks, and one row past them:
     # the streamed variational sups, both trajectory ratios and the sup
     # of the deposit equal their whole-table oracles bitwise
-    spec, params, _, tg, phase = _block_case(blocks)
+    spec, params, _, tg, phase = H.block_case(blocks)
     r = S.picard_solve(spec, params, 0.3, tg, phase)
-    E, traj = r.field, r.traj
+    E, traj = r.field, H.characteristics(r)
 
     got = S.solve_variational(E, traj)
     want = H.variational_sups(H.variational_tables(E, traj))
@@ -383,28 +372,26 @@ def test_streamed_stages_match_whole_tables_at_block_boundaries(blocks):
     assert r.checks["density_sup"].value == float(np.abs(rho).max())
 
 
-def _solve_both_ways(spec, params, z, tg, phase, kept=None):
-    """picard_solve without and with its tables (kept, if given, is the
-    latter): the same field, checks and certificates bitwise; returns the
-    solve that kept its tables."""
-    lean = S.picard_solve(spec, params, z, tg, phase, keep_tables=False)
-    if kept is None:
-        kept = S.picard_solve(spec, params, z, tg, phase, keep_tables=True)
-    assert lean.traj is None and kept.traj is not None
-    assert lean.field.values.tobytes() == kept.field.values.tobytes()
-    assert json.dumps(lean.manifest()) == json.dumps(kept.manifest())
-    return kept
+def _solve_both_ways(spec, params, z, tg, phase, plain=None):
+    """picard_solve plain (plain, if given) and with a uq node's consumer
+    riding its march (uq._solve_node): the same field, checks and
+    certificates bitwise; returns the plain solve."""
+    if plain is None:
+        plain = S.picard_solve(spec, params, z, tg, phase)
+    rode = U._solve_node(spec, params, z, tg, phase, {})[0]
+    assert plain.field.values.tobytes() == rode.field.values.tobytes()
+    assert json.dumps(plain.manifest()) == json.dumps(rode.manifest())
+    return plain
 
 
 @pytest.mark.parametrize("case", ["coarse", "reference", "blocks-1",
                                   "blocks-2", "blocks-3", "strong"])
 def test_streamed_solve_is_the_whole_table_solve(case, request, monkeypatch):
-    # keep_tables only decides whether the march's blocks are also stored:
-    # every value is the same double without the tables, and the streamed
-    # checks and certificates are those formed from the stored tables by
-    # one whole-table kernel call per quantity.  The strong field's rows
-    # are reduced onto the grid by the kernels.
-    kept = None
+    # a consumer riding the march changes no value of the solve, and the
+    # streamed checks and certificates are those formed from the stored
+    # tables by one whole-table kernel call per quantity.  The strong
+    # field's rows are reduced onto the grid by the kernels.
+    plain, traj = None, None
     if case == "coarse":
         spec = make_spec(LINEAR_Z)
         params = P.derive_constants(1.0, 0.002, 0.002, 2, t0=8.0)
@@ -414,7 +401,8 @@ def test_streamed_solve_is_the_whole_table_solve(case, request, monkeypatch):
         spec, params, tg, phase = (request.getfixturevalue(name) for name in
                                    ("ref_spec", "ref_params", "ref_tgrid",
                                     "ref_phase"))
-        z, kept = 0.0, request.getfixturevalue("ref_solve")
+        z, plain = 0.0, request.getfixturevalue("ref_solve")
+        traj = request.getfixturevalue("ref_traj")
     elif case == "strong":
         strong, traj = request.getfixturevalue("strong_traj")
         tg, phase = strong.tgrid, traj.phase
@@ -423,12 +411,14 @@ def test_streamed_solve_is_the_whole_table_solve(case, request, monkeypatch):
         monkeypatch.setattr(S, "_field_pass", lambda spec, z, tg, phase: (
             strong, S.field_map_zero(spec, z, tg, phase.xgrid)))
     else:
-        spec, params, z, tg, phase = _block_case(int(case[-1]))
-    r = _solve_both_ways(spec, params, z, tg, phase, kept)
+        spec, params, z, tg, phase = H.block_case(int(case[-1]))
+    r = _solve_both_ways(spec, params, z, tg, phase, plain)
+    if traj is None:
+        traj = H.characteristics(r)
     if case == "strong":
-        radius = (phase.xgrid.n // 2) * np.abs(r.traj.dX).max(axis=(1, 2))
+        radius = (phase.xgrid.n // 2) * np.abs(traj.dX).max(axis=(1, 2))
         assert (radius > math.pi / 2).sum() >= 2
-    checks, certificates = H.whole_table_checks(spec, r)
+    checks, certificates = H.whole_table_checks(spec, r, traj)
     assert {n: c.as_dict() for n, c in r.checks.items()} \
         == {n: c.as_dict() for n, c in checks.items()}
     assert list(r.checks) == list(checks)
@@ -631,10 +621,11 @@ def test_small_solve_kernel_truncation_certificate(small_solve):
     r = small_solve
     cert = r.certificates["kernel_truncation"]
     assert 0.0 < cert < 2.0 ** -53
-    x = np.repeat(r.traj.phase.xgrid.points, r.traj.phase.nv)
-    v = np.tile(r.traj.phase.v, r.traj.phase.xgrid.n)
-    dX = r.traj.dX.reshape(len(r.traj.tgrid), -1)
-    nk = r.traj.phase.xgrid.n // 2 + 1
+    traj = H.characteristics(r)
+    x = np.repeat(traj.phase.xgrid.points, traj.phase.nv)
+    v = np.tile(traj.phase.v, traj.phase.xgrid.n)
+    dX = traj.dX.reshape(len(traj.tgrid), -1)
+    nk = traj.phase.xgrid.n // 2 + 1
     assert cert == K.truncation_remainder(x, v, dX, nk)
 
 
@@ -801,8 +792,9 @@ def test_solve_tangent_makes_two_range_reductions_per_row(monkeypatch,
         calls.append(args[0].shape)
         return real(*args)
 
+    traj = H.characteristics(result)
     monkeypatch.setattr(K, "_taylor_rows", counted)
-    S.solve_tangent(spec, result)
+    H.solve_tangent(spec, result, traj)
     assert len(calls) == 2 * len(result.field.tgrid)
     assert set(calls) == {(1, result.phase.xgrid.n * result.phase.nv)}
 
@@ -822,7 +814,7 @@ def coarse_case():
     params = P.derive_constants(1.0, 0.002, 0.002, 2, t0=8.0)
     tg, phase = small_grids(nx=32, nv=65, t0=8.0, t_end=43.0, steps=87)
     result = S.picard_solve(spec, params, 0.0, tg, phase)
-    return spec, result, S.solve_tangent(spec, result)
+    return spec, result, H.solve_tangent(spec, result)
 
 
 def _wnorm(table, values=None):
@@ -898,7 +890,7 @@ def _tangent_case(modes, K=2, z=0.0):
     """_tangent_solve's solve and its tangent solve."""
     spec, result = _tangent_solve(modes, K, z)
     return (spec, result.params, result.field.tgrid, result.phase,
-            S.solve_tangent(spec, result))
+            H.solve_tangent(spec, result))
 
 
 @pytest.fixture(scope="module")
@@ -915,8 +907,8 @@ def strong_tangent(strong_traj):
     params = P.derive_constants(1.0, 0.002, 0.002, 2, t0=8.0)
     tg, phase = small_grids()
     result = dataclasses.replace(
-        S.picard_solve(spec, params, 0.0, tg, phase), field=E, traj=traj)
-    return spec, result, S.solve_tangent(spec, result)
+        S.picard_solve(spec, params, 0.0, tg, phase), field=E)
+    return spec, result, H.solve_tangent(spec, result, traj)
 
 
 @pytest.fixture(scope="module")
@@ -930,9 +922,8 @@ def strong_tangent_k3():
     spec = make_spec(LINEAR_Z)
     params = P.derive_constants(1.0, 0.002, 0.002, 3, t0=12.0)
     result = dataclasses.replace(
-        S.picard_solve(spec, params, 0.0, E.tgrid, phase), field=E,
-        traj=S.solve_characteristics(E, phase, a=1.0))
-    return spec, result, S.solve_tangent(spec, result)
+        S.picard_solve(spec, params, 0.0, E.tgrid, phase), field=E)
+    return spec, result, H.solve_tangent(spec, result)
 
 
 @pytest.mark.parametrize("case", ["coarse_case", "strong_tangent"])
@@ -940,15 +931,16 @@ def test_tangent_pass_is_a_fixed_point_of_one_more_map(case, request):
     spec, result, taylor = request.getfixturevalue(case)
     tables = [e.values for e in taylor.fields]
     E0 = result.field
+    traj = H.characteristics(result)
     for j in range(1, len(tables) + 1):
-        again = H.tangent_map(spec, result, tables[:j])
+        again = H.tangent_map(spec, result, traj, tables[:j])
         assert _wnorm(E0, again - tables[j - 1]) \
             <= 1e-14 * _wnorm(E0, tables[j - 1]), j
 
 
 def test_tangent_pass_matches_the_tangent_iteration(coarse_case):
     spec, result, taylor = coarse_case
-    old = H.tangent_iterate(spec, result, maps=4)
+    old = H.tangent_iterate(spec, result, H.characteristics(result), maps=4)
     E0 = result.field
     for k, (ek, want) in enumerate(zip(taylor.fields, old), 1):
         assert _wnorm(E0, ek.values - want) <= 1e-14 * _wnorm(E0, want), k
@@ -966,8 +958,8 @@ def test_tangent_pass_equals_the_per_order_passes_bitwise(case, request):
         spec, result, taylor = request.getfixturevalue(case)
     else:
         spec, result = _tangent_solve(*case)
-        taylor = S.solve_tangent(spec, result)
-    vals, checks = H.tangent_by_orders(spec, result)
+        taylor = H.solve_tangent(spec, result)
+    vals, checks = H.tangent_by_orders(spec, result, H.characteristics(result))
     assert len(taylor.fields) == len(vals) == result.params.K
     for got, want in zip(taylor.fields, vals):
         assert np.array_equal(got.values, want)
@@ -983,11 +975,12 @@ def test_solve_tangent_memory_budget(coarse_case):
     assert result.params.K == 2
     phase = result.phase
     table = 8 * len(result.field.tgrid) * phase.xgrid.n * phase.nv
-    S.solve_tangent(spec, result)                   # the phase table
+    traj = H.characteristics(result)
+    H.solve_tangent(spec, result, traj)             # the phase table
     tracemalloc.start()
     try:
         start = tracemalloc.get_traced_memory()[0]
-        S.solve_tangent(spec, result)
+        H.solve_tangent(spec, result, traj)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -1097,13 +1090,6 @@ def test_trajectory_coefficients_match_central_differences():
     h = 2e-3
     fd3 = (dX(2 * h) - 2 * dX(h) + 2 * dX(-h) - dX(-2 * h)) / (12 * h ** 3)
     assert np.abs(fd3 - X[2]).max() <= 1e-5 * np.abs(X[2]).max()
-
-
-def test_tangent_needs_the_trajectories(linear_tangent):
-    spec, params, tg, phase, _ = linear_tangent
-    r = S.picard_solve(spec, params, 0.0, tg, phase, keep_tables=False)
-    with pytest.raises(ValueError, match="trajectories"):
-        S.solve_tangent(spec, r)
 
 
 # ---------------------------------------------------------------------------

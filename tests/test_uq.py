@@ -5,6 +5,7 @@ import faulthandler
 import math
 import multiprocessing
 import os
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -523,20 +524,63 @@ def test_corollary_from_node_solves_matches_resolving_oracle(zdep_small):
     assert len(deriv) == 3 and min(deriv) > 0.0
 
 
-def test_transport_residual_by_row_blocks_is_the_whole_table(ref_solve,
-                                                              ref_spec):
-    # the residual is formed a row block at a time (3 rows on the
-    # reference grids); the identities on the whole table are the oracle,
-    # bitwise
-    traj = ref_solve.traj
-    nt = len(traj.tgrid)
-    x, v, _ = S._flat_labels(traj.phase)
+@pytest.mark.parametrize("case", ["blocks-1", "blocks-2", "blocks-3",
+                                  "reference"])
+def test_node_residual_and_tangent_ride_one_march(case, request,
+                                                  monkeypatch):
+    # nt below one row block, two whole blocks, one row past them, and
+    # the reference grids (3 rows a block): a node at z = 0 marches its
+    # characteristics once, and its residual and Taylor coefficients are
+    # bitwise those formed from the stored tables of that march, the
+    # residual by the identities on the whole table and the tangent one
+    # order at a time
+    if case == "reference":
+        spec, params, tg, phase = (request.getfixturevalue(name) for name in
+                                   ("ref_spec", "ref_params", "ref_tgrid",
+                                    "ref_phase"))
+    else:
+        spec, params, _, tg, phase = H.block_case(int(case[-1]))
+    marches, real = [], S._march
+
+    def counted(E, *args, **kwargs):
+        marches.append(E)
+        return real(E, *args, **kwargs)
+
+    monkeypatch.setattr(S, "_march", counted)
+    result, delta, _, taylor = U._solve_node(spec, params, 0.0, tg, phase, {})
+    assert marches == [result.field]
+    traj = H.characteristics(result)
+    nt = len(tg)
+    x, v, _ = S._flat_labels(phase)
     dv = traj.dV.reshape(nt, -1)
-    dx = traj.dX.reshape(nt, -1) - traj.tgrid.times[:, None] * dv
-    want = -shifted_difference(ref_spec, x[None, :], v[None, :], dx, dv, 0.0)
-    assert len(S._row_blocks(nt, x.shape[0])) > 1
-    got = U._transport_residual(traj, ref_spec, 0.0)
-    assert got.tobytes() == want.tobytes()
+    dx = traj.dX.reshape(nt, -1) - tg.times[:, None] * dv
+    want = -shifted_difference(spec, x[None, :], v[None, :], dx, dv, 0.0)
+    assert delta.tobytes() == want.tobytes()
+    vals, checks = H.tangent_by_orders(spec, result, traj)
+    assert len(taylor.fields) == len(vals) == params.K
+    for got, want in zip(taylor.fields, vals):
+        assert got.values.tobytes() == want.tobytes()
+    assert {n: (c.value, c.bound) for n, c in taylor.checks.items()} \
+        == {n: (c.value, c.bound) for n, c in checks.items()}
+
+
+@pytest.mark.parametrize("z", [0.0, 0.5])
+def test_reference_node_stores_no_trajectory_table(z, ref_spec, ref_params,
+                                                   ref_tgrid, ref_phase):
+    # the residual and, at z = 0, the tangent ride the certifying march: a
+    # warm reference node grows by its residual table and row blocks,
+    # below two (nt, P) tables (three when it kept dX and dV whole)
+    table = 8 * len(ref_tgrid) * ref_phase.xgrid.n * ref_phase.nv
+    args = (ref_spec, ref_params, z, ref_tgrid, ref_phase, {})
+    U._solve_node(*args)                        # the phase table
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        U._solve_node(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - start < 2 * table, (peak - start) / table
 
 
 def test_check_corollary_solves_nothing(zdep_small, monkeypatch):
@@ -598,18 +642,18 @@ def test_every_node_is_solved_and_the_tangent_runs_once(monkeypatch):
     # usable CPU every node is solved in this process, in node order
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
     calls, tangents = [], []
-    real_solve, real_tangent = U.picard_solve, U.solve_tangent
+    real_solve, real_tangent = U.picard_solve, U._tangent_pass
 
     def counted(*args, **kwargs):
         calls.append(args[2])
         return real_solve(*args, **kwargs)
 
-    def counted_tangent(spec, result):
-        tangents.append(result.z)
-        return real_tangent(spec, result)
+    def counted_tangent(spec, E0, params, phase, z):
+        tangents.append(z)
+        return real_tangent(spec, E0, params, phase, z)
 
     monkeypatch.setattr(U, "picard_solve", counted)
-    monkeypatch.setattr(U, "solve_tangent", counted_tangent)
+    monkeypatch.setattr(U, "_tangent_pass", counted_tangent)
     spec, params, tg, phase = _small_setup()
     ens = U.run_collocation(spec, params, tg, phase, n_z=5, tol=1e-11,
                             inner_tol=1e-13)
@@ -626,7 +670,7 @@ def test_every_node_is_solved_once_on_two_cpus(monkeypatch, tmp_path):
     # the tangent once at z = 0, with the results in node order
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
     log = tmp_path / "calls"
-    real_solve, real_tangent = U.picard_solve, U.solve_tangent
+    real_solve, real_tangent = U.picard_solve, U._tangent_pass
 
     def record(kind, z):
         with open(log, "a") as fh:
@@ -636,12 +680,12 @@ def test_every_node_is_solved_once_on_two_cpus(monkeypatch, tmp_path):
         record("solve", args[2])
         return real_solve(*args, **kwargs)
 
-    def counted_tangent(spec, result):
-        record("tangent", result.z)
-        return real_tangent(spec, result)
+    def counted_tangent(spec, E0, params, phase, z):
+        record("tangent", z)
+        return real_tangent(spec, E0, params, phase, z)
 
     monkeypatch.setattr(U, "picard_solve", counted)
-    monkeypatch.setattr(U, "solve_tangent", counted_tangent)
+    monkeypatch.setattr(U, "_tangent_pass", counted_tangent)
     spec, params, tg, phase = _small_setup()
     ens = U.run_collocation(spec, params, tg, phase, n_z=5, tol=1e-11,
                             inner_tol=1e-13)
@@ -768,7 +812,7 @@ def test_an_earlier_failing_node_is_named_before_a_later_one(monkeypatch):
 def test_node_manifest_records_velocity_grid(zdep_small):
     # the nodes keep no tables, yet their manifests name the velocity grid
     for result in zdep_small.results:
-        assert result.traj is None and not hasattr(result, "var")
+        assert not hasattr(result, "traj") and not hasattr(result, "var")
         grids = result.manifest()["grids"]
         assert (grids["nv"], grids["v_max"]) == (zdep_small.phase.nv,
                                                  zdep_small.phase.v_max)
