@@ -8,20 +8,21 @@ displacement) take the solver's phase nodes as labels,
 ``xs = (2 pi / nx) arange(nx)`` and nx equal to twice the top mode; other
 labels raise ValueError.  On this tensor grid ``e^{ik(x_i + v_j t_n + d)}``
 factors into ``e^{2 pi i k i / nx}``, a real FFT of length nx over i; the
-grid-only table ``e^{i k v_j t_n}`` (``phase_table``, which keeps the last
-table it built, so the passes, the certifying characteristics and map
-and the z nodes of one grid share it); and ``e^{i k d}``, summed as its Taylor
-series in the displacement d.  Time row n has the Taylor radius
-``r = k_max max_p |d_{n,p}|``.  A row with r > pi/2 is first reduced onto
-the grid: ``d = q h + s`` with grid step ``h = 2 pi / nx``, integer
-``q = rint(d / h)`` and ``|s| <= h/2``, so that ``k_max |s| <= pi/2``; the
-factor ``e^{i k q h}`` moves the particle's FFT index from i to i + q, and
-the series runs in s.  Each row gets the smallest order M whose remainder
-``r^{M+1}/(M+1)!`` is below 2^-53 relative (``taylor_order``; for
-``corr_fourier`` relative to the leading term of ``e^{-ikd} - 1``, whose
-series starts at order 1 so that its error stays proportional to the
-displacement, which matters because downstream norms weight late times by
-``e^{a t}``).  Rows are processed in blocks so that no complex temporary
+grid-only rows ``e^{i k v_j t_n}`` (``phase_table``, one source per grid
+that every evaluator on the grid asks for rows: it forms them on request
+and keeps only the row block of a march in use, so that each march forms
+each row once and no (nt, nk, nv) table is kept); and ``e^{i k d}``,
+summed as its Taylor series in the displacement d.  Time row n has the
+Taylor radius ``r = k_max max_p |d_{n,p}|``.  A row with r > pi/2 is
+first reduced onto the grid: ``d = q h + s`` with grid step
+``h = 2 pi / nx``, integer ``q = rint(d / h)`` and ``|s| <= h/2``, so that
+``k_max |s| <= pi/2``; the factor ``e^{i k q h}`` moves the particle's FFT
+index from i to i + q, and the series runs in s.  Each row gets the
+smallest order M whose remainder ``r^{M+1}/(M+1)!`` is below 2^-53
+relative (``taylor_order``; for ``corr_fourier`` relative to the leading
+term of ``e^{-ikd} - 1``, whose series starts at order 1 so that its
+error stays proportional to the displacement, which matters because
+downstream norms weight late times by ``e^{a t}``).  Rows are processed in blocks so that no complex temporary
 outgrows about 1 MiB.  A row that is not finite, or too large for the
 reduction to keep |s| <= h/2 (|d| near 1e15 or beyond at nx 8), comes out
 NaN.  ``truncation_remainder`` reports the largest remainder the kernels
@@ -66,7 +67,7 @@ import numpy as np
 
 
 # ---------------------------------------------------------------------------
-# tensor-grid FFT path: label check, phase table, Taylor orders
+# tensor-grid FFT path: label check, phase rows, Taylor orders
 # ---------------------------------------------------------------------------
 
 _TAYLOR_TOL = 2.0 ** -53
@@ -113,25 +114,57 @@ def _grid_velocities(x, v, nk):
                      "positions times the velocity nodes")
 
 
+def _row_blocks(nt: int, npart: int):
+    """(n0, n1) blocks of the rows of (nt, npart) float tables, the last
+    rows first: as many rows as fit in _BLOCK_BYTES for four such tables.
+    The march of the characteristics (scattering._march) forms and hands
+    out these blocks one at a time, and a grid's phase rows (phase_table)
+    keep the one in use, so that each march forms each phase row once."""
+    size = max(1, _BLOCK_BYTES // (4 * 8 * npart))
+    return [(max(0, n1 - size), n1) for n1 in range(nt, 0, -size)]
+
+
+def _phase_rows(vs, times, nk):
+    """T[n, k, j] = e^{i k v_j t_n} on the rows of times, (rows, nk, nv):
+    cos and sin of k (t_n v_j), the same doubles row by row or whole."""
+    arg = np.arange(nk)[:, None] * (times[:, None, None] * vs)
+    rows = np.empty(arg.shape, dtype=complex)
+    np.cos(arg, out=rows.real)
+    np.sin(arg, out=rows.imag)
+    rows.flags.writeable = False
+    return rows
+
+
 @functools.lru_cache(maxsize=1)
-def _cached_phase_table(vs_bytes, times_bytes, nk):
-    vs = np.frombuffer(vs_bytes)
-    phi = np.frombuffer(times_bytes)[:, None] * vs[None, :]
-    table = np.empty((phi.shape[0], nk, vs.shape[0]), dtype=complex)
-    for k in range(nk):
-        arg = k * phi
-        np.cos(arg, out=table.real[:, k, :])
-        np.sin(arg, out=table.imag[:, k, :])
-    table.flags.writeable = False
-    return table
+def _cached_phase_rows(vs_bytes, times_bytes, nk):
+    vs, times = np.frombuffer(vs_bytes), np.frombuffer(times_bytes)
+    nt = times.shape[0]
+    blocks = _row_blocks(nt, 2 * (nk - 1) * vs.shape[0])
+    size = blocks[0][1] - blocks[0][0]
+    kept = (0, 0, None)
+
+    def rows(n0, n1):
+        nonlocal kept
+        k0, k1, block = kept
+        if not k0 <= n0 <= n1 <= k1:
+            b0, b1 = blocks[(nt - n1) // size]      # the block of row n1 - 1
+            if n0 < b0:
+                return _phase_rows(vs, times[n0:n1], nk)
+            kept = k0, k1, block = b0, b1, _phase_rows(vs, times[b0:b1], nk)
+        return block[n0 - k0:n1 - k0]
+    return rows
 
 
 def phase_table(vs, times, nk):
-    """T[n, k, j] = e^{i k v_j t_n}, the grid-only factor of the tensor-grid
-    phases; the last table built is kept for the next call."""
+    """The rows of T[n, k, j] = e^{i k v_j t_n}, the grid-only factor of
+    the tensor-grid phases, as a function rows(n0, n1) -> (n1 - n0, nk,
+    nv) shared by every caller on the grid (the last grid asked for).  It
+    forms the rows on request and keeps only the row block (_row_blocks)
+    of the last request that fits in one; a request across blocks, such
+    as all rows at once, is formed and not kept."""
     as_bytes = [np.ascontiguousarray(a, dtype=float).tobytes()
                 for a in (vs, times)]
-    return _cached_phase_table(*as_bytes, int(nk))
+    return _cached_phase_rows(*as_bytes, int(nk))
 
 
 def _taylor_rows(dx_dev, kmax, lowest):
@@ -251,14 +284,14 @@ def row_evaluator(c, x, v, times):
     vs = _grid_velocities(x, v, nk)
     nx, nv = 2 * (nk - 1), vs.shape[0]
     ik = 1j * np.arange(nk)
-    table = phase_table(vs, times, nk)[:, None]
+    phases = phase_table(vs, times, nk)
     block = max(1, _BLOCK_BYTES // (16 * lines * nk * nv))
 
     def rows(out, n0, dx):
         n1 = n0 + len(dx)
         cn = c[n0:n1].reshape(n1 - n0, lines, nk).copy()
         cn[..., nk - 1] = cn[..., nk - 1].real    # cosine-only Nyquist row
-        tn = table[n0:n1]
+        tn = phases(n0, n1)[:, None]
         dx_red, q, orders, _, bad = _taylor_rows(dx, nk - 1, 0)
         for r0, r1, order in _order_runs(orders, block):
             acc = out[r0:r1].reshape(r1 - r0, lines, nx, nv)
@@ -404,7 +437,7 @@ def corr_evaluator(x, v, times, nk):
     vs = _grid_velocities(x, v, nk)
     nx, nv = 2 * (nk - 1), vs.shape[0]
     mik = -1j * np.arange(nk)
-    table = phase_table(vs, times, nk)
+    phases = phase_table(vs, times, nk)
     # w d^m lives in one buffer from block to block and call to call: a
     # fresh one of a few hundred kB on every row makes the allocator give
     # the top of the heap back and fault it in again on the next row
@@ -416,6 +449,7 @@ def corr_evaluator(x, v, times, nk):
         block = max(1, _BLOCK_BYTES // (16 * lines * nk * nv))
         wgrid = wf.reshape(-1, lines, nx, nv) / (2.0 * math.pi)
         dx_red, q, orders, _, bad = _taylor_rows(dx, nk - 1, 1)
+        tn = phases(n0, n0 + len(dx))
         for r0, r1, order in _order_runs(orders, block):
             acc = out[r0:r1].reshape(r1 - r0, lines, nk)
             acc[...] = 0.0
@@ -423,7 +457,7 @@ def corr_evaluator(x, v, times, nk):
                 continue
             d = dx_red[r0:r1].reshape(r1 - r0, 1, nx, nv)
             w = wgrid if wgrid.shape[0] == 1 else wgrid[r0:r1]
-            conj = table[n0 + r0:n0 + r1].conj()
+            conj = tn[r0:r1].conj()
             move = None
             if q is not None:
                 # destination of each particle in the block's flat

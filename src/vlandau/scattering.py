@@ -63,6 +63,7 @@ import numpy as np
 from . import kernels
 from .fields import (FieldTable, PhaseGrid, TimeGrid, XGrid, _dx_rows,
                      spectral_dx, weighted_norm, weighted_sup)
+from .kernels import _row_blocks
 from .params import BoundCheck, DampingParams, require_admissible, \
     tail_integral, tail_integral_moment
 from .profiles import HypothesisError, ProfileSpec, eval_profile, \
@@ -86,16 +87,6 @@ def _profile_weights(phase: PhaseGrid, spec: ProfileSpec, z: float):
     """Quadrature weight times profile value per flattened phase node."""
     x, v, w = _flat_labels(phase)
     return x, v, w * eval_profile(spec, x, v, z)
-
-
-def _row_blocks(nt: int, npart: int):
-    """(n0, n1) blocks of the rows of (nt, npart) float tables, the last
-    rows first, that the march forms and hands out one at a time.
-    As the kernels block their temporaries, a block is as many rows as
-    fit in kernels._BLOCK_BYTES, here for the four label derivatives
-    that the march of the characteristics (_march) holds per row."""
-    size = max(1, kernels._BLOCK_BYTES // (4 * 8 * npart))
-    return [(max(0, n1 - size), n1) for n1 in range(nt, 0, -size)]
 
 
 # ---------------------------------------------------------------------------
@@ -667,14 +658,14 @@ class TaylorCoefficients:
     checks: dict
 
 
-def _free_modes(W, table) -> np.ndarray:
+def _free_modes(W, phases) -> np.ndarray:
     """(1/2pi) sum_p W_{n,p} e^{-ik (x_p + v_p t_n)}, complex (rows, nk),
     for per-row weights W (rows, P) on the tensor grid: a real FFT over
-    the positions against the rows of the phase table (kernels.phase_table)
-    e^{ik v_j t_n}, (rows, nk, nv), or its one row t_n, (1, nk, nv)."""
-    g = np.fft.rfft(W.reshape(W.shape[0], -1, table.shape[2]), axis=1)
+    the positions against the same rows of e^{ik v_j t_n}, phases
+    (rows, nk, nv) as the grid's kernels.phase_table forms them."""
+    g = np.fft.rfft(W.reshape(W.shape[0], -1, phases.shape[2]), axis=1)
     np.conjugate(g, out=g)
-    return np.einsum("nkj,nkj->nk", table, g).conj() / (2.0 * math.pi)
+    return np.einsum("nkj,nkj->nk", phases, g).conj() / (2.0 * math.pi)
 
 
 def _power(X, m: int, l: int):
@@ -721,7 +712,7 @@ def _tangent_pass(spec: ProfileSpec, E0: FieldTable, params: DampingParams,
     nk = nx // 2 + 1
     mik = -1j * np.arange(nk)
     block = []                          # the current block's n0 and its dX
-    table = kernels.phase_table(phase.v, times, nk)
+    phases = kernels.phase_table(phase.v, times, nk)
     density = kernels.corr_evaluator(x, v, times, nk)
 
     # the unknown-free weights and free fields of each order
@@ -759,7 +750,7 @@ def _tangent_pass(spec: ProfileSpec, E0: FieldTable, params: DampingParams,
             lines += [wf[0] * Xf[j - 1]] * (j > 1) + [wf[0] * X[j - 1]]
         np.stack(lines, out=W)
         density(modes, n, W[None], dX0)
-        modes[0, K:] += _free_modes(W[K:], table[n:n + 1])   # the S[.] lines
+        modes[0, K:] += _free_modes(W[K:], phases(n, n + 1))    # S[.] lines
         S = iter(modes[0, K:])
         for j in range(1, K + 1):
             c = modes[0, j - 1]

@@ -32,13 +32,13 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial import legendre as npleg
 
-from . import kernels
 from .fields import weighted_norm, weighted_sup
+from .kernels import _row_blocks
 from .params import DampingParams
 from .profiles import ProfileSpec, shifted_difference, sup_gradient
 from .scattering import FIELD_MAP_METHOD, BoundCheck, SolveResult, \
-    TaylorCoefficients, TimeGrid, PhaseGrid, _flat_labels, _row_blocks, \
-    _tangent_pass, picard_solve
+    TaylorCoefficients, TimeGrid, PhaseGrid, _flat_labels, _tangent_pass, \
+    picard_solve
 # unused here, but perfbench/tracer.py rebinds it in this module by name
 from .scattering import solve_characteristics  # noqa: F401
 
@@ -391,9 +391,6 @@ def run_collocation(spec: ProfileSpec, params: DampingParams,
         except Exception as err:
             return err
 
-    # the kernels' table of the grids, built before the fork so that the
-    # workers share this process's copy instead of each building its own
-    kernels.phase_table(phase.v, tgrid.times, phase.xgrid.n // 2 + 1)
     outcomes = _in_node_order(multiprocessing.get_context("fork"), solve,
                               n_z)
 

@@ -8,7 +8,7 @@ created lazily so that test files which never request them stay fast.
 import pytest
 
 from vlandau import config as vconfig
-from vlandau import scattering, uq
+from vlandau import kernels, scattering, uq
 
 
 @pytest.fixture(scope="session")
@@ -56,3 +56,20 @@ def ens9(ref_spec, ref_params, ref_tgrid, ref_phase):
     """9-node collocation ensemble on the reference grids."""
     return uq.run_collocation(ref_spec, ref_params, ref_tgrid, ref_phase,
                               n_z=9)
+
+
+@pytest.fixture
+def rows_formed(monkeypatch):
+    """The number of phase rows each kernels._phase_rows call forms, in
+    call order, from an empty cache: no grid's rows are kept at the
+    start."""
+    formed = []
+    real = kernels._phase_rows
+
+    def spy(vs, times, nk):
+        formed.append(len(times))
+        return real(vs, times, nk)
+
+    monkeypatch.setattr(kernels, "_phase_rows", spy)
+    kernels._cached_phase_rows.cache_clear()
+    return formed

@@ -259,7 +259,7 @@ def solve_tangent(spec, result, traj=None):
     else:
         nt = len(E.tgrid)
         dX, dV = traj.dX.reshape(nt, -1), traj.dV.reshape(nt, -1)
-        for n0, n1 in S._row_blocks(*dX.shape):
+        for n0, n1 in kernels._row_blocks(*dX.shape):
             take(n0, n1, dX[n0:n1], dV[n0:n1])
     return finish()
 
@@ -270,9 +270,9 @@ def block_case(blocks):
     16 x 129 phase grids."""
     phase = fields.PhaseGrid(fields.XGrid(16), 129, 6.0)
     npart = phase.xgrid.n * phase.nv
-    n0, n1 = S._row_blocks(10 ** 6, npart)[0]
+    n0, n1 = kernels._row_blocks(10 ** 6, npart)[0]
     nt = {1: (n1 - n0) // 2, 2: 2 * (n1 - n0), 3: 2 * (n1 - n0) + 1}[blocks]
-    assert len(S._row_blocks(nt, npart)) == blocks
+    assert len(kernels._row_blocks(nt, npart)) == blocks
     tg = fields.TimeGrid(8.0, 20.0, nt - 1)
     params = P.derive_constants(1.0, 0.002, 0.002, 2, t0=tg.t0)
     return make_spec({0: 8e-5, 1: (1e-5, 3e-6)}), params, 0.3, tg, phase
@@ -321,7 +321,7 @@ def tangent_map(spec, result, traj, tables):
     nk = nx // 2 + 1
     mik = -1j * np.arange(nk)
     dX0 = traj.dX.reshape(len(times), -1)
-    table = kernels.phase_table(phase.v, times, nk)
+    table = kernels.phase_table(phase.v, times, nk)(0, len(times))
 
     def density(W):
         return kernels.corr_fourier(W, x, v, times, dX0, nk) \
@@ -363,7 +363,7 @@ def tangent_by_orders(spec, result, traj):
     mik = -1j * np.arange(nk)
     dX0 = traj.dX.reshape(len(times), -1)
     lip = params.contraction_bound
-    table = kernels.phase_table(phase.v, times, nk)
+    table = kernels.phase_table(phase.v, times, nk)(0, len(times))
     corr_rows = kernels.corr_evaluator(x, v, times, nk)
 
     def density(W):

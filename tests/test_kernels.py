@@ -64,7 +64,8 @@ def _corr_sum(wf, x, v, times, dX, nk):
 
 @pytest.fixture
 def table_calls(monkeypatch):
-    """Counts the phase-table requests, one per kernel call."""
+    """Counts the requests for a grid's phase rows (K.phase_table): a
+    kernel call, or an evaluator when it is built, makes one."""
     calls = []
     real = K.phase_table
 
@@ -78,17 +79,32 @@ def table_calls(monkeypatch):
 
 @pytest.mark.parametrize("nx, nv, nt", [(64, 129, 176), (128, 65, 176),
                                         (32, 65, 88)])
-def test_phase_table_is_cos_plus_i_sin(nx, nv, nt):
-    # built in place, the table equals cos(k v t) + i sin(k v t) bitwise
-    # on the grids of the three benchmark workloads
+def test_phase_table_is_cos_plus_i_sin(nx, nv, nt, rows_formed):
+    # formed on request, the rows equal cos(k v t) + i sin(k v t) bitwise
+    # on the grids of the three benchmark workloads: one row at a time from
+    # the top down (each kept block formed once), one request across two
+    # kept blocks, and all rows in one call
     times = 8.0 + (35.0 / (nt - 1)) * np.arange(nt)
     vs = np.linspace(-6.0, 6.0, nv)
     nk = nx // 2 + 1
-    got = K.phase_table(vs, times, nk)
     phi = times[:, None] * vs[None, :]
-    for k in range(nk):
-        assert np.array_equal(got[:, k, :],
-                              np.cos(k * phi) + 1j * np.sin(k * phi)), k
+    want_re = np.stack([np.cos(k * phi) for k in range(nk)], axis=1)
+    want_im = np.stack([np.sin(k * phi) for k in range(nk)], axis=1)
+
+    def check(got, n0, n1):
+        assert got.shape == (n1 - n0, nk, nv)
+        assert got.real.tobytes() == want_re[n0:n1].tobytes(), (n0, n1)
+        assert got.imag.tobytes() == want_im[n0:n1].tobytes(), (n0, n1)
+
+    rows = K.phase_table(vs, times, nk)
+    for n in range(nt - 1, -1, -1):
+        check(rows(n, n + 1), n, n + 1)
+    assert sum(rows_formed) == nt
+    blocks = K._row_blocks(nt, nx * nv)
+    assert len(blocks) > 2
+    edge = blocks[1][0]             # between the second and third block
+    check(rows(edge - 1, edge + 1), edge - 1, edge + 1)
+    check(rows(0, nt), 0, nt)
 
 
 # ---------------------------------------------------------------------------

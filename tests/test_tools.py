@@ -5,7 +5,9 @@ tools/same_outputs.py, the byte comparison of two checkouts' CLI runs."""
 import importlib.util
 import inspect
 import os
+import re
 import shutil
+import sys
 
 import pytest
 
@@ -99,16 +101,27 @@ def test_settable_values_follow_the_stated_rule(count):
     assert count.settable_values(SOURCE) == 4 + 3 + 1 + 2
 
 
+def _verdicts(out):
+    """[(verdict, peak a, peak b)] of same_outputs' lines."""
+    found = [re.fullmatch(r"check reference\.cfg: (.+) "
+                          r"\(peak RSS (\d+\.\d) → (\d+\.\d) MB\)", line)
+             for line in out.splitlines()]
+    assert all(found), out
+    return [(m[1], float(m[2]), float(m[3])) for m in found]
+
+
 def test_same_outputs_tells_a_changed_character(tmp_path, monkeypatch,
                                                 capsys):
     # on its check case alone: a checkout against itself is the same, and
-    # a copy whose CLI prints one character otherwise differs in stdout
+    # a copy whose CLI prints one character otherwise differs in stdout;
+    # each line ends in the two runs' peak RSS, and the copy's, which
+    # also fills 64 MiB, is that much higher
     same = _tool("same_outputs")
     monkeypatch.setattr(same, "CASES", [
         case for case in same.CASES if case[1] == ["check"]])
     assert same.main([ROOT, ROOT]) == 0
-    assert capsys.readouterr().out.splitlines() == [
-        "check reference.cfg: same"]
+    [(verdict, a, b)] = _verdicts(capsys.readouterr().out)
+    assert verdict == "same" and 0.0 < a < 200.0 and 0.0 < b < 200.0
 
     copy = tmp_path / "copy"
     for sub in ("src", "configs"):
@@ -118,7 +131,10 @@ def test_same_outputs_tells_a_changed_character(tmp_path, monkeypatch,
     text = cli.read_text()
     assert text.count('print("all checks passed")') == 1
     cli.write_text(text.replace('print("all checks passed")',
-                                'print("all checks Passed")'))
+                                'print("all checks Passed"); '
+                                'b"x" * (64 << 20)'))
     assert same.main([ROOT, str(copy)]) == 1
-    assert capsys.readouterr().out.splitlines() == [
-        "check reference.cfg: differs in stdout"]
+    [(verdict, a, b)] = _verdicts(capsys.readouterr().out)
+    assert verdict == "differs in stdout"
+    if sys.platform == "linux":     # ru_maxrss is in KiB on Linux
+        assert 60.0 < b - a < 70.0, (a, b)

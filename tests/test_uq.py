@@ -572,7 +572,7 @@ def test_reference_node_stores_no_trajectory_table(z, ref_spec, ref_params,
     # below two (nt, P) tables (three when it kept dX and dV whole)
     table = 8 * len(ref_tgrid) * ref_phase.xgrid.n * ref_phase.nv
     args = (ref_spec, ref_params, z, ref_tgrid, ref_phase, {})
-    U._solve_node(*args)                        # the phase table
+    U._solve_node(*args)                        # grid_sups
     tracemalloc.start()
     try:
         start = tracemalloc.get_traced_memory()[0]
@@ -581,6 +581,22 @@ def test_reference_node_stores_no_trajectory_table(z, ref_spec, ref_params,
     finally:
         tracemalloc.stop()
     assert peak - start < 2 * table, (peak - start) / table
+
+
+@pytest.mark.parametrize("nx, nv, nt", [(64, 129, 176), (128, 65, 176),
+                                        (32, 65, 88)])
+def test_each_march_forms_each_phase_row_once(nx, nv, nt, ref_spec,
+                                              ref_params, rows_formed):
+    # the kernels keep the phase rows of one block of the march: on the
+    # grids of the three benchmark workloads a solve forms 2 nt rows, one
+    # per row for the field pass and one for the certifying march, and so
+    # does a node at z = 0, whose residual and tangent ride that march
+    tg, phase = small_grids(nx=nx, nv=nv, t0=8.0, t_end=43.0, steps=nt - 1)
+    S.picard_solve(ref_spec, ref_params, 0.0, tg, phase)
+    assert sum(rows_formed) == 2 * nt
+    rows_formed.clear()
+    U._solve_node(ref_spec, ref_params, 0.0, tg, phase, {})
+    assert sum(rows_formed) == 2 * nt
 
 
 def test_check_corollary_solves_nothing(zdep_small, monkeypatch):

@@ -18,8 +18,10 @@ The two benchmark configs come from ``perfbench/workloads.config_text``
 next to this script, imported without writing bytecode there;
 ``configs/reference.cfg`` is each checkout's own.
 The exit code, stdout, stderr and every file the run writes are
-compared.  One line per case, ``same`` or what differs; the exit code is
-1 on any difference.
+compared.  One line per case, ``same`` or what differs, followed by the
+peak RSS of the two runs, ``(peak RSS a → b MB)`` with ``ru_maxrss``
+from ``os.wait4`` read in Linux's KiB: the largest peak of the CLI process
+and its workers.  The exit code is 1 on any difference.
 """
 
 from __future__ import annotations
@@ -30,6 +32,17 @@ import sys
 import tempfile
 
 HERE = os.path.dirname(os.path.abspath(__file__))
+
+# Linux carries the peak resident set of the process that starts a child
+# over into the child's, so each run is started from a bare interpreter,
+# far smaller than any run, which reads the run's peak from wait4
+LAUNCH = """
+import os, subprocess, sys
+with open(sys.argv[1], "wb") as out, open(sys.argv[2], "wb") as err:
+    proc = subprocess.Popen(sys.argv[3:], stdout=out, stderr=err)
+    _, status, usage = os.wait4(proc.pid, 0)
+print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
+"""
 
 
 def _reference(root: str) -> str:
@@ -66,24 +79,30 @@ CASES = [
 ]
 
 
-def run(root: str, args: list[str], config, cwd: str) -> dict:
-    """{name: bytes} of one CLI run in cwd: its exit code, stdout, stderr
-    and every file under cwd afterwards, by relative path."""
+def run(root: str, args: list[str], config, cwd: str) -> tuple[dict, float]:
+    """({name: bytes}, peak RSS in MB) of one CLI run in cwd: its exit
+    code, stdout, stderr and every file under cwd afterwards, by relative
+    path; stdout and stderr pass through cwd + ".stdout" and ".stderr"."""
     with open(os.path.join(cwd, "case.cfg"), "w") as fh:
         fh.write(config(root))
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
                PYTHONPATH=os.path.join(os.path.abspath(root), "src"))
-    cmd = [sys.executable, "-m", "vlandau.cli", args[0], "--config",
-           "case.cfg", "--out", "out", *args[1:]]
-    proc = subprocess.run(cmd, cwd=cwd, env=env, capture_output=True)
-    seen = {"exit code": str(proc.returncode).encode(),
-            "stdout": proc.stdout, "stderr": proc.stderr}
+    logs = [cwd + ".stdout", cwd + ".stderr"]
+    cmd = [sys.executable, "-c", LAUNCH, *logs, sys.executable, "-m",
+           "vlandau.cli", args[0], "--config", "case.cfg", "--out", "out",
+           *args[1:]]
+    code, maxrss = subprocess.run(cmd, cwd=cwd, env=env, check=True,
+                                  capture_output=True).stdout.split()
+    seen = {"exit code": code}
+    for name, path in zip(("stdout", "stderr"), logs):
+        with open(path, "rb") as fh:
+            seen[name] = fh.read()
     for top, _, files in os.walk(cwd):
         for name in files:
             path = os.path.join(top, name)
             with open(path, "rb") as fh:
                 seen[os.path.relpath(path, cwd)] = fh.read()
-    return seen
+    return seen, int(maxrss) / 1024.0
 
 
 def main(argv=None) -> int:
@@ -100,11 +119,12 @@ def main(argv=None) -> int:
                 cwd = os.path.join(tmp, sub)
                 os.mkdir(cwd)
                 seen.append(run(root, args, config, cwd))
-        a, b = seen
+        (a, peak_a), (b, peak_b) = seen
         bad = sorted(k for k in a.keys() | b.keys() if a.get(k) != b.get(k))
         differs |= bool(bad)
-        print(f"{label}: " + (f"differs in {', '.join(bad)}" if bad
-                              else "same"), flush=True)
+        verdict = f"differs in {', '.join(bad)}" if bad else "same"
+        print(f"{label}: {verdict} (peak RSS {peak_a:.1f} → {peak_b:.1f} MB)",
+              flush=True)
     return int(differs)
 
 
