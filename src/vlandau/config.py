@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import sys
 from dataclasses import dataclass, field, fields
 
 from .fields import PhaseGrid, TimeGrid, XGrid
@@ -268,6 +269,9 @@ _CHECKS = (
     ("nt", lambda c: c.nt >= 2, "need at least two time nodes"),
     ("t_end t0", lambda c: c.t_end > c.t0,
      "end time must exceed the start time"),
+    ("t_end a", lambda c: c.a * c.t_end <= math.log(sys.float_info.max),
+     "end time t_end = {} is too late: the weight e^(a t_end) of the "
+     "norms overflows a double (a t_end > 709.78)"),
     ("n_z", lambda c: c.n_z >= 1, "need at least one z node"),
     ("picard_tol", lambda c: c.picard_tol >= 0,
      "tolerances must be nonnegative"),

@@ -8,27 +8,27 @@ displacement) take the solver's phase nodes as labels,
 ``xs = (2 pi / nx) arange(nx)`` and nx equal to twice the top mode; other
 labels raise ValueError.  On this tensor grid ``e^{ik(x_i + v_j t_n + d)}``
 factors into ``e^{2 pi i k i / nx}``, a real FFT of length nx over i; the
-grid-only rows ``e^{i k v_j t_n}`` (``phase_table``, one source per grid
-that every evaluator on the grid asks for rows: it forms them on request
-and keeps only the row block of a march in use, so that each march forms
-each row once and no (nt, nk, nv) table is kept); and ``e^{i k d}``,
-summed as its Taylor series in the displacement d.  Time row n has the
-Taylor radius ``r = k_max max_p |d_{n,p}|``.  A row with r > pi/2 is
-first reduced onto the grid: ``d = q h + s`` with grid step
-``h = 2 pi / nx``, integer ``q = rint(d / h)`` and ``|s| <= h/2``, so that
-``k_max |s| <= pi/2``; the factor ``e^{i k q h}`` moves the particle's FFT
-index from i to i + q, and the series runs in s.  Each row gets the
-smallest order M whose remainder ``r^{M+1}/(M+1)!`` is below 2^-53
-relative (``taylor_order``; for ``corr_fourier`` relative to the leading
-term of ``e^{-ikd} - 1``, whose series starts at order 1 so that its
-error stays proportional to the displacement, which matters because
-downstream norms weight late times by ``e^{a t}``).  Rows are processed in blocks so that no complex temporary
-outgrows about 1 MiB.  A row that is not finite, or too large for the
-reduction to keep |s| <= h/2 (|d| near 1e15 or beyond at nx 8), comes out
-NaN.  ``truncation_remainder`` reports the largest remainder the kernels
-leave, with the rounding of ``s`` on reduced rows (inf on such a row),
-the solver's ``kernel_truncation`` certificate.  numpy's FFT is
-single-threaded, so these kernels run on one thread.
+grid-only rows ``e^{i k v_j t_n}`` (``phase_rows``), which the caller
+forms and passes to the evaluators with the rows they evaluate, so that a
+march forms each row once, one block at a time, and the kernels keep
+nothing between calls; and ``e^{i k d}``, summed as its Taylor series in
+the displacement d.  Time row n has the Taylor radius
+``r = k_max max_p |d_{n,p}|``.  A row with r > pi/2 is first reduced onto
+the grid: ``d = q h + s`` with grid step ``h = 2 pi / nx``, integer
+``q = rint(d / h)`` and ``|s| <= h/2``, so that ``k_max |s| <= pi/2``;
+the factor ``e^{i k q h}`` moves the particle's FFT index from i to
+i + q, and the series runs in s.  Each row gets the smallest order M
+whose remainder ``r^{M+1}/(M+1)!`` is below 2^-53 relative
+(``taylor_order``; for ``corr_fourier`` relative to the leading term of
+``e^{-ikd} - 1``, whose series starts at order 1 so that its error stays
+proportional to the displacement, which matters because downstream norms
+weight late times by ``e^{a t}``).  Rows are processed in blocks so that
+no complex temporary outgrows about 1 MiB.  A row that is not finite, or
+too large for the reduction to keep |s| <= h/2 (|d| near 1e15 or beyond
+at nx 8), comes out NaN.  ``truncation_remainder`` reports the largest
+remainder the kernels leave, with the rounding of ``s`` on reduced rows
+(inf on such a row), the solver's ``kernel_truncation`` certificate.
+numpy's FFT is single-threaded, so these kernels run on one thread.
 
 Numerical conventions shared by several kernels:
 
@@ -60,7 +60,6 @@ Numerical conventions shared by several kernels:
 
 from __future__ import annotations
 
-import functools
 import math
 
 import numpy as np
@@ -117,54 +116,22 @@ def _grid_velocities(x, v, nk):
 def _row_blocks(nt: int, npart: int):
     """(n0, n1) blocks of the rows of (nt, npart) float tables, the last
     rows first: as many rows as fit in _BLOCK_BYTES for four such tables.
-    The march of the characteristics (scattering._march) forms and hands
-    out these blocks one at a time, and a grid's phase rows (phase_table)
-    keep the one in use, so that each march forms each phase row once."""
+    The backward marches (scattering._march and _field_pass) form and
+    hand out these blocks one at a time."""
     size = max(1, _BLOCK_BYTES // (4 * 8 * npart))
     return [(max(0, n1 - size), n1) for n1 in range(nt, 0, -size)]
 
 
-def _phase_rows(vs, times, nk):
-    """T[n, k, j] = e^{i k v_j t_n} on the rows of times, (rows, nk, nv):
-    cos and sin of k (t_n v_j), the same doubles row by row or whole."""
+def phase_rows(vs, times, nk):
+    """T[n, k, j] = e^{i k v_j t_n} on the rows of times, (rows, nk, nv),
+    the grid-only factor of the tensor-grid phases: cos and sin of
+    k (t_n v_j), the same doubles row by row or whole."""
     arg = np.arange(nk)[:, None] * (times[:, None, None] * vs)
     rows = np.empty(arg.shape, dtype=complex)
     np.cos(arg, out=rows.real)
     np.sin(arg, out=rows.imag)
     rows.flags.writeable = False
     return rows
-
-
-@functools.lru_cache(maxsize=1)
-def _cached_phase_rows(vs_bytes, times_bytes, nk):
-    vs, times = np.frombuffer(vs_bytes), np.frombuffer(times_bytes)
-    nt = times.shape[0]
-    blocks = _row_blocks(nt, 2 * (nk - 1) * vs.shape[0])
-    size = blocks[0][1] - blocks[0][0]
-    kept = (0, 0, None)
-
-    def rows(n0, n1):
-        nonlocal kept
-        k0, k1, block = kept
-        if not k0 <= n0 <= n1 <= k1:
-            b0, b1 = blocks[(nt - n1) // size]      # the block of row n1 - 1
-            if n0 < b0:
-                return _phase_rows(vs, times[n0:n1], nk)
-            kept = k0, k1, block = b0, b1, _phase_rows(vs, times[b0:b1], nk)
-        return block[n0 - k0:n1 - k0]
-    return rows
-
-
-def phase_table(vs, times, nk):
-    """The rows of T[n, k, j] = e^{i k v_j t_n}, the grid-only factor of
-    the tensor-grid phases, as a function rows(n0, n1) -> (n1 - n0, nk,
-    nv) shared by every caller on the grid (the last grid asked for).  It
-    forms the rows on request and keeps only the row block (_row_blocks)
-    of the last request that fits in one; a request across blocks, such
-    as all rows at once, is formed and not kept."""
-    as_bytes = [np.ascontiguousarray(a, dtype=float).tobytes()
-                for a in (vs, times)]
-    return _cached_phase_rows(*as_bytes, int(nk))
 
 
 def _taylor_rows(dx_dev, kmax, lowest):
@@ -256,20 +223,22 @@ def eval_rows(cre, cim, x, v, times, dx_dev):
     """
     # perfbench/tracer.py binds cre and cim by position and reads
     # cre.shape, so this one entry point keeps the pair; it joins it once
+    nk = cre.shape[-1]
     out = np.empty(dx_dev.shape)
-    row_evaluator(cre + 1j * cim, x, v, times)(out, 0, dx_dev)
+    row_evaluator(x, v, nk)(out, cre + 1j * cim, dx_dev, phase_rows(
+        _grid_velocities(x, v, nk), times, nk))
     return out
 
 
-def row_evaluator(c, x, v, times):
-    """eval_rows by rows: a function rows(out, n0, dx) that writes rows
-    n0, n0 + 1, ... of eval_rows(c.real, c.imag, x, v, times, dx_dev) into
-    out from those rows' displacements dx alone; the characteristics pass
-    asks for one row as soon as its displacement is known.  The complex
-    mode rows c are read at each call, so a backward pass may fill them
-    row by row as it goes.
+def row_evaluator(x, v, nk):
+    """eval_rows by rows: a function rows(out, c, dx, phases) that writes
+    into out the rows of eval_rows(c.real, c.imag, x, v, times, dx) for
+    the complex mode rows c (rows, nk), the displacements dx (rows, P)
+    and the phase rows phases = phase_rows(vs, times, nk) of the same
+    rows; the characteristics pass asks for one row as soon as its
+    displacement is known.
 
-    c may also stack L mode rows per time, (nt, L, nk); out is then
+    c may also stack L mode rows per time, (rows, L, nk); out is then
     (rows, L, P), each of the L rows bitwise its own evaluator's, all
     along the one displacement: one range reduction and one inverse FFT
     per Taylor order serve them all.
@@ -279,24 +248,21 @@ def row_evaluator(c, x, v, times):
     one inverse real FFT over k, read at index i + q; the row is
     sum_m s^m / m! F_m (Horner).
     """
-    nk = c.shape[-1]
-    lines = c.shape[1] if c.ndim == 3 else 1
+    nk = int(nk)
     vs = _grid_velocities(x, v, nk)
     nx, nv = 2 * (nk - 1), vs.shape[0]
     ik = 1j * np.arange(nk)
-    phases = phase_table(vs, times, nk)
-    block = max(1, _BLOCK_BYTES // (16 * lines * nk * nv))
 
-    def rows(out, n0, dx):
-        n1 = n0 + len(dx)
-        cn = c[n0:n1].reshape(n1 - n0, lines, nk).copy()
+    def rows(out, c, dx, phases):
+        lines = c.shape[1] if c.ndim == 3 else 1
+        block = max(1, _BLOCK_BYTES // (16 * lines * nk * nv))
+        cn = c.reshape(len(dx), lines, nk).copy()
         cn[..., nk - 1] = cn[..., nk - 1].real    # cosine-only Nyquist row
-        tn = phases(n0, n1)[:, None]
         dx_red, q, orders, _, bad = _taylor_rows(dx, nk - 1, 0)
         for r0, r1, order in _order_runs(orders, block):
             acc = out[r0:r1].reshape(r1 - r0, lines, nx, nv)
             d = dx_red[r0:r1].reshape(r1 - r0, 1, nx, nv)
-            tab = tn[r0:r1]
+            tab = phases[r0:r1, None]
             at = None if q is None else \
                 _shifted_index(q[r0:r1], nx, nv)[:, None]
             for m in range(order, -1, -1):
@@ -413,16 +379,19 @@ def corr_fourier(wf, x, v, times, dx_dev, nk):
     the transported-density Fourier modes minus their free-streaming part,
     with the cancellation done analytically per particle.
     """
-    out = np.empty((times.shape[0], int(nk)), dtype=complex)
-    corr_evaluator(x, v, times, nk)(out, 0, wf, dx_dev)
+    nk = int(nk)
+    out = np.empty((times.shape[0], nk), dtype=complex)
+    corr_evaluator(x, v, nk)(out, wf, dx_dev, phase_rows(
+        _grid_velocities(x, v, nk), times, nk))
     return out
 
 
-def corr_evaluator(x, v, times, nk):
-    """corr_fourier by rows: a function rows(out, n0, wf, dx) that writes
-    rows n0, n0 + 1, ... of corr_fourier(wf, x, v, times, dx_dev, nk) into
-    out from those rows' weights wf ((P,), or one row each) and
-    displacements dx alone; the field pass asks for one row as soon as its
+def corr_evaluator(x, v, nk):
+    """corr_fourier by rows: a function rows(out, wf, dx, phases) that
+    writes into out the rows of corr_fourier(wf, x, v, times, dx, nk) for
+    the weights wf ((P,), or one row each), the displacements dx
+    (rows, P) and the phase rows phases = phase_rows(vs, times, nk) of
+    the same rows; the field pass asks for one row as soon as its
     displacement is known.  Stacked weights wf (rows or 1, L, P) give out
     (rows, L, nk), each line bitwise its own call's, from one reduction.
 
@@ -437,19 +406,17 @@ def corr_evaluator(x, v, times, nk):
     vs = _grid_velocities(x, v, nk)
     nx, nv = 2 * (nk - 1), vs.shape[0]
     mik = -1j * np.arange(nk)
-    phases = phase_table(vs, times, nk)
     # w d^m lives in one buffer from block to block and call to call: a
     # fresh one of a few hundred kB on every row makes the allocator give
     # the top of the heap back and fault it in again on the next row
     wd = np.empty(0)
 
-    def rows(out, n0, wf, dx):
+    def rows(out, wf, dx, phases):
         nonlocal wd
         lines = wf.shape[1] if wf.ndim == 3 else 1
         block = max(1, _BLOCK_BYTES // (16 * lines * nk * nv))
         wgrid = wf.reshape(-1, lines, nx, nv) / (2.0 * math.pi)
         dx_red, q, orders, _, bad = _taylor_rows(dx, nk - 1, 1)
-        tn = phases(n0, n0 + len(dx))
         for r0, r1, order in _order_runs(orders, block):
             acc = out[r0:r1].reshape(r1 - r0, lines, nk)
             acc[...] = 0.0
@@ -457,7 +424,7 @@ def corr_evaluator(x, v, times, nk):
                 continue
             d = dx_red[r0:r1].reshape(r1 - r0, 1, nx, nv)
             w = wgrid if wgrid.shape[0] == 1 else wgrid[r0:r1]
-            conj = tn[r0:r1].conj()
+            conj = phases[r0:r1].conj()
             move = None
             if q is not None:
                 # destination of each particle in the block's flat

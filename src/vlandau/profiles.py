@@ -137,14 +137,16 @@ class ProfileSpec:
         v = np.asarray(v, dtype=float)
         if self.shape == "gaussian":
             return np.exp(-v * v)
-        return 1.0 / np.cosh(self.rate * v)
+        with np.errstate(over="ignore"):        # 1 / inf = 0 far out
+            return 1.0 / np.cosh(self.rate * v)
 
     def shape_dv(self, v):
         v = np.asarray(v, dtype=float)
         if self.shape == "gaussian":
             return -2.0 * v * np.exp(-v * v)
         b = self.rate
-        return -b * np.tanh(b * v) / np.cosh(b * v)
+        with np.errstate(over="ignore"):
+            return -b * np.tanh(b * v) / np.cosh(b * v)
 
     def shape_transform(self, w):
         """T(w) = int S(v) e^{-i w v} dv; real, even, positive."""
@@ -152,7 +154,8 @@ class ProfileSpec:
         if self.shape == "gaussian":
             return math.sqrt(math.pi) * np.exp(-w * w / 4.0)
         b = self.rate
-        return (math.pi / b) / np.cosh(math.pi * w / (2.0 * b))
+        with np.errstate(over="ignore"):
+            return (math.pi / b) / np.cosh(math.pi * w / (2.0 * b))
 
     @property
     def transform_decay_rate(self) -> float:

@@ -24,14 +24,18 @@ e^{a t}, so representing them as differences of O(1) or O(t) quantities
 would drown the late-time signal in representation noise.  No table of
 (nt, nx, nv) is formed in a solve: the march of the characteristics
 (_march) solves dX, dV and their label derivatives one row block
-(_row_blocks) at a time, and hands each finished block to one callback,
-take(n0, n1, dX, dV), which picard_solve uses to reduce it to rows of
-the field grid or to maxima (the field map, the two deposits, the
-trajectory ratios, the kernel_truncation certificate) and hands on to
-its caller's.  Only solve_characteristics stores dX and dV whole, for
-the callers that read them whole; the public whole-table functions call
-the same kernels on all rows of such a table.  The kernels work row by
-row, so every value is the same double either way.
+(_row_blocks) at a time, forming the block's phase rows
+e^{ik v_j t_n} (kernels.phase_rows) before it marches the block, and
+hands each finished block with those rows to one callback,
+take(n0, n1, dX, dV, phases), which picard_solve uses to reduce it to
+rows of the field grid or to maxima (the field map, the two deposits,
+the trajectory ratios, the kernel_truncation certificate) and hands on
+to its caller's.  The field pass forms its phase rows by the same
+blocks, so each march forms each row once.  Only solve_characteristics
+stores dX and dV whole, for the callers that read them whole; the
+public whole-table functions call the same kernels on all rows of such a
+table.  The kernels work row by row, so every value is the same double
+either way.
 
 For the same reason the field map is evaluated split (FIELD_MAP_METHOD,
 the only method): the free-streaming part of the transported density is
@@ -155,21 +159,22 @@ def _march(E: FieldTable, phase: PhaseGrid, a: float, take):
     """The backward march of the characteristics of E and their label
     derivatives (see solve_characteristics), whose precondition the
     caller has checked.  Each finished row block (_row_blocks) of dX and
-    dV, (rows, P) each, goes to take(n0, n1, dX, dV) and is overwritten
-    after, so no (nt, P) table is formed here.  Returns what
-    the checks read of the label derivatives."""
+    dV, (rows, P) each, goes with the block's phase rows (rows, nk, nv)
+    to take(n0, n1, dX, dV, phases) and is overwritten after, so no
+    (nt, P) table is formed here.  Returns what the checks read of the
+    label derivatives."""
     tg = E.tgrid
     x, v, _ = _flat_labels(phase)
-    nt, npart = len(tg), x.shape[0]
+    nt, npart, nk = len(tg), x.shape[0], E.xgrid.n // 2 + 1
     times = tg.times
 
-    rows = kernels.row_evaluator(
-        np.stack([E.coefficients(), spectral_dx(E).coefficients()], axis=1),
-        x, v, times)
+    c = np.stack([E.coefficients(), spectral_dx(E).coefficients()], axis=1)
+    rows = kernels.row_evaluator(x, v, nk)
     ev = np.empty((2, 2, npart))        # E and g along the rows n and n + 1
 
     def integrand(n, mom):              # mom = (dX, xi, eta) on row n
-        rows(ev[n % 2:n % 2 + 1], n, mom[:1])
+        rows(ev[n % 2:n % 2 + 1], c[n:n + 1], mom[:1],
+             phases[n - n0:n - n0 + 1])
         e, g = ev[n % 2]
         h = np.empty(mom.shape)
         h[0] = e
@@ -187,6 +192,7 @@ def _march(E: FieldTable, phase: PhaseGrid, a: float, take):
     sups, peaks = np.empty((4, nt)), []
     march = kernels.suffix_pass(integrand, (nt, 3, npart), tg.dt)
     for n0, n1 in blocks:
+        phases = kernels.phase_rows(phase.v, times[n0:n1], nk)
         dX, dV = paths[:, :n1 - n0]
         for n, acc, mom in itertools.islice(march, n1 - n0):
             dX[n - n0] = mom[0]
@@ -197,7 +203,7 @@ def _march(E: FieldTable, phase: PhaseGrid, a: float, take):
             np.negative(acc[1:], out=ders[2:, n - n0])
         prev = prev.copy()                  # the block's dV is negated next
         np.negative(dV, out=dV)
-        take(n0, n1, dX, dV)
+        take(n0, n1, dX, dV, phases)
         xi, eta, chi, omega = d = ders[:, :n1 - n0]
         t = times[n0:n1, None]
         sups[:, n0:n1] = np.abs(d).max(axis=2)
@@ -246,7 +252,7 @@ def solve_characteristics(E: FieldTable, phase: PhaseGrid,
     _require_map_norm(weighted_norm(E, a).value, a, E.tgrid.t0)
     paths = np.empty((2, len(E.tgrid), phase.xgrid.n * phase.nv))
 
-    def take(n0, n1, dX, dV):
+    def take(n0, n1, dX, dV, phases):
         paths[0, n0:n1], paths[1, n0:n1] = dX, dV
 
     var = _march(E, phase, a, take)
@@ -419,31 +425,34 @@ def _field_pass(spec: ProfileSpec, z: float, tgrid: TimeGrid,
                 phase: PhaseGrid) -> tuple[FieldTable, FieldTable]:
     """(E, field_map_zero) with E = map E solved in one backward pass:
     kernels.suffix_pass gives dX_n from the rows > n, row n of the map is
-    formed from dX_n alone and then evaluated along x + v t_n + dX_n."""
+    formed from dX_n alone and then evaluated along x + v t_n + dX_n.
+    The phase rows are formed one row block (_row_blocks) at a time,
+    before the pass reaches the block."""
     x, v, wf = _profile_weights(phase, spec, z)
-    nx = phase.xgrid.n
+    nt, nx = len(tgrid), phase.xgrid.n
     nk = nx // 2 + 1
     free = field_map_zero(spec, z, tgrid, phase.xgrid)
     vals = free.values.copy()
-    c = np.empty((len(tgrid), nk), dtype=complex)
-    along = kernels.row_evaluator(c, x, v, tgrid.times)
-    corr = kernels.corr_evaluator(x, v, tgrid.times, nk)
+    along = kernels.row_evaluator(x, v, nk)
+    corr = kernels.corr_evaluator(x, v, nk)
     modes = np.empty((1, nk), dtype=complex)
 
     def field_along(n, dX_n):
-        corr(modes, n, wf, dX_n[None, :])
+        dx, ph = dX_n[None, :], phases[n - n0:n - n0 + 1]
+        corr(modes, wf, dx, ph)
         vals[n] += _field_of_modes(modes[0], nx)
-        c[n] = np.fft.rfft(vals[n]) / nx
         out = np.empty((1, len(x)))
-        along(out, n, dX_n[None, :])
+        along(out, np.fft.rfft(vals[n])[None] / nx, dx, ph)
         return out[0]
 
     # a row that is not finite spoils the rows below it quietly; the
     # certifying characteristics of picard_solve raise on it by name
+    march = kernels.suffix_pass(field_along, (nt, len(x)), tgrid.dt)
     with np.errstate(all="ignore"):
-        for _ in kernels.suffix_pass(field_along, (len(tgrid), len(x)),
-                                     tgrid.dt):
-            pass
+        for n0, n1 in _row_blocks(nt, len(x)):
+            phases = kernels.phase_rows(phase.v, tgrid.times[n0:n1], nk)
+            for _ in itertools.islice(march, n1 - n0):
+                pass
     return free.with_values(vals), free
 
 
@@ -573,13 +582,14 @@ def picard_solve(spec: ProfileSpec, params: DampingParams, z: float,
     perfbench/reference.py, which passes them.
 
     The certifying march (_march) hands each finished row block of dX and
-    dV to one callback, while the block is in cache: it forms the block's
-    rows of the map's correction modes and of both deposits, and the
-    maxima of the two trajectory ratios (with the |E|_{a,t0} of the
-    march's precondition) and of kernels.truncation_remainder (the
-    kernel_truncation certificate), and then hands the block to
-    along(E)'s take(n0, n1, dX, dV), if along is given: a caller that
-    reads the characteristics of E, as a uq node does, rides the march.
+    dV, with its phase rows, to one callback, while the block is in
+    cache: it forms the block's rows of the map's correction modes and of
+    both deposits, and the maxima of the two trajectory ratios (with the
+    |E|_{a,t0} of the march's precondition) and of
+    kernels.truncation_remainder (the kernel_truncation certificate), and
+    then hands the block to along(E)'s take(n0, n1, dX, dV, phases), if
+    along is given: a caller that reads the characteristics of E, as a uq
+    node does, rides the march.
     """
     if method != FIELD_MAP_METHOD:
         raise ValueError(f"unknown field-map method {method!r}")
@@ -605,21 +615,21 @@ def picard_solve(spec: ProfileSpec, params: DampingParams, z: float,
     ne = weighted_norm(E, a)
     _require_map_norm(ne.value, a, tgrid.t0)
     x, v, wf = _profile_weights(phase, spec, z)
-    modes = kernels.corr_evaluator(x, v, times, nk)
+    modes = kernels.corr_evaluator(x, v, nk)
     corr = np.empty((len(tgrid), nk), dtype=complex)
     rho, pert = np.empty((2, len(tgrid), nx))
     ratios, remainders = [], []
     extra = along(E) if along is not None else lambda *block: None
 
-    def take(n0, n1, dX, dV):
+    def take(n0, n1, dX, dV, phases):
         t = times[n0:n1]
-        modes(corr[n0:n1], n0, wf, dX)
+        modes(corr[n0:n1], wf, dX, phases)
         rho[n0:n1] = kernels.cic_density(wf, x + v * t[:, None] + dX, nx,
                                          xgrid.dx)
         pert[n0:n1] = kernels.cic_density_pert(wf, x, v, t, dX, nx, xgrid.dx)
         ratios.append(_trajectory_ratios(dX, dV, t, ne.value, a))
         remainders.append(kernels.truncation_remainder(x, v, dX, nk))
-        extra(n0, n1, dX, dV)
+        extra(n0, n1, dX, dV, phases)
 
     var = _march(E, phase, a, take)
 
@@ -662,7 +672,7 @@ def _free_modes(W, phases) -> np.ndarray:
     """(1/2pi) sum_p W_{n,p} e^{-ik (x_p + v_p t_n)}, complex (rows, nk),
     for per-row weights W (rows, P) on the tensor grid: a real FFT over
     the positions against the same rows of e^{ik v_j t_n}, phases
-    (rows, nk, nv) as the grid's kernels.phase_table forms them."""
+    (rows, nk, nv) as kernels.phase_rows forms them."""
     g = np.fft.rfft(W.reshape(W.shape[0], -1, phases.shape[2]), axis=1)
     np.conjugate(g, out=g)
     return np.einsum("nkj,nkj->nk", phases, g).conj() / (2.0 * math.pi)
@@ -681,9 +691,10 @@ def _tangent_pass(spec: ProfileSpec, E0: FieldTable, params: DampingParams,
                   phase: PhaseGrid, z: float):
     """Taylor coefficients E_j = d^j_z E / j!, j = 1..K, of the fixed point
     E0 at z, along the trajectories X0 that certify it, as (take, finish):
-    take(n0, n1, dX, dV) advances the pass over one row block of the
-    march of X0 (_march hands the blocks out, the last rows first), and
-    finish() returns the TaylorCoefficients after the last block.
+    take(n0, n1, dX, dV, phases) advances the pass over one row block of
+    the march of X0 (_march hands the blocks out, the last rows first,
+    with their phase rows), and finish() returns the TaylorCoefficients
+    after the last block.
 
     With delta = sum_l X_l z^l, wf_i = w d^i_z f* / i!, [delta^m]_l the
     z^l coefficient of delta^m, M the trapezoid suffix moment,
@@ -711,9 +722,8 @@ def _tangent_pass(spec: ProfileSpec, E0: FieldTable, params: DampingParams,
     times, nt, npart = tg.times, len(tg), x.shape[0]
     nk = nx // 2 + 1
     mik = -1j * np.arange(nk)
-    block = []                          # the current block's n0 and its dX
-    phases = kernels.phase_table(phase.v, times, nk)
-    density = kernels.corr_evaluator(x, v, times, nk)
+    block = []              # the current block's n0, dX and phase rows
+    density = kernels.corr_evaluator(x, v, nk)
 
     # the unknown-free weights and free fields of each order
     specs, wf = [spec], [_profile_weights(phase, spec, z)[2]]
@@ -726,8 +736,8 @@ def _tangent_pass(spec: ProfileSpec, E0: FieldTable, params: DampingParams,
     # E_i^(m)(X0) on the current row, one line per (i, m) some order reads
     pairs = [(i, m) for i in range(K + 1) for m in range(i == 0, K - i + 1)]
     line = {p: l for l, p in enumerate(pairs)}     # lines of coef and ev
-    coef = np.empty((nt, len(pairs), nk), dtype=complex)
-    rows = kernels.row_evaluator(coef, x, v, times)
+    coef = np.empty((1, len(pairs), nk), dtype=complex)
+    rows = kernels.row_evaluator(x, v, nk)
     ev = np.empty((1, len(pairs), npart))
 
     vals = np.empty((K, nt, nx))            # E_1..E_K
@@ -742,15 +752,16 @@ def _tangent_pass(spec: ProfileSpec, E0: FieldTable, params: DampingParams,
 
     def integrand(n, mom):
         X, Xf = mom                         # X_j and F_j's trajectory
-        dX0 = block[1][n - block[0]:n - block[0] + 1]
+        n0, dX, phases = block
+        dX0, ph = dX[n - n0:n - n0 + 1], phases[n - n0:n - n0 + 1]
         lines = wf[1:]
         for j, ms in terms:
             lines += [sum(wf[i] * _power(X, m, j - i)
                           for i in range(m == 1, j - m + 1)) for m in ms]
             lines += [wf[0] * Xf[j - 1]] * (j > 1) + [wf[0] * X[j - 1]]
         np.stack(lines, out=W)
-        density(modes, n, W[None], dX0)
-        modes[0, K:] += _free_modes(W[K:], phases(n, n + 1))    # S[.] lines
+        density(modes, W[None], dX0, ph)
+        modes[0, K:] += _free_modes(W[K:], ph)      # S[.] lines
         S = iter(modes[0, K:])
         for j in range(1, K + 1):
             c = modes[0, j - 1]
@@ -767,8 +778,8 @@ def _tangent_pass(spec: ProfileSpec, E0: FieldTable, params: DampingParams,
             for m in range(i == 0, K - i + 1):
                 if m:
                     row = _dx_rows(row)
-                coef[n, line[i, m]] = np.fft.rfft(row) / nx
-        rows(ev, n, dX0)
+                coef[0, line[i, m]] = np.fft.rfft(row) / nx
+        rows(ev, coef, dX0, ph)
         g = ev[0, line[0, 1]]
         h = np.zeros(mom.shape)
         for j in range(1, K + 1):
@@ -783,8 +794,8 @@ def _tangent_pass(spec: ProfileSpec, E0: FieldTable, params: DampingParams,
 
     march = kernels.suffix_pass(integrand, (nt, 2, K, npart), tg.dt)
 
-    def take(n0, n1, dX, dV):
-        block[:] = n0, dX
+    def take(n0, n1, dX, dV, phases):
+        block[:] = n0, dX, phases
         for _ in itertools.islice(march, n1 - n0):
             pass
 

@@ -237,12 +237,12 @@ def _solve_node(spec, params, z, tgrid, phase, solve_kw):
         if z == 0.0:
             tangent.extend(_tangent_pass(spec, E, params, phase, z))
 
-        def take(n0, n1, dX, dV):
+        def take(n0, n1, dX, dV, phases):
             dx_arg = dX - tgrid.times[n0:n1, None] * dV
             np.negative(shifted_difference(spec, x[None, :], v[None, :],
                                            dx_arg, dV, z), out=delta[n0:n1])
             if tangent:
-                tangent[0](n0, n1, dX, dV)
+                tangent[0](n0, n1, dX, dV, phases)
         return take
 
     result = picard_solve(spec, params, z, tgrid, phase, along=along,

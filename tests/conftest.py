@@ -60,16 +60,14 @@ def ens9(ref_spec, ref_params, ref_tgrid, ref_phase):
 
 @pytest.fixture
 def rows_formed(monkeypatch):
-    """The number of phase rows each kernels._phase_rows call forms, in
-    call order, from an empty cache: no grid's rows are kept at the
-    start."""
+    """The number of phase rows each kernels.phase_rows call forms, in
+    call order."""
     formed = []
-    real = kernels._phase_rows
+    real = kernels.phase_rows
 
     def spy(vs, times, nk):
         formed.append(len(times))
         return real(vs, times, nk)
 
-    monkeypatch.setattr(kernels, "_phase_rows", spy)
-    kernels._cached_phase_rows.cache_clear()
+    monkeypatch.setattr(kernels, "phase_rows", spy)
     return formed

@@ -251,16 +251,18 @@ def solve_tangent(spec, result, traj=None):
     a uq node forms them, fed by one march along result.field (_march):
     the solve's own blocks, so bitwise the node's tangent.  Given traj,
     the characteristics stored whole, the pass is fed the row blocks
-    (_row_blocks) of that table instead, which are the same doubles."""
+    (_row_blocks) of that table and their phase rows instead, which are
+    the same doubles."""
     E, params, phase = result.field, result.params, result.phase
     take, finish = S._tangent_pass(spec, E, params, phase, result.z)
     if traj is None:
         S._march(E, phase, params.a, take)
     else:
-        nt = len(E.tgrid)
+        nt, times, nk = len(E.tgrid), E.tgrid.times, E.xgrid.n // 2 + 1
         dX, dV = traj.dX.reshape(nt, -1), traj.dV.reshape(nt, -1)
         for n0, n1 in kernels._row_blocks(*dX.shape):
-            take(n0, n1, dX[n0:n1], dV[n0:n1])
+            take(n0, n1, dX[n0:n1], dV[n0:n1],
+                 kernels.phase_rows(phase.v, times[n0:n1], nk))
     return finish()
 
 
@@ -321,7 +323,7 @@ def tangent_map(spec, result, traj, tables):
     nk = nx // 2 + 1
     mik = -1j * np.arange(nk)
     dX0 = traj.dX.reshape(len(times), -1)
-    table = kernels.phase_table(phase.v, times, nk)(0, len(times))
+    table = kernels.phase_rows(phase.v, times, nk)
 
     def density(W):
         return kernels.corr_fourier(W, x, v, times, dX0, nk) \
@@ -363,8 +365,8 @@ def tangent_by_orders(spec, result, traj):
     mik = -1j * np.arange(nk)
     dX0 = traj.dX.reshape(len(times), -1)
     lip = params.contraction_bound
-    table = kernels.phase_table(phase.v, times, nk)(0, len(times))
-    corr_rows = kernels.corr_evaluator(x, v, times, nk)
+    table = kernels.phase_rows(phase.v, times, nk)
+    corr_rows = kernels.corr_evaluator(x, v, nk)
 
     def density(W):
         return kernels.corr_fourier(W, x, v, times, dX0, nk) \
@@ -397,17 +399,16 @@ def tangent_by_orders(spec, result, traj):
             forcing = norm(const + S._field_of_modes(
                 mik * density(wf[0] * Xf), nx))
         vals = const.copy()
-        coef = np.empty((len(times), nk), dtype=complex)
-        rows = kernels.row_evaluator(coef, x, v, times)
+        rows = kernels.row_evaluator(x, v, nk)
 
         def integrand(n, Xn):
             W = wf[0][None, :] * Xn
-            corr_rows(modes, n, W, dX0[n:n + 1])
+            corr_rows(modes, W, dX0[n:n + 1], table[n:n + 1])
             modes[...] += S._free_modes(W, table[n:n + 1])
             vals[n] += S._field_of_modes(mik * modes[0], nx)
-            coef[n] = np.fft.rfft(vals[n]) / nx
             out = np.empty((1, len(x)))
-            rows(out, n, dX0[n:n + 1])
+            rows(out, np.fft.rfft(vals[n])[None] / nx, dX0[n:n + 1],
+                 table[n:n + 1])
             out = out[0]
             out += g[n] * Xn
             if R is not None:

@@ -225,6 +225,35 @@ def test_method_direct_is_a_config_error(tmp_path, capsys, command):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["check", "solve", "uq"])
+def test_end_time_whose_weight_overflows_is_a_config_error(tmp_path, capsys,
+                                                          command):
+    # a t_end past log(DBL_MAX) = 709.78 overflows e^(a t) in the norms;
+    # at 760 each command refuses the config, naming t_end, before any
+    # solve, and at 709 check passes
+    late = "grids {{\n nx 16\n nv 33\n nt 400\n t_end {}\n n_z 3\n}}\n"
+    cfg = write_cfg(tmp_path, late.format("760.0"))
+    out = tmp_path / "out"
+    assert run_cli(command, "--config", cfg, "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert "line 5" in err and "t_end = 760.0 is too late" in err
+    assert not out.exists()
+    if command == "check":
+        cfg = write_cfg(tmp_path, late.format("709.0"))
+        assert run_cli(command, "--config", cfg, "--out", str(out)) == 0
+
+
+def test_solve_with_a_far_sech_transform_warns_nothing(tmp_path, capsys):
+    # the k = 3 mode reads the sech transform at 3 t up to 900, where
+    # cosh overflows: the solve passes and stderr stays empty
+    cfg = write_cfg(tmp_path, "profile {\n mode {\n  k 0\n  poly 8e-05\n"
+                    " }\n mode {\n  k 3\n  poly 1e-06\n }\n}\ngrids {\n"
+                    " nx 16\n nv 33\n nt 200\n t_end 300.0\n}\n")
+    assert run_cli("solve", "--config", cfg, "--out",
+                   str(tmp_path / "out")) == 0
+    assert capsys.readouterr().err == ""
+
+
 def test_missing_config_is_usage_error(tmp_path, capsys):
     code = run_cli("check", "--config", str(tmp_path / "nope.cfg"))
     err = capsys.readouterr().err

@@ -5,6 +5,7 @@ import hashlib
 import math
 import pathlib
 import re
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -111,6 +112,8 @@ def _error(text):
     ("grids {\n nx 48\n}", "power of two", 2),
     ("grids {\n nv 64\n}", "must be odd", 2),
     ("grids {\n t_end 5.0\n}", "must exceed the start time", 2),
+    ("params {\n a 2\n}\ngrids {\n t_end 360.0\n}",
+     "t_end = 360.0 is too late", 5),
     ("grids {\n nt 1\n}", "at least two time nodes", 2),
     ("grids {\n n_z 0\n}", "at least one z node", 2),
     ("params {\n t0 -2\n}", "start time must be positive", 2),
@@ -130,6 +133,21 @@ def test_errors_carry_line_numbers(text, fragment, line):
     assert fragment in str(err)
     assert f"line {line}:" in str(err) or err.line == line
     assert err.line == line
+
+
+LATE_END = "grids {{\n nx 16\n nv 33\n nt 400\n t_end {}\n n_z 3\n}}\n"
+
+
+def test_end_time_whose_weight_overflows_is_refused(tmp_path):
+    # e^(a t_end) overflows a double past a t_end = log(DBL_MAX) = 709.78:
+    # refused on t_end's line, where 709 still loads
+    path = tmp_path / "late.cfg"
+    path.write_text(LATE_END.format("760.0"))
+    with pytest.raises(ConfigError, match="t_end = 760.0 is too late") as err:
+        load_config(path)
+    assert err.value.line == 5
+    path.write_text(LATE_END.format("709.0"))
+    assert load_config(path).t_end == 709.0
 
 
 def test_value_must_be_finite():
@@ -173,10 +191,15 @@ _modes = st.lists(
               st.lists(_finite, min_size=1, max_size=4).map(tuple)),
     min_size=1, max_size=3, unique_by=lambda m: m[0],
 ).map(lambda ms: tuple(sorted(ms)))
+# a is drawn as a share of the largest a t_end whose weight e^(a t_end)
+# a double holds, log(DBL_MAX) = 709.78
 _valid_config = st.builds(
-    lambda t0, span, **kw: RunConfig(t0=t0, t_end=t0 + span, **kw),
+    lambda t0, span, share, **kw: RunConfig(
+        t0=t0, t_end=t0 + span,
+        a=share * math.log(sys.float_info.max) / (t0 + span), **kw),
     t0=st.floats(1e-3, 1e3), span=st.floats(1e-3, 1e3),
-    a=_positive, a1=_positive, a2=_positive, K=st.integers(1, 8),
+    share=st.floats(1e-300, 0.999), a1=_positive, a2=_positive,
+    K=st.integers(1, 8),
     shape=st.sampled_from(["gaussian", "sech"]), rate=_positive,
     scale=_finite, modes=_modes,
     nx=st.integers(2, 12).map(lambda e: 2 ** e),

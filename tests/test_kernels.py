@@ -62,28 +62,12 @@ def _corr_sum(wf, x, v, times, dX, nk):
     return out / (2 * np.pi)
 
 
-@pytest.fixture
-def table_calls(monkeypatch):
-    """Counts the requests for a grid's phase rows (K.phase_table): a
-    kernel call, or an evaluator when it is built, makes one."""
-    calls = []
-    real = K.phase_table
-
-    def spy(*args):
-        calls.append(args)
-        return real(*args)
-
-    monkeypatch.setattr(K, "phase_table", spy)
-    return calls
-
-
 @pytest.mark.parametrize("nx, nv, nt", [(64, 129, 176), (128, 65, 176),
                                         (32, 65, 88)])
-def test_phase_table_is_cos_plus_i_sin(nx, nv, nt, rows_formed):
-    # formed on request, the rows equal cos(k v t) + i sin(k v t) bitwise
-    # on the grids of the three benchmark workloads: one row at a time from
-    # the top down (each kept block formed once), one request across two
-    # kept blocks, and all rows in one call
+def test_phase_table_is_cos_plus_i_sin(nx, nv, nt):
+    # the phase rows equal cos(k v t) + i sin(k v t) bitwise on the grids
+    # of the three benchmark workloads: one row at a time from the top
+    # down, by the row blocks of a march, and all rows in one call
     times = 8.0 + (35.0 / (nt - 1)) * np.arange(nt)
     vs = np.linspace(-6.0, 6.0, nv)
     nk = nx // 2 + 1
@@ -96,15 +80,13 @@ def test_phase_table_is_cos_plus_i_sin(nx, nv, nt, rows_formed):
         assert got.real.tobytes() == want_re[n0:n1].tobytes(), (n0, n1)
         assert got.imag.tobytes() == want_im[n0:n1].tobytes(), (n0, n1)
 
-    rows = K.phase_table(vs, times, nk)
     for n in range(nt - 1, -1, -1):
-        check(rows(n, n + 1), n, n + 1)
-    assert sum(rows_formed) == nt
+        check(K.phase_rows(vs, times[n:n + 1], nk), n, n + 1)
     blocks = K._row_blocks(nt, nx * nv)
     assert len(blocks) > 2
-    edge = blocks[1][0]             # between the second and third block
-    check(rows(edge - 1, edge + 1), edge - 1, edge + 1)
-    check(rows(0, nt), 0, nt)
+    for n0, n1 in blocks:
+        check(K.phase_rows(vs, times[n0:n1], nk), n0, n1)
+    check(K.phase_rows(vs, times, nk), 0, nt)
 
 
 # ---------------------------------------------------------------------------
@@ -358,7 +340,7 @@ def test_corr_fourier_per_row_weights_match_complex_sum():
         assert np.array_equal(row.imag[n], im[n])
 
 
-def test_corr_fourier_matches_complex_sum_at_production_size(table_calls):
+def test_corr_fourier_matches_complex_sum_at_production_size(rows_formed):
     # reference grids (P = 64 x 129 particles, nt = 176, nx = 64): well
     # above numpy's pairwise-summation block, so the kernel's BLAS
     # reduction and the oracle's sum agree to summation roundoff, on the
@@ -368,7 +350,7 @@ def test_corr_fourier_matches_complex_sum_at_production_size(table_calls):
     nk = nx // 2 + 1
     modes = K.corr_fourier(wf, x, v, times, dX, nk)
     re, im = modes.real, modes.imag
-    assert len(table_calls) == 1
+    assert rows_formed == [nt]
     expect = _corr_sum(wf, x, v, times, dX, nk)
     atol = 50 * np.finfo(float).eps * np.abs(wf).sum()
     assert np.abs(re - expect.real).max() <= atol
@@ -531,7 +513,7 @@ def _assert_matches_mpmath(times, x, v, dX, wf, cre, cim):
             assert abs(im[n, k] - float(mp.im(exact))) <= 1e-13 * float(size)
 
 
-def test_fft_path_matches_mpmath_sums(table_calls):
+def test_fft_path_matches_mpmath_sums(rows_formed):
     # 30-digit oracle for both kernels on a small tensor grid (grid step
     # pi/4); the rows cover no displacement, two Taylor orders, a larger
     # radius, rows reduced by up to about three grid steps and a row of
@@ -543,7 +525,7 @@ def test_fft_path_matches_mpmath_sums(table_calls):
     dX[-1] = step * np.random.default_rng(32).integers(-3, 4, nx * nv)
     assert np.abs(dX[5]).max() > 2 * step
     _assert_matches_mpmath(times, x, v, dX, wf, cre, cim)
-    assert len(table_calls) == 2
+    assert rows_formed == [len(times)] * 2
     assert 0.0 < K.truncation_remainder(x, v, dX, nx // 2 + 1)
     _assert_row_remainders(x, v, dX, nx // 2 + 1)
 
@@ -575,7 +557,7 @@ def test_kernels_match_mpmath_sums_on_random_grids(case):
 
 
 def test_fft_path_corr_fourier_matches_complex_sum_at_production_size(
-        table_calls):
+        rows_formed):
     # reference grids (nx = 64, nv = 129, nt = 176) with displacements
     # decaying from 1e-3 to 2e-8 along the rows, so many Taylor orders
     # and row blocks occur; same tolerance as the uniform-scale test
@@ -586,21 +568,21 @@ def test_fft_path_corr_fourier_matches_complex_sum_at_production_size(
     nk = nx // 2 + 1
     modes = K.corr_fourier(wf, x, v, times, dX, nk)
     re, im = modes.real, modes.imag
-    assert len(table_calls) == 1
+    assert rows_formed == [nt]
     expect = _corr_sum(wf, x, v, times, dX, nk)
     atol = 50 * np.finfo(float).eps * np.abs(wf).sum()
     assert np.abs(re - expect.real).max() <= atol
     assert np.abs(im - expect.imag).max() <= atol
 
 
-def test_fft_path_corr_fourier_tiny_displacement_linearizes(table_calls):
+def test_fft_path_corr_fourier_tiny_displacement_linearizes(rows_formed):
     # on the tensor grid too, |k dX| ~ 1e-14 must give -i k dX
     nx, nv = 8, 5
     times, x, v, _, wf, _, _ = _grid_case(nx, nv, [0.0] * 6, 6)
     dX = np.full((6, nx * nv), 1e-14)
     modes = K.corr_fourier(wf, x, v, times, dX, 4 + 1)
     re, im = modes.real, modes.imag
-    assert len(table_calls) == 1
+    assert rows_formed == [6]
     two_pi = 2 * np.pi
     for n in range(6):
         for k in (1, 2, 3, 4):
@@ -610,7 +592,7 @@ def test_fft_path_corr_fourier_tiny_displacement_linearizes(table_calls):
             assert im[n, k] == pytest.approx(z.imag, rel=1e-6, abs=1e-30)
 
 
-def test_rows_beyond_taylor_radius_are_reduced_onto_the_grid(table_calls):
+def test_rows_beyond_taylor_radius_are_reduced_onto_the_grid(rows_formed):
     # rows 0 and 2 have k_max |dX_n| > pi/2 and are reduced onto the grid,
     # rows 1 and 3 are not; every row must match the explicit sums, and the
     # reduced rows' remainders stay certified
@@ -629,7 +611,7 @@ def test_rows_beyond_taylor_radius_are_reduced_onto_the_grid(table_calls):
     atol = 50 * np.finfo(float).eps * np.abs(wf).sum()
     assert np.abs(re - expect.real).max() <= atol
     assert np.abs(im - expect.imag).max() <= atol
-    assert len(table_calls) == 2
+    assert rows_formed == [len(times)] * 2
     assert 0.0 < K.truncation_remainder(x, v, dX, nk)
     _assert_row_remainders(x, v, dX, nk)
 
@@ -737,69 +719,55 @@ def test_rows_too_large_to_reduce_come_out_nan(scale):
     assert K.truncation_remainder(x, v, dX, nk) == math.inf
 
 
-def test_row_evaluator_is_eval_rows_one_row_at_a_time(table_calls):
+def test_row_evaluator_is_eval_rows_one_row_at_a_time(rows_formed):
     # the same values bitwise on reduced, unreduced, zero and non-finite
-    # rows, from one phase-table request; stacked mode rows (nt, L, nk)
-    # give each of their L rows bitwise as its own evaluator does, by rows
-    # and on all rows at once, from one request too
+    # rows, from the phase rows formed in one call; stacked mode rows
+    # (nt, L, nk) give each of their L rows bitwise as its own evaluator
+    # does, by rows and on all rows at once
     nx, nv = 16, 9
     times, x, v, dX, wf, cre, cim = _grid_case(
         nx, nv, [0.5, 1e-4, 2.0, 0.0, 1e-3], 12)
     dX[4, 3] = math.nan
+    nk = nx // 2 + 1
     rows = K.eval_rows(cre, cim, x, v, times, dX)
-    by_rows = K.row_evaluator(cre + 1j * cim, x, v, times)
+    phases = K.phase_rows(v[:nv], times, nk)
+    c = cre + 1j * cim
+    by_rows = K.row_evaluator(x, v, nk)
     out = np.empty(rows.shape)
     for n in range(len(times)):
-        by_rows(out[n:n + 1], n, dX[n:n + 1])
+        by_rows(out[n:n + 1], c[n:n + 1], dX[n:n + 1], phases[n:n + 1])
     assert np.isnan(out[4]).all()
     assert np.array_equal(out, rows, equal_nan=True)
-    assert len(table_calls) == 2
 
     other = np.random.default_rng(12).standard_normal((2,) + cre.shape)
-    c = cre + 1j * cim
     stack = np.stack([c, 1e-4 * (other[0] + 1j * other[1]),
                       c * 1j * np.arange(c.shape[1])], axis=1)
-    by_stack = K.row_evaluator(stack, x, v, times)
     stacked = np.empty((len(times), 3, x.shape[0]))
     for n in range(len(times)):
-        by_stack(stacked[n:n + 1], n, dX[n:n + 1])
+        by_rows(stacked[n:n + 1], stack[n:n + 1], dX[n:n + 1],
+                phases[n:n + 1])
     at_once = np.empty(stacked.shape)
-    by_stack(at_once, 0, dX)
-    assert len(table_calls) == 3
+    by_rows(at_once, stack, dX, phases)
+    assert rows_formed == [len(times)] * 2
     for line in range(3):
-        alone = K.row_evaluator(stack[:, line], x, v, times)
         for n in range(len(times)):
-            alone(out[n:n + 1], n, dX[n:n + 1])
+            by_rows(out[n:n + 1], stack[n:n + 1, line], dX[n:n + 1],
+                    phases[n:n + 1])
         assert np.isnan(stacked[4, line]).all()
         assert np.array_equal(stacked[:, line], out, equal_nan=True), line
         assert np.array_equal(at_once[:, line], out, equal_nan=True), line
     assert np.array_equal(stacked[:, 0], rows, equal_nan=True)
 
 
-def test_row_evaluator_reads_mode_rows_filled_after_it_is_built():
-    # a backward pass fills the mode rows as it goes: each row written
-    # after the evaluator is built is the one it evaluates
-    nx, nv = 16, 9
-    times, x, v, dX, _, cre, cim = _grid_case(nx, nv, [0.5, 1e-4, 1e-3], 13)
-    rows = K.eval_rows(cre, cim, x, v, times, dX)
-    filled = np.full(cre.shape, np.nan, dtype=complex)
-    by_rows = K.row_evaluator(filled, x, v, times)
-    out = np.empty(rows.shape)
-    for n in range(len(times) - 1, -1, -1):
-        filled[n] = cre[n] + 1j * cim[n]
-        by_rows(out[n:n + 1], n, dX[n:n + 1])
-    assert np.array_equal(out, rows)
-
-
 @pytest.mark.parametrize("per_row", [False, True])
-def test_corr_evaluator_is_corr_fourier_one_row_at_a_time(table_calls,
+def test_corr_evaluator_is_corr_fourier_one_row_at_a_time(rows_formed,
                                                            per_row):
     # the same complex modes bitwise on reduced, unreduced, zero and
     # non-finite rows, for one weight row or a weight row per time row,
-    # from one phase-table request; stacked weight lines, (1, L, P) or
-    # (rows, L, P), give each of their L lines bitwise as its own call
-    # does, by rows and on all rows at once (where the two reduced rows
-    # share a block), from the same request
+    # from the phase rows formed in one call; stacked weight lines,
+    # (1, L, P) or (rows, L, P), give each of their L lines bitwise as its
+    # own call does, by rows and on all rows at once (where the two
+    # reduced rows share a block), from the same phase rows
     nx, nv = 16, 9
     times, x, v, dX, wf, _, _ = _grid_case(
         nx, nv, [0.5, 1e-4, 2.0, 2.0, 0.0, 1e-3], 17)
@@ -809,11 +777,12 @@ def test_corr_evaluator_is_corr_fourier_one_row_at_a_time(table_calls,
     nk = nx // 2 + 1
     modes = K.corr_fourier(wf, x, v, times, dX, nk)
     re, im = modes.real, modes.imag
-    by_rows = K.corr_evaluator(x, v, times, nk)
+    phases = K.phase_rows(v[:nv], times, nk)
+    by_rows = K.corr_evaluator(x, v, nk)
     out = np.empty((len(times), nk), dtype=complex)
     for n in range(len(times)):
         w = wf[n:n + 1] if per_row else wf
-        by_rows(out[n:n + 1], n, w, dX[n:n + 1])
+        by_rows(out[n:n + 1], w, dX[n:n + 1], phases[n:n + 1])
     assert np.isnan(out[5, 1:].real).all() and np.isnan(out[5, 1:].imag).all()
     assert np.array_equal(out.real, re, equal_nan=True)
     assert np.array_equal(out.imag, im, equal_nan=True)
@@ -824,14 +793,14 @@ def test_corr_evaluator_is_corr_fourier_one_row_at_a_time(table_calls,
     stacked = np.empty((len(times), 3, nk), dtype=complex)
     for n in range(len(times)):
         w = stack[n:n + 1] if per_row else stack
-        by_rows(stacked[n:n + 1], n, w, dX[n:n + 1])
+        by_rows(stacked[n:n + 1], w, dX[n:n + 1], phases[n:n + 1])
     at_once = np.empty(stacked.shape, dtype=complex)
-    by_rows(at_once, 0, stack, dX)
-    assert len(table_calls) == 2
+    by_rows(at_once, stack, dX, phases)
+    assert rows_formed == [len(times)] * 2
     for line in range(3):
         for n in range(len(times)):
             w = stack[n:n + 1, line] if per_row else stack[0, line]
-            by_rows(out[n:n + 1], n, w, dX[n:n + 1])
+            by_rows(out[n:n + 1], w, dX[n:n + 1], phases[n:n + 1])
         for got in (stacked[:, line], at_once[:, line]):
             assert np.isnan(got[5, 1:].real).all(), line
             assert np.array_equal(got.real, out.real, equal_nan=True), line
@@ -858,3 +827,7 @@ def test_non_grid_labels_are_rejected(labels):
         K.corr_fourier(wf, x, v, times, dX, nk)
     with pytest.raises(ValueError, match="tensor grid"):
         K.truncation_remainder(x, v, dX, nk)
+    with pytest.raises(ValueError, match="tensor grid"):
+        K.row_evaluator(x, v, nk)
+    with pytest.raises(ValueError, match="tensor grid"):
+        K.corr_evaluator(x, v, nk)

@@ -102,6 +102,15 @@ def test_transform_closed_values():
     assert float(sech.shape_transform(0.0)) == pytest.approx(2.0, rel=1e-15)
 
 
+def test_sech_far_tails_are_zero_without_a_warning():
+    # cosh overflows past |argument| 710: 1 / inf = 0 with no overflow
+    # warning, which this suite raises as an error
+    sech = make_spec({0: 8e-5}, shape="sech", rate=math.pi / 2)
+    assert float(sech.shape_transform(1000.0)) == 0.0
+    assert float(sech.shape_value(1000.0)) == 0.0
+    assert float(sech.shape_dv(1000.0)) == 0.0
+
+
 def test_profile_fourier_matches_2d_quadrature():
     spec = make_spec({0: 0.3, 1: 0.2, 2: -0.1}, shape="sech",
                      rate=np.pi / 2, scale=1.7)

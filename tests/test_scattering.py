@@ -447,12 +447,11 @@ def test_streamed_picard_solve_forms_no_trajectory_table(ref_spec, ref_params,
 
 def test_cold_picard_solve_keeps_no_phase_table(ref_spec, ref_params,
                                                 ref_tgrid, ref_phase):
-    # the kernels form the phase rows e^{ik v_j t_n} by row blocks and keep
-    # one block, not the (nt, nk, nv) table: with their cache cleared and
-    # grid_sups warm, a reference solve grows by less than one (nt, P)
-    # float table (0.41; 1.42 when it built the whole phase table)
+    # the marches form the phase rows e^{ik v_j t_n} by row blocks, not
+    # the (nt, nk, nv) table: with grid_sups warm, a reference solve grows
+    # by less than one (nt, P) float table (0.41; 1.42 when it built the
+    # whole phase table)
     table = 8 * len(ref_tgrid) * ref_phase.xgrid.n * ref_phase.nv
-    K._cached_phase_rows.cache_clear()
     grid_sups(ref_spec, 0.0)
     tracemalloc.start()
     try:
@@ -878,11 +877,14 @@ def test_field_pass_matches_an_mpmath_march():
     # the field is too large for solve_characteristics' precondition, so
     # its displacements come from the pass's recurrence directly
     x, v, _ = S._flat_labels(phase)
-    rows = K.row_evaluator(E.coefficients(), x, v, tg.times)
+    nk = phase.xgrid.n // 2 + 1
+    c = E.coefficients()
+    phases = K.phase_rows(phase.v, tg.times, nk)
+    rows = K.row_evaluator(x, v, nk)
     g = np.empty((len(tg), x.shape[0]))
 
     def along(n, dX_n):
-        rows(g[n:n + 1], n, dX_n[None, :])
+        rows(g[n:n + 1], c[n:n + 1], dX_n[None, :], phases[n:n + 1])
         return g[n]
 
     dX = H.suffix_tables(along, g.shape, tg.dt)[1]

@@ -12,6 +12,7 @@ import sys
 import pytest
 
 import vlandau
+from vlandau.config import parse_config
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 PACKAGE = os.path.join(ROOT, "src", "vlandau")
@@ -138,3 +139,29 @@ def test_same_outputs_tells_a_changed_character(tmp_path, monkeypatch,
     assert verdict == "differs in stdout"
     if sys.platform == "linux":     # ru_maxrss is in KiB on Linux
         assert 60.0 < b - a < 70.0, (a, b)
+
+
+def test_same_outputs_prints_one_line_for_each_of_six_cases(monkeypatch,
+                                                            capsys):
+    # with the runs stood in for: six cases, one line each in case order,
+    # and each case's config loads; the sixth is the uq-coarse grids at
+    # K = 3 from t0 = 12 on 9 nodes, with a k = 1 amplitude in cos 3z and
+    # sin 3z
+    same = _tool("same_outputs")
+    configs = []
+
+    def run(root, args, config, cwd):
+        configs.append(parse_config(config(root)))
+        return {"exit code": b"0"}, 1.0
+
+    monkeypatch.setattr(same, "run", run)
+    assert same.main([ROOT, ROOT]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(same.CASES) == 6 and len(configs) == 12
+    assert lines == [f"{label}: same (peak RSS 1.0 → 1.0 MB)"
+                     for label, _, _ in same.CASES]
+    trig = configs[-1]
+    assert (trig.K, trig.t0, trig.n_z) == (3, 12.0, 9)
+    assert (trig.nx, trig.nv, trig.nt, trig.t_end) == (32, 65, 88, 43.0)
+    assert trig.modes == ((0, "poly", (8e-05,)),
+                          (1, "trig", (1e-05, 0, 0, 0, 0, 3e-06, 3e-06)))

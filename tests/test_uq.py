@@ -587,10 +587,11 @@ def test_reference_node_stores_no_trajectory_table(z, ref_spec, ref_params,
                                         (32, 65, 88)])
 def test_each_march_forms_each_phase_row_once(nx, nv, nt, ref_spec,
                                               ref_params, rows_formed):
-    # the kernels keep the phase rows of one block of the march: on the
-    # grids of the three benchmark workloads a solve forms 2 nt rows, one
-    # per row for the field pass and one for the certifying march, and so
-    # does a node at z = 0, whose residual and tangent ride that march
+    # each march forms the phase rows of one row block at a time and hands
+    # them to every reader of the block: on the grids of the three
+    # benchmark workloads a solve forms 2 nt rows, one per row for the
+    # field pass and one for the certifying march, and so does a node at
+    # z = 0, whose residual and tangent ride that march
     tg, phase = small_grids(nx=nx, nv=nv, t0=8.0, t_end=43.0, steps=nt - 1)
     S.picard_solve(ref_spec, ref_params, 0.0, tg, phase)
     assert sum(rows_formed) == 2 * nt

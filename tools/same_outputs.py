@@ -1,4 +1,4 @@
-"""Run the vlandau CLI of two checkouts on five fixed cases and compare
+"""Run the vlandau CLI of two checkouts on six fixed cases and compare
 what the runs leave, byte for byte.
 
     python tools/same_outputs.py PARENT_ROOT CHANGE_ROOT
@@ -12,7 +12,10 @@ see the same relative paths.  The cases:
 * ``solve`` on the ``solve-nx128`` benchmark config at ``--z -0.41``;
 * ``uq`` on ``configs/reference.cfg``;
 * ``uq`` on the ``uq-coarse`` benchmark config, k = 1 slope 2.2e-6;
-* ``check`` on ``configs/reference.cfg``.
+* ``check`` on ``configs/reference.cfg``;
+* ``uq`` on the ``uq-coarse`` grids with K = 3 from t0 = 12, 9 nodes and
+  a k = 1 amplitude trigonometric in z (TRIG_K3): the only case that
+  runs the tangent's m = 3 terms and a profile not linear in z.
 
 The two benchmark configs come from ``perfbench/workloads.config_text``
 next to this script, imported without writing bytecode there;
@@ -68,6 +71,41 @@ def _workload(name: str, slope: float | None = None):
     return config
 
 
+# the uq-coarse grids, K = 3 (which needs t0 >= 12) and the k = 1
+# amplitude 1e-5 + 3e-6 (cos 3z + sin 3z)
+TRIG_K3 = """params {
+  a 1
+  a1 0.002
+  a2 0.002
+  K 3
+  t0 12
+}
+profile {
+  shape sech
+  rate 1.5707963267948966
+  scale 1
+  mode {
+    k 0
+    poly 8e-05
+  }
+  mode {
+    k 1
+    trig 1e-05 0 0 0 0 3e-06 3e-06
+  }
+}
+grids {
+  nx 32
+  nv 65
+  v_max 6
+  nt 88
+  t_end 43
+  n_z 9
+}
+output {
+  dir out
+}
+"""
+
 # (label, CLI arguments after the command's --config and --out, config)
 CASES = [
     ("solve reference.cfg --z 0.3", ["solve", "--z", "0.3"], _reference),
@@ -76,6 +114,7 @@ CASES = [
     ("uq reference.cfg", ["uq"], _reference),
     ("uq uq-coarse slope 2.2e-6", ["uq"], _workload("uq-coarse", 2.2e-6)),
     ("check reference.cfg", ["check"], _reference),
+    ("uq uq-coarse K 3 trig", ["uq"], lambda root: TRIG_K3),
 ]
 
 
