@@ -299,6 +299,9 @@ def read_field_csv(path) -> tuple[FieldTable, dict]:
             side = json.load(fh)
     except FileNotFoundError:
         side = {}
-    tgrid = TimeGrid(t0=float(times[0]), t_end=float(times[-1]),
-                     n_steps=len(times) - 1)
+    try:
+        tgrid = TimeGrid(t0=float(times[0]), t_end=float(times[-1]),
+                         n_steps=len(times) - 1)
+    except ValueError as err:
+        raise ValueError(f"{path}: {err}") from None
     return FieldTable(tgrid, XGrid(n), np.array(rows)), side

@@ -1,33 +1,35 @@
 """Hot numerical kernels, vectorized with numpy over particles.
 
-``eval_rows`` and ``corr_fourier`` (and ``row_evaluator`` and
-``corr_evaluator``, the same algorithms by rows, which the passes call;
-both also take a stack, of mode rows or of weight lines, along one
-displacement) take the solver's phase nodes as labels,
-``x = repeat(xs, nv)`` and ``v = tile(vs, nx)`` with
+``eval_rows`` and ``corr_fourier`` take the solver's phase nodes as
+labels, ``x = repeat(xs, nv)`` and ``v = tile(vs, nx)`` with
 ``xs = (2 pi / nx) arange(nx)`` and nx equal to twice the top mode; other
 labels raise ValueError.  On this tensor grid ``e^{ik(x_i + v_j t_n + d)}``
 factors into ``e^{2 pi i k i / nx}``, a real FFT of length nx over i; the
-grid-only rows ``e^{i k v_j t_n}`` (``phase_rows``), which the caller
-forms and passes to the evaluators with the rows they evaluate, so that a
-march forms each row once, one block at a time, and the kernels keep
-nothing between calls; and ``e^{i k d}``, summed as its Taylor series in
-the displacement d.  Time row n has the Taylor radius
-``r = k_max max_p |d_{n,p}|``.  A row with r > pi/2 is first reduced onto
-the grid: ``d = q h + s`` with grid step ``h = 2 pi / nx``, integer
-``q = rint(d / h)`` and ``|s| <= h/2``, so that ``k_max |s| <= pi/2``;
-the factor ``e^{i k q h}`` moves the particle's FFT index from i to
-i + q, and the series runs in s.  Each row gets the smallest order M
-whose remainder ``r^{M+1}/(M+1)!`` is below 2^-53 relative
-(``taylor_order``; for ``corr_fourier`` relative to the leading term of
-``e^{-ikd} - 1``, whose series starts at order 1 so that its error stays
-proportional to the displacement, which matters because downstream norms
-weight late times by ``e^{a t}``).  Rows are processed in blocks so that
-no complex temporary outgrows about 1 MiB.  A row that is not finite, or
-too large for the reduction to keep |s| <= h/2 (|d| near 1e15 or beyond
-at nx 8), comes out NaN.  ``truncation_remainder`` reports the largest
-remainder the kernels leave, with the rounding of ``s`` on reduced rows
-(inf on such a row), the solver's ``kernel_truncation`` certificate.
+grid-only rows ``e^{i k v_j t_n}`` (``phase_rows``); and ``e^{i k d}``,
+summed as its Taylor series in the displacement d.  ``eval_block`` and
+``corr_evaluator``, the same algorithms by rows, which the passes call
+(both also take a stack, of mode rows or of weight lines, along one
+displacement), take no labels: the grid comes with the phase rows that
+the caller forms and hands them with the rows they evaluate, shaped
+(rows, nk, nv), with nx = 2 (nk - 1), so that a march forms each row
+once, one block at a time, and the kernels keep nothing between calls.
+Time row n has the Taylor radius ``r = k_max max_p |d_{n,p}|``.  A row
+with r > pi/2 is first reduced onto the grid: ``d = q h + s`` with grid
+step ``h = 2 pi / nx``, integer ``q = rint(d / h)`` and ``|s| <= h/2``,
+so that ``k_max |s| <= pi/2``; the factor ``e^{i k q h}`` moves the
+particle's FFT index from i to i + q, and the series runs in s.  Each row
+gets the smallest order M whose remainder ``r^{M+1}/(M+1)!`` is below
+2^-53 relative (``taylor_order``; for ``corr_fourier`` relative to the
+leading term of ``e^{-ikd} - 1``, whose series starts at order 1 so that
+its error stays proportional to the displacement, which matters because
+downstream norms weight late times by ``e^{a t}``).  Rows are processed
+in blocks so that no complex temporary outgrows about 1 MiB.  A row that
+is not finite, or too large for the reduction to keep |s| <= h/2 (|d|
+near 1e15 or beyond at nx 8), comes out NaN.  The remainder goes back
+with the rows: each ``eval_block`` or ``corr_evaluator`` call returns the
+largest remainder it left, with the rounding of ``s`` on reduced rows
+(inf on a bad row), from which the solver forms its ``kernel_truncation``
+certificate.
 numpy's FFT is single-threaded, so these kernels run on one thread.
 
 Numerical conventions shared by several kernels:
@@ -200,15 +202,6 @@ def _shifted_index(q, nx, nv):
     return (np.arange(nx)[:, None] + q.reshape(-1, nx, nv)) % nx
 
 
-def truncation_remainder(x, v, dx_dev, nk):
-    """Largest relative Taylor remainder that eval_rows and corr_fourier
-    leave on these inputs with nk modes, with the rounding of the range
-    reduction on reduced rows; inf if a row is not finite."""
-    _grid_velocities(x, v, nk)
-    return max(float(_taylor_rows(dx_dev, nk - 1, lowest)[3].max(initial=0.0))
-               for lowest in (0, 1))
-
-
 # ---------------------------------------------------------------------------
 # mode-row evaluation along trajectories
 # ---------------------------------------------------------------------------
@@ -225,61 +218,59 @@ def eval_rows(cre, cim, x, v, times, dx_dev):
     # cre.shape, so this one entry point keeps the pair; it joins it once
     nk = cre.shape[-1]
     out = np.empty(dx_dev.shape)
-    row_evaluator(x, v, nk)(out, cre + 1j * cim, dx_dev, phase_rows(
+    eval_block(out, cre + 1j * cim, dx_dev, phase_rows(
         _grid_velocities(x, v, nk), times, nk))
     return out
 
 
-def row_evaluator(x, v, nk):
-    """eval_rows by rows: a function rows(out, c, dx, phases) that writes
-    into out the rows of eval_rows(c.real, c.imag, x, v, times, dx) for
-    the complex mode rows c (rows, nk), the displacements dx (rows, P)
-    and the phase rows phases = phase_rows(vs, times, nk) of the same
-    rows; the characteristics pass asks for one row as soon as its
-    displacement is known.
+def eval_block(out, c, dx, phases):
+    """eval_rows by rows: writes into out the rows of
+    eval_rows(c.real, c.imag, x, v, times, dx) for the complex mode rows
+    c (rows, nk), the displacements dx (rows, P) and the phase rows
+    phases = phase_rows(vs, times, nk) of the same rows, which give nk
+    and nv (module docstring); the characteristics pass asks for one row
+    as soon as its displacement is known.  Returns the largest relative
+    Taylor remainder of the rows (_taylor_rows, lowest 0), inf if a row
+    is bad.
 
     c may also stack L mode rows per time, (rows, L, nk); out is then
-    (rows, L, P), each of the L rows bitwise its own evaluator's, all
-    along the one displacement: one range reduction and one inverse FFT
-    per Taylor order serve them all.
+    (rows, L, P), each of the L rows bitwise its own call's, all along
+    the one displacement: one range reduction and one inverse FFT per
+    Taylor order serve them all.
 
     With theta = x_i + v_j t_n + q h + s, Taylor order m of e^{i k s} gives
     F_m[n, i, j] = Re sum_k (i k)^m c_k e^{i k v_j t_n} e^{2 pi i k i / nx},
     one inverse real FFT over k, read at index i + q; the row is
     sum_m s^m / m! F_m (Horner).
     """
-    nk = int(nk)
-    vs = _grid_velocities(x, v, nk)
-    nx, nv = 2 * (nk - 1), vs.shape[0]
+    nk, nv = phases.shape[1:]
+    nx = 2 * (nk - 1)
     ik = 1j * np.arange(nk)
-
-    def rows(out, c, dx, phases):
-        lines = c.shape[1] if c.ndim == 3 else 1
-        block = max(1, _BLOCK_BYTES // (16 * lines * nk * nv))
-        cn = c.reshape(len(dx), lines, nk).copy()
-        cn[..., nk - 1] = cn[..., nk - 1].real    # cosine-only Nyquist row
-        dx_red, q, orders, _, bad = _taylor_rows(dx, nk - 1, 0)
-        for r0, r1, order in _order_runs(orders, block):
-            acc = out[r0:r1].reshape(r1 - r0, lines, nx, nv)
-            d = dx_red[r0:r1].reshape(r1 - r0, 1, nx, nv)
-            tab = phases[r0:r1, None]
-            at = None if q is None else \
-                _shifted_index(q[r0:r1], nx, nv)[:, None]
-            for m in range(order, -1, -1):
-                coef = cn[r0:r1] * ik ** m
-                f = np.fft.irfft(coef[..., None] * tab, n=nx, axis=2,
-                                 norm="forward")
-                if at is not None:
-                    f = np.take_along_axis(f, at, axis=2)
-                if m == order:
-                    acc[...] = f
-                else:
-                    acc *= d
-                    if m:
-                        acc *= 1.0 / (m + 1)
-                    acc += f
-        out[bad] = np.nan
-    return rows
+    lines = c.shape[1] if c.ndim == 3 else 1
+    block = max(1, _BLOCK_BYTES // (16 * lines * nk * nv))
+    cn = c.reshape(len(dx), lines, nk).copy()
+    cn[..., nk - 1] = cn[..., nk - 1].real    # cosine-only Nyquist row
+    dx_red, q, orders, rems, bad = _taylor_rows(dx, nk - 1, 0)
+    for r0, r1, order in _order_runs(orders, block):
+        acc = out[r0:r1].reshape(r1 - r0, lines, nx, nv)
+        d = dx_red[r0:r1].reshape(r1 - r0, 1, nx, nv)
+        tab = phases[r0:r1, None]
+        at = None if q is None else _shifted_index(q[r0:r1], nx, nv)[:, None]
+        for m in range(order, -1, -1):
+            coef = cn[r0:r1] * ik ** m
+            f = np.fft.irfft(coef[..., None] * tab, n=nx, axis=2,
+                             norm="forward")
+            if at is not None:
+                f = np.take_along_axis(f, at, axis=2)
+            if m == order:
+                acc[...] = f
+            else:
+                acc *= d
+                if m:
+                    acc *= 1.0 / (m + 1)
+                acc += f
+    out[bad] = np.nan
+    return float(rems.max(initial=0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -381,19 +372,22 @@ def corr_fourier(wf, x, v, times, dx_dev, nk):
     """
     nk = int(nk)
     out = np.empty((times.shape[0], nk), dtype=complex)
-    corr_evaluator(x, v, nk)(out, wf, dx_dev, phase_rows(
+    corr_evaluator()(out, wf, dx_dev, phase_rows(
         _grid_velocities(x, v, nk), times, nk))
     return out
 
 
-def corr_evaluator(x, v, nk):
+def corr_evaluator():
     """corr_fourier by rows: a function rows(out, wf, dx, phases) that
     writes into out the rows of corr_fourier(wf, x, v, times, dx, nk) for
     the weights wf ((P,), or one row each), the displacements dx
     (rows, P) and the phase rows phases = phase_rows(vs, times, nk) of
-    the same rows; the field pass asks for one row as soon as its
-    displacement is known.  Stacked weights wf (rows or 1, L, P) give out
-    (rows, L, nk), each line bitwise its own call's, from one reduction.
+    the same rows, which give nk and nv (module docstring), and returns
+    the largest relative Taylor remainder of the rows (_taylor_rows,
+    lowest 1), inf if a row is bad; the field pass asks for one row as
+    soon as its displacement is known.  Stacked weights wf (rows or 1, L,
+    P) give out (rows, L, nk), each line bitwise its own call's, from one
+    reduction.
 
     With dX = q h + s on the tensor-grid labels, each Taylor order m >= 1
     of e^{-i k s} contributes
@@ -402,10 +396,6 @@ def corr_evaluator(x, v, nk):
     Rows with shifts add order 0: the FFT of the moved weights minus the
     unmoved ones, whose k = 0 term is set to its exact value 0.
     """
-    nk = int(nk)
-    vs = _grid_velocities(x, v, nk)
-    nx, nv = 2 * (nk - 1), vs.shape[0]
-    mik = -1j * np.arange(nk)
     # w d^m lives in one buffer from block to block and call to call: a
     # fresh one of a few hundred kB on every row makes the allocator give
     # the top of the heap back and fault it in again on the next row
@@ -413,10 +403,13 @@ def corr_evaluator(x, v, nk):
 
     def rows(out, wf, dx, phases):
         nonlocal wd
+        nk, nv = phases.shape[1:]
+        nx = 2 * (nk - 1)
+        mik = -1j * np.arange(nk)
         lines = wf.shape[1] if wf.ndim == 3 else 1
         block = max(1, _BLOCK_BYTES // (16 * lines * nk * nv))
         wgrid = wf.reshape(-1, lines, nx, nv) / (2.0 * math.pi)
-        dx_red, q, orders, _, bad = _taylor_rows(dx, nk - 1, 1)
+        dx_red, q, orders, rems, bad = _taylor_rows(dx, nk - 1, 1)
         for r0, r1, order in _order_runs(orders, block):
             acc = out[r0:r1].reshape(r1 - r0, lines, nk)
             acc[...] = 0.0
@@ -453,6 +446,7 @@ def corr_evaluator(x, v, nk):
                 acc += (mik ** m / math.factorial(m)) * np.einsum(
                     "nkj,nlkj->nlk", conj, g)
         out[bad, ..., 1:] = complex(math.nan, math.nan)
+        return float(rems.max(initial=0.0))
     return rows
 
 

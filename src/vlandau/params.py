@@ -137,7 +137,7 @@ class AssumptionReport:
 
     `checks` maps A1..A5 to BoundChecks with value = lhs and bound = rhs
     of the inequalities listed in `check_assumptions`.
-    `a3_implied_lhs` records the start-time form (50 C_E / a) t0^3 e^{-a t0},
+    `a3_implied_lhs` is the start-time form (50 C_E / a) t0^3 e^{-a t0},
     which the peak form of (A3) dominates because t^3 e^{-a t} is maximized
     at t = 3/a.  `a3_peak_before_t0` flags configurations with t0 < 3/a,
     where that peak lies inside the excluded early-time window; the implied
@@ -146,8 +146,15 @@ class AssumptionReport:
 
     params: DampingParams
     checks: dict
-    a3_implied_lhs: float
-    a3_peak_before_t0: bool
+
+    @property
+    def a3_implied_lhs(self) -> float:
+        p = self.params
+        return (50.0 * p.C_E / p.a) * p.t0 ** 3 * math.exp(-p.a * p.t0)
+
+    @property
+    def a3_peak_before_t0(self) -> bool:
+        return self.params.t0 < 3.0 / self.params.a
 
     @property
     def passed(self) -> bool:
@@ -193,13 +200,8 @@ def check_assumptions(params: DampingParams) -> AssumptionReport:
         BoundCheck("A4", a4_lhs, 1.0 / (20.0 * a2)),
         BoundCheck("A5", a5_lhs, a * a),
     )
-    implied = (50.0 * c_e / a) * t0 ** 3 * math.exp(-a * t0)
-    return AssumptionReport(
-        params=params,
-        checks={c.name: c for c in checks},
-        a3_implied_lhs=implied,
-        a3_peak_before_t0=(t0 < 3.0 / a),
-    )
+    return AssumptionReport(params=params,
+                            checks={c.name: c for c in checks})
 
 
 def require_admissible(params: DampingParams) -> AssumptionReport:

@@ -319,11 +319,15 @@ class SmoothnessReport:
 
     a: float
     a1: float
-    margin: float            # envelope_ratio, inf without structure; <= 1 passes
     envelope_ratio: float
     structural_ok: bool
     per_mode: dict
     z_samples: tuple[float, ...]
+
+    @property
+    def margin(self) -> float:
+        """envelope_ratio, inf without structure; <= 1 passes."""
+        return self.envelope_ratio if self.structural_ok else math.inf
 
     @property
     def check(self) -> BoundCheck:
@@ -362,9 +366,7 @@ def check_smoothness(spec: ProfileSpec, a: float, a1: float,
         base = amp_worst * abs(spec.scale) * (1.0 + m.k * m.k) / a1
         per_mode[m.k] = base * wsup if structural_ok else math.inf
     env_worst = float(np.max(list(per_mode.values()), initial=0.0))
-    margin = env_worst if structural_ok else math.inf
-    return SmoothnessReport(a=a, a1=a1, margin=margin,
-                            envelope_ratio=env_worst,
+    return SmoothnessReport(a=a, a1=a1, envelope_ratio=env_worst,
                             structural_ok=structural_ok, per_mode=per_mode,
                             z_samples=z_samples)
 

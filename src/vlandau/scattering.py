@@ -29,13 +29,12 @@ e^{ik v_j t_n} (kernels.phase_rows) before it marches the block, and
 hands each finished block with those rows to one callback,
 take(n0, n1, dX, dV, phases), which picard_solve uses to reduce it to
 rows of the field grid or to maxima (the field map, the two deposits,
-the trajectory ratios, the kernel_truncation certificate) and hands on
-to its caller's.  The field pass forms its phase rows by the same
-blocks, so each march forms each row once.  Only solve_characteristics
-stores dX and dV whole, for the callers that read them whole; the
-public whole-table functions call the same kernels on all rows of such a
-table.  The kernels work row by row, so every value is the same double
-either way.
+the trajectory ratios) and hands on to its caller's.  The field pass
+forms its phase rows by the same blocks, so each march forms each row
+once.  Only solve_characteristics stores dX and dV whole, for the
+callers that read them whole; the public whole-table functions call the
+same kernels on all rows of such a table.  The kernels work row by row,
+so every value is the same double either way.
 
 For the same reason the field map is evaluated split (FIELD_MAP_METHOD,
 the only method): the free-streaming part of the transported density is
@@ -162,19 +161,20 @@ def _march(E: FieldTable, phase: PhaseGrid, a: float, take):
     dV, (rows, P) each, goes with the block's phase rows (rows, nk, nv)
     to take(n0, n1, dX, dV, phases) and is overwritten after, so no
     (nt, P) table is formed here.  Returns what the checks read of the
-    label derivatives."""
+    label derivatives, and the largest relative Taylor remainder that
+    the evaluations of E and g along the rows left
+    (kernels.eval_block)."""
     tg = E.tgrid
-    x, v, _ = _flat_labels(phase)
-    nt, npart, nk = len(tg), x.shape[0], E.xgrid.n // 2 + 1
+    nt, npart, nk = len(tg), phase.xgrid.n * phase.nv, E.xgrid.n // 2 + 1
     times = tg.times
 
     c = np.stack([E.coefficients(), spectral_dx(E).coefficients()], axis=1)
-    rows = kernels.row_evaluator(x, v, nk)
     ev = np.empty((2, 2, npart))        # E and g along the rows n and n + 1
+    left = np.empty(nt)                 # each row's Taylor remainder
 
     def integrand(n, mom):              # mom = (dX, xi, eta) on row n
-        rows(ev[n % 2:n % 2 + 1], c[n:n + 1], mom[:1],
-             phases[n - n0:n - n0 + 1])
+        left[n] = kernels.eval_block(ev[n % 2:n % 2 + 1], c[n:n + 1],
+                                     mom[:1], phases[n - n0:n - n0 + 1])
         e, g = ev[n % 2]
         h = np.empty(mom.shape)
         h[0] = e
@@ -210,7 +210,8 @@ def _march(E: FieldTable, phase: PhaseGrid, a: float, take):
         peaks.append((
             np.abs(1.0 + xi).max(), (np.abs(t + eta) / t).max(),
             np.abs(_jacobian_minus_one(t, xi, eta, chi, omega)).max()))
-    return VariationalSups(tg, *sups, *map(float, np.max(peaks, axis=0)))
+    var = VariationalSups(tg, *sups, *map(float, np.max(peaks, axis=0)))
+    return var, float(left.max())
 
 
 def solve_characteristics(E: FieldTable, phase: PhaseGrid,
@@ -222,7 +223,7 @@ def solve_characteristics(E: FieldTable, phase: PhaseGrid,
     needs the field only on the rows > n, so kernels.suffix_pass solves
     the discrete system exactly from t_end backward: each row's dX_n comes
     from the recurrence, and E and g = dE/dx are then evaluated along that
-    row alone (one kernels.row_evaluator on the stacked mode rows).  The
+    row alone (one kernels.eval_block on the stacked mode rows).  The
     velocity deviation accumulates in the same march, keeping the field
     along two rows only, with the exponential-weight product rule of
     kernels.suffix_weighted (exact for e^{-a s} x linear), since the plain
@@ -255,15 +256,17 @@ def solve_characteristics(E: FieldTable, phase: PhaseGrid,
     def take(n0, n1, dX, dV, phases):
         paths[0, n0:n1], paths[1, n0:n1] = dX, dV
 
-    var = _march(E, phase, a, take)
+    var = _march(E, phase, a, take)[0]
     dX, dV = paths.reshape(2, -1, phase.xgrid.n, phase.nv)
     return TrajectoryTable(phase=phase, tgrid=E.tgrid, dX=dX, dV=dV, var=var)
 
 
 def _trajectory_ratios(dX, dV, t, norm_e: float, a: float):
     """The worst node ratios (velocity, position) of the displacement
-    inequalities of check_trajectory_bounds on rows (rows, P) of dX and dV
-    at the times t (rows,); both 0 for E == 0, where both sides vanish."""
+    inequalities |v - V| <= (|E|_{a,t0}/a) e^{-a t} and
+    |x - (X - V t)| <= |E|_{a,t0} (2/a) t e^{-a t} on rows (rows, P) of dX
+    and dV at the times t (rows,), for a field E of norm_e = |E|_{a,t0};
+    both 0 for E == 0, where both sides vanish."""
     if norm_e == 0.0:
         return 0.0, 0.0
     t = t[:, None]
@@ -280,23 +283,6 @@ def _ratio_checks(ratios) -> dict:
     ratio_v, ratio_x = map(float, np.max(ratios, axis=0))
     return {"traj_velocity": BoundCheck("traj_velocity", ratio_v, 1.0),
             "traj_position": BoundCheck("traj_position", ratio_x, 1.0)}
-
-
-def check_trajectory_bounds(traj: TrajectoryTable, norm_e: float,
-                            params: DampingParams) -> dict:
-    """Worst node ratios of the two displacement inequalities
-
-    |v - V| <= (|E|_{a,t0}/a) e^{-a t},
-    |x - (X - V t)| <= |E|_{a,t0} (2/a) t e^{-a t},
-
-    for the trajectories of a field E of norm_e = |E|_{a,t0}, as
-    {traj_velocity, traj_position} BoundChecks against 1.  For E == 0
-    both sides vanish and the ratios are 0.
-    """
-    nt = len(traj.tgrid)
-    return _ratio_checks([_trajectory_ratios(
-        traj.dX.reshape(nt, -1), traj.dV.reshape(nt, -1), traj.tgrid.times,
-        norm_e, params.a)])
 
 
 # unused in the package, but perfbench/tracer.py lists it in TRACED by name
@@ -428,28 +414,27 @@ def _field_pass(spec: ProfileSpec, z: float, tgrid: TimeGrid,
     formed from dX_n alone and then evaluated along x + v t_n + dX_n.
     The phase rows are formed one row block (_row_blocks) at a time,
     before the pass reaches the block."""
-    x, v, wf = _profile_weights(phase, spec, z)
-    nt, nx = len(tgrid), phase.xgrid.n
+    wf = _profile_weights(phase, spec, z)[2]
+    nt, nx, npart = len(tgrid), phase.xgrid.n, wf.shape[0]
     nk = nx // 2 + 1
     free = field_map_zero(spec, z, tgrid, phase.xgrid)
     vals = free.values.copy()
-    along = kernels.row_evaluator(x, v, nk)
-    corr = kernels.corr_evaluator(x, v, nk)
+    corr = kernels.corr_evaluator()
     modes = np.empty((1, nk), dtype=complex)
 
     def field_along(n, dX_n):
         dx, ph = dX_n[None, :], phases[n - n0:n - n0 + 1]
         corr(modes, wf, dx, ph)
         vals[n] += _field_of_modes(modes[0], nx)
-        out = np.empty((1, len(x)))
-        along(out, np.fft.rfft(vals[n])[None] / nx, dx, ph)
+        out = np.empty((1, npart))
+        kernels.eval_block(out, np.fft.rfft(vals[n])[None] / nx, dx, ph)
         return out[0]
 
     # a row that is not finite spoils the rows below it quietly; the
     # certifying characteristics of picard_solve raise on it by name
-    march = kernels.suffix_pass(field_along, (nt, len(x)), tgrid.dt)
+    march = kernels.suffix_pass(field_along, (nt, npart), tgrid.dt)
     with np.errstate(all="ignore"):
-        for n0, n1 in _row_blocks(nt, len(x)):
+        for n0, n1 in _row_blocks(nt, npart):
             phases = kernels.phase_rows(phase.v, tgrid.times[n0:n1], nk)
             for _ in itertools.islice(march, n1 - n0):
                 pass
@@ -585,11 +570,12 @@ def picard_solve(spec: ProfileSpec, params: DampingParams, z: float,
     dV, with its phase rows, to one callback, while the block is in
     cache: it forms the block's rows of the map's correction modes and of
     both deposits, and the maxima of the two trajectory ratios (with the
-    |E|_{a,t0} of the march's precondition) and of
-    kernels.truncation_remainder (the kernel_truncation certificate), and
-    then hands the block to along(E)'s take(n0, n1, dX, dV, phases), if
-    along is given: a caller that reads the characteristics of E, as a uq
-    node does, rides the march.
+    |E|_{a,t0} of the march's precondition), and then hands the block to
+    along(E)'s take(n0, n1, dX, dV, phases), if along is given: a caller
+    that reads the characteristics of E, as a uq node does, rides the
+    march.  The kernel_truncation certificate is the largest Taylor
+    remainder that the kernels return, those of the march's evaluations
+    of E and g along its rows and of the map's correction modes.
     """
     if method != FIELD_MAP_METHOD:
         raise ValueError(f"unknown field-map method {method!r}")
@@ -615,7 +601,7 @@ def picard_solve(spec: ProfileSpec, params: DampingParams, z: float,
     ne = weighted_norm(E, a)
     _require_map_norm(ne.value, a, tgrid.t0)
     x, v, wf = _profile_weights(phase, spec, z)
-    modes = kernels.corr_evaluator(x, v, nk)
+    modes = kernels.corr_evaluator()
     corr = np.empty((len(tgrid), nk), dtype=complex)
     rho, pert = np.empty((2, len(tgrid), nx))
     ratios, remainders = [], []
@@ -623,15 +609,14 @@ def picard_solve(spec: ProfileSpec, params: DampingParams, z: float,
 
     def take(n0, n1, dX, dV, phases):
         t = times[n0:n1]
-        modes(corr[n0:n1], wf, dX, phases)
+        remainders.append(modes(corr[n0:n1], wf, dX, phases))
         rho[n0:n1] = kernels.cic_density(wf, x + v * t[:, None] + dX, nx,
                                          xgrid.dx)
         pert[n0:n1] = kernels.cic_density_pert(wf, x, v, t, dX, nx, xgrid.dx)
         ratios.append(_trajectory_ratios(dX, dV, t, ne.value, a))
-        remainders.append(kernels.truncation_remainder(x, v, dX, nk))
         extra(n0, n1, dX, dV, phases)
 
-    var = _march(E, phase, a, take)
+    var, left = _march(E, phase, a, take)
 
     E_map = free.values + _field_of_modes(corr, nx)
     residual_norm = weighted_norm(E.with_values(E_map - E.values), a).value
@@ -647,7 +632,7 @@ def picard_solve(spec: ProfileSpec, params: DampingParams, z: float,
         "time_tail_velocity": norm_e * tail_integral(a, t_end, 0),
         "velocity_truncation_density": 2.0 * params.a2 / (3.0 * phase.v_max ** 3),
         "mean_density_drift": abs(float(rho.mean()) - rho0),
-        "kernel_truncation": max(remainders),
+        "kernel_truncation": max(left, *remainders),
     }
 
     return SolveResult(
@@ -693,8 +678,10 @@ def _tangent_pass(spec: ProfileSpec, E0: FieldTable, params: DampingParams,
     E0 at z, along the trajectories X0 that certify it, as (take, finish):
     take(n0, n1, dX, dV, phases) advances the pass over one row block of
     the march of X0 (_march hands the blocks out, the last rows first,
-    with their phase rows), and finish() returns the TaylorCoefficients
-    after the last block.
+    with their phase rows, from which the kernels read the grid), and
+    finish() returns the TaylorCoefficients after the last block.  The
+    kernels' remainders on these rows depend on dX alone, so they are
+    those of the solve's kernel_truncation, and the pass drops them.
 
     With delta = sum_l X_l z^l, wf_i = w d^i_z f* / i!, [delta^m]_l the
     z^l coefficient of delta^m, M the trapezoid suffix moment,
@@ -709,7 +696,7 @@ def _tangent_pass(spec: ProfileSpec, E0: FieldTable, params: DampingParams,
     reads the lower orders on row n alone, and X_j on row n reads E_j only
     on the rows > n, so one kernels.suffix_pass over rows (2, K, P) solves
     every order exactly: at row n one density call (kernels.corr_evaluator)
-    gives E_1..E_K, and one row_evaluator call their values and derivatives
+    gives E_1..E_K, and one eval_block call their values and derivatives
     along X0, each on stacked lines.  The same rows carry the trajectory of
     each order's forcing F_j, the image of E_j = 0, whose norm gives with
     the contraction bound L = params.contraction_bound the check
@@ -717,13 +704,12 @@ def _tangent_pass(spec: ProfileSpec, E0: FieldTable, params: DampingParams,
     """
     if params.K == 0:
         return (lambda *block: None), lambda: TaylorCoefficients((), {})
-    x, v, _ = _flat_labels(phase)
     tg, nx, K = E0.tgrid, E0.xgrid.n, params.K
-    times, nt, npart = tg.times, len(tg), x.shape[0]
+    times, nt, npart = tg.times, len(tg), nx * phase.nv
     nk = nx // 2 + 1
     mik = -1j * np.arange(nk)
     block = []              # the current block's n0, dX and phase rows
-    density = kernels.corr_evaluator(x, v, nk)
+    density = kernels.corr_evaluator()
 
     # the unknown-free weights and free fields of each order
     specs, wf = [spec], [_profile_weights(phase, spec, z)[2]]
@@ -737,7 +723,6 @@ def _tangent_pass(spec: ProfileSpec, E0: FieldTable, params: DampingParams,
     pairs = [(i, m) for i in range(K + 1) for m in range(i == 0, K - i + 1)]
     line = {p: l for l, p in enumerate(pairs)}     # lines of coef and ev
     coef = np.empty((1, len(pairs), nk), dtype=complex)
-    rows = kernels.row_evaluator(x, v, nk)
     ev = np.empty((1, len(pairs), npart))
 
     vals = np.empty((K, nt, nx))            # E_1..E_K
@@ -779,7 +764,7 @@ def _tangent_pass(spec: ProfileSpec, E0: FieldTable, params: DampingParams,
                 if m:
                     row = _dx_rows(row)
                 coef[0, line[i, m]] = np.fft.rfft(row) / nx
-        rows(ev, coef, dX0, ph)
+        kernels.eval_block(ev, coef, dX0, ph)
         g = ev[0, line[0, 1]]
         h = np.zeros(mom.shape)
         for j in range(1, K + 1):

@@ -4,7 +4,8 @@ library itself does not need: the force kernel, field tabulation, the
 tail-integral and product lemmas, one field-map application, the field
 map by direct kernel summation, the iterations that the field and tangent
 passes replace, a march of the field pass in mpmath, the variational
-solve, trajectory ratios and deposit on whole tables, a solve's checks
+solve, trajectory ratios, their bound checks, the kernels' Taylor
+remainder and deposit on whole tables, a solve's checks
 and certificates formed from whole tables, the tangent pass of a solve
 outside a uq node, the profile gradient, the interpolant's z-derivative
 and the gPC expansion's value."""
@@ -190,6 +191,34 @@ def trajectory_ratios(traj, E, a):
     return ratio_v, ratio_x
 
 
+def check_trajectory_bounds(traj, norm_e, params):
+    """Worst node ratios of the two displacement inequalities
+
+    |v - V| <= (|E|_{a,t0}/a) e^{-a t},
+    |x - (X - V t)| <= |E|_{a,t0} (2/a) t e^{-a t},
+
+    for the trajectories traj, stored whole, of a field E of
+    norm_e = |E|_{a,t0}, as {traj_velocity, traj_position} BoundChecks
+    against 1, by the ratios picard_solve takes of each row block.  For
+    E == 0 both sides vanish and the ratios are 0."""
+    nt = len(traj.tgrid)
+    return S._ratio_checks([S._trajectory_ratios(
+        traj.dX.reshape(nt, -1), traj.dV.reshape(nt, -1), traj.tgrid.times,
+        norm_e, params.a)])
+
+
+def truncation_remainder(dX, nk, lowests=(0, 1)):
+    """The largest relative Taylor remainder that the row kernels leave on
+    the whole table dX (rows, P) with nk modes, by its rows'
+    kernels._taylor_rows, with the rounding of the range reduction on
+    reduced rows and inf on a bad row: lowest 0 is kernels.eval_block's
+    series of e^{ikd}, lowest 1 kernels.corr_evaluator's of e^{-ikd} - 1,
+    and both together the kernel_truncation certificate of a solve whose
+    characteristics are dX."""
+    return max(float(kernels._taylor_rows(dX, nk - 1, lowest)[3].max(
+        initial=0.0)) for lowest in lowests)
+
+
 def deposit_table(traj, spec, z, xgrid):
     """The cloud-in-cell density of deposit_density from one whole table
     of positions."""
@@ -208,7 +237,8 @@ def whole_table_checks(spec, result, traj):
     """(checks, certificates) of a solve along its characteristics traj,
     formed as picard_solve formed them before it streamed the certifying
     march: one kernel call on all rows per stage (corr_fourier, the two
-    deposits, truncation_remainder) and the ratios on whole tables."""
+    deposits), the ratios on whole tables and the remainder of the whole
+    table (truncation_remainder)."""
     E, params, z = result.field, result.params, result.z
     tg, xg, a = E.tgrid, E.xgrid, params.a
     x, v, wf = _profile_weights(result.phase, spec, z)
@@ -241,7 +271,7 @@ def whole_table_checks(spec, result, traj):
             2.0 * params.a2 / (3.0 * result.phase.v_max ** 3),
         "mean_density_drift":
             abs(float(rho.values.mean()) - neutral_density(spec, z)),
-        "kernel_truncation": kernels.truncation_remainder(x, v, dX, nk),
+        "kernel_truncation": truncation_remainder(dX, nk),
     }
     return checks, certificates
 
@@ -366,7 +396,7 @@ def tangent_by_orders(spec, result, traj):
     dX0 = traj.dX.reshape(len(times), -1)
     lip = params.contraction_bound
     table = kernels.phase_rows(phase.v, times, nk)
-    corr_rows = kernels.corr_evaluator(x, v, nk)
+    corr_rows = kernels.corr_evaluator()
 
     def density(W):
         return kernels.corr_fourier(W, x, v, times, dX0, nk) \
@@ -399,7 +429,6 @@ def tangent_by_orders(spec, result, traj):
             forcing = norm(const + S._field_of_modes(
                 mik * density(wf[0] * Xf), nx))
         vals = const.copy()
-        rows = kernels.row_evaluator(x, v, nk)
 
         def integrand(n, Xn):
             W = wf[0][None, :] * Xn
@@ -407,8 +436,8 @@ def tangent_by_orders(spec, result, traj):
             modes[...] += S._free_modes(W, table[n:n + 1])
             vals[n] += S._field_of_modes(mik * modes[0], nx)
             out = np.empty((1, len(x)))
-            rows(out, np.fft.rfft(vals[n])[None] / nx, dX0[n:n + 1],
-                 table[n:n + 1])
+            kernels.eval_block(out, np.fft.rfft(vals[n])[None] / nx,
+                               dX0[n:n + 1], table[n:n + 1])
             out = out[0]
             out += g[n] * Xn
             if R is not None:

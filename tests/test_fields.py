@@ -206,3 +206,16 @@ def test_csv_read_rejects_malformed(tmp_path):
         with pytest.raises(ValueError, match=what) as exc:
             F.read_field_csv(p)
         assert str(p) in str(exc.value)
+
+
+@pytest.mark.parametrize("times", [(3.0, 2.0, 1.0), (-1.0, 0.0, 1.0)])
+def test_csv_read_names_the_file_of_a_bad_time_column(tmp_path, times):
+    # a decreasing time column, or one that does not start above 0, is
+    # refused with the file's path, as every other malformed table is
+    p = tmp_path / "times.csv"
+    grid = ",".join("%.17g" % x for x in TWO_PI / 4 * np.arange(4))
+    rows = "".join(f"{t},1,2,3,4\n" for t in times)
+    p.write_text(f"t,{grid}\n{rows}")
+    with pytest.raises(ValueError, match="0 < t0 < t_end") as exc:
+        F.read_field_csv(p)
+    assert str(exc.value).startswith(f"{p}: ")

@@ -462,15 +462,30 @@ def test_taylor_order_is_smallest_certified_order():
             K.taylor_order(bad)
 
 
-def _assert_row_remainders(x, v, dX, nk):
-    """Each row's remainder is below 2^-53 on a row the kernels need not
-    reduce, and below 2^-53 + 8 k_max ulp(max|dX_n|) on a reduced row,
-    whose remainder adds the rounding of the reduction."""
+def _remainders(times, v, dX, nk):
+    """(eval_block's, a corr_evaluator's) returned remainder on the rows
+    of dX at the times, for zero mode rows and unit weights on the tensor
+    grid of the labels v with nk modes."""
+    nv = dX.shape[1] // (2 * (nk - 1))
+    phases = K.phase_rows(v[:nv], times, nk)
+    out = np.empty(dX.shape)
+    modes = np.empty((len(dX), nk), dtype=complex)
+    return (K.eval_block(out, np.zeros((len(dX), nk), dtype=complex), dX,
+                         phases),
+            K.corr_evaluator()(modes, np.ones(dX.shape[1]), dX, phases))
+
+
+def _assert_row_remainders(times, v, dX, nk):
+    """Each row's remainder, the larger of the two the row kernels return
+    on it, is below 2^-53 on a row the kernels need not reduce, and below
+    2^-53 + 8 k_max ulp(max|dX_n|) on a reduced row, whose remainder adds
+    the rounding of the reduction."""
     kmax = nk - 1
-    for row in dX:
+    for n, row in enumerate(dX):
         big = float(np.abs(row).max())
         extra = 8 * kmax * math.ulp(big) if kmax * big > math.pi / 2 else 0.0
-        assert K.truncation_remainder(x, v, row[None], nk) < 2.0 ** -53 + extra
+        assert max(_remainders(times[n:n + 1], v, row[None], nk)) \
+            < 2.0 ** -53 + extra
 
 
 def _assert_matches_mpmath(times, x, v, dX, wf, cre, cim):
@@ -526,8 +541,8 @@ def test_fft_path_matches_mpmath_sums(rows_formed):
     assert np.abs(dX[5]).max() > 2 * step
     _assert_matches_mpmath(times, x, v, dX, wf, cre, cim)
     assert rows_formed == [len(times)] * 2
-    assert 0.0 < K.truncation_remainder(x, v, dX, nx // 2 + 1)
-    _assert_row_remainders(x, v, dX, nx // 2 + 1)
+    assert 0.0 < max(_remainders(times, v, dX, nx // 2 + 1))
+    _assert_row_remainders(times, v, dX, nx // 2 + 1)
 
 
 @st.composite
@@ -553,7 +568,7 @@ def test_kernels_match_mpmath_sums_on_random_grids(case):
                                             (len(scales), nx * nv))
     dX = np.asarray(scales)[:, None] * u
     _assert_matches_mpmath(times, x, v, dX, wf, cre, cim)
-    _assert_row_remainders(x, v, dX, nx // 2 + 1)
+    _assert_row_remainders(times, v, dX, nx // 2 + 1)
 
 
 def test_fft_path_corr_fourier_matches_complex_sum_at_production_size(
@@ -612,8 +627,8 @@ def test_rows_beyond_taylor_radius_are_reduced_onto_the_grid(rows_formed):
     assert np.abs(re - expect.real).max() <= atol
     assert np.abs(im - expect.imag).max() <= atol
     assert rows_formed == [len(times)] * 2
-    assert 0.0 < K.truncation_remainder(x, v, dX, nk)
-    _assert_row_remainders(x, v, dX, nk)
+    assert 0.0 < max(_remainders(times, v, dX, nk))
+    _assert_row_remainders(times, v, dX, nk)
 
 
 def test_range_reduction_rounding_is_certified():
@@ -636,7 +651,7 @@ def test_range_reduction_rounding_is_certified():
     modes = K.corr_fourier(wf, x, v, times, dX, nk)
     re, im = modes.real, modes.imag
     for n in range(len(times)):
-        cert = K.truncation_remainder(x, v, dX[n:n + 1], nk)
+        cert = max(_remainders(times[n:n + 1], v, dX[n:n + 1], nk))
         assert cert < 1e3 * dX[n].max() * 2.0 ** -52, n
         scale = abs(cre[n, 0]) + abs(cre[n, half]) + 2 * sum(
             math.hypot(cre[n, k], cim[n, k]) for k in range(1, half))
@@ -662,7 +677,7 @@ def test_range_reduction_rounding_is_certified():
             assert err <= cert * size, (n, k, err / size, cert)
     # a row that needs no reduction adds nothing to its Taylor remainder
     small = 1e-3 * u[:1]
-    assert K.truncation_remainder(x, v, small, nk) == max(
+    assert _remainders(times[:1], v, small, nk) == tuple(
         K.taylor_order(float(half * np.abs(small).max()), lowest)[1]
         for lowest in (0, 1))
 
@@ -689,7 +704,7 @@ def test_non_finite_rows_come_out_nan(value):
     assert np.array_equal(rows[kept], clean_rows[kept])
     assert np.array_equal(re[kept], clean_re[kept])
     assert np.array_equal(im[kept], clean_im[kept])
-    assert K.truncation_remainder(x, v, dX, nk) == math.inf
+    assert _remainders(times, v, dX, nk) == (math.inf, math.inf)
 
 
 @pytest.mark.parametrize("scale", [1e15, 1e17, 1e270])
@@ -716,28 +731,37 @@ def test_rows_too_large_to_reduce_come_out_nan(scale):
     assert np.array_equal(rows[kept], clean_rows[kept])
     assert np.array_equal(re[kept], clean_re[kept])
     assert np.array_equal(im[kept], clean_im[kept])
-    assert K.truncation_remainder(x, v, dX, nk) == math.inf
+    assert _remainders(times, v, dX, nk) == (math.inf, math.inf)
 
 
 def test_row_evaluator_is_eval_rows_one_row_at_a_time(rows_formed):
-    # the same values bitwise on reduced, unreduced, zero and non-finite
-    # rows, from the phase rows formed in one call; stacked mode rows
-    # (nt, L, nk) give each of their L rows bitwise as its own evaluator
-    # does, by rows and on all rows at once
+    # eval_block gives the same values bitwise on reduced, unreduced, zero
+    # and non-finite rows, from the phase rows formed in one call, and
+    # returns the whole-table remainder of its rows (lowest 0): inf with
+    # the non-finite row, 0.0 on the zero row; stacked mode rows
+    # (nt, L, nk) give each of their L rows bitwise as its own call does,
+    # by rows and on all rows at once
     nx, nv = 16, 9
     times, x, v, dX, wf, cre, cim = _grid_case(
         nx, nv, [0.5, 1e-4, 2.0, 0.0, 1e-3], 12)
     dX[4, 3] = math.nan
     nk = nx // 2 + 1
+    assert (nk - 1) * np.abs(dX[0]).max() > math.pi / 2      # reduced
     rows = K.eval_rows(cre, cim, x, v, times, dX)
     phases = K.phase_rows(v[:nv], times, nk)
     c = cre + 1j * cim
-    by_rows = K.row_evaluator(x, v, nk)
+    by_rows = K.eval_block
     out = np.empty(rows.shape)
-    for n in range(len(times)):
-        by_rows(out[n:n + 1], c[n:n + 1], dX[n:n + 1], phases[n:n + 1])
+    left = [by_rows(out[n:n + 1], c[n:n + 1], dX[n:n + 1], phases[n:n + 1])
+            for n in range(len(times))]
     assert np.isnan(out[4]).all()
     assert np.array_equal(out, rows, equal_nan=True)
+    assert left == [H.truncation_remainder(dX[n:n + 1], nk, (0,))
+                    for n in range(len(times))]
+    assert left[3] == 0.0 and left[4] == math.inf
+    assert 0.0 < left[0] < math.inf and 0.0 < left[2] < math.inf
+    zero = np.zeros((2, x.shape[0]))
+    assert by_rows(out[3:5], c[3:5], zero, phases[3:5]) == 0.0
 
     other = np.random.default_rng(12).standard_normal((2,) + cre.shape)
     stack = np.stack([c, 1e-4 * (other[0] + 1j * other[1]),
@@ -747,7 +771,9 @@ def test_row_evaluator_is_eval_rows_one_row_at_a_time(rows_formed):
         by_rows(stacked[n:n + 1], stack[n:n + 1], dX[n:n + 1],
                 phases[n:n + 1])
     at_once = np.empty(stacked.shape)
-    by_rows(at_once, stack, dX, phases)
+    assert by_rows(at_once[:4], stack[:4], dX[:4], phases[:4]) \
+        == H.truncation_remainder(dX[:4], nk, (0,)) == max(left[:4])
+    assert by_rows(at_once, stack, dX, phases) == math.inf
     assert rows_formed == [len(times)] * 2
     for line in range(3):
         for n in range(len(times)):
@@ -764,7 +790,9 @@ def test_corr_evaluator_is_corr_fourier_one_row_at_a_time(rows_formed,
                                                            per_row):
     # the same complex modes bitwise on reduced, unreduced, zero and
     # non-finite rows, for one weight row or a weight row per time row,
-    # from the phase rows formed in one call; stacked weight lines,
+    # from the phase rows formed in one call, and the whole-table
+    # remainder of the rows (lowest 1): inf with the non-finite row, 0.0
+    # on the zero row; stacked weight lines,
     # (1, L, P) or (rows, L, P), give each of their L lines bitwise as its
     # own call does, by rows and on all rows at once (where the two
     # reduced rows share a block), from the same phase rows
@@ -778,14 +806,22 @@ def test_corr_evaluator_is_corr_fourier_one_row_at_a_time(rows_formed,
     modes = K.corr_fourier(wf, x, v, times, dX, nk)
     re, im = modes.real, modes.imag
     phases = K.phase_rows(v[:nv], times, nk)
-    by_rows = K.corr_evaluator(x, v, nk)
+    by_rows = K.corr_evaluator()
     out = np.empty((len(times), nk), dtype=complex)
+    left = []
     for n in range(len(times)):
         w = wf[n:n + 1] if per_row else wf
-        by_rows(out[n:n + 1], w, dX[n:n + 1], phases[n:n + 1])
+        left.append(by_rows(out[n:n + 1], w, dX[n:n + 1], phases[n:n + 1]))
     assert np.isnan(out[5, 1:].real).all() and np.isnan(out[5, 1:].imag).all()
     assert np.array_equal(out.real, re, equal_nan=True)
     assert np.array_equal(out.imag, im, equal_nan=True)
+    assert left == [H.truncation_remainder(dX[n:n + 1], nk, (1,))
+                    for n in range(len(times))]
+    assert left[4] == 0.0 and left[5] == math.inf
+    assert 0.0 < left[0] < math.inf and 0.0 < left[2] < math.inf
+    w = wf[4:6] if per_row else wf
+    assert by_rows(out[4:6], w, np.zeros((2, x.shape[0])), phases[4:6]) \
+        == 0.0
 
     other = np.random.default_rng(18).uniform(-1.0, 1.0, (2,) + wf.shape)
     stack = np.stack([wf, other[0], 1e-4 * other[1]], axis=-2)
@@ -795,7 +831,10 @@ def test_corr_evaluator_is_corr_fourier_one_row_at_a_time(rows_formed,
         w = stack[n:n + 1] if per_row else stack
         by_rows(stacked[n:n + 1], w, dX[n:n + 1], phases[n:n + 1])
     at_once = np.empty(stacked.shape, dtype=complex)
-    by_rows(at_once, stack, dX, phases)
+    w = stack[:5] if per_row else stack
+    assert by_rows(at_once[:5], w, dX[:5], phases[:5]) \
+        == H.truncation_remainder(dX[:5], nk, (1,)) == max(left[:5])
+    assert by_rows(at_once, stack, dX, phases) == math.inf
     assert rows_formed == [len(times)] * 2
     for line in range(3):
         for n in range(len(times)):
@@ -825,9 +864,3 @@ def test_non_grid_labels_are_rejected(labels):
         K.eval_rows(cre, cim, x, v, times, dX)
     with pytest.raises(ValueError, match="tensor grid"):
         K.corr_fourier(wf, x, v, times, dX, nk)
-    with pytest.raises(ValueError, match="tensor grid"):
-        K.truncation_remainder(x, v, dX, nk)
-    with pytest.raises(ValueError, match="tensor grid"):
-        K.row_evaluator(x, v, nk)
-    with pytest.raises(ValueError, match="tensor grid"):
-        K.corr_evaluator(x, v, nk)

@@ -67,7 +67,7 @@ def test_zero_field_trajectory_report_is_zero(ref_tgrid, ref_phase,
                                               ref_params):
     E = F.zero_field(ref_tgrid, ref_phase.xgrid)
     traj = S.solve_characteristics(E, ref_phase, a=1.0)
-    checks = S.check_trajectory_bounds(
+    checks = H.check_trajectory_bounds(
         traj, F.weighted_norm(E, ref_params.a).value, ref_params)
     assert checks["traj_velocity"].value == 0.0
     assert checks["traj_position"].value == 0.0
@@ -109,7 +109,7 @@ def test_constant_in_x_field_bound_ratios():
     E = constant_field(tg, phase.xgrid, lambda t: eps * math.exp(-a * t))
     traj = S.solve_characteristics(E, phase, a=a)
     params = P.derive_constants(a, 0.002, 0.002, 2, t0=tg.t0)
-    checks = S.check_trajectory_bounds(
+    checks = H.check_trajectory_bounds(
         traj, F.weighted_norm(E, params.a).value, params)
     assert F.weighted_norm(E, a).value == pytest.approx(eps, rel=1e-12)
     ratio_v = checks["traj_velocity"].value
@@ -641,11 +641,57 @@ def test_small_solve_kernel_truncation_certificate(small_solve):
     cert = r.certificates["kernel_truncation"]
     assert 0.0 < cert < 2.0 ** -53
     traj = H.characteristics(r)
-    x = np.repeat(traj.phase.xgrid.points, traj.phase.nv)
-    v = np.tile(traj.phase.v, traj.phase.xgrid.n)
     dX = traj.dX.reshape(len(traj.tgrid), -1)
     nk = traj.phase.xgrid.n // 2 + 1
-    assert cert == K.truncation_remainder(x, v, dX, nk)
+    assert cert == H.truncation_remainder(dX, nk)
+
+
+@pytest.mark.parametrize("z", [0.0, 0.3])
+def test_kernel_truncation_is_the_larger_remainder_the_kernels_returned(
+        z, ref_spec, ref_params, ref_tgrid, ref_phase, ref_solve, ref_traj):
+    # the certificate is the whole-table remainder of the characteristics
+    # on the reference grids; at z = 0 the evaluations of E and g along
+    # the march's rows (eval_block, lowest 0) set it, at z = 0.3 the map's
+    # correction modes (corr_evaluator, lowest 1), so each kernel's
+    # returned remainder reaches the certificate
+    if z == 0.0:
+        r, traj = ref_solve, ref_traj
+    else:
+        r = S.picard_solve(ref_spec, ref_params, z, ref_tgrid, ref_phase)
+        traj = H.characteristics(r)
+    dX = traj.dX.reshape(len(traj.tgrid), -1)
+    nk = traj.phase.xgrid.n // 2 + 1
+    rows, modes = (H.truncation_remainder(dX, nk, (lowest,))
+                   for lowest in (0, 1))
+    cert = r.certificates["kernel_truncation"]
+    assert cert == H.truncation_remainder(dX, nk) == max(rows, modes)
+    if z == 0.0:
+        assert cert == rows > modes
+        assert cert == pytest.approx(1.073e-16, rel=1e-3)
+    else:
+        assert cert == modes > rows
+        assert cert == pytest.approx(1.083e-16, rel=1e-3)
+
+
+def test_picard_solve_reduces_each_row_once_per_kernel_call(
+        monkeypatch, ref_spec, ref_params, ref_tgrid, ref_phase):
+    # kernels._taylor_rows runs once in each kernel call and nowhere else:
+    # two per row in the field pass, one per row in the march, and one
+    # correction call per row block of the march; the remainder is read
+    # off those calls, not derived again
+    calls = []
+    real = K._taylor_rows
+
+    def counted(*args):
+        calls.append(args[0].shape[0])
+        return real(*args)
+
+    monkeypatch.setattr(K, "_taylor_rows", counted)
+    S.picard_solve(ref_spec, ref_params, 0.0, ref_tgrid, ref_phase)
+    nt, npart = len(ref_tgrid), ref_phase.xgrid.n * ref_phase.nv
+    blocks = K._row_blocks(nt, npart)
+    assert len(calls) == 3 * nt + len(blocks) == 587
+    assert sum(calls) == 4 * nt
 
 
 def test_small_solve_contraction_ratio_check(small_solve):
@@ -880,11 +926,10 @@ def test_field_pass_matches_an_mpmath_march():
     nk = phase.xgrid.n // 2 + 1
     c = E.coefficients()
     phases = K.phase_rows(phase.v, tg.times, nk)
-    rows = K.row_evaluator(x, v, nk)
     g = np.empty((len(tg), x.shape[0]))
 
     def along(n, dX_n):
-        rows(g[n:n + 1], c[n:n + 1], dX_n[None, :], phases[n:n + 1])
+        K.eval_block(g[n:n + 1], c[n:n + 1], dX_n[None, :], phases[n:n + 1])
         return g[n]
 
     dX = H.suffix_tables(along, g.shape, tg.dt)[1]
