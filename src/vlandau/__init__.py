@@ -25,8 +25,8 @@ from .fields import (
 )
 from .scattering import (
     ConvergenceError, SolveResult, TrajectoryTable, VariationalSups,
-    check_variational_bounds, deposit_density, deposit_density_pert,
-    field_map_zero, picard_solve, solve_characteristics, solve_variational,
+    deposit_density, deposit_density_pert, field_map_zero, picard_solve,
+    solve_characteristics, solve_variational,
 )
 from .uq import (
     CollocationError, CorollaryReport, GpcTable, TheoremReport, ZEnsemble,

@@ -74,7 +74,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _outdir(cfg: RunConfig, args) -> str:
     out = args.out if args.out else cfg.out_dir
-    os.makedirs(out, exist_ok=True)
+    try:
+        os.makedirs(out, exist_ok=True)
+    except OSError as err:
+        raise ConfigError(f"output directory '{out}': {err}") from None
     return out
 
 
@@ -269,14 +272,15 @@ def _load_manifest(path: str) -> dict:
     try:
         with open(path) as fh:
             return json.load(fh, object_hook=_read_numbers)
-    except (OSError, json.JSONDecodeError) as err:
+    except (OSError, ValueError) as err:     # ValueError: bad UTF-8 or JSON
         raise _corrupt(os.path.basename(path), err) from None
 
 
 def _is_check(row) -> bool:
-    """A BoundCheck.as_dict entry: numeric value, bound, ratio; bool passed."""
+    """A BoundCheck.as_dict entry: int or float value, bound and ratio (a
+    bool is no number here), and a bool passed."""
     return isinstance(row, dict) and isinstance(row.get("passed"), bool) \
-        and all(isinstance(row.get(key), (int, float))
+        and all(type(row.get(key)) in (int, float)
                 for key in ("value", "bound", "ratio"))
 
 

@@ -342,6 +342,6 @@ def load_config(path) -> RunConfig:
     try:
         with open(str(path)) as fh:
             text = fh.read()
-    except OSError as err:
+    except (OSError, UnicodeDecodeError) as err:
         raise ConfigError(f"cannot read config '{path}': {err}") from None
     return parse_config(text)

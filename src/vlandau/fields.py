@@ -268,8 +268,11 @@ def _finite_floats(toks, path: str) -> list[float]:
 def read_field_csv(path) -> tuple[FieldTable, dict]:
     """Read a table written by write_field_csv; returns (table, sidecar)."""
     path = str(path)
-    with open(path) as fh:
-        lines = [ln for ln in fh.read().splitlines() if ln.strip()]
+    try:
+        with open(path) as fh:
+            lines = [ln for ln in fh.read().splitlines() if ln.strip()]
+    except UnicodeDecodeError as err:
+        raise ValueError(f"{path}: {err}") from None
     if not lines or not lines[0].startswith("t,"):
         raise ValueError(f"{path}: not a field table (missing 't' header)")
     xs = np.array(_finite_floats(lines[0].split(",")[1:], path))
@@ -294,11 +297,16 @@ def read_field_csv(path) -> tuple[FieldTable, dict]:
             xs - (TWO_PI / n) * np.arange(n)).max() > 1e-9 * TWO_PI / n:
         raise ValueError(f"{path}: position header is not the grid "
                          "2 pi i/n with n a power of two >= 4")
+    side_path = _sidecar_path(path)
     try:
-        with open(_sidecar_path(path)) as fh:
+        with open(side_path) as fh:
             side = json.load(fh)
     except FileNotFoundError:
         side = {}
+    except ValueError as err:           # bad UTF-8 or JSON
+        raise ValueError(f"{side_path}: {err}") from None
+    if not isinstance(side, dict):
+        raise ValueError(f"{side_path}: the sidecar is not a JSON object")
     try:
         tgrid = TimeGrid(t0=float(times[0]), t_end=float(times[-1]),
                          n_steps=len(times) - 1)

@@ -53,8 +53,8 @@ class DampingParams:
     def __post_init__(self):
         if not (self.a > 0 and self.a1 > 0 and self.a2 > 0):
             raise ValueError("a, a1, a2 must be positive")
-        if self.K < 0 or int(self.K) != self.K:
-            raise ValueError("K must be a nonnegative integer")
+        if self.K < 1 or int(self.K) != self.K:
+            raise ValueError("K must be a positive integer")
         if self.t0 <= 0:
             raise ValueError("t0 must be positive")
 
@@ -91,15 +91,10 @@ def minimal_start_time(a: float, a1: float, K: int) -> float:
 
 
 def derive_constants(a: float, a1: float, a2: float, K: int,
-                     t0: float | None = None) -> DampingParams:
-    """Build a DampingParams with (optionally minimal) t0.
-
-    When t0 is omitted, the minimal value allowed by (A2) is used.
-    """
-    if K < 0 or int(K) != K:
-        raise ValueError("K must be a nonnegative integer")
-    if t0 is None:
-        t0 = minimal_start_time(a, a1, K)
+                     t0: float) -> DampingParams:
+    """Build a DampingParams; K must be an integer >= 1."""
+    if K < 1 or int(K) != K:
+        raise ValueError("K must be a positive integer")
     return DampingParams(a=a, a1=a1, a2=a2, K=int(K), t0=float(t0))
 
 

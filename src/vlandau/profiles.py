@@ -456,20 +456,16 @@ def grid_sups(spec: ProfileSpec, z: float):
     a_dx = spec.scale * spec.f1_dx(x, z)
     a_f = spec.scale * spec.f1_value(x, z)
     step = max(1, _BLOCK_BYTES // (8 * len(v)))
-    best = [None, None]
-    sups = []
+    firsts, sups = [], []
     for lo in range(0, len(x), step):
         gx = a_dx[lo:lo + step, None] * s
         gv = a_f[lo:lo + step, None] * ds
         val = np.sqrt(gx * gx + gv * gv)
         sups.append(val.max())
         f = np.abs(a_f[lo:lo + step, None] * s)
-        for order, weighted in enumerate((f * wv, val * wv)):
-            cand, top = _first_max(weighted, v), best[order]
-            # the first maximum wins; a NaN, once found, stays
-            if top is None or (not math.isnan(top[0]) and (
-                    math.isnan(cand[0]) or cand[0] > top[0])):
-                best[order] = cand
+        firsts.append([_first_max(w, v) for w in (f * wv, val * wv)])
+    # over the blocks too, np.argmax takes the first maximum or first NaN
+    best = [pairs[np.argmax([p[0] for p in pairs])] for pairs in zip(*firsts)]
     return best[0], best[1], float(np.max(sups))
 
 

@@ -183,7 +183,8 @@ def _march(E: FieldTable, phase: PhaseGrid, a: float, take):
         h[2] += g * times[n]
         return h
 
-    # -dV accumulates in the march, in the order of kernels.suffix_weighted
+    # dV accumulates as -0.0 minus each term of kernels.suffix_weighted of
+    # E: the doubles of that sum negated, since rounding is symmetric
     alpha, beta = kernels.exp_cell_weights(a, tg.dt)
     blocks = _row_blocks(nt, npart)
     size = blocks[0][1] - blocks[0][0]
@@ -196,13 +197,11 @@ def _march(E: FieldTable, phase: PhaseGrid, a: float, take):
         dX, dV = paths[:, :n1 - n0]
         for n, acc, mom in itertools.islice(march, n1 - n0):
             dX[n - n0] = mom[0]
-            dV[n - n0] = 0.0 if n == nt - 1 else \
-                prev + alpha * ev[n % 2, 0] + beta * ev[(n + 1) % 2, 0]
+            dV[n - n0] = -0.0 if n == nt - 1 else \
+                prev - alpha * ev[n % 2, 0] - beta * ev[(n + 1) % 2, 0]
             prev = dV[n - n0]
             ders[:2, n - n0] = mom[1:]
             np.negative(acc[1:], out=ders[2:, n - n0])
-        prev = prev.copy()                  # the block's dV is negated next
-        np.negative(dV, out=dV)
         take(n0, n1, dX, dV, phases)
         xi, eta, chi, omega = d = ders[:, :n1 - n0]
         t = times[n0:n1, None]
@@ -238,7 +237,7 @@ def solve_characteristics(E: FieldTable, phase: PhaseGrid,
     plain suffix integrals of the same integrands; the system is strictly
     triangular on the same rule, so the state of the march is (dX, xi,
     eta).  One row block (_row_blocks) of the four derivatives is kept,
-    and each finished block is reduced to what check_variational_bounds
+    and each finished block is reduced to what _variational_checks
     reads (TrajectoryTable.var).
 
     This function copies the march's blocks of dX and dV into whole
@@ -292,8 +291,7 @@ def solve_variational(E: FieldTable, traj: TrajectoryTable) -> VariationalSups:
     return traj.var
 
 
-def check_variational_bounds(var: VariationalSups,
-                             params: DampingParams) -> dict:
+def _variational_checks(var: VariationalSups, params: DampingParams) -> dict:
     """The four weighted-norm estimates for the linearized flow, the two
     plain-sup bounds and the volume deviation |det - 1|, as
     {name: BoundCheck}."""
@@ -455,9 +453,7 @@ class SolveResult:
     checks: dict
     certificates: dict
     phase: PhaseGrid
-    # one exact pass; perfbench/tracer.py reads iterations, and the
-    # benchmark's output check asks the manifest for "converged"
-    converged: ClassVar[bool] = True
+    # one exact pass; perfbench/tracer.py reads iterations
     iterations: ClassVar[int] = 1
 
     @property
@@ -473,7 +469,8 @@ class SolveResult:
         return {
             "params": self.params.as_dict(),
             "z": self.z,
-            "converged": self.converged,
+            # one exact pass; the benchmark's output check asks for it
+            "converged": True,
             "residual_norm": self.residual_norm,
             "method": FIELD_MAP_METHOD,
             "grids": {
@@ -511,7 +508,7 @@ def _fixed_point_checks(E: FieldTable, free: FieldTable,
         "density_pert_weighted", npert.value, ce, npert.horizon_dominated)
 
     checks.update(traj_checks)
-    checks.update(check_variational_bounds(var, params))
+    checks.update(_variational_checks(var, params))
 
     consistency = float(np.abs(ex.values - rho_pert.values).max())
     checks["field_density_consistency"] = BoundCheck(
@@ -702,8 +699,6 @@ def _tangent_pass(spec: ProfileSpec, E0: FieldTable, params: DampingParams,
     the contraction bound L = params.contraction_bound the check
     z_deriv_{j}_tangent, j! |E_j|_{a,t0} <= j! |F_j|_{a,t0} / (1 - L).
     """
-    if params.K == 0:
-        return (lambda *block: None), lambda: TaylorCoefficients((), {})
     tg, nx, K = E0.tgrid, E0.xgrid.n, params.K
     times, nt, npart = tg.times, len(tg), nx * phase.nv
     nk = nx // 2 + 1

@@ -107,14 +107,13 @@ def fd_weights(nodes, x0: float, max_order: int) -> np.ndarray:
 class ZEnsemble:
     """Per-node solve results over a quadrature node set in z, with the
     CorollaryReport that run_collocation formed from them and the tangent
-    solve's Taylor coefficients at the node z = 0 (None when 0 is not a
-    node, as for an even node count)."""
+    solve's Taylor coefficients at the node z = 0."""
 
     nodes: tuple[float, ...]
     weights: tuple[float, ...]
     results: tuple[SolveResult, ...]
     corollary: CorollaryReport
-    taylor: TaylorCoefficients | None
+    taylor: TaylorCoefficients
 
     def __post_init__(self):
         if not (len(self.nodes) == len(self.weights) == len(self.results)):
@@ -123,7 +122,7 @@ class ZEnsemble:
             raise ValueError("nodes and corollary report must align")
         if any(b <= a for a, b in zip(self.nodes, self.nodes[1:])):
             raise ValueError("nodes must be strictly increasing")
-        sigs = {r_setup_signature(r) for r in self.results}
+        sigs = {_setup_signature(r) for r in self.results}
         if len(sigs) > 1:
             raise ValueError("per-node solves used differing grids or params")
 
@@ -151,12 +150,12 @@ class ZEnsemble:
         return {
             "nodes": list(self.nodes),
             "weights": list(self.weights),
-            "setup_signature": r_setup_signature(self.results[0]),
+            "setup_signature": _setup_signature(self.results[0]),
             "per_node": [r.manifest() for r in self.results],
         }
 
 
-def r_setup_signature(result: SolveResult) -> str:
+def _setup_signature(result: SolveResult) -> str:
     """Hash of params + grids, for the shared-setup invariant."""
     ident = {
         "params": result.params.as_dict(),
@@ -367,7 +366,8 @@ def run_collocation(spec: ProfileSpec, params: DampingParams,
                     **solve_kw) -> ZEnsemble:
     """Deterministic solve at each of the n_z Gauss-Legendre nodes, with
     solve_kw passed on to picard_solve, and the tangent solve at the node
-    z = 0; aborts naming the first failing node.
+    z = 0; aborts naming the first failing node.  n_z must be odd, so
+    that 0 is a node (ValueError before any node is solved otherwise).
 
     The nodes are solved concurrently, one per usable CPU, with this
     process as one of the workers (_in_node_order).  Each process forms
@@ -381,6 +381,8 @@ def run_collocation(spec: ProfileSpec, params: DampingParams,
     """
     import multiprocessing      # not at the top: it would slow every CLI start
 
+    if n_z % 2 == 0:
+        raise ValueError(f"n_z = {n_z} is even: the tangent needs z = 0")
     nodes, weights = gauss_legendre_nodes(n_z)
     zs = [float(z) for z in nodes]
     results, bounds, taylor = [], [], []
@@ -426,7 +428,7 @@ def run_collocation(spec: ProfileSpec, params: DampingParams,
     return ZEnsemble(nodes=tuple(zs),
                      weights=tuple(float(w) for w in weights),
                      results=tuple(results), corollary=corollary,
-                     taylor=next((t for t in taylor if t is not None), None))
+                     taylor=taylor[n_z // 2])
 
 
 # ---------------------------------------------------------------------------
@@ -442,7 +444,6 @@ class GpcTable:
     so that E(z) ~ sum_m c_m sqrt(2m+1) P_m(z).
     """
 
-    nodes: tuple[float, ...]
     coefficients: np.ndarray            # (n_modes, nt, nx)
     tgrid: TimeGrid
     xs: np.ndarray
@@ -489,8 +490,8 @@ def gpc_coefficients(ensemble: ZEnsemble) -> GpcTable:
     """Project node fields onto the orthonormal basis with the node weights."""
     coeffs = project_stack(ensemble.nodes, ensemble.weights,
                            ensemble.field_stack())
-    return GpcTable(nodes=ensemble.nodes, coefficients=coeffs,
-                    tgrid=ensemble.tgrid, xs=ensemble.results[0].field.xgrid.points)
+    return GpcTable(coefficients=coeffs, tgrid=ensemble.tgrid,
+                    xs=ensemble.results[0].field.xgrid.points)
 
 
 def write_gpc_csv(table: GpcTable, path) -> None:
@@ -609,10 +610,7 @@ class TheoremReport:
 def check_theorem_bounds(ensemble: ZEnsemble) -> TheoremReport:
     """Report |d^k_z E|_{a,t0} for k <= K (the ensemble's params.K) from
     the tangent solve, with its certificates and its distance from the
-    collocation interpolant; ValueError when 0 is not a node."""
-    if ensemble.taylor is None:
-        raise ValueError("the theorem report needs z = 0 as a node (an odd "
-                         "node count)")
+    collocation interpolant."""
     derivs = [ensemble.results[ensemble.nodes.index(0.0)].field.values] + [
         math.factorial(k) * e.values
         for k, e in enumerate(ensemble.taylor.fields, 1)]

@@ -119,7 +119,7 @@ def test_criterion_05_picard_contraction(ref_solve, ref_spec):
     r = ref_solve
     limit = 88 * A2 / (A ** 2 - 80 * A2) * 1.10      # 0.23047619...
     assert limit == pytest.approx(0.23047619047619, rel=1e-10)
-    assert r.converged
+    assert r.manifest()["converged"] is True
     assert r.residual_norm < 1e-10
     E = r.field
     free = S.field_map_zero(ref_spec, 0.0, E.tgrid, E.xgrid)

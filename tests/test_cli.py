@@ -265,6 +265,28 @@ def test_no_arguments_is_usage_error(capsys):
     assert run_cli() == 2
 
 
+@pytest.mark.parametrize("command", ["check", "solve", "uq"])
+def test_config_that_is_not_utf8_is_usage_error(tmp_path, capsys, command):
+    cfg = tmp_path / "bin.cfg"
+    cfg.write_bytes(b"\xff\xfe\x00bad")
+    code = run_cli(command, "--config", str(cfg), "--out", str(tmp_path))
+    err = capsys.readouterr().err.splitlines()
+    assert code == 2
+    assert len(err) == 1 and err[0].startswith("error: cannot read config")
+    assert str(cfg) in err[0]
+
+
+def test_out_naming_a_file_is_usage_error(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, "")
+    out = tmp_path / "afile"
+    out.write_text("")
+    code = run_cli("check", "--config", cfg, "--out", str(out))
+    err = capsys.readouterr().err.splitlines()
+    assert code == 2
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert str(out) in err[0]
+
+
 # ---------------------------------------------------------------------------
 # solve
 # ---------------------------------------------------------------------------
@@ -841,6 +863,15 @@ def test_report_corrupt_manifest(tmp_path, capsys):
     assert "corrupt or unreadable" in err
 
 
+def test_report_manifest_that_is_not_utf8(tmp_path, capsys):
+    (tmp_path / "binary.json").write_bytes(b"\xff\xfe\x00bad")
+    code = run_cli("report", str(tmp_path))
+    err = capsys.readouterr().err.splitlines()
+    assert code == 2
+    assert err == [err[0]] and err[0].startswith(
+        "error: corrupt or unreadable manifest 'binary.json'")
+
+
 _CHECK = {"name": "c", "value": 0.5, "bound": 1.0, "ratio": 0.5,
           "passed": True, "horizon_dominated": False}
 
@@ -863,8 +894,11 @@ def test_report_reads_non_finite_strings_as_numbers(tmp_path, capsys):
     {"checks": {"c": {k: v for k, v in _CHECK.items() if k != "bound"}}},
     {"checks": {"c": {**_CHECK, "value": "0.5"}}},
     {"per_node": [{"checks": {"c": 1.0}}]},
+    {"checks": {"c": {"value": True, "bound": False, "ratio": True,
+                      "passed": True}}, "passed": True},
 ], ids=["node_without_checks", "per_node_object", "checks_list",
-        "check_without_bound", "string_value", "check_not_object"])
+        "check_without_bound", "string_value", "check_not_object",
+        "boolean_numbers"])
 def test_report_malformed_manifest(tmp_path, capsys, payload):
     (tmp_path / "run.json").write_text(json.dumps(payload))
     code = run_cli("report", str(tmp_path))

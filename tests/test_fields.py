@@ -219,3 +219,23 @@ def test_csv_read_names_the_file_of_a_bad_time_column(tmp_path, times):
     with pytest.raises(ValueError, match="0 < t0 < t_end") as exc:
         F.read_field_csv(p)
     assert str(exc.value).startswith(f"{p}: ")
+
+
+@pytest.mark.parametrize("file, body, what", [
+    ("field.csv", b"\xff\xfe\x00bad", "can't decode"),
+    ("field.json", b"\xff\xfe\x00bad", "can't decode"),
+    ("field.json", b"{bad", "Expecting property name"),
+    ("field.json", b"[1, 2]", "not a JSON object"),
+], ids=["csv_not_utf8", "sidecar_not_utf8", "sidecar_not_json",
+        "sidecar_not_object"])
+def test_csv_read_names_the_file_of_a_bad_encoding_or_sidecar(
+        tmp_path, file, body, what):
+    # a table or sidecar that is not UTF-8, a sidecar that is not JSON and
+    # one that is JSON but not an object are refused with the path of the
+    # file at fault, as every other malformed table is
+    tab = F.FieldTable(F.TimeGrid(8.0, 12.0, 3), F.XGrid(4), np.ones((4, 4)))
+    F.write_field_csv(tab, tmp_path / "field.csv")
+    (tmp_path / file).write_bytes(body)
+    with pytest.raises(ValueError, match=what) as exc:
+        F.read_field_csv(tmp_path / "field.csv")
+    assert str(exc.value).startswith(f"{tmp_path / file}: ")

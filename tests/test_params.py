@@ -139,24 +139,29 @@ def test_minimal_start_time_log_branch():
     assert got > 4.0
 
 
-def test_derive_constants_defaults_t0():
-    p = P.derive_constants(1.0, 0.002, 0.002, 2)
-    assert p.t0 == 8.0                      # max(2, 4K, log(0.016)) = 4K
-    with pytest.raises(ValueError):
-        P.derive_constants(-1.0, 0.002, 0.002, 2)
-    with pytest.raises(ValueError):
-        P.derive_constants(1.0, 0.002, 0.002, -1)
+def test_derive_constants_requires_t0():
+    # no start time is derived: every run's config gives its t0
+    with pytest.raises(TypeError, match="t0"):
+        P.derive_constants(1.0, 0.002, 0.002, 2)
 
 
-@pytest.mark.parametrize("t0", [None, 8.0])
+@pytest.mark.parametrize("t0", [8.0, 12.0])
 def test_derive_constants_rejects_bad_inputs(t0):
     for a, a1, a2 in ((0.0, 0.002, 0.002), (1.0, -0.002, 0.002),
                       (1.0, 0.002, 0.0)):
         with pytest.raises(ValueError, match="must be positive"):
             P.derive_constants(a, a1, a2, 2, t0=t0)
-    for K in (-1, 1.5):
-        with pytest.raises(ValueError, match="nonnegative integer"):
+    for K in (0, -1, 1.5):
+        with pytest.raises(ValueError, match="K must be a positive integer"):
             P.derive_constants(1.0, 0.002, 0.002, K, t0=t0)
+
+
+def test_damping_params_refuses_order_zero():
+    # the theorem bounds z-derivatives, so every run has K >= 1, as the
+    # config demands; a direct construction is held to the same
+    for K in (0, -1):
+        with pytest.raises(ValueError, match="K must be a positive integer"):
+            P.DampingParams(a=1.0, a1=0.002, a2=0.002, K=K, t0=8.0)
 
 
 def test_derived_values_are_read_from_the_independent_ones():
@@ -227,7 +232,8 @@ def test_require_admissible_raises():
 
 def test_gate_a3_peak_flag():
     # t0 = 8 > 3/a = 3: the cubic-exponential peak precedes the window
-    rep = P.check_assumptions(P.derive_constants(1.0, 0.002, 0.002, 2))
+    rep = P.check_assumptions(P.derive_constants(1.0, 0.002, 0.002, 2,
+                                                 t0=8.0))
     assert not rep.a3_peak_before_t0
     assert rep.a3_implied_lhs == pytest.approx(
         50 * 0.00896 * 512 * math.exp(-8.0), rel=1e-12)

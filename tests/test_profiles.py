@@ -466,6 +466,42 @@ def test_grid_sups_nan_in_a_later_row_block_wins(monkeypatch):
         assert got[order][1] == want[1]
 
 
+def test_grid_sups_first_nan_over_the_row_blocks_wins(monkeypatch):
+    # the rows go in blocks of 4: row 5 (block 1) is NaN from v index 3000
+    # on the grid, row 9 (block 2) from index 1000; the sup of |grad f*|
+    # takes the first NaN in row-major order, row 5's, not the block's
+    # with the earlier v
+    real_s, real_ds = ProfileSpec.shape_value, ProfileSpec.shape_dv
+
+    def f1(inf_row, zero_row):
+        def rows(self, x, z):
+            out = np.full(np.shape(x), 1e-3)
+            out[inf_row], out[zero_row] = math.inf, 0.0
+            return out
+        return rows
+
+    def zero_at(real, j):
+        def shape(self, v):
+            out = real(self, v).copy()
+            out[j] = 0.0                # inf * 0 is NaN there
+            return out
+        return shape
+
+    monkeypatch.setattr(ProfileSpec, "f1_dx", f1(5, 9))
+    monkeypatch.setattr(ProfileSpec, "f1_value", f1(9, 5))
+    monkeypatch.setattr(ProfileSpec, "shape_value", zero_at(real_s, 3000))
+    monkeypatch.setattr(ProfileSpec, "shape_dv", zero_at(real_ds, 1000))
+    grid_sups.cache_clear()
+    spec = make_spec({0: 8e-5, 1: 1e-5})
+    with np.errstate(invalid="ignore"):
+        value, at_v = grid_sups(spec, 0.0)[1]
+    grid_sups.cache_clear()
+    v_half = PR._decay_v_window(spec)
+    v = np.linspace(-v_half, v_half, PR._GRID_NV)
+    assert PR._BLOCK_BYTES // (8 * len(v)) == 4
+    assert math.isnan(value) and at_v == v[3000]
+
+
 def test_grid_sups_cache_serves_the_corollary(ref_spec, ref_params):
     # a node's hypothesis gate and its corollary sup_gradient share a pass
     grid_sups.cache_clear()

@@ -348,11 +348,9 @@ def test_gpc_table_reconstruct_and_decay(zind_small):
     recon = H.gpc_reconstruct(table, zind_small.nodes[3])
     assert np.allclose(recon, stack[3], atol=1e-15)
     # synthetic geometric decay in a hand-built table
-    nodes, weights = U.gauss_legendre_nodes(6)
     mags = 0.5 ** np.arange(6)
     coeffs = mags[:, None, None] * np.ones((6, 2, 2))
-    synth = U.GpcTable(nodes, coeffs, zind_small.tgrid,
-                       np.array([0.0, 1.0]))
+    synth = U.GpcTable(coeffs, zind_small.tgrid, np.array([0.0, 1.0]))
     assert synth.mode_magnitudes() == pytest.approx(mags, rel=1e-12)
     assert synth.decay_rate() == pytest.approx(math.log10(0.5), rel=1e-6)
 
@@ -393,25 +391,16 @@ def test_theorem_report_records_floors(zind_small):
     assert d["floors"] == {"1": rep.floors[1], "2": rep.floors[2]}
 
 
-def test_theorem_report_needs_the_node_zero():
+def test_collocation_refuses_an_even_node_count(monkeypatch):
+    # the tangent solve runs at the node z = 0, which an even Gauss-Legendre
+    # set lacks: the count is refused before any node is solved
+    solved = []
+    monkeypatch.setattr(U, "_solve_node", lambda *args: solved.append(args))
     spec, params, tg, phase = _small_setup(ZDEP_MODES)
-    ens = U.run_collocation(spec, params, tg, phase, n_z=2)
-    assert ens.taylor is None
-    with pytest.raises(ValueError, match="z = 0 as a node"):
-        U.check_theorem_bounds(ens)
-
-
-def test_collocation_at_order_zero_reports_the_field_alone():
-    # K = 0 asks for no z-derivative: the tangent solve has no order to
-    # solve, and the theorem report holds the norm of the field only
-    spec, _, tg, phase = _small_setup()
-    params = P.derive_constants(1.0, 0.002, 0.002, 0, t0=8.0)
-    ens = U.run_collocation(spec, params, tg, phase, n_z=3)
-    assert ens.taylor.fields == () and ens.taylor.checks == {}
-    rep = U.check_theorem_bounds(ens)
-    assert len(rep.norms) == 1
-    assert rep.norms[0] == pytest.approx(8e-5, rel=1e-9)
-    assert rep.checks == {} and rep.passed
+    with pytest.raises(ValueError, match="n_z = 2 is even"):
+        U.run_collocation(spec, params, tg, phase, n_z=2)
+    assert solved == []
+    assert multiprocessing.active_children() == []
 
 
 def test_theorem_report_fails_an_underresolved_interpolant():
@@ -641,7 +630,7 @@ def test_check_corollary_needs_the_ensembles_survey(zdep_small):
                     zdep_small.taylor)
 
 
-@pytest.mark.parametrize("n_z, n_derivs", [(1, 0), (2, 1)])
+@pytest.mark.parametrize("n_z, n_derivs", [(1, 0), (3, 2)])
 def test_run_collocation_few_nodes(n_z, n_derivs):
     # k_max = min(K, n_z - 2): one node leaves no derivative accumulator
     spec, params, tg, phase = _small_setup(ZDEP_MODES)
