@@ -10,7 +10,7 @@ collocation.
 
 from .params import (
     AdmissibilityError, AssumptionReport, BoundCheck, DampingParams,
-    check_assumptions, derive_constants, minimal_start_time,
+    check_assumptions, minimal_start_time,
     require_admissible, tail_integral, tail_integral_moment,
 )
 from .profiles import (
@@ -21,7 +21,7 @@ from .profiles import (
 )
 from .fields import (
     FieldTable, NormReport, PhaseGrid, TimeGrid, XGrid, read_field_csv,
-    spectral_dx, weighted_norm, weighted_sup, write_field_csv, zero_field,
+    spectral_dx, weighted_norm, weighted_sup, write_field_csv,
 )
 from .scattering import (
     ConvergenceError, SolveResult, TrajectoryTable, VariationalSups,
@@ -30,8 +30,8 @@ from .scattering import (
 )
 from .uq import (
     CollocationError, CorollaryReport, GpcTable, TheoremReport, ZEnsemble,
-    check_corollary, check_theorem_bounds, fd_weights, gauss_legendre_nodes,
-    gpc_coefficients, project_stack, run_collocation, write_gpc_csv,
+    check_corollary, check_theorem_bounds, fd_weights, gpc_coefficients,
+    project_stack, run_collocation, write_gpc_csv,
 )
 from .config import ConfigError, RunConfig, load_config, parse_config
 

@@ -20,6 +20,8 @@ import math
 import os
 import sys
 
+from numpy.polynomial.legendre import leggauss
+
 from .config import ConfigError, RunConfig, load_config
 from .params import AdmissibilityError, check_assumptions
 from .profiles import HypothesisError, check_profile
@@ -27,7 +29,7 @@ from .scattering import FIELD_MAP_METHOD, ConvergenceError, picard_solve, \
     solver_preconditions
 from .fields import write_field_csv
 from .uq import CollocationError, check_corollary, check_theorem_bounds, \
-    gauss_legendre_nodes, gpc_coefficients, run_collocation, write_gpc_csv
+    gpc_coefficients, run_collocation, write_gpc_csv
 
 EXIT_PASS = 0
 EXIT_CHECK_FAILED = 1
@@ -137,7 +139,7 @@ def cmd_check(cfg: RunConfig, args) -> int:
 
     z_samples = (0.0,)
     if not spec.is_z_independent:
-        nodes, _ = gauss_legendre_nodes(cfg.n_z)
+        nodes, _ = leggauss(cfg.n_z)
         z_samples = tuple(sorted(set(float(z) for z in nodes) | {0.0}))
     profile = check_profile(spec, params.a, params.a1, params.a2, params.K,
                             z_samples=z_samples)
@@ -259,10 +261,14 @@ def _corrupt(name: str, detail) -> ConfigError:
     return ConfigError(f"corrupt or unreadable manifest '{name}': {detail}")
 
 
+# the numbers of a BoundCheck.as_dict entry
+_NUMBERS = ("value", "bound", "ratio")
+
+
 def _read_numbers(obj: dict) -> dict:
     """A JSON object with the _NON_FINITE strings of its value, bound and
     ratio read as the numbers that _is_check wants."""
-    for key in ("value", "bound", "ratio"):
+    for key in _NUMBERS:
         if isinstance(obj.get(key), str):
             obj[key] = _NON_FINITE.get(obj[key], obj[key])
     return obj
@@ -272,16 +278,23 @@ def _load_manifest(path: str) -> dict:
     try:
         with open(path) as fh:
             return json.load(fh, object_hook=_read_numbers)
-    except (OSError, ValueError) as err:     # ValueError: bad UTF-8 or JSON
+    # ValueError: bad UTF-8 or JSON; RecursionError: nesting too deep
+    except (OSError, ValueError, RecursionError) as err:
         raise _corrupt(os.path.basename(path), err) from None
 
 
 def _is_check(row) -> bool:
-    """A BoundCheck.as_dict entry: int or float value, bound and ratio (a
-    bool is no number here), and a bool passed."""
-    return isinstance(row, dict) and isinstance(row.get("passed"), bool) \
-        and all(type(row.get(key)) in (int, float)
-                for key in ("value", "bound", "ratio"))
+    """A BoundCheck.as_dict entry: value, bound and ratio int or float (a
+    bool is no number here) and within the doubles, and a bool passed
+    that is BoundCheck's verdict value <= bound."""
+    if not (isinstance(row, dict) and isinstance(row.get("passed"), bool)
+            and all(type(row.get(key)) in (int, float) for key in _NUMBERS)):
+        return False
+    try:
+        value, bound, _ = (float(row[key]) for key in _NUMBERS)
+    except OverflowError:                   # an int beyond the doubles
+        return False
+    return row["passed"] == (value <= bound)
 
 
 def _manifest_rows(name: str, manifest: dict) -> list:

@@ -33,7 +33,7 @@ import sys
 from dataclasses import dataclass, field, fields
 
 from .fields import PhaseGrid, TimeGrid, XGrid
-from .params import DampingParams, derive_constants
+from .params import DampingParams
 from .profiles import Amplitude, Mode, ProfileSpec
 from .scattering import FIELD_MAP_METHOD
 
@@ -206,7 +206,7 @@ class RunConfig:
     # -- derived builders ---------------------------------------------------
 
     def damping_params(self) -> DampingParams:
-        return derive_constants(self.a, self.a1, self.a2, self.K, t0=self.t0)
+        return DampingParams(self.a, self.a1, self.a2, self.K, self.t0)
 
     def profile_spec(self) -> ProfileSpec:
         modes = tuple(Mode(k, Amplitude(kind, coeffs))

@@ -152,10 +152,6 @@ class FieldTable:
         return FieldTable(self.tgrid, self.xgrid, np.asarray(values, dtype=float))
 
 
-def zero_field(tgrid: TimeGrid, xgrid: XGrid) -> FieldTable:
-    return FieldTable(tgrid, xgrid, np.zeros((len(tgrid), xgrid.n)))
-
-
 def spectral_dx(table: FieldTable) -> FieldTable:
     """d/dx by mode multiplication; the Nyquist mode is annihilated."""
     return table.with_values(_dx_rows(table.values))
@@ -303,7 +299,8 @@ def read_field_csv(path) -> tuple[FieldTable, dict]:
             side = json.load(fh)
     except FileNotFoundError:
         side = {}
-    except ValueError as err:           # bad UTF-8 or JSON
+    # bad UTF-8 or JSON, or nesting too deep
+    except (ValueError, RecursionError) as err:
         raise ValueError(f"{side_path}: {err}") from None
     if not isinstance(side, dict):
         raise ValueError(f"{side_path}: the sidecar is not a JSON object")

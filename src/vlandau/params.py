@@ -42,7 +42,7 @@ def _factorial(n: int) -> float:
 @dataclass(frozen=True)
 class DampingParams:
     """Validated parameter bundle; C_E and the contraction bound are
-    derived from it.  Construct through `derive_constants`."""
+    derived from it.  K is stored as an int and t0 as a float."""
 
     a: float
     a1: float
@@ -57,6 +57,8 @@ class DampingParams:
             raise ValueError("K must be a positive integer")
         if self.t0 <= 0:
             raise ValueError("t0 must be positive")
+        object.__setattr__(self, "K", int(self.K))
+        object.__setattr__(self, "t0", float(self.t0))
 
     @property
     def C_E(self) -> float:
@@ -74,7 +76,7 @@ class DampingParams:
             "a": self.a,
             "a1": self.a1,
             "a2": self.a2,
-            "K": int(self.K),
+            "K": self.K,
             "t0": self.t0,
             "C_E": self.C_E,
         }
@@ -88,14 +90,6 @@ def minimal_start_time(a: float, a1: float, K: int) -> float:
     if a <= 0 or a1 <= 0:
         raise ValueError("a and a1 must be positive")
     return max(2.0, 4.0 * K, math.log(8.0 * a1) / a)
-
-
-def derive_constants(a: float, a1: float, a2: float, K: int,
-                     t0: float) -> DampingParams:
-    """Build a DampingParams; K must be an integer >= 1."""
-    if K < 1 or int(K) != K:
-        raise ValueError("K must be a positive integer")
-    return DampingParams(a=a, a1=a1, a2=a2, K=int(K), t0=float(t0))
 
 
 @dataclass(frozen=True)

@@ -402,24 +402,22 @@ class DecayReport:
         }
 
 
-def check_decay(spec: ProfileSpec, a2: float, z_samples=(0.0,),
-                derivative_order: int = 0) -> DecayReport:
-    """Check the (1+v^4)-weighted bound for f* (order 0) or grad f* (order 1)."""
+def check_decay(spec: ProfileSpec, a2: float, z_samples=(0.0,)
+                ) -> tuple[DecayReport, DecayReport]:
+    """Check the (1+v^4)-weighted bounds for f* (order 0) and grad f*
+    (order 1), both from one grid_sups pass per z sample."""
     if a2 <= 0:
         raise ValueError("a2 must be positive")
-    if derivative_order not in (0, 1):
-        raise ValueError("derivative_order must be 0 or 1")
     z_samples = tuple(float(z) for z in z_samples)
-    worst = 0.0
-    argmax_v = 0.0
+    worst = [(0.0, 0.0), (0.0, 0.0)]        # (sup, argmax_v) per order
     for z in z_samples:
-        value, at_v = grid_sups(spec, z)[derivative_order]
-        # a NaN sup is kept so that the margin fails
-        if value > worst or math.isnan(value):
-            worst, argmax_v = value, at_v
-    return DecayReport(a2=a2, derivative_order=derivative_order,
-                       margin=worst / a2, argmax_v=argmax_v,
-                       z_samples=z_samples)
+        for order, (value, at_v) in enumerate(grid_sups(spec, z)[:2]):
+            # a NaN sup is kept so that the margin fails
+            if value > worst[order][0] or math.isnan(value):
+                worst[order] = value, at_v
+    return tuple(DecayReport(a2=a2, derivative_order=order, margin=sup / a2,
+                             argmax_v=at_v, z_samples=z_samples)
+                 for order, (sup, at_v) in enumerate(worst))
 
 
 # The decay and gradient sups are taken on one (x, v) grid of _GRID_NX
@@ -506,15 +504,13 @@ def check_profile(spec: ProfileSpec, a: float, a1: float, a2: float, K: int,
                   z_samples=(0.0,)) -> ProfileCheckReport:
     """Run all hypothesis checks plus achieved constants for orders <= K."""
     smooth = check_smoothness(spec, a, a1, z_samples)
-    dec0 = check_decay(spec, a2, z_samples, derivative_order=0)
-    dec1 = check_decay(spec, a2, z_samples, derivative_order=1)
+    dec0, dec1 = check_decay(spec, a2, z_samples)
 
     constants = []
     deriv = spec
     for _ in range(K + 1):
         s = check_smoothness(deriv, a, 1.0, z_samples)       # c1 = margin vs 1
-        d0 = check_decay(deriv, 1.0, z_samples, 0)
-        d1 = check_decay(deriv, 1.0, z_samples, 1)
+        d0, d1 = check_decay(deriv, 1.0, z_samples)
         constants.append((s.margin, max(d0.margin, d1.margin)))
         deriv = deriv.z_derivative()
     return ProfileCheckReport(smoothness=smooth, decay0=dec0, decay1=dec1,
@@ -533,9 +529,8 @@ def require_hypotheses(spec: ProfileSpec, a: float, a1: float, a2: float,
                 "no amplitude satisfies the smoothness hypothesis")
         raise HypothesisError(
             f"smoothness hypothesis fails with ratio {smooth.margin:.6g} > 1")
-    for order in (0, 1):
-        dec = check_decay(spec, a2, z_samples, derivative_order=order)
+    for dec in check_decay(spec, a2, z_samples):
         if not dec.check.passed:
             raise HypothesisError(
-                f"decay hypothesis (order {order}) fails with ratio "
-                f"{dec.margin:.6g} > 1 near v = {dec.argmax_v:.3g}")
+                f"decay hypothesis (order {dec.derivative_order}) fails "
+                f"with ratio {dec.margin:.6g} > 1 near v = {dec.argmax_v:.3g}")

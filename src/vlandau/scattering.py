@@ -660,13 +660,16 @@ def _free_modes(W, phases) -> np.ndarray:
     return np.einsum("nkj,nkj->nk", phases, g).conj() / (2.0 * math.pi)
 
 
-def _power(X, m: int, l: int):
-    """[delta^m]_l, the z^l coefficient of delta^m for delta = sum_i X[i-1]
-    z^i, 1 <= m <= l <= len(X) + m - 1."""
-    if m == 1:
-        return X[l - 1]
-    return sum(X[i - 1] * _power(X, m - 1, l - i)
-               for i in range(1, l - m + 2))
+def _powers(X, K: int) -> dict:
+    """{(m, l): [delta^m]_l} for 1 <= m <= l <= K, the z^l coefficients of
+    delta^m for delta = sum_i X[i-1] z^i, each formed once, from the row
+    m - 1, as the sum [delta^m]_l = sum_i X[i-1] [delta^(m-1)]_{l-i}."""
+    pw = {(1, l): X[l - 1] for l in range(1, K + 1)}
+    for m in range(2, K + 1):
+        for l in range(m, K + 1):
+            pw[m, l] = sum(X[i - 1] * pw[m - 1, l - i]
+                           for i in range(1, l - m + 2))
+    return pw
 
 
 def _tangent_pass(spec: ProfileSpec, E0: FieldTable, params: DampingParams,
@@ -681,9 +684,9 @@ def _tangent_pass(spec: ProfileSpec, E0: FieldTable, params: DampingParams,
     those of the solve's kernel_truncation, and the pass drops them.
 
     With delta = sum_l X_l z^l, wf_i = w d^i_z f* / i!, [delta^m]_l the
-    z^l coefficient of delta^m, M the trapezoid suffix moment,
-    S[W]_k = (1/2pi) sum_p W_p e^{-ik X0_p} and E_i^(m) = d^m_x E_i
-    (spectral), order j solves
+    z^l coefficient of delta^m (_powers, once per row), M the trapezoid
+    suffix moment, S[W]_k = (1/2pi) sum_p W_p e^{-ik X0_p} and
+    E_i^(m) = d^m_x E_i (spectral), order j solves
       X_j = M[E_0'(X0) X_j + E_j(X0) + R_j],
       R_j = sum_{i<j} sum_{m=1..j-i} E_i^(m)(X0) [delta^m]_{j-i} / m!
             without (i, m) = (0, 1),
@@ -734,9 +737,10 @@ def _tangent_pass(spec: ProfileSpec, E0: FieldTable, params: DampingParams,
         X, Xf = mom                         # X_j and F_j's trajectory
         n0, dX, phases = block
         dX0, ph = dX[n - n0:n - n0 + 1], phases[n - n0:n - n0 + 1]
+        pw = _powers(X, K)
         lines = wf[1:]
         for j, ms in terms:
-            lines += [sum(wf[i] * _power(X, m, j - i)
+            lines += [sum(wf[i] * pw[m, j - i]
                           for i in range(m == 1, j - m + 1)) for m in ms]
             lines += [wf[0] * Xf[j - 1]] * (j > 1) + [wf[0] * X[j - 1]]
         np.stack(lines, out=W)
@@ -765,7 +769,7 @@ def _tangent_pass(spec: ProfileSpec, E0: FieldTable, params: DampingParams,
         for j in range(1, K + 1):
             h[0, j - 1] = ev[0, line[j, 0]] + g * X[j - 1]
             if j > 1:
-                R = sum(ev[0, line[i, m]] * _power(X, m, j - i)
+                R = sum(ev[0, line[i, m]] * pw[m, j - i]
                         * (1.0 / math.factorial(m)) for i in range(j)
                         for m in range(1 + (i == 0), j - i + 1))
                 h[1, j - 1] = g * Xf[j - 1] + R

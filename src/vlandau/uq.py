@@ -57,14 +57,6 @@ class CollocationError(RuntimeError):
         self.cause = cause
 
 
-def gauss_legendre_nodes(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes (increasing) and weights on [-1, 1]."""
-    if n < 1:
-        raise ValueError("need at least one node")
-    z, w = npleg.leggauss(int(n))
-    return z, w
-
-
 def fd_weights(nodes, x0: float, max_order: int) -> np.ndarray:
     """Finite-difference weights on arbitrary nodes (Fornberg's recursion).
 
@@ -383,7 +375,7 @@ def run_collocation(spec: ProfileSpec, params: DampingParams,
 
     if n_z % 2 == 0:
         raise ValueError(f"n_z = {n_z} is even: the tangent needs z = 0")
-    nodes, weights = gauss_legendre_nodes(n_z)
+    nodes, weights = npleg.leggauss(n_z)   # increasing: z = 0 is n_z // 2
     zs = [float(z) for z in nodes]
     results, bounds, taylor = [], [], []
 
@@ -421,7 +413,7 @@ def run_collocation(spec: ProfileSpec, params: DampingParams,
 
     with contextlib.closing(outcomes):
         node_norms, sums, _ = _z_survey(nodes, params.K, residuals(), norm)
-    ratios = tuple(n / bound if bound > 0 else (0.0 if n == 0.0 else math.inf)
+    ratios = tuple(BoundCheck("residual_k0", n, bound).ratio
                    for n, bound in zip(node_norms, bounds))
     corollary = CorollaryReport(node_norms=node_norms, node_ratios=ratios,
                                 derivative_norms=tuple(map(norm, sums)))

@@ -1,12 +1,13 @@
-"""Small construction utilities and test oracles shared across test
-modules.  The oracles are closed forms or literal evaluations that the
-library itself does not need: the force kernel, field tabulation, the
-tail-integral and product lemmas, one field-map application, the field
-map by direct kernel summation, the iterations that the field and tangent
-passes replace, a march of the field pass in mpmath, the variational
-solve, trajectory ratios, their bound checks, the kernels' Taylor
-remainder and deposit on whole tables, a solve's checks
-and certificates formed from whole tables, the tangent pass of a solve
+"""Small construction utilities (the zero field table among them) and
+test oracles shared across test modules.  The oracles are closed forms or
+literal evaluations that the library itself does not need: the force
+kernel, field tabulation, the tail-integral and product lemmas, one
+field-map application, the field map by direct kernel summation, the
+iterations that the field and tangent passes replace, the recursion for
+the tangent's powers of delta, a march of the field pass in mpmath, the
+variational solve, trajectory ratios, their bound checks, the kernels'
+Taylor remainder and deposit on whole tables, a solve's checks and
+certificates formed from whole tables, the tangent pass of a solve
 outside a uq node, the profile gradient, the interpolant's z-derivative
 and the gPC expansion's value."""
 
@@ -41,6 +42,11 @@ def make_spec(modes, shape="sech", rate=np.pi / 2, scale=1.0):
     ms = tuple(Mode(k, Amplitude("poly", tuple(np.atleast_1d(c))))
                for k, c in sorted(modes.items()))
     return ProfileSpec(modes=ms, shape=shape, rate=rate, scale=scale)
+
+
+def zero_field(tgrid, xgrid):
+    """The field table E = 0."""
+    return fields.FieldTable(tgrid, xgrid, np.zeros((len(tgrid), xgrid.n)))
 
 
 def constant_field(tgrid, xgrid, fn_t):
@@ -306,7 +312,7 @@ def block_case(blocks):
     nt = {1: (n1 - n0) // 2, 2: 2 * (n1 - n0), 3: 2 * (n1 - n0) + 1}[blocks]
     assert len(kernels._row_blocks(nt, npart)) == blocks
     tg = fields.TimeGrid(8.0, 20.0, nt - 1)
-    params = P.derive_constants(1.0, 0.002, 0.002, 2, t0=tg.t0)
+    params = P.DampingParams(1.0, 0.002, 0.002, 2, t0=tg.t0)
     return make_spec({0: 8e-5, 1: (1e-5, 3e-6)}), params, 0.3, tg, phase
 
 
@@ -324,6 +330,16 @@ def picard_iterate(spec, z, tgrid, phase, maps, a=1.0):
     return E
 
 
+def power(X, m, l):
+    """[delta^m]_l, the z^l coefficient of delta^m for delta = sum_i X[i-1]
+    z^i, 1 <= m <= l <= len(X) + m - 1, by the recursion on m that
+    scattering._powers tabulates."""
+    if m == 1:
+        return X[l - 1]
+    return sum(X[i - 1] * power(X, m - 1, l - i)
+               for i in range(1, l - m + 2))
+
+
 def trajectory_forcing(E, X, x, v, dX0):
     """R_j = sum_{i<j} sum_{m=1..j-i} E_i^(m)(X0) [delta^m]_{j-i} / m!
     without (i, m) = (0, 1), j = len(X) + 1, on whole tables, from the
@@ -335,7 +351,7 @@ def trajectory_forcing(E, X, x, v, dX0):
             Ei = fields.spectral_dx(Ei)
             if (i, m) != (0, 1):
                 term = along(Ei, x, v, dX0)
-                term *= S._power(X, m, j - i)
+                term *= power(X, m, j - i)
                 R += term * (1.0 / math.factorial(m))
     return R
 
@@ -375,7 +391,7 @@ def tangent_map(spec, result, traj, tables):
     c = kernels.corr_fourier(wf[j], x, v, times, dX0, nk)
     for m in range(1, j + 1):
         c += (mik ** m / math.factorial(m)) * density(sum(
-            wf[i] * S._power(X, m, j - i) for i in range(j - m + 1)))
+            wf[i] * power(X, m, j - i) for i in range(j - m + 1)))
     return S.field_map_zero(specs[j], z, E0.tgrid, E0.xgrid).values \
         / math.factorial(j) + S._field_of_modes(c, nx)
 
@@ -418,7 +434,7 @@ def tangent_by_orders(spec, result, traj):
             terms = range(m == 1, j - m + 1)
             if terms:
                 c += (mik ** m / math.factorial(m)) * density(sum(
-                    wf[i] * S._power(X, m, j - i) for i in terms))
+                    wf[i] * power(X, m, j - i) for i in terms))
         const = S.field_map_zero(specs[j], z, E0.tgrid, E0.xgrid).values \
             / math.factorial(j) + S._field_of_modes(c, nx)
         if j == 1:

@@ -35,7 +35,7 @@ def test_criterion_01_admissibility_gate(ref_params):
     for cond in report.checks.values():
         assert cond.passed and cond.bound - cond.value >= 0.0
 
-    bad = P.derive_constants(A, A1, 0.01, K, t0=T0)
+    bad = P.DampingParams(A, A1, 0.01, K, t0=T0)
     bad_report = P.check_assumptions(bad)
     assert not bad_report.passed
     a4 = bad_report.checks["A4"]
@@ -77,7 +77,7 @@ def test_criterion_02_tail_integrals(ref_params):
 # ---------------------------------------------------------------------------
 
 def test_criterion_03_free_transport(ref_tgrid, ref_phase):
-    E0 = F.zero_field(ref_tgrid, ref_phase.xgrid)
+    E0 = H.zero_field(ref_tgrid, ref_phase.xgrid)
     traj = S.solve_characteristics(E0, ref_phase, a=A)
     assert np.abs(traj.dX).max() <= 1e-12            # X - (x + v t)
     assert np.abs(traj.dV).max() <= 1e-12            # V - v
@@ -97,7 +97,7 @@ def test_criterion_03_free_transport(ref_tgrid, ref_phase):
 # ---------------------------------------------------------------------------
 
 def test_criterion_04_zero_field_image(ref_spec, ref_tgrid, ref_phase):
-    E0 = F.zero_field(ref_tgrid, ref_phase.xgrid)
+    E0 = H.zero_field(ref_tgrid, ref_phase.xgrid)
     series = S.field_map_zero(ref_spec, 0.0, ref_tgrid, ref_phase.xgrid)
     direct = H.direct_field_map(E0, ref_spec, 0.0, ref_phase, a=A)
     err = np.abs(direct.values - series.values).max()

@@ -14,12 +14,12 @@ import tempfile
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.polynomial.legendre import leggauss
 
 from vlandau import cli
 from vlandau.config import load_config
 from vlandau.fields import read_field_csv
 from vlandau.scattering import BoundCheck
-from vlandau.uq import gauss_legendre_nodes
 
 SMALL_GRIDS = """
 grids {
@@ -741,7 +741,7 @@ def test_uq_artifacts_do_not_depend_on_the_cpu_count(tmp_path, monkeypatch,
         progress = [line.split(" solved")[0]
                     for line in captured.err.splitlines()]
         assert progress == [f"uq: node {j} (z = {z:.6g})" for j, z in
-                            enumerate(gauss_legendre_nodes(5)[0])], \
+                            enumerate(leggauss(5)[0])], \
             captured.err
     assert len(outputs[1][1]) == 4
     assert outputs[1] == outputs[2]
@@ -896,13 +896,27 @@ def test_report_reads_non_finite_strings_as_numbers(tmp_path, capsys):
     {"per_node": [{"checks": {"c": 1.0}}]},
     {"checks": {"c": {"value": True, "bound": False, "ratio": True,
                       "passed": True}}, "passed": True},
+    # an integer no double holds, in a value or a bound
+    '{"checks": {"x": {"value": 1' + "0" * 400
+    + ', "bound": 1.0, "ratio": 1.0, "passed": true}}}',
+    {"checks": {"c": {**_CHECK, "bound": 10 ** 400, "ratio": 0.0}}},
+    # nesting too deep for the JSON reader; json.dumps cannot write it
+    "[" * 200000 + "]" * 200000,
+    # a verdict that its own numbers contradict
+    {"checks": {"c": {**_CHECK, "value": 5.0, "ratio": 0.5}}},
+    {"checks": {"c": {**_CHECK, "value": 0.5, "passed": False}}},
+    {"checks": {"c": {**_CHECK, "value": "nan", "ratio": "nan"}}},
 ], ids=["node_without_checks", "per_node_object", "checks_list",
         "check_without_bound", "string_value", "check_not_object",
-        "boolean_numbers"])
+        "boolean_numbers", "huge_integer", "huge_integer_bound",
+        "deep_nesting", "value_above_bound_passes",
+        "value_below_bound_fails", "nan_value_passes"])
 def test_report_malformed_manifest(tmp_path, capsys, payload):
-    (tmp_path / "run.json").write_text(json.dumps(payload))
+    text = payload if isinstance(payload, str) else json.dumps(payload)
+    (tmp_path / "run.json").write_text(text)
     code = run_cli("report", str(tmp_path))
-    err = capsys.readouterr().err
+    err = capsys.readouterr().err.splitlines()
     assert code == 2
-    assert "corrupt or unreadable manifest 'run.json'" in err
+    assert err == [err[0]] and err[0].startswith(
+        "error: corrupt or unreadable manifest 'run.json'")
     assert not (tmp_path / "report.csv").exists()

@@ -145,7 +145,7 @@ def test_weighted_sup_validation():
 
 
 def test_zero_field():
-    z = F.zero_field(F.TimeGrid(8.0, 10.0, 4), F.XGrid(8))
+    z = H.zero_field(F.TimeGrid(8.0, 10.0, 4), F.XGrid(8))
     assert np.all(z.values == 0.0)
     assert F.weighted_norm(z, 1.0).value == 0.0
 
@@ -226,13 +226,15 @@ def test_csv_read_names_the_file_of_a_bad_time_column(tmp_path, times):
     ("field.json", b"\xff\xfe\x00bad", "can't decode"),
     ("field.json", b"{bad", "Expecting property name"),
     ("field.json", b"[1, 2]", "not a JSON object"),
+    ("field.json", b"[" * 200000 + b"]" * 200000, "recursion depth"),
 ], ids=["csv_not_utf8", "sidecar_not_utf8", "sidecar_not_json",
-        "sidecar_not_object"])
+        "sidecar_not_object", "sidecar_nested_too_deep"])
 def test_csv_read_names_the_file_of_a_bad_encoding_or_sidecar(
         tmp_path, file, body, what):
-    # a table or sidecar that is not UTF-8, a sidecar that is not JSON and
-    # one that is JSON but not an object are refused with the path of the
-    # file at fault, as every other malformed table is
+    # a table or sidecar that is not UTF-8, a sidecar that is not JSON, one
+    # nested too deep to read and one that is JSON but not an object are
+    # refused with the path of the file at fault, as every other malformed
+    # table is
     tab = F.FieldTable(F.TimeGrid(8.0, 12.0, 3), F.XGrid(4), np.ones((4, 4)))
     F.write_field_csv(tab, tmp_path / "field.csv")
     (tmp_path / file).write_bytes(body)

@@ -139,21 +139,30 @@ def test_minimal_start_time_log_branch():
     assert got > 4.0
 
 
-def test_derive_constants_requires_t0():
+def test_damping_params_requires_t0():
     # no start time is derived: every run's config gives its t0
     with pytest.raises(TypeError, match="t0"):
-        P.derive_constants(1.0, 0.002, 0.002, 2)
+        P.DampingParams(1.0, 0.002, 0.002, 2)
 
 
 @pytest.mark.parametrize("t0", [8.0, 12.0])
-def test_derive_constants_rejects_bad_inputs(t0):
+def test_damping_params_rejects_bad_inputs(t0):
     for a, a1, a2 in ((0.0, 0.002, 0.002), (1.0, -0.002, 0.002),
                       (1.0, 0.002, 0.0)):
         with pytest.raises(ValueError, match="must be positive"):
-            P.derive_constants(a, a1, a2, 2, t0=t0)
+            P.DampingParams(a, a1, a2, 2, t0=t0)
     for K in (0, -1, 1.5):
         with pytest.raises(ValueError, match="K must be a positive integer"):
-            P.derive_constants(1.0, 0.002, 0.002, K, t0=t0)
+            P.DampingParams(1.0, 0.002, 0.002, K, t0=t0)
+
+
+def test_damping_params_stores_an_int_order_and_a_float_start():
+    # a whole float K and an int t0, as a config may spell them, are
+    # stored as the int and the float that the manifests write
+    p = P.DampingParams(1.0, 0.002, 0.002, 2.0, 8)
+    assert p.K == 2 and type(p.K) is int
+    assert p.t0 == 8.0 and type(p.t0) is float
+    assert p.as_dict()["K"] == 2 and type(p.as_dict()["K"]) is int
 
 
 def test_damping_params_refuses_order_zero():
@@ -203,7 +212,7 @@ def test_gate_reference_passes(ref_params):
 
 
 def test_gate_large_a2_fails_a4():
-    p = P.derive_constants(1.0, 0.002, 0.01, 2, t0=8.0)
+    p = P.DampingParams(1.0, 0.002, 0.01, 2, t0=8.0)
     rep = P.check_assumptions(p)
     assert not rep.passed
     assert "A4" in rep.failures
@@ -217,14 +226,14 @@ def test_gate_large_a2_fails_a4():
 
 def test_gate_boundary_a1_equality():
     # a = 15 sqrt(a2) exactly: A1 margin 0 yet passing
-    p = P.derive_constants(1.5, 0.002, 0.01, 2, t0=8.0)
+    p = P.DampingParams(1.5, 0.002, 0.01, 2, t0=8.0)
     rep = P.check_assumptions(p)
     c = rep.checks["A1"]
     assert c.passed and c.bound - c.value == pytest.approx(0.0, abs=1e-12)
 
 
 def test_require_admissible_raises():
-    p = P.derive_constants(1.0, 0.002, 0.01, 2, t0=8.0)
+    p = P.DampingParams(1.0, 0.002, 0.01, 2, t0=8.0)
     with pytest.raises(P.AdmissibilityError) as exc:
         P.require_admissible(p)
     assert "A4" in str(exc.value)
@@ -232,8 +241,8 @@ def test_require_admissible_raises():
 
 def test_gate_a3_peak_flag():
     # t0 = 8 > 3/a = 3: the cubic-exponential peak precedes the window
-    rep = P.check_assumptions(P.derive_constants(1.0, 0.002, 0.002, 2,
-                                                 t0=8.0))
+    rep = P.check_assumptions(P.DampingParams(1.0, 0.002, 0.002, 2,
+                                              t0=8.0))
     assert not rep.a3_peak_before_t0
     assert rep.a3_implied_lhs == pytest.approx(
         50 * 0.00896 * 512 * math.exp(-8.0), rel=1e-12)

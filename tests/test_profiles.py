@@ -377,7 +377,7 @@ def test_decay_gaussian_peak_at_zero():
     # sup_v (1 + v^4) e^{-v^2} = 1 at v = 0 (the weighted shape decreases
     # away from the origin; +-1 are stationary but not maximal)
     a2 = 0.01
-    rep = PR.check_decay(make_spec({0: a2}, shape="gaussian"), a2)
+    rep, _ = PR.check_decay(make_spec({0: a2}, shape="gaussian"), a2)
     assert rep.margin == pytest.approx(1.0, rel=1e-10)
     assert rep.argmax_v == pytest.approx(0.0, abs=1e-12)
     assert rep.check.passed
@@ -389,22 +389,25 @@ def test_decay_sech_reference_oracle(ref_spec):
     v = np.linspace(0.0, 8.0, 2000001)
     gmax = float(((1 + v ** 4) / np.cosh(np.pi * v / 2)).max())
     oracle = (8e-5 + 2 * 1e-5) * gmax / 0.002
-    rep = PR.check_decay(ref_spec, 0.002)
+    rep, _ = PR.check_decay(ref_spec, 0.002)
     assert rep.margin == pytest.approx(oracle, rel=1e-6)
     assert 2.3 < abs(rep.argmax_v) < 2.8
     assert rep.check.passed
 
 
 def test_decay_gradient_order(ref_spec):
-    rep = PR.check_decay(ref_spec, 0.002, derivative_order=1)
+    # one call reports both orders, the gradient's second
+    reps = PR.check_decay(ref_spec, 0.002)
+    assert [(rep.derivative_order, rep.check.name) for rep in reps] == \
+        [(0, "decay0"), (1, "decay1")]
+    rep = reps[1]
     assert rep.check.passed and rep.margin > 0.0
-    with pytest.raises(ValueError):
-        PR.check_decay(ref_spec, 0.002, derivative_order=2)
+    assert rep.margin == grid_sups(ref_spec, 0.0)[1][0] / 0.002
 
 
 def test_decay_failure_raises():
     spec = make_spec({0: 1.0})     # amplitude 1 vs a2 = 0.002
-    rep = PR.check_decay(spec, 0.002)
+    rep, _ = PR.check_decay(spec, 0.002)
     assert not rep.check.passed
     with pytest.raises(HypothesisError, match="decay"):
         PR.require_hypotheses(spec, 1.0, 1e6, 0.002)
@@ -436,10 +439,8 @@ def test_grid_sups_equal_the_full_grid_bitwise(shape, modes):
         return worst / a2, at_v
 
     for _ in range(3):
-        for order in (0, 1):
-            for z_samples in [(z,) for z in SUP_Z] + [SUP_Z]:
-                rep = check_decay(spec, a2, z_samples,
-                                  derivative_order=order)
+        for z_samples in [(z,) for z in SUP_Z] + [SUP_Z]:
+            for order, rep in enumerate(check_decay(spec, a2, z_samples)):
                 assert (rep.margin, rep.argmax_v) == \
                     oracle_decay(spec, z_samples, order)
         for z in SUP_Z:
@@ -503,13 +504,14 @@ def test_grid_sups_first_nan_over_the_row_blocks_wins(monkeypatch):
 
 
 def test_grid_sups_cache_serves_the_corollary(ref_spec, ref_params):
-    # a node's hypothesis gate and its corollary sup_gradient share a pass
+    # a node's hypothesis gate and its corollary sup_gradient share a pass;
+    # the gate reads both decay orders from one lookup
     grid_sups.cache_clear()
     p = ref_params
     require_hypotheses(ref_spec, p.a, p.a1, p.a2, z_samples=(0.25,))
     sup_gradient(ref_spec, 0.25)
     info = grid_sups.cache_info()
-    assert (info.misses, info.hits) == (1, 2)
+    assert (info.misses, info.hits) == (1, 1)
 
 
 # ---------------------------------------------------------------------------

@@ -29,7 +29,7 @@ from vlandau.profiles import HypothesisError, grid_sups
 # ---------------------------------------------------------------------------
 
 def test_free_transport_is_exact(ref_tgrid, ref_phase):
-    E = F.zero_field(ref_tgrid, ref_phase.xgrid)
+    E = H.zero_field(ref_tgrid, ref_phase.xgrid)
     traj = S.solve_characteristics(E, ref_phase, a=1.0)
     assert np.abs(traj.dX).max() == 0.0
     assert np.abs(traj.dV).max() == 0.0
@@ -46,7 +46,7 @@ def test_free_transport_is_exact(ref_tgrid, ref_phase):
 
 
 def test_free_transport_variational_identity(ref_tgrid, ref_phase):
-    E = F.zero_field(ref_tgrid, ref_phase.xgrid)
+    E = H.zero_field(ref_tgrid, ref_phase.xgrid)
     traj = S.solve_characteristics(E, ref_phase, a=1.0)
     sups = S.solve_variational(E, traj)
     for sup in (sups.xi, sups.eta, sups.chi, sups.omega):
@@ -65,7 +65,7 @@ def test_free_transport_variational_identity(ref_tgrid, ref_phase):
 
 def test_zero_field_trajectory_report_is_zero(ref_tgrid, ref_phase,
                                               ref_params):
-    E = F.zero_field(ref_tgrid, ref_phase.xgrid)
+    E = H.zero_field(ref_tgrid, ref_phase.xgrid)
     traj = S.solve_characteristics(E, ref_phase, a=1.0)
     checks = H.check_trajectory_bounds(
         traj, F.weighted_norm(E, ref_params.a).value, ref_params)
@@ -108,7 +108,7 @@ def test_constant_in_x_field_bound_ratios():
     tg, phase = small_grids(t_end=28.0, steps=200)
     E = constant_field(tg, phase.xgrid, lambda t: eps * math.exp(-a * t))
     traj = S.solve_characteristics(E, phase, a=a)
-    params = P.derive_constants(a, 0.002, 0.002, 2, t0=tg.t0)
+    params = P.DampingParams(a, 0.002, 0.002, 2, t0=tg.t0)
     checks = H.check_trajectory_bounds(
         traj, F.weighted_norm(E, params.a).value, params)
     assert F.weighted_norm(E, a).value == pytest.approx(eps, rel=1e-12)
@@ -394,7 +394,7 @@ def test_streamed_solve_is_the_whole_table_solve(case, request, monkeypatch):
     plain, traj = None, None
     if case == "coarse":
         spec = make_spec(LINEAR_Z)
-        params = P.derive_constants(1.0, 0.002, 0.002, 2, t0=8.0)
+        params = P.DampingParams(1.0, 0.002, 0.002, 2, t0=8.0)
         tg, phase = small_grids(nx=32, nv=65, t0=8.0, t_end=43.0, steps=87)
         z = 0.0
     elif case == "reference":
@@ -407,7 +407,7 @@ def test_streamed_solve_is_the_whole_table_solve(case, request, monkeypatch):
         strong, traj = request.getfixturevalue("strong_traj")
         tg, phase = strong.tgrid, traj.phase
         spec, z = make_spec(LINEAR_Z), 0.0
-        params = P.derive_constants(1.0, 0.002, 0.002, 2, t0=tg.t0)
+        params = P.DampingParams(1.0, 0.002, 0.002, 2, t0=tg.t0)
         monkeypatch.setattr(S, "_field_pass", lambda spec, z, tg, phase: (
             strong, S.field_map_zero(spec, z, tg, phase.xgrid)))
     else:
@@ -469,7 +469,7 @@ def test_picard_solve_memory_budget():
     # peak of a solve on the uq-coarse grids, with the caches warm, stays
     # within 3 such tables (2.40)
     spec = make_spec(LINEAR_Z)
-    params = P.derive_constants(1.0, 0.002, 0.002, 2, t0=8.0)
+    params = P.DampingParams(1.0, 0.002, 0.002, 2, t0=8.0)
     tg, phase = small_grids(nx=32, nv=65, t0=8.0, t_end=43.0, steps=87)
     table = 8 * len(tg) * phase.xgrid.n * phase.nv
     S.picard_solve(spec, params, 0.0, tg, phase)    # grid_sups
@@ -508,7 +508,7 @@ def test_field_map_zero_mode_zero_only_vanishes():
 
 def test_split_map_at_zero_field_equals_series(ref_spec, ref_tgrid,
                                                ref_phase):
-    E = F.zero_field(ref_tgrid, ref_phase.xgrid)
+    E = H.zero_field(ref_tgrid, ref_phase.xgrid)
     out = H.apply_field_map(E, ref_spec, 0.0, ref_phase, a=1.0)
     series = S.field_map_zero(ref_spec, 0.0, ref_tgrid, ref_phase.xgrid)
     # free flight leaves no displacement, so the spectral correction is 0
@@ -518,7 +518,7 @@ def test_split_map_at_zero_field_equals_series(ref_spec, ref_tgrid,
 def test_homogeneous_profile_map_vanishes():
     spec = make_spec({0: 1e-4})
     tg, phase = small_grids()
-    E = F.zero_field(tg, phase.xgrid)
+    E = H.zero_field(tg, phase.xgrid)
     split = H.apply_field_map(E, spec, 0.0, phase, a=1.0)
     assert np.abs(split.values).max() == 0.0
     direct = H.direct_field_map(E, spec, 0.0, phase, a=1.0)
@@ -528,7 +528,7 @@ def test_homogeneous_profile_map_vanishes():
 
 def test_apply_field_map_accepts_precomputed_trajectories(ref_spec):
     tg, phase = small_grids()
-    E = F.zero_field(tg, phase.xgrid)
+    E = H.zero_field(tg, phase.xgrid)
     traj = S.solve_characteristics(E, phase, a=1.0)
     out1 = H.apply_field_map(E, ref_spec, 0.0, phase, traj=traj)
     out2 = H.apply_field_map(E, ref_spec, 0.0, phase)
@@ -542,7 +542,7 @@ def test_apply_field_map_accepts_precomputed_trajectories(ref_spec):
 def test_density_mass_and_mean_drift():
     spec = make_spec({0: 8e-5, 1: 1e-5})
     tg, phase = small_grids(nx=32, nv=129)
-    E = F.zero_field(tg, phase.xgrid)
+    E = H.zero_field(tg, phase.xgrid)
     traj = S.solve_characteristics(E, phase, a=1.0)
     rho = S.deposit_density(traj, spec, 0.0, phase.xgrid)
     # cloud-in-cell conserves the deposited mass row by row
@@ -561,7 +561,7 @@ def test_density_pert_free_flow_matches_transforms():
     # with E = 0 the perturbation is the analytic free-streaming sum
     spec = make_spec({0: 8e-5, 1: 1e-5, 2: 4e-6})
     tg, phase = small_grids(nx=32)
-    E = F.zero_field(tg, phase.xgrid)
+    E = H.zero_field(tg, phase.xgrid)
     traj = S.solve_characteristics(E, phase, a=1.0)
     pert = S.deposit_density_pert(traj, spec, 0.0, phase.xgrid)
     xs = phase.xgrid.points
@@ -580,7 +580,7 @@ def test_density_pert_free_flow_matches_transforms():
 @pytest.fixture(scope="module")
 def small_solve():
     spec = make_spec({0: 8e-5, 1: 1e-5})
-    params = P.derive_constants(1.0, 0.002, 0.002, 2, t0=8.0)
+    params = P.DampingParams(1.0, 0.002, 0.002, 2, t0=8.0)
     tg, phase = small_grids(nx=32, nv=65, t_end=28.0, steps=100)
     return S.picard_solve(spec, params, 0.0, tg, phase)
 
@@ -724,7 +724,7 @@ def test_picard_tolerance_only_gates_the_residual_check():
     # the pass is exact: tol and max_iter change no value of the solve,
     # and tol is only the bound of the fixed_point_residual check
     spec = make_spec({0: 8e-5, 1: 1e-5})
-    params = P.derive_constants(1.0, 0.002, 0.002, 2, t0=8.0)
+    params = P.DampingParams(1.0, 0.002, 0.002, 2, t0=8.0)
     tg, phase = small_grids()
     r = S.picard_solve(spec, params, 0.0, tg, phase, keep_tables=False)
     for tol, max_iter in ((1e-30, 1), (0.0, 0)):
@@ -739,7 +739,7 @@ def test_picard_tolerance_only_gates_the_residual_check():
 def test_picard_solve_rejects_unknown_method():
     # the split map is the only field-map method
     spec = make_spec({0: 8e-5, 1: 1e-5})
-    params = P.derive_constants(1.0, 0.002, 0.002, 2, t0=8.0)
+    params = P.DampingParams(1.0, 0.002, 0.002, 2, t0=8.0)
     tg, phase = small_grids()
     for method in ("direct", "fft"):
         with pytest.raises(ValueError, match="unknown field-map method"):
@@ -751,7 +751,7 @@ def test_picard_solve_rejects_a_grid_not_starting_at_params_t0(t0):
     # every norm |.|_{a,t0} runs over the stored times, so the grid's
     # first time is the one t0
     spec = make_spec({0: 8e-5, 1: 1e-5})
-    params = P.derive_constants(1.0, 0.002, 0.002, 2, t0=8.0)
+    params = P.DampingParams(1.0, 0.002, 0.002, 2, t0=8.0)
     tg, phase = small_grids(t0=t0)
     with pytest.raises(ValueError, match=re.escape(
             f"starts at t0 = {t0!r}, not at params.t0 = 8.0")):
@@ -770,7 +770,7 @@ def test_a_field_far_too_large_fails_by_name(monkeypatch):
 
     monkeypatch.setattr(S, "field_map_zero", scaled)
     spec = make_spec({0: 8e-5, 1: 1e-5})
-    params = P.derive_constants(1.0, 0.002, 0.002, 2, t0=8.0)
+    params = P.DampingParams(1.0, 0.002, 0.002, 2, t0=8.0)
     tg, phase = small_grids(nx=8)
     with pytest.raises(S.ConvergenceError, match="field is not finite"):
         S.picard_solve(spec, params, 0.0, tg, phase)
@@ -779,10 +779,10 @@ def test_a_field_far_too_large_fails_by_name(monkeypatch):
 def test_picard_gates():
     tg, phase = small_grids()
     good_spec = make_spec({0: 8e-5, 1: 1e-5})
-    bad_params = P.derive_constants(1.0, 0.002, 0.01, 2, t0=8.0)
+    bad_params = P.DampingParams(1.0, 0.002, 0.01, 2, t0=8.0)
     with pytest.raises(P.AdmissibilityError):
         S.picard_solve(good_spec, bad_params, 0.0, tg, phase)
-    params = P.derive_constants(1.0, 0.002, 0.002, 2, t0=8.0)
+    params = P.DampingParams(1.0, 0.002, 0.002, 2, t0=8.0)
     with pytest.raises(HypothesisError, match="mean density"):
         S.picard_solve(make_spec({1: 1e-5}), params, 0.0, tg, phase)
     with pytest.raises(HypothesisError, match="not resolved"):
@@ -795,7 +795,7 @@ def test_homogeneous_profile_fixed_point_in_one_iteration():
     # a pure k=0 profile maps every field history to 0, so the pass ends
     # at E = 0 and the contraction quotient is undefined
     spec = make_spec({0: 8e-5})
-    params = P.derive_constants(1.0, 0.002, 0.002, 2, t0=8.0)
+    params = P.DampingParams(1.0, 0.002, 0.002, 2, t0=8.0)
     tg, phase = small_grids()
     r = S.picard_solve(spec, params, 0.0, tg, phase)
     assert r.manifest()["converged"] is True and r.residual_norm == 0.0
@@ -816,7 +816,7 @@ def test_the_only_characteristics_solve_is_the_certifying_one(monkeypatch):
 
     monkeypatch.setattr(S, "_march", counted)
     spec = make_spec({0: 8e-5, 1: 1e-5})
-    params = P.derive_constants(1.0, 0.002, 0.002, 2, t0=8.0)
+    params = P.DampingParams(1.0, 0.002, 0.002, 2, t0=8.0)
     tg, phase = small_grids()
     r = S.picard_solve(spec, params, 0.0, tg, phase)
     assert len(calls) == 1 and calls[0] is r.field
@@ -837,7 +837,7 @@ def test_picard_solve_makes_two_marches(monkeypatch):
 
     monkeypatch.setattr(K, "suffix_pass", counted)
     spec = make_spec({0: 8e-5, 1: 1e-5})
-    params = P.derive_constants(1.0, 0.002, 0.002, 2, t0=8.0)
+    params = P.DampingParams(1.0, 0.002, 0.002, 2, t0=8.0)
     tg, phase = small_grids()
     S.picard_solve(spec, params, 0.0, tg, phase)
     npart = phase.xgrid.n * phase.nv
@@ -876,7 +876,7 @@ def coarse_case():
     """(spec, solve, tangent solve) at z = 0 on the grids of the
     uq-coarse benchmark, 32 x 65 x 88."""
     spec = make_spec(LINEAR_Z)
-    params = P.derive_constants(1.0, 0.002, 0.002, 2, t0=8.0)
+    params = P.DampingParams(1.0, 0.002, 0.002, 2, t0=8.0)
     tg, phase = small_grids(nx=32, nv=65, t0=8.0, t_end=43.0, steps=87)
     result = S.picard_solve(spec, params, 0.0, tg, phase)
     return spec, result, H.solve_tangent(spec, result)
@@ -948,7 +948,7 @@ def _tangent_solve(modes, K=2, z=0.0):
     asks)."""
     spec = make_spec(modes)
     t0 = max(8.0, 4.0 * K)
-    params = P.derive_constants(1.0, 0.002, 0.002, K, t0=t0)
+    params = P.DampingParams(1.0, 0.002, 0.002, K, t0=t0)
     tg, phase = small_grids(nx=32, nv=65, t0=t0, t_end=43.0, steps=87)
     return spec, S.picard_solve(spec, params, z, tg, phase)
 
@@ -971,7 +971,7 @@ def strong_tangent(strong_traj):
     whose rows are reduced onto the grid (spec, result, tangent)."""
     E, traj = strong_traj
     spec = make_spec(LINEAR_Z)
-    params = P.derive_constants(1.0, 0.002, 0.002, 2, t0=8.0)
+    params = P.DampingParams(1.0, 0.002, 0.002, 2, t0=8.0)
     tg, phase = small_grids()
     result = dataclasses.replace(
         S.picard_solve(spec, params, 0.0, tg, phase), field=E)
@@ -987,7 +987,7 @@ def strong_tangent_k3():
     k^3 X_1^3 / 3! term of the density sum show (spec, result, tangent)."""
     phase, E = _strong_case(t0=12.0)
     spec = make_spec(LINEAR_Z)
-    params = P.derive_constants(1.0, 0.002, 0.002, 3, t0=12.0)
+    params = P.DampingParams(1.0, 0.002, 0.002, 3, t0=12.0)
     result = dataclasses.replace(
         S.picard_solve(spec, params, 0.0, E.tgrid, phase), field=E)
     return spec, result, H.solve_tangent(spec, result)
@@ -1034,6 +1034,20 @@ def test_tangent_pass_equals_the_per_order_passes_bitwise(case, request):
         == {n: (c.value, c.bound) for n, c in checks.items()}
 
 
+@pytest.mark.parametrize("K", range(1, 9))
+def test_power_table_equals_the_recursion_bitwise(K):
+    # the tangent forms each [delta^m]_l once per row; the recursion that
+    # forms it anew on every call gives the same doubles, signed zeros too
+    rng = np.random.default_rng(K)
+    X = rng.standard_normal((K, 64)) * 10.0 ** rng.integers(-12, 1, (K, 1))
+    X[:, :3] = (0.0, -0.0, -1e-300)
+    table = S._powers(X, K)
+    assert set(table) == {(m, l) for l in range(1, K + 1)
+                          for m in range(1, l + 1)}
+    for (m, l), got in table.items():
+        assert got.tobytes() == H.power(X, m, l).tobytes(), (m, l)
+
+
 def test_solve_tangent_memory_budget(coarse_case):
     # the pass keeps rows of the K orders, not tables: the traced peak of
     # the tangent solve on the uq-coarse grids with K = 2, with the caches
@@ -1071,7 +1085,7 @@ def test_tangent_first_order_matches_central_differences(linear_tangent):
 
 def test_tangent_second_order_matches_the_interpolant(linear_tangent):
     spec, params, tg, phase, taylor = linear_tangent
-    nodes, _ = U.gauss_legendre_nodes(5)
+    nodes, _ = np.polynomial.legendre.leggauss(5)
     stack = _node_fields(spec, params, tg, phase, nodes)
     for k, ek in enumerate(taylor.fields, 1):
         exact = math.factorial(k) * ek.values
@@ -1113,7 +1127,7 @@ def test_tangent_orders_follow_K(linear_tangent):
     spec, params, tg, phase, taylor3 = _tangent_case(cubic, K=3)
     assert len(taylor3.fields) == 3
     assert all(c.passed for c in taylor3.checks.values())
-    nodes, _ = U.gauss_legendre_nodes(7)
+    nodes, _ = np.polynomial.legendre.leggauss(7)
     stack = _node_fields(spec, params, tg, phase, nodes)
     for k, ek in enumerate(taylor3.fields, 1):
         exact = math.factorial(k) * ek.values
